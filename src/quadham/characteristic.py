@@ -3,20 +3,22 @@
 The quadratic-exponent kernel ``G = (2 pi i mu)^(-1/2) exp(i(alpha x^2 +
 beta x y + gamma y^2))`` is determined by a solution of the characteristic
 equation ``mu'' - tau mu' + 4 sigma mu = 0`` with ``mu(0) = 0`` and
-``mu'(0) = 2 a(0)``.  This module solves that equation numerically,
-provides the catalog of elementary mu for the built-in models, and
-assembles (alpha, beta, gamma, h) by quadrature.
+``mu'(0) = 2 a(0)``.  This module solves that equation numerically together
+with a second solution nu (``nu(0) = 1``, ``nu'(0) = 0``), provides the
+catalog of elementary mu for the built-in models, and assembles
+(alpha, beta, gamma, h) algebraically from the fundamental pair.  By Abel's
+identity the Wronskian ``W = mu nu' - mu' nu`` obeys ``W' = tau W``, which
+gives ``a h^2 = -W / 2`` and so
+``d(gamma)/dt = -a h^2 / mu^2 = d(nu/mu)/dt / 2``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from scipy.integrate import solve_ivp
 
 from . import coefficients as coeff
 from .coefficients import EQUATION, ModelSpec, TimeCoefficients, tau_sigma
@@ -24,7 +26,6 @@ from .errors import (CausticEncountered, NoClosedForm, SingularCoefficient,
                      ToleranceNotMet)
 
 MU_GUARD = 1e-10
-_QUAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,33 +42,32 @@ class KernelParameters:
 
 
 class MuPath:
-    """Dense-output solution of the characteristic equation on [0, t_end]."""
+    """Dense-output solution of the characteristic equation on [0, t_end],
+    carried together with the second solution nu."""
 
-    def __init__(self, grid, mu_values, mu_prime_values, dense_sol=None):
+    def __init__(self, grid, dense_sol):
         self.grid = np.asarray(grid, dtype=float)
-        self.mu_values = np.asarray(mu_values, dtype=float)
-        self.mu_prime_values = np.asarray(mu_prime_values, dtype=float)
-        self._sol = dense_sol
         if self.grid.size < 2 or self.grid[0] != 0.0:
             raise ValueError("grid must start at 0 and contain >= 2 points")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
+        self._sol = dense_sol
+        self.mu_values = dense_sol(self.grid)[0]
 
     @property
     def t_end(self) -> float:
         return float(self.grid[-1])
 
     def mu(self, t: float) -> float:
-        return float(self._eval(t)[0])
+        return float(self._sol(t)[0])
 
     def mu_prime(self, t: float) -> float:
-        return float(self._eval(t)[1])
+        return float(self._sol(t)[1])
 
-    def _eval(self, t):
-        if self._sol is not None:
-            return self._sol(t)
-        return (np.interp(t, self.grid, self.mu_values),
-                np.interp(t, self.grid, self.mu_prime_values))
+    def pair(self, t: float) -> tuple[float, float, float, float]:
+        """(mu, mu', nu, nu') at t."""
+        mu, mup, nu, nup = self._sol(t)
+        return float(mu), float(mup), float(nu), float(nup)
 
     def mu_scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.mu_values))))
@@ -80,18 +80,20 @@ class MuPath:
                 return (float(self.grid[i]), float(self.grid[i + 1]))
         return None
 
-    def rows(self):
-        for t, m, mp in zip(self.grid, self.mu_values, self.mu_prime_values):
-            yield float(t), float(m), float(mp)
-
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float,
                          tol: float = 1e-10) -> MuPath:
-    """Integrate the characteristic equation on [0, t_end] with dense output."""
+    """Integrate the characteristic equation for mu and nu on [0, t_end]
+    with dense output."""
     tc.require(EQUATION)
     if not (t_end > 0):
         raise ValueError("t_end must be positive")
-    # reject spans containing coefficient singularities up front
+    if t_end >= tc.t_max:
+        raise SingularCoefficient("t_end reaches the coefficient limit t_max",
+                                  t_end=t_end, t_max=tc.t_max)
+    # reject spans containing coefficient singularities up front; the
+    # Wronskian form of h needs a(t) of one sign
+    a0 = tc.a(0.0)
     for t in np.linspace(0.0, t_end, 65):
         try:
             tau, sigma = tau_sigma(tc, min(t, t_end * (1 - 1e-12)))
@@ -99,19 +101,21 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
             raise SingularCoefficient(f"tau/sigma not finite at t={t}", t=t) from exc
         if not (math.isfinite(tau) and math.isfinite(sigma)):
             raise SingularCoefficient("tau/sigma not finite", t=t)
+        if not (tc.a(t) / a0 > 0):
+            raise SingularCoefficient("a(t) vanishes or changes sign", t=t)
 
     def rhs(t, y):
         tau, sigma = tau_sigma(tc, t)
-        return [y[1], tau * y[1] - 4.0 * sigma * y[0]]
+        return [y[1], tau * y[1] - 4.0 * sigma * y[0],
+                y[3], tau * y[3] - 4.0 * sigma * y[2]]
 
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 2.0 * tc.a(0.0)],
+    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 2.0 * a0, 1.0, 0.0],
                     method="RK45", rtol=tol, atol=tol * 1e-2,
                     dense_output=True, max_step=t_end / 16)
     if not sol.success:
         raise ToleranceNotMet(sol.message)
     grid = sol.t if sol.t[0] == 0.0 else np.concatenate([[0.0], sol.t])
-    vals = sol.sol(grid)
-    return MuPath(grid, vals[0], vals[1], dense_sol=sol.sol)
+    return MuPath(grid, sol.sol)
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
@@ -175,114 +179,35 @@ def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
     raise NoClosedForm(f"no catalogued mu for {m!r}")
 
 
-def h_factor(tc: TimeCoefficients, t: float) -> float:
-    """exp(-int_0^t (c - 2 d)) for "equation" coefficients."""
-    tc.require(EQUATION)
-    if t == 0.0:
-        return 1.0
-    val, _ = quad(lambda s: tc.c(s) - 2.0 * tc.d(s), 0.0, t,
-                  epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
-    return math.exp(-val)
-
-
-def _mu_prime_zeros(mu_prime: Callable[[float], float], t_end: float):
-    """Zeros of mu' in (0, t_end), located by sign change + bisection."""
-    zeros = []
-    ts = np.linspace(0.0, t_end, 257)
-    vals = np.array([mu_prime(t) for t in ts])
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0 and ts[i] > 0.0:
-            zeros.append(ts[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(brentq(mu_prime, ts[i], ts[i + 1], xtol=1e-14))
-    return zeros
-
-
-def kernel_parameters(tc: TimeCoefficients,
-                      mu_path: Union[MuPath, ModelSpec],
+def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
                       t: float) -> KernelParameters:
-    """Assemble (mu, mu', h, alpha, beta, gamma) at time t by quadrature.
+    """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the
+    fundamental pair (mu, nu) of ``mu_path``.
 
-    ``mu_path`` may be a numerically solved path or a ModelSpec, in which
-    case the catalogued elementary mu is used.  Raises CausticEncountered
-    when mu vanishes at t or changes sign before it.
+    Raises CausticEncountered when mu vanishes at t or changes sign before
+    it.
     """
     tc.require(EQUATION)
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
+    caustic = mu_path.first_caustic()
+    if caustic is not None and caustic[0] < t:
+        raise CausticEncountered(
+            "mu changes sign before the requested time", bracket=caustic)
 
-    if isinstance(mu_path, MuPath):
-        mu_of = mu_path.mu
-        mup_of = mu_path.mu_prime
-        scale = mu_path.mu_scale()
-        caustic = mu_path.first_caustic()
-        if caustic is not None and caustic[0] < t:
-            raise CausticEncountered(
-                "mu changes sign before the requested time",
-                bracket=caustic)
-    else:
-        spec = mu_path
-        mu_of = lambda s: closed_form_mu(spec, s)[0]
-        mup_of = lambda s: closed_form_mu(spec, s)[1]
-        samples = [abs(mu_of(s)) for s in np.linspace(0.0, t, 65)[1:]]
-        scale = max(1.0, max(samples))
-        sgn = np.sign([mu_of(s) for s in np.linspace(t / 64, t, 64)])
-        if np.any(sgn[:-1] * sgn[1:] < 0):
-            raise CausticEncountered("mu changes sign before the requested time")
-
-    mu = mu_of(t)
-    mup = mup_of(t)
-    if abs(mu) < MU_GUARD * scale:
+    mu, mup, nu, nup = mu_path.pair(t)
+    if abs(mu) < MU_GUARD * mu_path.mu_scale():
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu)
 
-    a_t = tc.a(t)
-    h_t = h_factor(tc, t)
+    a0, a_t = tc.a(0.0), tc.a(t)
+    # a h^2 = a(0) W / W(0) with W(0) = -2 a(0)
+    h_t = math.sqrt(-0.5 * (mu * nup - mup * nu) / a_t)
     alpha = mup / (4.0 * a_t * mu) - tc.d(t) / (2.0 * a_t)
     beta = -h_t / mu
-    gamma = _gamma_integral(tc, mu_of, mup_of, t, a_t, h_t)
+    gamma = nu / (2.0 * mu) + tc.d(0.0) / (2.0 * a0)
     return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h_t,
                             alpha=alpha, beta=beta, gamma=gamma)
-
-
-def _gamma_integral(tc, mu_of, mup_of, t, a_t, h_t):
-    """gamma(t) by quadrature.
-
-    The direct formula integrates a 1/(mu')^2 weight, which is improper at
-    zeros of mu'.  Before the first such zero it is evaluated directly; past
-    it, gamma is continued with d(gamma)/ds = -a h^2 / mu^2, which stays
-    smooth on any caustic-free window.
-    """
-    d00 = tc.d(0.0) / (2.0 * tc.a(0.0))
-
-    def boundary(s):
-        return tc.a(s) * h_factor(tc, s) ** 2 / (mu_of(s) * mup_of(s))
-
-    def integrand(s):
-        _, sigma = tau_sigma(tc, s)
-        return tc.a(s) * sigma * h_factor(tc, s) ** 2 / mup_of(s) ** 2
-
-    zeros = [z for z in _mu_prime_zeros(mup_of, t) if z < t * (1.0 - 1e-12)]
-    # a zero of mu' at the endpoint itself escapes the sign-change scan but
-    # still makes the boundary term 1/(mu mu') singular
-    mup_scale = max(abs(mup_of(s)) for s in np.linspace(0.0, t, 33))
-    if not zeros and abs(mup_of(t)) < 1e-6 * mup_scale:
-        zeros = [t]
-    if not zeros:
-        val, _ = quad(integrand, 0.0, t, epsabs=0.0, epsrel=_QUAD_RTOL,
-                      limit=200)
-        return a_t * h_t ** 2 / (mu_of(t) * mup_of(t)) + d00 - 4.0 * val
-
-    t_ref = 0.5 * zeros[0]
-    val, _ = quad(integrand, 0.0, t_ref, epsabs=0.0, epsrel=_QUAD_RTOL,
-                  limit=200)
-    gamma_ref = boundary(t_ref) + d00 - 4.0 * val
-
-    def dgamma(s):
-        return tc.a(s) * h_factor(tc, s) ** 2 / mu_of(s) ** 2
-
-    tail, _ = quad(dgamma, t_ref, t, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
-    return gamma_ref - tail
 
 
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
@@ -367,30 +292,3 @@ def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
         raise CausticEncountered("mu is inside the caustic guard band", t=t)
     return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h,
                             alpha=alpha, beta=beta, gamma=gamma)
-
-
-def verify_cj_antiderivative(lam: float, omega: float, delta: float,
-                             t: float, step: float = 1e-4) -> float:
-    """Finite-difference self-test of the hyperbolic antiderivative used in
-    the damped-oscillator kernel assembly; returns |d/dt(LHS) - RHS|."""
-    w0sq = omega ** 2 + lam ** 2
-
-    def num(s):
-        return (lam * math.cos(omega * s + delta) * math.sinh(lam * s)
-                + omega * math.sin(omega * s + delta) * math.cosh(lam * s))
-
-    def den(s):
-        return (omega * math.cos(omega * s + delta) * math.cosh(lam * s)
-                - lam * math.sin(omega * s + delta) * math.sinh(lam * s))
-
-    def lhs(s):
-        return num(s) / den(s)
-
-    d = den(t)
-    if d == 0.0:
-        raise ZeroDivisionError("denominator vanishes at t")
-    # 4th-order stencil: the ratio steepens near zeros of the denominator
-    deriv = (-lhs(t + 2 * step) + 8 * lhs(t + step)
-             - 8 * lhs(t - step) + lhs(t - 2 * step)) / (12.0 * step)
-    rhs = omega * w0sq * math.cosh(lam * t) ** 2 / d ** 2
-    return abs(deriv - rhs)

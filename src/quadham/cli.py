@@ -7,10 +7,8 @@ emit a one-line JSON record naming the originating module and error code.
 import argparse
 import json
 import math
-import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,15 +33,6 @@ _MODEL_INFO = {
     coeff.SIMPLE_HARMONIC: ("omega0", "none"),
     coeff.FREE_PARTICLE: ("none", "none"),
 }
-
-
-def _threads() -> int:
-    raw = os.environ.get("QUADHAM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(8, os.cpu_count() or 1)
 
 
 def _add_model_args(p):
@@ -85,7 +74,7 @@ def _sample_times(tc, t_end, samples):
     """Caustic-free sample times in (0, t_end]."""
     path = chr_mod.solve_characteristic(tc, t_end)
     caustic = path.first_caustic()
-    hi = t_end if caustic is None else min(t_end, 0.9 * caustic)
+    hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
     return path, np.linspace(hi / samples, hi, samples)
 
 
@@ -128,7 +117,7 @@ def cmd_kernel(args):
 def cmd_green(args):
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
-    path = chr_mod.solve_characteristic(tc, args.t * 1.0001)
+    path = chr_mod.solve_characteristic(tc, args.t)
     kp = chr_mod.kernel_parameters(tc, path, args.t)
     g = prop.green_eval(kp, args.x, args.y)
     qio.write_json(args.out, {"model": spec.model_id, "t": args.t,
@@ -265,11 +254,7 @@ def cmd_verify_all(args):
         models = [m for m in coeff.MODEL_IDS]
     else:
         models = [args.model]
-    results = []
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        futures = [pool.submit(_verify_one, m, args.budget) for m in models]
-        for f in futures:
-            results.extend(f.result())
+    results = [r for m in models for r in _verify_one(m, args.budget)]
     all_ok = True
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

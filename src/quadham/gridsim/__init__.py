@@ -42,7 +42,6 @@ class GridEvolution:
     times: Sequence[float]
     states: Sequence[GridState]
     dt: float
-    scheme_order: int = 2
 
     def final(self) -> GridState:
         return self.states[-1]

@@ -100,9 +100,11 @@ def green_eval(kp: KernelParameters, x, y) -> complex:
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    val = pref * np.exp(1j * (kp.alpha * x ** 2 + kp.beta * x * y
-                              + kp.gamma * y ** 2))
-    return complex(val) if val.ndim == 0 else val
+    phase = kp.alpha * x ** 2 + kp.beta * x * y + kp.gamma * y ** 2
+    # numpy's scalar complex product can differ from its array loop in the
+    # last bit; one array path gives a point the same value in any batch
+    val = pref * np.exp(1j * np.atleast_1d(phase))
+    return complex(val[0]) if phase.ndim == 0 else val
 
 
 def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:

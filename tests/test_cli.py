@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from quadham import characteristic as chr_mod
+from quadham import coefficients as coeff
 from quadham import io as qio
+from quadham import propagator as prop
 from quadham.cli import main
 
 
@@ -108,6 +111,76 @@ def test_propagate_sweep(capsys):
         t = float(row[t_i])
         assert float(row[i]) == pytest.approx(1.0 / (2.0 * (1.0 + t * t)),
                                               rel=1e-8)
+
+
+def _csv(out):
+    header, *rows = [ln.split(",") for ln in out.splitlines() if ln.strip()]
+    return [dict(zip(header, map(float, row))) for row in rows]
+
+
+def _close(got, exp, tol=1e-7):
+    return abs(got - exp) <= tol * max(1.0, abs(exp))
+
+
+def test_kernel_window_past_caustic(capsys):
+    # the window holds caustics at pi, 2 pi, ...; samples stop before the first
+    code, out, err = run(capsys, "kernel", "--model", "simple_harmonic",
+                         "--t-end", "20")
+    assert code == 0
+    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
+    rows = _csv(out)
+    assert len(rows) == 20
+    for row in rows:
+        assert row["t"] < math.pi
+        ref = chr_mod.closed_form_kernel(spec, row["t"])
+        for name in ("mu", "mu_prime", "h", "alpha", "beta", "gamma"):
+            assert _close(row[name], getattr(ref, name))
+
+
+def test_propagate_window_past_caustic(capsys):
+    code, out, err = run(capsys, "propagate", "--model", "simple_harmonic",
+                         "--t-end", "20")
+    assert code == 0
+    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
+    rows = _csv(out)
+    ts = [row["t"] for row in rows]
+    assert len(ts) == 20 and max(ts) < math.pi
+    states = prop.gaussian_sweep(
+        lambda t: chr_mod.closed_form_kernel(spec, t), ts,
+        prop.GaussianState(Lambda=0.5j, Theta=0j))
+    for row, s in zip(rows, states):
+        assert _close(row["lambda_re"], s.Lambda.real)
+        assert _close(row["lambda_im"], s.Lambda.imag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "--t-end", "3"],
+    ["green", "--t", "3", "--x", "0.3", "--y", "-0.2"],
+])
+def test_past_stated_limit_is_refused(capsys, argv):
+    # a(t) = cos^2 t of the modified oscillator vanishes at t_max = pi/2
+    code, out, err = run(capsys, argv[0], "--model", "modified_oscillator",
+                         *argv[1:])
+    assert code == 3
+    rec = json.loads(err.strip())
+    assert rec["type"] == "SingularCoefficient"
+    assert rec["module"] == "quadham.characteristic"
+
+
+def test_inside_stated_limit_is_served(capsys):
+    spec = coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)
+    code, out, err = run(capsys, "mu", "--model", "modified_oscillator",
+                         "--t-end", "1.5")
+    assert code == 0
+    for row in _csv(out):
+        mu, mup = chr_mod.closed_form_mu(spec, row["t"])
+        assert _close(row["mu"], mu) and _close(row["mu_prime"], mup)
+    code, out, err = run(capsys, "green", "--model", "modified_oscillator",
+                         "--t", "1.5", "--x", "0.3", "--y", "-0.2")
+    assert code == 0
+    data = json.loads(out)
+    ref = prop.green_eval(chr_mod.closed_form_kernel(spec, 1.5), 0.3, -0.2)
+    assert _close(data["re"], ref.real) and _close(data["im"], ref.imag)
 
 
 def test_moments_cmd(capsys):

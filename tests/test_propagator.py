@@ -37,8 +37,8 @@ def test_green_symmetric_when_alpha_equals_gamma():
     kp = kernel_of(0.6)
     ga = prop.green_eval(kp, 0.3, 1.1)
     gb = prop.green_eval(kp, 1.1, 0.3)
-    # alpha and gamma come from separate quadratures; agreement is limited
-    # by the quadrature tolerance, not machine epsilon
+    # alpha and gamma come from different components of the ODE solution;
+    # agreement is limited by the solver tolerance, not machine epsilon
     assert abs(ga - gb) < 1e-8 * abs(ga)
 
 
