@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from . import coefficients as coeff
 from .coefficients import EQUATION, ModelSpec, TimeCoefficients, tau_sigma
 from .errors import (CausticEncountered, NoClosedForm, SingularCoefficient,
-                     ToleranceNotMet)
+                     ToleranceNotMet, ValidationError)
 
 MU_GUARD = 1e-10
 
@@ -53,6 +53,11 @@ class MuPath:
             raise ValueError("grid must be strictly increasing")
         self._sol = dense_sol
         self.mu_values = dense_sol(self.grid)[0]
+        # first interior sign change of mu, or an exact zero, from index 1
+        mu = self.mu_values
+        hit = np.flatnonzero((mu[1:-1] == 0.0) | (mu[1:-1] * mu[2:] < 0.0))
+        self._caustic = None if hit.size == 0 else (
+            float(self.grid[hit[0] + 1]), float(self.grid[hit[0] + 2]))
 
     @property
     def t_end(self) -> float:
@@ -74,11 +79,7 @@ class MuPath:
 
     def first_caustic(self):
         """Bracketing interval of the first interior zero of mu, or None."""
-        mu = self.mu_values
-        for i in range(1, len(mu) - 1):
-            if mu[i] == 0.0 or mu[i] * mu[i + 1] < 0.0:
-                return (float(self.grid[i]), float(self.grid[i + 1]))
-        return None
+        return self._caustic
 
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float,
@@ -185,11 +186,15 @@ def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
     fundamental pair (mu, nu) of ``mu_path``.
 
     Raises CausticEncountered when mu vanishes at t or changes sign before
-    it.
+    it, and ValidationError when t lies past the solved window, where the
+    dense output would extrapolate and no caustic scan has been made.
     """
     tc.require(EQUATION)
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
+    if t > mu_path.t_end:
+        raise ValidationError("t lies past the solved window",
+                              t=t, t_end=mu_path.t_end)
     caustic = mu_path.first_caustic()
     if caustic is not None and caustic[0] < t:
         raise CausticEncountered(

@@ -332,6 +332,23 @@ def _build_parser():
     return ap
 
 
+def _check_args(args):
+    """Argument ranges argparse cannot express; refused before any work."""
+    if getattr(args, "samples", 1) < 1:
+        raise ValidationError("--samples must be at least 1",
+                              samples=args.samples)
+    if not (getattr(args, "t_start", 1.0) > 0):
+        raise ValidationError("--t-start must be positive",
+                              t_start=args.t_start)
+
+
+def _jsonable(value):
+    """JSON form of the error-info values json cannot write itself."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return repr(value)
+
+
 def _failing_module(exc) -> str:
     mod = "quadham"
     for frame, _ in traceback.walk_tb(exc.__traceback__):
@@ -344,12 +361,13 @@ def _failing_module(exc) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
     except QuadhamError as exc:
         record = {"error": exc.code, "type": type(exc).__name__,
                   "module": _failing_module(exc), "message": str(exc),
                   "info": exc.info}
-        print(json.dumps(record), file=sys.stderr)
+        print(json.dumps(record, default=_jsonable), file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
     except (ValueError, OSError) as exc:
         record = {"error": "validation", "type": type(exc).__name__,

@@ -2,8 +2,10 @@
 
 Gaussian states ``psi = exp(i(Lambda x^2 + Theta x + Phi))`` are closed
 under propagation by a quadratic-exponent kernel; the update is a complex
-Gaussian integral in closed form.  Grid states are propagated by direct
-quadrature of the superposition integral.
+Gaussian integral in closed form.  Grid states are propagated by trapezoid
+quadrature of the superposition integral; on uniform grids that sum is a
+chirp-z transform (chirp x Fourier x chirp), evaluated in O(N log N) with
+Bluestein's FFT convolution.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 from .characteristic import MU_GUARD, KernelParameters
 from .errors import (CausticEncountered, DegenerateWidth, NonNormalizable,
@@ -150,7 +153,14 @@ def gaussian_sweep(kernel_of, times, s0: GaussianState):
 
 def propagate_grid(kp: KernelParameters, phi: GridState,
                    target_grid=None) -> GridState:
-    """Trapezoid quadrature of psi(x) = int G(x, y) phi(y) dy."""
+    """Trapezoid quadrature of psi(x) = int G(x, y) phi(y) dy.
+
+    ``target_grid`` is ``(x0, dx, n)`` of the output grid (default: the
+    source grid).  With x_k = x0 + dx k and y_j = y0 + dy j the cross term
+    splits as beta x_k y_j = beta (x0 y0 + x0 dy j + dx y0 k) + c k j with
+    c = beta dx dy, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
+    j into one linear convolution with the chirp exp(-i c m^2 / 2).
+    """
     if target_grid is None:
         x0, dx, n = phi.x0, phi.dx, phi.values.size
     else:
@@ -164,7 +174,8 @@ def propagate_grid(kp: KernelParameters, phi: GridState,
                             edge_fraction=float(edge / peak))
 
     y = phi.x
-    x = x0 + dx * np.arange(n)
+    k = np.arange(n)
+    x = x0 + dx * k
     # quadrature resolution guard: phase advance per source step
     max_phase = abs(kp.beta) * phi.dx * float(np.max(np.abs(x)))
     if max_phase > 0.25 * math.pi:
@@ -175,10 +186,23 @@ def propagate_grid(kp: KernelParameters, phi: GridState,
     weights[0] *= 0.5
     weights[-1] *= 0.5
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
-    kernel = np.exp(1j * (kp.alpha * x[:, None] ** 2
-                          + kp.beta * np.outer(x, y)
-                          + kp.gamma * y[None, :] ** 2))
-    values = pref * kernel @ (weights * phi.values)
+    y0, dy, m = phi.x0, phi.dx, y.size
+    j = np.arange(m)
+    c = kp.beta * dx * dy
+    u = weights * phi.values * np.exp(
+        1j * (kp.gamma * y ** 2 + kp.beta * x0 * dy * j + 0.5 * c * j * j))
+    # chirp at lags -(m - 1) .. n - 1, the negative lags wrapped to the end,
+    # so that the circular convolution of length size >= n + m - 1 equals
+    # the linear one
+    size = next_fast_len(n + m - 1)
+    lag = np.zeros(size)
+    lag[:n] = k
+    lag[size - m + 1:] = np.arange(1 - m, 0)
+    chirp = np.exp(-0.5j * c * lag * lag)
+    conv = ifft(fft(u, size) * fft(chirp))[:n]
+    values = pref * conv * np.exp(
+        1j * (kp.alpha * x ** 2 + kp.beta * (x0 * y0 + dx * y0 * k)
+              + 0.5 * c * k * k))
     return GridState(x0, dx, values)
 
 

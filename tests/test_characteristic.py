@@ -5,7 +5,7 @@ import pytest
 
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
-from quadham.errors import CausticEncountered
+from quadham.errors import CausticEncountered, ValidationError
 
 ALL_MODELS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -211,6 +211,40 @@ def test_caustic_is_detected():
     assert hi - lo < 0.1
     with pytest.raises(CausticEncountered):
         chr_mod.kernel_parameters(tc, path, 3.5)
+
+
+def test_kernel_past_solved_window_is_refused():
+    # the dense output would extrapolate to mu(3.5) = -0.3117 (exact
+    # sin 3.5 = -0.3508) without seeing the caustic at pi
+    tc = _eq(coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0))
+    path = chr_mod.solve_characteristic(tc, 2.0)
+    with pytest.raises(ValidationError):
+        chr_mod.kernel_parameters(tc, path, 3.5)
+    kp = chr_mod.kernel_parameters(tc, path, path.t_end)
+    assert kp.mu == pytest.approx(math.sin(2.0), rel=1e-8)
+
+
+def _scan_first_caustic(grid, mu):
+    # reference: the first index i >= 1 with mu[i] == 0 or a sign change
+    # to mu[i + 1]
+    for i in range(1, len(mu) - 1):
+        if mu[i] == 0.0 or mu[i] * mu[i + 1] < 0.0:
+            return (float(grid[i]), float(grid[i + 1]))
+    return None
+
+
+@pytest.mark.parametrize("mu", [
+    [0.0, 1.0, 0.0, -1.0, 2.0],
+    [0.0, -1.0, -2.0, 3.0, 1.0],
+    [0.0, 1.0, 2.0, 3.0, -1.0],
+    [0.0, 1.0, 2.0, 3.0, 0.0],
+    [1.0, -1.0, -2.0, -3.0, -4.0],
+])
+def test_first_caustic_matches_scan(mu):
+    grid = np.arange(len(mu), dtype=float)
+    rows = np.array([mu] * 4)
+    path = chr_mod.MuPath(grid, lambda t: rows)
+    assert path.first_caustic() == _scan_first_caustic(grid, mu)
 
 
 def test_cj_pure_damping_limit():

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quadham
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
 from quadham import io as qio
@@ -260,6 +264,40 @@ def test_numerical_error_exit_code(capsys):
     rec = json.loads(err.strip())
     assert rec["type"] == "CausticEncountered"
     assert rec["module"] == "quadham.characteristic"
+
+
+@pytest.mark.parametrize("argv, error_type, info", [
+    # complex info is written as [re, im]
+    (["propagate", "--model", "simple_harmonic", "--t-end", "1",
+      "--lambda-im", "-1"], "NonNormalizable", {"Lambda": [0.0, -1.0]}),
+    (["mu", "--model", "simple_harmonic", "--t-end", "1", "--samples", "0"],
+     "ValidationError", {"samples": 0}),
+    (["kernel", "--model", "simple_harmonic", "--t-end", "1",
+      "--samples", "0"], "ValidationError", {"samples": 0}),
+    (["appendix_d", "--lambda", "0.2", "--omega", "1", "--t-start", "0",
+      "--t-end", "2"], "ValidationError", {"t_start": 0.0}),
+], ids=["complex_info", "mu_samples", "kernel_samples", "t_start"])
+def test_bad_arguments_give_json_record(capsys, argv, error_type, info):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    rec = json.loads(err.strip())
+    assert rec["type"] == error_type
+    assert rec["info"] == info
+
+
+@pytest.mark.parametrize("modules", [
+    "quadham.cli",
+    "quadham.characteristic, quadham.propagator, quadham.gridsim",
+])
+def test_import_leaves_scipy_signal_unloaded(modules):
+    # scipy.signal takes over a second to import; no module may pull it in
+    src = os.path.dirname(os.path.dirname(quadham.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (f"import sys; import {modules}; "
+            f"sys.exit('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_model_is_validation_error(capsys):

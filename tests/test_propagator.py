@@ -23,6 +23,27 @@ SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
 CK = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
 
 
+def _dense_grid_sum(kp, phi, target_grid=None):
+    """Small-N oracle: the trapezoid sum through the full N x N kernel."""
+    x0, dx, n = target_grid or (phi.x0, phi.dx, phi.values.size)
+    x = x0 + dx * np.arange(n)
+    y = phi.x
+    weights = np.full(y.size, phi.dx)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    kernel = np.exp(1j * (kp.alpha * x[:, None] ** 2
+                          + kp.beta * np.outer(x, y)
+                          + kp.gamma * y[None, :] ** 2))
+    pref = 1.0 / cmath.sqrt(2.0 * math.pi * 1j * kp.mu)
+    return pref * kernel @ (weights * phi.values)
+
+
+def _grid_gaussian(state, half_width, n):
+    dx = 2.0 * half_width / (n - 1)
+    return prop.GridState(-half_width, dx,
+                          state.eval(-half_width + dx * np.arange(n)))
+
+
 def test_sho_quarter_period_green():
     # at t = pi/2: alpha = gamma = 0, beta = -1, prefactor (2 pi i)^(-1/2)
     _, _, kernel_of = _kernel_of(SHO, 2.0)
@@ -136,6 +157,47 @@ def test_grid_matches_gaussian_closed_form():
     out_grid = prop.propagate_grid(kp, phi)
     out_exact = prop.propagate_gaussian(kp, s0).eval(x)
     assert np.max(np.abs(out_grid.values - out_exact)) <= 1e-6
+
+
+def test_grid_matches_gaussian_closed_form_large_n():
+    # the dense kernel of this size would take 4 GB
+    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    kp = kernel_of(0.7)
+    s0 = prop.GaussianState(Lambda=0.5j, Theta=0.3 - 0.5j)
+    phi = _grid_gaussian(s0, 12.0, 16384)
+    out_grid = prop.propagate_grid(kp, phi)
+    out_exact = prop.propagate_gaussian(kp, s0).eval(phi.x)
+    assert np.max(np.abs(out_grid.values - out_exact)) <= 1e-6
+
+
+@pytest.mark.parametrize("spec", [
+    CK, SHO,
+    coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1),
+    coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
+    coeff.ModelSpec(coeff.CJ_MOMENTUM, 1.0, 0.2),
+    coeff.ModelSpec(coeff.FREE_PARTICLE),
+], ids=lambda s: s.model_id)
+def test_grid_transform_matches_dense_sum(spec):
+    # N = 1000 is not a power of two
+    _, _, kernel_of = _kernel_of(spec, 1.0)
+    kp = kernel_of(0.6)
+    phi = _grid_gaussian(prop.GaussianState(0.2 + 0.5j, 0.3 - 0.2j), 8.0,
+                         1000)
+    got = prop.propagate_grid(kp, phi).values
+    ref = _dense_grid_sum(kp, phi)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_grid_transform_on_target_grid():
+    # output grid with its own origin, spacing and size
+    _, _, kernel_of = _kernel_of(CK, 1.0)
+    kp = kernel_of(0.5)
+    phi = _grid_gaussian(prop.GaussianState(0.5j, 0.4), 10.0, 900)
+    target = (-4.3, 0.0137, 701)
+    out = prop.propagate_grid(kp, phi, target_grid=target)
+    assert (out.x0, out.dx, out.values.size) == target
+    ref = _dense_grid_sum(kp, phi, target)
+    assert np.max(np.abs(out.values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_grid_zero_state_stays_zero():
