@@ -173,7 +173,7 @@ def cmd_invariant(args):
         return q.expectation(m.p2, m.x2, m.pxxp)
 
     ref = value(0.0)
-    ts = np.linspace(args.t_end / 64, args.t_end, 64)
+    ts = np.linspace(args.t_end / args.samples, args.t_end, args.samples)
     drift = max(abs(value(float(t)) - ref) for t in ts) / max(abs(ref), 1e-30)
     qio.write_json(args.out, {"model": spec.model_id, "t_end": args.t_end,
                               "reference": ref, "drift": drift})
@@ -352,7 +352,10 @@ def _jsonable(value):
 def _failing_module(exc) -> str:
     mod = "quadham"
     for frame, _ in traceback.walk_tb(exc.__traceback__):
-        name = frame.f_globals.get("__name__", "")
+        # under `python -m quadham.cli` the CLI's __name__ is __main__;
+        # its __spec__ still carries the module's real name
+        spec = frame.f_globals.get("__spec__")
+        name = spec.name if spec else frame.f_globals.get("__name__", "")
         if name.startswith("quadham"):
             mod = name
     return mod

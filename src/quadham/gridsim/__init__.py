@@ -3,33 +3,26 @@
 Crank-Nicolson with centered differences, coefficients frozen at step
 midpoints, second-order in time and space.  The non-self-adjoint drift
 term c x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2 so the
-discrete norm obeys the continuum norm law up to O(dx^2).  The stepping
-loop has a compiled backend and a pure-numpy fallback; set
-QUADHAM_PURE_PYTHON=1 to force the fallback.
+discrete norm obeys the continuum norm law up to O(dx^2).  Each step builds
+the explicit half with numpy and solves the implicit tridiagonal system
+with LAPACK's ``zgtsv``.
 """
 
-import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zgtsv
 
 from ..coefficients import EQUATION, TimeCoefficients, convert_convention
 from ..dynamics import FirstMoments, SecondMoments
-from ..errors import BoundaryLeak, NegativeVariance, ValidationError
+from ..errors import (BoundaryLeak, NegativeVariance, NumericalError,
+                      ValidationError)
 from ..propagator import GridState
 
-if os.environ.get("QUADHAM_PURE_PYTHON"):
-    from . import _cn_numpy as _core
-    COMPILED = False
-else:
-    try:
-        from . import _cn_core as _core
-        COMPILED = True
-    except ImportError:
-        from . import _cn_numpy as _core
-        COMPILED = False
+# Kept only because the benchmark's run record (quadbench/run.py,
+# environment()) reads it; there is one stepper and nothing compiled.
+COMPILED = False
 
 _EDGE_CELLS = 5
 _LEAK_TOL = 1e-8
@@ -54,6 +47,44 @@ def _leak_fraction(state: GridState) -> float:
         return 0.0
     edge = prob[:_EDGE_CELLS].sum() + prob[-_EDGE_CELLS:].sum()
     return float(edge / total)
+
+
+def _cn_run(psi, x, dx, dt, a_mid, b_mid, c_mid, d_mid):
+    """Advance psi through len(a_mid) Crank-Nicolson steps of size dt.
+
+    The generator is K = i a D2 - i b x^2 - c (x D1 + D1 x)/2 + c/2 - d
+    with centered D1, coefficients frozen at the step midpoints and
+    Dirichlet boundaries (identity rows at both edges).  Each step solves
+    (I - dt/2 K) psi_new = (I + dt/2 K) psi.
+    """
+    psi = np.array(psi, dtype=np.complex128)
+    x2 = x * x
+    # (x_j + x_{j+1}) / (4 dx): the drift weight of the bond j, j+1
+    bond = (x[1:] + x[:-1]) / (4.0 * dx)
+    half = 0.5 * dt
+    for k, (a, b, c, d) in enumerate(zip(a_mid, b_mid, c_mid, d_mid)):
+        # lo, up: minus dt/2 times the sub- and super-band of K;
+        # ex: the diagonal of I + dt/2 K
+        ho = 1j * half * a / (dx * dx)
+        drift = (half * c) * bond
+        lo = -ho - drift
+        up = drift - ho
+        ex = ((1.0 - 2.0 * ho - half * d + 0.25 * dt * c)
+              - (1j * half * b) * x2)
+        rhs = ex * psi
+        rhs[1:-1] -= lo[:-1] * psi[:-2] + up[1:] * psi[2:]
+        rhs[0] = rhs[-1] = 0.0
+        dg = 2.0 - ex
+        dg[0] = dg[-1] = 1.0
+        lo[-1] = 0.0
+        up[0] = 0.0
+        _, _, _, psi, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
+                                   overwrite_d=1, overwrite_du=1,
+                                   overwrite_b=1)
+        if info != 0:
+            raise NumericalError("Crank-Nicolson system is singular",
+                                 step=k, info=int(info))
+    return psi
 
 
 def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
@@ -85,8 +116,7 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
         b_mid = np.array([eq.b(t) for t in t_mid])
         c_mid = np.array([eq.c(t) for t in t_mid])
         d_mid = np.array([eq.d(t) for t in t_mid])
-        psi = _core.cn_run(cur.values, x, psi0.dx, dt,
-                           a_mid, b_mid, c_mid, d_mid)
+        psi = _cn_run(cur.values, x, psi0.dx, dt, a_mid, b_mid, c_mid, d_mid)
         done += chunk
         cur = GridState(x0=psi0.x0, dx=psi0.dx, values=psi)
         if check_boundary:

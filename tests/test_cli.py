@@ -10,6 +10,7 @@ import pytest
 import quadham
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
+from quadham import invariants as inv
 from quadham import io as qio
 from quadham import propagator as prop
 from quadham.cli import main
@@ -207,6 +208,23 @@ def test_invariant_cmd(capsys):
     assert data["drift"] <= 1e-8
 
 
+def test_invariant_drift_taken_over_samples(capsys, monkeypatch):
+    # the drift is sampled at --samples times, not at a fixed count
+    asked = []
+    catalog = inv.energy_operator_catalog
+
+    def spy(spec, t):
+        asked.append(t)
+        return catalog(spec, t)
+
+    monkeypatch.setattr(inv, "energy_operator_catalog", spy)
+    code, out, err = run(capsys, "invariant", "--model", "simple_harmonic",
+                         "--t-end", "2.0", "--samples", "5")
+    assert code == 0
+    assert asked == pytest.approx([0.0, 0.4, 0.8, 1.2, 1.6, 2.0])
+    assert json.loads(out)["drift"] <= 1e-8
+
+
 def test_uncertainty_cmd(capsys):
     code, out, err = run(capsys, "uncertainty", "--model", "caldirola_kanai",
                          "--omega0", "1.0", "--lambda", "0.1",
@@ -298,6 +316,18 @@ def test_import_leaves_scipy_signal_unloaded(modules):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_error_module_under_python_m():
+    # run as `python -m quadham.cli` the CLI module's __name__ is __main__
+    src = os.path.dirname(os.path.dirname(quadham.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadham.cli", "mu", "--model",
+         "simple_harmonic", "--t-end", "1", "--samples", "0"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr.strip())["module"] == "quadham.cli"
 
 
 def test_missing_model_is_validation_error(capsys):

@@ -9,8 +9,7 @@ from quadham import dynamics as dyn
 from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
-from quadham.errors import BoundaryLeak, ValidationError
-from quadham.gridsim import _cn_numpy
+from quadham.errors import BoundaryLeak, NumericalError, ValidationError
 
 SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
 CK = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
@@ -133,20 +132,51 @@ def test_time_halving_is_second_order():
     assert 3.5 <= err_coarse / err_fine <= 4.5
 
 
-def test_numpy_backend_matches_selected_backend():
-    tc = _ham(CK)
+def _dense_cn_step(psi, x, dx, dt, a, b, c, d):
+    # one Crank-Nicolson step with dense matrices: K = i a D2 - i b x^2
+    # - c (x D1 + D1 x)/2 + c/2 - d, identity rows at both edges
+    n = x.size
+    eye = np.eye(n)
+    d1 = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * dx)
+    d2 = (np.eye(n, k=1) - 2.0 * eye + np.eye(n, k=-1)) / (dx * dx)
+    xm = np.diag(x)
+    k = (1j * a * d2 - 1j * b * xm @ xm - 0.5 * c * (xm @ d1 + d1 @ xm)
+         + (0.5 * c - d) * eye)
+    lhs = eye - 0.5 * dt * k
+    rhs = (eye + 0.5 * dt * k) @ psi
+    lhs[[0, -1]] = eye[[0, -1]]
+    rhs[[0, -1]] = 0.0
+    return np.linalg.solve(lhs, rhs)
+
+
+def test_evolve_grid_matches_dense_cn_reference():
+    # the modified Caldirola-Kanai model has c != 0 and d != 0 (plain
+    # Caldirola-Kanai has c = d = 0)
+    tc = _ham(coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
     eq = coeff.convert_convention(tc, coeff.EQUATION)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
-    x = psi0.x
-    t_mid = (np.arange(50) + 0.5) * 1e-3
-    a = np.array([eq.a(t) for t in t_mid])
-    b = np.array([eq.b(t) for t in t_mid])
-    c = np.array([eq.c(t) for t in t_mid])
-    d = np.array([eq.d(t) for t in t_mid])
-    ref = _cn_numpy.cn_run(psi0.values.copy(), x, psi0.dx, 1e-3, a, b, c, d)
-    ev = gridsim.evolve_grid(tc, psi0, 1e-3, 50, record_every=10 ** 9,
+    t0, dt, steps = 0.2, 1e-2, 30
+    assert eq.c(t0) != 0.0 and eq.d(t0) != 0.0
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
+                          half_width=6.0, n=64)
+    ref = psi0.values.astype(complex)
+    for k in range(steps):
+        t = t0 + (k + 0.5) * dt
+        ref = _dense_cn_step(ref, psi0.x, psi0.dx, dt,
+                             eq.a(t), eq.b(t), eq.c(t), eq.d(t))
+    ev = gridsim.evolve_grid(tc, psi0, dt, steps, t0=t0, record_every=7,
                              check_boundary=False)
     assert np.max(np.abs(ev.final().values - ref)) <= 1e-12
+
+
+def test_singular_cn_system_raises():
+    # d = -2/dt makes 1 + dt/2 d vanish on every interior row
+    dt, n = 0.5, 8
+    x = np.linspace(-1.0, 1.0, n)
+    zero = np.zeros(3)
+    with pytest.raises(NumericalError) as err:
+        gridsim._cn_run(np.ones(n), x, x[1] - x[0], dt, zero, zero, zero,
+                        np.full(3, -2.0 / dt))
+    assert err.value.info == {"step": 0, "info": 2}
 
 
 def test_boundary_leak_detected():
