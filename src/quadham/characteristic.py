@@ -9,7 +9,8 @@ catalog of elementary mu for the built-in models, and assembles
 (alpha, beta, gamma, h) algebraically from the fundamental pair.  By Abel's
 identity the Wronskian ``W = mu nu' - mu' nu`` obeys ``W' = tau W``, which
 gives ``a h^2 = -W / 2`` and so
-``d(gamma)/dt = -a h^2 / mu^2 = d(nu/mu)/dt / 2``.
+``d(gamma)/dt = -a h^2 / mu^2 = d(nu/mu)/dt / 2``.  The pair is integrated
+with the package's DOP853 integrator (``quadham.ode``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import coefficients as coeff
 from .coefficients import EQUATION, ModelSpec, TimeCoefficients, tau_sigma
 from .errors import (CausticEncountered, NoClosedForm, SingularCoefficient,
-                     ToleranceNotMet, ValidationError)
+                     ValidationError)
+from .ode import bracket_sign_change, solve_ivp
 
 MU_GUARD = 1e-10
 
@@ -92,6 +93,7 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
     if t_end >= tc.t_max:
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)
+    tc.require_window(t_end)
     # reject spans containing coefficient singularities up front; the
     # Wronskian form of h needs a(t) of one sign
     a0 = tc.a(0.0)
@@ -111,12 +113,19 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
                 y[3], tau * y[3] - 4.0 * sigma * y[2]]
 
     sol = solve_ivp(rhs, (0.0, t_end), [0.0, 2.0 * a0, 1.0, 0.0],
-                    method="RK45", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True, max_step=t_end / 16)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
-    grid = sol.t if sol.t[0] == 0.0 else np.concatenate([[0.0], sol.t])
-    return MuPath(grid, sol.sol)
+                    rtol=tol, atol=tol * 1e-2, max_step=t_end / 16)
+    path = MuPath(sol.t, sol)
+    caustic = path.first_caustic()
+    if caustic is None:
+        return path
+    # the step points bracket the first zero of mu only to a step: locate
+    # it on the dense output and add grid points a margin either side, wide
+    # enough to hold the exact zero too (the numerical one is within about
+    # tol * t_end of it)
+    lo, hi = bracket_sign_change(lambda t: sol(t)[0], *caustic)
+    pad = math.sqrt(tol) * t_end
+    return MuPath(np.union1d(sol.t, (max(caustic[0], lo - pad),
+                                     min(caustic[1], hi + pad))), sol)
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:

@@ -372,12 +372,16 @@ def main(argv=None) -> int:
                   "info": exc.info}
         print(json.dumps(record, default=_jsonable), file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
-    except (ValueError, OSError) as exc:
-        record = {"error": "validation", "type": type(exc).__name__,
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # overflow or a division by zero in the model's formulas is a
+        # numerical failure of the inputs, not a crash
+        numerical = isinstance(exc, ArithmeticError)
+        record = {"error": "numerical" if numerical else "validation",
+                  "type": type(exc).__name__,
                   "module": _failing_module(exc), "message": str(exc),
                   "info": {}}
         print(json.dumps(record), file=sys.stderr)
-        return 2
+        return 3 if numerical else 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .errors import ConventionMismatch, InvalidModelParams, NonFiniteCoefficient
+from .errors import (ConventionMismatch, InvalidModelParams,
+                     NonFiniteCoefficient, SingularCoefficient)
 
 EQUATION = "equation"
 HAMILTONIAN = "hamiltonian"
@@ -68,6 +69,8 @@ class TimeCoefficients:
     dc: Optional[Callable[[float], float]] = None
     dd: Optional[Callable[[float], float]] = None
     t_max: float = math.inf
+    # a time where the coefficients are infinite; nan when there is none
+    t_singular: float = math.nan
 
     def __post_init__(self):
         if self.convention not in (EQUATION, HAMILTONIAN):
@@ -84,6 +87,14 @@ class TimeCoefficients:
 
     def deriv_d(self, t: float) -> float:
         return self.dd(t) if self.dd is not None else _fd_derivative(self.d, t)
+
+    def require_window(self, t_end: float) -> None:
+        """Refuse an integration from 0 to t_end that reaches t_singular;
+        the solver would crawl towards it for minutes before giving up."""
+        if min(0.0, t_end) <= self.t_singular <= max(0.0, t_end):
+            raise SingularCoefficient(
+                "the window reaches a singularity of the coefficients",
+                t_end=t_end, t_singular=self.t_singular)
 
     def require(self, convention: str) -> None:
         if self.convention != convention:
@@ -215,7 +226,9 @@ def _hamiltonian_form(spec: ModelSpec) -> TimeCoefficients:
             u = 2.0 * (lam * t + dlt)
             return -2.0 * lam ** 2 * math.cosh(u) / math.sinh(u) ** 2
 
-        return TimeCoefficients(a, b, cd, cd, HAMILTONIAN, da, db, dcd, dcd)
+        # tanh(lam t + delta) vanishes at t = -delta / lam
+        return TimeCoefficients(a, b, cd, cd, HAMILTONIAN, da, db, dcd, dcd,
+                                t_singular=-dlt / lam if lam else math.nan)
 
     if spec.model_id == PARAMETRIC_SECH2:
         w = w0

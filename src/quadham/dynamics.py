@@ -1,6 +1,8 @@
 """Expectation-value dynamics: moment systems, closed-form energy curves,
 Ehrenfest motion, uncertainty bounds, and the hyperbolic basis functions
-used to solve the damped-oscillator energy equation.
+used to solve the damped-oscillator energy equation.  The moment and
+energy equations are integrated with the package's DOP853 integrator
+(``quadham.ode``).
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import coefficients as coeff
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
-from .errors import InvalidMoments, NoClosedForm, ToleranceNotMet
+from .errors import InvalidMoments, NoClosedForm
+from .ode import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -66,19 +68,17 @@ def evolve_second_moments(tc: TimeCoefficients, m0: SecondMoments,
                           t_end: float, tol: float = 1e-12):
     """Integrate the second-moment system; returns t -> SecondMoments."""
     tc.require(HAMILTONIAN)
+    tc.require_window(t_end)
 
     def rhs(t, y):
         d = moment_derivative(tc, SecondMoments(*y), t)
         return [d.p2, d.x2, d.pxxp, d.norm]
 
     sol = solve_ivp(rhs, (0.0, t_end), [m0.p2, m0.x2, m0.pxxp, m0.norm],
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
+                    rtol=tol, atol=tol * 1e-2)
 
     def path(t: float) -> SecondMoments:
-        y = sol.sol(t)
+        y = sol(t)
         return SecondMoments(float(y[0]), float(y[1]), float(y[2]),
                              float(y[3]))
 
@@ -89,6 +89,7 @@ def evolve_first_moments(tc: TimeCoefficients, fm0: FirstMoments,
                          t_end: float, tol: float = 1e-12):
     """Integrate d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
     tc.require(HAMILTONIAN)
+    tc.require_window(t_end)
 
     def rhs(t, y):
         a, b = tc.a(t), tc.b(t)
@@ -96,13 +97,11 @@ def evolve_first_moments(tc: TimeCoefficients, fm0: FirstMoments,
         return [2.0 * a * y[1] + 2.0 * d * y[0],
                 -2.0 * b * y[0] - 2.0 * c * y[1]]
 
-    sol = solve_ivp(rhs, (0.0, t_end), [fm0.x, fm0.p], method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
+    sol = solve_ivp(rhs, (0.0, t_end), [fm0.x, fm0.p], rtol=tol,
+                    atol=tol * 1e-2)
 
     def path(t: float) -> FirstMoments:
-        y = sol.sol(t)
+        y = sol(t)
         return FirstMoments(float(y[0]), float(y[1]))
 
     return path
@@ -234,15 +233,12 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
 
     y_eps = [h00 + alpha * eps ** 2 + beta * eps ** 4,
              2.0 * alpha * eps + 4.0 * beta * eps ** 3]
-    sol = solve_ivp(rhs, (eps, t_end), y_eps, method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
+    sol = solve_ivp(rhs, (eps, t_end), y_eps, rtol=tol, atol=tol * 1e-2)
 
     def path(t: float) -> float:
         if t < eps:
             return h00 + alpha * t * t + beta * t ** 4
-        return float(sol.sol(t)[0])
+        return float(sol(t)[0])
 
     return path
 

@@ -3,9 +3,9 @@
 Crank-Nicolson with centered differences, coefficients frozen at step
 midpoints, second-order in time and space.  The non-self-adjoint drift
 term c x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2 so the
-discrete norm obeys the continuum norm law up to O(dx^2).  Each step builds
-the explicit half with numpy and solves the implicit tridiagonal system
-with LAPACK's ``zgtsv``.
+discrete norm obeys the continuum norm law up to O(dx^2).  Each step is one
+tridiagonal solve with LAPACK's ``zgtsv``; this is the only module of the
+package that imports scipy.
 """
 
 from dataclasses import dataclass
@@ -55,7 +55,9 @@ def _cn_run(psi, x, dx, dt, a_mid, b_mid, c_mid, d_mid):
     The generator is K = i a D2 - i b x^2 - c (x D1 + D1 x)/2 + c/2 - d
     with centered D1, coefficients frozen at the step midpoints and
     Dirichlet boundaries (identity rows at both edges).  Each step solves
-    (I - dt/2 K) psi_new = (I + dt/2 K) psi.
+    (I - dt/2 K) psi_new = (I + dt/2 K) psi in the form
+    (I - dt/2 K) y = 2 psi, psi_new = y - psi, with psi itself on the right
+    of the edge rows so that psi_new vanishes there.
     """
     psi = np.array(psi, dtype=np.complex128)
     x2 = x * x
@@ -63,27 +65,25 @@ def _cn_run(psi, x, dx, dt, a_mid, b_mid, c_mid, d_mid):
     bond = (x[1:] + x[:-1]) / (4.0 * dx)
     half = 0.5 * dt
     for k, (a, b, c, d) in enumerate(zip(a_mid, b_mid, c_mid, d_mid)):
-        # lo, up: minus dt/2 times the sub- and super-band of K;
-        # ex: the diagonal of I + dt/2 K
+        # lo, dg, up: the sub-, main and super-band of I - dt/2 K
         ho = 1j * half * a / (dx * dx)
         drift = (half * c) * bond
         lo = -ho - drift
         up = drift - ho
-        ex = ((1.0 - 2.0 * ho - half * d + 0.25 * dt * c)
-              - (1j * half * b) * x2)
-        rhs = ex * psi
-        rhs[1:-1] -= lo[:-1] * psi[:-2] + up[1:] * psi[2:]
-        rhs[0] = rhs[-1] = 0.0
-        dg = 2.0 - ex
+        dg = ((1.0 + 2.0 * ho + half * d - 0.25 * dt * c)
+              + (1j * half * b) * x2)
         dg[0] = dg[-1] = 1.0
         lo[-1] = 0.0
         up[0] = 0.0
-        _, _, _, psi, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
-                                   overwrite_d=1, overwrite_du=1,
-                                   overwrite_b=1)
+        rhs = 2.0 * psi
+        rhs[0], rhs[-1] = psi[0], psi[-1]
+        _, _, _, y, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
+                                 overwrite_d=1, overwrite_du=1,
+                                 overwrite_b=1)
         if info != 0:
             raise NumericalError("Crank-Nicolson system is singular",
                                  step=k, info=int(info))
+        psi = y - psi
     return psi
 
 

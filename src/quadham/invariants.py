@@ -5,6 +5,8 @@ Lewis-Riesenfeld construction from the nonlinear kappa equation, the
 Pinney-type superposition of linear solutions, the general symmetric-form
 invariant for arbitrary (possibly non-self-adjoint) quadratic Hamiltonians,
 linear invariants, and the ladder factorization of a quadratic invariant.
+Its ODEs and integrals are solved with the package's DOP853 integrator
+(``quadham.ode``).
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import coefficients as coeff
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients, \
     cj_scaled_coefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NoClosedForm, NonPositiveForm,
-                     ResidualTooLarge, ToleranceNotMet)
+                     ResidualTooLarge)
+from .ode import solve_ivp
 
-_QUAD_RTOL = 1e-10
+# tolerances of the integrals of the coefficients
+_INT_RTOL = 1e-12
+_INT_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,7 @@ def solve_energy_system(tc: TimeCoefficients, init, t_end: float,
     (A0, B0, C0, D0).  Returns a callable t -> QuadraticForm.
     """
     tc.require(HAMILTONIAN)
+    tc.require_window(t_end)
     y0 = list(init)
     if len(y0) == 3:
         y0.append(y0[2])
@@ -114,13 +119,10 @@ def solve_energy_system(tc: TimeCoefficients, init, t_end: float,
                 -cross + (c - d) * C,
                 -cross + (c - d) * D]
 
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol * 1e-2)
 
     def path(t: float) -> QuadraticForm:
-        A, B, C, D = sol.sol(t)
+        A, B, C, D = sol(t)
         return QuadraticForm(A=float(A), B=float(B), C=float(C), D=float(D), t=t)
 
     return path
@@ -205,20 +207,14 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
     def collapse(t, y):
         return y[0] - 1e-8
 
-    collapse.terminal = True
-    collapse.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, t_end), [kappa0, kappa0p], method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True,
-                    events=collapse)
-    if sol.status == 1:
+    sol = solve_ivp(rhs, (0.0, t_end), [kappa0, kappa0p], rtol=tol,
+                    atol=tol * 1e-2, event=collapse)
+    if sol.t_event is not None:
         raise KappaCollapse("kappa reached the collapse guard",
-                            t=float(sol.t_events[0][0]))
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
+                            t=sol.t_event)
     t_hi = float(sol.t[-1])
-    return ErmakovSolution(kappa=lambda t: float(sol.sol(t)[0]),
-                           kappa_prime=lambda t: float(sol.sol(t)[1]),
+    return ErmakovSolution(kappa=lambda t: float(sol(t)[0]),
+                           kappa_prime=lambda t: float(sol(t)[1]),
                            C0=c0, variable="physical", window=(0.0, t_hi))
 
 
@@ -270,13 +266,20 @@ def lewis_riesenfeld_invariant(sol: ErmakovSolution, t: float) -> QuadraticForm:
                          C=-k * kp, D=-k * kp, t=t)
 
 
-def _cd_integral(tc: TimeCoefficients, t: float, sign: int = 1) -> float:
-    """int_0^t (c - d) ds (sign=+1) or int_0^t (c + d) ds (sign=-1 flips d)."""
-    if t == 0.0:
-        return 0.0
-    val, _ = quad(lambda s: tc.c(s) - sign * tc.d(s), 0.0, t,
-                  epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
-    return val
+def _integrate_from_zero(tc: TimeCoefficients, rhs, n: int,
+                         t: float) -> np.ndarray:
+    """y(t) for y' = rhs(s, y), y(0) = 0 with n components, rhs built on
+    the coefficients tc."""
+    tc.require_window(t)
+    sol = solve_ivp(rhs, (0.0, t), np.zeros(n), rtol=_INT_RTOL,
+                    atol=_INT_ATOL)
+    return sol.y[:, -1]
+
+
+def _cd_integral(tc: TimeCoefficients, t: float) -> float:
+    """int_0^t (c - d) ds."""
+    return float(_integrate_from_zero(
+        tc, lambda s, y: [tc.c(s) - tc.d(s)], 1, t)[0])
 
 
 def _mu_triplet(mu_fn, t: float):
@@ -361,6 +364,7 @@ def solve_linear_auxiliary(tc: TimeCoefficients, init, t_end: float,
     """Integrate the linear auxiliary equation mu'' = (a'/a) mu' - Q mu and
     return a callable t -> (mu, mu')."""
     tc.require(HAMILTONIAN)
+    tc.require_window(t_end)
 
     def rhs(t, y):
         a = tc.a(t)
@@ -370,11 +374,13 @@ def solve_linear_auxiliary(tc: TimeCoefficients, init, t_end: float,
         Q = 4.0 * a * tc.b(t) + (ap / a - c - d) * (c + d) - cp - dp
         return [y[1], (ap / a) * y[1] - Q * y[0]]
 
-    sol = solve_ivp(rhs, (0.0, t_end), list(init), method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise ToleranceNotMet(sol.message)
-    return lambda t: (float(sol.sol(t)[0]), float(sol.sol(t)[1]))
+    sol = solve_ivp(rhs, (0.0, t_end), list(init), rtol=tol, atol=tol * 1e-2)
+
+    def path(t):
+        y = sol(t)
+        return float(y[0]), float(y[1])
+
+    return path
 
 
 def general_invariant(tc: TimeCoefficients, mu_fn, C0: float,
@@ -405,22 +411,25 @@ def general_invariant(tc: TimeCoefficients, mu_fn, C0: float,
 
 def invariant_diagnostics(tc: TimeCoefficients, mu_fn, t: float) -> dict:
     """Auxiliary quantities of the invariant construction: the substituted
-    kappa, the integrating factors, the proper time, and the key factor."""
+    kappa, the integrating factors, the proper time, and the key factor.
+
+    One solve carries int (3c + d), int (c + 3d) and the proper time
+    int 2a exp(-(int (3c + d) + int (c + 3d)) / 2); int (c + d) is a
+    quarter of the sum of the first two.
+    """
     tc.require(HAMILTONIAN)
     mu, mup = mu_fn(t)[:2]
-    int_cpd = _cd_integral(tc, t, sign=-1)
-    int_3cd, _ = quad(lambda s: 3.0 * tc.c(s) + tc.d(s), 0.0, t,
-                      epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
-    int_c3d, _ = quad(lambda s: tc.c(s) + 3.0 * tc.d(s), 0.0, t,
-                      epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
+
+    def rhs(s, y):
+        c, d = tc.c(s), tc.d(s)
+        return [3.0 * c + d, c + 3.0 * d,
+                2.0 * tc.a(s) * math.exp(-0.5 * (y[0] + y[1]))]
+
+    int_3cd, int_c3d, proper = (float(v) for v in
+                                _integrate_from_zero(tc, rhs, 3, t))
+    int_cpd = 0.25 * (int_3cd + int_c3d)
     mu1 = math.exp(-int_3cd)
     mu2 = math.exp(int_c3d)
-    proper, _ = quad(lambda s: 2.0 * tc.a(s) * math.exp(
-        -0.5 * (quad(lambda r: 3.0 * tc.c(r) + tc.d(r), 0.0, s,
-                     epsabs=0.0, epsrel=1e-8, limit=100)[0]
-                + quad(lambda r: tc.c(r) + 3.0 * tc.d(r), 0.0, s,
-                       epsabs=0.0, epsrel=1e-8, limit=100)[0])),
-        0.0, t, epsabs=0.0, epsrel=1e-8, limit=100)
     kappa = mu * math.exp(-int_cpd)
     key = math.exp(2.0 * int_cpd) / (2.0 * tc.a(t))
     return {"kappa": kappa, "mu1": mu1, "mu2": mu2,

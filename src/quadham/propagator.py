@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 from .characteristic import MU_GUARD, KernelParameters
 from .errors import (CausticEncountered, DegenerateWidth, NonNormalizable,
@@ -192,9 +192,9 @@ def propagate_grid(kp: KernelParameters, phi: GridState,
     u = weights * phi.values * np.exp(
         1j * (kp.gamma * y ** 2 + kp.beta * x0 * dy * j + 0.5 * c * j * j))
     # chirp at lags -(m - 1) .. n - 1, the negative lags wrapped to the end,
-    # so that the circular convolution of length size >= n + m - 1 equals
-    # the linear one
-    size = next_fast_len(n + m - 1)
+    # so that the circular convolution of length size >= n + m - 1 (the
+    # next power of two) equals the linear one
+    size = 1 << (n + m - 2).bit_length()
     lag = np.zeros(size)
     lag[:n] = k
     lag[size - m + 1:] = np.arange(1 - m, 0)

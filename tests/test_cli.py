@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -6,10 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadham
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
+from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham import io as qio
 from quadham import propagator as prop
@@ -318,6 +324,39 @@ def test_import_leaves_scipy_signal_unloaded(modules):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("module", ["quadham", "quadham.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # importing scipy.integrate cost most of a CLI call; only gridsim's
+    # LAPACK stepper may load scipy, and neither module imports gridsim
+    src = os.path.dirname(os.path.dirname(quadham.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (f"import sys; import {module}; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_tolerance_not_met_gives_json_record(capsys, monkeypatch):
+    # every moment obeys y' = y^2 with y(0) = 1 (pxxp stays 0), which blows
+    # up at t = 1: the step size underflows short of t_end
+    def squared(tc, m, t):
+        return dyn.SecondMoments(m.p2 ** 2, m.x2 ** 2, m.pxxp ** 2,
+                                 m.norm ** 2)
+
+    monkeypatch.setattr(dyn, "moment_derivative", squared)
+    code, out, err = run(capsys, "moments", "--model", "simple_harmonic",
+                         "--t-end", "2")
+    assert code == 3
+    assert out == ""
+    rec = json.loads(err.strip())
+    assert rec["type"] == "ToleranceNotMet"
+    assert rec["module"] == "quadham.ode"
+    assert rec["info"]["t"] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_error_module_under_python_m():
     # run as `python -m quadham.cli` the CLI module's __name__ is __main__
     src = os.path.dirname(os.path.dirname(quadham.__file__))
@@ -343,3 +382,80 @@ def test_verify_all_quick_single_model(capsys):
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert lines and all(ln.startswith("PASS") for ln in lines)
+
+
+# -- property test: every subcommand exits 0, 2 or 3 ------------------------
+
+_VALUE = st.one_of(st.sampled_from([0.0, -1.0, 1e-9, 0.5, 1.0, 3.0]),
+                   st.floats(-3.0, 3.0))
+_T_END = st.one_of(st.sampled_from([0.0, -1.0, 1e-6, math.pi, 20.0]),
+                   st.floats(-2.0, 12.0))
+_SAMPLES = st.integers(-1, 40)
+_MODEL_FLAGS = {"--model": st.sampled_from(coeff.MODEL_IDS),
+                "--omega0": _VALUE, "--lambda": _VALUE,
+                "--mu-param": _VALUE, "--delta": _VALUE}
+_MOMENT_FLAGS = {**_MODEL_FLAGS, "--t-end": _T_END, "--samples": _SAMPLES,
+                 "--p2": _VALUE, "--x2": _VALUE, "--pxxp": _VALUE}
+_COMMANDS = {
+    "list-models": {"--json": st.booleans()},
+    "mu": {**_MODEL_FLAGS, "--t-end": _T_END, "--samples": _SAMPLES},
+    "kernel": {**_MODEL_FLAGS, "--t-end": _T_END, "--samples": _SAMPLES},
+    "green": {**_MODEL_FLAGS, "--t": _T_END, "--x": _VALUE, "--y": _VALUE},
+    "propagate": {**_MODEL_FLAGS, "--t-end": _T_END, "--samples": _SAMPLES,
+                  "--lambda-re": _VALUE, "--lambda-im": _VALUE,
+                  "--theta-re": _VALUE, "--theta-im": _VALUE},
+    "moments": _MOMENT_FLAGS,
+    "invariant": _MOMENT_FLAGS,
+    "uncertainty": {**_MOMENT_FLAGS, "--x-mean": _VALUE, "--p-mean": _VALUE},
+    "appendix_d": {"--lambda": _VALUE, "--omega": _VALUE,
+                   "--gamma-shift": _VALUE, "--t-start": _VALUE,
+                   "--t-end": _T_END, "--samples": _SAMPLES},
+    "verify_all": {"--model": st.sampled_from(("all",) + coeff.MODEL_IDS),
+                   "--budget": st.just("quick")},
+}
+_JSON_OUT = ("green", "invariant")
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    for flag, values in _COMMANDS[command].items():
+        value = draw(values)
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            # --flag=value keeps a negative value from reading as a flag
+            argv.append(f"{flag}={value!r}" if isinstance(value, float)
+                        else f"{flag}={value}")
+    return argv
+
+
+def _parses(command, argv, out):
+    if command in _JSON_OUT or "--json" in argv:
+        json.loads(out)
+    elif command == "verify_all":
+        assert out and all(ln.startswith("PASS ")
+                           for ln in out.splitlines())
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert all(len(row) == len(header) for row in rows)
+        if command != "list-models":
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_subcommand_exits_0_2_or_3(command, data):
+    argv = data.draw(_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        _parses(command, argv, out.getvalue())
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, err.getvalue())
+        record = json.loads(lines[0])
+        assert {"error", "type", "module", "message", "info"} <= set(record)

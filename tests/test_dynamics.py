@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
-from quadham.errors import InvalidMoments, NoClosedForm
+from quadham.errors import InvalidMoments, NoClosedForm, SingularCoefficient
 
 M0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
 M0_EVEN = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.0, norm=1.0)
@@ -185,3 +185,17 @@ def test_variances_require_positive_norm():
     m = dyn.SecondMoments(p2=1.0, x2=1.0, norm=-1.0)
     with pytest.raises(InvalidMoments):
         m.variances(dyn.FirstMoments(0.1, 0.1))
+
+
+@pytest.mark.parametrize("delta, t_end", [(-0.5, 1.0), (0.5, -1.0)])
+def test_window_across_parametric_singularity_is_refused(delta, t_end):
+    # tanh(lam t + delta) vanishes at t = -delta / lam inside the window;
+    # the moment solve used to crawl towards it for about a minute
+    spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 1.0, delta=delta)
+    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    with pytest.raises(SingularCoefficient):
+        dyn.evolve_second_moments(tc, M0, t_end)
+    with pytest.raises(SingularCoefficient):
+        dyn.evolve_first_moments(tc, dyn.FirstMoments(0.1, 0.2), t_end)
+    path = dyn.evolve_second_moments(tc, M0, 0.4 * t_end)
+    assert math.isfinite(path(0.4 * t_end).x2)
