@@ -7,7 +7,7 @@ quadratic Hamiltonians H = a(t) p^2 + b(t) x^2 + c(t) px + d(t) xp.
 
 from .coefficients import (EQUATION, HAMILTONIAN, MODEL_IDS, ModelSpec,
                            TimeCoefficients, builtin_coefficients,
-                           convert_convention, tau_sigma)
+                           convert_convention)
 from .characteristic import (KernelParameters, MuPath, closed_form_kernel,
                              closed_form_mu, kernel_parameters,
                              solve_characteristic)

@@ -1,16 +1,19 @@
 """Characteristic function mu and Green-function kernel parameters.
 
-The quadratic-exponent kernel ``G = (2 pi i mu)^(-1/2) exp(i(alpha x^2 +
-beta x y + gamma y^2))`` is determined by a solution of the characteristic
-equation ``mu'' - tau mu' + 4 sigma mu = 0`` with ``mu(0) = 0`` and
-``mu'(0) = 2 a(0)``.  This module solves that equation numerically together
-with a second solution nu (``nu(0) = 1``, ``nu'(0) = 0``), provides the
-catalog of elementary mu for the built-in models, and assembles
-(alpha, beta, gamma, h) algebraically from the fundamental pair.  By Abel's
-identity the Wronskian ``W = mu nu' - mu' nu`` obeys ``W' = tau W``, which
-gives ``a h^2 = -W / 2`` and so
-``d(gamma)/dt = -a h^2 / mu^2 = d(nu/mu)/dt / 2``.  The pair is integrated
-with the package's DOP853 integrator (``quadham.ode``).
+The kernel ``G = (2 pi i mu)^(-1/2) exp(i(alpha x^2 + beta x y + gamma
+y^2))`` is the generating function of the linear canonical transform given
+by the classical 2x2 flow M of the Hamiltonian (Moshinsky & Quesne,
+J. Math. Phys. 12 (1971) 1772).  In the hamiltonian convention both columns
+of M obey ``x' = 2 a p + (c + d) x``, ``p' = -2 b x - (c + d) p`` from
+M(0) = 1, and with ``I = int_0^t (c - d)``:
+
+    h = e^I,  mu = M12 h,  mu' = (2 a M22 + 2 c M12) h,
+    alpha = M22 / (2 M12),  beta = -1 / M12,  gamma = M11 / (2 M12).
+
+mu solves the characteristic equation with ``mu(0) = 0``,
+``mu'(0) = 2 a(0)``.  The flow needs no derivative of the coefficients and
+no division by a(t); it is integrated with ``quadham.ode``.  The module also
+holds the elementary mu and kernels of the built-in models.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coeff
-from .coefficients import EQUATION, ModelSpec, TimeCoefficients, tau_sigma
+from .coefficients import EQUATION, ModelSpec, TimeCoefficients
 from .errors import (CausticEncountered, NoClosedForm, SingularCoefficient,
                      ValidationError)
 from .ode import bracket_sign_change, solve_ivp
@@ -42,21 +45,30 @@ class KernelParameters:
     gamma: float
 
 
-class MuPath:
-    """Dense-output solution of the characteristic equation on [0, t_end],
-    carried together with the second solution nu."""
+def _mu_prime(tc: TimeCoefficients, t: float, y) -> float:
+    # (2 a M22 + 2 c_H M12) e^I, where c_H is the equation-convention d
+    return 2.0 * (tc.a(t) * y[3] + tc.d(t) * y[1]) * math.exp(y[-1])
 
-    def __init__(self, grid, dense_sol):
+
+class MuPath:
+    """Dense-output flow (M11, M12, M21, M22, I) on [0, t_end]; ``tc``
+    (equation convention) serves :meth:`mu_prime`."""
+
+    def __init__(self, grid, flow, tc: TimeCoefficients | None = None):
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.size < 2 or self.grid[0] != 0.0:
             raise ValueError("grid must start at 0 and contain >= 2 points")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-        self._sol = dense_sol
-        self.mu_values = dense_sol(self.grid)[0]
-        # first interior sign change of mu, or an exact zero, from index 1
-        mu = self.mu_values
-        hit = np.flatnonzero((mu[1:-1] == 0.0) | (mu[1:-1] * mu[2:] < 0.0))
+        self._flow = flow
+        self._tc = tc
+        rows = flow(self.grid)
+        m12 = rows[1]
+        # mu = M12 e^I; I is the last row
+        self.mu_values = m12 * np.exp(rows[-1])
+        # first interior sign change of M12, or an exact zero, from index
+        # 1; mu = M12 h has the sign of M12 because h > 0
+        hit = np.flatnonzero((m12[1:-1] == 0.0) | (m12[1:-1] * m12[2:] < 0.0))
         self._caustic = None if hit.size == 0 else (
             float(self.grid[hit[0] + 1]), float(self.grid[hit[0] + 2]))
 
@@ -64,16 +76,16 @@ class MuPath:
     def t_end(self) -> float:
         return float(self.grid[-1])
 
+    def flow(self, t: float) -> tuple[float, float, float, float, float]:
+        """(M11, M12, M21, M22, I) at t."""
+        return tuple(self._flow(t).tolist())
+
     def mu(self, t: float) -> float:
-        return float(self._sol(t)[0])
+        y = self._flow(t)
+        return float(y[1] * math.exp(y[-1]))
 
     def mu_prime(self, t: float) -> float:
-        return float(self._sol(t)[1])
-
-    def pair(self, t: float) -> tuple[float, float, float, float]:
-        """(mu, mu', nu, nu') at t."""
-        mu, mup, nu, nup = self._sol(t)
-        return float(mu), float(mup), float(nu), float(nup)
+        return float(_mu_prime(self._tc, t, self._flow(t)))
 
     def mu_scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.mu_values))))
@@ -85,8 +97,8 @@ class MuPath:
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float,
                          tol: float = 1e-10) -> MuPath:
-    """Integrate the characteristic equation for mu and nu on [0, t_end]
-    with dense output."""
+    """Integrate the classical flow matrix and I on [0, t_end] with dense
+    output."""
     tc.require(EQUATION)
     if not (t_end > 0):
         raise ValueError("t_end must be positive")
@@ -94,27 +106,20 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)
     tc.require_window(t_end)
-    # reject spans containing coefficient singularities up front; the
-    # Wronskian form of h needs a(t) of one sign
-    a0 = tc.a(0.0)
-    for t in np.linspace(0.0, t_end, 65):
-        try:
-            tau, sigma = tau_sigma(tc, min(t, t_end * (1 - 1e-12)))
-        except Exception as exc:
-            raise SingularCoefficient(f"tau/sigma not finite at t={t}", t=t) from exc
-        if not (math.isfinite(tau) and math.isfinite(sigma)):
-            raise SingularCoefficient("tau/sigma not finite", t=t)
-        if not (tc.a(t) / a0 > 0):
-            raise SingularCoefficient("a(t) vanishes or changes sign", t=t)
+    a, b, c, d = tc.a, tc.b, tc.c, tc.d
 
     def rhs(t, y):
-        tau, sigma = tau_sigma(tc, t)
-        return [y[1], tau * y[1] - 4.0 * sigma * y[0],
-                y[3], tau * y[3] - 4.0 * sigma * y[2]]
+        # equation convention: c = c_H + d_H and d = c_H, so the drift is
+        # c and I' = c_H - d_H = 2 d - c
+        m11, m12, m21, m22, _ = y
+        two_a, two_b, s = 2.0 * a(t), 2.0 * b(t), c(t)
+        return [two_a * m21 + s * m11, two_a * m22 + s * m12,
+                -two_b * m11 - s * m21, -two_b * m12 - s * m22,
+                2.0 * d(t) - s]
 
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 2.0 * a0, 1.0, 0.0],
+    sol = solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0],
                     rtol=tol, atol=tol * 1e-2, max_step=t_end / 16)
-    path = MuPath(sol.t, sol)
+    path = MuPath(sol.t, sol, tc)
     caustic = path.first_caustic()
     if caustic is None:
         return path
@@ -122,10 +127,10 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
     # it on the dense output and add grid points a margin either side, wide
     # enough to hold the exact zero too (the numerical one is within about
     # tol * t_end of it)
-    lo, hi = bracket_sign_change(lambda t: sol(t)[0], *caustic)
+    lo, hi = bracket_sign_change(lambda t: sol(t)[1], *caustic)
     pad = math.sqrt(tol) * t_end
     return MuPath(np.union1d(sol.t, (max(caustic[0], lo - pad),
-                                     min(caustic[1], hi + pad))), sol)
+                                     min(caustic[1], hi + pad))), sol, tc)
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
@@ -191,8 +196,8 @@ def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
 
 def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
                       t: float) -> KernelParameters:
-    """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the
-    fundamental pair (mu, nu) of ``mu_path``.
+    """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
+    matrix of ``mu_path``.
 
     Raises CausticEncountered when mu vanishes at t or changes sign before
     it, and ValidationError when t lies past the solved window, where the
@@ -209,19 +214,16 @@ def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
 
-    mu, mup, nu, nup = mu_path.pair(t)
+    y = mu_path.flow(t)
+    m11, m12, _, m22, log_h = y
+    h = math.exp(log_h)
+    mu = m12 * h
     if abs(mu) < MU_GUARD * mu_path.mu_scale():
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu)
-
-    a0, a_t = tc.a(0.0), tc.a(t)
-    # a h^2 = a(0) W / W(0) with W(0) = -2 a(0)
-    h_t = math.sqrt(-0.5 * (mu * nup - mup * nu) / a_t)
-    alpha = mup / (4.0 * a_t * mu) - tc.d(t) / (2.0 * a_t)
-    beta = -h_t / mu
-    gamma = nu / (2.0 * mu) + tc.d(0.0) / (2.0 * a0)
-    return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h_t,
-                            alpha=alpha, beta=beta, gamma=gamma)
+    return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(tc, t, y), h=h,
+                            alpha=m22 / (2.0 * m12), beta=-1.0 / m12,
+                            gamma=m11 / (2.0 * m12))
 
 
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:

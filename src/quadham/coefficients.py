@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .errors import (ConventionMismatch, InvalidModelParams,
-                     NonFiniteCoefficient, SingularCoefficient)
+from .errors import ConventionMismatch, InvalidModelParams, SingularCoefficient
 
 EQUATION = "equation"
 HAMILTONIAN = "hamiltonian"
@@ -306,28 +305,3 @@ def convert_convention(tc: TimeCoefficients, target: str) -> TimeCoefficients:
         new_dd = (lambda t: dc(t) - dd(t)) if (dc and dd) else None
     return replace(tc, c=new_c, d=new_d, convention=target, dc=new_dc, dd=new_dd)
 
-
-def tau_sigma(tc: TimeCoefficients, t: float) -> tuple[float, float]:
-    """Drift and restoring coefficients of the second-order form.
-
-    For "equation" coefficients these are the ones entering the
-    characteristic equation ``mu'' - tau mu' + 4 sigma mu = 0``; for
-    "hamiltonian" coefficients they are the Ehrenfest variant governing the
-    first moments.  sigma is evaluated in an expanded form that stays finite
-    when d vanishes identically.
-    """
-    a = tc.a(t)
-    b = tc.b(t)
-    c = tc.c(t)
-    d = tc.d(t)
-    ap = tc.deriv_a(t)
-    dp = tc.deriv_d(t)
-    if tc.convention == EQUATION:
-        tau = ap / a - 2.0 * c + 4.0 * d
-        sigma = a * b - c * d + d * d + d * ap / (2.0 * a) - 0.5 * dp
-    else:
-        tau = ap / a - 2.0 * c + 2.0 * d
-        sigma = a * b - c * d + d * ap / (2.0 * a) - 0.5 * dp
-    if not (math.isfinite(tau) and math.isfinite(sigma)):
-        raise NonFiniteCoefficient("tau or sigma is not finite", t=t)
-    return tau, sigma

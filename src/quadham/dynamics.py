@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import coefficients as coeff
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import InvalidMoments, NoClosedForm
@@ -216,8 +214,7 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
     h00 = m0.p2 + m0.x2
     l0 = m0.p2 - m0.x2
     e0 = (0.5 * w0 * (1.0 - 0.5 * lam ** 2 / w0 ** 2) * h00
-          + 0.25 * lam ** 2 / w0 * l0
-          + 0.5 * lam * 0.0 * m0.pxxp)
+          + 0.25 * lam ** 2 / w0 * l0)
     alpha = -lam * lam * l0
     # quartic Taylor coefficient of the even branch; the t^3 homogeneous
     # mode amplifies startup truncation by eps^-3, so a quadratic start is

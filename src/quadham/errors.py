@@ -33,10 +33,6 @@ class ConventionMismatch(ValidationError):
     code = "convention_mismatch"
 
 
-class NonFiniteCoefficient(NumericalError):
-    code = "non_finite_coefficient"
-
-
 class SingularCoefficient(NumericalError):
     code = "singular_coefficient"
 

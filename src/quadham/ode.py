@@ -24,6 +24,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # the controlled error estimate is of order 7
 _EXPONENT = -1.0 / 8.0
+# attempted steps (accepted and rejected) one solve may take, as DOP853's
+# NMAX: five times the most (673) any tier-1 or benchmark solve takes.  A
+# solve towards a singular time would otherwise crawl on for minutes
+MAX_STEPS = 3_500
 
 # The tables below are those of the DOP853 code, each 30-digit constant
 # written as the shortest decimal that reads back as the same double.
@@ -134,7 +138,10 @@ def _initial_step(f, t0, y0, f0, span, direction, max_step, rtol, atol):
 def _error_norm(K, h, scale):
     err5 = np.dot(K.T, _E5) / scale
     err3 = np.dot(K.T, _E3) / scale
-    e5, e3 = float(np.dot(err5, err5)), float(np.dot(err3, err3))
+    # squared norms, as scipy's DOP853 takes them: a dot product rounds
+    # differently, and the step sizes then drift off scipy's by up to 2e-10
+    e5 = float(np.linalg.norm(err5)) ** 2
+    e3 = float(np.linalg.norm(err3)) ** 2
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
@@ -171,12 +178,18 @@ class Solution:
     at a scalar t (shape (n,)) or a 1-D array of times (shape (n, m)).
     Times outside the span extrapolate the nearest step's polynomial.
     ``t_event`` is the time the event stopped the solve, else None.
+    ``nfev`` counts the right-hand-side evaluations, ``n_steps`` the
+    accepted steps and ``n_rejected`` the rejected ones.
     """
 
-    def __init__(self, ts, ys, segments, direction, t_event):
+    def __init__(self, ts, ys, segments, direction, t_event, nfev=0,
+                 n_rejected=0):
         self.t = np.array(ts)
         self.y = np.array(ys).T
         self.t_event = t_event
+        self.nfev = nfev
+        self.n_steps = len(segments)
+        self.n_rejected = n_rejected
         self._sign = direction
         # the step ending at a step point serves it, as in scipy's
         # OdeSolution; lists, because bisect on them is the fastest lookup
@@ -219,12 +232,16 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
     ``event(t, y)``, when given, ends the solve at its first fall from
     positive to zero or below; the time is located on the dense output and
     reported as ``Solution.t_event``.  Raises ToleranceNotMet when the
-    step size falls below ten ulp of t.
+    step size falls below ten ulp of t or after MAX_STEPS attempted steps.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
 
+    nfev = n_rejected = 0
+
     def f(t, y):
+        nonlocal nfev
+        nfev += 1
         return np.asarray(fun(t, y), dtype=float)
 
     direction = 1.0 if t_bound >= t0 else -1.0
@@ -247,6 +264,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
                 raise ToleranceNotMet(
                     "required step size is below the spacing of "
                     "floating-point numbers", t=t, h=float(h_abs))
+            if len(segments) + n_rejected >= MAX_STEPS:
+                raise ToleranceNotMet(
+                    "the solve used up its step budget", t=t,
+                    steps=len(segments), rejected=n_rejected, nfev=nfev)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -266,6 +287,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
+            n_rejected += 1
 
         for s in range(13, 16):
             K[s] = f(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
@@ -292,4 +314,4 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
             g = g_new
         ts.append(t)
         ys.append(y)
-    return Solution(ts, ys, segments, direction, t_event)
+    return Solution(ts, ys, segments, direction, t_event, nfev, n_rejected)

@@ -179,6 +179,8 @@ def test_past_stated_limit_is_refused(capsys, argv):
 
 
 def test_inside_stated_limit_is_served(capsys):
+    # a(t) = cos^2 t is 9.3e-9 at t = 1.5707: the kernel must not divide
+    # by it
     spec = coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)
     code, out, err = run(capsys, "mu", "--model", "modified_oscillator",
                          "--t-end", "1.5")
@@ -186,12 +188,23 @@ def test_inside_stated_limit_is_served(capsys):
     for row in _csv(out):
         mu, mup = chr_mod.closed_form_mu(spec, row["t"])
         assert _close(row["mu"], mu) and _close(row["mu_prime"], mup)
-    code, out, err = run(capsys, "green", "--model", "modified_oscillator",
-                         "--t", "1.5", "--x", "0.3", "--y", "-0.2")
+    code, out, err = run(capsys, "kernel", "--model", "modified_oscillator",
+                         "--t-end", "1.5707", "--samples", "50")
     assert code == 0
-    data = json.loads(out)
-    ref = prop.green_eval(chr_mod.closed_form_kernel(spec, 1.5), 0.3, -0.2)
-    assert _close(data["re"], ref.real) and _close(data["im"], ref.imag)
+    rows = _csv(out)
+    assert len(rows) == 50
+    for row in rows:
+        ref = chr_mod.closed_form_kernel(spec, row["t"])
+        for name in ("mu", "mu_prime", "h", "alpha", "beta", "gamma"):
+            assert _close(row[name], getattr(ref, name))
+    for t in (1.5, 1.5707):
+        code, out, err = run(capsys, "green", "--model",
+                             "modified_oscillator", "--t", str(t),
+                             "--x", "0.3", "--y", "-0.2")
+        assert code == 0
+        data = json.loads(out)
+        ref = prop.green_eval(chr_mod.closed_form_kernel(spec, t), 0.3, -0.2)
+        assert _close(data["re"], ref.real) and _close(data["im"], ref.imag)
 
 
 def test_moments_cmd(capsys):

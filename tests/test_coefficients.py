@@ -68,30 +68,6 @@ def test_analytic_derivatives_match_fd():
                 assert df(t) == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
-def test_tau_sigma_selected_by_convention():
-    # the two conventions differ by 4(c - d) in the drift coefficient
-    spec = coeff.ModelSpec(coeff.UNITED, omega0=1.3, lam=0.35, mu_param=0.2)
-    h = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    e = coeff.convert_convention(h, coeff.EQUATION)
-    for t in (0.1, 0.7, 1.4):
-        tau_h, _ = coeff.tau_sigma(h, t)
-        tau_e, _ = coeff.tau_sigma(e, t)
-        diff = 4.0 * (h.c(t) - h.d(t))
-        assert tau_e - tau_h == pytest.approx(diff, rel=1e-12, abs=1e-12)
-
-
-def test_tau_sigma_self_adjoint_agree():
-    # for c = d both conventions give the same characteristic coefficients
-    spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.4, 0.3)
-    h = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    e = coeff.convert_convention(h, coeff.EQUATION)
-    for t in (0.1, 0.9):
-        th, sh = coeff.tau_sigma(h, t)
-        te, se = coeff.tau_sigma(e, t)
-        assert th == pytest.approx(te, rel=1e-12, abs=1e-12)
-        assert sh == pytest.approx(se, rel=1e-12, abs=1e-12)
-
-
 @settings(max_examples=30, deadline=None)
 @given(c0=st.floats(-1.5, 1.5), d0=st.floats(-1.5, 1.5),
        t=st.floats(0.05, 1.5))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham.errors import KappaCollapse, ToleranceNotMet
-from quadham.ode import solve_ivp
+from quadham.ode import MAX_STEPS, solve_ivp
 
 
 def _second_moments_rhs():
@@ -29,13 +30,16 @@ def _characteristic_rhs():
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
 
     def rhs(t, y):
-        tau, sigma = coeff.tau_sigma(tc, t)
-        return [y[1], tau * y[1] - 4.0 * sigma * y[0],
-                y[3], tau * y[3] - 4.0 * sigma * y[2]]
+        # the classical flow (M11, M12, M21, M22) and I = int (c_H - d_H);
+        # in the equation convention the drift c_H + d_H is c and c_H is d
+        a, b, s = tc.a(t), tc.b(t), tc.c(t)
+        return [2 * a * y[2] + s * y[0], 2 * a * y[3] + s * y[1],
+                -2 * b * y[0] - s * y[2], -2 * b * y[1] - s * y[3],
+                2 * tc.d(t) - s]
 
     # the tolerances and step limit of solve_characteristic
     t_end = 4.0
-    return rhs, (0.0, t_end), [0.0, 2.0 * tc.a(0.0), 1.0, 0.0], dict(
+    return rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0], dict(
         rtol=1e-10, atol=1e-12, max_step=t_end / 16)
 
 
@@ -57,6 +61,36 @@ def test_dense_output_matches_scipy_dop853(system):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0,
                                                                np.abs(want)))
     np.testing.assert_allclose(sol.y, ref.y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("system", [_second_moments_rhs, _characteristic_rhs],
+                         ids=["modified_ck_moments", "united_characteristic"])
+def test_work_counts(system):
+    rhs, span, y0, opts = system()
+    ref = scipy_solve_ivp(rhs, span, y0, method="DOP853", **opts)
+    sol = solve_ivp(rhs, span, y0, **opts)
+    assert sol.n_steps == len(sol.t) - 1 == len(ref.t) - 1
+    # two evaluations choose the first step; an accepted step takes 12
+    # stages plus 3 for the dense output, a rejected one 12
+    assert sol.nfev == 2 + 15 * sol.n_steps + 12 * sol.n_rejected
+
+
+def test_step_budget_stops_a_crawl():
+    # d = -c = 1/(2(1 - t)) is singular at t = 1: the rounding of t there
+    # is noise the controller cannot get under, and it would take 10^5 or
+    # more tiny steps before the step size underflows
+    zero = lambda t: 0.0
+    d = lambda t: 1.0 / (2.0 * (1.0 - t))
+    tc = coeff.TimeCoefficients(zero, zero, lambda t: -d(t), d,
+                                coeff.HAMILTONIAN)
+    start = time.perf_counter()
+    with pytest.raises(ToleranceNotMet) as exc:
+        dyn.evolve_second_moments(tc, dyn.SecondMoments(1.0, 1.0, 0.0, 1.0),
+                                  2.0)
+    assert time.perf_counter() - start < 2.0
+    info = exc.value.info
+    assert info["steps"] + info["rejected"] == MAX_STEPS
+    assert info["t"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kappa_collapse_event_matches_scipy():
