@@ -12,8 +12,10 @@ M(0) = 1, and with ``I = int_0^t (c - d)``:
 
 mu solves the characteristic equation with ``mu(0) = 0``,
 ``mu'(0) = 2 a(0)``.  The flow needs no derivative of the coefficients and
-no division by a(t); it is integrated with ``quadham.ode``.  The module also
-holds the elementary mu and kernels of the built-in models.
+no division by a(t); it is integrated with ``quadham.ode``.  The printed
+mu and kernel of each built-in model live in its record in
+:mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
+them up.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coefficients as coeff
 from .coefficients import EQUATION, ModelSpec, TimeCoefficients
-from .errors import (CausticEncountered, NoClosedForm, SingularCoefficient,
-                     ValidationError)
+from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import bracket_sign_change, solve_ivp
 
 MU_GUARD = 1e-10
@@ -134,64 +134,8 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
-    """Elementary solution (mu, mu') of the characteristic equation."""
-    spec.validate()
-    w0, lam, mu_p = spec.omega0, spec.lam, spec.mu_param
-    w = spec.omega
-    m = spec.model_id
-
-    if m in (coeff.CALDIROLA_KANAI, coeff.MODIFIED_CK):
-        e = math.exp(-lam * t)
-        mu = (w0 / w) * e * math.sin(w * t)
-        mup = (w0 / w) * e * (w * math.cos(w * t) - lam * math.sin(w * t))
-        return mu, mup
-
-    if m == coeff.UNITED:
-        e = math.exp((mu_p - lam) * t)
-        mu = (w0 / w) * e * math.sin(w * t)
-        mup = (w0 / w) * e * (w * math.cos(w * t) + (mu_p - lam) * math.sin(w * t))
-        return mu, mup
-
-    if m == coeff.MODIFIED_OSCILLATOR:
-        mu = math.cos(t) * math.sinh(t) + math.sin(t) * math.cosh(t)
-        mup = 2.0 * math.cos(t) * math.cosh(t)
-        return mu, mup
-
-    if m == coeff.CJ_COORDINATE:
-        ch = math.cosh(lam * t)
-        mu = math.sin(w * t) / (w * ch)
-        mup = (math.cos(w * t) / ch
-               - (lam / w) * math.sin(w * t) * math.sinh(lam * t) / ch ** 2)
-        return mu, mup
-
-    if m == coeff.CJ_MOMENTUM:
-        mu = (lam * math.cos(w * t) * math.sinh(lam * t)
-              + w * math.sin(w * t) * math.cosh(lam * t)) / w0
-        mup = w0 * math.cos(w * t) * math.cosh(lam * t)
-        return mu, mup
-
-    if m == coeff.MODIFIED_PARAMETRIC:
-        u = lam * t + spec.delta
-        td = math.tanh(spec.delta)
-        mu = math.sin(w * t) * math.tanh(u) * td
-        mup = td * (w * math.cos(w * t) * math.tanh(u)
-                    + lam * math.sin(w * t) / math.cosh(u) ** 2)
-        return mu, mup
-
-    if m == coeff.PARAMETRIC_SECH2:
-        ch = math.cosh(lam * t)
-        mu = (lam * math.cos(w * t) * math.sinh(lam * t)
-              + w * math.sin(w * t) * ch) / ((w ** 2 + lam ** 2) * ch)
-        mup = math.cos(w * t) - lam * math.tanh(lam * t) * mu
-        return mu, mup
-
-    if m == coeff.SIMPLE_HARMONIC:
-        return math.sin(w0 * t), w0 * math.cos(w0 * t)
-
-    if m == coeff.FREE_PARTICLE:
-        return t, 1.0
-
-    raise NoClosedForm(f"no catalogued mu for {m!r}")
+    """The printed solution (mu, mu') of the characteristic equation."""
+    return spec.closed_form("mu")(t)
 
 
 def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
@@ -228,82 +172,11 @@ def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
 
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
     """The printed elementary kernel parameters of the built-in models."""
-    spec.validate()
+    kernel = spec.closed_form("kernel")
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
-    w0, lam, mu_p, dlt = spec.omega0, spec.lam, spec.mu_param, spec.delta
-    w = spec.omega
-    m = spec.model_id
     mu, mup = closed_form_mu(spec, t)
-
-    if m == coeff.CALDIROLA_KANAI:
-        s, c = math.sin(w * t), math.cos(w * t)
-        alpha = (w * c - lam * s) / (2.0 * w0 * s) * math.exp(2.0 * lam * t)
-        beta = -w / (w0 * s) * math.exp(lam * t)
-        gamma = (w * c + lam * s) / (2.0 * w0 * s)
-        h = 1.0
-    elif m == coeff.MODIFIED_CK:
-        s, c = math.sin(w * t), math.cos(w * t)
-        alpha = (w * c + lam * s) / (2.0 * w0 * s) * math.exp(2.0 * lam * t)
-        beta = -w / (w0 * s) * math.exp(lam * t)
-        gamma = (w * c - lam * s) / (2.0 * w0 * s)
-        h = 1.0
-    elif m == coeff.UNITED:
-        s, c = math.sin(w * t), math.cos(w * t)
-        alpha = (w * c + (mu_p - lam) * s) / (2.0 * w0 * s) * math.exp(2.0 * lam * t)
-        beta = -w / (w0 * s) * math.exp(lam * t)
-        gamma = (w * c + (lam - mu_p) * s) / (2.0 * w0 * s)
-        h = math.exp(mu_p * t)
-    elif m == coeff.MODIFIED_OSCILLATOR:
-        S = math.sin(t) * math.sinh(t)
-        C = math.cos(t) * math.cosh(t)
-        alpha = (C - S) / (2.0 * mu)
-        beta = -1.0 / mu
-        gamma = (C + S) / (2.0 * mu)
-        h = 1.0
-    elif m == coeff.CJ_COORDINATE:
-        s = math.sin(w * t)
-        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
-        alpha = ch / (2.0 * s) * (w * math.cos(w * t) * ch - lam * s * sh)
-        # the factor-2 in the printed beta is a typo; -h/mu requires this form
-        beta = -w * ch / s
-        gamma = w * math.cos(w * t) / (2.0 * s)
-        h = 1.0
-    elif m == coeff.CJ_MOMENTUM:
-        s, c = math.sin(w * t), math.cos(w * t)
-        ch, sh = math.cosh(lam * t), math.sinh(lam * t)
-        den = lam * c * sh + w * s * ch
-        alpha = w0 * c / (2.0 * ch * den)
-        beta = -w0 / den
-        gamma = w0 * (w * c * ch - lam * s * sh) / (2.0 * w * den)
-        h = 1.0
-    elif m == coeff.MODIFIED_PARAMETRIC:
-        u = lam * t + dlt
-        alpha = 0.5 / math.tan(w * t) / math.tanh(u) ** 2
-        beta = -1.0 / (math.tanh(dlt) * math.sin(w * t) * math.tanh(u))
-        gamma = 0.5 / (math.tan(w * t) * math.tanh(dlt) ** 2)
-        h = 1.0
-    elif m == coeff.PARAMETRIC_SECH2:
-        s, c = math.sin(w * t), math.cos(w * t)
-        th = math.tanh(lam * t)
-        den = w * s + lam * th * c
-        alpha = ((w ** 2 + lam ** 2 / math.cosh(lam * t) ** 2) * c
-                 - lam * w * th * s) / (2.0 * den)
-        beta = -(w ** 2 + lam ** 2) / den
-        gamma = (w ** 2 + lam ** 2) * (w * c - lam * th * s) / (2.0 * w * den)
-        h = 1.0
-    elif m == coeff.SIMPLE_HARMONIC:
-        s, c = math.sin(w0 * t), math.cos(w0 * t)
-        alpha = gamma = c / (2.0 * s)
-        beta = -1.0 / s
-        h = 1.0
-    elif m == coeff.FREE_PARTICLE:
-        alpha = gamma = 0.5 / t
-        beta = -1.0 / t
-        h = 1.0
-    else:
-        raise NoClosedForm(f"no catalogued kernel for {m!r}")
-
+    alpha, beta, gamma, h = kernel(t)
     if abs(mu) < MU_GUARD:
         raise CausticEncountered("mu is inside the caustic guard band", t=t)
     return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h,

@@ -20,21 +20,6 @@ from . import io as qio
 from . import propagator as prop
 from .errors import NoClosedForm, QuadhamError, ValidationError
 
-_MODEL_INFO = {
-    coeff.CALDIROLA_KANAI: ("omega0, lambda", "omega0^2 > lambda^2"),
-    coeff.MODIFIED_CK: ("omega0, lambda", "omega0^2 > lambda^2"),
-    coeff.MODIFIED_OSCILLATOR: ("none", "t < pi/2"),
-    coeff.UNITED: ("omega0, lambda, mu_param",
-                   "omega0^2 > (lambda - mu_param)^2"),
-    coeff.CJ_COORDINATE: ("omega0, lambda", "omega0^2 > lambda^2"),
-    coeff.CJ_MOMENTUM: ("omega0, lambda", "omega0^2 > lambda^2"),
-    coeff.MODIFIED_PARAMETRIC: ("omega0, lambda, delta", "delta != 0"),
-    coeff.PARAMETRIC_SECH2: ("omega0, lambda", "none"),
-    coeff.SIMPLE_HARMONIC: ("omega0", "none"),
-    coeff.FREE_PARTICLE: ("none", "none"),
-}
-
-
 def _add_model_args(p):
     p.add_argument("--model", help="model id (see list-models)")
     p.add_argument("--omega0", type=float, default=None)
@@ -79,8 +64,8 @@ def _sample_times(tc, t_end, samples):
 
 
 def cmd_list_models(args):
-    rows = [(m, _MODEL_INFO[m][0], _MODEL_INFO[m][1])
-            for m in coeff.MODEL_IDS]
+    records = ((m, coeff.ModelSpec(m).model) for m in coeff.MODEL_IDS)
+    rows = [(m, r.parameters, r.constraint) for m, r in records]
     if args.json:
         qio.write_json(args.out, [
             {"model": m, "parameters": p, "constraint": c}

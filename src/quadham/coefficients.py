@@ -1,4 +1,5 @@
-"""Coefficient functions of quadratic Hamiltonians and the built-in models.
+"""Coefficient functions of quadratic Hamiltonians, and ``ModelSpec``, which
+selects a built-in model and looks up its record in :mod:`quadham.models`.
 
 Two coefficient conventions are used throughout the package.  In the
 "hamiltonian" convention the operator is ``H = a p^2 + b x^2 + c px + d xp``.
@@ -12,36 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import ConventionMismatch, InvalidModelParams, SingularCoefficient
+from .errors import (ConventionMismatch, InvalidModelParams, NoClosedForm,
+                     SingularCoefficient)
+# the model ids are re-exported for the callers of this module
+from .models import (CALDIROLA_KANAI, CJ_COORDINATE, CJ_MOMENTUM,  # noqa: F401
+                     FREE_PARTICLE, MODEL_IDS, MODELS, MODIFIED_CK,
+                     MODIFIED_OSCILLATOR, MODIFIED_PARAMETRIC,
+                     PARAMETRIC_SECH2, SIMPLE_HARMONIC, UNITED, Model)
 
 EQUATION = "equation"
 HAMILTONIAN = "hamiltonian"
-
-CALDIROLA_KANAI = "caldirola_kanai"
-MODIFIED_CK = "modified_ck"
-UNITED = "united"
-MODIFIED_OSCILLATOR = "modified_oscillator"
-CJ_COORDINATE = "cj_coordinate"
-CJ_MOMENTUM = "cj_momentum"
-MODIFIED_PARAMETRIC = "modified_parametric"
-PARAMETRIC_SECH2 = "parametric_sech2"
-SIMPLE_HARMONIC = "simple_harmonic"
-FREE_PARTICLE = "free_particle"
-
-MODEL_IDS = (
-    CALDIROLA_KANAI,
-    MODIFIED_CK,
-    UNITED,
-    MODIFIED_OSCILLATOR,
-    CJ_COORDINATE,
-    CJ_MOMENTUM,
-    MODIFIED_PARAMETRIC,
-    PARAMETRIC_SECH2,
-    SIMPLE_HARMONIC,
-    FREE_PARTICLE,
-)
 
 
 def _fd_derivative(f: Callable[[float], float], t: float) -> float:
@@ -101,12 +85,6 @@ class TimeCoefficients:
                 f"expected {convention!r} coefficients, got {self.convention!r}"
             )
 
-    def is_self_adjoint(self, t: float = 0.0, atol: float = 1e-12) -> bool:
-        # c = d in the hamiltonian convention, c = 2 d in the equation one
-        if self.convention == HAMILTONIAN:
-            return abs(self.c(t) - self.d(t)) <= atol
-        return abs(self.c(t) - 2.0 * self.d(t)) <= atol
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -124,166 +102,51 @@ class ModelSpec:
     mu_param: float = 0.0
     delta: float = 0.0
 
+    @cached_property
+    def model(self) -> Model:
+        """The model's record at these parameters (see quadham.models)."""
+        build = MODELS.get(self.model_id)
+        if build is None:
+            raise InvalidModelParams(f"unknown model {self.model_id!r}")
+        return build(self.omega0, self.lam, self.mu_param, self.delta)
+
     @property
     def omega(self) -> float:
-        if self.model_id in (CALDIROLA_KANAI, MODIFIED_CK, CJ_COORDINATE, CJ_MOMENTUM):
-            arg = self.omega0 ** 2 - self.lam ** 2
-        elif self.model_id == UNITED:
-            arg = self.omega0 ** 2 - (self.lam - self.mu_param) ** 2
-        elif self.model_id == FREE_PARTICLE:
-            return 0.0
-        else:
-            return self.omega0
-        return math.sqrt(arg) if arg > 0 else math.nan
+        return self.model.omega
 
     def validate(self) -> None:
-        if self.model_id not in MODEL_IDS:
-            raise InvalidModelParams(f"unknown model {self.model_id!r}")
-        needs_omega = (
-            CALDIROLA_KANAI,
-            MODIFIED_CK,
-            UNITED,
-            CJ_COORDINATE,
-            CJ_MOMENTUM,
-        )
-        if self.model_id in needs_omega and not (self.omega > 0):
-            raise InvalidModelParams(
-                "underdamped regime required: effective frequency must satisfy "
-                "omega > 0",
-                model=self.model_id,
-            )
-        if self.model_id in (SIMPLE_HARMONIC, MODIFIED_PARAMETRIC, PARAMETRIC_SECH2):
-            if not (self.omega0 > 0):
-                raise InvalidModelParams("omega0 must be > 0", model=self.model_id)
-        if self.model_id == MODIFIED_PARAMETRIC and self.delta == 0.0:
-            raise InvalidModelParams("delta must be nonzero", model=self.model_id)
+        model = self.model  # refuses an unknown id
+        if not all(math.isfinite(v) for v in
+                   (self.omega0, self.lam, self.mu_param, self.delta)):
+            raise InvalidModelParams("model parameters must be finite",
+                                     model=self.model_id)
+        if model.problem is not None:
+            raise InvalidModelParams(model.problem, model=self.model_id)
+
+    def closed_form(self, name: str):
+        """The printed closed form ``name`` of the model (an attribute of
+        :class:`quadham.models.Model`) after validating the parameters."""
+        self.validate()
+        form = getattr(self.model, name)
+        if form is None:
+            raise NoClosedForm(f"no closed-form {name} for {self.model_id!r}")
+        return form
 
 
-def _hamiltonian_form(spec: ModelSpec) -> TimeCoefficients:
-    w0, lam, mu, dlt = spec.omega0, spec.lam, spec.mu_param, spec.delta
-    zero = lambda t: 0.0
-
-    if spec.model_id in (CALDIROLA_KANAI, MODIFIED_CK, UNITED):
-        a = lambda t: 0.5 * w0 * math.exp(-2.0 * lam * t)
-        b = lambda t: 0.5 * w0 * math.exp(2.0 * lam * t)
-        da = lambda t: -lam * w0 * math.exp(-2.0 * lam * t)
-        db = lambda t: lam * w0 * math.exp(2.0 * lam * t)
-        if spec.model_id == CALDIROLA_KANAI:
-            c, d = zero, zero
-        elif spec.model_id == MODIFIED_CK:
-            c = d = lambda t: -lam
-        else:
-            c, d = zero, (lambda t: -mu)
-        return TimeCoefficients(a, b, c, d, HAMILTONIAN, da, db, zero, zero)
-
-    if spec.model_id == MODIFIED_OSCILLATOR:
-        a = lambda t: math.cos(t) ** 2
-        b = lambda t: math.sin(t) ** 2
-        cd = lambda t: math.sin(t) * math.cos(t)
-        da = lambda t: -math.sin(2.0 * t)
-        db = lambda t: math.sin(2.0 * t)
-        dcd = lambda t: math.cos(2.0 * t)
-        # a(t) vanishes at t = pi/2
-        return TimeCoefficients(a, b, cd, cd, HAMILTONIAN, da, db, dcd, dcd,
-                                t_max=0.5 * math.pi)
-
-    if spec.model_id == CJ_COORDINATE:
-        a = lambda t: 0.5 / math.cosh(lam * t) ** 2
-        b = lambda t: 0.5 * w0 ** 2 * math.cosh(lam * t) ** 2
-        da = lambda t: -lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2
-        db = lambda t: 0.5 * w0 ** 2 * lam * math.sinh(2.0 * lam * t)
-        return TimeCoefficients(a, b, zero, zero, HAMILTONIAN, da, db, zero, zero)
-
-    if spec.model_id == CJ_MOMENTUM:
-        a = lambda t: 0.5 * w0 * math.cosh(lam * t) ** 2
-        b = lambda t: 0.5 * w0 / math.cosh(lam * t) ** 2
-        da = lambda t: 0.5 * w0 * lam * math.sinh(2.0 * lam * t)
-        db = lambda t: -w0 * lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2
-        return TimeCoefficients(a, b, zero, zero, HAMILTONIAN, da, db, zero, zero)
-
-    if spec.model_id == MODIFIED_PARAMETRIC:
-        w = w0
-
-        def a(t):
-            return 0.5 * w * math.tanh(lam * t + dlt) ** 2
-
-        def b(t):
-            return 0.5 * w / math.tanh(lam * t + dlt) ** 2
-
-        def cd(t):
-            return lam / math.sinh(2.0 * (lam * t + dlt))
-
-        def da(t):
-            u = lam * t + dlt
-            return w * lam * math.tanh(u) / math.cosh(u) ** 2
-
-        def db(t):
-            u = lam * t + dlt
-            return -w * lam / (math.tanh(u) ** 3 * math.cosh(u) ** 2)
-
-        def dcd(t):
-            u = 2.0 * (lam * t + dlt)
-            return -2.0 * lam ** 2 * math.cosh(u) / math.sinh(u) ** 2
-
-        # tanh(lam t + delta) vanishes at t = -delta / lam
-        return TimeCoefficients(a, b, cd, cd, HAMILTONIAN, da, db, dcd, dcd,
-                                t_singular=-dlt / lam if lam else math.nan)
-
-    if spec.model_id == PARAMETRIC_SECH2:
-        w = w0
-
-        def b(t):
-            return 0.5 * (w ** 2 + 2.0 * lam ** 2 / math.cosh(lam * t) ** 2)
-
-        def db(t):
-            return -2.0 * lam ** 3 * math.tanh(lam * t) / math.cosh(lam * t) ** 2
-
-        return TimeCoefficients(lambda t: 0.5, b, zero, zero, HAMILTONIAN,
-                                zero, db, zero, zero)
-
-    if spec.model_id == SIMPLE_HARMONIC:
-        half_w0 = 0.5 * w0
-        return TimeCoefficients(lambda t: half_w0, lambda t: half_w0, zero, zero,
-                                HAMILTONIAN, zero, zero, zero, zero)
-
-    if spec.model_id == FREE_PARTICLE:
-        return TimeCoefficients(lambda t: 0.5, zero, zero, zero, HAMILTONIAN,
-                                zero, zero, zero, zero)
-
-    raise InvalidModelParams(f"unknown model {spec.model_id!r}")
+def model_coefficients(model: Model, hamiltonian) -> TimeCoefficients:
+    """Hamiltonian-convention coefficients from a record's
+    (a, b, c, d, da, db, dc, dd) and its limits."""
+    a, b, c, d, da, db, dc, dd = hamiltonian
+    return TimeCoefficients(a, b, c, d, HAMILTONIAN, da, db, dc, dd,
+                            model.t_max, model.t_singular)
 
 
 def builtin_coefficients(spec: ModelSpec,
                          convention: str = HAMILTONIAN) -> TimeCoefficients:
     """Coefficient functions of a built-in model in the requested convention."""
     spec.validate()
-    tc = _hamiltonian_form(spec)
-    return convert_convention(tc, convention)
-
-
-def cj_scaled_coefficients(spec: ModelSpec) -> TimeCoefficients:
-    """Frequency-rescaled variant of the hyperbolically damped oscillator,
-    ``H = (omega0/2)(sech^2(lam t) p^2 + cosh^2(lam t) x^2)``.
-
-    This scaling (rather than the plain unit-mass form of the catalog entry)
-    is the one whose closed-form invariant and second-moment solution are
-    implemented in :mod:`quadham.invariants` and :mod:`quadham.dynamics`.
-    The two coincide when ``omega0 = 1``.
-    """
-    if spec.model_id not in (CJ_COORDINATE, CJ_MOMENTUM):
-        raise InvalidModelParams("frequency-rescaled form exists only for the "
-                                 "hyperbolically damped models",
-                                 model=spec.model_id)
-    spec.validate()
-    w0, lam = spec.omega0, spec.lam
-    zero = lambda t: 0.0
-    a = lambda t: 0.5 * w0 / math.cosh(lam * t) ** 2
-    b = lambda t: 0.5 * w0 * math.cosh(lam * t) ** 2
-    da = lambda t: -w0 * lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2
-    db = lambda t: 0.5 * w0 * lam * math.sinh(2.0 * lam * t)
-    if spec.model_id == CJ_MOMENTUM:
-        a, b, da, db = b, a, db, da
-    return TimeCoefficients(a, b, zero, zero, HAMILTONIAN, da, db, zero, zero)
+    return convert_convention(
+        model_coefficients(spec.model, spec.model.hamiltonian), convention)
 
 
 def convert_convention(tc: TimeCoefficients, target: str) -> TimeCoefficients:

@@ -108,88 +108,21 @@ def evolve_first_moments(tc: TimeCoefficients, fm0: FirstMoments,
 def closed_form_expectation(spec: ModelSpec, m0: SecondMoments,
                             t: float) -> float:
     """Exact expectation value of the model's positive reference operator
-    at time t from the initial second moments (norm taken as <1>_0 = 1).
-
-    The reference operator is H itself for the exponentially damped model,
-    H_0 = (omega0/2)(e^{-2 lambda t} p^2 + e^{2 lambda t} x^2) for its
-    modified variant, the e^{mu t}-weighted analogue for the united model,
-    (p^2 + x^2)/2 for the trigonometric oscillator, and
-    p^2/cosh^2 + cosh^2 x^2 for the hyperbolically damped oscillator in the
-    frequency-rescaled form.  The last curve is the even-in-time branch and
-    requires <px+xp>_0 = 0.
+    (``reference_operator``) at time t from the initial second moments
+    (norm taken as <1>_0 = 1).  Each model's record in
+    :mod:`quadham.models` says which operator that is; the
+    hyperbolically damped curve is the even-in-time branch and requires
+    <px+xp>_0 = 0.
     """
-    spec.validate()
-    w0, lam, mu_p = spec.omega0, spec.lam, spec.mu_param
-    m = spec.model_id
-
-    if m == coeff.CALDIROLA_KANAI:
-        w = spec.omega
-        h00 = 0.5 * w0 * (m0.p2 + m0.x2)
-        e0 = h00 + 0.5 * lam * m0.pxxp
-        l0 = lam * w0 * (m0.x2 - m0.p2)
-        return ((w * w * h00 - w0 * w0 * e0) / (w * w) * math.cos(2 * w * t)
-                + l0 / (2.0 * w) * math.sin(2 * w * t)
-                + w0 * w0 / (w * w) * e0)
-    if m == coeff.MODIFIED_CK:
-        w = spec.omega
-        h00 = 0.5 * w0 * (m0.p2 + m0.x2)
-        e0 = h00 - 0.5 * lam * m0.pxxp
-        l0 = lam * w0 * (m0.x2 - m0.p2)
-        return ((w * w * h00 - w0 * w0 * e0) / (w * w) * math.cos(2 * w * t)
-                - l0 / (2.0 * w) * math.sin(2 * w * t)
-                + w0 * w0 / (w * w) * e0)
-    if m == coeff.UNITED:
-        w = spec.omega
-        h00 = 0.5 * w0 * (m0.p2 + m0.x2)
-        e0 = h00 + 0.5 * (lam - mu_p) * m0.pxxp
-        l0 = m0.x2 - m0.p2
-        return ((w * w * h00 - w0 * w0 * e0) / (w * w) * math.cos(2 * w * t)
-                + 0.5 * (lam - mu_p) * (w0 / w) * l0 * math.sin(2 * w * t)
-                + w0 * w0 / (w * w) * e0)
-    if m == coeff.MODIFIED_OSCILLATOR:
-        h00 = 0.5 * (m0.p2 + m0.x2)
-        l0 = m0.pxxp
-        return h00 * math.cosh(2.0 * t) + 0.5 * l0 * math.sinh(2.0 * t)
-    if m == coeff.CJ_COORDINATE:
-        if abs(m0.pxxp) > 1e-12:
-            raise InvalidMoments(
-                "the closed-form curve is the even-in-time branch and "
-                "requires <px+xp>_0 = 0", pxxp=m0.pxxp)
-        w = spec.omega
-        h00 = m0.p2 + m0.x2
-        l0 = m0.p2 - m0.x2
-        e0 = (0.5 * w0 * (1.0 - 0.5 * lam ** 2 / w0 ** 2) * h00
-              + 0.25 * lam ** 2 / w0 * l0)
-        th = math.tanh(lam * t)
-        ch = math.cosh(lam * t)
-        osc = (2.0 * w * th * math.sin(2 * w * t)
-               + lam * (1.0 + th * th) * math.cos(2 * w * t))
-        amp = -lam * (lam ** 2 * e0 + w0 * w * w * l0) / (
-            w0 * w * w * (2.0 * w * w + lam ** 2))
-        return (amp * osc
-                + 2.0 * e0 * (w0 / (w * w))
-                * (1.0 - 0.5 * lam ** 2 / (w0 ** 2 * ch * ch)))
-    raise NoClosedForm(f"no closed-form expectation curve for {m!r}")
+    return spec.closed_form("expectation")(m0.p2, m0.x2, m0.pxxp, t)
 
 
 def reference_operator(spec: ModelSpec, t: float):
     """(A, B, C) of the positive reference operator A p^2 + B x^2
     + (C/2)(px+xp) whose expectation closed_form_expectation returns."""
-    w0, lam, mu_p = spec.omega0, spec.lam, spec.mu_param
-    m = spec.model_id
-    if m in (coeff.CALDIROLA_KANAI, coeff.MODIFIED_CK):
-        return (0.5 * w0 * math.exp(-2 * lam * t),
-                0.5 * w0 * math.exp(2 * lam * t), 0.0)
-    if m == coeff.UNITED:
-        e = math.exp(mu_p * t)
-        return (0.5 * w0 * e * math.exp(-2 * lam * t),
-                0.5 * w0 * e * math.exp(2 * lam * t), 0.0)
-    if m == coeff.MODIFIED_OSCILLATOR:
-        return (0.5, 0.5, 0.0)
-    if m == coeff.CJ_COORDINATE:
-        ch2 = math.cosh(lam * t) ** 2
-        return (1.0 / ch2, ch2, 0.0)
-    raise NoClosedForm(f"no reference operator for {m!r}")
+    if spec.model_id in coeff.MODEL_IDS and spec.model.reference:
+        return spec.model.reference(t)
+    raise NoClosedForm(f"no reference operator for {spec.model_id!r}")
 
 
 def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,

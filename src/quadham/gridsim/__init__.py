@@ -177,13 +177,12 @@ def measure_moments(state: GridState):
 def invariant_drift(tc: TimeCoefficients, ev: GridEvolution,
                     form_of, eps: float = 1e-30) -> float:
     """max_t |<E>(t) - <E>(0)| / max(|<E>(0)|, eps) over the recorded
-    states.  ``form_of`` maps t to an object with A, B, C, D attributes.
+    states.  ``form_of`` maps t to a ``QuadraticForm``.
     """
 
     def value(s, t):
         _, m = measure_moments(s)
-        f = form_of(t)
-        return (f.A * m.p2 + f.B * m.x2 + 0.5 * (f.C + f.D) * m.pxxp)
+        return form_of(t).expectation(m.p2, m.x2, m.pxxp)
 
     ref = value(ev.states[0], ev.times[0])
     scale = max(abs(ref), eps)

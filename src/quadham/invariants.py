@@ -18,8 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import coefficients as coeff
-from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients, \
-    cj_scaled_coefficients
+from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NoClosedForm, NonPositiveForm,
                      ResidualTooLarge)
@@ -40,12 +39,8 @@ class QuadraticForm:
     D: float
     t: float = 0.0
 
-    def expectation(self, p2: float, x2: float, pxxp: float,
-                    norm: float = 1.0) -> float:
-        """Contract with raw second moments; <px> - <xp> = -i <1> exactly,
-        so the antisymmetric part contributes (C - D)/2 * <1> * (-i) with a
-        compensating +i, i.e. nothing for the real forms used here unless
-        C != D, in which case the real contribution is still through pxxp."""
+    def expectation(self, p2: float, x2: float, pxxp: float) -> float:
+        """A<p^2> + B<x^2> + (C+D)/2 <px+xp> from raw moments."""
         return (self.A * p2 + self.B * x2 + 0.5 * (self.C + self.D) * pxxp)
 
 
@@ -129,69 +124,22 @@ def solve_energy_system(tc: TimeCoefficients, init, t_end: float,
 
 
 def energy_operator_catalog(spec: ModelSpec, t: float) -> QuadraticForm:
-    """Closed-form conserved quadratic operator for a built-in model.
+    """Closed-form conserved quadratic operator for a built-in model,
+    conserved under ``catalog_coefficients(spec)``.
 
-    For the hyperbolically damped models the entry is conserved under the
-    frequency-rescaled Hamiltonian (see ``cj_scaled_coefficients``), with
-    the momentum representation obtained by swapping A and B and negating
-    the cross term.
+    For the hyperbolically damped models that is the frequency-rescaled
+    Hamiltonian, with the momentum representation obtained by swapping A
+    and B and negating the cross term.
     """
-    spec.validate()
-    w0, lam, mu_p, dlt = spec.omega0, spec.lam, spec.mu_param, spec.delta
-    w = spec.omega
-    m = spec.model_id
-
-    if m == coeff.CALDIROLA_KANAI:
-        return QuadraticForm(0.5 * w0 * math.exp(-2 * lam * t),
-                             0.5 * w0 * math.exp(2 * lam * t),
-                             0.5 * lam, 0.5 * lam, t)
-    if m == coeff.MODIFIED_CK:
-        return QuadraticForm(0.5 * w0 * math.exp(-2 * lam * t),
-                             0.5 * w0 * math.exp(2 * lam * t),
-                             -0.5 * lam, -0.5 * lam, t)
-    if m == coeff.MODIFIED_OSCILLATOR:
-        c2, s2 = math.cos(2 * t), math.sin(2 * t)
-        return QuadraticForm(0.5 * c2, -0.5 * c2, 0.5 * s2, 0.5 * s2, t)
-    if m == coeff.MODIFIED_PARAMETRIC:
-        u = lam * t + dlt
-        return QuadraticForm(math.tanh(u) ** 2, 1.0 / math.tanh(u) ** 2,
-                             0.0, 0.0, t)
-    if m == coeff.UNITED:
-        e = math.exp(mu_p * t)
-        return QuadraticForm(0.5 * w0 * e * math.exp(-2 * lam * t),
-                             0.5 * w0 * e * math.exp(2 * lam * t),
-                             0.5 * (lam - mu_p) * e,
-                             0.5 * (lam - mu_p) * e, t)
-    if m in (coeff.CJ_COORDINATE, coeff.CJ_MOMENTUM):
-        ch = math.cosh(lam * t)
-        A = 0.5 * w0 / ch ** 2
-        B = (w0 ** 2 * math.sinh(lam * t) ** 2 + w ** 2) / (2.0 * w0)
-        C = 0.5 * lam * math.tanh(lam * t)
-        if m == coeff.CJ_MOMENTUM:
-            A, B, C = B, A, -C
-        return QuadraticForm(A, B, C, C, t)
-    if m == coeff.PARAMETRIC_SECH2:
-        th = math.tanh(lam * t)
-        ch = math.cosh(lam * t)
-        A = w ** 2 + lam ** 2 * th ** 2
-        B = (lam ** 6 * math.sinh(lam * t) ** 2
-             + w ** 2 * (lam ** 2 + w ** 2) ** 2 * ch ** 6) / (ch ** 6 * A)
-        # the cross term is -kappa kappa'; the printed plus sign does not
-        # conserve the expectation value
-        C = -lam ** 3 * math.sinh(lam * t) / ch ** 3
-        return QuadraticForm(A, B, C, C, t)
-    if m == coeff.SIMPLE_HARMONIC:
-        return QuadraticForm(0.5 * w0, 0.5 * w0, 0.0, 0.0, t)
-    if m == coeff.FREE_PARTICLE:
-        return QuadraticForm(0.5, 0.0, 0.0, 0.0, t)
-    raise NoClosedForm(f"no catalogued invariant for {m!r}")
+    A, B, C = spec.closed_form("invariant")(t)
+    return QuadraticForm(A, B, C, C, t)
 
 
 def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
     """Hamiltonian under which the catalogued invariant is conserved."""
-    if spec.model_id in (coeff.CJ_COORDINATE, coeff.CJ_MOMENTUM):
-        return cj_scaled_coefficients(spec)
-    return coeff.builtin_coefficients(spec, HAMILTONIAN)
+    spec.validate()
+    return coeff.model_coefficients(spec.model,
+                                    spec.model.invariant_hamiltonian)
 
 
 def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,

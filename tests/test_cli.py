@@ -313,11 +313,24 @@ def test_numerical_error_exit_code(capsys):
       "--samples", "0"], "ValidationError", {"samples": 0}),
     (["appendix_d", "--lambda", "0.2", "--omega", "1", "--t-start", "0",
       "--t-end", "2"], "ValidationError", {"t_start": 0.0}),
-], ids=["complex_info", "mu_samples", "kernel_samples", "t_start"])
+    # a non-finite model parameter is refused before any solve
+    (["mu", "--model", "parametric_sech2", "--lambda", "nan", "--t-end", "1"],
+     "InvalidModelParams", {"model": "parametric_sech2"}),
+    (["mu", "--model", "modified_parametric", "--lambda", "0.3", "--delta",
+      "nan", "--t-end", "1"],
+     "InvalidModelParams", {"model": "modified_parametric"}),
+    (["mu", "--model", "simple_harmonic", "--omega0", "inf", "--t-end", "1"],
+     "InvalidModelParams", {"model": "simple_harmonic"}),
+    (["moments", "--model", "caldirola_kanai", "--omega0", "inf",
+      "--lambda", "0.1", "--t-end", "1"],
+     "InvalidModelParams", {"model": "caldirola_kanai"}),
+], ids=["complex_info", "mu_samples", "kernel_samples", "t_start",
+        "nan_lambda", "nan_delta", "inf_omega0", "inf_omega0_moments"])
 def test_bad_arguments_give_json_record(capsys, argv, error_type, info):
     code, out, err = run(capsys, *argv)
     assert code == 2
-    rec = json.loads(err.strip())
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err)
     assert rec["type"] == error_type
     assert rec["info"] == info
 
@@ -337,7 +350,8 @@ def test_import_leaves_scipy_signal_unloaded(modules):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("module", ["quadham", "quadham.cli"])
+@pytest.mark.parametrize("module",
+                         ["quadham", "quadham.cli", "quadham.models"])
 def test_import_leaves_scipy_unloaded(module):
     # importing scipy.integrate cost most of a CLI call; only gridsim's
     # LAPACK stepper may load scipy, and neither module imports gridsim

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadham import coefficients as coeff
+from quadham import invariants as inv
 from quadham.errors import ConventionMismatch, InvalidModelParams
 
 
@@ -83,14 +84,15 @@ def test_convention_round_trip_any_linear(c0, d0, t):
 
 
 def test_cj_scaled_form():
-    # frequency-rescaled damped Hamiltonian and its momentum representation
+    # the catalog Hamiltonian of the hyperbolically damped models is the
+    # frequency-rescaled one, and its momentum representation
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, omega0=1.3, lam=0.45)
-    tc = coeff.cj_scaled_coefficients(spec)
+    tc = inv.catalog_coefficients(spec)
     t = 0.7
     ch2 = math.cosh(0.45 * t) ** 2
     assert tc.a(t) == pytest.approx(0.5 * 1.3 / ch2, rel=1e-14)
     assert tc.b(t) == pytest.approx(0.5 * 1.3 * ch2, rel=1e-14)
     spec_p = coeff.ModelSpec(coeff.CJ_MOMENTUM, omega0=1.3, lam=0.45)
-    tp = coeff.cj_scaled_coefficients(spec_p)
+    tp = inv.catalog_coefficients(spec_p)
     assert tp.a(t) == pytest.approx(tc.b(t), rel=1e-14)
     assert tp.b(t) == pytest.approx(tc.a(t), rel=1e-14)
