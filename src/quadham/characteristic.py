@@ -1,11 +1,12 @@
-"""Characteristic function mu and Green-function kernel parameters.
+"""The classical flow, the characteristic function mu and the kernel.
 
-The kernel ``G = (2 pi i mu)^(-1/2) exp(i(alpha x^2 + beta x y + gamma
-y^2))`` is the generating function of the linear canonical transform given
-by the classical 2x2 flow M of the Hamiltonian (Moshinsky & Quesne,
-J. Math. Phys. 12 (1971) 1772).  In the hamiltonian convention both columns
-of M obey ``x' = 2 a p + (c + d) x``, ``p' = -2 b x - (c + d) p`` from
-M(0) = 1, and with ``I = int_0^t (c - d)``:
+The linear dynamics of ``H = a p^2 + b x^2 + c px + d xp`` is the classical
+2x2 flow M (det M = 1) of ``x' = 2 a p + (c + d) x``,
+``p' = -2 b x - (c + d) p`` from M(0) = 1, with ``I = int_0^t (c - d)``
+(Moshinsky & Quesne, J. Math. Phys. 12 (1971) 1772).  :func:`classical_flow`
+is its one solve; the moments, the invariant system and the linear
+auxiliary equation are algebra on it.  The kernel ``G = (2 pi i mu)^(-1/2)
+exp(i(alpha x^2 + beta x y + gamma y^2))`` is its generating function:
 
     h = e^I,  mu = M12 h,  mu' = (2 a M22 + 2 c M12) h,
     alpha = M22 / (2 M12),  beta = -1 / M12,  gamma = M11 / (2 M12).
@@ -25,11 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import EQUATION, ModelSpec, TimeCoefficients
+from .coefficients import (EQUATION, ModelSpec, TimeCoefficients,
+                           convert_convention)
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import bracket_sign_change, solve_ivp
 
 MU_GUARD = 1e-10
+# the flow's tolerance on the kernel path
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,18 +99,12 @@ class MuPath:
         return self._caustic
 
 
-def solve_characteristic(tc: TimeCoefficients, t_end: float,
-                         tol: float = 1e-10) -> MuPath:
-    """Integrate the classical flow matrix and I on [0, t_end] with dense
-    output."""
-    tc.require(EQUATION)
-    if not (t_end > 0):
-        raise ValueError("t_end must be positive")
-    if t_end >= tc.t_max:
-        raise SingularCoefficient("t_end reaches the coefficient limit t_max",
-                                  t_end=t_end, t_max=tc.t_max)
+def classical_flow(tc: TimeCoefficients, t_end: float, tol: float):
+    """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
+    with dense output; ``tc`` may be in either convention."""
     tc.require_window(t_end)
-    a, b, c, d = tc.a, tc.b, tc.c, tc.d
+    eq = convert_convention(tc, EQUATION)
+    a, b, c, d = eq.a, eq.b, eq.c, eq.d
 
     def rhs(t, y):
         # equation convention: c = c_H + d_H and d = c_H, so the drift is
@@ -117,8 +115,20 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
                 -two_b * m11 - s * m21, -two_b * m12 - s * m22,
                 2.0 * d(t) - s]
 
-    sol = solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0],
-                    rtol=tol, atol=tol * 1e-2, max_step=t_end / 16)
+    return solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0],
+                     rtol=tol, atol=tol * 1e-2, max_step=abs(t_end) / 16)
+
+
+def solve_characteristic(tc: TimeCoefficients, t_end: float) -> MuPath:
+    """The classical flow on [0, t_end] as a :class:`MuPath`, with grid
+    points either side of the first zero of mu."""
+    tc.require(EQUATION)
+    if not (t_end > 0):
+        raise ValueError("t_end must be positive")
+    if t_end >= tc.t_max:
+        raise SingularCoefficient("t_end reaches the coefficient limit t_max",
+                                  t_end=t_end, t_max=tc.t_max)
+    sol = classical_flow(tc, t_end, _TOL)
     path = MuPath(sol.t, sol, tc)
     caustic = path.first_caustic()
     if caustic is None:
@@ -128,7 +138,7 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float,
     # enough to hold the exact zero too (the numerical one is within about
     # tol * t_end of it)
     lo, hi = bracket_sign_change(lambda t: sol(t)[1], *caustic)
-    pad = math.sqrt(tol) * t_end
+    pad = math.sqrt(_TOL) * t_end
     return MuPath(np.union1d(sol.t, (max(caustic[0], lo - pad),
                                      min(caustic[1], hi + pad))), sol, tc)
 

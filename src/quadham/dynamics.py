@@ -1,7 +1,13 @@
-"""Expectation-value dynamics: moment systems, closed-form energy curves,
+"""Expectation-value dynamics: moments, closed-form energy curves,
 Ehrenfest motion, uncertainty bounds, and the hyperbolic basis functions
-used to solve the damped-oscillator energy equation.  The moment and
-energy equations are integrated with the package's DOP853 integrator
+used to solve the damped-oscillator energy equation.
+
+The first and second moments are algebra on the classical flow M and
+``I = int_0^t (c - d)`` of :func:`quadham.characteristic.classical_flow`:
+``(<x>, <p>)(t) = e^{-I} M (<x>, <p>)_0`` and, with
+``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``,
+``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The energy
+equation is integrated with the package's DOP853 integrator
 (``quadham.ode``).
 """
 
@@ -10,10 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import coefficients as coeff
+from .characteristic import classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import InvalidMoments, NoClosedForm
 from .ode import solve_ivp
+
+# the flow's tolerance on the moment paths
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,64 +55,37 @@ class FirstMoments:
     p: float
 
 
-def moment_derivative(tc: TimeCoefficients, m: SecondMoments,
-                      t: float) -> SecondMoments:
-    """Instantaneous rates of the raw second moments and the norm:
-
-        d<p^2>/dt    = (-3c - d)<p^2> - 2b <px+xp>,
-        d<x^2>/dt    = (c + 3d)<x^2> + 2a <px+xp>,
-        d<px+xp>/dt  = 4a <p^2> - 4b <x^2> + (d - c)<px+xp>,
-        d<1>/dt      = (d - c)<1>.
-    """
-    tc.require(HAMILTONIAN)
-    a, b = tc.a(t), tc.b(t)
-    c, d = tc.c(t), tc.d(t)
-    return SecondMoments(
-        p2=(-3.0 * c - d) * m.p2 - 2.0 * b * m.pxxp,
-        x2=(c + 3.0 * d) * m.x2 + 2.0 * a * m.pxxp,
-        pxxp=4.0 * a * m.p2 - 4.0 * b * m.x2 + (d - c) * m.pxxp,
-        norm=(d - c) * m.norm)
-
-
 def evolve_second_moments(tc: TimeCoefficients, m0: SecondMoments,
-                          t_end: float, tol: float = 1e-12):
-    """Integrate the second-moment system; returns t -> SecondMoments."""
+                          t_end: float):
+    """Raw second moments on [0, t_end] from the classical flow; returns
+    t -> SecondMoments."""
     tc.require(HAMILTONIAN)
-    tc.require_window(t_end)
-
-    def rhs(t, y):
-        d = moment_derivative(tc, SecondMoments(*y), t)
-        return [d.p2, d.x2, d.pxxp, d.norm]
-
-    sol = solve_ivp(rhs, (0.0, t_end), [m0.p2, m0.x2, m0.pxxp, m0.norm],
-                    rtol=tol, atol=tol * 1e-2)
+    flow = classical_flow(tc, t_end, _TOL)
+    s0 = np.array([[m0.x2, 0.5 * m0.pxxp], [0.5 * m0.pxxp, m0.p2]])
 
     def path(t: float) -> SecondMoments:
-        y = sol(t)
-        return SecondMoments(float(y[0]), float(y[1]), float(y[2]),
-                             float(y[3]))
+        y = flow(t)
+        m = y[:4].reshape(2, 2)
+        w = math.exp(-y[4])
+        s = m @ s0 @ m.T
+        return SecondMoments(float(w * s[1, 1]), float(w * s[0, 0]),
+                             float(2.0 * w * s[0, 1]), w * m0.norm)
 
     return path
 
 
 def evolve_first_moments(tc: TimeCoefficients, fm0: FirstMoments,
-                         t_end: float, tol: float = 1e-12):
-    """Integrate d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
+                         t_end: float):
+    """<x> and <p> on [0, t_end] from the classical flow; they obey
+    d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
     tc.require(HAMILTONIAN)
-    tc.require_window(t_end)
-
-    def rhs(t, y):
-        a, b = tc.a(t), tc.b(t)
-        c, d = tc.c(t), tc.d(t)
-        return [2.0 * a * y[1] + 2.0 * d * y[0],
-                -2.0 * b * y[0] - 2.0 * c * y[1]]
-
-    sol = solve_ivp(rhs, (0.0, t_end), [fm0.x, fm0.p], rtol=tol,
-                    atol=tol * 1e-2)
+    flow = classical_flow(tc, t_end, _TOL)
 
     def path(t: float) -> FirstMoments:
-        y = sol(t)
-        return FirstMoments(float(y[0]), float(y[1]))
+        y = flow(t)
+        w = math.exp(-y[4])
+        return FirstMoments(float(w * (y[0] * fm0.x + y[1] * fm0.p)),
+                            float(w * (y[2] * fm0.x + y[3] * fm0.p)))
 
     return path
 
@@ -120,9 +105,7 @@ def closed_form_expectation(spec: ModelSpec, m0: SecondMoments,
 def reference_operator(spec: ModelSpec, t: float):
     """(A, B, C) of the positive reference operator A p^2 + B x^2
     + (C/2)(px+xp) whose expectation closed_form_expectation returns."""
-    if spec.model_id in coeff.MODEL_IDS and spec.model.reference:
-        return spec.model.reference(t)
-    raise NoClosedForm(f"no reference operator for {spec.model_id!r}")
+    return spec.closed_form("reference")(t)
 
 
 def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
@@ -175,42 +158,20 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
 
 def closed_form_mean_position(spec: ModelSpec, amplitude: float,
                               phase: float, t: float) -> float:
-    """Exact <x>(t) for the damped models:
+    """Exact <x>(t) of the damped models' family of amplitude A and phase
+    delta (see the ``mean_position`` of their records):
 
     united:  A e^{-(lambda + mu) t} sin(omega t + delta),
     coordinate-damped:  A sin(omega t + delta) / cosh(lambda t).
     """
-    spec.validate()
-    w = spec.omega
-    if spec.model_id == coeff.UNITED:
-        return (amplitude * math.exp(-(spec.lam + spec.mu_param) * t)
-                * math.sin(w * t + phase))
-    if spec.model_id == coeff.CJ_COORDINATE:
-        return (amplitude * math.sin(w * t + phase)
-                / math.cosh(spec.lam * t))
-    raise NoClosedForm(
-        f"no closed-form mean position for {spec.model_id!r}")
+    return spec.closed_form("mean_position")(amplitude, phase, t)
 
 
 def mean_position_initial_conditions(spec: ModelSpec, amplitude: float,
                                      phase: float) -> FirstMoments:
     """FirstMoments at t = 0 matching the closed-form <x>(t) family, using
     <p> = (<x>' - 2d <x>) / (2a)."""
-    spec.validate()
-    w = spec.omega
-    x0 = amplitude * math.sin(phase)
-    if spec.model_id == coeff.UNITED:
-        dx0 = amplitude * (w * math.cos(phase)
-                           - (spec.lam + spec.mu_param) * math.sin(phase))
-        # a(0) = omega0/2, d(0) = -mu
-        return FirstMoments(x=x0, p=(dx0 + 2.0 * spec.mu_param * x0)
-                            / spec.omega0)
-    if spec.model_id == coeff.CJ_COORDINATE:
-        dx0 = amplitude * w * math.cos(phase)
-        # a(0) = 1/2, d(0) = 0
-        return FirstMoments(x=x0, p=dx0)
-    raise NoClosedForm(
-        f"no closed-form mean position for {spec.model_id!r}")
+    return FirstMoments(*spec.closed_form("mean_start")(amplitude, phase))
 
 
 def uncertainty_check(m: SecondMoments, fm: FirstMoments) -> dict:

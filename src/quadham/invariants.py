@@ -5,8 +5,12 @@ Lewis-Riesenfeld construction from the nonlinear kappa equation, the
 Pinney-type superposition of linear solutions, the general symmetric-form
 invariant for arbitrary (possibly non-self-adjoint) quadratic Hamiltonians,
 linear invariants, and the ladder factorization of a quadratic invariant.
-Its ODEs and integrals are solved with the package's DOP853 integrator
-(``quadham.ode``).
+
+The conservation system of a quadratic invariant and the linear auxiliary
+equation are algebra on the classical flow M and ``I = int_0^t (c - d)``
+of :func:`quadham.characteristic.classical_flow`; the Ermakov equation and
+the integrals of the coefficients are solved with the package's DOP853
+integrator (``quadham.ode``).
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import coefficients as coeff
+from .characteristic import classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
-                     KappaCollapse, MuVanishes, NoClosedForm, NonPositiveForm,
+                     KappaCollapse, MuVanishes, NonPositiveForm,
                      ResidualTooLarge)
 from .ode import solve_ivp
 
-# tolerances of the integrals of the coefficients
-_INT_RTOL = 1e-12
-_INT_ATOL = 1e-14
+# tolerances of the flow and of the integrals of the coefficients
+_RTOL = 1e-12
+_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,8 @@ class ErmakovSolution:
     window: tuple = (0.0, math.inf)
 
 
-def solve_energy_system(tc: TimeCoefficients, init, t_end: float,
-                        tol: float = 1e-10):
-    """Integrate the conservation conditions for a quadratic form
+def solve_energy_system(tc: TimeCoefficients, init, t_end: float):
+    """Solve the conservation conditions for a quadratic form
     A p^2 + B x^2 + C px + D xp under H = a p^2 + b x^2 + c px + d xp:
 
         A' + 2a(C + D) - (3c + d) A = 0,
@@ -94,31 +98,28 @@ def solve_energy_system(tc: TimeCoefficients, init, t_end: float,
         C' + 2(a B - b A) - (c - d) C = 0,
         D' + 2(a B - b A) - (c - d) D = 0.
 
-    For self-adjoint data (c = d, C = D) this reduces to the familiar
-    three-component system.  ``init`` is (A0, B0, C0) with D0 = C0, or
-    (A0, B0, C0, D0).  Returns a callable t -> QuadraticForm.
+    On the classical flow, Q = [[B, (C + D)/2], [(C + D)/2, A]] is
+    e^I M^{-T} Q_0 M^{-1} and C - D = e^I (C_0 - D_0).  For self-adjoint
+    data (c = d, C = D) this is the familiar three-component system.
+    ``init`` is (A0, B0, C0) with D0 = C0, or (A0, B0, C0, D0).  Returns a
+    callable t -> QuadraticForm.
     """
     tc.require(HAMILTONIAN)
-    tc.require_window(t_end)
-    y0 = list(init)
-    if len(y0) == 3:
-        y0.append(y0[2])
-
-    def rhs(t, y):
-        A, B, C, D = y
-        a, b = tc.a(t), tc.b(t)
-        c, d = tc.c(t), tc.d(t)
-        cross = 2.0 * (a * B - b * A)
-        return [-2.0 * a * (C + D) + (3.0 * c + d) * A,
-                2.0 * b * (C + D) - (c + 3.0 * d) * B,
-                -cross + (c - d) * C,
-                -cross + (c - d) * D]
-
-    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=tol, atol=tol * 1e-2)
+    A0, B0, C0 = init[:3]
+    D0 = init[3] if len(init) == 4 else C0
+    q0 = np.array([[B0, 0.5 * (C0 + D0)], [0.5 * (C0 + D0), A0]])
+    flow = classical_flow(tc, t_end, _RTOL)
 
     def path(t: float) -> QuadraticForm:
-        A, B, C, D = sol(t)
-        return QuadraticForm(A=float(A), B=float(B), C=float(C), D=float(D), t=t)
+        m11, m12, m21, m22, i = flow(t)
+        w = math.exp(i)
+        # M^{-1} of a flow with det M = 1
+        m_inv = np.array([[m22, -m12], [-m21, m11]])
+        q = w * (m_inv.T @ q0 @ m_inv)
+        half = 0.5 * w * (C0 - D0)
+        return QuadraticForm(A=float(q[1, 1]), B=float(q[0, 0]),
+                             C=float(q[0, 1] + half),
+                             D=float(q[0, 1] - half), t=t)
 
     return path
 
@@ -219,8 +220,7 @@ def _integrate_from_zero(tc: TimeCoefficients, rhs, n: int,
     """y(t) for y' = rhs(s, y), y(0) = 0 with n components, rhs built on
     the coefficients tc."""
     tc.require_window(t)
-    sol = solve_ivp(rhs, (0.0, t), np.zeros(n), rtol=_INT_RTOL,
-                    atol=_INT_ATOL)
+    sol = solve_ivp(rhs, (0.0, t), np.zeros(n), rtol=_RTOL, atol=_ATOL)
     return sol.y[:, -1]
 
 
@@ -307,26 +307,26 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     return mu_fn, C0
 
 
-def solve_linear_auxiliary(tc: TimeCoefficients, init, t_end: float,
-                           tol: float = 1e-12):
-    """Integrate the linear auxiliary equation mu'' = (a'/a) mu' - Q mu and
-    return a callable t -> (mu, mu')."""
+def solve_linear_auxiliary(tc: TimeCoefficients, init, t_end: float):
+    """Solve the linear auxiliary equation mu'' = (a'/a) mu' - Q mu,
+
+        Q = 4ab + (a'/a - c - d)(c + d) - c' - d',
+
+    from init = (mu(0), mu'(0)) and return a callable t -> (mu, mu').
+    mu is the position row of the classical flow applied to (mu_0, p_0),
+    p_0 = (mu_0' - (c + d) mu_0) / (2a), and mu' = 2a p + (c + d) mu.
+    """
     tc.require(HAMILTONIAN)
-    tc.require_window(t_end)
-
-    def rhs(t, y):
-        a = tc.a(t)
-        ap = tc.deriv_a(t)
-        c, d = tc.c(t), tc.d(t)
-        cp, dp = tc.deriv_c(t), tc.deriv_d(t)
-        Q = 4.0 * a * tc.b(t) + (ap / a - c - d) * (c + d) - cp - dp
-        return [y[1], (ap / a) * y[1] - Q * y[0]]
-
-    sol = solve_ivp(rhs, (0.0, t_end), list(init), rtol=tol, atol=tol * 1e-2)
+    mu0, mup0 = init
+    p0 = (mup0 - (tc.c(0.0) + tc.d(0.0)) * mu0) / (2.0 * tc.a(0.0))
+    flow = classical_flow(tc, t_end, _RTOL)
 
     def path(t):
-        y = sol(t)
-        return float(y[0]), float(y[1])
+        m11, m12, m21, m22, _ = flow(t)
+        mu = m11 * mu0 + m12 * p0
+        p = m21 * mu0 + m22 * p0
+        return float(mu), float(2.0 * tc.a(t) * p
+                                + (tc.c(t) + tc.d(t)) * mu)
 
     return path
 
@@ -431,17 +431,4 @@ def united_invariant_mu(spec: ModelSpec):
     """The elementary auxiliary-equation solution for the united model,
     mu = sqrt(omega0/2) e^{(mu_param - lambda) t} up to the kappa
     substitution; returns (mu_fn, C0) ready for general_invariant."""
-    spec.validate()
-    if spec.model_id != coeff.UNITED:
-        raise NoClosedForm("elementary invariant mu catalogued only for the "
-                           "united model")
-    w0, lam = spec.omega0, spec.lam
-    rate = -lam
-    amp = math.sqrt(0.5 * w0)
-
-    def mu_fn(t):
-        e = amp * math.exp(rate * t)
-        return e, rate * e, rate * rate * e
-
-    C0 = 0.25 * spec.omega ** 2
-    return mu_fn, C0
+    return spec.closed_form("invariant_mu")

@@ -45,14 +45,19 @@ class Model:
       under ``invariant_hamiltonian`` (the model's own unless given);
     - ``reference(t)``: (A, B, C) of A p^2 + B x^2 + (C/2)(px + xp), and
       ``expectation(p2, x2, pxxp, t)``: its expectation value at t from the
-      raw second moments at 0.
+      raw second moments at 0;
+    - ``mean_position(A, delta, t)``: <x>(t) of a family of amplitude A and
+      phase delta, and ``mean_start(A, delta)``: its (<x>, <p>) at 0;
+    - ``invariant_mu``: (mu_fn, C0), an elementary solution of the
+      nonlinear auxiliary equation, mu_fn(t) = (mu, mu', mu'').
     """
 
     def __init__(self, parameters, constraint, omega, hamiltonian, *,
                  problem=None, t_max=math.inf, t_singular=math.nan,
                  mu=None, kernel=None, invariant=None,
                  invariant_hamiltonian=None, expectation=None,
-                 reference=None):
+                 reference=None, mean_position=None, mean_start=None,
+                 invariant_mu=None):
         self.parameters, self.constraint = parameters, constraint
         self.omega, self.problem = omega, problem
         self.hamiltonian = hamiltonian
@@ -60,6 +65,8 @@ class Model:
         self.mu, self.kernel, self.invariant = mu, kernel, invariant
         self.invariant_hamiltonian = invariant_hamiltonian or hamiltonian
         self.expectation, self.reference = expectation, reference
+        self.mean_position, self.mean_start = mean_position, mean_start
+        self.invariant_mu = invariant_mu
 
 
 def _zero(t):
@@ -145,6 +152,21 @@ def united(w0, lam, mu_p, dlt):
         return (0.5 * w0 * e * math.exp(-2 * lam * t),
                 0.5 * w0 * e * math.exp(2 * lam * t), 0.5 * (lam - mu_p) * e)
 
+    def mean_start(amplitude, phase):
+        x0 = amplitude * math.sin(phase)
+        dx0 = amplitude * (w * math.cos(phase)
+                           - (lam + mu_p) * math.sin(phase))
+        # <p> = (<x>' - 2d <x>) / (2a) with a(0) = omega0/2, d(0) = -mu
+        return x0, (dx0 + 2.0 * mu_p * x0) / w0
+
+    # mu = sqrt(omega0/2) e^{(mu_param - lambda) t} up to the kappa
+    # substitution
+    rate, amp = -lam, math.sqrt(0.5 * w0)
+
+    def invariant_mu(t):
+        e = amp * math.exp(rate * t)
+        return e, rate * e, rate * rate * e
+
     # the reference operator is the e^{mu t}-weighted H_0
     return Model("omega0, lambda, mu_param",
                  "omega0^2 > (lambda - mu_param)^2", w, h,
@@ -153,7 +175,12 @@ def united(w0, lam, mu_p, dlt):
                  expectation=lambda p2, x2, pxxp, t: _energy_curve(
                      w0, w, p2, x2, 0.5 * (lam - mu_p) * pxxp,
                      0.5 * (lam - mu_p) * (w0 / w) * (x2 - p2), t),
-                 reference=lambda t: (*invariant(t)[:2], 0.0))
+                 reference=lambda t: (*invariant(t)[:2], 0.0),
+                 mean_position=lambda amplitude, phase, t: (
+                     amplitude * math.exp(-(lam + mu_p) * t)
+                     * math.sin(w * t + phase)),
+                 mean_start=mean_start,
+                 invariant_mu=(invariant_mu, 0.25 * w ** 2))
 
 
 def modified_oscillator(w0, lam, mu_p, dlt):
@@ -256,7 +283,12 @@ def cj_coordinate(w0, lam, mu_p, dlt):
         invariant_hamiltonian=(a, b, _zero, _zero, da, db, _zero, _zero),
         expectation=expectation,
         reference=lambda t: (1.0 / math.cosh(lam * t) ** 2,
-                             math.cosh(lam * t) ** 2, 0.0))
+                             math.cosh(lam * t) ** 2, 0.0),
+        mean_position=lambda amplitude, phase, t: (
+            amplitude * math.sin(w * t + phase) / math.cosh(lam * t)),
+        # <p> = <x>'(0) with a(0) = 1/2, d(0) = 0
+        mean_start=lambda amplitude, phase: (
+            amplitude * math.sin(phase), amplitude * w * math.cos(phase)))
 
 
 def cj_momentum(w0, lam, mu_p, dlt):

@@ -18,6 +18,7 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham import io as qio
+from quadham import models
 from quadham import propagator as prop
 from quadham.cli import main
 
@@ -367,13 +368,15 @@ def test_import_leaves_scipy_unloaded(module):
 
 
 def test_tolerance_not_met_gives_json_record(capsys, monkeypatch):
-    # every moment obeys y' = y^2 with y(0) = 1 (pxxp stays 0), which blows
-    # up at t = 1: the step size underflows short of t_end
-    def squared(tc, m, t):
-        return dyn.SecondMoments(m.p2 ** 2, m.x2 ** 2, m.pxxp ** 2,
-                                 m.norm ** 2)
-
-    monkeypatch.setattr(dyn, "moment_derivative", squared)
+    # with c = d = 1/(2(1 - t)) the drift c + d is 1/(1 - t): the flow's
+    # M11 is 1/(1 - t), which blows up at t = 1, and the solve stalls
+    # short of t_end
+    zero = lambda t: 0.0
+    rate = lambda t: 0.5 / (1.0 - t)
+    monkeypatch.setitem(models.MODELS, coeff.SIMPLE_HARMONIC,
+                        lambda *params: models.Model(
+                            "omega0", "none", 1.0,
+                            (zero, zero, rate, rate) + (zero,) * 4))
     code, out, err = run(capsys, "moments", "--model", "simple_harmonic",
                          "--t-end", "2")
     assert code == 3

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
-from quadham.errors import InvalidMoments, NoClosedForm, SingularCoefficient
+from quadham.errors import (InvalidModelParams, InvalidMoments, NoClosedForm,
+                            SingularCoefficient)
 
 M0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
 M0_EVEN = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.0, norm=1.0)
@@ -84,13 +85,14 @@ def test_mean_position_closed_form_vs_ode(spec):
 
 
 def test_norm_rate_matches_drift_asymmetry():
+    # d<1>/dt = (d - c)<1>; for the united model d - c = -mu_param is
+    # constant, so the integrated norm decays exponentially at that rate
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    d = dyn.moment_derivative(tc, M0, 0.7)
-    assert d.norm == pytest.approx(
-        (tc.d(0.7) - tc.c(0.7)) * M0.norm, rel=1e-14)
-    # and the integrated norm decays exponentially at that rate
     path = dyn.evolve_second_moments(tc, M0, 2.0)
+    rate = tc.d(0.7) - tc.c(0.7)
+    assert path(0.7).norm == pytest.approx(math.exp(rate * 0.7) * M0.norm,
+                                           rel=1e-10)
     assert path(2.0).norm == pytest.approx(math.exp(-0.1 * 2.0), rel=1e-10)
 
 
@@ -199,3 +201,40 @@ def test_window_across_parametric_singularity_is_refused(delta, t_end):
         dyn.evolve_first_moments(tc, dyn.FirstMoments(0.1, 0.2), t_end)
     path = dyn.evolve_second_moments(tc, M0, 0.4 * t_end)
     assert math.isfinite(path(0.4 * t_end).x2)
+
+
+def test_reference_operator_validates_the_spec():
+    # lambda > omega0 is overdamped: no reference operator, no curve
+    spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 2.0)
+    with pytest.raises(InvalidModelParams):
+        dyn.reference_operator(spec, 0.5)
+    with pytest.raises(InvalidModelParams):
+        dyn.closed_form_expectation(spec, M0, 0.5)
+
+
+@pytest.mark.parametrize("model_id", [m for m in coeff.MODEL_IDS if m not in (
+    coeff.UNITED, coeff.CJ_COORDINATE)])
+def test_mean_position_only_for_damped_models(model_id):
+    spec = coeff.ModelSpec(model_id, 1.0, 0.2, delta=0.5)
+    with pytest.raises(NoClosedForm):
+        dyn.closed_form_mean_position(spec, 0.9, 0.4, 1.0)
+    with pytest.raises(NoClosedForm):
+        dyn.mean_position_initial_conditions(spec, 0.9, 0.4)
+
+
+def test_long_window_second_moments():
+    # about 64 periods of the oscillator: x -> x cos t + p sin t,
+    # p -> p cos t - x sin t.  A moment ODE at tol 1e-12 ran out of steps
+    # at t ~ 330; the flow is served
+    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
+    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    path = dyn.evolve_second_moments(tc, M0, 400.0)
+    for t in np.linspace(0.0, 400.0, 41):
+        c, s = math.cos(t), math.sin(t)
+        m = path(float(t))
+        ref = (M0.p2 * c * c + M0.x2 * s * s - M0.pxxp * s * c,
+               M0.x2 * c * c + M0.p2 * s * s + M0.pxxp * s * c,
+               M0.pxxp * (c * c - s * s) + 2.0 * s * c * (M0.p2 - M0.x2))
+        for got, want in zip((m.p2, m.x2, m.pxxp), ref):
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+    assert path(400.0).norm == 1.0

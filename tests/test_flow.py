@@ -1,0 +1,134 @@
+"""The classical flow against the paper's own linear systems.
+
+The moments, the conservation system of a quadratic invariant and the
+linear auxiliary equation are algebra on one flow
+(``characteristic.classical_flow``).  Here each system is written out as
+the paper states it and solved with scipy's DOP853, the oracle the
+flow-derived paths must reproduce.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+import quadham
+from quadham import coefficients as coeff
+from quadham import dynamics as dyn
+from quadham import invariants as inv
+
+SPECS = [
+    coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
+    coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1),
+    coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1),
+    coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
+    coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2),
+    coeff.ModelSpec(coeff.CJ_MOMENTUM, 1.0, 0.2),
+    coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=0.5),
+    coeff.ModelSpec(coeff.PARAMETRIC_SECH2, 1.0, 0.2),
+    coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0),
+    coeff.ModelSpec(coeff.FREE_PARTICLE),
+]
+# every model forwards to 1.2 (below modified_oscillator's pi/2, where
+# a'/a of the auxiliary equation is singular), and one backward window
+CASES = [(spec, 1.2) for spec in SPECS] + [(SPECS[2], -1.2)]
+
+M0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
+F0 = dyn.FirstMoments(x=0.4, p=-0.3)
+# a non-self-adjoint form (C != D) and a generic auxiliary start
+Q0 = (1.1, 0.9, 0.3, -0.2)
+AUX0 = (1.0, 0.5)
+TOL = 1e-9
+
+
+def _paper_rhs(tc):
+    """The second moments, first moments, conservation system and linear
+    auxiliary equation as one system of 12 components."""
+
+    def rhs(t, y):
+        a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
+        p2, x2, pxxp, norm, x, p, A, B, C, D, mu, mup = y
+        cross = 2.0 * (a * B - b * A)
+        ra = tc.deriv_a(t) / a
+        Q = (4.0 * a * b + (ra - c - d) * (c + d)
+             - tc.deriv_c(t) - tc.deriv_d(t))
+        return [(-3.0 * c - d) * p2 - 2.0 * b * pxxp,
+                (c + 3.0 * d) * x2 + 2.0 * a * pxxp,
+                4.0 * a * p2 - 4.0 * b * x2 + (d - c) * pxxp,
+                (d - c) * norm,
+                2.0 * a * p + 2.0 * d * x,
+                -2.0 * b * x - 2.0 * c * p,
+                -2.0 * a * (C + D) + (3.0 * c + d) * A,
+                2.0 * b * (C + D) - (c + 3.0 * d) * B,
+                -cross + (c - d) * C,
+                -cross + (c - d) * D,
+                mup,
+                ra * mup - Q * mu]
+
+    return rhs
+
+
+def _flow_values(tc, t_end):
+    second = dyn.evolve_second_moments(tc, M0, t_end)
+    first = dyn.evolve_first_moments(tc, F0, t_end)
+    form = inv.solve_energy_system(tc, Q0, t_end)
+    aux = inv.solve_linear_auxiliary(tc, AUX0, t_end)
+
+    def values(t):
+        m, f, q = second(t), first(t), form(t)
+        return [m.p2, m.x2, m.pxxp, m.norm, f.x, f.p, q.A, q.B, q.C, q.D,
+                *aux(t)]
+
+    return values
+
+
+def test_flow_paths_match_the_paper_systems():
+    worst = {}
+    for spec, t_end in CASES:
+        tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+        y0 = [M0.p2, M0.x2, M0.pxxp, M0.norm, F0.x, F0.p, *Q0, *AUX0]
+        ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0,
+                              method="DOP853", rtol=1e-12, atol=1e-14,
+                              dense_output=True)
+        assert ref.success, ref.message
+        values = _flow_values(tc, t_end)
+        err = 0.0
+        for t in np.linspace(0.0, t_end, 13):
+            want = ref.sol(t)
+            got = np.array(values(float(t)))
+            err = max(err, float(np.max(np.abs(got - want)
+                                        / np.maximum(1.0, np.abs(want)))))
+        worst[f"{spec.model_id}[{t_end}]"] = err
+    name = max(worst, key=worst.get)
+    print(f"\nworst flow-vs-paper error {worst[name]:.2e} ({name}, "
+          f"tol {TOL:.0e})")
+    assert all(err <= TOL for err in worst.values()), worst
+
+
+def _is_solve(node):
+    return isinstance(node, ast.Call) and "solve_ivp" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_one_linear_system_in_the_package():
+    # the moments, the invariant system and the linear auxiliary equation
+    # are algebra on the classical flow: the only solve_ivp calls are the
+    # flow and the three nonlinear or scalar solves
+    sites = set()
+    root = pathlib.Path(quadham.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each call belongs to its innermost function; ast.walk visits
+        # outer functions first, so inner ones overwrite them
+        owner = {node: None for node in ast.walk(tree) if _is_solve(node)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn)
+                             if _is_solve(node))
+        sites |= {(path.stem, name) for name in owner.values()}
+    assert sites == {("characteristic", "classical_flow"),
+                     ("invariants", "solve_ermakov"),
+                     ("dynamics", "damped_energy_equation_solve"),
+                     ("invariants", "_integrate_from_zero")}
+

@@ -17,10 +17,15 @@ def _second_moments_rhs():
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
 
     def rhs(t, y):
-        d = dyn.moment_derivative(tc, dyn.SecondMoments(*y), t)
-        return [d.p2, d.x2, d.pxxp, d.norm]
+        # the raw second moments <p^2>, <x^2>, <px+xp> and the norm <1>
+        a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
+        p2, x2, pxxp, norm = y
+        return [(-3.0 * c - d) * p2 - 2.0 * b * pxxp,
+                (c + 3.0 * d) * x2 + 2.0 * a * pxxp,
+                4.0 * a * p2 - 4.0 * b * x2 + (d - c) * pxxp,
+                (d - c) * norm]
 
-    # the tolerances of evolve_second_moments
+    # the tolerances of the moment paths
     return rhs, (0.0, 3.0), [0.8, 0.7, 0.1, 1.0], dict(rtol=1e-12,
                                                         atol=1e-14)
 
