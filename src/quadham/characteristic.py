@@ -4,8 +4,8 @@ The linear dynamics of ``H = a p^2 + b x^2 + c px + d xp`` is the classical
 2x2 flow M (det M = 1) of ``x' = 2 a p + (c + d) x``,
 ``p' = -2 b x - (c + d) p`` from M(0) = 1, with ``I = int_0^t (c - d)``
 (Moshinsky & Quesne, J. Math. Phys. 12 (1971) 1772).  :func:`classical_flow`
-is its one solve; the moments, the invariant system and the linear
-auxiliary equation are algebra on it.  The kernel ``G = (2 pi i mu)^(-1/2)
+is the package's one solve; the moments, the invariants and the
+auxiliary equations are algebra on it.  The kernel ``G = (2 pi i mu)^(-1/2)
 exp(i(alpha x^2 + beta x y + gamma y^2))`` is its generating function:
 
     h = e^I,  mu = M12 h,  mu' = (2 a M22 + 2 c M12) h,
@@ -102,6 +102,8 @@ class MuPath:
 def classical_flow(tc: TimeCoefficients, t_end: float, tol: float):
     """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
     with dense output; ``tc`` may be in either convention."""
+    if not math.isfinite(t_end):
+        raise ValidationError("the window must be finite", t_end=t_end)
     tc.require_window(t_end)
     eq = convert_convention(tc, EQUATION)
     a, b, c, d = eq.a, eq.b, eq.c, eq.d

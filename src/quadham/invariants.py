@@ -6,17 +6,17 @@ Pinney-type superposition of linear solutions, the general symmetric-form
 invariant for arbitrary (possibly non-self-adjoint) quadratic Hamiltonians,
 linear invariants, and the ladder factorization of a quadratic invariant.
 
-The conservation system of a quadratic invariant and the linear auxiliary
-equation are algebra on the classical flow M and ``I = int_0^t (c - d)``
-of :func:`quadham.characteristic.classical_flow`; the Ermakov equation and
-the integrals of the coefficients are solved with the package's DOP853
-integrator (``quadham.ode``).
+The conservation system of a quadratic invariant, the linear auxiliary
+equation, the Ermakov equation (Pinney's superposition of two columns of
+M) and the integrals of the coefficients are algebra on the classical flow
+M and ``I = int_0^t (c - d)`` of
+:func:`quadham.characteristic.classical_flow`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,11 +27,12 @@ from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NonPositiveForm,
                      ResidualTooLarge)
-from .ode import solve_ivp
+from .ode import bracket_sign_change
 
-# tolerances of the flow and of the integrals of the coefficients
+# tolerance of the flow
 _RTOL = 1e-12
-_ATOL = 1e-14
+# kappa at which solve_ermakov reports a collapse
+_COLLAPSE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,6 @@ class ErmakovSolution:
     kappa: Callable[[float], float]
     kappa_prime: Callable[[float], float]
     C0: float
-    variable: str = "physical"
-    window: tuple = (0.0, math.inf)
 
 
 def solve_energy_system(tc: TimeCoefficients, init, t_end: float):
@@ -144,32 +143,45 @@ def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
 
 
 def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
-                  t_end: float, tol: float = 1e-10) -> ErmakovSolution:
-    """Integrate kappa'' + omega^2(t) kappa = c0 / kappa^3 from (kappa0, kappa0')."""
+                  t_end: float) -> ErmakovSolution:
+    """kappa'' + omega^2(t) kappa = c0 / kappa^3 from (kappa0, kappa0') on
+    [0, t_end], by Pinney's superposition of the columns u = (M11, M21),
+    v = (M12, M22) of the classical flow of a = 1/2, b = omega^2 / 2:
+
+        kappa^2 = l^2 + (c0 / kappa0^2) M12^2,  l = kappa0 M11 + kappa0' M12.
+
+    Raises KappaCollapse where kappa falls to 1e-8, which needs c0 <= 0:
+    for c0 > 0 the form is positive definite.
+    """
     kappa0, kappa0p = init
     if not (kappa0 > 0):
         raise ValueError("kappa(0) must be positive")
+    tc = TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
+                          lambda t: 0.0, lambda t: 0.0)
+    flow = classical_flow(tc, t_end, _RTOL)
+    ratio = c0 / kappa0 ** 2
+    if c0 <= 0.0:
+        def guard(y):
+            # kappa^2 - 1e-16 while l > 0, and negative once l is not
+            ell = kappa0 * y[0] + kappa0p * y[1]
+            return ell * np.abs(ell) + ratio * y[1] ** 2 - _COLLAPSE ** 2
 
-    def rhs(t, y):
-        return [y[1], c0 / y[0] ** 3 - omega_sq(t) * y[0]]
-
-    def collapse(t, y):
-        return y[0] - 1e-8
-
-    sol = solve_ivp(rhs, (0.0, t_end), [kappa0, kappa0p], rtol=tol,
-                    atol=tol * 1e-2, event=collapse)
-    if sol.t_event is not None:
-        raise KappaCollapse("kappa reached the collapse guard",
-                            t=sol.t_event)
-    t_hi = float(sol.t[-1])
-    return ErmakovSolution(kappa=lambda t: float(sol(t)[0]),
-                           kappa_prime=lambda t: float(sol(t)[1]),
-                           C0=c0, variable="physical", window=(0.0, t_hi))
+        hit = np.flatnonzero(guard(flow.y) <= 0.0)
+        if hit.size:
+            k = hit[0]
+            t_hit = 0.0 if k == 0 else bracket_sign_change(
+                lambda t: guard(flow(t)), flow.t[k - 1], flow.t[k])[1]
+            raise KappaCollapse("kappa reached the collapse guard",
+                                t=float(t_hit))
+    sol = pinney_superpose(lambda t: flow(t)[[0, 2]],
+                           lambda t: flow(t)[[1, 3]], kappa0 ** 2,
+                           kappa0 * kappa0p, kappa0p ** 2 + ratio, 1.0)
+    # A C - B^2 is c0 only up to the rounding of kappa0^2 kappa0'^2
+    return replace(sol, C0=c0)
 
 
 def pinney_superpose(u, v, A: float, B: float, C: float, W: float,
-                     c0: Optional[float] = None,
-                     window=(0.0, math.inf)) -> ErmakovSolution:
+                     c0: Optional[float] = None) -> ErmakovSolution:
     """kappa = sqrt(A u^2 + 2 B u v + C v^2) from two linear solutions.
 
     ``u`` and ``v`` map t to (value, derivative) of independent solutions of
@@ -203,8 +215,7 @@ def pinney_superpose(u, v, A: float, B: float, C: float, W: float,
             raise NonPositiveForm("quadratic form is not positive", t=t)
         return 0.5 * dq / math.sqrt(q)
 
-    return ErmakovSolution(kappa=kappa, kappa_prime=kappa_prime, C0=c0,
-                           variable="physical", window=window)
+    return ErmakovSolution(kappa=kappa, kappa_prime=kappa_prime, C0=c0)
 
 
 def lewis_riesenfeld_invariant(sol: ErmakovSolution, t: float) -> QuadraticForm:
@@ -215,19 +226,9 @@ def lewis_riesenfeld_invariant(sol: ErmakovSolution, t: float) -> QuadraticForm:
                          C=-k * kp, D=-k * kp, t=t)
 
 
-def _integrate_from_zero(tc: TimeCoefficients, rhs, n: int,
-                         t: float) -> np.ndarray:
-    """y(t) for y' = rhs(s, y), y(0) = 0 with n components, rhs built on
-    the coefficients tc."""
-    tc.require_window(t)
-    sol = solve_ivp(rhs, (0.0, t), np.zeros(n), rtol=_RTOL, atol=_ATOL)
-    return sol.y[:, -1]
-
-
 def _cd_integral(tc: TimeCoefficients, t: float) -> float:
-    """int_0^t (c - d) ds."""
-    return float(_integrate_from_zero(
-        tc, lambda s, y: [tc.c(s) - tc.d(s)], 1, t)[0])
+    """int_0^t (c - d) ds, the I of the classical flow."""
+    return float(classical_flow(tc, t, _RTOL)(t)[4])
 
 
 def _mu_triplet(mu_fn, t: float):
@@ -361,27 +362,19 @@ def invariant_diagnostics(tc: TimeCoefficients, mu_fn, t: float) -> dict:
     """Auxiliary quantities of the invariant construction: the substituted
     kappa, the integrating factors, the proper time, and the key factor.
 
-    One solve carries int (3c + d), int (c + 3d) and the proper time
-    int 2a exp(-(int (3c + d) + int (c + 3d)) / 2); int (c + d) is a
-    quarter of the sum of the first two.
+    All are read off the classical flow of (a, 0, c, d): M11 is
+    e^S with S = int (c + d), M12 M22 is the proper time
+    int 2a e^(-2 S), and int (3c + d) = 2 S + I, int (c + 3d) = 2 S - I.
     """
     tc.require(HAMILTONIAN)
     mu, mup = mu_fn(t)[:2]
-
-    def rhs(s, y):
-        c, d = tc.c(s), tc.d(s)
-        return [3.0 * c + d, c + 3.0 * d,
-                2.0 * tc.a(s) * math.exp(-0.5 * (y[0] + y[1]))]
-
-    int_3cd, int_c3d, proper = (float(v) for v in
-                                _integrate_from_zero(tc, rhs, 3, t))
-    int_cpd = 0.25 * (int_3cd + int_c3d)
-    mu1 = math.exp(-int_3cd)
-    mu2 = math.exp(int_c3d)
-    kappa = mu * math.exp(-int_cpd)
-    key = math.exp(2.0 * int_cpd) / (2.0 * tc.a(t))
-    return {"kappa": kappa, "mu1": mu1, "mu2": mu2,
-            "proper_time": proper, "key": key}
+    drift = replace(tc, b=lambda s: 0.0, db=None)
+    m11, m12, _, m22, i = classical_flow(drift, t, _RTOL)(t)
+    e2s = m11 * m11
+    return {"kappa": float(mu / m11), "mu1": float(math.exp(-i) / e2s),
+            "mu2": float(e2s * math.exp(-i)),
+            "proper_time": float(m12 * m22),
+            "key": float(e2s / (2.0 * tc.a(t)))}
 
 
 def linear_invariant(tc: TimeCoefficients, A_fn, C0_const: float,

@@ -5,8 +5,9 @@ error estimate and the 7th-order continuous extension of Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., Sec. II.10
 (their DOP853 code).  The step-size controller and the initial-step rule
 are the ones scipy's ``DOP853`` uses, so a solve takes the same steps as
-``scipy.integrate.solve_ivp(method="DOP853")``.  Every ODE and every
-quadrature of the package is a :func:`solve_ivp` call.
+``scipy.integrate.solve_ivp(method="DOP853")``.  The package solves one
+ODE, the classical flow of :func:`quadham.characteristic.classical_flow`;
+every other dynamical quantity is algebra on it.
 """
 
 from __future__ import annotations
@@ -177,16 +178,13 @@ class Solution:
     solution there; calling the object evaluates the 7th-order dense output
     at a scalar t (shape (n,)) or a 1-D array of times (shape (n, m)).
     Times outside the span extrapolate the nearest step's polynomial.
-    ``t_event`` is the time the event stopped the solve, else None.
     ``nfev`` counts the right-hand-side evaluations, ``n_steps`` the
     accepted steps and ``n_rejected`` the rejected ones.
     """
 
-    def __init__(self, ts, ys, segments, direction, t_event, nfev=0,
-                 n_rejected=0):
+    def __init__(self, ts, ys, segments, direction, nfev=0, n_rejected=0):
         self.t = np.array(ts)
         self.y = np.array(ys).T
-        self.t_event = t_event
         self.nfev = nfev
         self.n_steps = len(segments)
         self.n_rejected = n_rejected
@@ -225,14 +223,12 @@ class Solution:
         return (self._y_old[k] + np.einsum("km,mkn->mn", p, self._F[k])).T
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
+def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] (either
     direction) with DOP853 and dense output.
 
-    ``event(t, y)``, when given, ends the solve at its first fall from
-    positive to zero or below; the time is located on the dense output and
-    reported as ``Solution.t_event``.  Raises ToleranceNotMet when the
-    step size falls below ten ulp of t or after MAX_STEPS attempted steps.
+    Raises ToleranceNotMet when the step size falls below ten ulp of t or
+    after MAX_STEPS attempted steps.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
@@ -246,13 +242,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
 
     direction = 1.0 if t_bound >= t0 else -1.0
     ts, ys, segments = [t0], [y], []
-    t_event = None
     if t_bound == t0:
-        return Solution(ts, ys, segments, direction, t_event)
+        return Solution(ts, ys, segments, direction)
     fy = f(t0, y)
     h_abs = _initial_step(f, t0, y, fy, abs(t_bound - t0), direction,
                           max_step, rtol, atol)
-    g = event(t0, y) if event is not None else None
     K = np.empty((16, y.size))
     t = t0
     while direction * (t - t_bound) < 0:
@@ -299,19 +293,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf, event=None):
         F[3:] = h * np.dot(_D, K)
         segments.append((t, h, y, F))
         t, y, fy = t_new, y_new, f_new
-
-        if event is not None:
-            g_new = event(t, y)
-            if g >= 0.0 and g_new <= 0.0:
-                step = Solution(ts[-1:] + [t], [ys[-1], y], segments[-1:],
-                                direction, None)
-                _, t = bracket_sign_change(lambda s: event(s, step(s)),
-                                           ts[-1], t)
-                t_event, y = t, step(t)
-                ts.append(t)
-                ys.append(y)
-                break
-            g = g_new
         ts.append(t)
         ys.append(y)
-    return Solution(ts, ys, segments, direction, t_event, nfev, n_rejected)
+    return Solution(ts, ys, segments, direction, nfev, n_rejected)

@@ -304,6 +304,11 @@ def test_numerical_error_exit_code(capsys):
     assert rec["module"] == "quadham.characteristic"
 
 
+NONFINITE_WINDOWS = [(cmd, t_end)
+                     for cmd in ("moments", "uncertainty", "invariant")
+                     for t_end in ("nan", "inf")]
+
+
 @pytest.mark.parametrize("argv, error_type, info", [
     # complex info is written as [re, im]
     (["propagate", "--model", "simple_harmonic", "--t-end", "1",
@@ -325,8 +330,15 @@ def test_numerical_error_exit_code(capsys):
     (["moments", "--model", "caldirola_kanai", "--omega0", "inf",
       "--lambda", "0.1", "--t-end", "1"],
      "InvalidModelParams", {"model": "caldirola_kanai"}),
+    # a non-finite window is refused before the flow is solved; the record
+    # writes it as NaN or Infinity
+    *[([cmd, "--model", "simple_harmonic", "--t-end", t_end,
+        "--samples", "3"], "ValidationError",
+       pytest.approx({"t_end": float(t_end)}, nan_ok=True))
+      for cmd, t_end in NONFINITE_WINDOWS],
 ], ids=["complex_info", "mu_samples", "kernel_samples", "t_start",
-        "nan_lambda", "nan_delta", "inf_omega0", "inf_omega0_moments"])
+        "nan_lambda", "nan_delta", "inf_omega0", "inf_omega0_moments",
+        *[f"{t_end}_t_end_{cmd}" for cmd, t_end in NONFINITE_WINDOWS]])
 def test_bad_arguments_give_json_record(capsys, argv, error_type, info):
     code, out, err = run(capsys, *argv)
     assert code == 2

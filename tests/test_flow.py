@@ -1,16 +1,19 @@
-"""The classical flow against the paper's own linear systems.
+"""The classical flow against the paper's own equations.
 
-The moments, the conservation system of a quadratic invariant and the
-linear auxiliary equation are algebra on one flow
-(``characteristic.classical_flow``).  Here each system is written out as
+The moments, the conservation system of a quadratic invariant, the linear
+and the nonlinear (Ermakov) auxiliary equations and the damped
+oscillator's energy equation are algebra on one flow
+(``characteristic.classical_flow``).  Here each equation is written out as
 the paper states it and solved with scipy's DOP853, the oracle the
 flow-derived paths must reproduce.
 """
 
 import ast
+import math
 import pathlib
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import quadham
@@ -106,15 +109,106 @@ def test_flow_paths_match_the_paper_systems():
     assert all(err <= TOL for err in worst.values()), worst
 
 
+def _rel_err(got, want):
+    return float(np.max(np.abs(np.subtract(got, want))
+                        / np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("omega_sq, c0, init", [
+    (lambda t: 1.0 + 0.3 * math.sin(t), 0.7, (1.0, 0.2)),
+    (lambda t: 1.0, 0.0, (1.0, 0.5)),
+    (lambda t: 1.0 + 0.2 * t, -0.05, (1.0, 0.3)),
+], ids=["positive_c0", "zero_c0", "negative_c0"])
+def test_ermakov_matches_the_paper_equation(omega_sq, c0, init):
+    # kappa'' + omega^2(t) kappa = c0 / kappa^3
+    def rhs(t, y):
+        return [y[1], c0 / y[0] ** 3 - omega_sq(t) * y[0]]
+
+    t_end = 1.5
+    ref = scipy_solve_ivp(rhs, (0.0, t_end), list(init), method="DOP853",
+                          rtol=1e-12, atol=1e-14, dense_output=True)
+    assert ref.success, ref.message
+    sol = inv.solve_ermakov(omega_sq, c0, init, t_end)
+    assert sol.C0 == c0
+    for t in np.linspace(0.0, t_end, 13):
+        got = [sol.kappa(float(t)), sol.kappa_prime(float(t))]
+        assert _rel_err(got, ref.sol(t)) <= TOL
+
+
+def _energy_equation(spec, m0, t_end):
+    """The damped oscillator's energy equation
+
+        y'' - (4 lambda / sinh(2 lambda t)) y' +
+            2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0,
+
+    started at eps = 1e-3 from the quartic Taylor polynomial of the even
+    branch (<px+xp>_0 = 0): the t^3 homogeneous mode amplifies a startup
+    error by eps^-3."""
+    w0, lam, w = spec.omega0, spec.lam, spec.omega
+    h00, l0 = m0.p2 + m0.x2, m0.p2 - m0.x2
+    e0 = (0.5 * w0 * (1.0 - 0.5 * lam ** 2 / w0 ** 2) * h00
+          + 0.25 * lam ** 2 / w0 * l0)
+    alpha = -lam * lam * l0
+    beta = 0.25 * (2.0 * lam ** 4 * h00
+                   - alpha * (8.0 * lam ** 2 / 3.0
+                              + 4.0 * w * w + 2.0 * lam ** 2))
+
+    def rhs(t, y):
+        fric = 4.0 * lam / math.sinh(2.0 * lam * t)
+        stiff = 2.0 * (2.0 * w * w + lam ** 2 / math.cosh(lam * t) ** 2)
+        return [y[1], fric * y[1] - stiff * y[0] + 8.0 * w0 * e0]
+
+    eps = 1e-3
+    y_eps = [h00 + alpha * eps ** 2 + beta * eps ** 4,
+             2.0 * alpha * eps + 4.0 * beta * eps ** 3]
+    ref = scipy_solve_ivp(rhs, (eps, t_end), y_eps, method="DOP853",
+                          rtol=1e-12, atol=1e-14, dense_output=True)
+    assert ref.success, ref.message
+    return lambda t: ref.sol(t)[0]
+
+
+@pytest.mark.parametrize("omega0, lam, m0", [
+    (1.0, 0.2, dyn.SecondMoments(p2=0.8, x2=0.7)),
+    (1.3, 0.35, dyn.SecondMoments(p2=0.5, x2=1.1)),
+    (0.8, 0.1, dyn.SecondMoments(p2=1.0, x2=1.0)),
+])
+def test_damped_energy_matches_the_paper_equation(omega0, lam, m0):
+    spec = coeff.ModelSpec(coeff.CJ_COORDINATE, omega0, lam)
+    t_end = 5.0
+    ref = _energy_equation(spec, m0, t_end)
+    y = dyn.damped_energy_equation_solve(spec, m0, t_end)
+    for t in np.linspace(0.05, t_end, 13):
+        assert _rel_err(y(float(t)), ref(float(t))) <= TOL
+
+
+def test_damped_energy_keeps_the_odd_branch():
+    # <px+xp>_0 != 0 selects the t^3 branch of the energy equation; the
+    # second moments of the paper's moment system, contracted with the
+    # reference operator, are its oracle
+    spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
+    m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.3)
+    t_end = 5.0
+    tc = inv.catalog_coefficients(spec)
+    y0 = [m0.p2, m0.x2, m0.pxxp, m0.norm, 0.0, 0.0, *Q0, *AUX0]
+    ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0, method="DOP853",
+                          rtol=1e-12, atol=1e-14, dense_output=True)
+    assert ref.success, ref.message
+    y = dyn.damped_energy_equation_solve(spec, m0, t_end)
+    for t in np.linspace(0.0, t_end, 13):
+        p2, x2, pxxp = ref.sol(t)[:3]
+        A, B, C = dyn.reference_operator(spec, float(t))
+        want = A * p2 + B * x2 + 0.5 * C * pxxp
+        assert _rel_err(y(float(t)), want) <= TOL
+
+
 def _is_solve(node):
     return isinstance(node, ast.Call) and "solve_ivp" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
 
 def test_one_linear_system_in_the_package():
-    # the moments, the invariant system and the linear auxiliary equation
-    # are algebra on the classical flow: the only solve_ivp calls are the
-    # flow and the three nonlinear or scalar solves
+    # every linear and nonlinear solve of the package is algebra on the
+    # classical flow: it is the only solve_ivp call
     sites = set()
     root = pathlib.Path(quadham.__file__).parent
     for path in sorted(root.rglob("*.py")):
@@ -127,8 +221,5 @@ def test_one_linear_system_in_the_package():
                 owner.update((node, fn.name) for node in ast.walk(fn)
                              if _is_solve(node))
         sites |= {(path.stem, name) for name in owner.values()}
-    assert sites == {("characteristic", "classical_flow"),
-                     ("invariants", "solve_ermakov"),
-                     ("dynamics", "damped_energy_equation_solve"),
-                     ("invariants", "_integrate_from_zero")}
+    assert sites == {("characteristic", "classical_flow")}
 

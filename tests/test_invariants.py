@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import invariants as inv
@@ -137,6 +138,44 @@ def test_pinney_nonpositive_form():
 def test_kappa_collapse_detected():
     with pytest.raises(KappaCollapse):
         inv.solve_ermakov(lambda t: 0.0, 0.0, (1.0, -1.0), 3.0)
+
+
+def test_kappa_collapse_event_matches_scipy():
+    # kappa'' = -kappa from (1, 0) is cos t; the guard kappa = 1e-8 is
+    # crossed just before pi/2
+    def rhs(t, y):
+        return [y[1], -y[0]]
+
+    def collapse(t, y):
+        return y[0] - 1e-8
+
+    collapse.terminal = True
+    collapse.direction = -1
+    ref = scipy_solve_ivp(rhs, (0.0, 3.0), [1.0, 0.0], method="DOP853",
+                          rtol=1e-10, atol=1e-12, events=collapse)
+    t_ref = ref.t_events[0][0]
+    with pytest.raises(KappaCollapse) as exc:
+        inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.0), 3.0)
+    assert abs(exc.value.info["t"] - t_ref) <= 1e-10
+    assert exc.value.info["t"] == pytest.approx(math.acos(1e-8), abs=1e-8)
+
+
+def test_kappa_collapse_with_negative_c0():
+    # omega = 1, c0 = -0.3: kappa^2 = (cos t + 0.2 sin t)^2 - 0.3 sin^2 t
+    # has its first zero where tan t = 1 / (sqrt(0.3) - 0.2), and kappa
+    # falls through the guard just before it
+    with pytest.raises(KappaCollapse) as exc:
+        inv.solve_ermakov(lambda t: 1.0, -0.3, (1.0, 0.2), 3.0)
+    t_zero = math.atan(1.0 / (math.sqrt(0.3) - 0.2))
+    assert t_zero == pytest.approx(1.2361518483971, abs=1e-12)
+    assert exc.value.info["t"] == pytest.approx(t_zero, abs=1e-9)
+
+
+def test_kappa_collapse_at_the_start():
+    # kappa(0) inside the guard has collapsed before the first step
+    with pytest.raises(KappaCollapse) as exc:
+        inv.solve_ermakov(lambda t: 1.0, 0.0, (1e-9, 0.0), 1.0)
+    assert exc.value.info["t"] == 0.0
 
 
 def test_lewis_riesenfeld_equals_general_route():

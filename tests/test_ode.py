@@ -7,8 +7,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
-from quadham import invariants as inv
-from quadham.errors import KappaCollapse, ToleranceNotMet
+from quadham.errors import ToleranceNotMet
 from quadham.ode import MAX_STEPS, solve_ivp
 
 
@@ -96,34 +95,6 @@ def test_step_budget_stops_a_crawl():
     info = exc.value.info
     assert info["steps"] + info["rejected"] == MAX_STEPS
     assert info["t"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_kappa_collapse_event_matches_scipy():
-    # kappa'' = -kappa from (1, 0) is cos t; the guard kappa = 1e-8 is
-    # crossed just before pi/2
-    def rhs(t, y):
-        return [y[1], -y[0]]
-
-    def collapse(t, y):
-        return y[0] - 1e-8
-
-    collapse.terminal = True
-    collapse.direction = -1
-    ref = scipy_solve_ivp(rhs, (0.0, 3.0), [1.0, 0.0], method="DOP853",
-                          rtol=1e-10, atol=1e-12, events=collapse)
-    t_ref = ref.t_events[0][0]
-    with pytest.raises(KappaCollapse) as exc:
-        inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.0), 3.0)
-    assert abs(exc.value.info["t"] - t_ref) <= 1e-10
-    assert exc.value.info["t"] == pytest.approx(math.acos(1e-8), abs=1e-8)
-
-
-def test_solution_stops_at_event():
-    sol = solve_ivp(lambda t, y: [-y[0]], (0.0, 5.0), [1.0], rtol=1e-10,
-                    atol=1e-12, event=lambda t, y: y[0] - 0.5)
-    assert sol.t_event == pytest.approx(math.log(2.0), rel=1e-9)
-    assert sol.t[-1] == sol.t_event
-    assert sol.y[0, -1] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_blow_up_raises_tolerance_not_met():
