@@ -125,8 +125,9 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float) -> MuPath:
     """The classical flow on [0, t_end] as a :class:`MuPath`, with grid
     points either side of the first zero of mu."""
     tc.require(EQUATION)
-    if not (t_end > 0):
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValidationError("t_end must be positive and finite",
+                              t_end=t_end)
     if t_end >= tc.t_max:
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)

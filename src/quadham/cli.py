@@ -2,22 +2,19 @@
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Failures
 emit a one-line JSON record naming the originating module and error code.
+
+Each subcommand imports the solver modules (and numpy) it runs inside its
+own function, so that a call pays only for what it uses: ``list-models``
+loads no numpy, ``mu`` and ``kernel`` load no moment dynamics.
 """
 
 import argparse
 import json
-import math
 import sys
 import traceback
 
-import numpy as np
-
-from . import characteristic as chr_mod
 from . import coefficients as coeff
-from . import dynamics as dyn
-from . import invariants as inv
 from . import io as qio
-from . import propagator as prop
 from .errors import NoClosedForm, QuadhamError, ValidationError
 
 def _add_model_args(p):
@@ -57,6 +54,9 @@ def _spec_from(args) -> coeff.ModelSpec:
 
 def _sample_times(tc, t_end, samples):
     """Caustic-free sample times in (0, t_end]."""
+    import numpy as np
+    from . import characteristic as chr_mod
+
     path = chr_mod.solve_characteristic(tc, t_end)
     caustic = path.first_caustic()
     hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
@@ -76,6 +76,9 @@ def cmd_list_models(args):
 
 
 def cmd_mu(args):
+    import numpy as np
+    from . import characteristic as chr_mod
+
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     path = chr_mod.solve_characteristic(tc, args.t_end)
@@ -86,6 +89,8 @@ def cmd_mu(args):
 
 
 def cmd_kernel(args):
+    from . import characteristic as chr_mod
+
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     path, ts = _sample_times(tc, args.t_end, args.samples)
@@ -100,6 +105,8 @@ def cmd_kernel(args):
 
 
 def cmd_green(args):
+    from . import characteristic as chr_mod, propagator as prop
+
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     path = chr_mod.solve_characteristic(tc, args.t)
@@ -112,6 +119,8 @@ def cmd_green(args):
 
 
 def cmd_propagate(args):
+    from . import characteristic as chr_mod, propagator as prop
+
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     s0 = prop.GaussianState(
@@ -135,6 +144,9 @@ def cmd_propagate(args):
 
 
 def cmd_moments(args):
+    import numpy as np
+    from . import dynamics as dyn
+
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
@@ -147,6 +159,9 @@ def cmd_moments(args):
 
 
 def cmd_invariant(args):
+    import numpy as np
+    from . import dynamics as dyn, invariants as inv
+
     spec = _spec_from(args)
     tc = inv.catalog_coefficients(spec)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
@@ -166,6 +181,9 @@ def cmd_invariant(args):
 
 
 def cmd_appendix_d(args):
+    import numpy as np
+    from . import dynamics as dyn
+
     hb = dyn.HyperbolicBasis(lam=args.lam_d, omega=args.omega_d,
                              gamma=args.gamma_shift)
     ts = np.linspace(args.t_start, args.t_end, args.samples)
@@ -177,6 +195,9 @@ def cmd_appendix_d(args):
 
 
 def cmd_uncertainty(args):
+    import numpy as np
+    from . import dynamics as dyn
+
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
@@ -194,6 +215,9 @@ def cmd_uncertainty(args):
 
 def _verify_one(model_id: str, budget: str):
     """Quick per-model verification; returns (name, passed, detail)."""
+    import numpy as np
+    from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
+
     spec = coeff.ModelSpec(model_id, omega0=1.3, lam=0.35, mu_param=0.1,
                            delta=0.6)
     checks = []

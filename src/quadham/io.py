@@ -5,19 +5,19 @@ so files can be diffed byte-wise across runs.  Config files are plain
 key=value sections (INI syntax); command-line flags override file values.
 """
 
-import configparser
 import csv
 import json
 import sys
-
-import numpy as np
 
 
 def format_value(v) -> str:
     """Shortest exact decimal representation for floats, plain str otherwise."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    # numpy is not imported here (``list-models`` runs without it); a numpy
+    # scalar can only exist once something else has loaded it
+    np = sys.modules.get("numpy")
+    if isinstance(v, float) or (np is not None and isinstance(v, np.floating)):
         return repr(float(v))
     return str(v)
 
@@ -59,6 +59,8 @@ def write_json(path, obj):
 
 def read_config(path) -> dict:
     """Parse a key=value sectioned config file into {section: {key: value}}."""
+    import configparser
+
     cp = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         cp.read_file(fh)

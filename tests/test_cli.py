@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -30,7 +31,7 @@ def run(capsys, *argv):
 
 
 def test_format_value_round_trip():
-    for v in (0.6, 1e-17, -3.25, math.pi, np.float64(0.6)):
+    for v in (0.6, 1e-17, -3.25, math.pi, np.float64(0.6), np.float32(0.6)):
         s = qio.format_value(v)
         assert float(s) == float(v)
         assert "np." not in s
@@ -305,8 +306,17 @@ def test_numerical_error_exit_code(capsys):
 
 
 NONFINITE_WINDOWS = [(cmd, t_end)
-                     for cmd in ("moments", "uncertainty", "invariant")
+                     for cmd in ("moments", "uncertainty", "invariant", "mu",
+                                 "kernel", "propagate", "green")
                      for t_end in ("nan", "inf")]
+
+
+def _window_argv(cmd, t_end):
+    if cmd == "green":
+        return [cmd, "--model", "simple_harmonic", "--t", t_end,
+                "--x", "0", "--y", "0"]
+    return [cmd, "--model", "simple_harmonic", "--t-end", t_end,
+            "--samples", "3"]
 
 
 @pytest.mark.parametrize("argv, error_type, info", [
@@ -332,8 +342,7 @@ NONFINITE_WINDOWS = [(cmd, t_end)
      "InvalidModelParams", {"model": "caldirola_kanai"}),
     # a non-finite window is refused before the flow is solved; the record
     # writes it as NaN or Infinity
-    *[([cmd, "--model", "simple_harmonic", "--t-end", t_end,
-        "--samples", "3"], "ValidationError",
+    *[(_window_argv(cmd, t_end), "ValidationError",
        pytest.approx({"t_end": float(t_end)}, nan_ok=True))
       for cmd, t_end in NONFINITE_WINDOWS],
 ], ids=["complex_info", "mu_samples", "kernel_samples", "t_start",
@@ -377,6 +386,108 @@ def test_import_leaves_scipy_unloaded(module):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter; returns its stdout as JSON."""
+    src = os.path.dirname(os.path.dirname(quadham.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_and_gridsim_load_every_traced_module():
+    # quadbench/tracing.py Tracer.install imports quadham.cli and
+    # quadham.gridsim, then reads the traced modules from sys.modules and
+    # wraps quadham.dynamics.solve_ivp; the CLI imports its solvers lazily,
+    # so gridsim's imports must load them
+    loaded, has_solve_ivp = _run_fresh(
+        "import json, sys, quadham.cli, quadham.gridsim; "
+        "print(json.dumps([sorted(sys.modules), "
+        "hasattr(sys.modules['quadham.dynamics'], 'solve_ivp')]))")
+    traced = {f"quadham.{m}" for m in (
+        "coefficients", "characteristic", "propagator", "gridsim",
+        "dynamics", "invariants", "cli", "io")}
+    assert traced <= set(loaded)
+    assert has_solve_ivp
+
+
+def test_subcommands_import_only_what_they_run():
+    # a top-level import of numpy or of a solver module would make every
+    # CLI call pay for it; list-models needs no numpy, mu only the
+    # characteristic solve
+    stages = _run_fresh("""
+import contextlib, io, json, sys
+import quadham.cli
+stages = [["import", 0, sorted(sys.modules)]]
+for argv in (["list-models"], ["mu", "--model", "simple_harmonic",
+                               "--t-end", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = quadham.cli.main(argv)
+    stages.append([argv[0], code, sorted(sys.modules)])
+print(json.dumps(stages))
+""")
+    loaded = {name: set(modules) for name, _, modules in stages}
+    assert [code for _, code, _ in stages] == [0, 0, 0]
+    assert "numpy" not in loaded["import"]
+    assert "numpy" not in loaded["list-models"]
+    assert not loaded["mu"] & {"quadham.invariants", "quadham.dynamics",
+                               "quadham.propagator"}
+
+
+# every public name `import quadham` binds, with the submodule it comes from
+PUBLIC = {
+    "coefficients": ("EQUATION", "HAMILTONIAN", "MODEL_IDS", "ModelSpec",
+                     "TimeCoefficients", "builtin_coefficients",
+                     "convert_convention"),
+    "characteristic": ("KernelParameters", "MuPath", "closed_form_kernel",
+                       "closed_form_mu", "kernel_parameters",
+                       "solve_characteristic"),
+    "propagator": ("GaussianState", "GridState", "gaussian_sweep",
+                   "green_eval", "propagate_gaussian", "propagate_grid",
+                   "schrodinger_residual"),
+    "invariants": ("ErmakovSolution", "LadderPair", "LinearForm",
+                   "QuadraticForm", "energy_operator_catalog",
+                   "general_invariant", "ladder_factorization",
+                   "lewis_riesenfeld_invariant", "linear_invariant",
+                   "pinney_superpose", "solve_energy_system",
+                   "solve_ermakov"),
+    "dynamics": ("FirstMoments", "HyperbolicBasis", "SecondMoments",
+                 "closed_form_expectation", "evolve_first_moments",
+                 "evolve_second_moments", "uncertainty_check"),
+}
+SUBMODULES = ("coefficients", "models", "ode", "characteristic",
+              "propagator", "invariants", "dynamics")
+
+
+def test_public_names_resolve_to_their_home_objects():
+    names = [(home, name) for home, names in PUBLIC.items()
+             for name in names]
+    assert len(names) == 39
+    for home, name in names:
+        module = importlib.import_module(f"quadham.{home}")
+        assert getattr(quadham, name) is getattr(module, name), name
+    for sub in SUBMODULES:
+        assert getattr(quadham, sub) is importlib.import_module(
+            f"quadham.{sub}")
+    assert quadham.errors is importlib.import_module("quadham.errors")
+    assert quadham.__version__ == "0.1.0"
+    star = {}
+    exec("from quadham import *", star)
+    assert set(star) - {"__builtins__"} == {
+        "errors", *SUBMODULES, *(name for _, name in names)}
+
+
+def test_bare_import_loads_submodules_on_first_use():
+    before, names = _run_fresh(
+        "import json, sys, quadham; "
+        "before = sorted(m for m in sys.modules if m.startswith('quadham')); "
+        f"names = [getattr(quadham, m).__name__ for m in {SUBMODULES!r}]; "
+        "print(json.dumps([before, names]))")
+    assert before == ["quadham", "quadham.errors"]
+    assert names == [f"quadham.{m}" for m in SUBMODULES]
 
 
 def test_tolerance_not_met_gives_json_record(capsys, monkeypatch):
