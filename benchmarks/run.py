@@ -11,12 +11,16 @@ measured with ``perf_counter`` from spawn to exit.  The children run with
 as the ``quadbench`` children do and the measured checkout is left as it
 was.  ``--root`` measures another checkout (for example the parent
 commit) with this same script, so two records compare like with like.
+The record names the measured code twice: by ``git describe`` and by a
+sha256 of the package source, which stays exact for uncommitted changes.
 """
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -93,6 +97,17 @@ def _revision(root):
     return proc.stdout.strip() or None
 
 
+def _source_sha256(root):
+    """sha256 over the sorted paths and bytes of ``src/**/*.py``: names the
+    measured code also when the checkout has uncommitted changes."""
+    src = pathlib.Path(root, "src")
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _cpu():
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -117,6 +132,7 @@ def main(argv=None):
     import scipy
     record = {
         "revision": _revision(root),
+        "source_sha256": _source_sha256(root),
         "cpu": _cpu(), "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy.__version__, "scipy": scipy.__version__,

@@ -22,9 +22,9 @@ _EXPORTS = {
                      "convert_convention"),
     "models": (),
     "ode": (),
-    "characteristic": ("KernelParameters", "MuPath", "closed_form_kernel",
-                       "closed_form_mu", "kernel_parameters",
-                       "solve_characteristic"),
+    "characteristic": ("Flow", "KernelParameters", "classical_flow",
+                       "closed_form_kernel", "closed_form_mu",
+                       "kernel_parameters", "solve_characteristic"),
     "propagator": ("GaussianState", "GridState", "gaussian_sweep",
                    "green_eval", "propagate_gaussian", "propagate_grid",
                    "schrodinger_residual"),

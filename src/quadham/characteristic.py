@@ -4,8 +4,9 @@ The linear dynamics of ``H = a p^2 + b x^2 + c px + d xp`` is the classical
 2x2 flow M (det M = 1) of ``x' = 2 a p + (c + d) x``,
 ``p' = -2 b x - (c + d) p`` from M(0) = 1, with ``I = int_0^t (c - d)``
 (Moshinsky & Quesne, J. Math. Phys. 12 (1971) 1772).  :func:`classical_flow`
-is the package's one solve; the moments, the invariants and the
-auxiliary equations are algebra on it.  The kernel ``G = (2 pi i mu)^(-1/2)
+is the package's one solve; the moments, the invariants and the auxiliary
+equations are algebra on the :class:`Flow` it returns.  The kernel
+``G = (2 pi i mu)^(-1/2)
 exp(i(alpha x^2 + beta x y + gamma y^2))`` is its generating function:
 
     h = e^I,  mu = M12 h,  mu' = (2 a M22 + 2 c M12) h,
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +35,9 @@ from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import bracket_sign_change, solve_ivp
 
 MU_GUARD = 1e-10
-# the flow's tolerance on the kernel path
-_TOL = 1e-10
+# the flow's relative tolerance on the kernel path and on every other path
+KERNEL_RTOL = 1e-10
+PATH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,57 +53,74 @@ class KernelParameters:
     gamma: float
 
 
-def _mu_prime(tc: TimeCoefficients, t: float, y) -> float:
+class FlowPoint(NamedTuple):
+    """M = [[m11, m12], [m21, m22]] and I at a time (arrays at the steps)."""
+
+    m11: float
+    m12: float
+    m21: float
+    m22: float
+    i: float
+
+
+def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
     # (2 a M22 + 2 c_H M12) e^I, where c_H is the equation-convention d
-    return 2.0 * (tc.a(t) * y[3] + tc.d(t) * y[1]) * math.exp(y[-1])
+    return 2.0 * (tc.a(t) * p.m22 + tc.d(t) * p.m12) * math.exp(p.i)
 
 
-class MuPath:
-    """Dense-output flow (M11, M12, M21, M22, I) on [0, t_end]; ``tc``
-    (equation convention) serves :meth:`mu_prime`."""
+class Flow:
+    """The classical flow of ``tc`` (either convention) between 0 and
+    ``t_end``: ``solution(t)`` holds the rows (M11, M12, M21, M22, I) at t
+    and ``steps`` at the step points ``solution.t``.  :meth:`at` refuses a
+    time outside the window, where the dense output would extrapolate.  The
+    first caustic and the scale of mu are found once, on a forward window."""
 
-    def __init__(self, grid, flow, tc: TimeCoefficients | None = None):
-        self.grid = np.asarray(grid, dtype=float)
-        if self.grid.size < 2 or self.grid[0] != 0.0:
-            raise ValueError("grid must start at 0 and contain >= 2 points")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        self._flow = flow
-        self._tc = tc
-        rows = flow(self.grid)
-        m12 = rows[1]
-        # mu = M12 e^I; I is the last row
-        self.mu_values = m12 * np.exp(rows[-1])
-        # first interior sign change of M12, or an exact zero, from index
-        # 1; mu = M12 h has the sign of M12 because h > 0
-        hit = np.flatnonzero((m12[1:-1] == 0.0) | (m12[1:-1] * m12[2:] < 0.0))
-        self._caustic = None if hit.size == 0 else (
-            float(self.grid[hit[0] + 1]), float(self.grid[hit[0] + 2]))
+    def __init__(self, solution, tc: TimeCoefficients, tol: float = PATH_RTOL):
+        self.solution, self.tc, self.tol = solution, tc, tol
+        self.t_end = float(solution.t[-1])
+        self._eq = convert_convention(tc, EQUATION)
 
-    @property
-    def t_end(self) -> float:
-        return float(self.grid[-1])
+    def at(self, t: float) -> FlowPoint:
+        if not min(0.0, self.t_end) <= t <= max(0.0, self.t_end):
+            raise ValidationError("t lies outside the solved window",
+                                  t=t, t_end=self.t_end)
+        return FlowPoint._make(self.solution(t).tolist())
 
-    def flow(self, t: float) -> tuple[float, float, float, float, float]:
-        """(M11, M12, M21, M22, I) at t."""
-        return tuple(self._flow(t).tolist())
+    @cached_property
+    def steps(self) -> FlowPoint:
+        return FlowPoint(*self.solution(self.solution.t))
 
     def mu(self, t: float) -> float:
-        y = self._flow(t)
-        return float(y[1] * math.exp(y[-1]))
+        p = self.at(t)
+        return p.m12 * math.exp(p.i)
 
     def mu_prime(self, t: float) -> float:
-        return float(_mu_prime(self._tc, t, self._flow(t)))
+        return _mu_prime(self._eq, t, self.at(t))
 
+    @cached_property
     def mu_scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.mu_values))))
+        mu = self.steps.m12 * np.exp(self.steps.i)
+        return max(1.0, float(np.max(np.abs(mu))))
 
+    @cached_property
     def first_caustic(self):
-        """Bracketing interval of the first interior zero of mu, or None."""
-        return self._caustic
+        """The bracket of the first zero of mu past t = 0, or None."""
+        # the first interior sign change of M12 (the sign of mu) between
+        # step points, or an exact zero, from index 1
+        grid, m12 = self.solution.t, self.steps.m12
+        hit = np.flatnonzero((m12[1:-1] == 0.0) | (m12[1:-1] * m12[2:] < 0.0))
+        if hit.size == 0:
+            return None
+        c0, c1 = float(grid[hit[0] + 1]), float(grid[hit[0] + 2])
+        # locate the zero on the dense output and widen it by a margin
+        # that holds the exact zero too (within about tol * t_end of it)
+        lo, hi = bracket_sign_change(lambda t: self.at(t).m12, c0, c1)
+        pad = math.sqrt(self.tol) * abs(self.t_end)
+        return max(c0, lo - pad), min(c1, hi + pad)
 
 
-def classical_flow(tc: TimeCoefficients, t_end: float, tol: float):
+def classical_flow(tc: TimeCoefficients, t_end: float,
+                   tol: float = PATH_RTOL) -> Flow:
     """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
     with dense output; ``tc`` may be in either convention."""
     if not math.isfinite(t_end):
@@ -117,13 +138,13 @@ def classical_flow(tc: TimeCoefficients, t_end: float, tol: float):
                 -two_b * m11 - s * m21, -two_b * m12 - s * m22,
                 2.0 * d(t) - s]
 
-    return solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0],
-                     rtol=tol, atol=tol * 1e-2, max_step=abs(t_end) / 16)
+    sol = solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0],
+                    rtol=tol, atol=tol * 1e-2, max_step=abs(t_end) / 16)
+    return Flow(sol, tc, tol)
 
 
-def solve_characteristic(tc: TimeCoefficients, t_end: float) -> MuPath:
-    """The classical flow on [0, t_end] as a :class:`MuPath`, with grid
-    points either side of the first zero of mu."""
+def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:
+    """The classical flow of the kernel on [0, t_end]."""
     tc.require(EQUATION)
     if not 0 < t_end < math.inf:
         raise ValidationError("t_end must be positive and finite",
@@ -131,19 +152,7 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float) -> MuPath:
     if t_end >= tc.t_max:
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)
-    sol = classical_flow(tc, t_end, _TOL)
-    path = MuPath(sol.t, sol, tc)
-    caustic = path.first_caustic()
-    if caustic is None:
-        return path
-    # the step points bracket the first zero of mu only to a step: locate
-    # it on the dense output and add grid points a margin either side, wide
-    # enough to hold the exact zero too (the numerical one is within about
-    # tol * t_end of it)
-    lo, hi = bracket_sign_change(lambda t: sol(t)[1], *caustic)
-    pad = math.sqrt(_TOL) * t_end
-    return MuPath(np.union1d(sol.t, (max(caustic[0], lo - pad),
-                                     min(caustic[1], hi + pad))), sol, tc)
+    return classical_flow(tc, t_end, KERNEL_RTOL)
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
@@ -151,36 +160,30 @@ def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
     return spec.closed_form("mu")(t)
 
 
-def kernel_parameters(tc: TimeCoefficients, mu_path: MuPath,
+def kernel_parameters(tc: TimeCoefficients, flow: Flow,
                       t: float) -> KernelParameters:
     """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
-    matrix of ``mu_path``.
+    matrix of ``flow``.
 
     Raises CausticEncountered when mu vanishes at t or changes sign before
-    it, and ValidationError when t lies past the solved window, where the
-    dense output would extrapolate and no caustic scan has been made.
+    it, and ValidationError when t lies past the solved window.
     """
     tc.require(EQUATION)
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
-    if t > mu_path.t_end:
-        raise ValidationError("t lies past the solved window",
-                              t=t, t_end=mu_path.t_end)
-    caustic = mu_path.first_caustic()
+    p = flow.at(t)
+    caustic = flow.first_caustic
     if caustic is not None and caustic[0] < t:
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
-
-    y = mu_path.flow(t)
-    m11, m12, _, m22, log_h = y
-    h = math.exp(log_h)
-    mu = m12 * h
-    if abs(mu) < MU_GUARD * mu_path.mu_scale():
+    h = math.exp(p.i)
+    mu = p.m12 * h
+    if abs(mu) < MU_GUARD * flow.mu_scale:
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu)
-    return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(tc, t, y), h=h,
-                            alpha=m22 / (2.0 * m12), beta=-1.0 / m12,
-                            gamma=m11 / (2.0 * m12))
+    return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(tc, t, p), h=h,
+                            alpha=p.m22 / (2.0 * p.m12), beta=-1.0 / p.m12,
+                            gamma=p.m11 / (2.0 * p.m12))
 
 
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:

@@ -10,6 +10,7 @@ loads no numpy, ``mu`` and ``kernel`` load no moment dynamics.
 
 import argparse
 import json
+import math
 import sys
 import traceback
 
@@ -58,7 +59,7 @@ def _sample_times(tc, t_end, samples):
     from . import characteristic as chr_mod
 
     path = chr_mod.solve_characteristic(tc, t_end)
-    caustic = path.first_caustic()
+    caustic = path.first_caustic
     hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
     return path, np.linspace(hi / samples, hi, samples)
 
@@ -89,18 +90,17 @@ def cmd_mu(args):
 
 
 def cmd_kernel(args):
+    from dataclasses import astuple, fields
     from . import characteristic as chr_mod
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     path, ts = _sample_times(tc, args.t_end, args.samples)
-    rows = []
-    for t in ts:
-        kp = chr_mod.kernel_parameters(tc, path, float(t))
-        rows.append((kp.t, kp.mu, kp.mu_prime, kp.h,
-                     kp.alpha, kp.beta, kp.gamma))
-    qio.write_csv(args.out, ["t", "mu", "mu_prime", "h",
-                             "alpha", "beta", "gamma"], rows)
+    # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
+    rows = [astuple(chr_mod.kernel_parameters(tc, path, float(t)))
+            for t in ts]
+    qio.write_csv(args.out, [f.name for f in fields(chr_mod.KernelParameters)],
+                  rows)
     return 0
 
 
@@ -127,12 +127,9 @@ def cmd_propagate(args):
         Lambda=complex(args.lambda_re, args.lambda_im),
         Theta=complex(args.theta_re, args.theta_im))
     path, ts = _sample_times(tc, args.t_end, args.samples)
-
-    def kernel_of(t):
-        return chr_mod.kernel_parameters(tc, path, t)
-
     rows = []
-    for t, s in zip(ts, prop.gaussian_sweep(kernel_of, ts, s0)):
+    for t, s in zip(ts, prop.gaussian_sweep(
+            lambda t: chr_mod.kernel_parameters(tc, path, t), ts, s0)):
         m = s.moments()
         rows.append((t, s.Lambda.real, s.Lambda.imag, s.Theta.real,
                      s.Theta.imag, s.Phi.real, s.Phi.imag,
@@ -145,12 +142,13 @@ def cmd_propagate(args):
 
 def cmd_moments(args):
     import numpy as np
-    from . import dynamics as dyn
+    from . import characteristic as chr_mod, dynamics as dyn
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
-    path = dyn.evolve_second_moments(tc, m0, args.t_end)
+    path = dyn.evolve_second_moments(
+        chr_mod.classical_flow(tc, args.t_end), m0)
     ts = np.linspace(0.0, args.t_end, args.samples)
     rows = [(t, *((m := path(float(t))).p2, m.x2, m.pxxp, m.norm))
             for t in ts]
@@ -158,23 +156,38 @@ def cmd_moments(args):
     return 0
 
 
-def cmd_invariant(args):
+def _invariant_drift(spec, m0, t_end, t_start, samples):
+    """E(0) of the catalogued invariant E and max |E(t) - E(0)| / |E(0)|
+    over t in linspace(t_start, t_end, samples), E(t) from the second
+    moments flowed from m0."""
     import numpy as np
-    from . import dynamics as dyn, invariants as inv
+    from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
+
+    q0 = inv.energy_operator_catalog(spec, 0.0)
+    ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
+    # a drift relative to an E(0) that cancels among its terms measures
+    # rounding, not conservation
+    terms = (abs(q0.A * m0.p2) + abs(q0.B * m0.x2)
+             + abs(0.5 * (q0.C + q0.D) * m0.pxxp))
+    if not abs(ref) > 1e-8 * terms:
+        raise ValidationError("the invariant of the initial moments "
+                              "vanishes against its terms", reference=ref,
+                              terms=terms)
+    path = dyn.evolve_second_moments(
+        chr_mod.classical_flow(inv.catalog_coefficients(spec), t_end), m0)
+    drift = max(abs(inv.energy_operator_catalog(spec, float(t)).expectation(
+        *((m := path(float(t))).p2, m.x2, m.pxxp)) - ref)
+        for t in np.linspace(t_start, t_end, samples))
+    return ref, drift / abs(ref)
+
+
+def cmd_invariant(args):
+    from . import dynamics as dyn
 
     spec = _spec_from(args)
-    tc = inv.catalog_coefficients(spec)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
-    path = dyn.evolve_second_moments(tc, m0, args.t_end)
-
-    def value(t):
-        q = inv.energy_operator_catalog(spec, t)
-        m = path(t)
-        return q.expectation(m.p2, m.x2, m.pxxp)
-
-    ref = value(0.0)
-    ts = np.linspace(args.t_end / args.samples, args.t_end, args.samples)
-    drift = max(abs(value(float(t)) - ref) for t in ts) / max(abs(ref), 1e-30)
+    ref, drift = _invariant_drift(spec, m0, args.t_end,
+                                  args.t_end / args.samples, args.samples)
     qio.write_json(args.out, {"model": spec.model_id, "t_end": args.t_end,
                               "reference": ref, "drift": drift})
     return 0
@@ -194,29 +207,35 @@ def cmd_appendix_d(args):
     return 0
 
 
-def cmd_uncertainty(args):
+def _uncertainty(spec, m0, f0, t_end, samples):
+    """(t, uncertainty_check) of the moments flowed from (m0, f0) at each t
+    in linspace(0, t_end, samples)."""
     import numpy as np
+    from . import characteristic as chr_mod, dynamics as dyn
+
+    flow = chr_mod.classical_flow(
+        coeff.builtin_coefficients(spec, coeff.HAMILTONIAN), t_end)
+    mpath = dyn.evolve_second_moments(flow, m0)
+    fpath = dyn.evolve_first_moments(flow, f0)
+    return [(t, dyn.uncertainty_check(mpath(float(t)), fpath(float(t))))
+            for t in np.linspace(0.0, t_end, samples)]
+
+
+def cmd_uncertainty(args):
     from . import dynamics as dyn
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
     f0 = dyn.FirstMoments(x=args.x_mean, p=args.p_mean)
-    mpath = dyn.evolve_second_moments(tc, m0, args.t_end)
-    fpath = dyn.evolve_first_moments(tc, f0, args.t_end)
-    ts = np.linspace(0.0, args.t_end, args.samples)
-    rows = []
-    for t in ts:
-        u = dyn.uncertainty_check(mpath(float(t)), fpath(float(t)))
-        rows.append((t, u["dp2"], u["dx2"], u["margin"], u["excess"]))
+    rows = [(t, u["dp2"], u["dx2"], u["margin"], u["excess"])
+            for t, u in _uncertainty(spec, m0, f0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "dp2", "dx2", "margin", "excess"], rows)
     return 0
 
 
 def _verify_one(model_id: str, budget: str):
     """Quick per-model verification; returns (name, passed, detail)."""
-    import numpy as np
-    from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
+    from . import characteristic as chr_mod, dynamics as dyn
 
     spec = coeff.ModelSpec(model_id, omega0=1.3, lam=0.35, mu_param=0.1,
                            delta=0.6)
@@ -234,41 +253,27 @@ def _verify_one(model_id: str, budget: str):
     checks.append(("kernel", worst <= 1e-7, f"max rel err {worst:.2e}"))
 
     try:
-        q0 = inv.energy_operator_catalog(spec, 0.0)
-        tc_cat = inv.catalog_coefficients(spec)
-        m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
-        mp = dyn.evolve_second_moments(tc_cat, m0, 1.5)
-        ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
-        drift = max(abs(inv.energy_operator_catalog(spec, float(t)).expectation(
-            *((m := mp(float(t))).p2, m.x2, m.pxxp)) - ref)
-            for t in np.linspace(0.1, 1.5, 8)) / max(abs(ref), 1e-30)
+        _, drift = _invariant_drift(
+            spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), 1.5, 0.1, 8)
         checks.append(("invariant", drift <= 1e-8, f"drift {drift:.2e}"))
     except NoClosedForm:
         pass
 
     # coherent initial data: variances 1/2, zero covariance
-    tc_h = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    mpath = dyn.evolve_second_moments(
-        tc_h, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04), 1.5)
-    fpath = dyn.evolve_first_moments(tc_h, dyn.FirstMoments(0.1, 0.2), 1.5)
-    worst_m = min(dyn.uncertainty_check(mpath(float(t)), fpath(float(t)))
-                  ["margin"] for t in np.linspace(0.0, 1.5, 10))
+    worst_m = min(u["margin"] for _, u in _uncertainty(
+        spec, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04),
+        dyn.FirstMoments(0.1, 0.2), 1.5, 10))
     checks.append(("uncertainty", worst_m >= -1e-10,
                    f"min margin {worst_m:.2e}"))
     return [(f"{name} {model_id}", ok, detail) for name, ok, detail in checks]
 
 
 def cmd_verify_all(args):
-    if args.model in (None, "all"):
-        models = [m for m in coeff.MODEL_IDS]
-    else:
-        models = [args.model]
+    models = coeff.MODEL_IDS if args.model in (None, "all") else [args.model]
     results = [r for m in models for r in _verify_one(m, args.budget)]
-    all_ok = True
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 3
+    return 0 if all(ok for _, ok, _ in results) else 3
 
 
 def _build_parser():
@@ -352,9 +357,17 @@ def _check_args(args):
 
 
 def _jsonable(value):
-    """JSON form of the error-info values json cannot write itself."""
+    """Strict JSON form of an error-info value: a non-finite number as
+    "nan", "inf" or "-inf", a complex one as [re, im], and what json cannot
+    write as its repr."""
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        value = [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     return repr(value)
 
 
@@ -375,22 +388,19 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.fn(args)
-    except QuadhamError as exc:
-        record = {"error": exc.code, "type": type(exc).__name__,
-                  "module": _failing_module(exc), "message": str(exc),
-                  "info": exc.info}
-        print(json.dumps(record, default=_jsonable), file=sys.stderr)
-        return 2 if isinstance(exc, ValidationError) else 3
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (QuadhamError, ValueError, OSError, ArithmeticError) as exc:
         # overflow or a division by zero in the model's formulas is a
         # numerical failure of the inputs, not a crash
-        numerical = isinstance(exc, ArithmeticError)
-        record = {"error": "numerical" if numerical else "validation",
+        typed = isinstance(exc, QuadhamError)
+        validation = isinstance(exc, (ValidationError, ValueError, OSError))
+        record = {"error": exc.code if typed else
+                  "validation" if validation else "numerical",
                   "type": type(exc).__name__,
                   "module": _failing_module(exc), "message": str(exc),
-                  "info": {}}
-        print(json.dumps(record), file=sys.stderr)
-        return 3 if numerical else 2
+                  "info": {k: _jsonable(v)
+                           for k, v in (exc.info if typed else {}).items()}}
+        print(json.dumps(record, allow_nan=False), file=sys.stderr)
+        return 2 if validation else 3
 
 
 if __name__ == "__main__":

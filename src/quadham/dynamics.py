@@ -19,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coeff
-from .characteristic import classical_flow
-from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
+from .characteristic import Flow, classical_flow
+from .coefficients import ModelSpec
 from .errors import InvalidMoments, NoClosedForm
 from .invariants import catalog_coefficients
 # unused here: the benchmark's tracer counts the solves through this name
 from .ode import solve_ivp  # noqa: F401
-
-# the flow's tolerance on the moment paths
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,18 +54,15 @@ class FirstMoments:
     p: float
 
 
-def evolve_second_moments(tc: TimeCoefficients, m0: SecondMoments,
-                          t_end: float):
-    """Raw second moments on [0, t_end] from the classical flow; returns
+def evolve_second_moments(flow: Flow, m0: SecondMoments):
+    """Raw second moments on the window of ``flow``; returns
     t -> SecondMoments."""
-    tc.require(HAMILTONIAN)
-    flow = classical_flow(tc, t_end, _TOL)
     s0 = np.array([[m0.x2, 0.5 * m0.pxxp], [0.5 * m0.pxxp, m0.p2]])
 
     def path(t: float) -> SecondMoments:
-        y = flow(t)
-        m = y[:4].reshape(2, 2)
-        w = math.exp(-y[4])
+        p = flow.at(t)
+        m = np.array([[p.m11, p.m12], [p.m21, p.m22]])
+        w = math.exp(-p.i)
         s = m @ s0 @ m.T
         return SecondMoments(float(w * s[1, 1]), float(w * s[0, 0]),
                              float(2.0 * w * s[0, 1]), w * m0.norm)
@@ -76,18 +70,15 @@ def evolve_second_moments(tc: TimeCoefficients, m0: SecondMoments,
     return path
 
 
-def evolve_first_moments(tc: TimeCoefficients, fm0: FirstMoments,
-                         t_end: float):
-    """<x> and <p> on [0, t_end] from the classical flow; they obey
+def evolve_first_moments(flow: Flow, fm0: FirstMoments):
+    """<x> and <p> on the window of ``flow``; they obey
     d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
-    tc.require(HAMILTONIAN)
-    flow = classical_flow(tc, t_end, _TOL)
 
     def path(t: float) -> FirstMoments:
-        y = flow(t)
-        w = math.exp(-y[4])
-        return FirstMoments(float(w * (y[0] * fm0.x + y[1] * fm0.p)),
-                            float(w * (y[2] * fm0.x + y[3] * fm0.p)))
+        p = flow.at(t)
+        w = math.exp(-p.i)
+        return FirstMoments(w * (p.m11 * fm0.x + p.m12 * fm0.p),
+                            w * (p.m21 * fm0.x + p.m22 * fm0.p))
 
     return path
 
@@ -127,7 +118,8 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
     if spec.model_id != coeff.CJ_COORDINATE:
         raise NoClosedForm("the energy equation is catalogued for the "
                            "hyperbolically damped model only")
-    path = evolve_second_moments(catalog_coefficients(spec), m0, t_end)
+    path = evolve_second_moments(
+        classical_flow(catalog_coefficients(spec), t_end), m0)
 
     def energy(t: float) -> float:
         m = path(t)

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import coefficients as coeff
-from .characteristic import classical_flow
+from .characteristic import Flow, classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NonPositiveForm,
                      ResidualTooLarge)
 from .ode import bracket_sign_change
 
-# tolerance of the flow
-_RTOL = 1e-12
 # kappa at which solve_ermakov reports a collapse
 _COLLAPSE = 1e-8
 
@@ -88,7 +87,7 @@ class ErmakovSolution:
     C0: float
 
 
-def solve_energy_system(tc: TimeCoefficients, init, t_end: float):
+def solve_energy_system(flow: Flow, init):
     """Solve the conservation conditions for a quadratic form
     A p^2 + B x^2 + C px + D xp under H = a p^2 + b x^2 + c px + d xp:
 
@@ -101,19 +100,17 @@ def solve_energy_system(tc: TimeCoefficients, init, t_end: float):
     e^I M^{-T} Q_0 M^{-1} and C - D = e^I (C_0 - D_0).  For self-adjoint
     data (c = d, C = D) this is the familiar three-component system.
     ``init`` is (A0, B0, C0) with D0 = C0, or (A0, B0, C0, D0).  Returns a
-    callable t -> QuadraticForm.
+    callable t -> QuadraticForm on the window of ``flow``.
     """
-    tc.require(HAMILTONIAN)
     A0, B0, C0 = init[:3]
     D0 = init[3] if len(init) == 4 else C0
     q0 = np.array([[B0, 0.5 * (C0 + D0)], [0.5 * (C0 + D0), A0]])
-    flow = classical_flow(tc, t_end, _RTOL)
 
     def path(t: float) -> QuadraticForm:
-        m11, m12, m21, m22, i = flow(t)
-        w = math.exp(i)
+        p = flow.at(t)
+        w = math.exp(p.i)
         # M^{-1} of a flow with det M = 1
-        m_inv = np.array([[m22, -m12], [-m21, m11]])
+        m_inv = np.array([[p.m22, -p.m12], [-p.m21, p.m11]])
         q = w * (m_inv.T @ q0 @ m_inv)
         half = 0.5 * w * (C0 - D0)
         return QuadraticForm(A=float(q[1, 1]), B=float(q[0, 0]),
@@ -158,24 +155,27 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
         raise ValueError("kappa(0) must be positive")
     tc = TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                           lambda t: 0.0, lambda t: 0.0)
-    flow = classical_flow(tc, t_end, _RTOL)
+    flow = classical_flow(tc, t_end)
     ratio = c0 / kappa0 ** 2
     if c0 <= 0.0:
-        def guard(y):
+        def guard(p):
             # kappa^2 - 1e-16 while l > 0, and negative once l is not
-            ell = kappa0 * y[0] + kappa0p * y[1]
-            return ell * np.abs(ell) + ratio * y[1] ** 2 - _COLLAPSE ** 2
+            ell = kappa0 * p.m11 + kappa0p * p.m12
+            return ell * np.abs(ell) + ratio * p.m12 ** 2 - _COLLAPSE ** 2
 
-        hit = np.flatnonzero(guard(flow.y) <= 0.0)
+        hit = np.flatnonzero(guard(flow.steps) <= 0.0)
         if hit.size:
             k = hit[0]
+            grid = flow.solution.t
             t_hit = 0.0 if k == 0 else bracket_sign_change(
-                lambda t: guard(flow(t)), flow.t[k - 1], flow.t[k])[1]
+                lambda t: guard(flow.at(t)), grid[k - 1], grid[k])[1]
             raise KappaCollapse("kappa reached the collapse guard",
                                 t=float(t_hit))
-    sol = pinney_superpose(lambda t: flow(t)[[0, 2]],
-                           lambda t: flow(t)[[1, 3]], kappa0 ** 2,
-                           kappa0 * kappa0p, kappa0p ** 2 + ratio, 1.0)
+    # u = (M11, M21) and v = (M12, M22), the columns of M
+    u, v = attrgetter("m11", "m21"), attrgetter("m12", "m22")
+    sol = pinney_superpose(lambda t: u(flow.at(t)), lambda t: v(flow.at(t)),
+                           kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + ratio,
+                           1.0)
     # A C - B^2 is c0 only up to the rounding of kappa0^2 kappa0'^2
     return replace(sol, C0=c0)
 
@@ -226,11 +226,6 @@ def lewis_riesenfeld_invariant(sol: ErmakovSolution, t: float) -> QuadraticForm:
                          C=-k * kp, D=-k * kp, t=t)
 
 
-def _cd_integral(tc: TimeCoefficients, t: float) -> float:
-    """int_0^t (c - d) ds, the I of the classical flow."""
-    return float(classical_flow(tc, t, _RTOL)(t)[4])
-
-
 def _mu_triplet(mu_fn, t: float):
     """(mu, mu', mu'') from a callable returning two or three derivatives."""
     vals = mu_fn(t)
@@ -239,6 +234,15 @@ def _mu_triplet(mu_fn, t: float):
     h = max(1e-5, 1e-7 * abs(t))
     mupp = (mu_fn(t + h)[1] - mu_fn(t - h)[1]) / (2.0 * h)
     return vals[0], vals[1], mupp
+
+
+def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
+    """a, a'/a and Q = 4ab + (a'/a - c - d)(c + d) - c' - d' at t, the
+    coefficients of the linear auxiliary equation mu'' - (a'/a) mu' + Q mu."""
+    a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
+    ra = tc.deriv_a(t) / a
+    return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - tc.deriv_c(t)
+                   - tc.deriv_d(t))
 
 
 def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
@@ -252,12 +256,8 @@ def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
     mu, mup, mupp = _mu_triplet(mu_fn, t)
     if mu == 0.0 and C0 != 0.0:
         raise MuVanishes("mu vanishes with C0 != 0", t=t)
-    a, b = tc.a(t), tc.b(t)
-    c, d = tc.c(t), tc.d(t)
-    ap = tc.deriv_a(t)
-    cp, dp = tc.deriv_c(t), tc.deriv_d(t)
-    lhs = (mupp - (ap / a) * mup
-           + (4.0 * a * b + (ap / a - c - d) * (c + d) - cp - dp) * mu)
+    a, ra, q = _auxiliary_coefficients(tc, t)
+    lhs = mupp - ra * mup + q * mu
     rhs = C0 * (2.0 * a) ** 2 / mu ** 3 if C0 != 0.0 else 0.0
     return abs(lhs - rhs)
 
@@ -278,17 +278,10 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     a0 = tc.a(0.0)
     C0 = (A * C - B * B) * W0 * W0 / (2.0 * a0) ** 2
 
-    def q_coeff(t):
-        a, b = tc.a(t), tc.b(t)
-        c, d = tc.c(t), tc.d(t)
-        ap = tc.deriv_a(t)
-        cp, dp = tc.deriv_c(t), tc.deriv_d(t)
-        return ap / a, 4.0 * a * b + (ap / a - c - d) * (c + d) - cp - dp
-
     def mu_fn(t):
         uu = u(t)[:2]
         vv = v(t)[:2]
-        p, q = q_coeff(t)
+        _, p, q = _auxiliary_coefficients(tc, t)
         # second derivatives of u, v from the linear equation itself
         u2 = p * uu[1] - q * uu[0]
         v2 = p * vv[1] - q * vv[0]
@@ -308,40 +301,40 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     return mu_fn, C0
 
 
-def solve_linear_auxiliary(tc: TimeCoefficients, init, t_end: float):
+def solve_linear_auxiliary(flow: Flow, init):
     """Solve the linear auxiliary equation mu'' = (a'/a) mu' - Q mu,
 
         Q = 4ab + (a'/a - c - d)(c + d) - c' - d',
 
-    from init = (mu(0), mu'(0)) and return a callable t -> (mu, mu').
-    mu is the position row of the classical flow applied to (mu_0, p_0),
-    p_0 = (mu_0' - (c + d) mu_0) / (2a), and mu' = 2a p + (c + d) mu.
+    from init = (mu(0), mu'(0)) and return a callable t -> (mu, mu') on
+    the window of ``flow``.  mu is the position row of the flow applied to
+    (mu_0, p_0), p_0 = (mu_0' - (c + d) mu_0) / (2a), and
+    mu' = 2a p + (c + d) mu.
     """
-    tc.require(HAMILTONIAN)
+    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
     mu0, mup0 = init
     p0 = (mup0 - (tc.c(0.0) + tc.d(0.0)) * mu0) / (2.0 * tc.a(0.0))
-    flow = classical_flow(tc, t_end, _RTOL)
 
     def path(t):
-        m11, m12, m21, m22, _ = flow(t)
-        mu = m11 * mu0 + m12 * p0
-        p = m21 * mu0 + m22 * p0
-        return float(mu), float(2.0 * tc.a(t) * p
-                                + (tc.c(t) + tc.d(t)) * mu)
+        m = flow.at(t)
+        mu = m.m11 * mu0 + m.m12 * p0
+        p = m.m21 * mu0 + m.m22 * p0
+        return mu, 2.0 * tc.a(t) * p + (tc.c(t) + tc.d(t)) * mu
 
     return path
 
 
-def general_invariant(tc: TimeCoefficients, mu_fn, C0: float,
+def general_invariant(flow: Flow, mu_fn, C0: float,
                       t: float, residual_tol: float = 1e-8) -> QuadraticForm:
     """Symmetric-form invariant for a general quadratic Hamiltonian:
 
         E = [(mu p - q x)^2 + C0 x^2 / mu^2] exp(int_0^t (c - d)),
         q = (mu' - (c + d) mu) / (2a),
 
-    where mu solves the nonlinear auxiliary equation.
+    where mu solves the nonlinear auxiliary equation and the integral is
+    the I of ``flow``.
     """
-    tc.require(HAMILTONIAN)
+    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
     res = auxiliary_residual(tc, mu_fn, C0, t)
     if res > residual_tol:
         raise AuxiliaryResidualTooLarge(
@@ -352,7 +345,7 @@ def general_invariant(tc: TimeCoefficients, mu_fn, C0: float,
         raise MuVanishes("mu vanishes", t=t)
     a = tc.a(t)
     q = (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * a)
-    wfac = math.exp(_cd_integral(tc, t))
+    wfac = math.exp(flow.at(t).i)
     return QuadraticForm(A=mu * mu * wfac,
                          B=(q * q + C0 / (mu * mu)) * wfac,
                          C=-mu * q * wfac, D=-mu * q * wfac, t=t)
@@ -367,25 +360,26 @@ def invariant_diagnostics(tc: TimeCoefficients, mu_fn, t: float) -> dict:
     int 2a e^(-2 S), and int (3c + d) = 2 S + I, int (c + 3d) = 2 S - I.
     """
     tc.require(HAMILTONIAN)
-    mu, mup = mu_fn(t)[:2]
+    mu = mu_fn(t)[0]
     drift = replace(tc, b=lambda s: 0.0, db=None)
-    m11, m12, _, m22, i = classical_flow(drift, t, _RTOL)(t)
-    e2s = m11 * m11
-    return {"kappa": float(mu / m11), "mu1": float(math.exp(-i) / e2s),
-            "mu2": float(e2s * math.exp(-i)),
-            "proper_time": float(m12 * m22),
-            "key": float(e2s / (2.0 * tc.a(t)))}
+    p = classical_flow(drift, t).at(t)
+    e2s = p.m11 * p.m11
+    return {"kappa": mu / p.m11, "mu1": math.exp(-p.i) / e2s,
+            "mu2": e2s * math.exp(-p.i),
+            "proper_time": p.m12 * p.m22,
+            "key": e2s / (2.0 * tc.a(t))}
 
 
-def linear_invariant(tc: TimeCoefficients, A_fn, C0_const: float,
+def linear_invariant(flow: Flow, A_fn, C0_const: float,
                      t: float, residual_tol: float = 1e-8) -> LinearForm:
-    """Linear invariant P = A p + ((2c A - A') / 2a) x + C0 exp(int (c - d)).
+    """Linear invariant P = A p + ((2c A - A') / 2a) x + C0 exp(int (c - d))
+    of the coefficients of ``flow``, with the integral its I.
 
     ``A_fn`` maps t to (A, A') (optionally (A, A', A'')) and must solve
 
         A'' - (a'/a + 2c - 2d) A' + 4(a b - c d + c a'/(2a) - c'/2) A = 0.
     """
-    tc.require(HAMILTONIAN)
+    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
     A0, A1, A2 = _mu_triplet(A_fn, t)
     a, b = tc.a(t), tc.b(t)
     c, d = tc.c(t), tc.d(t)
@@ -396,16 +390,16 @@ def linear_invariant(tc: TimeCoefficients, A_fn, C0_const: float,
         raise ResidualTooLarge("A does not solve the linear-invariant equation",
                                residual=res, t=t)
     B = (2.0 * c * A0 - A1) / (2.0 * a)
-    Cterm = C0_const * math.exp(_cd_integral(tc, t))
+    Cterm = C0_const * math.exp(flow.at(t).i)
     return LinearForm(A=A0, B=B, C=Cterm, t=t)
 
 
-def ladder_factorization(tc: TimeCoefficients, mu_fn, C0: float,
+def ladder_factorization(flow: Flow, mu_fn, C0: float,
                          t: float) -> LadderPair:
     """Time-dependent annihilation/creation pair factorizing the invariant as
     (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
-    exp(int (c - d))."""
-    tc.require(HAMILTONIAN)
+    exp(int (c - d)), the integral the I of ``flow``."""
+    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
     if not (C0 > 0):
         raise InvalidC0("C0 must be positive for the factorization", C0=C0)
     mu, mup = mu_fn(t)[:2]
@@ -416,7 +410,7 @@ def ladder_factorization(tc: TimeCoefficients, mu_fn, C0: float,
     q = (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * a)
     P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
     R = mu / math.sqrt(w0)
-    omega_t = w0 * math.exp(_cd_integral(tc, t))
+    omega_t = w0 * math.exp(flow.at(t).i)
     return LadderPair(x_coeff=P, ddx_coeff=R, omega_t=omega_t, t=t)
 
 

@@ -1,5 +1,24 @@
 import sys
 
+import pytest
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The spans of every classical-flow solve made while the test runs
+    (``classical_flow``'s ``solve_ivp`` call is the package's only one)."""
+    from quadham import characteristic
+
+    spans = []
+    solve = characteristic.solve_ivp
+
+    def counting(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return solve(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(characteristic, "solve_ivp", counting)
+    return spans
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # grab the executed module, not a fresh import with an empty list

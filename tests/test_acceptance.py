@@ -17,6 +17,7 @@ from quadham import dynamics as dyn
 from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
+from quadham.characteristic import classical_flow
 
 KERNEL_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -59,7 +60,7 @@ def test_criterion_01_kernel_consistency():
     worst = 0.0
     for spec in KERNEL_SPECS:
         tc, path, kernel_of = _kernel_of(spec, 1.4)
-        caustic = path.first_caustic()
+        caustic = path.first_caustic
         hi = 1.4 if caustic is None else min(1.4, 0.9 * caustic[0])
         for t in np.linspace(hi / 20, hi, 20):
             kp = kernel_of(float(t))
@@ -118,7 +119,7 @@ def test_criterion_03_invariant_conservation():
         worst_grid = max(worst_grid, gridsim.invariant_drift(tc, ev, form))
 
         m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1)
-        path = dyn.evolve_second_moments(tc, m0, 2.0)
+        path = dyn.evolve_second_moments(classical_flow(tc, 2.0), m0)
         ref = form(0.0).expectation(m0.p2, m0.x2, m0.pxxp)
         drift = max(abs(form(float(t)).expectation(
             *((m := path(float(t))).p2, m.x2, m.pxxp)) - ref)
@@ -137,16 +138,17 @@ def test_criterion_04_elementary_and_superposed_invariants():
     res = max(inv.auxiliary_residual(tc, mu_fn, C0, float(t))
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
+    flow = classical_flow(tc, 2.1)
     for t in (0.0, 0.9, 2.1):
-        got = inv.general_invariant(tc, mu_fn, C0, t)
+        got = inv.general_invariant(flow, mu_fn, C0, t)
         ref = inv.energy_operator_catalog(UNITED, t)
         scale = max(abs(ref.A), abs(ref.B), 1.0)
         coeff_err = max(coeff_err, *(abs(g - r) / scale for g, r in
                                      ((got.A, ref.A), (got.B, ref.B),
                                       (got.C, ref.C), (got.D, ref.D))))
     rng = np.random.default_rng(42)
-    u = inv.solve_linear_auxiliary(tc, (1.0, 0.0), 2.0)
-    v = inv.solve_linear_auxiliary(tc, (0.0, 1.0), 2.0)
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     sup_res = 0.0
     for _ in range(5):
         A, C = rng.uniform(0.5, 2.0, size=2)
@@ -169,7 +171,7 @@ def test_criterion_05_energy_expectation_closed_forms():
     for spec in (CK, coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1),
                  UNITED, coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)):
         tc = inv.catalog_coefficients(spec)
-        path = dyn.evolve_second_moments(tc, m0, 3.0)
+        path = dyn.evolve_second_moments(classical_flow(tc, 3.0), m0)
         for t in np.linspace(0.2, 3.0, 11):
             m = path(float(t))
             A, B, C = dyn.reference_operator(spec, float(t))
@@ -214,7 +216,7 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     for spec in (UNITED, CJ):
         tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
         fm0 = dyn.mean_position_initial_conditions(spec, 0.9, 0.4)
-        path = dyn.evolve_first_moments(tc, fm0, 4.0)
+        path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
         for t in np.linspace(0.0, 4.0, 17):
             ref = dyn.closed_form_mean_position(spec, 0.9, 0.4, float(t))
             worst_x = max(worst_x, abs(path(float(t)).x - ref))
@@ -232,8 +234,9 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     worst_margin = 0.0
     for spec in (CK, UNITED, CJ):
         tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-        mp = dyn.evolve_second_moments(tc, m0, 3.0)
-        fp = dyn.evolve_first_moments(tc, f0, 3.0)
+        flow = classical_flow(tc, 3.0)
+        mp = dyn.evolve_second_moments(flow, m0)
+        fp = dyn.evolve_first_moments(flow, f0)
         worst_margin = min(worst_margin, min(
             dyn.uncertainty_check(mp(float(t)), fp(float(t)))["margin"]
             for t in np.linspace(0.0, 3.0, 13)))
@@ -250,20 +253,22 @@ def test_criterion_08_ladder_algebra():
     worst_c = 0.0
     worst_rec = 0.0
     cases = []
-    tc_u = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    cases.append((tc_u,) + inv.united_invariant_mu(UNITED))
+    flow_u = classical_flow(
+        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 2.5)
+    cases.append((flow_u,) + inv.united_invariant_mu(UNITED))
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-        u = inv.solve_linear_auxiliary(tc, (1.0, 0.0), 2.5)
-        v = inv.solve_linear_auxiliary(tc, (0.0, 1.0), 2.5)
+        flow = classical_flow(tc, 2.5)
+        u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+        v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
         mu_fn, c0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
-        cases.append((tc, mu_fn, c0))
-    for tc, mu_fn, c0 in cases:
+        cases.append((flow, mu_fn, c0))
+    for flow, mu_fn, c0 in cases:
         for t in (0.0, 0.8, 1.9):
-            pair = inv.ladder_factorization(tc, mu_fn, c0, t)
+            pair = inv.ladder_factorization(flow, mu_fn, c0, t)
             worst_c = max(worst_c, abs(pair.commutator() - 1.0))
             rec = pair.reconstruct()
-            ref = inv.general_invariant(tc, mu_fn, c0, t,
+            ref = inv.general_invariant(flow, mu_fn, c0, t,
                                         residual_tol=1e-8)
             scale = max(abs(ref.A), abs(ref.B), 1.0)
             worst_rec = max(worst_rec, *(abs(g - r) / scale for g, r in

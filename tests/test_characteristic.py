@@ -158,7 +158,7 @@ def test_united_kernel_vs_printed_forms():
 def test_assembled_kernel_matches_closed_form(spec):
     tc = _eq(spec)
     path = chr_mod.solve_characteristic(tc, 1.3)
-    caustic = path.first_caustic()
+    caustic = path.first_caustic
     hi = 1.3 if caustic is None else min(1.3, 0.9 * caustic[0])
     for t in np.linspace(hi / 12, hi, 12):
         kp = chr_mod.kernel_parameters(tc, path, float(t))
@@ -206,7 +206,7 @@ def test_caustic_is_detected():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = _eq(spec)
     path = chr_mod.solve_characteristic(tc, 4.0)
-    lo, hi = path.first_caustic()
+    lo, hi = path.first_caustic
     assert lo < math.pi < hi
     assert hi - lo < 0.1
     with pytest.raises(CausticEncountered):
@@ -233,6 +233,20 @@ def _scan_first_caustic(grid, mu):
     return None
 
 
+class _StubSolution:
+    """Rows (0, mu, 0, 0, 0) at the step points 0, 1, 2, ..., linear in
+    between, in place of a solve."""
+
+    def __init__(self, mu):
+        self.t = np.arange(len(mu), dtype=float)
+        self.mu = np.asarray(mu, dtype=float)
+
+    def __call__(self, t):
+        m12 = np.interp(t, self.t, self.mu)
+        zero = 0.0 * m12
+        return np.array([zero, m12, zero, zero, zero])
+
+
 @pytest.mark.parametrize("mu", [
     [0.0, 1.0, 0.0, -1.0, 2.0],
     [0.0, -1.0, -2.0, 3.0, 1.0],
@@ -241,10 +255,20 @@ def _scan_first_caustic(grid, mu):
     [1.0, -1.0, -2.0, -3.0, -4.0],
 ])
 def test_first_caustic_matches_scan(mu):
-    grid = np.arange(len(mu), dtype=float)
-    rows = np.array([mu] * 4)
-    path = chr_mod.MuPath(grid, lambda t: rows)
-    assert path.first_caustic() == _scan_first_caustic(grid, mu)
+    flow = chr_mod.Flow(_StubSolution(mu), _eq(ALL_MODELS[8]))
+    scan = _scan_first_caustic(flow.solution.t, mu)
+    caustic = flow.first_caustic
+    if scan is None:
+        assert caustic is None
+        return
+    # the step that the scan finds, narrowed onto the zero of the dense
+    # output with a margin of sqrt(tol) * t_end either side
+    i = int(scan[0])
+    zero = i + mu[i] / (mu[i] - mu[i + 1])
+    pad = math.sqrt(flow.tol) * flow.t_end
+    lo, hi = caustic
+    assert scan[0] <= lo <= zero <= hi <= scan[1]
+    assert hi - lo <= 2.0 * pad + 1e-12
 
 
 def test_cj_pure_damping_limit():

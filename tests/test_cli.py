@@ -341,9 +341,8 @@ def _window_argv(cmd, t_end):
       "--lambda", "0.1", "--t-end", "1"],
      "InvalidModelParams", {"model": "caldirola_kanai"}),
     # a non-finite window is refused before the flow is solved; the record
-    # writes it as NaN or Infinity
-    *[(_window_argv(cmd, t_end), "ValidationError",
-       pytest.approx({"t_end": float(t_end)}, nan_ok=True))
+    # writes it as the string "nan" or "inf"
+    *[(_window_argv(cmd, t_end), "ValidationError", {"t_end": t_end})
       for cmd, t_end in NONFINITE_WINDOWS],
 ], ids=["complex_info", "mu_samples", "kernel_samples", "t_start",
         "nan_lambda", "nan_delta", "inf_omega0", "inf_omega0_moments",
@@ -355,6 +354,62 @@ def test_bad_arguments_give_json_record(capsys, argv, error_type, info):
     rec = json.loads(err)
     assert rec["type"] == error_type
     assert rec["info"] == info
+
+
+@pytest.mark.parametrize("command, t_end", [
+    ("moments", "nan"), ("kernel", "inf"), ("kernel", "-inf")])
+def test_error_records_are_strict_json(capsys, command, t_end):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, err = run(capsys, command, "--model", "simple_harmonic",
+                         f"--t-end={t_end}")
+    assert code == 2
+    rec = json.loads(err, parse_constant=refuse)
+    assert rec["info"] == {"t_end": t_end}
+
+
+def test_jsonable_writes_non_finite_values_as_strings():
+    from quadham.cli import _jsonable
+
+    value = (1.5, float("nan"), complex(0.0, math.inf),
+             [np.float64("-inf"), None, "x", 3])
+    assert _jsonable(value) == [1.5, "nan", [0.0, "inf"],
+                                ["-inf", None, "x", 3]]
+
+
+def test_invariant_refuses_a_vanishing_reference():
+    # modified_oscillator's invariant is (p2 - x2)/2 + ... at t = 0, which
+    # the default moments p2 = x2 = 1 cancel: the relative drift read
+    # 4.4e16 with exit 0
+    src = os.path.dirname(os.path.dirname(quadham.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "quadham.cli", "invariant", "--model",
+            "modified_oscillator", "--t-end", "1.2"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    rec = json.loads(proc.stderr)
+    assert rec["type"] == "ValidationError"
+    assert rec["info"] == {"reference": 0.0, "terms": 1.0}
+    proc = subprocess.run(argv + ["--p2", "1.1"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["drift"] <= 1e-8
+
+
+def test_uncertainty_solves_one_flow(capsys, solves):
+    code, out, err = run(capsys, "uncertainty", "--model", "caldirola_kanai",
+                         "--lambda", "0.1", "--t-end", "3.0")
+    assert code == 0
+    assert solves == [(0.0, 3.0)]
+
+
+def test_verify_all_solves_three_flows_per_model(capsys, solves):
+    code, out, err = run(capsys, "verify_all", "--budget", "full")
+    assert code == 0
+    assert len(solves) == 3 * len(coeff.MODEL_IDS)
 
 
 @pytest.mark.parametrize("modules", [
@@ -442,9 +497,9 @@ PUBLIC = {
     "coefficients": ("EQUATION", "HAMILTONIAN", "MODEL_IDS", "ModelSpec",
                      "TimeCoefficients", "builtin_coefficients",
                      "convert_convention"),
-    "characteristic": ("KernelParameters", "MuPath", "closed_form_kernel",
-                       "closed_form_mu", "kernel_parameters",
-                       "solve_characteristic"),
+    "characteristic": ("Flow", "KernelParameters", "classical_flow",
+                       "closed_form_kernel", "closed_form_mu",
+                       "kernel_parameters", "solve_characteristic"),
     "propagator": ("GaussianState", "GridState", "gaussian_sweep",
                    "green_eval", "propagate_gaussian", "propagate_grid",
                    "schrodinger_residual"),
@@ -465,7 +520,7 @@ SUBMODULES = ("coefficients", "models", "ode", "characteristic",
 def test_public_names_resolve_to_their_home_objects():
     names = [(home, name) for home, names in PUBLIC.items()
              for name in names]
-    assert len(names) == 39
+    assert len(names) == 40
     for home, name in names:
         module = importlib.import_module(f"quadham.{home}")
         assert getattr(quadham, name) is getattr(module, name), name

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
+from quadham.characteristic import classical_flow
 from quadham.errors import (InvalidModelParams, InvalidMoments, NoClosedForm,
-                            SingularCoefficient)
+                            SingularCoefficient, ValidationError)
 
 M0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
 M0_EVEN = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.0, norm=1.0)
@@ -29,7 +30,7 @@ def _tc_for(spec):
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s.model_id)
 def test_closed_form_expectation_vs_moment_ode(spec):
     tc = _tc_for(spec)
-    path = dyn.evolve_second_moments(tc, M0, 3.0)
+    path = dyn.evolve_second_moments(classical_flow(tc, 3.0), M0)
     for t in np.linspace(0.2, 3.0, 11):
         m = path(float(t))
         A, B, C = dyn.reference_operator(spec, float(t))
@@ -41,7 +42,7 @@ def test_closed_form_expectation_vs_moment_ode(spec):
 def test_cj_closed_form_vs_moment_ode():
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
     tc = _tc_for(spec)
-    path = dyn.evolve_second_moments(tc, M0_EVEN, 5.0)
+    path = dyn.evolve_second_moments(classical_flow(tc, 5.0), M0_EVEN)
     for t in np.linspace(0.2, 5.0, 13):
         m = path(float(t))
         A, B, C = dyn.reference_operator(spec, float(t))
@@ -78,7 +79,7 @@ def test_mean_position_closed_form_vs_ode(spec):
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     amp, phase = 0.9, 0.4
     fm0 = dyn.mean_position_initial_conditions(spec, amp, phase)
-    path = dyn.evolve_first_moments(tc, fm0, 4.0)
+    path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
     for t in np.linspace(0.0, 4.0, 17):
         ref = dyn.closed_form_mean_position(spec, amp, phase, float(t))
         assert abs(path(float(t)).x - ref) <= 1e-8
@@ -89,7 +90,7 @@ def test_norm_rate_matches_drift_asymmetry():
     # constant, so the integrated norm decays exponentially at that rate
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    path = dyn.evolve_second_moments(tc, M0, 2.0)
+    path = dyn.evolve_second_moments(classical_flow(tc, 2.0), M0)
     rate = tc.d(0.7) - tc.c(0.7)
     assert path(0.7).norm == pytest.approx(math.exp(rate * 0.7) * M0.norm,
                                            rel=1e-10)
@@ -109,8 +110,9 @@ def test_uncertainty_margin_stays_nonnegative_along_flow():
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     m0 = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04, norm=1.0)
     fm0 = dyn.FirstMoments(x=0.1, p=0.2)
-    mp = dyn.evolve_second_moments(tc, m0, 3.0)
-    fp = dyn.evolve_first_moments(tc, fm0, 3.0)
+    flow = classical_flow(tc, 3.0)
+    mp = dyn.evolve_second_moments(flow, m0)
+    fp = dyn.evolve_first_moments(flow, fm0)
     for t in np.linspace(0.0, 3.0, 13):
         out = dyn.uncertainty_check(mp(float(t)), fp(float(t)))
         assert out["margin"] >= -1e-10
@@ -196,10 +198,8 @@ def test_window_across_parametric_singularity_is_refused(delta, t_end):
     spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 1.0, delta=delta)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     with pytest.raises(SingularCoefficient):
-        dyn.evolve_second_moments(tc, M0, t_end)
-    with pytest.raises(SingularCoefficient):
-        dyn.evolve_first_moments(tc, dyn.FirstMoments(0.1, 0.2), t_end)
-    path = dyn.evolve_second_moments(tc, M0, 0.4 * t_end)
+        classical_flow(tc, t_end)
+    path = dyn.evolve_second_moments(classical_flow(tc, 0.4 * t_end), M0)
     assert math.isfinite(path(0.4 * t_end).x2)
 
 
@@ -228,7 +228,7 @@ def test_long_window_second_moments():
     # at t ~ 330; the flow is served
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    path = dyn.evolve_second_moments(tc, M0, 400.0)
+    path = dyn.evolve_second_moments(classical_flow(tc, 400.0), M0)
     for t in np.linspace(0.0, 400.0, 41):
         c, s = math.cos(t), math.sin(t)
         m = path(float(t))
@@ -238,3 +238,27 @@ def test_long_window_second_moments():
         for got, want in zip((m.p2, m.x2, m.pxxp), ref):
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
     assert path(400.0).norm == 1.0
+
+
+def test_paths_refuse_times_outside_the_flow_window():
+    # the dense output would extrapolate: SHO p2 read 152.6 at t = 6 on a
+    # flow solved to 1, where the exact value is 1
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
+                                    coeff.HAMILTONIAN)
+    m0 = dyn.SecondMoments(p2=1.0, x2=1.0)
+    flow = classical_flow(tc, 1.0)
+    paths = [dyn.evolve_second_moments(flow, m0),
+             dyn.evolve_first_moments(flow, dyn.FirstMoments(0.1, 0.2)),
+             inv.solve_energy_system(flow, (1.0, 1.0, 0.0)),
+             inv.solve_linear_auxiliary(flow, (1.0, 0.0))]
+    for path in paths:
+        path(0.0)
+        path(1.0)
+        for t in (6.0, 1.0 + 1e-9, -0.1, math.nan):
+            with pytest.raises(ValidationError):
+                path(t)
+    assert paths[0](1.0).p2 == pytest.approx(1.0, rel=1e-10)
+    backward = dyn.evolve_second_moments(classical_flow(tc, -1.0), m0)
+    assert backward(-1.0).p2 == pytest.approx(1.0, rel=1e-10)
+    with pytest.raises(ValidationError):
+        backward(0.5)

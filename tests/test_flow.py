@@ -20,6 +20,7 @@ import quadham
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
+from quadham.characteristic import classical_flow
 
 SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -73,10 +74,11 @@ def _paper_rhs(tc):
 
 
 def _flow_values(tc, t_end):
-    second = dyn.evolve_second_moments(tc, M0, t_end)
-    first = dyn.evolve_first_moments(tc, F0, t_end)
-    form = inv.solve_energy_system(tc, Q0, t_end)
-    aux = inv.solve_linear_auxiliary(tc, AUX0, t_end)
+    flow = classical_flow(tc, t_end)
+    second = dyn.evolve_second_moments(flow, M0)
+    first = dyn.evolve_first_moments(flow, F0)
+    form = inv.solve_energy_system(flow, Q0)
+    aux = inv.solve_linear_auxiliary(flow, AUX0)
 
     def values(t):
         m, f, q = second(t), first(t), form(t)

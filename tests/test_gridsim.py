@@ -9,6 +9,7 @@ from quadham import dynamics as dyn
 from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
+from quadham.characteristic import classical_flow
 from quadham.errors import BoundaryLeak, NumericalError, ValidationError
 
 SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
@@ -76,7 +77,7 @@ def test_grid_moments_track_moment_ode():
     tc = _ham(CK)
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.2))
     _, m0 = gridsim.measure_moments(psi0)
-    path = dyn.evolve_second_moments(tc, m0, 1.0)
+    path = dyn.evolve_second_moments(classical_flow(tc, 1.0), m0)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     for t, s in zip(ev.times[1:], ev.states[1:]):
         _, m = gridsim.measure_moments(s)

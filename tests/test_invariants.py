@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import invariants as inv
+from quadham.characteristic import classical_flow
 from quadham.errors import (AuxiliaryResidualTooLarge, ConstraintViolated,
                             InvalidC0, KappaCollapse, NoClosedForm,
                             NonPositiveForm, ResidualTooLarge)
@@ -34,7 +35,8 @@ def test_catalog_entry_solves_conservation_system(spec):
     # the closed-form entry at every later time
     tc = inv.catalog_coefficients(spec)
     q0 = inv.energy_operator_catalog(spec, 0.0)
-    path = inv.solve_energy_system(tc, (q0.A, q0.B, q0.C, q0.D), 2.0)
+    path = inv.solve_energy_system(classical_flow(tc, 2.0),
+                                   (q0.A, q0.B, q0.C, q0.D))
     for t in np.linspace(0.25, 2.0, 8):
         got = path(float(t))
         ref = inv.energy_operator_catalog(spec, float(t))
@@ -48,7 +50,8 @@ def test_energy_system_three_component_init():
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
     tc = inv.catalog_coefficients(spec)
     q0 = inv.energy_operator_catalog(spec, 0.0)
-    path = inv.solve_energy_system(tc, (q0.A, q0.B, q0.C), 1.0)
+    path = inv.solve_energy_system(classical_flow(tc, 1.0),
+                                   (q0.A, q0.B, q0.C))
     got = path(1.0)
     assert got.C == pytest.approx(got.D, abs=1e-12)
 
@@ -63,9 +66,10 @@ def test_united_elementary_mu_residual():
 
 def test_united_general_invariant_reproduces_catalog():
     mu_fn, C0 = inv.united_invariant_mu(UNITED)
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    flow = classical_flow(
+        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.9)
     for t in (0.0, 0.7, 1.9):
-        got = inv.general_invariant(tc, mu_fn, C0, t)
+        got = inv.general_invariant(flow, mu_fn, C0, t)
         ref = inv.energy_operator_catalog(UNITED, t)
         scale = max(abs(ref.A), abs(ref.B), 1.0)
         for g, r in ((got.A, ref.A), (got.B, ref.B),
@@ -79,16 +83,18 @@ def test_united_invariant_mu_only_for_united():
 
 
 def test_general_invariant_rejects_bad_mu():
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    flow = classical_flow(
+        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.0)
     bad = lambda t: (1.0 + t, 1.0, 0.0)
     with pytest.raises(AuxiliaryResidualTooLarge):
-        inv.general_invariant(tc, bad, 0.25, 1.0)
+        inv.general_invariant(flow, bad, 0.25, 1.0)
 
 
 def test_superposed_mu_solves_auxiliary_equation():
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    u = inv.solve_linear_auxiliary(tc, (1.0, 0.0), 2.0)
-    v = inv.solve_linear_auxiliary(tc, (0.0, 1.0), 2.0)
+    flow = classical_flow(tc, 2.0)
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
     for t in np.linspace(0.0, 2.0, 9):
         assert inv.auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-9
@@ -101,8 +107,9 @@ def test_superposition_property_random_coefficients(A, C, frac):
     B = frac * math.sqrt(A * C)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    u = inv.solve_linear_auxiliary(tc, (1.0, 0.0), 1.5)
-    v = inv.solve_linear_auxiliary(tc, (0.0, 1.0), 1.5)
+    flow = classical_flow(tc, 1.5)
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
     for t in (0.0, 0.6, 1.4):
         assert inv.auxiliary_residual(tc, mu_fn, C0, t) <= 1e-9
@@ -189,9 +196,10 @@ def test_lewis_riesenfeld_equals_general_route():
     c0 = 0.7
     sol = inv.solve_ermakov(lambda t: 2.0 * b_of(t), c0, (1.0, 0.2), 2.0)
     mu_fn = lambda t: (sol.kappa(t), sol.kappa_prime(t))
+    flow = classical_flow(tc, 1.9)
     for t in (0.3, 1.1, 1.9):
         lr = inv.lewis_riesenfeld_invariant(sol, t)
-        gen = inv.general_invariant(tc, mu_fn, c0, t, residual_tol=1e-6)
+        gen = inv.general_invariant(flow, mu_fn, c0, t, residual_tol=1e-6)
         assert gen.A == pytest.approx(lr.A, rel=1e-9)
         assert gen.B == pytest.approx(lr.B, rel=1e-9)
         assert gen.C == pytest.approx(lr.C, rel=1e-9)
@@ -205,7 +213,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
-    path = dyn.evolve_second_moments(tc, m0, 2.0)
+    path = dyn.evolve_second_moments(classical_flow(tc, 2.0), m0)
     e0 = inv.energy_operator_catalog(spec, 0.0).expectation(
         m0.p2, m0.x2, m0.pxxp)
     for t in np.linspace(0.2, 2.0, 7):
@@ -216,13 +224,14 @@ def test_invariant_expectation_is_constant_under_moment_flow():
 
 
 def test_ladder_commutator_and_reconstruction():
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    flow = classical_flow(
+        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.6)
     mu_fn, C0 = inv.united_invariant_mu(UNITED)
     for t in (0.0, 0.8, 1.6):
-        pair = inv.ladder_factorization(tc, mu_fn, C0, t)
+        pair = inv.ladder_factorization(flow, mu_fn, C0, t)
         assert pair.commutator() == pytest.approx(1.0, abs=1e-12)
         rec = pair.reconstruct()
-        ref = inv.general_invariant(tc, mu_fn, C0, t)
+        ref = inv.general_invariant(flow, mu_fn, C0, t)
         scale = max(abs(ref.A), abs(ref.B), 1.0)
         assert abs(rec.A - ref.A) <= 1e-10 * scale
         assert abs(rec.B - ref.B) <= 1e-10 * scale
@@ -230,10 +239,11 @@ def test_ladder_commutator_and_reconstruction():
 
 
 def test_ladder_requires_positive_c0():
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    flow = classical_flow(
+        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 0.5)
     mu_fn, _ = inv.united_invariant_mu(UNITED)
     with pytest.raises(InvalidC0):
-        inv.ladder_factorization(tc, mu_fn, -1.0, 0.5)
+        inv.ladder_factorization(flow, mu_fn, -1.0, 0.5)
 
 
 def test_linear_invariant_is_conserved():
@@ -244,10 +254,11 @@ def test_linear_invariant_is_conserved():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
-    fm_path = dyn.evolve_first_moments(tc, dyn.FirstMoments(0.4, -0.3), 2.0)
+    flow = classical_flow(tc, 2.0)
+    fm_path = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.4, -0.3))
     vals = []
     for t in (0.0, 0.5, 1.0, 2.0):
-        form = inv.linear_invariant(tc, A_fn, 0.2, t)
+        form = inv.linear_invariant(flow, A_fn, 0.2, t)
         fm = fm_path(t)
         vals.append(form.A * fm.p + form.B * fm.x + form.C)
     assert max(vals) - min(vals) <= 1e-9
@@ -255,10 +266,11 @@ def test_linear_invariant_is_conserved():
 
 def test_linear_invariant_rejects_bad_solution():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    flow = classical_flow(coeff.builtin_coefficients(spec, coeff.HAMILTONIAN),
+                          1.0)
     bad = lambda t: (1.0 + t * t, 2.0 * t, 2.0)
     with pytest.raises(ResidualTooLarge):
-        inv.linear_invariant(tc, bad, 0.0, 1.0)
+        inv.linear_invariant(flow, bad, 0.0, 1.0)
 
 
 def test_invariant_diagnostics_keys():
@@ -272,3 +284,22 @@ def test_invariant_diagnostics_keys():
     assert d0["mu1"] == pytest.approx(1.0)
     assert d0["mu2"] == pytest.approx(1.0)
     assert d0["proper_time"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_invariants_read_the_integral_off_one_flow(solves):
+    # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1, and A = cos t
+    # the linear-invariant equation; I = 0, so E = p^2 + x^2
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
+                                    coeff.HAMILTONIAN)
+    flow = classical_flow(tc, 2.0)
+    assert len(solves) == 1
+    mu_fn = lambda t: (1.0, 0.0, 0.0)
+    A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
+    for t in np.linspace(0.1, 2.0, 20):
+        form = inv.general_invariant(flow, mu_fn, 1.0, float(t))
+        assert (form.A, form.B, form.C, form.D) == (1.0, 1.0, 0.0, 0.0)
+        lin = inv.linear_invariant(flow, A_fn, 0.2, float(t))
+        assert lin.C == 0.2
+        pair = inv.ladder_factorization(flow, mu_fn, 1.0, float(t))
+        assert pair.omega_t == 2.0
+    assert len(solves) == 1

@@ -13,6 +13,7 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham import models
+from quadham.characteristic import classical_flow
 from quadham.errors import InvalidModelParams, NoClosedForm
 
 # the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL, DRIFT_TOL)
@@ -60,7 +61,7 @@ def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
         assert _close(path.mu(float(t)), mu)
         assert _close(path.mu_prime(float(t)), mup)
 
-    caustic = path.first_caustic()
+    caustic = path.first_caustic
     hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
     for t in np.linspace(hi / 5, hi, 5):
         kp = chr_mod.kernel_parameters(tc, path, float(t))
@@ -73,8 +74,8 @@ def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
     except NoClosedForm:
         return
     m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
-    moments = dyn.evolve_second_moments(inv.catalog_coefficients(spec), m0,
-                                        t_end)
+    moments = dyn.evolve_second_moments(
+        classical_flow(inv.catalog_coefficients(spec), t_end), m0)
     ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
     for t in np.linspace(t_end / 5, t_end, 5):
         m = moments(float(t))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
-from quadham import dynamics as dyn
+from quadham.characteristic import classical_flow
 from quadham.errors import ToleranceNotMet
 from quadham.ode import MAX_STEPS, solve_ivp
 
@@ -89,8 +89,7 @@ def test_step_budget_stops_a_crawl():
                                 coeff.HAMILTONIAN)
     start = time.perf_counter()
     with pytest.raises(ToleranceNotMet) as exc:
-        dyn.evolve_second_moments(tc, dyn.SecondMoments(1.0, 1.0, 0.0, 1.0),
-                                  2.0)
+        classical_flow(tc, 2.0)
     assert time.perf_counter() - start < 2.0
     info = exc.value.info
     assert info["steps"] + info["rejected"] == MAX_STEPS
