@@ -1,18 +1,23 @@
 """End-to-end timings of a quadham checkout: each CLI subcommand and each
-package import as a fresh subprocess, plus the wall time of the tier-1
-suite.
+package import as a fresh subprocess, the classical flow in-process, and
+the wall time of the tier-1 suite.
 
 Usage: python3 benchmarks/run.py --tag TAG [--root CHECKOUT]
 
 Writes ``benchmarks/BENCH_<yyyymmdd>_<TAG>.json`` beside this script.
 Every subprocess timing is the median of 7 runs after one untimed run,
-measured with ``perf_counter`` from spawn to exit.  The children run with
-``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package
-as the ``quadbench`` children do and the measured checkout is left as it
-was.  ``--root`` measures another checkout (for example the parent
-commit) with this same script, so two records compare like with like.
-The record names the measured code twice: by ``git describe`` and by a
-sha256 of the package source, which stays exact for uncommitted changes.
+measured with ``perf_counter`` from spawn to exit; one more untimed run
+under ``-X importtime`` records whether the subcommand loaded numpy.  The
+flow is timed in a child interpreter on the measured checkout's source:
+``classical_flow`` on the Caldirola-Kanai window of the subcommands and
+one ``Flow.at`` point, each the median and the best of 7 rounds, with the
+solver's counts.  The children run with ``PYTHONDONTWRITEBYTECODE=1``, so
+that each call compiles the package as the ``quadbench`` children do and
+the measured checkout is left as it was.  ``--root`` measures another
+checkout (for example the parent commit) with this same script, so two
+records compare like with like.  The record names the measured code
+twice: by ``git describe`` and by a sha256 of the package source, which
+stays exact for uncommitted changes.
 """
 
 import argparse
@@ -45,10 +50,33 @@ COMMANDS = {
                    "--t-end", "3"],
     "verify_all": ["verify_all", "--budget", "full"],
 }
-# the interpreter and numpy alone, for scale, then the package's two roots
+# the interpreter and numpy alone, for scale, then the package's roots:
+# the CLI, the moment dynamics on the classical flow, and the grid stepper
 IMPORTS = {"python": "pass", "numpy": "import numpy",
            "quadham.cli": "import quadham.cli",
+           "quadham.dynamics": "import quadham.dynamics",
            "quadham.gridsim": "import quadham.gridsim"}
+# the in-process flow timings, run in a child on the measured source
+FLOW = """
+import json, statistics, timeit
+from quadham import characteristic as chm, coefficients as coeff
+tc = coeff.builtin_coefficients(
+    coeff.ModelSpec("caldirola_kanai", lam=0.2), coeff.HAMILTONIAN)
+flow = chm.classical_flow(tc, 1.4)
+
+def timing(fn, number):
+    per_call = [s / number for s in timeit.repeat(fn, number=number,
+                                                  repeat=7)]
+    return {"median_s": statistics.median(per_call), "best_s": min(per_call),
+            "samples_s": per_call}
+
+sol = flow.solution
+print(json.dumps({
+    "classical_flow": dict(timing(lambda: chm.classical_flow(tc, 1.4), 50),
+                           t_end=1.4, nfev=sol.nfev, n_steps=sol.n_steps,
+                           n_rejected=sol.n_rejected),
+    "flow_at": dict(timing(lambda: flow.at(0.7), 5000), t=0.7)}))
+"""
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -78,6 +106,30 @@ def _median(args, root):
     _time(args, root)
     samples = [_time(args, root) for _ in range(REPEATS)]
     return {"median_s": statistics.median(samples), "samples_s": samples}
+
+
+def _loads_numpy(args, root):
+    """Whether one ``python ARGS`` run imports numpy, from the module
+    names that ``-X importtime`` writes to stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          cwd=root, env=_env(root), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, check=True)
+    return any(line.startswith("import time:")
+               and line.rsplit("|", 1)[-1].strip() == "numpy"
+               for line in proc.stderr.splitlines())
+
+
+def _command(argv, root):
+    args = ["-m", "quadham.cli", *argv]
+    return dict(_median(args, root), argv=argv,
+                loads_numpy=_loads_numpy(args, root))
+
+
+def _flow(root):
+    proc = subprocess.run([sys.executable, "-c", FLOW], cwd=root,
+                          env=_env(root), capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout)
 
 
 def _tier1(root):
@@ -139,9 +191,9 @@ def main(argv=None):
         "repeats": REPEATS,
         "imports": {name: _median(["-c", code], root)
                     for name, code in IMPORTS.items()},
-        "commands": {name: dict(_median(["-m", "quadham.cli", *cli], root),
-                                argv=cli)
+        "commands": {name: _command(cli, root)
                      for name, cli in COMMANDS.items()},
+        "flow": _flow(root),
         "tier1": _tier1(root),
     }
     day = datetime.date.today().strftime("%Y%m%d")

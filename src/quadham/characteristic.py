@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from .coefficients import (EQUATION, ModelSpec, TimeCoefficients,
                            convert_convention)
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
@@ -54,13 +52,23 @@ class KernelParameters:
 
 
 class FlowPoint(NamedTuple):
-    """M = [[m11, m12], [m21, m22]] and I at a time (arrays at the steps)."""
+    """M = [[m11, m12], [m21, m22]] and I at a time."""
 
     m11: float
     m12: float
     m21: float
     m22: float
     i: float
+
+
+def congruence(m11: float, m12: float, m21: float, m22: float, s):
+    """M S M^T for M = [[m11, m12], [m21, m22]] and the symmetric
+    S = [[s11, s12], [s12, s22]] given as (s11, s12, s22); returns the same
+    three entries of the product, summed in the order of (M S) M^T."""
+    s11, s12, s22 = s
+    r11, r12 = m11 * s11 + m12 * s12, m11 * s12 + m12 * s22
+    r21, r22 = m21 * s11 + m22 * s12, m21 * s12 + m22 * s22
+    return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
 
 
 def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
@@ -70,10 +78,11 @@ def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
 
 class Flow:
     """The classical flow of ``tc`` (either convention) between 0 and
-    ``t_end``: ``solution(t)`` holds the rows (M11, M12, M21, M22, I) at t
-    and ``steps`` at the step points ``solution.t``.  :meth:`at` refuses a
-    time outside the window, where the dense output would extrapolate.  The
-    first caustic and the scale of mu are found once, on a forward window."""
+    ``t_end``: ``solution(t)`` holds the row (M11, M12, M21, M22, I) at t
+    and ``steps`` the rows at the step points ``solution.t``.  :meth:`at`
+    refuses a time outside the window, where the dense output would
+    extrapolate.  The first caustic and the scale of mu are found once, on
+    a forward window."""
 
     def __init__(self, solution, tc: TimeCoefficients, tol: float = PATH_RTOL):
         self.solution, self.tc, self.tol = solution, tc, tol
@@ -84,11 +93,11 @@ class Flow:
         if not min(0.0, self.t_end) <= t <= max(0.0, self.t_end):
             raise ValidationError("t lies outside the solved window",
                                   t=t, t_end=self.t_end)
-        return FlowPoint._make(self.solution(t).tolist())
+        return FlowPoint._make(self.solution(t))
 
     @cached_property
-    def steps(self) -> FlowPoint:
-        return FlowPoint(*self.solution(self.solution.t))
+    def steps(self) -> list[FlowPoint]:
+        return [FlowPoint._make(row) for row in self.solution.y]
 
     def mu(self, t: float) -> float:
         p = self.at(t)
@@ -99,19 +108,19 @@ class Flow:
 
     @cached_property
     def mu_scale(self) -> float:
-        mu = self.steps.m12 * np.exp(self.steps.i)
-        return max(1.0, float(np.max(np.abs(mu))))
+        return max(1.0, *(abs(p.m12 * math.exp(p.i)) for p in self.steps))
 
     @cached_property
     def first_caustic(self):
         """The bracket of the first zero of mu past t = 0, or None."""
         # the first interior sign change of M12 (the sign of mu) between
         # step points, or an exact zero, from index 1
-        grid, m12 = self.solution.t, self.steps.m12
-        hit = np.flatnonzero((m12[1:-1] == 0.0) | (m12[1:-1] * m12[2:] < 0.0))
-        if hit.size == 0:
+        grid, m12 = self.solution.t, [p.m12 for p in self.steps]
+        hit = next((k for k in range(1, len(m12) - 1)
+                    if m12[k] == 0.0 or m12[k] * m12[k + 1] < 0.0), None)
+        if hit is None:
             return None
-        c0, c1 = float(grid[hit[0] + 1]), float(grid[hit[0] + 2])
+        c0, c1 = grid[hit], grid[hit + 1]
         # locate the zero on the dense output and widen it by a margin
         # that holds the exact zero too (within about tol * t_end of it)
         lo, hi = bracket_sign_change(lambda t: self.at(t).m12, c0, c1)

@@ -3,9 +3,13 @@
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Failures
 emit a one-line JSON record naming the originating module and error code.
 
-Each subcommand imports the solver modules (and numpy) it runs inside its
-own function, so that a call pays only for what it uses: ``list-models``
-loads no numpy, ``mu`` and ``kernel`` load no moment dynamics.
+Each subcommand imports the solver modules it runs inside its own
+function, so that a call pays only for what it uses: ``mu`` and ``kernel``
+load no moment dynamics.  The classical flow and everything built on it
+are plain float arithmetic, so only ``green`` and ``propagate`` (through
+the propagator) load numpy; ``list-models``, ``mu``, ``kernel``,
+``moments``, ``invariant``, ``uncertainty``, ``appendix_d`` and
+``verify_all`` run without it.
 """
 
 import argparse
@@ -53,15 +57,23 @@ def _spec_from(args) -> coeff.ModelSpec:
     return spec
 
 
+def _linspace(start, stop, num):
+    """``num`` evenly spaced floats from start to stop, both included; the
+    values of ``numpy.linspace`` without loading numpy."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
 def _sample_times(tc, t_end, samples):
     """Caustic-free sample times in (0, t_end]."""
-    import numpy as np
     from . import characteristic as chr_mod
 
     path = chr_mod.solve_characteristic(tc, t_end)
     caustic = path.first_caustic
     hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
-    return path, np.linspace(hi / samples, hi, samples)
+    return path, _linspace(hi / samples, hi, samples)
 
 
 def cmd_list_models(args):
@@ -77,13 +89,12 @@ def cmd_list_models(args):
 
 
 def cmd_mu(args):
-    import numpy as np
     from . import characteristic as chr_mod
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     path = chr_mod.solve_characteristic(tc, args.t_end)
-    ts = np.linspace(args.t_end / args.samples, args.t_end, args.samples)
+    ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     rows = [(t, path.mu(t), path.mu_prime(t)) for t in ts]
     qio.write_csv(args.out, ["t", "mu", "mu_prime"], rows)
     return 0
@@ -97,8 +108,7 @@ def cmd_kernel(args):
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     path, ts = _sample_times(tc, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
-    rows = [astuple(chr_mod.kernel_parameters(tc, path, float(t)))
-            for t in ts]
+    rows = [astuple(chr_mod.kernel_parameters(tc, path, t)) for t in ts]
     qio.write_csv(args.out, [f.name for f in fields(chr_mod.KernelParameters)],
                   rows)
     return 0
@@ -141,7 +151,6 @@ def cmd_propagate(args):
 
 
 def cmd_moments(args):
-    import numpy as np
     from . import characteristic as chr_mod, dynamics as dyn
 
     spec = _spec_from(args)
@@ -149,9 +158,8 @@ def cmd_moments(args):
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
     path = dyn.evolve_second_moments(
         chr_mod.classical_flow(tc, args.t_end), m0)
-    ts = np.linspace(0.0, args.t_end, args.samples)
-    rows = [(t, *((m := path(float(t))).p2, m.x2, m.pxxp, m.norm))
-            for t in ts]
+    rows = [(t, *((m := path(t)).p2, m.x2, m.pxxp, m.norm))
+            for t in _linspace(0.0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "p2", "x2", "pxxp", "norm"], rows)
     return 0
 
@@ -160,7 +168,6 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
     """E(0) of the catalogued invariant E and max |E(t) - E(0)| / |E(0)|
     over t in linspace(t_start, t_end, samples), E(t) from the second
     moments flowed from m0."""
-    import numpy as np
     from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
 
     q0 = inv.energy_operator_catalog(spec, 0.0)
@@ -175,9 +182,9 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
                               terms=terms)
     path = dyn.evolve_second_moments(
         chr_mod.classical_flow(inv.catalog_coefficients(spec), t_end), m0)
-    drift = max(abs(inv.energy_operator_catalog(spec, float(t)).expectation(
-        *((m := path(float(t))).p2, m.x2, m.pxxp)) - ref)
-        for t in np.linspace(t_start, t_end, samples))
+    drift = max(abs(inv.energy_operator_catalog(spec, t).expectation(
+        *((m := path(t)).p2, m.x2, m.pxxp)) - ref)
+        for t in _linspace(t_start, t_end, samples))
     return ref, drift / abs(ref)
 
 
@@ -194,14 +201,12 @@ def cmd_invariant(args):
 
 
 def cmd_appendix_d(args):
-    import numpy as np
     from . import dynamics as dyn
 
     hb = dyn.HyperbolicBasis(lam=args.lam_d, omega=args.omega_d,
                              gamma=args.gamma_shift)
-    ts = np.linspace(args.t_start, args.t_end, args.samples)
     rows = [(t, hb.y1(t), hb.y2(t), hb.y_particular(t), hb.z1(t), hb.z2(t))
-            for t in ts]
+            for t in _linspace(args.t_start, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "y1", "y2", "y_particular", "z1", "z2"],
                   rows)
     return 0
@@ -210,15 +215,14 @@ def cmd_appendix_d(args):
 def _uncertainty(spec, m0, f0, t_end, samples):
     """(t, uncertainty_check) of the moments flowed from (m0, f0) at each t
     in linspace(0, t_end, samples)."""
-    import numpy as np
     from . import characteristic as chr_mod, dynamics as dyn
 
     flow = chr_mod.classical_flow(
         coeff.builtin_coefficients(spec, coeff.HAMILTONIAN), t_end)
     mpath = dyn.evolve_second_moments(flow, m0)
     fpath = dyn.evolve_first_moments(flow, f0)
-    return [(t, dyn.uncertainty_check(mpath(float(t)), fpath(float(t))))
-            for t in np.linspace(0.0, t_end, samples)]
+    return [(t, dyn.uncertainty_check(mpath(t), fpath(t)))
+            for t in _linspace(0.0, t_end, samples)]
 
 
 def cmd_uncertainty(args):
@@ -245,8 +249,8 @@ def _verify_one(model_id: str, budget: str):
     path, ts = _sample_times(tc_eq, 1.2, n_kernel)
     worst = 0.0
     for t in ts:
-        kp = chr_mod.kernel_parameters(tc_eq, path, float(t))
-        ref = chr_mod.closed_form_kernel(spec, float(t))
+        kp = chr_mod.kernel_parameters(tc_eq, path, t)
+        ref = chr_mod.closed_form_kernel(spec, t)
         for got, exp in ((kp.alpha, ref.alpha), (kp.beta, ref.beta),
                          (kp.gamma, ref.gamma)):
             worst = max(worst, abs(got - exp) / max(1.0, abs(exp)))

@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import coefficients as coeff
-from .characteristic import Flow, classical_flow
+from .characteristic import Flow, classical_flow, congruence
 from .coefficients import ModelSpec
 from .errors import InvalidMoments, NoClosedForm
 from .invariants import catalog_coefficients
@@ -57,15 +55,14 @@ class FirstMoments:
 def evolve_second_moments(flow: Flow, m0: SecondMoments):
     """Raw second moments on the window of ``flow``; returns
     t -> SecondMoments."""
-    s0 = np.array([[m0.x2, 0.5 * m0.pxxp], [0.5 * m0.pxxp, m0.p2]])
+    s0 = (m0.x2, 0.5 * m0.pxxp, m0.p2)
 
     def path(t: float) -> SecondMoments:
         p = flow.at(t)
-        m = np.array([[p.m11, p.m12], [p.m21, p.m22]])
         w = math.exp(-p.i)
-        s = m @ s0 @ m.T
-        return SecondMoments(float(w * s[1, 1]), float(w * s[0, 0]),
-                             float(2.0 * w * s[0, 1]), w * m0.norm)
+        x2, half_pxxp, p2 = congruence(p.m11, p.m12, p.m21, p.m22, s0)
+        return SecondMoments(w * p2, w * x2, 2.0 * w * half_pxxp,
+                             w * m0.norm)
 
     return path
 

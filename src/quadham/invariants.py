@@ -20,10 +20,8 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import coefficients as coeff
-from .characteristic import Flow, classical_flow
+from .characteristic import Flow, classical_flow, congruence
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NonPositiveForm,
@@ -104,18 +102,16 @@ def solve_energy_system(flow: Flow, init):
     """
     A0, B0, C0 = init[:3]
     D0 = init[3] if len(init) == 4 else C0
-    q0 = np.array([[B0, 0.5 * (C0 + D0)], [0.5 * (C0 + D0), A0]])
+    q0 = (B0, 0.5 * (C0 + D0), A0)
 
     def path(t: float) -> QuadraticForm:
         p = flow.at(t)
         w = math.exp(p.i)
-        # M^{-1} of a flow with det M = 1
-        m_inv = np.array([[p.m22, -p.m12], [-p.m21, p.m11]])
-        q = w * (m_inv.T @ q0 @ m_inv)
+        # M^{-T} of a flow with det M = 1
+        B, half_cd, A = congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
         half = 0.5 * w * (C0 - D0)
-        return QuadraticForm(A=float(q[1, 1]), B=float(q[0, 0]),
-                             C=float(q[0, 1] + half),
-                             D=float(q[0, 1] - half), t=t)
+        return QuadraticForm(A=w * A, B=w * B, C=w * half_cd + half,
+                             D=w * half_cd - half, t=t)
 
     return path
 
@@ -161,16 +157,15 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
         def guard(p):
             # kappa^2 - 1e-16 while l > 0, and negative once l is not
             ell = kappa0 * p.m11 + kappa0p * p.m12
-            return ell * np.abs(ell) + ratio * p.m12 ** 2 - _COLLAPSE ** 2
+            return ell * abs(ell) + ratio * p.m12 ** 2 - _COLLAPSE ** 2
 
-        hit = np.flatnonzero(guard(flow.steps) <= 0.0)
-        if hit.size:
-            k = hit[0]
+        k = next((k for k, p in enumerate(flow.steps) if guard(p) <= 0.0),
+                 None)
+        if k is not None:
             grid = flow.solution.t
             t_hit = 0.0 if k == 0 else bracket_sign_change(
                 lambda t: guard(flow.at(t)), grid[k - 1], grid[k])[1]
-            raise KappaCollapse("kappa reached the collapse guard",
-                                t=float(t_hit))
+            raise KappaCollapse("kappa reached the collapse guard", t=t_hit)
     # u = (M11, M21) and v = (M12, M22), the columns of M
     u, v = attrgetter("m11", "m21"), attrgetter("m12", "m22")
     sol = pinney_superpose(lambda t: u(flow.at(t)), lambda t: v(flow.at(t)),
@@ -349,25 +344,6 @@ def general_invariant(flow: Flow, mu_fn, C0: float,
     return QuadraticForm(A=mu * mu * wfac,
                          B=(q * q + C0 / (mu * mu)) * wfac,
                          C=-mu * q * wfac, D=-mu * q * wfac, t=t)
-
-
-def invariant_diagnostics(tc: TimeCoefficients, mu_fn, t: float) -> dict:
-    """Auxiliary quantities of the invariant construction: the substituted
-    kappa, the integrating factors, the proper time, and the key factor.
-
-    All are read off the classical flow of (a, 0, c, d): M11 is
-    e^S with S = int (c + d), M12 M22 is the proper time
-    int 2a e^(-2 S), and int (3c + d) = 2 S + I, int (c + 3d) = 2 S - I.
-    """
-    tc.require(HAMILTONIAN)
-    mu = mu_fn(t)[0]
-    drift = replace(tc, b=lambda s: 0.0, db=None)
-    p = classical_flow(drift, t).at(t)
-    e2s = p.m11 * p.m11
-    return {"kappa": mu / p.m11, "mu1": math.exp(-p.i) / e2s,
-            "mu2": e2s * math.exp(-p.i),
-            "proper_time": p.m12 * p.m22,
-            "key": e2s / (2.0 * tc.a(t))}
 
 
 def linear_invariant(flow: Flow, A_fn, C0_const: float,

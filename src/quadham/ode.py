@@ -1,25 +1,29 @@
-"""Dormand-Prince 8(5,3) integration with dense output.
+"""Dormand-Prince 8(5,3) integration with dense output, in plain floats.
 
 The explicit Runge-Kutta pair of order 8 with the combined 5th/3rd-order
 error estimate and the 7th-order continuous extension of Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., Sec. II.10
 (their DOP853 code).  The step-size controller and the initial-step rule
-are the ones scipy's ``DOP853`` uses, so a solve takes the same steps as
-``scipy.integrate.solve_ivp(method="DOP853")``.  The package solves one
-ODE, the classical flow of :func:`quadham.characteristic.classical_flow`;
-every other dynamical quantity is algebra on it.
+are the ones scipy's ``DOP853`` uses.  A solve takes the steps of
+``scipy.integrate.solve_ivp(method="DOP853")`` up to rounding, which the
+error estimate amplifies: it cancels down to about the tolerance, so a
+one-ulp change in a stage sum moves the step points by far more than an
+ulp.  The state is a list of Python floats; for the five components of
+the classical flow of :func:`quadham.characteristic.classical_flow`, the
+package's one ODE, that is cheaper than numpy's per-call cost, and it
+keeps numpy out of everything built on the flow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
-
-import numpy as np
+from operator import mul
 
 from .errors import ToleranceNotMet
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -35,14 +39,14 @@ MAX_STEPS = 3_500
 
 # nodes: 12 stages, f(t + h, y_new), then the 3 extra stages of the dense
 # output
-_C = np.array([
+_C = (
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-    0.7777777777777778])
+    0.7777777777777778)
 
 # nonzero entries {j: a_ij} of the rows of the Butcher matrix; row 12 holds
-# the weights b_j of the 8th-order solution
+# the weights b_j of the 8th-order solution, so stage 12 is f(t + h, y_new)
 _A_ROWS = (
     {},
     {0: 0.05260015195876773},
@@ -79,56 +83,62 @@ _A_ROWS = (
      7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
      13: 2.9475147891527724, 14: -9.15095847217987},
 )
-_A = np.zeros((16, 16))
-for _i, _row in enumerate(_A_ROWS):
-    _A[_i, list(_row)] = list(_row.values())
-_B = _A[12, :12]
+# the rows as dense tuples, a_sj for j < s
+_A = [tuple(row.get(j, 0.0) for j in range(s))
+      for s, row in enumerate(_A_ROWS)]
 
-# error weights of the 3rd- and 5th-order embedded solutions on the 13
-# stages (the last is f(t + h, y_new))
-_E3 = np.append(_B, 0.0)
-_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118,
-                    0.022058823529411766]
-_E5 = np.zeros(13)
-_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
-    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
-    0.08192320648511571, -0.022355307863886294]
+# error weights of the 3rd- and 5th-order embedded solutions on stages
+# 0..11; neither weighs f(t + h, y_new)
+_E3_SHIFT = {0: 0.2440944881889764, 8: 0.7338466882816118,
+             11: 0.022058823529411766}
+_E3 = tuple(b - _E3_SHIFT.get(j, 0.0) for j, b in enumerate(_A[12]))
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
 
-# coefficients of the dense-output polynomial terms 3..6 on the 16 stages
-_D = np.zeros((4, 16))
-_D[:, [0] + list(range(5, 16))] = [
-    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+# coefficients of the dense-output polynomial terms 3..6 on stages 0 and
+# 5..15; stages 1..4 have none
+_D = [(row[0], 0.0, 0.0, 0.0, 0.0, *row[1:]) for row in (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
      2.38466765651207, 2.117034582445028, -0.871391583777973,
      2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-     18.148505520854727, -9.194632392478356, -4.436036387594894],
-    [10.427508642579134, 242.28349177525817, 165.20045171727028,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028,
      -374.5467547226902, -22.113666853125306, 7.733432668472264,
      -30.674084731089398, -9.332130526430229, 15.697238121770845,
-     -31.139403219565178, -9.35292435884448, 35.81684148639408],
-    [19.985053242002433, -387.0373087493518, -189.17813819516758,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758,
      527.8081592054236, -11.57390253995963, 6.8812326946963,
      -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-     -60.19669523126412, 84.32040550667716, 11.99229113618279],
-    [-25.69393346270375, -154.18974869023643, -231.5293791760455,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455,
      357.6391179106141, 93.40532418362432, -37.45832313645163,
      104.0996495089623, 29.8402934266605, -43.53345659001114,
-     96.32455395918828, -39.17726167561544, -149.72683625798564],
-]
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
+)]
 
 
-def _rms(x) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+def _rms(v) -> float:
+    return math.hypot(*v) / math.sqrt(len(v))
+
+
+def _stage(y, h, K, s):
+    """y + h sum_j a_sj K_j, the state at which stage s is evaluated; K
+    holds one list of the 16 stage slopes per component."""
+    row = _A[s]
+    return [u + h * sum(map(mul, row, k)) for u, k in zip(y, K)]
 
 
 def _initial_step(f, t0, y0, f0, span, direction, max_step, rtol, atol):
     """Hairer, Norsett & Wanner's starting step, Sec. II.4."""
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    scale = [atol + abs(u) * rtol for u in y0]
+    d0 = _rms([u / s for u, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = f(t0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    step = h0 * direction
+    f1 = f(t0 + step, [u + step * v for u, v in zip(y0, f0)])
+    d2 = _rms([(v1 - v0) / s for v1, v0, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -137,15 +147,16 @@ def _initial_step(f, t0, y0, f0, span, direction, max_step, rtol, atol):
 
 
 def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
-    # squared norms, as scipy's DOP853 takes them: a dot product rounds
-    # differently, and the step sizes then drift off scipy's by up to 2e-10
-    e5 = float(np.linalg.norm(err5)) ** 2
-    e3 = float(np.linalg.norm(err3)) ** 2
+    # squared norms, as scipy's DOP853 takes them
+    e5 = e3 = 0.0
+    for k, s in zip(K, scale):
+        err5 = sum(map(mul, _E5, k)) / s
+        err3 = sum(map(mul, _E3, k)) / s
+        e5 += err5 * err5
+        e3 += err3 * err3
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
 
 
 def bracket_sign_change(g, lo, hi):
@@ -174,71 +185,59 @@ def bracket_sign_change(g, lo, hi):
 class Solution:
     """The result of one :func:`solve_ivp` call.
 
-    ``t`` holds the accepted step points and ``y`` (shape (n, len(t))) the
-    solution there; calling the object evaluates the 7th-order dense output
-    at a scalar t (shape (n,)) or a 1-D array of times (shape (n, m)).
-    Times outside the span extrapolate the nearest step's polynomial.
-    ``nfev`` counts the right-hand-side evaluations, ``n_steps`` the
-    accepted steps and ``n_rejected`` the rejected ones.
+    ``t`` lists the accepted step points and ``y`` the solution there, one
+    list of floats per step point; calling the object evaluates the
+    7th-order dense output at a time t (a list of floats).  Times outside
+    the span extrapolate the nearest step's polynomial.  ``nfev`` counts
+    the right-hand-side evaluations, ``n_steps`` the accepted steps and
+    ``n_rejected`` the rejected ones.
     """
 
     def __init__(self, ts, ys, segments, direction, nfev=0, n_rejected=0):
-        self.t = np.array(ts)
-        self.y = np.array(ys).T
+        self.t, self.y = ts, ys
         self.nfev = nfev
         self.n_steps = len(segments)
         self.n_rejected = n_rejected
         self._sign = direction
         # the step ending at a step point serves it, as in scipy's
-        # OdeSolution; lists, because bisect on them is the fastest lookup
-        # for one time
+        # OdeSolution
         self._keys = [direction * t for t in ts]
-        self._t_old = [s[0] for s in segments]
-        self._h = [s[1] for s in segments]
-        self._y_old = np.array([s[2] for s in segments])
-        self._F = np.array([s[3] for s in segments])
+        # (t_old, h, y_old, F): F holds, for each component, the
+        # coefficients of the 7 basis polynomials below
+        self._segments = segments
 
     def __call__(self, t):
-        last = len(self._h) - 1
-        if np.ndim(t) == 0:
-            # one time: the basis in plain floats, about 7 us a call where
-            # the array path below takes about 60 us
-            t = float(t)
-            if last < 0:
-                return self.y[:, 0].copy()
-            k = min(max(bisect_left(self._keys, self._sign * t) - 1, 0), last)
-            x = (t - self._t_old[k]) / self._h[k]
-            u = 1.0 - x
-            x2u = x * x * u
-            x3u2 = x2u * x * u
-            p = [x, x * u, x2u, x2u * u, x3u2, x3u2 * u, x3u2 * u * x]
-            return self._y_old[k] + np.dot(p, self._F[k])
-        t = np.asarray(t, dtype=float)
-        if last < 0:
-            return np.repeat(self.y[:, :1], t.size, axis=1)
-        k = np.searchsorted(self._keys, self._sign * t, side="left") - 1
-        k = np.clip(k, 0, last)
-        x = (t - np.take(self._t_old, k)) / np.take(self._h, k)
-        p = np.cumprod([x, 1.0 - x] * 3 + [x], axis=0)
-        return (self._y_old[k] + np.einsum("km,mkn->mn", p, self._F[k])).T
+        t = float(t)
+        if not self._segments:
+            return list(self.y[0])
+        k = min(max(bisect_left(self._keys, self._sign * t) - 1, 0),
+                len(self._segments) - 1)
+        t_old, h, y_old, F = self._segments[k]
+        x = (t - t_old) / h
+        u = 1.0 - x
+        x2u = x * x * u
+        x3u2 = x2u * x * u
+        p = (x, x * u, x2u, x2u * u, x3u2, x3u2 * u, x3u2 * u * x)
+        return [v + sum(map(mul, p, c)) for v, c in zip(y_old, F)]
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] (either
-    direction) with DOP853 and dense output.
+    direction) with DOP853 and dense output; ``fun`` returns a sequence of
+    floats.
 
     Raises ToleranceNotMet when the step size falls below ten ulp of t or
     after MAX_STEPS attempted steps.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
-    y = np.array(y0, dtype=float)
+    y = [float(v) for v in y0]
 
     nfev = n_rejected = 0
 
     def f(t, y):
         nonlocal nfev
         nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
+        return fun(t, y)
 
     direction = 1.0 if t_bound >= t0 else -1.0
     ts, ys, segments = [t0], [y], []
@@ -247,10 +246,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
     fy = f(t0, y)
     h_abs = _initial_step(f, t0, y, fy, abs(t_bound - t0), direction,
                           max_step, rtol, atol)
-    K = np.empty((16, y.size))
+    # the stage slopes, one list per component
+    K = [[0.0] * 16 for _ in y]
     t = t0
     while direction * (t - t_bound) < 0:
-        min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
@@ -267,13 +267,16 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = fy
-            for s in range(1, 12):
-                K[s] = f(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:12].T, _B)
-            f_new = K[12] = f(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _error_norm(K[:13], h, scale)
+            for k, v in zip(K, fy):
+                k[0] = v
+            # stage 12 is the 8th-order solution, its slope f(t + h, y_new)
+            for s in range(1, 13):
+                y_new = _stage(y, h, K, s)
+                for k, v in zip(K, f(t + _C[s] * h, y_new)):
+                    k[s] = v
+            scale = [atol + max(abs(u), abs(v)) * rtol
+                     for u, v in zip(y, y_new)]
+            err = _error_norm(K, h, scale)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _EXPONENT)
@@ -284,13 +287,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step=math.inf):
             n_rejected += 1
 
         for s in range(13, 16):
-            K[s] = f(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-        dy = y_new - y
-        F = np.empty((7, y.size))
-        F[0] = dy
-        F[1] = h * fy - dy
-        F[2] = 2.0 * dy - h * (f_new + fy)
-        F[3:] = h * np.dot(_D, K)
+            for k, v in zip(K, f(t + _C[s] * h, _stage(y, h, K, s))):
+                k[s] = v
+        f_new = [k[12] for k in K]
+        F = []
+        for u, v, f0, f1, k in zip(y, y_new, fy, f_new, K):
+            dy = v - u
+            F.append((dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0),
+                      *[h * sum(map(mul, row, k)) for row in _D]))
         segments.append((t, h, y, F))
         t, y, fy = t_new, y_new, f_new
         ts.append(t)

@@ -238,13 +238,12 @@ class _StubSolution:
     between, in place of a solve."""
 
     def __init__(self, mu):
-        self.t = np.arange(len(mu), dtype=float)
-        self.mu = np.asarray(mu, dtype=float)
+        self.t = [float(k) for k in range(len(mu))]
+        self.y = [[0.0, float(m), 0.0, 0.0, 0.0] for m in mu]
+        self.mu = mu
 
     def __call__(self, t):
-        m12 = np.interp(t, self.t, self.mu)
-        zero = 0.0 * m12
-        return np.array([zero, m12, zero, zero, zero])
+        return [0.0, float(np.interp(t, self.t, self.mu)), 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("mu", [

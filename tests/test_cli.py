@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadham
@@ -472,24 +472,50 @@ def test_cli_and_gridsim_load_every_traced_module():
 def test_subcommands_import_only_what_they_run():
     # a top-level import of numpy or of a solver module would make every
     # CLI call pay for it; list-models needs no numpy, mu only the
-    # characteristic solve
+    # characteristic solve, and nothing built on the classical flow loads
+    # numpy: the first call that does is green's, through the propagator
     stages = _run_fresh("""
 import contextlib, io, json, sys
 import quadham.cli
 stages = [["import", 0, sorted(sys.modules)]]
-for argv in (["list-models"], ["mu", "--model", "simple_harmonic",
-                               "--t-end", "1"]):
+model = ["--model", "caldirola_kanai", "--lambda", "0.2"]
+for argv in (["list-models"], ["mu", *model, "--t-end", "1"],
+             ["kernel", *model, "--t-end", "1.4"],
+             ["moments", *model, "--t-end", "3"],
+             ["invariant", *model, "--t-end", "3"],
+             ["uncertainty", *model, "--t-end", "3"],
+             ["appendix_d", "--lambda", "0.2", "--omega", "1",
+              "--t-end", "3"],
+             ["verify_all", "--model", "united"],
+             ["green", *model, "--t", "1", "--x", "0.3", "--y", "-0.2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = quadham.cli.main(argv)
     stages.append([argv[0], code, sorted(sys.modules)])
 print(json.dumps(stages))
 """)
     loaded = {name: set(modules) for name, _, modules in stages}
-    assert [code for _, code, _ in stages] == [0, 0, 0]
-    assert "numpy" not in loaded["import"]
-    assert "numpy" not in loaded["list-models"]
+    assert [code for _, code, _ in stages] == [0] * 10
     assert not loaded["mu"] & {"quadham.invariants", "quadham.dynamics",
                                "quadham.propagator"}
+    for name in ("import", "list-models", "mu", "kernel", "moments",
+                 "invariant", "uncertainty", "appendix_d", "verify_all"):
+        assert "numpy" not in loaded[name], name
+    assert "numpy" in loaded["green"]
+
+
+@example(0.0, 1.0, 1)
+@example(0.7, 0.7, 1)
+@example(0.7, 0.7, 5)
+@example(2.0, -1.0, 4)
+@example(1.2 / 20, 1.2, 20)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(start=st.floats(-1e3, 1e3), stop=st.floats(-1e3, 1e3),
+       num=st.integers(1, 300))
+def test_linspace_equals_numpy(start, stop, num):
+    from quadham.cli import _linspace
+    got = _linspace(start, stop, num)
+    assert got == np.linspace(start, stop, num).tolist()
+    assert all(type(t) is float for t in got)
 
 
 # every public name `import quadham` binds, with the submodule it comes from

@@ -273,19 +273,6 @@ def test_linear_invariant_rejects_bad_solution():
         inv.linear_invariant(flow, bad, 0.0, 1.0)
 
 
-def test_invariant_diagnostics_keys():
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    mu_fn, _ = inv.united_invariant_mu(UNITED)
-    d = inv.invariant_diagnostics(tc, mu_fn, 0.5)
-    for key in ("kappa", "mu1", "mu2", "proper_time", "key"):
-        assert key in d and math.isfinite(d[key])
-    # at t=0 the integrating factors are 1 and proper time 0
-    d0 = inv.invariant_diagnostics(tc, mu_fn, 0.0)
-    assert d0["mu1"] == pytest.approx(1.0)
-    assert d0["mu2"] == pytest.approx(1.0)
-    assert d0["proper_time"] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_invariants_read_the_integral_off_one_flow(solves):
     # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1, and A = cos t
     # the linear-invariant equation; I = 0, so E = p^2 + x^2

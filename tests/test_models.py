@@ -1,11 +1,15 @@
 """The model table against the numerical path, across its parameter box."""
 
 import ast
+import contextlib
+import csv
 import inspect
+import io
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import Phase, given, reject, settings
 from hypothesis import strategies as st
 
 from quadham import characteristic as chr_mod
@@ -13,11 +17,16 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham import models
+from quadham import propagator as prop
 from quadham.characteristic import classical_flow
-from quadham.errors import InvalidModelParams, NoClosedForm
+from quadham.cli import main
+from quadham.errors import (CausticEncountered, InvalidModelParams,
+                            NoClosedForm, QuadhamError)
 
-# the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL, DRIFT_TOL)
+# the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL, MOMENT_TOL,
+# DRIFT_TOL)
 KERNEL_TOL = 1e-7
+MOMENT_TOL = 1e-8
 DRIFT_TOL = 1e-8
 
 
@@ -82,3 +91,98 @@ def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
         got = inv.energy_operator_catalog(spec, float(t)).expectation(
             m.p2, m.x2, m.pxxp)
         assert abs(got - ref) <= DRIFT_TOL * max(abs(ref), 1e-30)
+
+
+def _error_types():
+    found, todo = set(), [QuadhamError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+def _cli_rows(argv, header):
+    """The CSV rows of a CLI call as floats, or None when the call exits 2
+    or 3 with a strict-JSON record of a typed error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        assert code in (2, 3), err.getvalue()
+        assert out.getvalue() == ""
+        record = json.loads(err.getvalue(), parse_constant=float.fromhex)
+        assert record["type"] in _error_types()
+        return None
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert rows[0] == header
+    return [[float(v) for v in row] for row in rows[1:]]
+
+
+def _gaussian_moments(spec, s0, t):
+    """Raw moments at t of the Gaussian s0 over its initial norm, from the
+    closed-form kernel (quadbench/oracles.py gaussian_moments); None in the
+    caustic guard band, where the closed form is refused."""
+    if t == 0.0:
+        m = s0.moments()
+    else:
+        try:
+            kp = chr_mod.closed_form_kernel(spec, t)
+        except CausticEncountered:
+            return None
+        m = prop.propagate_gaussian(kp, s0).moments()
+    return {k: v / s0.norm_sq() for k, v in m.items()}
+
+
+# no explain phase: it reruns a failing example about 500 times, a minute
+# per model here
+@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
+def test_cli_mu_and_moments_match_closed_forms(model_id, omega0, lam,
+                                               mu_param, delta, t_end,
+                                               samples, width, shift):
+    # each row as quadbench/oracles.py cli_mu and cli_moments check it, on
+    # windows inside the model's stated limit
+    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+    try:
+        spec.validate()
+    except InvalidModelParams:
+        reject()
+    t_end = min(t_end, 0.98 * spec.model.t_max)
+    # --flag=value, because argparse reads "-1e-05" as an option
+    flags = ["--model", model_id, f"--omega0={omega0!r}", f"--lambda={lam!r}",
+             f"--mu-param={mu_param!r}", f"--delta={delta!r}",
+             f"--t-end={t_end!r}", f"--samples={samples}"]
+
+    rows = _cli_rows(["mu", *flags], ["t", "mu", "mu_prime"])
+    for t, mu, mup in rows or ():
+        ref_mu, ref_mup = chr_mod.closed_form_mu(spec, t)
+        assert 0.0 < t <= t_end
+        assert _close(mu, ref_mu) and _close(mup, ref_mup), t
+
+    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+    m0 = _gaussian_moments(spec, s0, 0.0)
+    rows = _cli_rows(["moments", *flags, *(f"--{k}={m0[k]!r}"
+                                           for k in ("p2", "x2", "pxxp"))],
+                     ["t", "p2", "x2", "pxxp", "norm"])
+    record = spec.model
+    energy = (record.expectation is not None
+              and record.invariant_hamiltonian is record.hamiltonian)
+    for t, p2, x2, pxxp, norm in rows or ():
+        ref = _gaussian_moments(spec, s0, t)
+        if ref is not None:
+            for got, key in ((p2, "p2"), (x2, "x2"), (pxxp, "pxxp"),
+                             (norm, "norm")):
+                assert _close(got, ref[key], MOMENT_TOL), (key, t)
+        if energy:
+            A, B, C = dyn.reference_operator(spec, t)
+            want = dyn.closed_form_expectation(
+                spec, dyn.SecondMoments(m0["p2"], m0["x2"], m0["pxxp"]), t)
+            assert _close(A * p2 + B * x2 + 0.5 * C * pxxp, want,
+                          MOMENT_TOL), t
