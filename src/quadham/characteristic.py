@@ -61,10 +61,13 @@ class FlowPoint(NamedTuple):
     i: float
 
 
-def congruence(m11: float, m12: float, m21: float, m22: float, s):
+def _congruence(m11: float, m12: float, m21: float, m22: float, s):
     """M S M^T for M = [[m11, m12], [m21, m22]] and the symmetric
     S = [[s11, s12], [s12, s22]] given as (s11, s12, s22); returns the same
-    three entries of the product, summed in the order of (M S) M^T."""
+    three entries of the product, summed in the order of (M S) M^T.
+
+    Private, though the moment and energy paths use it, so that a traced
+    run counts its time in their layer."""
     s11, s12, s22 = s
     r11, r12 = m11 * s11 + m12 * s12, m11 * s12 + m12 * s22
     r21, r22 = m21 * s11 + m22 * s12, m21 * s12 + m22 * s22

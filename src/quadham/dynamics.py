@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import coefficients as coeff
-from .characteristic import Flow, classical_flow, congruence
+from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import ModelSpec
 from .errors import InvalidMoments, NoClosedForm
 from .invariants import catalog_coefficients
@@ -60,7 +60,7 @@ def evolve_second_moments(flow: Flow, m0: SecondMoments):
     def path(t: float) -> SecondMoments:
         p = flow.at(t)
         w = math.exp(-p.i)
-        x2, half_pxxp, p2 = congruence(p.m11, p.m12, p.m21, p.m22, s0)
+        x2, half_pxxp, p2 = _congruence(p.m11, p.m12, p.m21, p.m22, s0)
         return SecondMoments(w * p2, w * x2, 2.0 * w * half_pxxp,
                              w * m0.norm)
 

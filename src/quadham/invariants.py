@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from . import coefficients as coeff
-from .characteristic import Flow, classical_flow, congruence
+from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NonPositiveForm,
@@ -108,7 +108,7 @@ def solve_energy_system(flow: Flow, init):
         p = flow.at(t)
         w = math.exp(p.i)
         # M^{-T} of a flow with det M = 1
-        B, half_cd, A = congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
+        B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
         half = 0.5 * w * (C0 - D0)
         return QuadraticForm(A=w * A, B=w * B, C=w * half_cd + half,
                              D=w * half_cd - half, t=t)
