@@ -1,23 +1,29 @@
 """End-to-end timings of a quadham checkout: each CLI subcommand and each
-package import as a fresh subprocess, the classical flow in-process, and
-the wall time of the tier-1 suite.
+package import as a fresh subprocess, the classical flow, the kernel and
+the Gaussian propagator in-process, and the wall time of the tier-1 suite.
 
 Usage: python3 benchmarks/run.py --tag TAG [--root CHECKOUT]
+                                 [--against OTHER]
 
 Writes ``benchmarks/BENCH_<yyyymmdd>_<TAG>.json`` beside this script.
 Every subprocess timing is the median of 7 runs after one untimed run,
 measured with ``perf_counter`` from spawn to exit; one more untimed run
 under ``-X importtime`` records whether the subcommand loaded numpy.  The
-flow is timed in a child interpreter on the measured checkout's source:
-``classical_flow`` on the Caldirola-Kanai window of the subcommands and
-one ``Flow.at`` point, each the median and the best of 7 rounds, with the
-solver's counts.  The children run with ``PYTHONDONTWRITEBYTECODE=1``, so
-that each call compiles the package as the ``quadbench`` children do and
-the measured checkout is left as it was.  ``--root`` measures another
-checkout (for example the parent commit) with this same script, so two
-records compare like with like.  The record names the measured code
-twice: by ``git describe`` and by a sha256 of the package source, which
-stays exact for uncommitted changes.
+layers are timed in child interpreters on the measured checkout's source,
+one child per sample: ``classical_flow`` on the Caldirola-Kanai window of
+the subcommands, one ``Flow.at`` point, one ``kernel_parameters`` point,
+and the Gaussian propagation layer (one ``green_eval`` point and one
+``propagate_gaussian`` call), each the median and the best of 7 samples,
+with the solver's counts.  The children run with
+``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package as
+the ``quadbench`` children do and the measured checkout is left as it was.
+``--root`` measures another checkout (for example the parent commit) with
+this same script.  ``--against OTHER`` measures ``--root`` and OTHER
+together, alternating the two sample by sample in every subprocess and
+layer timing, so that a change in machine load falls on both alike; it
+writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  A
+record names the measured code twice: by ``git describe`` and by a sha256
+of the package source, which stays exact for uncommitted changes.
 """
 
 import argparse
@@ -56,27 +62,41 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
            "quadham.cli": "import quadham.cli",
            "quadham.dynamics": "import quadham.dynamics",
            "quadham.gridsim": "import quadham.gridsim"}
-# the in-process flow timings, run in a child on the measured source
-FLOW = """
-import json, statistics, timeit
+# the in-process layer timings, one sample per child on the measured
+# source: {row: per-call seconds}, plus the flow solver's counts
+LAYERS = """
+import json, timeit
 from quadham import characteristic as chm, coefficients as coeff
-tc = coeff.builtin_coefficients(
-    coeff.ModelSpec("caldirola_kanai", lam=0.2), coeff.HAMILTONIAN)
+from quadham import propagator as prop
+spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
+tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
 flow = chm.classical_flow(tc, 1.4)
+tc_eq = coeff.builtin_coefficients(spec, coeff.EQUATION)
+path = chm.solve_characteristic(tc_eq, 1.4)
+kp = chm.kernel_parameters(tc_eq, path, 0.7)
+s0 = prop.GaussianState(0.5j)
 
-def timing(fn, number):
-    per_call = [s / number for s in timeit.repeat(fn, number=number,
-                                                  repeat=7)]
-    return {"median_s": statistics.median(per_call), "best_s": min(per_call),
-            "samples_s": per_call}
+def per_call(fn, number):
+    fn()
+    return timeit.timeit(fn, number=number) / number
 
 sol = flow.solution
 print(json.dumps({
-    "classical_flow": dict(timing(lambda: chm.classical_flow(tc, 1.4), 50),
-                           t_end=1.4, nfev=sol.nfev, n_steps=sol.n_steps,
-                           n_rejected=sol.n_rejected),
-    "flow_at": dict(timing(lambda: flow.at(0.7), 5000), t=0.7)}))
+    "classical_flow": per_call(lambda: chm.classical_flow(tc, 1.4), 50),
+    "flow_at": per_call(lambda: flow.at(0.7), 5000),
+    "kernel_parameters": per_call(
+        lambda: chm.kernel_parameters(tc_eq, path, 0.7), 5000),
+    "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
+    "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),
+                                   20000),
+    "counts": {"nfev": sol.nfev, "n_steps": sol.n_steps,
+               "n_rejected": sol.n_rejected}}))
 """
+# what each layer row measured, beside its timings in the record
+LAYER_INPUTS = {"classical_flow": {"t_end": 1.4}, "flow_at": {"t": 0.7},
+                "kernel_parameters": {"t": 0.7},
+                "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
+                "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"}}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -102,10 +122,17 @@ def _time(args, root):
     return elapsed
 
 
-def _median(args, root):
-    _time(args, root)
-    samples = [_time(args, root) for _ in range(REPEATS)]
-    return {"median_s": statistics.median(samples), "samples_s": samples}
+def _medians(args, roots):
+    """The median of REPEATS timings of ``python ARGS`` in each checkout,
+    after one untimed run in each; the checkouts alternate run by run."""
+    for root in roots:
+        _time(args, root)
+    samples = [[] for _ in roots]
+    for _ in range(REPEATS):
+        for root, out in zip(roots, samples):
+            out.append(_time(args, root))
+    return [{"median_s": statistics.median(s), "samples_s": s}
+            for s in samples]
 
 
 def _loads_numpy(args, root):
@@ -119,17 +146,37 @@ def _loads_numpy(args, root):
                for line in proc.stderr.splitlines())
 
 
-def _command(argv, root):
+def _commands(argv, roots):
     args = ["-m", "quadham.cli", *argv]
-    return dict(_median(args, root), argv=argv,
-                loads_numpy=_loads_numpy(args, root))
+    return [dict(timing, argv=argv, loads_numpy=_loads_numpy(args, root))
+            for root, timing in zip(roots, _medians(args, roots))]
 
 
-def _flow(root):
-    proc = subprocess.run([sys.executable, "-c", FLOW], cwd=root,
+def _layer_sample(root):
+    proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=root,
                           env=_env(root), capture_output=True, text=True,
                           check=True)
     return json.loads(proc.stdout)
+
+
+def _layers(roots):
+    """The ``flow`` section of each checkout's record: REPEATS samples of
+    every layer row, one child per sample, the checkouts alternating."""
+    samples = [[] for _ in roots]
+    for _ in range(REPEATS):
+        for root, out in zip(roots, samples):
+            out.append(_layer_sample(root))
+    records = []
+    for runs in samples:
+        record = {}
+        for row, inputs in LAYER_INPUTS.items():
+            per_call = [run[row] for run in runs]
+            record[row] = dict(median_s=statistics.median(per_call),
+                               best_s=min(per_call), samples_s=per_call,
+                               **inputs)
+        record["classical_flow"].update(runs[0]["counts"])
+        records.append(record)
+    return records
 
 
 def _tier1(root):
@@ -177,31 +224,45 @@ def main(argv=None):
                     help="suffix of the record's file name")
     ap.add_argument("--root", default=os.path.dirname(HERE),
                     help="checkout to measure (default: this one)")
+    ap.add_argument("--against", default=None,
+                    help="second checkout to measure alternately with "
+                         "--root; its record gets the suffix TAG_against")
     args = ap.parse_args(argv)
-    root = os.path.abspath(args.root)
+    roots = [os.path.abspath(args.root)]
+    tags = [args.tag]
+    if args.against:
+        roots.append(os.path.abspath(args.against))
+        tags.append(f"{args.tag}_against")
 
     import numpy
     import scipy
-    record = {
-        "revision": _revision(root),
-        "source_sha256": _source_sha256(root),
-        "cpu": _cpu(), "cpus": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__, "scipy": scipy.__version__,
-        "repeats": REPEATS,
-        "imports": {name: _median(["-c", code], root)
-                    for name, code in IMPORTS.items()},
-        "commands": {name: _command(cli, root)
-                     for name, cli in COMMANDS.items()},
-        "flow": _flow(root),
-        "tier1": _tier1(root),
-    }
+    imports = {name: _medians(["-c", code], roots)
+               for name, code in IMPORTS.items()}
+    commands = {name: _commands(cli, roots)
+                for name, cli in COMMANDS.items()}
+    layers = _layers(roots)
+    names = [{"revision": _revision(root),
+              "source_sha256": _source_sha256(root)} for root in roots]
     day = datetime.date.today().strftime("%Y%m%d")
-    path = os.path.join(HERE, f"BENCH_{day}_{args.tag}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(path)
+    for i, (root, tag) in enumerate(zip(roots, tags)):
+        record = {
+            **names[i],
+            "cpu": _cpu(), "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "repeats": REPEATS,
+            "imports": {name: t[i] for name, t in imports.items()},
+            "commands": {name: t[i] for name, t in commands.items()},
+            "flow": layers[i],
+            "tier1": _tier1(root),
+        }
+        if len(roots) == 2:
+            record["alternated_with"] = names[1 - i]
+        path = os.path.join(HERE, f"BENCH_{day}_{tag}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(path)
     return 0
 
 

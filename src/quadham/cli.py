@@ -1,18 +1,19 @@
 """Command-line front end: model selection, sweeps, verification, export.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Failures
-emit a one-line JSON record naming the originating module and error code.
+emit a one-line JSON record naming the originating module and error code;
+a malformed command line is a validation error too.  An option's value may
+be a negative number in any form ``float`` reads (``--pxxp -1e-05``).
 
 Each subcommand imports the solver modules it runs inside its own
 function, so that a call pays only for what it uses: ``mu`` and ``kernel``
-load no moment dynamics.  The classical flow and everything built on it
-are plain float arithmetic, so only ``green`` and ``propagate`` (through
-the propagator) load numpy; ``list-models``, ``mu``, ``kernel``,
-``moments``, ``invariant``, ``uncertainty``, ``appendix_d`` and
-``verify_all`` run without it.
+load no moment dynamics.  The classical flow, everything built on it and
+the Gaussian propagator are plain float arithmetic, so no subcommand loads
+numpy; only the grid functions of the propagator and ``gridsim`` do.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -280,8 +281,40 @@ def cmd_verify_all(args):
     return 0 if all(ok for _, ok, _ in results) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a ValidationError, so that it ends in the JSON
+    record and exit 2 like any other refused input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negatives(argv):
+    """argv with each option followed by a negative number joined to it as
+    ``--flag=value``: argparse takes "-1e-05" or "-inf" for an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and _is_float(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+@functools.cache
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    # built once per process: a call of main from a test or a harness
+    # otherwise spends about 3 ms on the parser of all ten subcommands
+    ap = _Parser(
         prog="quadham",
         description="Numerical toolkit for variable quadratic quantum "
                     "Hamiltonians")
@@ -388,8 +421,9 @@ def _failing_module(exc) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = _build_parser().parse_args(_join_negatives(argv))
         _check_args(args)
         return args.fn(args)
     except (QuadhamError, ValueError, OSError, ArithmeticError) as exc:

@@ -14,8 +14,8 @@ def format_value(v) -> str:
     """Shortest exact decimal representation for floats, plain str otherwise."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    # numpy is not imported here (only ``green`` and ``propagate`` load
-    # it); a numpy scalar can only exist once something else has loaded it
+    # numpy is not imported here (no CLI subcommand loads it); a numpy
+    # scalar can only exist once something else has loaded it
     np = sys.modules.get("numpy")
     if isinstance(v, float) or (np is not None and isinstance(v, np.floating)):
         return repr(float(v))

@@ -6,6 +6,11 @@ Gaussian integral in closed form.  Grid states are propagated by trapezoid
 quadrature of the superposition integral; on uniform grids that sum is a
 chirp-z transform (chirp x Fourier x chirp), evaluated in O(N log N) with
 Bluestein's FFT convolution.
+
+The Gaussian and point-kernel layer is plain ``cmath``/``math``, so that
+importing this module loads no numpy; the grid functions (and
+``GaussianState.eval``, ``green_eval`` of array arguments) import it where
+they run.
 """
 
 from __future__ import annotations
@@ -13,9 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.fft import fft, ifft
 
 from .characteristic import MU_GUARD, KernelParameters
 from .errors import (CausticEncountered, DegenerateWidth, NonNormalizable,
@@ -44,6 +46,8 @@ class GaussianState:
                                   Lambda=self.Lambda)
 
     def eval(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return np.exp(1j * (self.Lambda * x ** 2 + self.Theta * x + self.Phi))
 
@@ -79,6 +83,8 @@ class GridState:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=complex))
         if not (self.dx > 0):
@@ -88,26 +94,36 @@ class GridState:
 
     @property
     def x(self) -> np.ndarray:
+        import numpy as np
+
         return self.x0 + self.dx * np.arange(self.values.size)
 
     def norm_sq(self) -> float:
+        import numpy as np
+
         return float(self.dx * np.sum(np.abs(self.values) ** 2))
 
 
-def green_eval(kp: KernelParameters, x, y) -> complex:
+def green_eval(kp: KernelParameters, x, y):
     """(2 pi i mu)^(-1/2) exp(i(alpha x^2 + beta x y + gamma y^2)),
-    principal branch."""
+    principal branch: a complex for real x and y, else an array of the
+    broadcast shape with the same value at each point."""
     if abs(kp.mu) < MU_GUARD:
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=kp.t)
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    phase = kp.alpha * x ** 2 + kp.beta * x * y + kp.gamma * y ** 2
-    # numpy's scalar complex product can differ from its array loop in the
-    # last bit; one array path gives a point the same value in any batch
-    val = pref * np.exp(1j * np.atleast_1d(phase))
-    return complex(val[0]) if phase.ndim == 0 else val
+
+    def point(x, y):
+        x, y = float(x), float(y)
+        phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
+        return pref * cmath.exp(1j * phase)
+
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        return point(x, y)
+    import numpy as np
+
+    val = np.vectorize(point, otypes=[complex])(x, y)
+    return complex(val) if val.ndim == 0 else val
 
 
 def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
@@ -165,6 +181,9 @@ def propagate_grid(kp: KernelParameters, phi: GridState,
         x0, dx, n = phi.x0, phi.dx, phi.values.size
     else:
         x0, dx, n = target_grid
+    import numpy as np
+    from numpy.fft import fft, ifft
+
     peak = float(np.max(np.abs(phi.values)))
     if peak == 0.0:
         return GridState(x0, dx, np.zeros(n, dtype=complex))

@@ -369,6 +369,45 @@ def test_error_records_are_strict_json(capsys, command, t_end):
     assert rec["info"] == {"t_end": t_end}
 
 
+def test_negative_values_in_any_float_form(capsys):
+    # argparse alone reads "-1e-05" and "-inf" as options, not values
+    base = ["moments", "--model", "simple_harmonic", "--t-end", "1",
+            "--samples", "3"]
+    joined = run(capsys, *base, "--pxxp=-1e-05")
+    assert joined[0] == 0
+    assert run(capsys, *base, "--pxxp", "-1e-05") == joined
+    code, out, err = run(capsys, "kernel", "--model", "simple_harmonic",
+                         "--t-end", "-inf")
+    assert code == 2
+    assert json.loads(err)["info"] == {"t_end": "-inf"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "--model", "simple_harmonic", "--t-end", "abc"],
+    ["mu", "--model", "simple_harmonic", "--t-end", "1", "--no-such-flag"],
+    ["mu", "--model", "simple_harmonic"],
+    ["no-such-command"], []],
+    ids=["bad_float", "unknown_flag", "missing_flag", "bad_command",
+         "no_command"])
+def test_argument_errors_give_json_record(capsys, argv):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err, parse_constant=refuse)
+    assert (rec["error"], rec["type"]) == ("validation", "ValidationError")
+    assert rec["module"] == "quadham.cli"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quadham mu")
+
+
 def test_jsonable_writes_non_finite_values_as_strings():
     from quadham.cli import _jsonable
 
@@ -472,8 +511,8 @@ def test_cli_and_gridsim_load_every_traced_module():
 def test_subcommands_import_only_what_they_run():
     # a top-level import of numpy or of a solver module would make every
     # CLI call pay for it; list-models needs no numpy, mu only the
-    # characteristic solve, and nothing built on the classical flow loads
-    # numpy: the first call that does is green's, through the propagator
+    # characteristic solve, and no subcommand loads numpy: the flow and the
+    # Gaussian propagator are plain float arithmetic
     stages = _run_fresh("""
 import contextlib, io, json, sys
 import quadham.cli
@@ -487,20 +526,22 @@ for argv in (["list-models"], ["mu", *model, "--t-end", "1"],
              ["appendix_d", "--lambda", "0.2", "--omega", "1",
               "--t-end", "3"],
              ["verify_all", "--model", "united"],
-             ["green", *model, "--t", "1", "--x", "0.3", "--y", "-0.2"]):
+             ["green", *model, "--t", "1", "--x", "0.3", "--y", "-0.2"],
+             ["propagate", *model, "--t-end", "1.4"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = quadham.cli.main(argv)
     stages.append([argv[0], code, sorted(sys.modules)])
 print(json.dumps(stages))
 """)
     loaded = {name: set(modules) for name, _, modules in stages}
-    assert [code for _, code, _ in stages] == [0] * 10
+    assert [code for _, code, _ in stages] == [0] * 11
     assert not loaded["mu"] & {"quadham.invariants", "quadham.dynamics",
                                "quadham.propagator"}
-    for name in ("import", "list-models", "mu", "kernel", "moments",
-                 "invariant", "uncertainty", "appendix_d", "verify_all"):
+    for name, _, _ in stages:
         assert "numpy" not in loaded[name], name
-    assert "numpy" in loaded["green"]
+    assert "quadham.propagator" in loaded["green"]
+    assert _run_fresh("import json, sys, quadham.propagator; "
+                      "print(json.dumps('numpy' in sys.modules))") is False
 
 
 @example(0.0, 1.0, 1)

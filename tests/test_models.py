@@ -6,6 +6,7 @@ import csv
 import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from quadham.cli import main
 from quadham.errors import (CausticEncountered, InvalidModelParams,
                             NoClosedForm, QuadhamError)
 
-# the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL, MOMENT_TOL,
-# DRIFT_TOL)
+# the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL,
+# PROPAGATE_TOL, MOMENT_TOL, DRIFT_TOL)
 KERNEL_TOL = 1e-7
+PROPAGATE_TOL = 1e-6
 MOMENT_TOL = 1e-8
 DRIFT_TOL = 1e-8
 
@@ -186,3 +188,90 @@ def test_cli_mu_and_moments_match_closed_forms(model_id, omega0, lam,
                 spec, dyn.SecondMoments(m0["p2"], m0["x2"], m0["pxxp"]), t)
             assert _close(A * p2 + B * x2 + 0.5 * C * pxxp, want,
                           MOMENT_TOL), t
+
+
+def _cli_stdout(argv):
+    """The stdout of a CLI call, or None when the call exits 2 or 3 with a
+    strict-JSON record of a typed error."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        return out.getvalue()
+    assert code in (2, 3), err.getvalue()
+    assert out.getvalue() == ""
+    assert json.loads(err.getvalue(), parse_constant=refuse)["type"] in \
+        _error_types()
+    return None
+
+
+def _before_caustic(spec, horizon, points=100):
+    """A time before the first zero of the closed-form mu in (0, horizon]:
+    the last point of a uniform grid before mu changes sign, or inf."""
+    ts = [horizon * (i + 1) / points for i in range(points)]
+    mus = [chr_mod.closed_form_mu(spec, t)[0] for t in ts]
+    for i in range(points - 1):
+        if mus[i] * mus[i + 1] <= 0.0:
+            return ts[i]
+    return math.inf
+
+
+@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
+       point=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_cli_green_and_propagate_match_closed_forms(model_id, omega0, lam,
+                                                    mu_param, delta, t_end,
+                                                    samples, width, shift,
+                                                    point):
+    # as quadbench/oracles.py cli_green and cli_propagate check them, on
+    # windows before 0.9 x the first caustic and inside the stated limit
+    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+    try:
+        spec.validate()
+    except InvalidModelParams:
+        reject()
+    t_end = min(t_end, 0.98 * spec.model.t_max,
+                0.89 * _before_caustic(spec, t_end))
+    model = ["--model", model_id, f"--omega0={omega0!r}", f"--lambda={lam!r}",
+             f"--mu-param={mu_param!r}", f"--delta={delta!r}"]
+
+    x, y = point
+    text = _cli_stdout(["green", *model, f"--t={t_end!r}", f"--x={x!r}",
+                        f"--y={y!r}"])
+    if text is not None:
+        out = json.loads(text)
+        ref = prop.green_eval(chr_mod.closed_form_kernel(spec, t_end), x, y)
+        assert _close(out["re"], ref.real) and _close(out["im"], ref.imag)
+
+    text = _cli_stdout(["propagate", *model, f"--t-end={t_end!r}",
+                        f"--samples={samples}",
+                        f"--lambda-re={width[0]!r}",
+                        f"--lambda-im={width[1]!r}",
+                        f"--theta-re={shift[0]!r}",
+                        f"--theta-im={shift[1]!r}"])
+    if text is None:
+        return
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["t", "lambda_re", "lambda_im", "theta_re", "theta_im",
+                       "phi_re", "phi_im", "norm", "x_mean", "p_mean"]
+    rows = [[float(v) for v in row] for row in rows[1:]]
+    ts = [row[0] for row in rows]
+    assert len(ts) == samples and 0.0 < ts[0] and ts[-1] <= t_end
+    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+    sweep = prop.gaussian_sweep(
+        lambda t: chr_mod.closed_form_kernel(spec, t), ts, s0)
+    for row, s in zip(rows, sweep):
+        m = s.moments()
+        want = (s.Lambda.real, s.Lambda.imag, s.Theta.real, s.Theta.imag,
+                s.Phi.real, s.Phi.imag, m["norm"], m["x"], m["p"])
+        for got, ref in zip(row[1:], want):
+            assert _close(got, ref, PROPAGATE_TOL), row[0]
