@@ -1,6 +1,7 @@
 """End-to-end timings of a quadham checkout: each CLI subcommand and each
-package import as a fresh subprocess, the classical flow, the kernel and
-the Gaussian propagator in-process, and the wall time of the tier-1 suite.
+package import as a fresh subprocess, the classical flow, the kernel, the
+Gaussian propagator and the grid layers in-process, and the wall time of
+the tier-1 suite.
 
 Usage: python3 benchmarks/run.py --tag TAG [--root CHECKOUT]
                                  [--against OTHER]
@@ -8,13 +9,16 @@ Usage: python3 benchmarks/run.py --tag TAG [--root CHECKOUT]
 Writes ``benchmarks/BENCH_<yyyymmdd>_<TAG>.json`` beside this script.
 Every subprocess timing is the median of 7 runs after one untimed run,
 measured with ``perf_counter`` from spawn to exit; one more untimed run
-under ``-X importtime`` records whether the subcommand loaded numpy.  The
-layers are timed in child interpreters on the measured checkout's source,
-one child per sample: ``classical_flow`` on the Caldirola-Kanai window of
-the subcommands, one ``Flow.at`` point, one ``kernel_parameters`` point,
-and the Gaussian propagation layer (one ``green_eval`` point and one
-``propagate_gaussian`` call), each the median and the best of 7 samples,
-with the solver's counts.  The children run with
+under ``-X importtime`` records whether the subcommand loaded numpy and
+its ``import_s``, the summed cumulative time of the top-level imports.
+The layers are timed in child interpreters on the measured checkout's
+source, one child per sample: ``classical_flow`` on the Caldirola-Kanai
+window of the subcommands, one ``Flow.at`` point, one ``kernel_parameters``
+point, the Gaussian propagation layer (one ``green_eval`` point and one
+``propagate_gaussian`` call) and the grid layers (a Crank-Nicolson step,
+per step of a 64-step ``evolve_grid`` run, at N = 256 and 4096, and one
+``propagate_grid`` at N = 4096), each the median and the best of 7
+samples, with the solver's counts.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package as
 the ``quadbench`` children do and the measured checkout is left as it was.
 ``--root`` measures another checkout (for example the parent commit) with
@@ -80,6 +84,19 @@ def per_call(fn, number):
     fn()
     return timeit.timeit(fn, number=number) / number
 
+# the grid layers: a Gaussian on [-8, 8], its tails below 1e-13
+import numpy as np
+from quadham import gridsim
+
+def grid(n):
+    x = np.linspace(-8.0, 8.0, n)
+    return prop.GridState(-8.0, x[1] - x[0], np.exp(-0.5 * x * x + 0j))
+
+def cn_step(n):
+    psi0 = grid(n)
+    return lambda: gridsim.evolve_grid(tc, psi0, 1e-3, 64, record_every=64)
+
+grid_4096 = grid(4096)
 sol = flow.solution
 print(json.dumps({
     "classical_flow": per_call(lambda: chm.classical_flow(tc, 1.4), 50),
@@ -89,6 +106,10 @@ print(json.dumps({
     "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
     "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),
                                    20000),
+    "cn_step_256": per_call(cn_step(256), 20) / 64,
+    "cn_step_4096": per_call(cn_step(4096), 5) / 64,
+    "propagate_grid": per_call(lambda: prop.propagate_grid(kp, grid_4096),
+                               50),
     "counts": {"nfev": sol.nfev, "n_steps": sol.n_steps,
                "n_rejected": sol.n_rejected}}))
 """
@@ -96,7 +117,10 @@ print(json.dumps({
 LAYER_INPUTS = {"classical_flow": {"t_end": 1.4}, "flow_at": {"t": 0.7},
                 "kernel_parameters": {"t": 0.7},
                 "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
-                "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"}}
+                "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"},
+                "cn_step_256": {"n": 256, "dt": 1e-3, "steps": 64},
+                "cn_step_4096": {"n": 4096, "dt": 1e-3, "steps": 64},
+                "propagate_grid": {"t": 0.7, "n": 4096}}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -135,20 +159,30 @@ def _medians(args, roots):
             for s in samples]
 
 
-def _loads_numpy(args, root):
-    """Whether one ``python ARGS`` run imports numpy, from the module
-    names that ``-X importtime`` writes to stderr."""
+def _importtime(args, root):
+    """From one ``python -X importtime ARGS`` run: whether it imported
+    numpy, and ``import_s``, the summed cumulative time of its top-level
+    imports (the interpreter's own start-up imports included)."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           cwd=root, env=_env(root), stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True, check=True)
-    return any(line.startswith("import time:")
-               and line.rsplit("|", 1)[-1].strip() == "numpy"
-               for line in proc.stderr.splitlines())
+    names, top_us = set(), 0
+    for line in proc.stderr.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        _, cumulative, name = line.split("|")
+        if not cumulative.strip().isdigit():  # the header line
+            continue
+        names.add(name.strip())
+        # a nested import is indented two spaces per level
+        if not name.startswith("  "):
+            top_us += int(cumulative)
+    return {"loads_numpy": "numpy" in names, "import_s": top_us * 1e-6}
 
 
 def _commands(argv, roots):
     args = ["-m", "quadham.cli", *argv]
-    return [dict(timing, argv=argv, loads_numpy=_loads_numpy(args, root))
+    return [dict(timing, argv=argv, **_importtime(args, root))
             for root, timing in zip(roots, _medians(args, roots))]
 
 

@@ -9,15 +9,26 @@ Each subcommand imports the solver modules it runs inside its own
 function, so that a call pays only for what it uses: ``mu`` and ``kernel``
 load no moment dynamics.  The classical flow, everything built on it and
 the Gaussian propagator are plain float arithmetic, so no subcommand loads
-numpy; only the grid functions of the propagator and ``gridsim`` do.
+numpy; only the grid functions of the propagator and ``gridsim`` do.  The
+standard library goes the same way: ``json`` loads for ``green``,
+``invariant``, ``list-models --json`` and an error record, ``csv`` for the
+subcommands that write a table, and ``traceback`` only for an error
+record.
+
+``main`` flushes stdout as the last step of a call, so that a failed flush
+(a closed pipe) ends in the error record with exit 2.  Run as ``python -m
+quadham.cli``, the process then ends with ``os._exit``, which skips the
+interpreter's teardown.  That is safe while every output is flushed,
+every ``--out`` file is closed by its ``with`` block, and nothing in the
+package registers an ``atexit`` handler or starts a thread.  Callers of
+``main`` in-process keep the normal exit.
 """
 
 import argparse
 import functools
-import json
 import math
+import os
 import sys
-import traceback
 
 from . import coefficients as coeff
 from . import io as qio
@@ -409,6 +420,8 @@ def _jsonable(value):
 
 
 def _failing_module(exc) -> str:
+    import traceback
+
     mod = "quadham"
     for frame, _ in traceback.walk_tb(exc.__traceback__):
         # under `python -m quadham.cli` the CLI's __name__ is __main__;
@@ -425,8 +438,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(_join_negatives(argv))
         _check_args(args)
-        return args.fn(args)
+        code = args.fn(args)
+        # a failed flush (a closed pipe) is a failed write: it ends in the
+        # record below, not at interpreter exit
+        sys.stdout.flush()
     except (QuadhamError, ValueError, OSError, ArithmeticError) as exc:
+        import json
+
         # overflow or a division by zero in the model's formulas is a
         # numerical failure of the inputs, not a crash
         typed = isinstance(exc, QuadhamError)
@@ -439,7 +457,15 @@ def main(argv=None) -> int:
                            for k, v in (exc.info if typed else {}).items()}}
         print(json.dumps(record, allow_nan=False), file=sys.stderr)
         return 2 if validation else 3
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    sys.stderr.flush()
+    # End without interpreter teardown.  Safe because main has flushed
+    # stdout, stderr is flushed above, every --out file is closed by its
+    # ``with`` block, and nothing in the package registers ``atexit``
+    # handlers or starts a thread.  An uncaught exception, and argparse's
+    # SystemExit for --help, leave through the normal teardown.
+    os._exit(code)

@@ -3,10 +3,10 @@
 CSV output uses RFC-4180 quoting and shortest round-trip float formatting
 so files can be diffed byte-wise across runs.  Config files are plain
 key=value sections (INI syntax); command-line flags override file values.
+``csv``, ``json`` and ``configparser`` are imported by the functions that
+use them, so that a CLI call loads only the format it writes.
 """
 
-import csv
-import json
 import sys
 
 
@@ -24,6 +24,7 @@ def format_value(v) -> str:
 
 def write_csv(path, header, rows):
     """Write rows (iterables of values) with RFC-4180 quoting."""
+    import csv
 
     def emit(fh):
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
@@ -41,6 +42,8 @@ def write_csv(path, header, rows):
 def read_csv(path):
     """Read a CSV written by write_csv; returns (header, list of rows of
     strings)."""
+    import csv
+
     with open(path, "r", newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -49,6 +52,8 @@ def read_csv(path):
 
 def write_json(path, obj):
     """UTF-8 JSON with keys kept in insertion order."""
+    import json
+
     text = json.dumps(obj, indent=2, sort_keys=False)
     if path in (None, "-"):
         sys.stdout.write(text + "\n")

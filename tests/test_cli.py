@@ -644,6 +644,77 @@ def test_error_module_under_python_m():
     assert json.loads(proc.stderr.strip())["module"] == "quadham.cli"
 
 
+def _child_env():
+    """The environment of a ``python -m quadham.cli`` child: the package on
+    its path and PYTHONUNBUFFERED unset, so that a lost flush shows."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(quadham.__file__))
+    return env
+
+
+GREEN_ARGV = ["green", "--model", "simple_harmonic", "--t", "0.5", "--x",
+              "0.1", "--y", "0.2"]
+
+
+def test_closed_stdout_gives_the_record():
+    # the flush of a short output into a pipe whose reader has gone failed
+    # at interpreter exit: "Exception ignored ... BrokenPipeError", exit 120
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadham.cli", *GREEN_ARGV], stdout=write,
+            stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    rec = json.loads(proc.stderr, parse_constant=refuse)
+    assert (rec["error"], rec["type"]) == ("validation", "BrokenPipeError")
+
+
+def test_subprocess_output_is_complete(capsys, tmp_path):
+    # more than a pipe's buffer, so that the output leaves in several
+    # writes and the exit must not drop what is still buffered
+    argv = ["kernel", "--model", "caldirola_kanai", "--lambda", "0.2",
+            "--t-end", "1.4", "--samples", "5000"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    cli = [sys.executable, "-m", "quadham.cli", *argv]
+    proc = subprocess.run(cli, env=_child_env(), capture_output=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == want.encode()
+    path = tmp_path / "kernel.csv"
+    proc = subprocess.run(cli + ["--out", str(path)], env=_child_env(),
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert path.read_bytes() == want.encode()
+
+
+def test_json_csv_and_traceback_load_only_where_used():
+    def imported(argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "quadham.cli", *argv],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    mu = imported(["mu", "--model", "simple_harmonic", "--t-end", "1"])
+    assert "csv" in mu
+    assert not mu & {"json", "traceback"}
+    green = imported(GREEN_ARGV)
+    assert "json" in green
+    assert "csv" not in green
+
+
 def test_missing_model_is_validation_error(capsys):
     code, out, err = run(capsys, "mu", "--t-end", "1.0")
     assert code == 2

@@ -104,19 +104,31 @@ def _error_types():
     return found
 
 
-def _cli_rows(argv, header):
-    """The CSV rows of a CLI call as floats, or None when the call exits 2
-    or 3 with a strict-JSON record of a typed error."""
+def _cli_stdout(argv):
+    """The stdout of a CLI call, or None when the call exits 2 or 3 with a
+    strict-JSON record of a typed error."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    if code != 0:
-        assert code in (2, 3), err.getvalue()
-        assert out.getvalue() == ""
-        record = json.loads(err.getvalue(), parse_constant=float.fromhex)
-        assert record["type"] in _error_types()
+    if code == 0:
+        return out.getvalue()
+    assert code in (2, 3), err.getvalue()
+    assert out.getvalue() == ""
+    assert json.loads(err.getvalue(), parse_constant=refuse)["type"] in \
+        _error_types()
+    return None
+
+
+def _cli_rows(argv, header):
+    """The CSV rows of a CLI call as floats, or None when the call exits 2
+    or 3 with a strict-JSON record of a typed error."""
+    text = _cli_stdout(argv)
+    if text is None:
         return None
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == header
     return [[float(v) for v in row] for row in rows[1:]]
 
@@ -190,24 +202,6 @@ def test_cli_mu_and_moments_match_closed_forms(model_id, omega0, lam,
                           MOMENT_TOL), t
 
 
-def _cli_stdout(argv):
-    """The stdout of a CLI call, or None when the call exits 2 or 3 with a
-    strict-JSON record of a typed error."""
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    if code == 0:
-        return out.getvalue()
-    assert code in (2, 3), err.getvalue()
-    assert out.getvalue() == ""
-    assert json.loads(err.getvalue(), parse_constant=refuse)["type"] in \
-        _error_types()
-    return None
-
-
 def _before_caustic(spec, horizon, points=100):
     """A time before the first zero of the closed-form mu in (0, horizon]:
     the last point of a uniform grid before mu changes sign, or inf."""
@@ -275,3 +269,53 @@ def test_cli_green_and_propagate_match_closed_forms(model_id, omega0, lam,
                 s.Phi.real, s.Phi.imag, m["norm"], m["x"], m["p"])
         for got, ref in zip(row[1:], want):
             assert _close(got, ref, PROPAGATE_TOL), row[0]
+
+
+@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
+def test_cli_kernel_and_uncertainty_match_closed_forms(model_id, omega0, lam,
+                                                       mu_param, delta,
+                                                       t_end, samples, width,
+                                                       shift):
+    # the windows of the green/propagate sweep; kernel rows against the
+    # closed-form kernel, the uncertainty variances against those of the
+    # closed-form Gaussian moments
+    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+    try:
+        spec.validate()
+    except InvalidModelParams:
+        reject()
+    t_end = min(t_end, 0.98 * spec.model.t_max,
+                0.89 * _before_caustic(spec, t_end))
+    flags = ["--model", model_id, f"--omega0={omega0!r}", f"--lambda={lam!r}",
+             f"--mu-param={mu_param!r}", f"--delta={delta!r}",
+             f"--t-end={t_end!r}", f"--samples={samples}"]
+
+    fields = ["t", "mu", "mu_prime", "h", "alpha", "beta", "gamma"]
+    rows = _cli_rows(["kernel", *flags], fields)
+    for t, *values in rows or ():
+        assert 0.0 < t <= t_end
+        ref = chr_mod.closed_form_kernel(spec, t)
+        for name, got in zip(fields[1:], values):
+            assert _close(got, getattr(ref, name)), (name, t)
+
+    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+    m0 = _gaussian_moments(spec, s0, 0.0)
+    rows = _cli_rows(["uncertainty", *flags,
+                      *(f"--{k}={m0[k]!r}" for k in ("p2", "x2", "pxxp")),
+                      f"--x-mean={m0['x']!r}", f"--p-mean={m0['p']!r}"],
+                     ["t", "dp2", "dx2", "margin", "excess"])
+    for t, dp2, dx2, _, _ in rows or ():
+        ref = _gaussian_moments(spec, s0, t)
+        if ref is None:
+            continue
+        assert _close(dp2, ref["p2"] - ref["p"] ** 2 / ref["norm"],
+                      MOMENT_TOL), t
+        assert _close(dx2, ref["x2"] - ref["x"] ** 2 / ref["norm"],
+                      MOMENT_TOL), t
