@@ -12,13 +12,17 @@ measured with ``perf_counter`` from spawn to exit; one more untimed run
 under ``-X importtime`` records whether the subcommand loaded numpy and
 its ``import_s``, the summed cumulative time of the top-level imports.
 The layers are timed in child interpreters on the measured checkout's
-source, one child per sample: ``classical_flow`` on the Caldirola-Kanai
-window of the subcommands, one ``Flow.at`` point, one ``kernel_parameters``
-point, the Gaussian propagation layer (one ``green_eval`` point and one
-``propagate_gaussian`` call) and the grid layers (a Crank-Nicolson step,
-per step of a 64-step ``evolve_grid`` run, at N = 256 and 4096, and one
-``propagate_grid`` at N = 4096), each the median and the best of 7
-samples, with the solver's counts.  The children run with
+source, one child per sample: one evaluation of the coefficients
+(a, b, c, d) the flow reads, ``classical_flow`` on the Caldirola-Kanai
+window of the subcommands and on a window of the tier-1 moment check
+(criterion 3: the catalogued Caldirola-Kanai invariant, t_end 2), one
+``Flow.at`` point, one point of the second-moment path, one
+``kernel_parameters`` point, the Gaussian propagation layer (one
+``green_eval`` point and one ``propagate_gaussian`` call) and the grid
+layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
+at N = 256 and 4096, and one ``propagate_grid`` at N = 4096), each the
+median and the best of 7 samples, with the solver's counts for each
+solve.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package as
 the ``quadbench`` children do and the measured checkout is left as it was.
 ``--root`` measures another checkout (for example the parent commit) with
@@ -71,11 +75,18 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
 LAYERS = """
 import json, timeit
 from quadham import characteristic as chm, coefficients as coeff
+from quadham import dynamics as dyn, invariants as inv
 from quadham import propagator as prop
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
 flow = chm.classical_flow(tc, 1.4)
 tc_eq = coeff.builtin_coefficients(spec, coeff.EQUATION)
+# criterion 3's moment check on the catalogued Caldirola-Kanai invariant
+tc_inv = inv.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
+                                                  0.1))
+moment_flow = chm.classical_flow(tc_inv, 2.0)
+moments = dyn.evolve_second_moments(moment_flow,
+                                    dyn.SecondMoments(0.8, 0.7, 0.1))
 path = chm.solve_characteristic(tc_eq, 1.4)
 kp = chm.kernel_parameters(tc_eq, path, 0.7)
 s0 = prop.GaussianState(0.5j)
@@ -96,11 +107,20 @@ def cn_step(n):
     psi0 = grid(n)
     return lambda: gridsim.evolve_grid(tc, psi0, 1e-3, 64, record_every=64)
 
+def counts(f):
+    sol = f.solution
+    return {"nfev": sol.nfev, "n_steps": sol.n_steps,
+            "n_rejected": sol.n_rejected}
+
 grid_4096 = grid(4096)
-sol = flow.solution
 print(json.dumps({
+    "coefficients": per_call(
+        lambda: (tc_eq.a(0.7), tc_eq.b(0.7), tc_eq.c(0.7), tc_eq.d(0.7)),
+        20000),
     "classical_flow": per_call(lambda: chm.classical_flow(tc, 1.4), 50),
+    "moment_flow": per_call(lambda: chm.classical_flow(tc_inv, 2.0), 50),
     "flow_at": per_call(lambda: flow.at(0.7), 5000),
+    "moment_point": per_call(lambda: moments(0.7), 5000),
     "kernel_parameters": per_call(
         lambda: chm.kernel_parameters(tc_eq, path, 0.7), 5000),
     "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
@@ -110,11 +130,15 @@ print(json.dumps({
     "cn_step_4096": per_call(cn_step(4096), 5) / 64,
     "propagate_grid": per_call(lambda: prop.propagate_grid(kp, grid_4096),
                                50),
-    "counts": {"nfev": sol.nfev, "n_steps": sol.n_steps,
-               "n_rejected": sol.n_rejected}}))
+    "counts": {"classical_flow": counts(flow),
+               "moment_flow": counts(moment_flow)}}))
 """
 # what each layer row measured, beside its timings in the record
-LAYER_INPUTS = {"classical_flow": {"t_end": 1.4}, "flow_at": {"t": 0.7},
+LAYER_INPUTS = {"coefficients": {"t": 0.7},
+                "classical_flow": {"t_end": 1.4},
+                "moment_flow": {"model": "caldirola_kanai", "lambda": 0.1,
+                                "t_end": 2.0},
+                "flow_at": {"t": 0.7}, "moment_point": {"t": 0.7},
                 "kernel_parameters": {"t": 0.7},
                 "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
                 "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"},
@@ -208,7 +232,8 @@ def _layers(roots):
             record[row] = dict(median_s=statistics.median(per_call),
                                best_s=min(per_call), samples_s=per_call,
                                **inputs)
-        record["classical_flow"].update(runs[0]["counts"])
+        for row, counts in runs[0]["counts"].items():
+            record[row].update(counts)
         records.append(record)
     return records
 

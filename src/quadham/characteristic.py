@@ -14,7 +14,9 @@ exp(i(alpha x^2 + beta x y + gamma y^2))`` is its generating function:
 
 mu solves the characteristic equation with ``mu(0) = 0``,
 ``mu'(0) = 2 a(0)``.  The flow needs no derivative of the coefficients and
-no division by a(t); it is integrated with ``quadham.ode``.  The printed
+no division by a(t).  ``quadham.ode`` integrates it by 6th-order Magnus
+steps, which keep det M = 1 to rounding, with one tolerance on every path,
+FLOW_TOL, and dense output by one sub-step from a step point.  The printed
 mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -33,9 +35,9 @@ from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import bracket_sign_change, solve_ivp
 
 MU_GUARD = 1e-10
-# the flow's relative tolerance on the kernel path and on every other path
-KERNEL_RTOL = 1e-10
-PATH_RTOL = 1e-12
+# the flow's tolerance on every path: the error of one step in M relative to
+# |M|, plus that of I
+FLOW_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class Flow:
     extrapolate.  The first caustic and the scale of mu are found once, on
     a forward window."""
 
-    def __init__(self, solution, tc: TimeCoefficients, tol: float = PATH_RTOL):
-        self.solution, self.tc, self.tol = solution, tc, tol
+    def __init__(self, solution, tc: TimeCoefficients):
+        self.solution, self.tc = solution, tc
         self.t_end = float(solution.t[-1])
         self._eq = convert_convention(tc, EQUATION)
 
@@ -125,34 +127,23 @@ class Flow:
             return None
         c0, c1 = grid[hit], grid[hit + 1]
         # locate the zero on the dense output and widen it by a margin
-        # that holds the exact zero too (within about tol * t_end of it)
+        # that holds the exact zero too (within about FLOW_TOL * t_end of it)
         lo, hi = bracket_sign_change(lambda t: self.at(t).m12, c0, c1)
-        pad = math.sqrt(self.tol) * abs(self.t_end)
+        pad = math.sqrt(FLOW_TOL) * abs(self.t_end)
         return max(c0, lo - pad), min(c1, hi + pad)
 
 
-def classical_flow(tc: TimeCoefficients, t_end: float,
-                   tol: float = PATH_RTOL) -> Flow:
+def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
     """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
     with dense output; ``tc`` may be in either convention."""
     if not math.isfinite(t_end):
         raise ValidationError("the window must be finite", t_end=t_end)
     tc.require_window(t_end)
+    # equation convention: c = c_H + d_H and d = c_H, so the drift is c and
+    # I' = c_H - d_H = 2 d - c
     eq = convert_convention(tc, EQUATION)
-    a, b, c, d = eq.a, eq.b, eq.c, eq.d
-
-    def rhs(t, y):
-        # equation convention: c = c_H + d_H and d = c_H, so the drift is
-        # c and I' = c_H - d_H = 2 d - c
-        m11, m12, m21, m22, _ = y
-        two_a, two_b, s = 2.0 * a(t), 2.0 * b(t), c(t)
-        return [two_a * m21 + s * m11, two_a * m22 + s * m12,
-                -two_b * m11 - s * m21, -two_b * m12 - s * m22,
-                2.0 * d(t) - s]
-
-    sol = solve_ivp(rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0],
-                    rtol=tol, atol=tol * 1e-2, max_step=abs(t_end) / 16)
-    return Flow(sol, tc, tol)
+    sol = solve_ivp((eq.a, eq.b, eq.c, eq.d), (0.0, t_end), FLOW_TOL)
+    return Flow(sol, tc)
 
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:
@@ -164,7 +155,7 @@ def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:
     if t_end >= tc.t_max:
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)
-    return classical_flow(tc, t_end, KERNEL_RTOL)
+    return classical_flow(tc, t_end)
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:

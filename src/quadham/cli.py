@@ -436,7 +436,12 @@ def _failing_module(exc) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(_join_negatives(argv))
+        try:
+            args = _build_parser().parse_args(_join_negatives(argv))
+        except SystemExit:
+            # --help has written the usage: flush it here too, as below
+            sys.stdout.flush()
+            raise
         _check_args(args)
         code = args.fn(args)
         # a failed flush (a closed pipe) is a failed write: it ends in the
@@ -467,5 +472,6 @@ if __name__ == "__main__":
     # stdout, stderr is flushed above, every --out file is closed by its
     # ``with`` block, and nothing in the package registers ``atexit``
     # handlers or starts a thread.  An uncaught exception, and argparse's
-    # SystemExit for --help, leave through the normal teardown.
+    # SystemExit for --help (after main's flush), leave through the normal
+    # teardown.
     os._exit(code)

@@ -264,7 +264,7 @@ def test_first_caustic_matches_scan(mu):
     # output with a margin of sqrt(tol) * t_end either side
     i = int(scan[0])
     zero = i + mu[i] / (mu[i] - mu[i + 1])
-    pad = math.sqrt(flow.tol) * flow.t_end
+    pad = math.sqrt(chr_mod.FLOW_TOL) * flow.t_end
     lo, hi = caustic
     assert scan[0] <= lo <= zero <= hi <= scan[1]
     assert hi - lo <= 2.0 * pad + 1e-12

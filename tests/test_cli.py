@@ -220,6 +220,35 @@ def test_moments_cmd(capsys):
     assert all(abs(float(r[n_i]) - 1.0) < 1e-10 for r in rows)
 
 
+def test_sho_moments_on_a_long_window(capsys):
+    # the oscillator's flow takes a step per quarter turn or so; the step
+    # budget of the generic solver ran out at t = 639
+    code, out, err = run(capsys, "moments", "--model", "simple_harmonic",
+                         "--p2", "2", "--x2", "0.5", "--t-end", "1000")
+    assert code == 0, err
+    header, *rows = [ln.split(",") for ln in out.splitlines() if ln.strip()]
+    assert header == ["t", "p2", "x2", "pxxp", "norm"]
+    assert len(rows) == 50
+    for row in rows:
+        t, p2, x2, pxxp, norm = map(float, row)
+        # x(t) = x cos t + p sin t, p(t) = p cos t - x sin t
+        c, s = math.cos(t), math.sin(t)
+        want = (2.0 * c * c + 0.5 * s * s, 0.5 * c * c + 2.0 * s * s,
+                3.0 * s * c, 1.0)
+        assert (p2, x2, pxxp, norm) == pytest.approx(want, abs=1e-8)
+
+
+def test_damped_moments_on_a_long_window(capsys):
+    # about 34 steps per unit of t: past the 3,500 steps the budget held
+    # before the flow took Magnus steps
+    code, out, err = run(capsys, "moments", "--model", "caldirola_kanai",
+                         "--lambda", "0.1", "--t-end", "400")
+    assert code == 0, err
+    rows = [ln.split(",") for ln in out.splitlines()[1:] if ln.strip()]
+    assert len(rows) == 50
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_invariant_cmd(capsys):
     code, out, err = run(capsys, "invariant", "--model", "caldirola_kanai",
                          "--omega0", "1.0", "--lambda", "0.1",
@@ -676,6 +705,38 @@ def test_closed_stdout_gives_the_record():
     assert len(proc.stderr.splitlines()) == 1
     rec = json.loads(proc.stderr, parse_constant=refuse)
     assert (rec["error"], rec["type"]) == ("validation", "BrokenPipeError")
+
+
+@pytest.mark.parametrize("argv", [["mu", "--help"], ["--help"]],
+                         ids=["subcommand", "top"])
+def test_help_into_a_closed_stdout_gives_the_record(argv):
+    # argparse writes the usage and raises SystemExit out of main; its
+    # flush at interpreter exit failed: "Exception ignored", exit 120
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadham.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Exception ignored" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    rec = json.loads(proc.stderr, parse_constant=refuse)
+    assert (rec["error"], rec["type"]) == ("validation", "BrokenPipeError")
+
+
+def test_help_into_an_open_pipe():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadham.cli", "mu", "--help"],
+        capture_output=True, env=_child_env(), text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: quadham mu")
+    assert proc.stderr == ""
 
 
 def test_subprocess_output_is_complete(capsys, tmp_path):

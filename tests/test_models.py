@@ -319,3 +319,44 @@ def test_cli_kernel_and_uncertainty_match_closed_forms(model_id, omega0, lam,
                       MOMENT_TOL), t
         assert _close(dx2, ref["x2"] - ref["x"] ** 2 / ref["norm"],
                       MOMENT_TOL), t
+
+
+@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
+def test_cli_invariant_matches_closed_forms(model_id, omega0, lam, mu_param,
+                                            delta, t_end, samples, width,
+                                            shift):
+    # the record as quadbench/oracles.py cli_invariant checks it, on
+    # windows inside the model's stated limit; a model without a catalogued
+    # invariant exits 2
+    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+    try:
+        spec.validate()
+    except InvalidModelParams:
+        reject()
+    t_end = min(t_end, 0.98 * spec.model.t_max)
+    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+    m0 = _gaussian_moments(spec, s0, 0.0)
+    text = _cli_stdout(
+        ["invariant", "--model", model_id, f"--omega0={omega0!r}",
+         f"--lambda={lam!r}", f"--mu-param={mu_param!r}",
+         f"--delta={delta!r}", f"--t-end={t_end!r}", f"--samples={samples}",
+         *(f"--{k}={m0[k]!r}" for k in ("p2", "x2", "pxxp"))])
+    if text is None:
+        return
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    record = json.loads(text, parse_constant=refuse)
+    assert (record["model"], record["t_end"]) == (model_id, t_end)
+    ref = inv.energy_operator_catalog(spec, 0.0).expectation(
+        m0["p2"], m0["x2"], m0["pxxp"])
+    assert record["reference"] == pytest.approx(ref, rel=1e-12)
+    assert 0.0 <= record["drift"] <= DRIFT_TOL

@@ -6,12 +6,30 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
-from quadham.characteristic import classical_flow
+from quadham import dynamics as dyn
+from quadham.characteristic import FLOW_TOL, classical_flow
 from quadham.errors import ToleranceNotMet
 from quadham.ode import MAX_STEPS, solve_ivp
 
+# the reference: scipy's DOP853 far below the flow's own error
+REF_OPTS = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
 
-def _second_moments_rhs():
+
+def _flow_rhs(tc):
+    eq = coeff.convert_convention(tc, coeff.EQUATION)
+    a, b, c, d = eq.a, eq.b, eq.c, eq.d
+
+    def rhs(t, y):
+        # M' = [[c, 2a], [-2b, -c]] M and I' = 2d - c (equation convention)
+        two_a, two_b, s = 2 * a(t), 2 * b(t), c(t)
+        return [two_a * y[2] + s * y[0], two_a * y[3] + s * y[1],
+                -two_b * y[0] - s * y[2], -two_b * y[1] - s * y[3],
+                2 * d(t) - s]
+
+    return rhs
+
+
+def _second_moments():
     spec = coeff.ModelSpec(coeff.MODIFIED_CK, 1.1, 0.3)
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
 
@@ -24,60 +42,83 @@ def _second_moments_rhs():
                 4.0 * a * p2 - 4.0 * b * x2 + (d - c) * pxxp,
                 (d - c) * norm]
 
-    # the tolerances of the moment paths
-    return rhs, (0.0, 3.0), [0.8, 0.7, 0.1, 1.0], dict(rtol=1e-12,
-                                                        atol=1e-14)
+    y0 = [0.8, 0.7, 0.1, 1.0]
+    flow = classical_flow(tc, 3.0)
+    path = dyn.evolve_second_moments(flow, dyn.SecondMoments(*y0))
+
+    def got(t):
+        m = path(t)
+        return [m.p2, m.x2, m.pxxp, m.norm]
+
+    return flow.solution, got, scipy_solve_ivp(rhs, (0.0, 3.0), y0,
+                                               **REF_OPTS)
 
 
-def _characteristic_rhs():
+def _characteristic():
     spec = coeff.ModelSpec(coeff.UNITED, 1.3, 0.35, 0.1)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
-
-    def rhs(t, y):
-        # the classical flow (M11, M12, M21, M22) and I = int (c_H - d_H);
-        # in the equation convention the drift c_H + d_H is c and c_H is d
-        a, b, s = tc.a(t), tc.b(t), tc.c(t)
-        return [2 * a * y[2] + s * y[0], 2 * a * y[3] + s * y[1],
-                -2 * b * y[0] - s * y[2], -2 * b * y[1] - s * y[3],
-                2 * tc.d(t) - s]
-
-    # the tolerances and step limit of solve_characteristic
-    t_end = 4.0
-    return rhs, (0.0, t_end), [1.0, 0.0, 0.0, 1.0, 0.0], dict(
-        rtol=1e-10, atol=1e-12, max_step=t_end / 16)
+    flow = classical_flow(tc, 4.0)
+    return flow.solution, flow.solution, scipy_solve_ivp(
+        _flow_rhs(tc), (0.0, 4.0), [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
 
 
-@pytest.mark.parametrize("system", [_second_moments_rhs, _characteristic_rhs],
-                         ids=["modified_ck_moments", "united_characteristic"])
+SYSTEMS = pytest.mark.parametrize(
+    "system", [_second_moments, _characteristic],
+    ids=["modified_ck_moments", "united_characteristic"])
+
+
+@SYSTEMS
 def test_dense_output_matches_scipy_dop853(system):
-    rhs, span, y0, opts = system()
-    ref = scipy_solve_ivp(rhs, span, y0, method="DOP853", dense_output=True,
-                          **opts)
-    sol = solve_ivp(rhs, span, y0, **opts)
-    # the same controller takes as many steps; where they fall moves with
-    # the rounding of the stage sums, which the error estimate amplifies
-    assert len(sol.t) == len(ref.t)
-    for t, y in zip(sol.t, sol.y):
-        np.testing.assert_allclose(y, ref.sol(t), rtol=1e-12, atol=1e-12)
-    inner = np.linspace(span[0], span[1], 52)[1:-1]
-    for ts in (ref.t, inner):
-        want = ref.sol(ts)
-        got = np.array([sol(t) for t in ts]).T
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0,
-                                                               np.abs(want)))
+    sol, got, ref = system()
+    assert ref.success, ref.message
+    inner = np.linspace(sol.t[0], sol.t[-1], 52)[1:-1]
+    for ts in (sol.t, inner):
+        for t in ts:
+            want = ref.sol(t)
+            assert np.all(np.abs(np.array(got(t)) - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("system", [_second_moments_rhs, _characteristic_rhs],
-                         ids=["modified_ck_moments", "united_characteristic"])
+@SYSTEMS
 def test_work_counts(system):
-    rhs, span, y0, opts = system()
-    ref = scipy_solve_ivp(rhs, span, y0, method="DOP853", **opts)
-    sol = solve_ivp(rhs, span, y0, **opts)
-    assert sol.n_steps == len(sol.t) - 1 == len(ref.t) - 1
-    # two evaluations choose the first step; an accepted step takes 12
-    # stages plus 3 for the dense output, a rejected one 12
-    assert sol.nfev == 2 + 15 * sol.n_steps + 12 * sol.n_rejected
+    sol = system()[0]
+    assert sol.n_steps == len(sol.t) - 1 == len(sol.y) - 1
+    # an attempted step reads (a, b, c, d) at 3 Gauss nodes for the whole
+    # step and at 3 for each half; the dense output is not counted
+    assert sol.nfev == 9 * (sol.n_steps + sol.n_rejected)
+    sol(0.5 * sol.t[-1])
+    assert sol.nfev == 9 * (sol.n_steps + sol.n_rejected)
+
+
+@pytest.mark.parametrize("spec", [
+    coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2),
+    coeff.ModelSpec(coeff.UNITED, 1.3, 0.35, 0.1),
+    coeff.ModelSpec(coeff.CJ_MOMENTUM, 1.0, 0.2),
+    coeff.ModelSpec(coeff.PARAMETRIC_SECH2, 1.0, 0.2)],
+    ids=lambda s: s.model_id)
+def test_flow_keeps_det_one(spec):
+    # each step multiplies M by the exact exponential of a traceless
+    # matrix, so det M = 1 holds to rounding, between step points too
+    flow = classical_flow(coeff.builtin_coefficients(spec,
+                                                     coeff.HAMILTONIAN), 3.0)
+    points = flow.steps + [flow.at(t) for t in np.linspace(0.0, 3.0, 41)]
+    for p in points:
+        assert abs(p.m11 * p.m22 - p.m12 * p.m21 - 1.0) <= 1e-14
+
+
+def test_quadrature_error_of_i_is_controlled():
+    # constant A (a = b = 1/2: M rotates at unit rate) while d varies fast:
+    # the flow of M alone is exact in one step, so only the error estimate
+    # of I keeps the steps short enough for its Gauss quadrature
+    half = lambda t: 0.5
+    sol = solve_ivp((half, half, lambda t: 0.0, lambda t: math.cos(5.0 * t)),
+                    (0.0, 3.0), FLOW_TOL)
+    assert sol.n_steps > 3
+    for t in np.linspace(0.0, 3.0, 31):
+        m11, m12, m21, m22, i = sol(t)
+        assert i == pytest.approx(0.4 * math.sin(5.0 * t), abs=1e-13)
+        assert [m11, m12, m21, m22] == pytest.approx(
+            [math.cos(t), math.sin(t), -math.sin(t), math.cos(t)], abs=1e-13)
 
 
 def test_step_budget_stops_a_crawl():
@@ -98,27 +139,39 @@ def test_step_budget_stops_a_crawl():
 
 
 def test_blow_up_raises_tolerance_not_met():
-    # y' = y^2, y(0) = 1 is 1/(1 - t)
+    # M' = diag(c, -c) M with c = 1/(1 - t): M11 = 1/(1 - t) blows up, and
+    # c raises ZeroDivisionError at t = 1, the middle node of the first try
+    zero = lambda t: 0.0
     with pytest.raises(ToleranceNotMet) as exc:
-        solve_ivp(lambda t, y: [y[0] ** 2], (0.0, 2.0), [1.0], rtol=1e-10,
-                  atol=1e-12)
+        solve_ivp((zero, zero, lambda t: 1.0 / (1.0 - t), zero), (0.0, 2.0),
+                  FLOW_TOL)
     assert exc.value.info["t"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_scalar_and_array_times():
-    sol = solve_ivp(lambda t, y: [y[1], -y[0]], (0.0, 2.0), [0.0, 1.0],
-                    rtol=1e-12, atol=1e-14)
-    one = sol(0.7)
-    assert len(one) == 2
-    assert one == pytest.approx([math.sin(0.7), math.cos(0.7)], rel=1e-11)
-    assert sol(np.float64(0.7)) == one
+    sho = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), coeff.HAMILTONIAN)
+    flow = classical_flow(sho, np.float64(2.0))
+    assert flow.t_end == 2.0 and type(flow.t_end) is float
+    one = flow.solution(0.7)
+    assert len(one) == 5 and all(type(v) is float for v in one)
+    assert one == pytest.approx(
+        [math.cos(0.7), math.sin(0.7), -math.sin(0.7), math.cos(0.7), 0.0],
+        abs=1e-14)
+    assert flow.solution(np.float64(0.7)) == one
+    assert flow.at(np.float64(0.7)) == flow.at(0.7)
 
 
 def test_zero_span_and_backward_solve():
-    still = solve_ivp(lambda t, y: [1.0], (0.5, 0.5), [2.0], rtol=1e-10,
-                      atol=1e-12)
-    assert still(0.5) == pytest.approx([2.0])
-    back = solve_ivp(lambda t, y: [y[0]], (0.0, -1.0), [1.0], rtol=1e-12,
-                     atol=1e-14)
-    assert back(-1.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-11)
-    assert back(-0.4)[0] == pytest.approx(math.exp(-0.4), rel=1e-11)
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2), coeff.HAMILTONIAN)
+    still = classical_flow(tc, 0.0)
+    assert still.solution.n_steps == 0 == still.solution.nfev
+    assert tuple(still.at(0.0)) == (1.0, 0.0, 0.0, 1.0, 0.0)
+    back = classical_flow(tc, -1.0)
+    assert back.t_end == -1.0
+    ref = scipy_solve_ivp(_flow_rhs(tc), (0.0, -1.0),
+                          [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
+    for t in (-1.0, -0.4, *back.solution.t):
+        assert list(back.at(t)) == pytest.approx(list(ref.sol(t)),
+                                                 rel=1e-12, abs=1e-13)
