@@ -5,8 +5,8 @@ The linear dynamics of ``H = a p^2 + b x^2 + c px + d xp`` is the classical
 ``p' = -2 b x - (c + d) p`` from M(0) = 1, with ``I = int_0^t (c - d)``
 (Moshinsky & Quesne, J. Math. Phys. 12 (1971) 1772).  :func:`classical_flow`
 is the package's one solve; the moments, the invariants and the auxiliary
-equations are algebra on the :class:`Flow` it returns.  The kernel
-``G = (2 pi i mu)^(-1/2)
+equations are algebra on the :class:`Flow` it returns, whose ``tc`` is
+always H's own.  The kernel ``G = (2 pi i mu)^(-1/2)
 exp(i(alpha x^2 + beta x y + gamma y^2))`` is its generating function:
 
     h = e^I,  mu = M12 h,  mu' = (2 a M22 + 2 c M12) h,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .coefficients import (EQUATION, ModelSpec, TimeCoefficients,
+from .coefficients import (HAMILTONIAN, ModelSpec, TimeCoefficients,
                            convert_convention)
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import bracket_sign_change, solve_ivp
@@ -77,13 +77,13 @@ def _congruence(m11: float, m12: float, m21: float, m22: float, s):
 
 
 def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
-    # (2 a M22 + 2 c_H M12) e^I, where c_H is the equation-convention d
-    return 2.0 * (tc.a(t) * p.m22 + tc.d(t) * p.m12) * math.exp(p.i)
+    # (2 a M22 + 2 c M12) e^I
+    return 2.0 * (tc.a(t) * p.m22 + tc.c(t) * p.m12) * math.exp(p.i)
 
 
 class Flow:
-    """The classical flow of ``tc`` (either convention) between 0 and
-    ``t_end``: ``solution(t)`` holds the row (M11, M12, M21, M22, I) at t
+    """The classical flow of the Hamiltonian coefficients ``tc`` between 0
+    and ``t_end``: ``solution(t)`` holds the row (M11, M12, M21, M22, I) at t
     and ``steps`` the rows at the step points ``solution.t``.  :meth:`at`
     refuses a time outside the window, where the dense output would
     extrapolate.  The first caustic and the scale of mu are found once, on
@@ -92,7 +92,6 @@ class Flow:
     def __init__(self, solution, tc: TimeCoefficients):
         self.solution, self.tc = solution, tc
         self.t_end = float(solution.t[-1])
-        self._eq = convert_convention(tc, EQUATION)
 
     def at(self, t: float) -> FlowPoint:
         if not min(0.0, self.t_end) <= t <= max(0.0, self.t_end):
@@ -109,7 +108,7 @@ class Flow:
         return p.m12 * math.exp(p.i)
 
     def mu_prime(self, t: float) -> float:
-        return _mu_prime(self._eq, t, self.at(t))
+        return _mu_prime(self.tc, t, self.at(t))
 
     @cached_property
     def mu_scale(self) -> float:
@@ -135,20 +134,17 @@ class Flow:
 
 def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
     """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
-    with dense output; ``tc`` may be in either convention."""
+    with dense output; ``tc`` may carry either tag."""
     if not math.isfinite(t_end):
         raise ValidationError("the window must be finite", t_end=t_end)
+    tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(t_end)
-    # equation convention: c = c_H + d_H and d = c_H, so the drift is c and
-    # I' = c_H - d_H = 2 d - c
-    eq = convert_convention(tc, EQUATION)
-    sol = solve_ivp((eq.a, eq.b, eq.c, eq.d), (0.0, t_end), FLOW_TOL)
+    sol = solve_ivp((tc.a, tc.b, tc.c, tc.d), (0.0, t_end), FLOW_TOL)
     return Flow(sol, tc)
 
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:
     """The classical flow of the kernel on [0, t_end]."""
-    tc.require(EQUATION)
     if not 0 < t_end < math.inf:
         raise ValidationError("t_end must be positive and finite",
                               t_end=t_end)
@@ -166,12 +162,11 @@ def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
 def kernel_parameters(tc: TimeCoefficients, flow: Flow,
                       t: float) -> KernelParameters:
     """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
-    matrix of ``flow``.
+    matrix of ``flow`` and its coefficients (``tc`` is not read).
 
     Raises CausticEncountered when mu vanishes at t or changes sign before
     it, and ValidationError when t lies past the solved window.
     """
-    tc.require(EQUATION)
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
     p = flow.at(t)
@@ -184,9 +179,9 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     if abs(mu) < MU_GUARD * flow.mu_scale:
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu)
-    return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(tc, t, p), h=h,
-                            alpha=p.m22 / (2.0 * p.m12), beta=-1.0 / p.m12,
-                            gamma=p.m11 / (2.0 * p.m12))
+    return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(flow.tc, t, p),
+                            h=h, alpha=p.m22 / (2.0 * p.m12),
+                            beta=-1.0 / p.m12, gamma=p.m11 / (2.0 * p.m12))
 
 
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:

@@ -15,8 +15,9 @@ standard library goes the same way: ``json`` loads for ``green``,
 subcommands that write a table, and ``traceback`` only for an error
 record.
 
-``main`` flushes stdout as the last step of a call, so that a failed flush
-(a closed pipe) ends in the error record with exit 2.  Run as ``python -m
+``main`` flushes stdout in ``quadham.io`` as the last step of a call, so
+that a closed pipe, met by a long write or by that flush, ends in one
+error record naming ``quadham.io``, with exit 2.  Run as ``python -m
 quadham.cli``, the process then ends with ``os._exit``, which skips the
 interpreter's teardown.  That is safe while every output is flushed,
 every ``--out`` file is closed by its ``with`` block, and nothing in the
@@ -104,7 +105,7 @@ def cmd_mu(args):
     from . import characteristic as chr_mod
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    tc = coeff.builtin_coefficients(spec)
     path = chr_mod.solve_characteristic(tc, args.t_end)
     ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     rows = [(t, path.mu(t), path.mu_prime(t)) for t in ts]
@@ -117,7 +118,7 @@ def cmd_kernel(args):
     from . import characteristic as chr_mod
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    tc = coeff.builtin_coefficients(spec)
     path, ts = _sample_times(tc, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
     rows = [astuple(chr_mod.kernel_parameters(tc, path, t)) for t in ts]
@@ -130,7 +131,7 @@ def cmd_green(args):
     from . import characteristic as chr_mod, propagator as prop
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    tc = coeff.builtin_coefficients(spec)
     path = chr_mod.solve_characteristic(tc, args.t)
     kp = chr_mod.kernel_parameters(tc, path, args.t)
     g = prop.green_eval(kp, args.x, args.y)
@@ -144,7 +145,7 @@ def cmd_propagate(args):
     from . import characteristic as chr_mod, propagator as prop
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    tc = coeff.builtin_coefficients(spec)
     s0 = prop.GaussianState(
         Lambda=complex(args.lambda_re, args.lambda_im),
         Theta=complex(args.theta_re, args.theta_im))
@@ -166,7 +167,7 @@ def cmd_moments(args):
     from . import characteristic as chr_mod, dynamics as dyn
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
     path = dyn.evolve_second_moments(
         chr_mod.classical_flow(tc, args.t_end), m0)
@@ -229,8 +230,7 @@ def _uncertainty(spec, m0, f0, t_end, samples):
     in linspace(0, t_end, samples)."""
     from . import characteristic as chr_mod, dynamics as dyn
 
-    flow = chr_mod.classical_flow(
-        coeff.builtin_coefficients(spec, coeff.HAMILTONIAN), t_end)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), t_end)
     mpath = dyn.evolve_second_moments(flow, m0)
     fpath = dyn.evolve_first_moments(flow, f0)
     return [(t, dyn.uncertainty_check(mpath(t), fpath(t)))
@@ -256,12 +256,12 @@ def _verify_one(model_id: str, budget: str):
     spec = coeff.ModelSpec(model_id, omega0=1.3, lam=0.35, mu_param=0.1,
                            delta=0.6)
     checks = []
-    tc_eq = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    tc = coeff.builtin_coefficients(spec)
     n_kernel = 5 if budget == "quick" else 20
-    path, ts = _sample_times(tc_eq, 1.2, n_kernel)
+    path, ts = _sample_times(tc, 1.2, n_kernel)
     worst = 0.0
     for t in ts:
-        kp = chr_mod.kernel_parameters(tc_eq, path, t)
+        kp = chr_mod.kernel_parameters(tc, path, t)
         ref = chr_mod.closed_form_kernel(spec, t)
         for got, exp in ((kp.alpha, ref.alpha), (kp.beta, ref.beta),
                          (kp.gamma, ref.gamma)):
@@ -440,13 +440,13 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(_join_negatives(argv))
         except SystemExit:
             # --help has written the usage: flush it here too, as below
-            sys.stdout.flush()
+            qio.flush_stdout()
             raise
         _check_args(args)
         code = args.fn(args)
         # a failed flush (a closed pipe) is a failed write: it ends in the
         # record below, not at interpreter exit
-        sys.stdout.flush()
+        qio.flush_stdout()
     except (QuadhamError, ValueError, OSError, ArithmeticError) as exc:
         import json
 

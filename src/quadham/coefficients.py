@@ -1,12 +1,12 @@
 """Coefficient functions of quadratic Hamiltonians, and ``ModelSpec``, which
 selects a built-in model and looks up its record in :mod:`quadham.models`.
 
-Two coefficient conventions are used throughout the package.  In the
-"hamiltonian" convention the operator is ``H = a p^2 + b x^2 + c px + d xp``.
-In the "equation" convention (a, b, c, d) are the coefficients as they
-appear in the Schrodinger equation
-``i psi_t = -a psi_xx + b x^2 psi - i (c x psi_x + d psi)``.
-The two are related by ``c_eq = c + d`` and ``d_eq = c``.
+Every numerical layer reads H's own coefficients, ``H = a p^2 + b x^2 +
+c px + d xp``.  The "equation" tag is an input form only: its (a, b, c, d)
+are those of ``i psi_t = -a psi_xx + b x^2 psi - i (c x psi_x + d psi)``,
+``c_eq = c + d`` and ``d_eq = c``.  Each entry that takes raw coefficients
+maps them once with ``convert_convention(tc, HAMILTONIAN)``, the identity
+on H's own, so either tag gives the same answer.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class TimeCoefficients:
             raise SingularCoefficient(
                 "the window reaches a singularity of the coefficients",
                 t_end=t_end, t_singular=self.t_singular)
-
-    def require(self, convention: str) -> None:
-        if self.convention != convention:
-            raise ConventionMismatch(
-                f"expected {convention!r} coefficients, got {self.convention!r}"
-            )
 
 
 @dataclass(frozen=True)

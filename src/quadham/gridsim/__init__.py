@@ -2,10 +2,10 @@
 
 Crank-Nicolson with centered differences, coefficients frozen at step
 midpoints, second-order in time and space.  The non-self-adjoint drift
-term c x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2 so the
-discrete norm obeys the continuum norm law up to O(dx^2).  Each step is one
-tridiagonal solve with LAPACK's ``zgtsv``; this is the only module of the
-package that imports scipy.
+term (c + d) x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2
+so the discrete norm obeys the continuum norm law up to O(dx^2).  Each
+step is one tridiagonal solve with LAPACK's ``zgtsv``; this is the only
+module of the package that imports scipy.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import zgtsv
 
-from ..coefficients import EQUATION, TimeCoefficients, convert_convention
+from ..coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
 from ..dynamics import FirstMoments, SecondMoments
 from ..errors import (BoundaryLeak, NegativeVariance, NumericalError,
                       ValidationError)
@@ -49,11 +49,11 @@ def _leak_fraction(state: GridState) -> float:
     return float(edge / total)
 
 
-def _cn_run(psi, x, dx, dt, a_mid, b_mid, c_mid, d_mid):
+def _cn_run(psi, x, dx, dt, a_mid, b_mid, s_mid, c_mid):
     """Advance psi through len(a_mid) Crank-Nicolson steps of size dt.
 
-    The generator is K = i a D2 - i b x^2 - c (x D1 + D1 x)/2 + c/2 - d
-    with centered D1, coefficients frozen at the step midpoints and
+    The generator is K = i a D2 - i b x^2 - s (x D1 + D1 x)/2 + s/2 - c,
+    with H's c and drift s = c + d, centered D1, frozen at the midpoints and
     Dirichlet boundaries (identity rows at both edges).  Each step solves
     (I - dt/2 K) psi_new = (I + dt/2 K) psi in the form
     (I - dt/2 K) y = 2 psi, psi_new = y - psi, with psi itself on the right
@@ -64,13 +64,13 @@ def _cn_run(psi, x, dx, dt, a_mid, b_mid, c_mid, d_mid):
     # (x_j + x_{j+1}) / (4 dx): the drift weight of the bond j, j+1
     bond = (x[1:] + x[:-1]) / (4.0 * dx)
     half = 0.5 * dt
-    for k, (a, b, c, d) in enumerate(zip(a_mid, b_mid, c_mid, d_mid)):
+    for k, (a, b, s, c) in enumerate(zip(a_mid, b_mid, s_mid, c_mid)):
         # lo, dg, up: the sub-, main and super-band of I - dt/2 K
         ho = 1j * half * a / (dx * dx)
-        drift = (half * c) * bond
+        drift = (half * s) * bond
         lo = -ho - drift
         up = drift - ho
-        dg = ((1.0 + 2.0 * ho + half * d - 0.25 * dt * c)
+        dg = ((1.0 + 2.0 * ho + half * c - 0.25 * dt * s)
               + (1j * half * b) * x2)
         dg[0] = dg[-1] = 1.0
         lo[-1] = 0.0
@@ -103,7 +103,7 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
         raise ValidationError("steps must be >= 1")
     if record_every is None:
         record_every = max(1, steps // 16)
-    eq = convert_convention(tc, EQUATION)
+    tc = convert_convention(tc, HAMILTONIAN)
     x = psi0.x
     times = [t0]
     states = [psi0]
@@ -112,11 +112,11 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     while done < steps:
         chunk = min(record_every, steps - done)
         t_mid = t0 + (done + np.arange(chunk) + 0.5) * dt
-        a_mid = np.array([eq.a(t) for t in t_mid])
-        b_mid = np.array([eq.b(t) for t in t_mid])
-        c_mid = np.array([eq.c(t) for t in t_mid])
-        d_mid = np.array([eq.d(t) for t in t_mid])
-        psi = _cn_run(cur.values, x, psi0.dx, dt, a_mid, b_mid, c_mid, d_mid)
+        a_mid = np.array([tc.a(t) for t in t_mid])
+        b_mid = np.array([tc.b(t) for t in t_mid])
+        c_mid = np.array([tc.c(t) for t in t_mid])
+        s_mid = c_mid + np.array([tc.d(t) for t in t_mid])
+        psi = _cn_run(cur.values, x, psi0.dx, dt, a_mid, b_mid, s_mid, c_mid)
         done += chunk
         cur = GridState(x0=psi0.x0, dx=psi0.dx, values=psi)
         if check_boundary:

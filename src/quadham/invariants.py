@@ -247,7 +247,7 @@ def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
         mu'' - (a'/a) mu' + (4ab + (a'/a - c - d)(c + d) - c' - d') mu
             = C0 (2a)^2 / mu^3.
     """
-    tc.require(HAMILTONIAN)
+    tc = coeff.convert_convention(tc, HAMILTONIAN)
     mu, mup, mupp = _mu_triplet(mu_fn, t)
     if mu == 0.0 and C0 != 0.0:
         raise MuVanishes("mu vanishes with C0 != 0", t=t)
@@ -266,7 +266,7 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     const * 2a(t); the combined solution has C0 = (A C - B^2) W^2 / (2a)^2,
     a constant.  Returns (mu_fn, C0) with mu_fn yielding (mu, mu', mu'').
     """
-    tc.require(HAMILTONIAN)
+    tc = coeff.convert_convention(tc, HAMILTONIAN)
     u0, u1 = u(0.0)[:2]
     v0, v1 = v(0.0)[:2]
     W0 = u0 * v1 - u1 * v0
@@ -306,7 +306,7 @@ def solve_linear_auxiliary(flow: Flow, init):
     (mu_0, p_0), p_0 = (mu_0' - (c + d) mu_0) / (2a), and
     mu' = 2a p + (c + d) mu.
     """
-    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
+    tc = flow.tc
     mu0, mup0 = init
     p0 = (mup0 - (tc.c(0.0) + tc.d(0.0)) * mu0) / (2.0 * tc.a(0.0))
 
@@ -329,7 +329,7 @@ def general_invariant(flow: Flow, mu_fn, C0: float,
     where mu solves the nonlinear auxiliary equation and the integral is
     the I of ``flow``.
     """
-    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
+    tc = flow.tc
     res = auxiliary_residual(tc, mu_fn, C0, t)
     if res > residual_tol:
         raise AuxiliaryResidualTooLarge(
@@ -355,7 +355,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
 
         A'' - (a'/a + 2c - 2d) A' + 4(a b - c d + c a'/(2a) - c'/2) A = 0.
     """
-    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
+    tc = flow.tc
     A0, A1, A2 = _mu_triplet(A_fn, t)
     a, b = tc.a(t), tc.b(t)
     c, d = tc.c(t), tc.d(t)
@@ -375,7 +375,7 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float,
     """Time-dependent annihilation/creation pair factorizing the invariant as
     (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
     exp(int (c - d)), the integral the I of ``flow``."""
-    tc = coeff.convert_convention(flow.tc, HAMILTONIAN)
+    tc = flow.tc
     if not (C0 > 0):
         raise InvalidC0("C0 must be positive for the factorization", C0=C0)
     mu, mup = mu_fn(t)[:2]

@@ -62,6 +62,11 @@ def write_json(path, obj):
             fh.write(text + "\n")
 
 
+def flush_stdout():
+    """Flush stdout: a closed pipe fails here, as in a long write."""
+    sys.stdout.flush()
+
+
 def read_config(path) -> dict:
     """Parse a key=value sectioned config file into {section: {key: value}}."""
     import configparser

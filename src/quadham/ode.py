@@ -1,11 +1,11 @@
 """Sixth-order Magnus integration of the classical flow, in plain floats.
 
 The flow of ``H = a p^2 + b x^2 + c px + d xp`` solves ``M' = A M`` from
-M = 1 with the traceless ``A = [[c, 2a], [-2b, -c]]`` (equation
-convention), and ``I' = 2d - c`` from I = 0.  A step of size h reads A at
-the Gauss-Legendre nodes ``t + h/2 + (-1, 0, 1) sqrt(15) h / 10`` (A1, A2,
-A3) and takes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151;
-Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983)
+M = 1 with the traceless ``A = [[c + d, 2a], [-2b, -(c + d)]]``, and
+``I' = c - d`` from I = 0.  A step of size h reads A at the
+Gauss-Legendre nodes ``t + h/2 + (-1, 0, 1) sqrt(15) h / 10`` (A1, A2, A3)
+and takes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151; Iserles
+& Norsett, Phil. Trans. R. Soc. A 357 (1999) 983)
 
     alpha1 = h A2,  alpha2 = sqrt(15) h (A3 - A1) / 3,
     alpha3 = 10 h (A3 - 2 A2 + A1) / 3,
@@ -15,7 +15,7 @@ Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983)
 
 M -> exp(Omega) M, exact as ``cosh q + (sinh q / q) Omega`` with
 ``q^2 = -det Omega`` (cos and sin when q^2 < 0), so det M = 1 holds to
-rounding; I adds the Gauss quadrature of 2d - c on the same nodes.
+rounding; I adds the Gauss quadrature of c - d on the same nodes.
 
 Step doubling estimates the error: the one-step result against two half
 steps, which are kept; M relative to |M|, and I absolutely, since e^I
@@ -61,12 +61,14 @@ def _exponent(coefficients, t, h):
     a, b, c, d = coefficients
     mid, off = t + 0.5 * h, _NODE * h
     t1, t3 = mid - off, mid + off
-    # A = [[s, 2a], [-2b, -s]] at the three nodes
-    s1, s2, s3 = c(t1), c(mid), c(t3)
+    # c (u) and d (v) at the three nodes
+    u1, u2, u3 = c(t1), c(mid), c(t3)
+    v1, v2, v3 = d(t1), d(mid), d(t3)
+    # A = [[s, 2a], [-2b, -s]] there, with the drift s = c + d
+    s1, s2, s3 = u1 + v1, u2 + v2, u3 + v3
     a1, a2, a3 = a(t1), a(mid), a(t3)
     b1, b2, b3 = b(t1), b(mid), b(t3)
-    di = h * (5.0 * (2.0 * (d(t1) + d(t3)) - s1 - s3)
-              + 8.0 * (2.0 * d(mid) - s2)) / 18.0
+    di = h * (5.0 * ((u1 - v1) + (u3 - v3)) + 8.0 * (u2 - v2)) / 18.0
     # alpha1 = (x1, x2, x3), alpha2 = (y1, y2, y3), alpha3 = (z1, z2, z3),
     # each the (1,1), (1,2) and (2,1) entries of a traceless matrix
     k1, k2, k3 = 2.0 * h, _ALPHA2 * h, 10.0 / 3.0 * h
@@ -165,10 +167,9 @@ class Solution:
 
 
 def solve_ivp(coefficients, t_span, tol):
-    """The flow (M, I) of the coefficients (a, b, c, d) (equation
-    convention) from M = 1, I = 0 at t_span[0] to t_span[1] (either
-    direction), each step's error held to ``tol``; returns a
-    :class:`Solution` with dense output.
+    """The flow (M, I) of the coefficients (a, b, c, d) of H from M = 1,
+    I = 0 at t_span[0] to t_span[1] (either direction), each step's error
+    held to ``tol``; returns a :class:`Solution` with dense output.
 
     Raises ToleranceNotMet when the step size falls below ten ulp of t or
     after MAX_STEPS attempted steps.

@@ -229,14 +229,14 @@ def schrodinger_residual(tc, kernel_of, x: float, y: float, t: float,
                          fd_step: float = 1e-3) -> float:
     """Finite-difference residual of the evolution equation at (x, y, t).
 
-    ``tc`` must be "equation"-convention coefficients and ``kernel_of`` a
+    ``tc`` holds the coefficients of H (either tag) and ``kernel_of`` a
     map from time to KernelParameters.  Central differences with step
     ``fd_step`` are used in both t and x; the result is |i G_t + a G_xx
-    - b x^2 G + i c x G_x + i d G| / |G|.
+    - b x^2 G + i (c + d) x G_x + i c G| / |G|.
     """
-    from .coefficients import EQUATION
+    from .coefficients import HAMILTONIAN, convert_convention
 
-    tc.require(EQUATION)
+    tc = convert_convention(tc, HAMILTONIAN)
     h = fd_step
 
     def G(tt, xx):
@@ -247,6 +247,7 @@ def schrodinger_residual(tc, kernel_of, x: float, y: float, t: float,
     gxp, gxm = G(t, x + h), G(t, x - h)
     gxx = (gxp - 2.0 * g0 + gxm) / (h * h)
     gx = (gxp - gxm) / (2.0 * h)
+    c = tc.c(t)
     res = (1j * gt + tc.a(t) * gxx - tc.b(t) * x * x * g0
-           + 1j * tc.c(t) * x * gx + 1j * tc.d(t) * g0)
+           + 1j * (c + tc.d(t)) * x * gx + 1j * c * g0)
     return abs(res) / abs(g0)

@@ -168,6 +168,21 @@ def test_assembled_kernel_matches_closed_form(spec):
             assert abs(got - exp) <= 1e-7 * max(1.0, abs(exp))
 
 
+@pytest.mark.parametrize("spec", [
+    coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
+    coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=0.5)],
+    ids=lambda s: s.model_id)
+def test_equal_cross_terms_give_no_integral(spec):
+    # c = d: I' = c - d vanishes at every node, so I is exactly 0 and
+    # h = e^I exactly 1
+    tc = coeff.builtin_coefficients(spec)
+    flow = chr_mod.solve_characteristic(tc, 1.5)
+    assert len(flow.steps) > 10
+    assert all(p.i == 0.0 for p in flow.steps)
+    for t in flow.solution.t[1:]:
+        assert chr_mod.kernel_parameters(tc, flow, t).h == 1.0
+
+
 def test_gamma_internal_consistency():
     # gamma - d0/(2 a0) - a h^2/(mu mu') equals the quadrature tail
     spec = coeff.ModelSpec(coeff.MODIFIED_CK, 1.2, 0.3)

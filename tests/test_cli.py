@@ -687,24 +687,34 @@ GREEN_ARGV = ["green", "--model", "simple_harmonic", "--t", "0.5", "--x",
 
 def test_closed_stdout_gives_the_record():
     # the flush of a short output into a pipe whose reader has gone failed
-    # at interpreter exit: "Exception ignored ... BrokenPipeError", exit 120
+    # at interpreter exit: "Exception ignored ... BrokenPipeError", exit
+    # 120.  A short output meets the closed pipe in the final flush, a long
+    # one (past the pipe's buffer) in a write: both give one record
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadham.cli", *GREEN_ARGV], stdout=write,
-            stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=60)
-    finally:
-        os.close(write)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "Exception ignored" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    rec = json.loads(proc.stderr, parse_constant=refuse)
-    assert (rec["error"], rec["type"]) == ("validation", "BrokenPipeError")
+    records = []
+    for argv in (GREEN_ARGV, ["kernel", "--model", "caldirola_kanai",
+                              "--lambda", "0.2", "--t-end", "1.4",
+                              "--samples", "5000"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quadham.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=_child_env(), text=True,
+                timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        records.append(json.loads(proc.stderr, parse_constant=refuse))
+    for rec in records:
+        assert (rec["error"], rec["type"], rec["module"]) == (
+            "validation", "BrokenPipeError", "quadham.io")
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("argv", [["mu", "--help"], ["--help"]],

@@ -1,13 +1,18 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
+from quadham import gridsim
 from quadham import invariants as inv
-from quadham.errors import ConventionMismatch, InvalidModelParams
+from quadham import propagator as prop
+from quadham.errors import InvalidModelParams
 
 
 def test_model_catalog_size():
@@ -47,11 +52,73 @@ def test_convention_mapping_exact():
         assert back.d(t) == pytest.approx(h.d(t), abs=1e-15)
 
 
-def test_require_convention():
-    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC)
-    h = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    with pytest.raises(ConventionMismatch):
-        h.require(coeff.EQUATION)
+# H with c != d, both varying, so that the equation tag's c + d and its
+# map back to d round
+VARYING = coeff.TimeCoefficients(
+    a=lambda t: 0.5 + 0.1 * math.sin(t), b=lambda t: 0.6 + 0.2 * t,
+    c=lambda t: 0.3 * math.cos(t), d=lambda t: -0.2 + 0.1 * t,
+    da=lambda t: 0.1 * math.cos(t), db=lambda t: 0.2,
+    dc=lambda t: -0.3 * math.sin(t), dd=lambda t: 0.1)
+
+
+def _entries(tc, kernel_of):
+    """What each entry that takes raw coefficients gives for ``tc``: the
+    kernel, a grid run, the Schrodinger residual of ``kernel_of`` and the
+    superposed auxiliary solution with its residual."""
+    flow = chr_mod.solve_characteristic(tc, 1.0)
+    kp = chr_mod.kernel_parameters(tc, flow, 0.6)
+    x = np.linspace(-6.0, 6.0, 64)
+    psi0 = prop.GridState(-6.0, x[1] - x[0], np.exp(-0.5 * x * x + 0.3j * x))
+    grid = gridsim.evolve_grid(tc, psi0, 1e-2, 20, check_boundary=False)
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
+    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
+    return [*(getattr(kp, f) for f in ("mu", "mu_prime", "h", "alpha",
+                                       "beta", "gamma")),
+            *grid.final().values.real, *grid.final().values.imag,
+            prop.schrodinger_residual(tc, kernel_of, 0.3, -0.2, 0.6),
+            *mu_fn(0.6), C0, inv.auxiliary_residual(tc, mu_fn, C0, 0.6)]
+
+
+@pytest.mark.parametrize("tc", [
+    coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)), VARYING],
+    ids=["united", "varying"])
+def test_entries_accept_either_tag(tc):
+    # every entry maps its input to H's own coefficients once, so the
+    # equation tag of the same H gives the same answer
+    eq = coeff.convert_convention(tc, coeff.EQUATION)
+    flow = chr_mod.solve_characteristic(tc, 1.0)
+    kernel_of = lambda t: chr_mod.kernel_parameters(tc, flow, t)
+    got, want = _entries(eq, kernel_of), _entries(tc, kernel_of)
+    assert len(got) == len(want) == 6 + 128 + 1 + 3 + 2
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+
+
+def test_convention_stays_in_coefficients():
+    # the numerical layers read H's own coefficients: outside
+    # quadham.coefficients (and the package's export table) no module
+    # names the equation tag or checks a tag with require
+    root = pathlib.Path(coeff.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        if name in ("coefficients.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "EQUATION"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "EQUATION"
+                    or isinstance(node, ast.alias)
+                    and node.name == "EQUATION"
+                    or isinstance(node, ast.Constant)
+                    and node.value == coeff.EQUATION
+                    or isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "require"):
+                found.append((name, node.lineno))
+    assert found == []
 
 
 def test_analytic_derivatives_match_fd():

@@ -107,12 +107,13 @@ def test_flow_keeps_det_one(spec):
 
 
 def test_quadrature_error_of_i_is_controlled():
-    # constant A (a = b = 1/2: M rotates at unit rate) while d varies fast:
-    # the flow of M alone is exact in one step, so only the error estimate
-    # of I keeps the steps short enough for its Gauss quadrature
+    # constant A (a = b = 1/2 and the drift c + d = 0: M rotates at unit
+    # rate) while I' = c - d = 2 cos 5t varies fast: the flow of M alone is
+    # exact in one step, so only the error estimate of I keeps the steps
+    # short enough for its Gauss quadrature
     half = lambda t: 0.5
-    sol = solve_ivp((half, half, lambda t: 0.0, lambda t: math.cos(5.0 * t)),
-                    (0.0, 3.0), FLOW_TOL)
+    sol = solve_ivp((half, half, lambda t: math.cos(5.0 * t),
+                     lambda t: -math.cos(5.0 * t)), (0.0, 3.0), FLOW_TOL)
     assert sol.n_steps > 3
     for t in np.linspace(0.0, 3.0, 31):
         m11, m12, m21, m22, i = sol(t)
