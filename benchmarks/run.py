@@ -16,9 +16,8 @@ source, one child per sample: one evaluation of the coefficients
 (a, b, c, d) the flow reads (H's own; the equation-tagged set in a
 checkout that still converts to it), ``classical_flow`` on the
 Caldirola-Kanai window of the subcommands and on a window of the tier-1
-moment check
-(criterion 3: the catalogued Caldirola-Kanai invariant, t_end 2), one
-``Flow.at`` point, one point of the second-moment path, one
+moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
+t_end 2), one ``Flow.at`` point, one point of the second-moment path, one
 ``kernel_parameters`` point, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
 layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,

@@ -52,8 +52,8 @@ def test_convention_mapping_exact():
         assert back.d(t) == pytest.approx(h.d(t), abs=1e-15)
 
 
-# H with c != d, both varying, so that the equation tag's c + d and its
-# map back to d round
+# H with c != d, both varying, so that the equation tag's c + d, and the d
+# mapped back from it, can round
 VARYING = coeff.TimeCoefficients(
     a=lambda t: 0.5 + 0.1 * math.sin(t), b=lambda t: 0.6 + 0.2 * t,
     c=lambda t: 0.3 * math.cos(t), d=lambda t: -0.2 + 0.1 * t,

@@ -170,8 +170,7 @@ def test_evolve_grid_matches_dense_cn_reference():
 
 
 def test_singular_cn_system_raises():
-    # c = -2/dt with no drift makes 1 + dt/2 c vanish on every interior
-    # row
+    # c = -2/dt and no drift make 1 + dt/2 c vanish on every interior row
     dt, n = 0.5, 8
     x = np.linspace(-1.0, 1.0, n)
     zero = np.zeros(3)
