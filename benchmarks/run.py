@@ -13,8 +13,7 @@ under ``-X importtime`` records whether the subcommand loaded numpy and
 its ``import_s``, the summed cumulative time of the top-level imports.
 The layers are timed in child interpreters on the measured checkout's
 source, one child per sample: one evaluation of the coefficients
-(a, b, c, d) the flow reads (H's own; the equation-tagged set in a
-checkout that still converts to it), ``classical_flow`` on the
+(a, b, c, d) the flow reads (H's own), ``classical_flow`` on the
 Caldirola-Kanai window of the subcommands and on a window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
 t_end 2), one ``Flow.at`` point, one point of the second-moment path, one
@@ -81,18 +80,14 @@ from quadham import propagator as prop
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)
 flow = chm.classical_flow(tc, 1.4)
-# the set the flow reads: H's own, or the equation-tagged one in an older
-# checkout, whose flow converts to it and whose kernel requires it
-tc_read = (coeff.builtin_coefficients(spec, coeff.EQUATION)
-           if hasattr(coeff.TimeCoefficients, "require") else tc)
 # criterion 3's moment check on the catalogued Caldirola-Kanai invariant
 tc_inv = inv.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
                                                   0.1))
 moment_flow = chm.classical_flow(tc_inv, 2.0)
 moments = dyn.evolve_second_moments(moment_flow,
                                     dyn.SecondMoments(0.8, 0.7, 0.1))
-path = chm.solve_characteristic(tc_read, 1.4)
-kp = chm.kernel_parameters(tc_read, path, 0.7)
+path = chm.solve_characteristic(tc, 1.4)
+kp = chm.kernel_parameters(tc, path, 0.7)
 s0 = prop.GaussianState(0.5j)
 
 def per_call(fn, number):
@@ -119,15 +114,14 @@ def counts(f):
 grid_4096 = grid(4096)
 print(json.dumps({
     "coefficients": per_call(
-        lambda: (tc_read.a(0.7), tc_read.b(0.7), tc_read.c(0.7),
-                 tc_read.d(0.7)),
+        lambda: (tc.a(0.7), tc.b(0.7), tc.c(0.7), tc.d(0.7)),
         20000),
     "classical_flow": per_call(lambda: chm.classical_flow(tc, 1.4), 50),
     "moment_flow": per_call(lambda: chm.classical_flow(tc_inv, 2.0), 50),
     "flow_at": per_call(lambda: flow.at(0.7), 5000),
     "moment_point": per_call(lambda: moments(0.7), 5000),
     "kernel_parameters": per_call(
-        lambda: chm.kernel_parameters(tc_read, path, 0.7), 5000),
+        lambda: chm.kernel_parameters(tc, path, 0.7), 5000),
     "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
     "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),
                                    20000),

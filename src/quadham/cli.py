@@ -79,14 +79,11 @@ def _linspace(start, stop, num):
     return [start + i * step for i in range(num - 1)] + [stop]
 
 
-def _sample_times(tc, t_end, samples):
-    """Caustic-free sample times in (0, t_end]."""
-    from . import characteristic as chr_mod
-
-    path = chr_mod.solve_characteristic(tc, t_end)
-    caustic = path.first_caustic
+def _sample_times(flow, t_end, samples):
+    """Sample times in (0, t_end] short of the first caustic of ``flow``."""
+    caustic = flow.first_caustic
     hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
-    return path, _linspace(hi / samples, hi, samples)
+    return _linspace(hi / samples, hi, samples)
 
 
 def cmd_list_models(args):
@@ -119,7 +116,8 @@ def cmd_kernel(args):
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec)
-    path, ts = _sample_times(tc, args.t_end, args.samples)
+    path = chr_mod.solve_characteristic(tc, args.t_end)
+    ts = _sample_times(path, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
     rows = [astuple(chr_mod.kernel_parameters(tc, path, t)) for t in ts]
     qio.write_csv(args.out, [f.name for f in fields(chr_mod.KernelParameters)],
@@ -149,7 +147,8 @@ def cmd_propagate(args):
     s0 = prop.GaussianState(
         Lambda=complex(args.lambda_re, args.lambda_im),
         Theta=complex(args.theta_re, args.theta_im))
-    path, ts = _sample_times(tc, args.t_end, args.samples)
+    path = chr_mod.solve_characteristic(tc, args.t_end)
+    ts = _sample_times(path, args.t_end, args.samples)
     rows = []
     for t, s in zip(ts, prop.gaussian_sweep(
             lambda t: chr_mod.kernel_parameters(tc, path, t), ts, s0)):
@@ -225,12 +224,11 @@ def cmd_appendix_d(args):
     return 0
 
 
-def _uncertainty(spec, m0, f0, t_end, samples):
-    """(t, uncertainty_check) of the moments flowed from (m0, f0) at each t
-    in linspace(0, t_end, samples)."""
-    from . import characteristic as chr_mod, dynamics as dyn
+def _uncertainty(flow, m0, f0, t_end, samples):
+    """(t, uncertainty_check) of the moments flowed on ``flow`` from
+    (m0, f0) at each t in linspace(0, t_end, samples)."""
+    from . import dynamics as dyn
 
-    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), t_end)
     mpath = dyn.evolve_second_moments(flow, m0)
     fpath = dyn.evolve_first_moments(flow, f0)
     return [(t, dyn.uncertainty_check(mpath(t), fpath(t)))
@@ -238,13 +236,15 @@ def _uncertainty(spec, m0, f0, t_end, samples):
 
 
 def cmd_uncertainty(args):
-    from . import dynamics as dyn
+    from . import characteristic as chr_mod, dynamics as dyn
 
     spec = _spec_from(args)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
     f0 = dyn.FirstMoments(x=args.x_mean, p=args.p_mean)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec),
+                                  args.t_end)
     rows = [(t, u["dp2"], u["dx2"], u["margin"], u["excess"])
-            for t, u in _uncertainty(spec, m0, f0, args.t_end, args.samples)]
+            for t, u in _uncertainty(flow, m0, f0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "dp2", "dx2", "margin", "excess"], rows)
     return 0
 
@@ -257,11 +257,12 @@ def _verify_one(model_id: str, budget: str):
                            delta=0.6)
     checks = []
     tc = coeff.builtin_coefficients(spec)
+    # one flow for the kernel on (0, 1.2] and the moments on [0, 1.5]
+    flow = chr_mod.solve_characteristic(tc, 1.5)
     n_kernel = 5 if budget == "quick" else 20
-    path, ts = _sample_times(tc, 1.2, n_kernel)
     worst = 0.0
-    for t in ts:
-        kp = chr_mod.kernel_parameters(tc, path, t)
+    for t in _sample_times(flow, 1.2, n_kernel):
+        kp = chr_mod.kernel_parameters(tc, flow, t)
         ref = chr_mod.closed_form_kernel(spec, t)
         for got, exp in ((kp.alpha, ref.alpha), (kp.beta, ref.beta),
                          (kp.gamma, ref.gamma)):
@@ -277,7 +278,7 @@ def _verify_one(model_id: str, budget: str):
 
     # coherent initial data: variances 1/2, zero covariance
     worst_m = min(u["margin"] for _, u in _uncertainty(
-        spec, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04),
+        flow, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04),
         dyn.FirstMoments(0.1, 0.2), 1.5, 10))
     checks.append(("uncertainty", worst_m >= -1e-10,
                    f"min margin {worst_m:.2e}"))

@@ -170,6 +170,10 @@ class HyperbolicBasis:
 
     together with the particular solution, plus the coth pair solving
     z'' + (omega^2 - 2 lambda^2 / sinh^2(lambda t + gamma)) z = 0.
+
+    The values, residuals and Wronskians read one table of (f, f', f'')
+    per family, u = lambda t + gamma: y1, y2 and z1, z2 are g(u) C - h(u) S
+    (see :meth:`_cs`) and Y is 1/w^2 - k sech^2(u).
     """
 
     lam: float
@@ -179,104 +183,102 @@ class HyperbolicBasis:
     def _u(self, t):
         return self.lam * t + self.gamma
 
-    def y1(self, t: float) -> float:
-        w, lam = self.omega, self.lam
+    def _cs(self, which, t):
+        """(C, S) = (cos wt, sin wt) for which = 1 and (sin wt, -cos wt) for
+        which = 2: in both, C' = -w S and S' = w C."""
+        c, s = math.cos(self.omega * t), math.sin(self.omega * t)
+        return (c, s) if which == 1 else (s, -c)
+
+    def _trig(self, C, S, g, h):
+        """(f, f', f'') of f = g C - h S from (C, S) of :meth:`_cs` and g, h
+        as (value, first, second derivative)."""
+        w = self.omega
+        return (g[0] * C - h[0] * S,
+                (g[1] - w * h[0]) * C - (h[1] + w * g[0]) * S,
+                (g[2] - 2.0 * w * h[1] - w * w * g[0]) * C
+                - (h[2] + 2.0 * w * g[1] - w * w * h[0]) * S)
+
+    def _y_derivs(self, which, t):
+        """(y, y', y'') of y1 or y2: g = w T, h = lambda (1 + T^2),
+        T = tanh(u)."""
+        lam, w = self.lam, self.omega
         T = math.tanh(self._u(t))
-        return (w * T * math.cos(w * t)
-                - lam * (1.0 + T * T) * math.sin(w * t))
+        dT = lam * (1.0 - T * T)
+        d2T = -2.0 * lam * T * dT
+        return self._trig(*self._cs(which, t), (w * T, w * dT, w * d2T),
+                          (lam * (1.0 + T * T), 2.0 * lam * T * dT,
+                           2.0 * lam * (dT * dT + T * d2T)))
+
+    def _z_derivs(self, which, t):
+        """(z, z', z'') of z1 or z2: g = w, h = lambda coth(u)."""
+        lam, w = self.lam, self.omega
+        T = math.tanh(self._u(t))
+        co = 1.0 / T
+        dco = -lam * (co * co - 1.0)
+        h = (lam * co, lam * dco, -2.0 * lam * lam * co * dco)
+        C, S = self._cs(which, t)
+        _, dz, d2z = self._trig(C, S, (w, 0.0, 0.0), h)
+        # the printed value: lambda S / T rounds apart from (lambda coth) S
+        return w * C - lam * S / T, dz, d2z
+
+    def _yp_derivs(self, t):
+        """(Y, Y', Y'') of the particular solution Y = 1/w^2 - k sech^2(u),
+        k = 2 lambda^2 / ((w^2 + 4 lambda^2) w^2)."""
+        lam, w = self.lam, self.omega
+        u = self._u(t)
+        ch, T = math.cosh(u), math.tanh(u)
+        k = 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * w * w)
+        sech2 = 1.0 / (ch * ch)
+        # the printed value, which rounds apart from 1/w^2 - k sech^2
+        Y = (1.0 - 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * ch * ch)) / (w * w)
+        return (Y, 2.0 * k * lam * T * sech2,
+                2.0 * k * lam * lam * (1.0 - 3.0 * T * T) * sech2)
+
+    def _friction(self, f, t):
+        """f'' - (4 lambda / sinh(2u)) f' + (w^2 + 2 lambda^2 / cosh^2 u) f
+        from (f, f', f'')."""
+        lam, w, u = self.lam, self.omega, self._u(t)
+        return (f[2] - 4.0 * lam / math.sinh(2.0 * u) * f[1]
+                + (w * w + 2.0 * lam * lam / math.cosh(u) ** 2) * f[0])
+
+    def y1(self, t: float) -> float:
+        return self._y_derivs(1, t)[0]
 
     def y2(self, t: float) -> float:
-        w, lam = self.omega, self.lam
-        T = math.tanh(self._u(t))
-        return (w * T * math.sin(w * t)
-                + lam * (1.0 + T * T) * math.cos(w * t))
+        return self._y_derivs(2, t)[0]
 
     def y_wronskian(self, t: float) -> float:
         w, lam = self.omega, self.lam
         return w * (w * w + 4.0 * lam * lam) * math.tanh(self._u(t)) ** 2
 
     def y_particular(self, t: float) -> float:
-        w, lam = self.omega, self.lam
-        ch = math.cosh(self._u(t))
-        return (1.0 - 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * ch * ch)) / (w * w)
+        return self._yp_derivs(t)[0]
 
     def z1(self, t: float) -> float:
-        w, lam = self.omega, self.lam
-        return (w * math.cos(w * t)
-                - lam * math.sin(w * t) / math.tanh(self._u(t)))
+        return self._z_derivs(1, t)[0]
 
     def z2(self, t: float) -> float:
-        w, lam = self.omega, self.lam
-        return (w * math.sin(w * t)
-                + lam * math.cos(w * t) / math.tanh(self._u(t)))
+        return self._z_derivs(2, t)[0]
 
     def z_wronskian(self) -> float:
         w, lam = self.omega, self.lam
         return w * (w * w + lam * lam)
 
-    def _y_derivs(self, f, t):
-        T = math.tanh(self._u(t))
-        lam, w = self.lam, self.omega
-        sech2 = 1.0 - T * T
-        dT = lam * sech2
-        d2T = -2.0 * lam * lam * T * sech2
-        c, s = math.cos(w * t), math.sin(w * t)
-        if f == 1:
-            g, trig, dtrig = w * T, c, -w * s
-            h, trig2, dtrig2 = -lam * (1.0 + T * T), s, w * c
-        else:
-            g, trig, dtrig = w * T, s, w * c
-            h, trig2, dtrig2 = lam * (1.0 + T * T), c, -w * s
-        dg, d2g = w * dT, w * d2T
-        sgn = -lam if f == 1 else lam
-        dh = sgn * 2.0 * T * dT
-        d2h = sgn * 2.0 * (dT * dT + T * d2T)
-        y = g * trig + h * trig2
-        dy = dg * trig + g * dtrig + dh * trig2 + h * dtrig2
-        d2y = (d2g * trig + 2.0 * dg * dtrig - w * w * g * trig
-               + d2h * trig2 + 2.0 * dh * dtrig2 - w * w * h * trig2)
-        return y, dy, d2y
-
     def y_residual(self, which: int, t: float) -> float:
         """Absolute residual of the homogeneous friction equation for y1/y2
         using analytic derivatives."""
-        y, dy, d2y = self._y_derivs(which, t)
-        lam, w = self.lam, self.omega
-        fric = 4.0 * lam / math.sinh(2.0 * self._u(t))
-        stiff = w * w + 2.0 * lam * lam / math.cosh(self._u(t)) ** 2
-        return abs(d2y - fric * dy + stiff * y)
+        return abs(self._friction(self._y_derivs(which, t), t))
 
     def y_particular_residual(self, t: float) -> float:
         """Absolute residual of the nonhomogeneous equation for Y."""
-        lam, w = self.lam, self.omega
-        u = self._u(t)
-        ch, sh = math.cosh(u), math.sinh(u)
-        k = 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * w * w)
-        Y = 1.0 / (w * w) - k / (ch * ch)
-        dY = 2.0 * k * lam * sh / ch ** 3
-        d2Y = 2.0 * k * lam * lam * (1.0 - 3.0 * sh * sh / (ch * ch)) / (ch * ch)
-        fric = 4.0 * lam / math.sinh(2.0 * u)
-        stiff = w * w + 2.0 * lam * lam / (ch * ch)
-        return abs(d2Y - fric * dY + stiff * Y - 1.0)
+        return abs(self._friction(self._yp_derivs(t), t) - 1.0)
 
     def z_residual(self, which: int, t: float) -> float:
         """Absolute residual of the coth-potential equation for z1/z2."""
+        z, _, d2z = self._z_derivs(which, t)
         lam, w = self.lam, self.omega
-        u = self._u(t)
-        cothu = 1.0 / math.tanh(u)
-        dco = -lam * (cothu * cothu - 1.0)
-        d2co = 2.0 * lam * lam * cothu * (cothu * cothu - 1.0)
-        c, s = math.cos(w * t), math.sin(w * t)
-        if which == 1:
-            z = w * c - lam * cothu * s
-            d2z = (-w ** 3 * c - lam * (d2co * s + 2.0 * dco * w * c
-                                        - cothu * w * w * s))
-        else:
-            z = w * s + lam * cothu * c
-            d2z = (-w ** 3 * s + lam * (d2co * c - 2.0 * dco * w * s
-                                        - cothu * w * w * c))
-        stiff = w * w - 2.0 * lam * lam / math.sinh(u) ** 2
-        return abs(d2z + stiff * z)
+        return abs(d2z + (w * w - 2.0 * lam * lam / math.sinh(self._u(t)) ** 2)
+                   * z)
 
     def y_wronskian_residual(self, t: float) -> float:
         """|y1 y2' - y1' y2 - W(t)| with analytic derivatives."""
@@ -285,13 +287,7 @@ class HyperbolicBasis:
         return abs(y1 * dy2 - dy1 * y2 - self.y_wronskian(t))
 
     def z_wronskian_residual(self, t: float) -> float:
-        lam, w = self.lam, self.omega
-        u = self._u(t)
-        cothu = 1.0 / math.tanh(u)
-        dco = -lam * (cothu * cothu - 1.0)
-        c, s = math.cos(w * t), math.sin(w * t)
-        z1 = w * c - lam * cothu * s
-        dz1 = -w * w * s - lam * (dco * s + cothu * w * c)
-        z2 = w * s + lam * cothu * c
-        dz2 = w * w * c + lam * (dco * c - cothu * w * s)
+        """|z1 z2' - z1' z2 - W| with analytic derivatives."""
+        z1, dz1, _ = self._z_derivs(1, t)
+        z2, dz2, _ = self._z_derivs(2, t)
         return abs(z1 * dz2 - dz1 * z2 - self.z_wronskian())

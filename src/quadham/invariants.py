@@ -1,10 +1,13 @@
 """Quadratic and linear dynamical invariants.
 
 Covers the per-model catalog of conserved quadratic operators, the
-Lewis-Riesenfeld construction from the nonlinear kappa equation, the
-Pinney-type superposition of linear solutions, the general symmetric-form
-invariant for arbitrary (possibly non-self-adjoint) quadratic Hamiltonians,
-linear invariants, and the ladder factorization of a quadratic invariant.
+general symmetric-form invariant for arbitrary (possibly non-self-adjoint)
+quadratic Hamiltonians, linear invariants, and the ladder factorization of
+a quadratic invariant.  The Lewis-Riesenfeld invariant of the kappa
+equation is the symmetric form ``[(mu p - q x)^2 + C0 x^2 / mu^2] e^I``
+at a = 1/2, c = d = 0, with q = kappa' and e^I = 1.  Both take mu (or
+kappa) as sqrt(s) from Pinney's superposition s = A u^2 + 2 B u v + C v^2
+of two linear solutions.
 
 The conservation system of a quadratic invariant, the linear auxiliary
 equation, the Ermakov equation (Pinney's superposition of two columns of
@@ -175,9 +178,21 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
     return replace(sol, C0=c0)
 
 
+def _pinney_form(A: float, B: float, C: float, u, v, t: float):
+    """(s, s') of Pinney's form s = A u^2 + 2 B u v + C v^2 from two
+    solutions u, v given as (value, derivative) at t; refuses s <= 0."""
+    u0, u1 = u[:2]
+    v0, v1 = v[:2]
+    s = A * u0 * u0 + 2.0 * B * u0 * v0 + C * v0 * v0
+    if s <= 0.0:
+        raise NonPositiveForm("quadratic form is not positive", t=t)
+    return s, 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
+
+
 def pinney_superpose(u, v, A: float, B: float, C: float, W: float,
                      c0: Optional[float] = None) -> ErmakovSolution:
-    """kappa = sqrt(A u^2 + 2 B u v + C v^2) from two linear solutions.
+    """kappa = sqrt(A u^2 + 2 B u v + C v^2) from two linear solutions
+    (Pinney, Proc. AMS 1 (1950) 681).
 
     ``u`` and ``v`` map t to (value, derivative) of independent solutions of
     the same equation u'' + omega^2(t) u = 0 with constant Wronskian W.
@@ -191,34 +206,28 @@ def pinney_superpose(u, v, A: float, B: float, C: float, W: float,
             "A C - B^2 is inconsistent with c0 / W^2",
             implied_c0=implied, c0=c0)
 
-    def form(t):
-        u0, u1 = u(t)[:2]
-        v0, v1 = v(t)[:2]
-        q = A * u0 * u0 + 2.0 * B * u0 * v0 + C * v0 * v0
-        dq = 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
-        return q, dq
-
     def kappa(t):
-        q, _ = form(t)
-        if q <= 0.0:
-            raise NonPositiveForm("quadratic form is not positive", t=t)
-        return math.sqrt(q)
+        return math.sqrt(_pinney_form(A, B, C, u(t), v(t), t)[0])
 
     def kappa_prime(t):
-        q, dq = form(t)
-        if q <= 0.0:
-            raise NonPositiveForm("quadratic form is not positive", t=t)
-        return 0.5 * dq / math.sqrt(q)
+        s, ds = _pinney_form(A, B, C, u(t), v(t), t)
+        return 0.5 * ds / math.sqrt(s)
 
     return ErmakovSolution(kappa=kappa, kappa_prime=kappa_prime, C0=c0)
 
 
+def _symmetric_form(mu: float, q: float, C0: float, w: float,
+                    t: float) -> QuadraticForm:
+    """[(mu p - q x)^2 + C0 x^2 / mu^2] w expanded as a quadratic form."""
+    return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
+                         C=-mu * q * w, D=-mu * q * w, t=t)
+
+
 def lewis_riesenfeld_invariant(sol: ErmakovSolution, t: float) -> QuadraticForm:
-    """(kappa p - kappa' x)^2 + c0 x^2 / kappa^2 expanded as a quadratic form."""
-    k = sol.kappa(t)
-    kp = sol.kappa_prime(t)
-    return QuadraticForm(A=k * k, B=kp * kp + sol.C0 / (k * k),
-                         C=-k * kp, D=-k * kp, t=t)
+    """(kappa p - kappa' x)^2 + c0 x^2 / kappa^2 expanded as a quadratic form
+    (Lewis & Riesenfeld, J. Math. Phys. 10 (1969) 1458): the symmetric form
+    of :func:`general_invariant` at a = 1/2, c = d = 0, q = kappa', e^I = 1."""
+    return _symmetric_form(sol.kappa(t), sol.kappa_prime(t), sol.C0, 1.0, t)
 
 
 def _mu_triplet(mu_fn, t: float):
@@ -274,20 +283,16 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     C0 = (A * C - B * B) * W0 * W0 / (2.0 * a0) ** 2
 
     def mu_fn(t):
-        uu = u(t)[:2]
-        vv = v(t)[:2]
+        u0, u1 = u(t)[:2]
+        v0, v1 = v(t)[:2]
+        s, ds = _pinney_form(A, B, C, (u0, u1), (v0, v1), t)
         _, p, q = _auxiliary_coefficients(tc, t)
         # second derivatives of u, v from the linear equation itself
-        u2 = p * uu[1] - q * uu[0]
-        v2 = p * vv[1] - q * vv[0]
-        s = A * uu[0] ** 2 + 2.0 * B * uu[0] * vv[0] + C * vv[0] ** 2
-        if s <= 0.0:
-            raise NonPositiveForm("quadratic form is not positive", t=t)
-        ds = 2.0 * (A * uu[0] * uu[1] + B * (uu[1] * vv[0] + uu[0] * vv[1])
-                    + C * vv[0] * vv[1])
-        d2s = 2.0 * (A * (uu[1] ** 2 + uu[0] * u2)
-                     + B * (u2 * vv[0] + 2.0 * uu[1] * vv[1] + uu[0] * v2)
-                     + C * (vv[1] ** 2 + vv[0] * v2))
+        u2 = p * u1 - q * u0
+        v2 = p * v1 - q * v0
+        d2s = 2.0 * (A * (u1 * u1 + u0 * u2)
+                     + B * (u2 * v0 + 2.0 * u1 * v1 + u0 * v2)
+                     + C * (v1 * v1 + v0 * v2))
         mu = math.sqrt(s)
         mup = 0.5 * ds / mu
         mupp = 0.5 * d2s / mu - mup * mup / mu
@@ -319,6 +324,15 @@ def solve_linear_auxiliary(flow: Flow, init):
     return path
 
 
+def _mu_q(tc: TimeCoefficients, mu_fn, t: float):
+    """(mu, q) of the symmetric form at t, q = (mu' - (c + d) mu) / (2a);
+    refuses mu = 0."""
+    mu, mup = mu_fn(t)[:2]
+    if mu == 0.0:
+        raise MuVanishes("mu vanishes", t=t)
+    return mu, (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * tc.a(t))
+
+
 def general_invariant(flow: Flow, mu_fn, C0: float,
                       t: float, residual_tol: float = 1e-8) -> QuadraticForm:
     """Symmetric-form invariant for a general quadratic Hamiltonian:
@@ -335,15 +349,8 @@ def general_invariant(flow: Flow, mu_fn, C0: float,
         raise AuxiliaryResidualTooLarge(
             "mu does not solve the auxiliary equation at t",
             residual=res, t=t)
-    mu, mup = mu_fn(t)[:2]
-    if mu == 0.0:
-        raise MuVanishes("mu vanishes", t=t)
-    a = tc.a(t)
-    q = (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * a)
-    wfac = math.exp(flow.at(t).i)
-    return QuadraticForm(A=mu * mu * wfac,
-                         B=(q * q + C0 / (mu * mu)) * wfac,
-                         C=-mu * q * wfac, D=-mu * q * wfac, t=t)
+    mu, q = _mu_q(tc, mu_fn, t)
+    return _symmetric_form(mu, q, C0, math.exp(flow.at(t).i), t)
 
 
 def linear_invariant(flow: Flow, A_fn, C0_const: float,
@@ -375,15 +382,10 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float,
     """Time-dependent annihilation/creation pair factorizing the invariant as
     (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
     exp(int (c - d)), the integral the I of ``flow``."""
-    tc = flow.tc
     if not (C0 > 0):
         raise InvalidC0("C0 must be positive for the factorization", C0=C0)
-    mu, mup = mu_fn(t)[:2]
-    if mu == 0.0:
-        raise MuVanishes("mu vanishes", t=t)
-    a = tc.a(t)
+    mu, q = _mu_q(flow.tc, mu_fn, t)
     w0 = 2.0 * math.sqrt(C0)
-    q = (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * a)
     P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
     R = mu / math.sqrt(w0)
     omega_t = w0 * math.exp(flow.at(t).i)

@@ -474,10 +474,11 @@ def test_uncertainty_solves_one_flow(capsys, solves):
     assert solves == [(0.0, 3.0)]
 
 
-def test_verify_all_solves_three_flows_per_model(capsys, solves):
+def test_verify_all_solves_two_flows_per_model(capsys, solves):
+    # one for the kernel and the moments, one for the catalogued invariant
     code, out, err = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
-    assert len(solves) == 3 * len(coeff.MODEL_IDS)
+    assert len(solves) == 2 * len(coeff.MODEL_IDS)
 
 
 @pytest.mark.parametrize("modules", [

@@ -175,6 +175,27 @@ def test_hyperbolic_basis_wronskians(basis):
         assert basis.z_wronskian_residual(t) <= 1e-10
 
 
+@pytest.mark.parametrize("basis", BASES, ids=["plain", "shifted"])
+def test_hyperbolic_basis_values(basis):
+    # the printed Appendix-D functions, u = lambda t + gamma
+    w, lam = basis.omega, basis.lam
+    for t in (0.05, 0.4, 1.3, 2.7, 5.0):
+        u = lam * t + basis.gamma
+        T, ch = math.tanh(u), math.cosh(u)
+        c, s = math.cos(w * t), math.sin(w * t)
+        expected = {
+            "y1": w * T * c - lam * (1.0 + T * T) * s,
+            "y2": w * T * s + lam * (1.0 + T * T) * c,
+            "y_particular": (1.0 - 2.0 * lam * lam
+                             / ((w * w + 4.0 * lam * lam) * ch * ch)) / (w * w),
+            "z1": w * c - lam * s / T,
+            "z2": w * s + lam * c / T,
+        }
+        for name, value in expected.items():
+            assert getattr(basis, name)(t) == pytest.approx(value,
+                                                            rel=1e-14), name
+
+
 def test_hyperbolic_particular_solution_values():
     basis = dyn.HyperbolicBasis(lam=0.2, omega=1.0)
     w, lam = 1.0, 0.2

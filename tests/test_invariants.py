@@ -127,6 +127,34 @@ def test_pinney_matches_direct_ermakov():
                                                        rel=1e-8)
 
 
+def test_pinney_and_linear_superposition_agree():
+    # a = 1/2, b = omega^2 / 2, c = d = 0: the linear auxiliary equation is
+    # u'' + omega^2 u = 0, and Pinney's kappa from the columns of the flow
+    # is the superposed mu of the same u, v, A, B, C
+    omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
+                                zero, zero, coeff.HAMILTONIAN, zero,
+                                lambda t: 0.15 * math.cos(t), zero, zero)
+    flow = classical_flow(tc, 2.0)
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
+    kappa0, kappa0p, c0 = 1.0, 0.2, 0.7
+    A, B, C = kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + c0 / kappa0 ** 2
+    pinney = inv.pinney_superpose(u, v, A, B, C, 1.0)
+    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
+    ermakov = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p), 2.0)
+    assert C0 == pytest.approx(pinney.C0, rel=1e-15)
+    assert C0 == pytest.approx(c0, rel=1e-15)
+    for t in np.linspace(0.0, 2.0, 9):
+        t = float(t)
+        mu, mup = mu_fn(t)[:2]
+        assert pinney.kappa(t) == pytest.approx(mu, rel=1e-15)
+        assert pinney.kappa_prime(t) == pytest.approx(mup, rel=1e-15)
+        assert ermakov.kappa(t) == pytest.approx(mu, rel=1e-15)
+        assert ermakov.kappa_prime(t) == pytest.approx(mup, rel=1e-15)
+
+
 def test_pinney_constraint_check():
     u = lambda t: (math.cos(t), -math.sin(t))
     v = lambda t: (math.sin(t), math.cos(t))
