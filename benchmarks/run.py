@@ -31,7 +31,8 @@ together, alternating the two sample by sample in every subprocess and
 layer timing, so that a change in machine load falls on both alike; it
 writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  A
 record names the measured code twice: by ``git describe`` and by a sha256
-of the package source, which stays exact for uncommitted changes.
+of the package source, which stays exact for uncommitted changes; beside
+them, ``source_lines`` counts the lines of that source.
 """
 
 import argparse
@@ -265,6 +266,12 @@ def _source_sha256(root):
     return digest.hexdigest()
 
 
+def _source_lines(root):
+    """The number of lines of ``src/**/*.py``, the tracked source size."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in pathlib.Path(root, "src").rglob("*.py"))
+
+
 def _cpu():
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -300,7 +307,8 @@ def main(argv=None):
                 for name, cli in COMMANDS.items()}
     layers = _layers(roots)
     names = [{"revision": _revision(root),
-              "source_sha256": _source_sha256(root)} for root in roots]
+              "source_sha256": _source_sha256(root),
+              "source_lines": _source_lines(root)} for root in roots]
     day = datetime.date.today().strftime("%Y%m%d")
     for i, (root, tag) in enumerate(zip(roots, tags)):
         record = {

@@ -32,12 +32,9 @@ from typing import NamedTuple
 from .coefficients import (HAMILTONIAN, ModelSpec, TimeCoefficients,
                            convert_convention)
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
-from .ode import bracket_sign_change, solve_ivp
+from .ode import FLOW_TOL, bracket_sign_change, solve_ivp
 
 MU_GUARD = 1e-10
-# the flow's tolerance on every path: the error of one step in M relative to
-# |M|, plus that of I
-FLOW_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,7 @@ def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
         raise ValidationError("the window must be finite", t_end=t_end)
     tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(t_end)
-    sol = solve_ivp((tc.a, tc.b, tc.c, tc.d), (0.0, t_end), FLOW_TOL)
-    return Flow(sol, tc)
+    return Flow(solve_ivp((tc.a, tc.b, tc.c, tc.d), t_end), tc)
 
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:

@@ -53,7 +53,7 @@ def _spec_from(args) -> coeff.ModelSpec:
         if flag is not None:
             return flag
         if key in cfg:
-            return float(cfg[key]) if key != "model" else cfg[key]
+            return float(cfg[key])
         return default
 
     model = args.model or cfg.get("model")
@@ -186,8 +186,7 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
     ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
     # a drift relative to an E(0) that cancels among its terms measures
     # rounding, not conservation
-    terms = (abs(q0.A * m0.p2) + abs(q0.B * m0.x2)
-             + abs(0.5 * (q0.C + q0.D) * m0.pxxp))
+    terms = q0.magnitude(m0.p2, m0.x2, m0.pxxp)
     if not abs(ref) > 1e-8 * terms:
         raise ValidationError("the invariant of the initial moments "
                               "vanishes against its terms", reference=ref,
@@ -334,10 +333,15 @@ def _build_parser():
 
     def new(name, fn, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        # {option: dest} of the numbers _check_args requires finite
+        p.set_defaults(fn=fn, finite={})
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
         return p
+
+    def number(p, flag, **kw):
+        p.get_default("finite")[flag] = p.add_argument(
+            flag, type=float, **kw).dest
 
     p = new("list-models", cmd_list_models)
     p.add_argument("--json", action="store_true")
@@ -355,8 +359,8 @@ def _build_parser():
     p = new("green", cmd_green)
     _add_model_args(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    number(p, "--x", required=True)
+    number(p, "--y", required=True)
 
     p = new("propagate", cmd_propagate)
     _add_model_args(p)
@@ -364,8 +368,8 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--lambda-re", type=float, default=0.0)
     p.add_argument("--lambda-im", type=float, default=0.5)
-    p.add_argument("--theta-re", type=float, default=0.0)
-    p.add_argument("--theta-im", type=float, default=0.0)
+    number(p, "--theta-re", default=0.0)
+    number(p, "--theta-im", default=0.0)
 
     for name, fn in (("moments", cmd_moments), ("invariant", cmd_invariant),
                      ("uncertainty", cmd_uncertainty)):
@@ -373,19 +377,19 @@ def _build_parser():
         _add_model_args(p)
         p.add_argument("--t-end", type=float, required=True)
         p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--p2", type=float, default=1.0)
-        p.add_argument("--x2", type=float, default=1.0)
-        p.add_argument("--pxxp", type=float, default=0.0)
+        number(p, "--p2", default=1.0)
+        number(p, "--x2", default=1.0)
+        number(p, "--pxxp", default=0.0)
         if name == "uncertainty":
-            p.add_argument("--x-mean", type=float, default=0.0)
-            p.add_argument("--p-mean", type=float, default=0.0)
+            number(p, "--x-mean", default=0.0)
+            number(p, "--p-mean", default=0.0)
 
     p = new("appendix_d", cmd_appendix_d)
-    p.add_argument("--lambda", dest="lam_d", type=float, required=True)
-    p.add_argument("--omega", dest="omega_d", type=float, required=True)
-    p.add_argument("--gamma-shift", type=float, default=0.0)
-    p.add_argument("--t-start", type=float, default=0.05)
-    p.add_argument("--t-end", type=float, required=True)
+    number(p, "--lambda", dest="lam_d", required=True)
+    number(p, "--omega", dest="omega_d", required=True)
+    number(p, "--gamma-shift", default=0.0)
+    number(p, "--t-start", default=0.05)
+    number(p, "--t-end", required=True)
     p.add_argument("--samples", type=int, default=50)
 
     p = new("verify_all", cmd_verify_all)
@@ -403,6 +407,10 @@ def _check_args(args):
     if not (getattr(args, "t_start", 1.0) > 0):
         raise ValidationError("--t-start must be positive",
                               t_start=args.t_start)
+    for flag, dest in args.finite.items():
+        if not math.isfinite(value := getattr(args, dest)):
+            raise ValidationError(f"{flag} must be finite", option=flag,
+                                  value=value)
 
 
 def _jsonable(value):

@@ -72,8 +72,8 @@ class TimeCoefficients:
         return self.dd(t) if self.dd is not None else _fd_derivative(self.d, t)
 
     def require_window(self, t_end: float) -> None:
-        """Refuse an integration from 0 to t_end that reaches t_singular;
-        the solver would crawl towards it for minutes before giving up."""
+        """Refuse a window from 0 to t_end that reaches t_singular, at once;
+        a solve into it ends in ToleranceNotMet after its step budget."""
         if min(0.0, t_end) <= self.t_singular <= max(0.0, t_end):
             raise SingularCoefficient(
                 "the window reaches a singularity of the coefficients",
@@ -103,10 +103,6 @@ class ModelSpec:
         if build is None:
             raise InvalidModelParams(f"unknown model {self.model_id!r}")
         return build(self.omega0, self.lam, self.mu_param, self.delta)
-
-    @property
-    def omega(self) -> float:
-        return self.model.omega
 
     def validate(self) -> None:
         model = self.model  # refuses an unknown id

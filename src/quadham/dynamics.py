@@ -34,10 +34,8 @@ class SecondMoments:
     pxxp: float = 0.0
     norm: float = 1.0
 
-    def variances(self, fm: "FirstMoments" = None):
-        """(<(Delta p)^2>, <(Delta x)^2>) as raw expectations."""
-        if fm is None:
-            return self.p2, self.x2
+    def variances(self, fm: "FirstMoments"):
+        """(<(Delta p)^2>, <(Delta x)^2>) as raw expectations about fm."""
         if self.norm <= 0.0:
             raise InvalidMoments("norm must be positive", norm=self.norm)
         return (self.p2 - fm.p * fm.p / self.norm,
@@ -126,32 +124,12 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
     return energy
 
 
-def closed_form_mean_position(spec: ModelSpec, amplitude: float,
-                              phase: float, t: float) -> float:
-    """Exact <x>(t) of the damped models' family of amplitude A and phase
-    delta (see the ``mean_position`` of their records):
-
-    united:  A e^{-(lambda + mu) t} sin(omega t + delta),
-    coordinate-damped:  A sin(omega t + delta) / cosh(lambda t).
-    """
-    return spec.closed_form("mean_position")(amplitude, phase, t)
-
-
-def mean_position_initial_conditions(spec: ModelSpec, amplitude: float,
-                                     phase: float) -> FirstMoments:
-    """FirstMoments at t = 0 matching the closed-form <x>(t) family, using
-    <p> = (<x>' - 2d <x>) / (2a)."""
-    return FirstMoments(*spec.closed_form("mean_start")(amplitude, phase))
-
-
 def uncertainty_check(m: SecondMoments, fm: FirstMoments) -> dict:
     """Heisenberg bound diagnostics from raw moments.
 
     Returns the raw margin <(Dp)^2><(Dx)^2> - <1>^2/4 (nonnegative for any
     admissible state) and the normalized product delta_p delta_x - 1/2.
     """
-    if m.norm <= 0.0:
-        raise InvalidMoments("norm must be positive", norm=m.norm)
     dp2, dx2 = m.variances(fm)
     if dp2 < -1e-12 or dx2 < -1e-12:
         raise InvalidMoments("negative variance", dp2=dp2, dx2=dx2)

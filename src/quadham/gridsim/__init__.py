@@ -26,6 +26,8 @@ COMPILED = False
 
 _EDGE_CELLS = 5
 _LEAK_TOL = 1e-8
+# the relative accuracy of the grid moments (O(dx^2)) the package checks
+_CANCEL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class GridEvolution:
 
     times: Sequence[float]
     states: Sequence[GridState]
-    dt: float
 
     def final(self) -> GridState:
         return self.states[-1]
@@ -88,8 +89,8 @@ def _cn_run(psi, x, dx, dt, a_mid, b_mid, s_mid, c_mid):
 
 
 def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
-                steps: int, t0: float = 0.0, record_every: int = None,
-                check_boundary: bool = True) -> GridEvolution:
+                steps: int, t0: float = 0.0,
+                record_every: int = None) -> GridEvolution:
     """Run `steps` Crank-Nicolson steps of size dt from t0.
 
     States are recorded every ``record_every`` steps (default about 16
@@ -119,14 +120,13 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
         psi = _cn_run(cur.values, x, psi0.dx, dt, a_mid, b_mid, s_mid, c_mid)
         done += chunk
         cur = GridState(x0=psi0.x0, dx=psi0.dx, values=psi)
-        if check_boundary:
-            leak = _leak_fraction(cur)
-            if leak > _LEAK_TOL:
-                raise BoundaryLeak("probability reached the grid edges",
-                                   fraction=leak, t=t0 + done * dt)
+        leak = _leak_fraction(cur)
+        if leak > _LEAK_TOL:
+            raise BoundaryLeak("probability reached the grid edges",
+                               fraction=leak, t=t0 + done * dt)
         times.append(t0 + done * dt)
         states.append(cur)
-    return GridEvolution(times=tuple(times), states=tuple(states), dt=dt)
+    return GridEvolution(times=tuple(times), states=tuple(states))
 
 
 def _derivative(values: np.ndarray, dx: float) -> np.ndarray:
@@ -174,18 +174,23 @@ def measure_moments(state: GridState):
     return first, second
 
 
-def invariant_drift(tc: TimeCoefficients, ev: GridEvolution,
-                    form_of, eps: float = 1e-30) -> float:
-    """max_t |<E>(t) - <E>(0)| / max(|<E>(0)|, eps) over the recorded
-    states.  ``form_of`` maps t to a ``QuadraticForm``.
-    """
+def invariant_drift(ev: GridEvolution, form_of) -> float:
+    """max_t |<E>(t) - <E>(0)| / |<E>(0)| over the recorded states, with
+    ``form_of`` mapping t to a ``QuadraticForm``.  Raises ValidationError
+    when |<E>(0)| is at most _CANCEL times the summed magnitudes of its
+    terms: it has then cancelled to grid noise."""
 
     def value(s, t):
         _, m = measure_moments(s)
         return form_of(t).expectation(m.p2, m.x2, m.pxxp)
 
-    ref = value(ev.states[0], ev.times[0])
-    scale = max(abs(ref), eps)
+    _, m0 = measure_moments(ev.states[0])
+    q0 = form_of(ev.times[0])
+    ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
+    terms = q0.magnitude(m0.p2, m0.x2, m0.pxxp)
+    if not abs(ref) > _CANCEL * terms:
+        raise ValidationError("the invariant of the initial state vanishes "
+                              "against its terms", reference=ref,
+                              terms=terms)
     return max(abs(value(s, t) - ref)
-               for t, s in zip(ev.times[1:], ev.states[1:])) / scale \
-        if len(ev.states) > 1 else 0.0
+               for t, s in zip(ev.times[1:], ev.states[1:])) / abs(ref)

@@ -49,6 +49,11 @@ class QuadraticForm:
         """A<p^2> + B<x^2> + (C+D)/2 <px+xp> from raw moments."""
         return (self.A * p2 + self.B * x2 + 0.5 * (self.C + self.D) * pxxp)
 
+    def magnitude(self, p2: float, x2: float, pxxp: float) -> float:
+        """The summed magnitudes of the terms of :meth:`expectation`."""
+        return (abs(self.A * p2) + abs(self.B * x2)
+                + abs(0.5 * (self.C + self.D) * pxxp))
+
 
 @dataclass(frozen=True)
 class LinearForm:
@@ -354,11 +359,11 @@ def general_invariant(flow: Flow, mu_fn, C0: float,
 
 
 def linear_invariant(flow: Flow, A_fn, C0_const: float,
-                     t: float, residual_tol: float = 1e-8) -> LinearForm:
+                     t: float) -> LinearForm:
     """Linear invariant P = A p + ((2c A - A') / 2a) x + C0 exp(int (c - d))
     of the coefficients of ``flow``, with the integral its I.
 
-    ``A_fn`` maps t to (A, A') (optionally (A, A', A'')) and must solve
+    ``A_fn`` maps t to (A, A') or (A, A', A'') and must solve, to 1e-8,
 
         A'' - (a'/a + 2c - 2d) A' + 4(a b - c d + c a'/(2a) - c'/2) A = 0.
     """
@@ -369,7 +374,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
     ap, cp = tc.deriv_a(t), tc.deriv_c(t)
     res = abs(A2 - (ap / a + 2.0 * c - 2.0 * d) * A1
               + 4.0 * (a * b - c * d + c * ap / (2.0 * a) - 0.5 * cp) * A0)
-    if res > residual_tol:
+    if res > 1e-8:
         raise ResidualTooLarge("A does not solve the linear-invariant equation",
                                residual=res, t=t)
     B = (2.0 * c * A0 - A1) / (2.0 * a)
@@ -391,9 +396,3 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float,
     omega_t = w0 * math.exp(flow.at(t).i)
     return LadderPair(x_coeff=P, ddx_coeff=R, omega_t=omega_t, t=t)
 
-
-def united_invariant_mu(spec: ModelSpec):
-    """The elementary auxiliary-equation solution for the united model,
-    mu = sqrt(omega0/2) e^{(mu_param - lambda) t} up to the kappa
-    substitution; returns (mu_fn, C0) ready for general_invariant."""
-    return spec.closed_form("invariant_mu")

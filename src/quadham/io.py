@@ -39,22 +39,12 @@ def write_csv(path, header, rows):
             emit(fh)
 
 
-def read_csv(path):
-    """Read a CSV written by write_csv; returns (header, list of rows of
-    strings)."""
-    import csv
-
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        return header, [row for row in r]
-
-
 def write_json(path, obj):
-    """UTF-8 JSON with keys kept in insertion order."""
+    """Strict UTF-8 JSON with keys kept in insertion order: a nan or an
+    infinity in ``obj`` raises ValueError before anything is written."""
     import json
 
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if path in (None, "-"):
         sys.stdout.write(text + "\n")
     else:

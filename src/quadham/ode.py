@@ -47,6 +47,8 @@ _NODE = math.sqrt(15.0) / 10.0
 _ALPHA2 = math.sqrt(15.0) / 3.0
 # 3 nodes for the whole step and 3 for each half
 _EVALS_PER_STEP = 9
+# every solve's tolerance: one step's error in M relative to |M|, plus in I
+FLOW_TOL = 1e-14
 # attempted steps (accepted and rejected) one solve may take.  The damped
 # models take 34-42 per unit of t, so this serves them past t = 700; a
 # solve towards a singular time, which would otherwise crawl on for tens
@@ -166,21 +168,21 @@ class Solution:
                         self.y[k])
 
 
-def solve_ivp(coefficients, t_span, tol):
+def solve_ivp(coefficients, t_end):
     """The flow (M, I) of the coefficients (a, b, c, d) of H from M = 1,
-    I = 0 at t_span[0] to t_span[1] (either direction), each step's error
-    held to ``tol``; returns a :class:`Solution` with dense output.
+    I = 0 at t = 0 to t_end (either direction), each step's error held to
+    FLOW_TOL; returns a :class:`Solution` with dense output.
 
     Raises ToleranceNotMet when the step size falls below ten ulp of t or
     after MAX_STEPS attempted steps.
     """
-    t0, t_bound = float(t_span[0]), float(t_span[1])
-    direction = 1.0 if t_bound >= t0 else -1.0
-    t, y = t0, [1.0, 0.0, 0.0, 1.0, 0.0]
+    t_bound = float(t_end)
+    direction = 1.0 if t_bound >= 0.0 else -1.0
+    t, y = 0.0, [1.0, 0.0, 0.0, 1.0, 0.0]
     ts, ys = [t], [y]
     n_rejected = 0
     # the first attempt spans the window; the controller shrinks it
-    h_abs = abs(t_bound - t0)
+    h_abs = abs(t_bound)
     while direction * (t - t_bound) < 0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -208,13 +210,13 @@ def solve_ivp(coefficients, t_span, tol):
                 one = _advance(w, y)
                 y_new = _advance(second, _advance(first, y))
                 m11, m12, m21, m22, _ = y_new
-                # the one-step error against tol, then the turn against a
-                # quarter turn on the same 7th-order scale; sums, so that a
+                # the one-step error against FLOW_TOL, then the turn against
+                # a quarter turn on the same 7th-order scale; sums, so that a
                 # coefficient that is not a number makes the ratio nan
                 err = ((abs(one[0] - m11) + abs(one[1] - m12)
                         + abs(one[2] - m21) + abs(one[3] - m22))
                        / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
-                       + abs(w[3] - first[3] - second[3])) / tol
+                       + abs(w[3] - first[3] - second[3])) / FLOW_TOL
                 ratio = max(err, (abs(w[0] * w[0] + w[1] * w[2])
                                   / _QUARTER_TURN) ** 3.5)
             except (ArithmeticError, ValueError):

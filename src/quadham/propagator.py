@@ -8,9 +8,8 @@ chirp-z transform (chirp x Fourier x chirp), evaluated in O(N log N) with
 Bluestein's FFT convolution.
 
 The Gaussian and point-kernel layer is plain ``cmath``/``math``, so that
-importing this module loads no numpy; the grid functions (and
-``GaussianState.eval``, ``green_eval`` of array arguments) import it where
-they run.
+importing this module loads no numpy; the grid functions and
+``GaussianState.eval`` import it where they run.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 from .characteristic import MU_GUARD, KernelParameters
 from .errors import (CausticEncountered, DegenerateWidth, NonNormalizable,
-                     UnderResolved)
+                     NumericalError, UnderResolved)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -104,26 +103,20 @@ class GridState:
         return float(self.dx * np.sum(np.abs(self.values) ** 2))
 
 
-def green_eval(kp: KernelParameters, x, y):
-    """(2 pi i mu)^(-1/2) exp(i(alpha x^2 + beta x y + gamma y^2)),
-    principal branch: a complex for real x and y, else an array of the
-    broadcast shape with the same value at each point."""
+def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
+    """(2 pi i mu)^(-1/2) exp(i(alpha x^2 + beta x y + gamma y^2)) at real
+    x and y, principal branch; NumericalError where it is not finite."""
     if abs(kp.mu) < MU_GUARD:
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=kp.t)
+    x, y = float(x), float(y)
+    phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
-
-    def point(x, y):
-        x, y = float(x), float(y)
-        phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
-        return pref * cmath.exp(1j * phase)
-
-    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        return point(x, y)
-    import numpy as np
-
-    val = np.vectorize(point, otypes=[complex])(x, y)
-    return complex(val) if val.ndim == 0 else val
+    g = pref * cmath.exp(1j * phase)
+    if not cmath.isfinite(g):
+        raise NumericalError("the Green function is not finite", t=kp.t,
+                             x=x, y=y)
+    return g
 
 
 def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:

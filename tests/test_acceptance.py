@@ -106,7 +106,8 @@ def test_criterion_03_invariant_conservation():
         tc = inv.catalog_coefficients(spec)
         form = lambda t, s=spec: inv.energy_operator_catalog(s, t)
 
-        lam0, half, n, t_end = 0.5j, 10.0, 2048, 2.0 * math.pi / spec.omega
+        lam0, half, n = 0.5j, 10.0, 2048
+        t_end = 2.0 * math.pi / spec.model.omega
         if spec.model_id == coeff.MODIFIED_OSCILLATOR:
             lam0, half, t_end = 1.0j, 12.0, 1.0
         elif spec.model_id == coeff.MODIFIED_PARAMETRIC:
@@ -116,7 +117,7 @@ def test_criterion_03_invariant_conservation():
         psi0 = _grid_gaussian(prop.GaussianState(Lambda=lam0), half, n)
         steps = int(round(t_end / 1e-3))
         ev = gridsim.evolve_grid(tc, psi0, 1e-3, steps)
-        worst_grid = max(worst_grid, gridsim.invariant_drift(tc, ev, form))
+        worst_grid = max(worst_grid, gridsim.invariant_drift(ev, form))
 
         m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1)
         path = dyn.evolve_second_moments(classical_flow(tc, 2.0), m0)
@@ -134,7 +135,7 @@ def test_criterion_03_invariant_conservation():
 
 def test_criterion_04_elementary_and_superposed_invariants():
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    mu_fn, C0 = inv.united_invariant_mu(UNITED)
+    mu_fn, C0 = UNITED.closed_form("invariant_mu")
     res = max(inv.auxiliary_residual(tc, mu_fn, C0, float(t))
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
@@ -215,10 +216,10 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     worst_x = 0.0
     for spec in (UNITED, CJ):
         tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-        fm0 = dyn.mean_position_initial_conditions(spec, 0.9, 0.4)
+        fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(0.9, 0.4))
         path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
         for t in np.linspace(0.0, 4.0, 17):
-            ref = dyn.closed_form_mean_position(spec, 0.9, 0.4, float(t))
+            ref = spec.closed_form("mean_position")(0.9, 0.4, float(t))
             worst_x = max(worst_x, abs(path(float(t)).x - ref))
 
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
@@ -255,7 +256,7 @@ def test_criterion_08_ladder_algebra():
     cases = []
     flow_u = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 2.5)
-    cases.append((flow_u,) + inv.united_invariant_mu(UNITED))
+    cases.append((flow_u,) + UNITED.closed_form("invariant_mu"))
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
         flow = classical_flow(tc, 2.5)

@@ -43,7 +43,8 @@ def test_csv_round_trip(tmp_path):
     p = tmp_path / "t.csv"
     rows = [(0.1, "a,b", 2), (np.float64(0.3), "he said \"hi\"", -1)]
     qio.write_csv(str(p), ["x", "s", "n"], rows)
-    header, got = qio.read_csv(str(p))
+    with open(p, newline="") as fh:
+        header, *got = csv.reader(fh)
     assert header == ["x", "s", "n"]
     assert got[0] == ["0.1", "a,b", "2"]
     assert float(got[1][0]) == 0.3
@@ -97,7 +98,8 @@ def test_mu_csv_deterministic(capsys, tmp_path):
                      "--lambda", "0.1", "--t-end", "1.0", "--out", str(p)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-    header, rows = qio.read_csv(str(a))
+    with open(a, newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["t", "mu", "mu_prime"]
     assert len(rows) == 50
 
@@ -396,6 +398,56 @@ def test_error_records_are_strict_json(capsys, command, t_end):
     assert code == 2
     rec = json.loads(err, parse_constant=refuse)
     assert rec["info"] == {"t_end": t_end}
+
+
+_SHO = ["--model", "simple_harmonic"]
+# the options no later guard reads: a nan in any of them used to exit 0 and
+# print nan as the answer; --t-start refused a nan already, not an infinity
+_NAN_OPTIONS = [
+    *[(["green", *_SHO, "--t", "0.7", "--x", "0.3", "--y", "0.2"], flag)
+      for flag in ("--x", "--y")],
+    *[(["propagate", *_SHO, "--t-end", "1"], flag)
+      for flag in ("--theta-re", "--theta-im")],
+    *[([cmd, *_SHO, "--t-end", "1"], flag)
+      for cmd in ("moments", "uncertainty")
+      for flag in ("--p2", "--x2", "--pxxp")],
+    *[(["uncertainty", *_SHO, "--t-end", "1"], flag)
+      for flag in ("--x-mean", "--p-mean")],
+    *[(["appendix_d", "--lambda", "0.2", "--omega", "1", "--t-end", "2"],
+       flag) for flag in ("--lambda", "--omega", "--gamma-shift", "--t-end")],
+]
+NONFINITE_OPTIONS = [(*case, "nan") for case in _NAN_OPTIONS] + [
+    (["appendix_d", "--lambda", "0.2", "--omega", "1", "--t-end", "3"],
+     "--t-start", "inf")]
+
+
+@pytest.mark.parametrize("argv, flag, value", NONFINITE_OPTIONS,
+                         ids=[f"{argv[0]}{flag}={value}"
+                              for argv, flag, value in NONFINITE_OPTIONS])
+def test_nonfinite_options_are_refused(capsys, argv, flag, value):
+    # given last, the value overrides one given before it
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["type"] == "ValidationError"
+    assert rec["info"] == {"option": flag, "value": value}
+
+
+def test_green_refuses_a_value_that_is_not_finite(capsys):
+    # x^2 overflows, so the phase and the value are nan; the output was
+    # a JSON success record with "re": NaN
+    code, out, err = run(capsys, "green", *_SHO, "--t", "0.7",
+                         "--x", "1e160", "--y", "0.2")
+    assert code == 3 and out == ""
+    rec = json.loads(err)
+    assert rec["type"] == "NumericalError"
+    assert rec["module"] == "quadham.propagator"
+
+
+def test_write_json_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        qio.write_json(None, {"re": math.nan})
+    assert capsys.readouterr().out == ""
 
 
 def test_negative_values_in_any_float_form(capsys):

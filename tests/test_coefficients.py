@@ -35,7 +35,7 @@ def test_parametric_needs_nonzero_shift():
 
 def test_united_effective_frequency():
     spec = coeff.ModelSpec(coeff.UNITED, omega0=1.0, lam=0.4, mu_param=0.1)
-    assert spec.omega == pytest.approx(math.sqrt(1.0 - 0.09), rel=1e-14)
+    assert spec.model.omega == pytest.approx(math.sqrt(1.0 - 0.09), rel=1e-14)
 
 
 def test_convention_mapping_exact():
@@ -69,7 +69,7 @@ def _entries(tc, kernel_of):
     kp = chr_mod.kernel_parameters(tc, flow, 0.6)
     x = np.linspace(-6.0, 6.0, 64)
     psi0 = prop.GridState(-6.0, x[1] - x[0], np.exp(-0.5 * x * x + 0.3j * x))
-    grid = gridsim.evolve_grid(tc, psi0, 1e-2, 20, check_boundary=False)
+    grid = gridsim.evolve_grid(tc, psi0, 1e-2, 20)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)

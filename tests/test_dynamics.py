@@ -78,10 +78,10 @@ def test_energy_equation_only_for_damped_model():
 def test_mean_position_closed_form_vs_ode(spec):
     tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
     amp, phase = 0.9, 0.4
-    fm0 = dyn.mean_position_initial_conditions(spec, amp, phase)
+    fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(amp, phase))
     path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
     for t in np.linspace(0.0, 4.0, 17):
-        ref = dyn.closed_form_mean_position(spec, amp, phase, float(t))
+        ref = spec.closed_form("mean_position")(amp, phase, float(t))
         assert abs(path(float(t)).x - ref) <= 1e-8
 
 
@@ -238,9 +238,9 @@ def test_reference_operator_validates_the_spec():
 def test_mean_position_only_for_damped_models(model_id):
     spec = coeff.ModelSpec(model_id, 1.0, 0.2, delta=0.5)
     with pytest.raises(NoClosedForm):
-        dyn.closed_form_mean_position(spec, 0.9, 0.4, 1.0)
+        spec.closed_form("mean_position")
     with pytest.raises(NoClosedForm):
-        dyn.mean_position_initial_conditions(spec, 0.9, 0.4)
+        spec.closed_form("mean_start")
 
 
 def test_long_window_second_moments():

@@ -146,7 +146,7 @@ def _energy_equation(spec, m0, t_end):
     started at eps = 1e-3 from the quartic Taylor polynomial of the even
     branch (<px+xp>_0 = 0): the t^3 homogeneous mode amplifies a startup
     error by eps^-3."""
-    w0, lam, w = spec.omega0, spec.lam, spec.omega
+    w0, lam, w = spec.omega0, spec.lam, spec.model.omega
     h00, l0 = m0.p2 + m0.x2, m0.p2 - m0.x2
     e0 = (0.5 * w0 * (1.0 - 0.5 * lam ** 2 / w0 ** 2) * h00
           + 0.25 * lam ** 2 / w0 * l0)

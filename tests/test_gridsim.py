@@ -88,11 +88,28 @@ def test_grid_moments_track_moment_ode():
 
 
 def test_invariant_drift_zero_form():
+    # E = 0 has no relative drift: refused, not reported as 0
     tc = _ham(SHO)
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j))
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 64)
     zero = lambda t: inv.QuadraticForm(0.0, 0.0, 0.0, 0.0, t)
-    assert gridsim.invariant_drift(tc, ev, zero) == 0.0
+    with pytest.raises(ValidationError):
+        gridsim.invariant_drift(ev, zero)
+
+
+def test_invariant_drift_refuses_a_cancelled_reference():
+    # the modified oscillator's catalogued E(0) vanishes exactly on the
+    # Gaussian Lambda = i/2, so the grid's E(0) is noise (-1.6e-8 against
+    # terms summing to 0.89); relative to it, the drift read 1648
+    spec = coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=1024)
+    ev = gridsim.evolve_grid(inv.catalog_coefficients(spec), psi0, 1e-3,
+                             500)
+    form = lambda t: inv.energy_operator_catalog(spec, t)
+    with pytest.raises(ValidationError) as exc:
+        gridsim.invariant_drift(ev, form)
+    info = exc.value.info
+    assert abs(info["reference"]) <= 1e-7 * info["terms"]
 
 
 def test_invariant_drift_sho_energy():
@@ -100,7 +117,7 @@ def test_invariant_drift_sho_energy():
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3))
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     form = lambda t: inv.energy_operator_catalog(SHO, t)
-    assert gridsim.invariant_drift(tc, ev, form) <= 1e-4
+    assert gridsim.invariant_drift(ev, form) <= 1e-4
 
 
 def test_grid_cross_check_with_kernel_propagation():
@@ -164,8 +181,7 @@ def test_evolve_grid_matches_dense_cn_reference():
         t = t0 + (k + 0.5) * dt
         ref = _dense_cn_step(ref, psi0.x, psi0.dx, dt,
                              eq.a(t), eq.b(t), eq.c(t), eq.d(t))
-    ev = gridsim.evolve_grid(tc, psi0, dt, steps, t0=t0, record_every=7,
-                             check_boundary=False)
+    ev = gridsim.evolve_grid(tc, psi0, dt, steps, t0=t0, record_every=7)
     assert np.max(np.abs(ev.final().values - ref)) <= 1e-12
 
 

@@ -57,15 +57,15 @@ def test_energy_system_three_component_init():
 
 
 def test_united_elementary_mu_residual():
-    mu_fn, C0 = inv.united_invariant_mu(UNITED)
+    mu_fn, C0 = UNITED.closed_form("invariant_mu")
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    assert C0 == pytest.approx(0.25 * UNITED.omega ** 2, rel=1e-14)
+    assert C0 == pytest.approx(0.25 * UNITED.model.omega ** 2, rel=1e-14)
     for t in np.linspace(0.0, 3.0, 13):
         assert inv.auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-10
 
 
 def test_united_general_invariant_reproduces_catalog():
-    mu_fn, C0 = inv.united_invariant_mu(UNITED)
+    mu_fn, C0 = UNITED.closed_form("invariant_mu")
     flow = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.9)
     for t in (0.0, 0.7, 1.9):
@@ -79,7 +79,8 @@ def test_united_general_invariant_reproduces_catalog():
 
 def test_united_invariant_mu_only_for_united():
     with pytest.raises(NoClosedForm):
-        inv.united_invariant_mu(coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0))
+        coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0).closed_form(
+            "invariant_mu")
 
 
 def test_general_invariant_rejects_bad_mu():
@@ -195,6 +196,18 @@ def test_kappa_collapse_event_matches_scipy():
     assert exc.value.info["t"] == pytest.approx(math.acos(1e-8), abs=1e-8)
 
 
+def test_ermakov_keeps_c0_past_the_rounding_of_its_constants():
+    # kappa0 = kappa0' = 100: Pinney's A C - B^2 = 1e8 + 0.3 - 1e8 rounds
+    # to 0.29999999702, outside pinney_superpose's 1e-10 check on a given
+    # c0, so solve_ermakov sets C0 itself instead of passing c0 to it
+    sol = inv.solve_ermakov(lambda t: 1.0, 0.3, (100.0, 100.0), 1.0)
+    assert sol.C0 == 0.3
+    for t in (0.3, 1.0):
+        ell = 100.0 * (math.cos(t) + math.sin(t))
+        ref = math.sqrt(ell * ell + 0.3e-4 * math.sin(t) ** 2)
+        assert sol.kappa(t) == pytest.approx(ref, rel=1e-12)
+
+
 def test_kappa_collapse_with_negative_c0():
     # omega = 1, c0 = -0.3: kappa^2 = (cos t + 0.2 sin t)^2 - 0.3 sin^2 t
     # has its first zero where tan t = 1 / (sqrt(0.3) - 0.2), and kappa
@@ -254,7 +267,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
 def test_ladder_commutator_and_reconstruction():
     flow = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.6)
-    mu_fn, C0 = inv.united_invariant_mu(UNITED)
+    mu_fn, C0 = UNITED.closed_form("invariant_mu")
     for t in (0.0, 0.8, 1.6):
         pair = inv.ladder_factorization(flow, mu_fn, C0, t)
         assert pair.commutator() == pytest.approx(1.0, abs=1e-12)
@@ -269,7 +282,7 @@ def test_ladder_commutator_and_reconstruction():
 def test_ladder_requires_positive_c0():
     flow = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 0.5)
-    mu_fn, _ = inv.united_invariant_mu(UNITED)
+    mu_fn, _ = UNITED.closed_form("invariant_mu")
     with pytest.raises(InvalidC0):
         inv.ladder_factorization(flow, mu_fn, -1.0, 0.5)
 

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
-from quadham.characteristic import FLOW_TOL, classical_flow
+from quadham.characteristic import classical_flow
 from quadham.errors import ToleranceNotMet
 from quadham.ode import MAX_STEPS, solve_ivp
 
@@ -113,7 +113,7 @@ def test_quadrature_error_of_i_is_controlled():
     # short enough for its Gauss quadrature
     half = lambda t: 0.5
     sol = solve_ivp((half, half, lambda t: math.cos(5.0 * t),
-                     lambda t: -math.cos(5.0 * t)), (0.0, 3.0), FLOW_TOL)
+                     lambda t: -math.cos(5.0 * t)), 3.0)
     assert sol.n_steps > 3
     for t in np.linspace(0.0, 3.0, 31):
         m11, m12, m21, m22, i = sol(t)
@@ -144,8 +144,7 @@ def test_blow_up_raises_tolerance_not_met():
     # c raises ZeroDivisionError at t = 1, the middle node of the first try
     zero = lambda t: 0.0
     with pytest.raises(ToleranceNotMet) as exc:
-        solve_ivp((zero, zero, lambda t: 1.0 / (1.0 - t), zero), (0.0, 2.0),
-                  FLOW_TOL)
+        solve_ivp((zero, zero, lambda t: 1.0 / (1.0 - t), zero), 2.0)
     assert exc.value.info["t"] == pytest.approx(1.0, abs=1e-6)
 
 

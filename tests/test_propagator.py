@@ -63,15 +63,6 @@ def test_green_symmetric_when_alpha_equals_gamma():
     assert abs(ga - gb) < 1e-8 * abs(ga)
 
 
-def test_green_vectorized():
-    _, _, kernel_of = _kernel_of(CK, 1.0)
-    kp = kernel_of(0.5)
-    x = np.array([0.0, 0.5, 1.0])
-    vals = prop.green_eval(kp, x, 0.2)
-    for xi, v in zip(x, vals):
-        assert v == prop.green_eval(kp, float(xi), 0.2)
-
-
 def test_free_particle_width_spread():
     # unit Gaussian Lambda = i/2 spreads as Im Lambda = 1/(2(1 + t^2))
     spec = coeff.ModelSpec(coeff.FREE_PARTICLE)
