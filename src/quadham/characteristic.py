@@ -25,7 +25,6 @@ them up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,8 +36,7 @@ from .ode import FLOW_TOL, bracket_sign_change, solve_ivp
 MU_GUARD = 1e-10
 
 
-@dataclass(frozen=True)
-class KernelParameters:
+class KernelParameters(NamedTuple):
     """Green-function data at a single time."""
 
     t: float

@@ -5,15 +5,20 @@ emit a one-line JSON record naming the originating module and error code;
 a malformed command line is a validation error too.  An option's value may
 be a negative number in any form ``float`` reads (``--pxxp -1e-05``).
 
-Each subcommand imports the solver modules it runs inside its own
-function, so that a call pays only for what it uses: ``mu`` and ``kernel``
-load no moment dynamics.  The classical flow, everything built on it and
-the Gaussian propagator are plain float arithmetic, so no subcommand loads
-numpy; only the grid functions of the propagator and ``gridsim`` do.  The
-standard library goes the same way: ``json`` loads for ``green``,
-``invariant``, ``list-models --json`` and an error record, ``csv`` for the
-subcommands that write a table, and ``traceback`` only for an error
-record.
+The import loads ``argparse``, ``quadham.io`` and ``quadham.errors`` and
+builds no parser.  Each subcommand imports the modules it runs inside its
+own function, so that a call pays only for what it uses: ``list-models``
+reads ``quadham.models`` alone, the model subcommands load
+``quadham.coefficients`` (and with it ``dataclasses``), and ``mu`` and
+``kernel`` load no moment dynamics.  A call builds the parser of its own
+subcommand only; ``--help``, no command or an unknown one gets all ten, so
+the usage and the error records read the same.  The classical flow,
+everything built on it and the Gaussian propagator are plain float
+arithmetic, so no subcommand loads numpy; only the grid functions of the
+propagator and ``gridsim`` do.  The standard library goes the same way:
+``json`` loads for ``green``, ``invariant``, ``list-models --json`` and an
+error record, ``csv`` for the subcommands that write a table, and
+``traceback`` only for an error record.
 
 ``main`` flushes stdout in ``quadham.io`` as the last step of a call, so
 that a closed pipe, met by a long write or by that flush, ends in one
@@ -31,7 +36,6 @@ import math
 import os
 import sys
 
-from . import coefficients as coeff
 from . import io as qio
 from .errors import NoClosedForm, QuadhamError, ValidationError
 
@@ -44,7 +48,9 @@ def _add_model_args(p):
     p.add_argument("--config", help="key=value config file; flags override")
 
 
-def _spec_from(args) -> coeff.ModelSpec:
+def _spec_from(args):
+    from .coefficients import ModelSpec
+
     cfg = {}
     if getattr(args, "config", None):
         cfg = qio.read_config(args.config).get("model", {})
@@ -60,7 +66,7 @@ def _spec_from(args) -> coeff.ModelSpec:
     if not model:
         raise ValidationError("no model given (use --model or a config "
                               "[model] section)")
-    spec = coeff.ModelSpec(
+    spec = ModelSpec(
         model_id=model,
         omega0=pick(args.omega0, "omega0", 1.0),
         lam=pick(args.lam, "lambda", 0.0),
@@ -87,7 +93,10 @@ def _sample_times(flow, t_end, samples):
 
 
 def cmd_list_models(args):
-    records = ((m, coeff.ModelSpec(m).model) for m in coeff.MODEL_IDS)
+    from .models import MODELS
+
+    # each record at the default parameters of ModelSpec
+    records = ((m, build(1.0, 0.0, 0.0, 0.0)) for m, build in MODELS.items())
     rows = [(m, r.parameters, r.constraint) for m, r in records]
     if args.json:
         qio.write_json(args.out, [
@@ -99,7 +108,7 @@ def cmd_list_models(args):
 
 
 def cmd_mu(args):
-    from . import characteristic as chr_mod
+    from . import characteristic as chr_mod, coefficients as coeff
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec)
@@ -111,22 +120,21 @@ def cmd_mu(args):
 
 
 def cmd_kernel(args):
-    from dataclasses import astuple, fields
-    from . import characteristic as chr_mod
+    from . import characteristic as chr_mod, coefficients as coeff
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec)
     path = chr_mod.solve_characteristic(tc, args.t_end)
     ts = _sample_times(path, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
-    rows = [astuple(chr_mod.kernel_parameters(tc, path, t)) for t in ts]
-    qio.write_csv(args.out, [f.name for f in fields(chr_mod.KernelParameters)],
-                  rows)
+    rows = [chr_mod.kernel_parameters(tc, path, t) for t in ts]
+    qio.write_csv(args.out, chr_mod.KernelParameters._fields, rows)
     return 0
 
 
 def cmd_green(args):
-    from . import characteristic as chr_mod, propagator as prop
+    from . import (characteristic as chr_mod, coefficients as coeff,
+                   propagator as prop)
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec)
@@ -140,7 +148,8 @@ def cmd_green(args):
 
 
 def cmd_propagate(args):
-    from . import characteristic as chr_mod, propagator as prop
+    from . import (characteristic as chr_mod, coefficients as coeff,
+                   propagator as prop)
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec)
@@ -163,7 +172,8 @@ def cmd_propagate(args):
 
 
 def cmd_moments(args):
-    from . import characteristic as chr_mod, dynamics as dyn
+    from . import (characteristic as chr_mod, coefficients as coeff,
+                   dynamics as dyn)
 
     spec = _spec_from(args)
     tc = coeff.builtin_coefficients(spec)
@@ -235,7 +245,8 @@ def _uncertainty(flow, m0, f0, t_end, samples):
 
 
 def cmd_uncertainty(args):
-    from . import characteristic as chr_mod, dynamics as dyn
+    from . import (characteristic as chr_mod, coefficients as coeff,
+                   dynamics as dyn)
 
     spec = _spec_from(args)
     m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
@@ -250,7 +261,8 @@ def cmd_uncertainty(args):
 
 def _verify_one(model_id: str, budget: str):
     """Quick per-model verification; returns (name, passed, detail)."""
-    from . import characteristic as chr_mod, dynamics as dyn
+    from . import (characteristic as chr_mod, coefficients as coeff,
+                   dynamics as dyn)
 
     spec = coeff.ModelSpec(model_id, omega0=1.3, lam=0.35, mu_param=0.1,
                            delta=0.6)
@@ -285,7 +297,9 @@ def _verify_one(model_id: str, budget: str):
 
 
 def cmd_verify_all(args):
-    models = coeff.MODEL_IDS if args.model in (None, "all") else [args.model]
+    from .models import MODEL_IDS
+
+    models = MODEL_IDS if args.model in (None, "all") else [args.model]
     results = [r for m in models for r in _verify_one(m, args.budget)]
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -321,81 +335,88 @@ def _join_negatives(argv):
     return out
 
 
+def _number(p, flag, **kw):
+    """A float option that _check_args requires finite."""
+    p.get_default("finite")[flag] = p.add_argument(
+        flag, type=float, **kw).dest
+
+
+def _window_options(p, samples):
+    _add_model_args(p)
+    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--samples", type=int, default=samples)
+
+
+def _green_options(p):
+    _add_model_args(p)
+    p.add_argument("--t", type=float, required=True)
+    _number(p, "--x", required=True)
+    _number(p, "--y", required=True)
+
+
+def _propagate_options(p):
+    _window_options(p, 20)
+    for flag, default in (("--lambda-re", 0.0), ("--lambda-im", 0.5),
+                          ("--theta-re", 0.0), ("--theta-im", 0.0)):
+        _number(p, flag, default=default)
+
+
+def _moment_options(p):
+    _window_options(p, 50)
+    for flag, default in (("--p2", 1.0), ("--x2", 1.0), ("--pxxp", 0.0)):
+        _number(p, flag, default=default)
+
+
+def _uncertainty_options(p):
+    _moment_options(p)
+    _number(p, "--x-mean", default=0.0)
+    _number(p, "--p-mean", default=0.0)
+
+
+def _appendix_d_options(p):
+    _number(p, "--lambda", dest="lam_d", required=True)
+    _number(p, "--omega", dest="omega_d", required=True)
+    _number(p, "--gamma-shift", default=0.0)
+    _number(p, "--t-start", default=0.05)
+    _number(p, "--t-end", required=True)
+    p.add_argument("--samples", type=int, default=50)
+
+
+def _verify_all_options(p):
+    p.add_argument("--model", default="all")
+    p.add_argument("--budget", choices=("quick", "full"), default="quick")
+
+
+# each subcommand's options, in the order the usage lists them; the
+# subcommand runs cmd_<name>, "-" read as "_"
+_SUBCOMMANDS = {
+    "list-models": lambda p: p.add_argument("--json", action="store_true"),
+    "mu": lambda p: _window_options(p, 50),
+    "kernel": lambda p: _window_options(p, 20),
+    "green": _green_options, "propagate": _propagate_options,
+    "moments": _moment_options, "invariant": _moment_options,
+    "uncertainty": _uncertainty_options, "appendix_d": _appendix_d_options,
+    "verify_all": _verify_all_options}
+
+
 @functools.cache
-def _build_parser():
-    # built once per process: a call of main from a test or a harness
-    # otherwise spends about 3 ms on the parser of all ten subcommands
+def _build_parser(command=None):
+    """The parser with the subparser of ``command`` alone, or of all ten
+    when it is None; built once per process for each ``command``."""
     ap = _Parser(
         prog="quadham",
         description="Numerical toolkit for variable quadratic quantum "
                     "Hamiltonians")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def new(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        # {option: dest} of the numbers _check_args requires finite
-        p.set_defaults(fn=fn, finite={})
+    for name in (command,) if command else _SUBCOMMANDS:
+        p = sub.add_parser(name)
+        # the function is looked up now, not at import, so that a wrapper
+        # set on this module in between is the one that runs
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")],
+                       finite={})
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
-        return p
-
-    def number(p, flag, **kw):
-        p.get_default("finite")[flag] = p.add_argument(
-            flag, type=float, **kw).dest
-
-    p = new("list-models", cmd_list_models)
-    p.add_argument("--json", action="store_true")
-
-    p = new("mu", cmd_mu)
-    _add_model_args(p)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--samples", type=int, default=50)
-
-    p = new("kernel", cmd_kernel)
-    _add_model_args(p)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--samples", type=int, default=20)
-
-    p = new("green", cmd_green)
-    _add_model_args(p)
-    p.add_argument("--t", type=float, required=True)
-    number(p, "--x", required=True)
-    number(p, "--y", required=True)
-
-    p = new("propagate", cmd_propagate)
-    _add_model_args(p)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--lambda-re", type=float, default=0.0)
-    p.add_argument("--lambda-im", type=float, default=0.5)
-    number(p, "--theta-re", default=0.0)
-    number(p, "--theta-im", default=0.0)
-
-    for name, fn in (("moments", cmd_moments), ("invariant", cmd_invariant),
-                     ("uncertainty", cmd_uncertainty)):
-        p = new(name, fn)
-        _add_model_args(p)
-        p.add_argument("--t-end", type=float, required=True)
-        p.add_argument("--samples", type=int, default=50)
-        number(p, "--p2", default=1.0)
-        number(p, "--x2", default=1.0)
-        number(p, "--pxxp", default=0.0)
-        if name == "uncertainty":
-            number(p, "--x-mean", default=0.0)
-            number(p, "--p-mean", default=0.0)
-
-    p = new("appendix_d", cmd_appendix_d)
-    number(p, "--lambda", dest="lam_d", required=True)
-    number(p, "--omega", dest="omega_d", required=True)
-    number(p, "--gamma-shift", default=0.0)
-    number(p, "--t-start", default=0.05)
-    number(p, "--t-end", required=True)
-    p.add_argument("--samples", type=int, default=50)
-
-    p = new("verify_all", cmd_verify_all)
-    p.add_argument("--model", default="all")
-    p.add_argument("--budget", choices=("quick", "full"), default="quick")
-
+        _SUBCOMMANDS[name](p)
     return ap
 
 
@@ -445,8 +466,10 @@ def _failing_module(exc) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
+        argv = _join_negatives(argv)
         try:
-            args = _build_parser().parse_args(_join_negatives(argv))
+            named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+            args = _build_parser(named).parse_args(argv)
         except SystemExit:
             # --help has written the usage: flush it here too, as below
             qio.flush_stdout()

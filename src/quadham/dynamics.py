@@ -14,7 +14,7 @@ contracted with S(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
@@ -25,8 +25,7 @@ from .invariants import catalog_coefficients
 from .ode import solve_ivp  # noqa: F401
 
 
-@dataclass(frozen=True)
-class SecondMoments:
+class SecondMoments(NamedTuple):
     """Raw (unnormalized) expectation values <p^2>, <x^2>, <px+xp>, <1>."""
 
     p2: float
@@ -42,8 +41,7 @@ class SecondMoments:
                 self.x2 - fm.x * fm.x / self.norm)
 
 
-@dataclass(frozen=True)
-class FirstMoments:
+class FirstMoments(NamedTuple):
     """Raw expectation values <x> and <p>."""
 
     x: float
@@ -139,8 +137,7 @@ def uncertainty_check(m: SecondMoments, fm: FirstMoments) -> dict:
             "dp2": dp2, "dx2": dx2}
 
 
-@dataclass(frozen=True)
-class HyperbolicBasis:
+class HyperbolicBasis(NamedTuple):
     """Fundamental pair for the friction equation
 
         y'' - (4 lambda / sinh(2 lambda t + 2 gamma)) y'

@@ -19,9 +19,8 @@ M and ``I = int_0^t (c - d)`` of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
@@ -35,8 +34,7 @@ from .ode import bracket_sign_change
 _COLLAPSE = 1e-8
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     """Coefficients of A p^2 + B x^2 + C px + D xp at time t."""
 
     A: float
@@ -55,8 +53,7 @@ class QuadraticForm:
                 + abs(0.5 * (self.C + self.D) * pxxp))
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """Coefficients of A p + B x + C (constant term) at time t."""
 
     A: float
@@ -65,8 +62,7 @@ class LinearForm:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class LadderPair:
+class LadderPair(NamedTuple):
     """Annihilation/creation pair a = P x + R d/dx, a^dagger = conj(P) x - R d/dx."""
 
     x_coeff: complex
@@ -84,8 +80,7 @@ class LadderPair:
                              C=w * P.imag * R, D=w * P.imag * R, t=self.t)
 
 
-@dataclass(frozen=True)
-class ErmakovSolution:
+class ErmakovSolution(NamedTuple):
     """A positive solution of kappa'' + omega^2(t) kappa = C0 / kappa^3."""
 
     kappa: Callable[[float], float]
@@ -180,7 +175,7 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
                            kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + ratio,
                            1.0)
     # A C - B^2 is c0 only up to the rounding of kappa0^2 kappa0'^2
-    return replace(sol, C0=c0)
+    return sol._replace(C0=c0)
 
 
 def _pinney_form(A: float, B: float, C: float, u, v, t: float):

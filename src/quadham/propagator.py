@@ -105,7 +105,9 @@ class GridState:
 
 def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
     """(2 pi i mu)^(-1/2) exp(i(alpha x^2 + beta x y + gamma y^2)) at real
-    x and y, principal branch; NumericalError where it is not finite."""
+    x and y, principal branch; NumericalError where it is not finite, and
+    UnderResolved where one ulp of the phase's summed term magnitudes
+    exceeds criterion 1's 1e-7 rad (from about 5.4e8 rad on)."""
     if abs(kp.mu) < MU_GUARD:
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=kp.t)
@@ -116,6 +118,11 @@ def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
     if not cmath.isfinite(g):
         raise NumericalError("the Green function is not finite", t=kp.t,
                              x=x, y=y)
+    size = (abs(kp.alpha) * (x * x) + abs(kp.beta * x * y)
+            + abs(kp.gamma) * (y * y))
+    if math.ulp(size) > 1e-7:
+        raise UnderResolved("the phase is not resolved to 1e-7 rad", t=kp.t,
+                            x=x, y=y, phase_magnitude=size)
     return g
 
 

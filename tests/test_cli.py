@@ -22,6 +22,7 @@ from quadham import io as qio
 from quadham import models
 from quadham import propagator as prop
 from quadham.cli import main
+from quadham.errors import ValidationError
 
 
 def run(capsys, *argv):
@@ -402,12 +403,15 @@ def test_error_records_are_strict_json(capsys, command, t_end):
 
 _SHO = ["--model", "simple_harmonic"]
 # the options no later guard reads: a nan in any of them used to exit 0 and
-# print nan as the answer; --t-start refused a nan already, not an infinity
+# print nan as the answer; --t-start refused a nan already, not an infinity.
+# A nan or an infinity in --lambda-re or --lambda-im ended in an untyped
+# ValueError record from the propagator's branch choice, or in
+# NonNormalizable, neither naming the option
 _NAN_OPTIONS = [
     *[(["green", *_SHO, "--t", "0.7", "--x", "0.3", "--y", "0.2"], flag)
       for flag in ("--x", "--y")],
     *[(["propagate", *_SHO, "--t-end", "1"], flag)
-      for flag in ("--theta-re", "--theta-im")],
+      for flag in ("--lambda-re", "--lambda-im", "--theta-re", "--theta-im")],
     *[([cmd, *_SHO, "--t-end", "1"], flag)
       for cmd in ("moments", "uncertainty")
       for flag in ("--p2", "--x2", "--pxxp")],
@@ -418,7 +422,9 @@ _NAN_OPTIONS = [
 ]
 NONFINITE_OPTIONS = [(*case, "nan") for case in _NAN_OPTIONS] + [
     (["appendix_d", "--lambda", "0.2", "--omega", "1", "--t-end", "3"],
-     "--t-start", "inf")]
+     "--t-start", "inf"),
+    *[(["propagate", *_SHO, "--t-end", "1"], flag, "inf")
+      for flag in ("--lambda-re", "--lambda-im")]]
 
 
 @pytest.mark.parametrize("argv, flag, value", NONFINITE_OPTIONS,
@@ -442,6 +448,32 @@ def test_green_refuses_a_value_that_is_not_finite(capsys):
     rec = json.loads(err)
     assert rec["type"] == "NumericalError"
     assert rec["module"] == "quadham.propagator"
+
+
+@pytest.mark.parametrize("x", ["1e9", "1000000000.0000001"])
+def test_green_refuses_an_unresolved_phase(capsys, x):
+    # alpha x^2 is about 5.9e17 rad, whose ulp is 128 rad: the two adjacent
+    # floats printed (-0.2746, 0.4143) and (-0.1085, -0.4851), both exit 0
+    code, out, err = run(capsys, "green", *_SHO, "--t", "0.7", "--x", x,
+                         "--y", "0")
+    assert code == 3 and out == ""
+    rec = json.loads(err)
+    assert (rec["type"], rec["module"]) == ("UnderResolved",
+                                            "quadham.propagator")
+    assert rec["info"]["phase_magnitude"] == pytest.approx(5.936e17,
+                                                           rel=1e-3)
+
+
+def test_green_serves_a_resolved_phase_far_out(capsys):
+    spec = coeff.ModelSpec("simple_harmonic")
+    for x, y in ((1e3, -1e3), (-1e3, 0.5), (0.0, 1e3)):
+        code, out, err = run(capsys, "green", *_SHO, "--t", "0.7",
+                             "--x", repr(x), "--y", repr(y))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        ref = prop.green_eval(chr_mod.closed_form_kernel(spec, 0.7), x, y)
+        # the phase, about 2.7e6 rad, carries the kernel's rounding
+        assert abs(complex(data["re"], data["im"]) - ref) <= 1e-6 * abs(ref)
 
 
 def test_write_json_refuses_nan(capsys):
@@ -480,6 +512,43 @@ def test_argument_errors_give_json_record(capsys, argv):
     rec = json.loads(err, parse_constant=refuse)
     assert (rec["error"], rec["type"]) == ("validation", "ValidationError")
     assert rec["module"] == "quadham.cli"
+
+
+SUBCOMMANDS = ("list-models", "mu", "kernel", "green", "propagate", "moments",
+               "invariant", "uncertainty", "appendix_d", "verify_all")
+# a float option of each subcommand that has one
+_FLOAT_OPTION = {"mu": "--t-end", "kernel": "--t-end", "green": "--x",
+                 "propagate": "--lambda-re", "moments": "--p2",
+                 "invariant": "--x2", "uncertainty": "--p-mean",
+                 "appendix_d": "--omega"}
+PARSER_CASES = [*[[cmd, "--help"] for cmd in SUBCOMMANDS],
+                *[[cmd, flag, "abc"] for cmd, flag in _FLOAT_OPTION.items()],
+                ["--help"], [], ["no-such-command"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=[" ".join(argv) or "none"
+                              for argv in PARSER_CASES])
+def test_one_subcommand_parser_reads_as_the_full_one(capsys, argv):
+    # a call builds the parser of its own subcommand only; its usage and
+    # error records must be those of the parser of all ten
+    from quadham.cli import _build_parser
+
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want = (exc.code, capsys.readouterr().out, None)
+    except ValidationError as exc:
+        want = (2, capsys.readouterr().out, str(exc))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, json.loads(err)["message"] if err else None) == want
+    if argv[:1] in (["--help"], ["no-such-command"]):
+        # the usage and the error of a top-level argument list every one
+        assert all(cmd in out + err for cmd in SUBCOMMANDS)
 
 
 def test_help_still_exits_zero(capsys):
@@ -617,6 +686,11 @@ print(json.dumps(stages))
 """)
     loaded = {name: set(modules) for name, _, modules in stages}
     assert [code for _, code, _ in stages] == [0] * 11
+    # the import reads no model and makes no dataclass, which loads inspect;
+    # list-models reads the model records alone
+    assert not loaded["import"] & {"quadham.coefficients", "quadham.models",
+                                   "dataclasses", "inspect"}
+    assert not loaded["list-models"] & {"dataclasses", "quadham.coefficients"}
     assert not loaded["mu"] & {"quadham.invariants", "quadham.dynamics",
                                "quadham.propagator"}
     for name, _, _ in stages:
