@@ -5,20 +5,43 @@ midpoints, second-order in time and space.  The non-self-adjoint drift
 term (c + d) x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2
 so the discrete norm obeys the continuum norm law up to O(dx^2).  Each
 step is one tridiagonal solve with LAPACK's ``zgtsv``; this is the only
-module of the package that imports scipy.
+module of the package that imports scipy.  It loads scipy's LAPACK
+extension ``scipy/linalg/_flapack`` by itself: importing the
+``scipy.linalg`` package for that one routine would more than double the
+import time of this module.
 """
 
+import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
+import scipy
 
 from ..coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
 from ..dynamics import FirstMoments, SecondMoments
 from ..errors import (BoundaryLeak, NegativeVariance, NumericalError,
                       ValidationError)
 from ..propagator import GridState
+
+
+def _load_flapack():
+    """scipy's ``_flapack`` extension module, loaded from scipy's install
+    without running ``scipy/linalg/__init__.py``."""
+    spec = PathFinder.find_spec(
+        "_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension scipy.linalg._flapack "
+                          "is not installed", name="scipy.linalg._flapack")
+    mod = module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+zgtsv = _load_flapack().zgtsv
 
 # Kept only because the benchmark's run record (quadbench/run.py,
 # environment()) reads it; there is one stepper and nothing compiled.
@@ -94,16 +117,20 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     """Run `steps` Crank-Nicolson steps of size dt from t0.
 
     States are recorded every ``record_every`` steps (default about 16
-    snapshots) plus the initial and final ones.  Raises BoundaryLeak when a
-    non-negligible probability fraction reaches the Dirichlet edges of any
-    recorded state.
+    snapshots) plus the initial and final ones.  Raises ValidationError
+    unless dt is finite and positive and steps and record_every are ints
+    >= 1, and BoundaryLeak when a non-negligible probability fraction
+    reaches the Dirichlet edges of any recorded state.
     """
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    if not (0.0 < dt < math.inf):
+        raise ValidationError("dt must be finite and positive", dt=dt)
+    if not isinstance(steps, int) or steps < 1:
+        raise ValidationError("steps must be an int >= 1", steps=steps)
     if record_every is None:
         record_every = max(1, steps // 16)
+    if not isinstance(record_every, int) or record_every < 1:
+        raise ValidationError("record_every must be an int >= 1",
+                              record_every=record_every)
     tc = convert_convention(tc, HAMILTONIAN)
     x = psi0.x
     times = [t0]

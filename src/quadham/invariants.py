@@ -27,7 +27,7 @@ from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
                      KappaCollapse, MuVanishes, NonPositiveForm,
-                     ResidualTooLarge)
+                     ResidualTooLarge, ValidationError)
 from .ode import bracket_sign_change
 
 # kappa at which solve_ermakov reports a collapse
@@ -151,7 +151,7 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
     """
     kappa0, kappa0p = init
     if not (kappa0 > 0):
-        raise ValueError("kappa(0) must be positive")
+        raise ValidationError("kappa(0) must be positive", kappa0=kappa0)
     tc = TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                           lambda t: 0.0, lambda t: 0.0)
     flow = classical_flow(tc, t_end)

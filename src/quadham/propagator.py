@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .characteristic import MU_GUARD, KernelParameters
 from .errors import (CausticEncountered, DegenerateWidth, NonNormalizable,
-                     NumericalError, UnderResolved)
+                     NumericalError, UnderResolved, ValidationError)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -40,6 +40,10 @@ class GaussianState:
     branch_phase: float = 0.0
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.Lambda, self.Theta, self.Phi))):
+            raise ValidationError("Lambda, Theta and Phi must be finite",
+                                  Lambda=self.Lambda, Theta=self.Theta,
+                                  Phi=self.Phi)
         if not (self.Lambda.imag > 0):
             raise NonNormalizable("Im(Lambda) must be positive",
                                   Lambda=self.Lambda)
@@ -86,10 +90,14 @@ class GridState:
 
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=complex))
-        if not (self.dx > 0):
-            raise ValueError("dx must be positive")
+        if not (0.0 < self.dx < math.inf and math.isfinite(self.x0)):
+            raise ValidationError("x0 and dx must be finite, dx positive",
+                                  x0=self.x0, dx=self.dx)
         if self.values.size < 8:
-            raise ValueError("grid must have at least 8 points")
+            raise ValidationError("grid must have at least 8 points",
+                                  size=self.values.size)
+        if not np.isfinite(self.values).all():
+            raise ValidationError("grid samples must be finite")
 
     @property
     def x(self) -> np.ndarray:

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import quadham
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
@@ -215,6 +221,21 @@ def test_evolve_grid_validation():
         gridsim.evolve_grid(tc, psi0, 1e-3, 0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": math.nan}, {"dt": math.inf}, {"steps": 2.5},
+    {"record_every": 0}, {"record_every": -1}, {"record_every": 2.5},
+])
+def test_evolve_grid_refuses_bad_dt_steps_and_record_every(bad):
+    # nan and inf passed `dt <= 0` and returned non-finite states; 2.5 steps
+    # ran 3 steps and recorded t = 0.0025; record_every = 0 or -1 looped
+    # forever, and 2.5 ran 3 steps per 2.5 recorded
+    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    args = {"dt": 1e-3, "steps": 3, **bad}
+    with pytest.raises(ValidationError):
+        gridsim.evolve_grid(tc, psi0, **args)
+
+
 def test_snapshot_count_default():
     tc = _ham(SHO)
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
@@ -222,3 +243,58 @@ def test_snapshot_count_default():
     assert 16 <= len(ev.states) <= 18
     assert ev.times[0] == 0.0
     assert ev.times[-1] == pytest.approx(0.16)
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter; returns its stdout as JSON."""
+    src = os.path.dirname(os.path.dirname(quadham.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_grid_setup_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg's __init__ was two thirds of the import of gridsim, which
+    # calls one routine of its LAPACK extension
+    loaded = _run_fresh(
+        "import json, sys; import quadham.characteristic, "
+        "quadham.propagator, quadham.gridsim; "
+        "print(json.dumps(sorted(sys.modules)))")
+    assert "scipy.linalg" not in loaded
+
+
+_CN_RUN = """
+import json
+{first}
+import numpy as np
+from quadham import coefficients as coeff, gridsim, propagator as prop
+{second}
+import scipy.linalg.lapack
+tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0,
+                                                0.2), coeff.HAMILTONIAN)
+x = np.linspace(-6.0, 6.0, 64)
+psi0 = prop.GridState(-6.0, x[1] - x[0], np.exp(-x * x / 2 + 0.3j * x))
+run = lambda: gridsim.evolve_grid(tc, psi0, 1e-2, 20).final().values
+own = run()
+gridsim.zgtsv = scipy.linalg.lapack.zgtsv
+print(json.dumps([own.tobytes().hex(), run().tobytes().hex()]))
+"""
+
+
+def test_cn_steps_bitwise_equal_to_scipy_linalg_zgtsv():
+    # gridsim loads scipy's LAPACK extension itself: whether scipy.linalg
+    # came before or after it, the steps equal those of scipy's own zgtsv
+    before = _run_fresh(_CN_RUN.format(first="import scipy.linalg",
+                                       second=""))
+    after = _run_fresh(_CN_RUN.format(first="",
+                                      second="import scipy.linalg"))
+    assert before[0] == before[1] == after[0] == after[1]
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    fake = types.SimpleNamespace(__file__=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(gridsim, "scipy", fake)
+    with pytest.raises(ImportError, match="_flapack"):
+        gridsim._load_flapack()

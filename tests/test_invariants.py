@@ -11,7 +11,8 @@ from quadham import invariants as inv
 from quadham.characteristic import classical_flow
 from quadham.errors import (AuxiliaryResidualTooLarge, ConstraintViolated,
                             InvalidC0, KappaCollapse, NoClosedForm,
-                            NonPositiveForm, ResidualTooLarge)
+                            NonPositiveForm, ResidualTooLarge,
+                            ValidationError)
 
 CATALOG_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -217,6 +218,12 @@ def test_kappa_collapse_with_negative_c0():
     t_zero = math.atan(1.0 / (math.sqrt(0.3) - 0.2))
     assert t_zero == pytest.approx(1.2361518483971, abs=1e-12)
     assert exc.value.info["t"] == pytest.approx(t_zero, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa0", [0.0, -1.0, math.nan])
+def test_ermakov_refuses_a_non_positive_kappa0(kappa0):
+    with pytest.raises(ValidationError):
+        inv.solve_ermakov(lambda t: 1.0, 0.3, (kappa0, 0.0), 1.0)
 
 
 def test_kappa_collapse_at_the_start():

@@ -10,7 +10,7 @@ from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
 from quadham import propagator as prop
 from quadham.errors import (CausticEncountered, DegenerateWidth,
-                            NonNormalizable, UnderResolved)
+                            NonNormalizable, UnderResolved, ValidationError)
 
 
 def _kernel_of(spec, horizon):
@@ -223,6 +223,35 @@ def test_nonnormalizable_and_degenerate_guards():
     with pytest.raises((DegenerateWidth, NonNormalizable)):
         prop.propagate_gaussian(kp, prop.GaussianState(
             Lambda=complex(-kp.gamma, 1e-13)))
+
+
+@pytest.mark.parametrize("params", [
+    {"Lambda": complex(math.nan, 0.5)},
+    {"Lambda": complex(0.1, math.inf)},
+    {"Lambda": 0.5j, "Theta": complex(0.2, math.nan)},
+    {"Lambda": 0.5j, "Phi": math.inf},
+])
+def test_gaussian_state_refuses_non_finite_parameters(params):
+    # a nan Lambda made propagate_gaussian raise a bare ValueError from
+    # round(), and an infinite Im(Lambda) gave nan momentum moments
+    with pytest.raises(ValidationError):
+        prop.GaussianState(**params)
+
+
+@pytest.mark.parametrize("x0, dx, values", [
+    (0.0, 0.0, np.ones(16)),
+    (0.0, -0.1, np.ones(16)),
+    (0.0, math.nan, np.ones(16)),
+    (0.0, math.inf, np.ones(16)),
+    (math.nan, 0.1, np.ones(16)),
+    (0.0, 0.1, np.ones(7)),
+    (0.0, 0.1, np.r_[np.ones(15), math.nan]),
+    (0.0, 0.1, np.r_[np.ones(15), complex(0.0, math.inf)]),
+])
+def test_grid_state_refuses_bad_grids_and_non_finite_samples(x0, dx, values):
+    # one nan sample evolved to nan and gave nan moments without an error
+    with pytest.raises(ValidationError):
+        prop.GridState(x0, dx, values)
 
 
 def test_caustic_guard_in_green_eval():
