@@ -226,9 +226,9 @@ def test_evolve_grid_validation():
     {"record_every": 0}, {"record_every": -1}, {"record_every": 2.5},
 ])
 def test_evolve_grid_refuses_bad_dt_steps_and_record_every(bad):
-    # nan and inf passed `dt <= 0` and returned non-finite states; 2.5 steps
-    # ran 3 steps and recorded t = 0.0025; record_every = 0 or -1 looped
-    # forever, and 2.5 ran 3 steps per 2.5 recorded
+    # unchecked, a nan or inf dt runs to non-finite states, a fractional
+    # steps or record_every runs more steps than it records, and a
+    # record_every below 1 never ends
     tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     args = {"dt": 1e-3, "steps": 3, **bad}
@@ -256,8 +256,8 @@ def _run_fresh(code):
 
 
 def test_grid_setup_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg's __init__ was two thirds of the import of gridsim, which
-    # calls one routine of its LAPACK extension
+    # scipy.linalg's __init__ would be more than half of the import of
+    # gridsim, which calls one routine of its LAPACK extension
     loaded = _run_fresh(
         "import json, sys; import quadham.characteristic, "
         "quadham.propagator, quadham.gridsim; "

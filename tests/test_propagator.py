@@ -232,8 +232,8 @@ def test_nonnormalizable_and_degenerate_guards():
     {"Lambda": 0.5j, "Phi": math.inf},
 ])
 def test_gaussian_state_refuses_non_finite_parameters(params):
-    # a nan Lambda made propagate_gaussian raise a bare ValueError from
-    # round(), and an infinite Im(Lambda) gave nan momentum moments
+    # unchecked, a nan Lambda fails in propagate_gaussian's round() with a
+    # bare ValueError, and an infinite Im(Lambda) gives nan momentum moments
     with pytest.raises(ValidationError):
         prop.GaussianState(**params)
 
@@ -249,7 +249,7 @@ def test_gaussian_state_refuses_non_finite_parameters(params):
     (0.0, 0.1, np.r_[np.ones(15), complex(0.0, math.inf)]),
 ])
 def test_grid_state_refuses_bad_grids_and_non_finite_samples(x0, dx, values):
-    # one nan sample evolved to nan and gave nan moments without an error
+    # unchecked, one nan sample evolves to nan and gives nan moments
     with pytest.raises(ValidationError):
         prop.GridState(x0, dx, values)
 
