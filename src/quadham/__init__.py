@@ -28,12 +28,10 @@ _EXPORTS = {
     "propagator": ("GaussianState", "GridState", "gaussian_sweep",
                    "green_eval", "propagate_gaussian", "propagate_grid",
                    "schrodinger_residual"),
-    "invariants": ("ErmakovSolution", "LadderPair", "LinearForm",
-                   "QuadraticForm", "energy_operator_catalog",
-                   "general_invariant", "ladder_factorization",
-                   "lewis_riesenfeld_invariant", "linear_invariant",
-                   "pinney_superpose", "solve_energy_system",
-                   "solve_ermakov"),
+    "invariants": ("LadderPair", "LinearForm", "QuadraticForm",
+                   "energy_operator_catalog", "general_invariant",
+                   "ladder_factorization", "linear_invariant",
+                   "solve_energy_system", "solve_ermakov"),
     "dynamics": ("FirstMoments", "HyperbolicBasis", "SecondMoments",
                  "closed_form_expectation", "evolve_first_moments",
                  "evolve_second_moments", "uncertainty_check"),

@@ -73,10 +73,6 @@ class KappaCollapse(NumericalError):
     code = "kappa_collapse"
 
 
-class ConstraintViolated(ValidationError):
-    code = "constraint_violated"
-
-
 class NonPositiveForm(NumericalError):
     code = "non_positive_form"
 

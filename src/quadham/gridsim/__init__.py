@@ -5,14 +5,15 @@ midpoints, second-order in time and space.  The non-self-adjoint drift
 term (c + d) x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2
 so the discrete norm obeys the continuum norm law up to O(dx^2).  Each
 step is one tridiagonal solve with LAPACK's ``zgtsv``; this is the only
-module of the package that imports scipy.  It loads scipy's LAPACK
-extension ``scipy/linalg/_flapack`` by itself: importing the
-``scipy.linalg`` package for that one routine would more than double the
-import time of this module.
+module of the package that imports scipy.  It takes scipy's LAPACK
+extension ``scipy.linalg._flapack`` from ``sys.modules``, or else loads
+it by itself: importing the ``scipy.linalg`` package for that one
+routine would more than double the import time of this module.
 """
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
@@ -24,7 +25,7 @@ import scipy
 from ..coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
 from ..dynamics import FirstMoments, SecondMoments
 from ..errors import (BoundaryLeak, NegativeVariance, NumericalError,
-                      ValidationError)
+                      SingularCoefficient, ValidationError)
 from ..propagator import GridState
 
 
@@ -41,7 +42,7 @@ def _load_flapack():
     return mod
 
 
-zgtsv = _load_flapack().zgtsv
+zgtsv = (sys.modules.get("scipy.linalg._flapack") or _load_flapack()).zgtsv
 
 # Kept only because the benchmark's run record (quadbench/run.py,
 # environment()) reads it; there is one stepper and nothing compiled.
@@ -111,6 +112,24 @@ def _cn_run(psi, x, dx, dt, a_mid, b_mid, s_mid, c_mid):
     return psi
 
 
+def _midpoint_coefficients(tc: TimeCoefficients, t_mid):
+    """(a, b, c, d) of H at the times ``t_mid``; SingularCoefficient at the
+    first where one raises ArithmeticError or ValueError or is not finite."""
+    rows = []
+    for t in t_mid:
+        try:
+            rows.append((tc.a(t), tc.b(t), tc.c(t), tc.d(t)))
+        except (ArithmeticError, ValueError) as exc:
+            raise SingularCoefficient("a coefficient fails at a midpoint",
+                                      t=float(t), error=repr(exc)) from exc
+    coef = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(coef).all(axis=1))
+    if bad.size:
+        raise SingularCoefficient("a coefficient is not finite at a "
+                                  "midpoint", t=float(t_mid[bad[0]]))
+    return coef.T
+
+
 def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
                 steps: int, t0: float = 0.0,
                 record_every: int = None) -> GridEvolution:
@@ -118,10 +137,13 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
 
     States are recorded every ``record_every`` steps (default about 16
     snapshots) plus the initial and final ones.  Raises ValidationError
-    unless dt is finite and positive and steps and record_every are ints
-    >= 1, and BoundaryLeak when a non-negligible probability fraction
-    reaches the Dirichlet edges of any recorded state.
+    unless t0 and dt are finite, dt > 0 and steps and record_every are
+    ints >= 1; SingularCoefficient where a coefficient fails at a step
+    midpoint; BoundaryLeak where a non-negligible probability fraction
+    reaches the Dirichlet edges of a recorded state.
     """
+    if not math.isfinite(t0):
+        raise ValidationError("t0 must be finite", t0=t0)
     if not (0.0 < dt < math.inf):
         raise ValidationError("dt must be finite and positive", dt=dt)
     if not isinstance(steps, int) or steps < 1:
@@ -140,10 +162,8 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     while done < steps:
         chunk = min(record_every, steps - done)
         t_mid = t0 + (done + np.arange(chunk) + 0.5) * dt
-        a_mid = np.array([tc.a(t) for t in t_mid])
-        b_mid = np.array([tc.b(t) for t in t_mid])
-        c_mid = np.array([tc.c(t) for t in t_mid])
-        s_mid = c_mid + np.array([tc.d(t) for t in t_mid])
+        a_mid, b_mid, c_mid, d_mid = _midpoint_coefficients(tc, t_mid)
+        s_mid = c_mid + d_mid
         psi = _cn_run(cur.values, x, psi0.dx, dt, a_mid, b_mid, s_mid, c_mid)
         done += chunk
         cur = GridState(x0=psi0.x0, dx=psi0.dx, values=psi)

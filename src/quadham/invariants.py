@@ -1,37 +1,33 @@
 """Quadratic and linear dynamical invariants.
 
 Covers the per-model catalog of conserved quadratic operators, the
-general symmetric-form invariant for arbitrary (possibly non-self-adjoint)
-quadratic Hamiltonians, linear invariants, and the ladder factorization of
-a quadratic invariant.  The Lewis-Riesenfeld invariant of the kappa
-equation is the symmetric form ``[(mu p - q x)^2 + C0 x^2 / mu^2] e^I``
-at a = 1/2, c = d = 0, with q = kappa' and e^I = 1.  Both take mu (or
-kappa) as sqrt(s) from Pinney's superposition s = A u^2 + 2 B u v + C v^2
-of two linear solutions.
-
-The conservation system of a quadratic invariant, the linear auxiliary
-equation, the Ermakov equation (Pinney's superposition of two columns of
-M) and the integrals of the coefficients are algebra on the classical flow
-M and ``I = int_0^t (c - d)`` of
+general symmetric-form invariant [(mu p - q x)^2 + C0 x^2 / mu^2] e^I of
+any quadratic Hamiltonian, linear invariants and the ladder factorization.
+mu solves the nonlinear auxiliary equation, as the square root of Pinney's
+superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
+a = 1/2, c = d = 0 that is the Ermakov equation, and the form is the
+Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'') at t.
+All of it is algebra on the classical flow M and I = int_0^t (c - d) of
 :func:`quadham.characteristic.classical_flow`.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
-from .errors import (AuxiliaryResidualTooLarge, ConstraintViolated, InvalidC0,
-                     KappaCollapse, MuVanishes, NonPositiveForm,
-                     ResidualTooLarge, ValidationError)
+from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
+                     MuVanishes, NonPositiveForm, ResidualTooLarge,
+                     ValidationError)
 from .ode import bracket_sign_change
 
 # kappa at which solve_ermakov reports a collapse
 _COLLAPSE = 1e-8
+# the residual of an auxiliary or linear-invariant equation that is refused
+_RESIDUAL_TOL = 1e-8
 
 
 class QuadraticForm(NamedTuple):
@@ -78,14 +74,6 @@ class LadderPair(NamedTuple):
         P, R, w = self.x_coeff, self.ddx_coeff, self.omega_t
         return QuadraticForm(A=w * R * R, B=w * abs(P) ** 2,
                              C=w * P.imag * R, D=w * P.imag * R, t=self.t)
-
-
-class ErmakovSolution(NamedTuple):
-    """A positive solution of kappa'' + omega^2(t) kappa = C0 / kappa^3."""
-
-    kappa: Callable[[float], float]
-    kappa_prime: Callable[[float], float]
-    C0: float
 
 
 def solve_energy_system(flow: Flow, init):
@@ -139,21 +127,24 @@ def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
 
 
 def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
-                  t_end: float) -> ErmakovSolution:
+                  t_end: float):
     """kappa'' + omega^2(t) kappa = c0 / kappa^3 from (kappa0, kappa0') on
-    [0, t_end], by Pinney's superposition of the columns u = (M11, M21),
-    v = (M12, M22) of the classical flow of a = 1/2, b = omega^2 / 2:
+    [0, t_end], superposed from the columns of the flow M of
+    H = (p^2 + omega^2 x^2) / 2:
 
         kappa^2 = l^2 + (c0 / kappa0^2) M12^2,  l = kappa0 M11 + kappa0' M12.
 
-    Raises KappaCollapse where kappa falls to 1e-8, which needs c0 <= 0:
-    for c0 > 0 the form is positive definite.
+    Returns (kappa_fn, c0) as :func:`superpose_linear_solutions` does; the
+    :func:`general_invariant` of it on H's flow is the Lewis-Riesenfeld
+    invariant (J. Math. Phys. 10 (1969) 1458).  Raises KappaCollapse where
+    kappa falls to 1e-8, which needs c0 <= 0 (else the form is definite).
     """
     kappa0, kappa0p = init
     if not (kappa0 > 0):
         raise ValidationError("kappa(0) must be positive", kappa0=kappa0)
+    zero = lambda t: 0.0
     tc = TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                          lambda t: 0.0, lambda t: 0.0)
+                          zero, zero, da=zero, dc=zero, dd=zero)
     flow = classical_flow(tc, t_end)
     ratio = c0 / kappa0 ** 2
     if c0 <= 0.0:
@@ -170,74 +161,21 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
                 lambda t: guard(flow.at(t)), grid[k - 1], grid[k])[1]
             raise KappaCollapse("kappa reached the collapse guard", t=t_hit)
     # u = (M11, M21) and v = (M12, M22), the columns of M
-    u, v = attrgetter("m11", "m21"), attrgetter("m12", "m22")
-    sol = pinney_superpose(lambda t: u(flow.at(t)), lambda t: v(flow.at(t)),
-                           kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + ratio,
-                           1.0)
+    u = solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = solve_linear_auxiliary(flow, (0.0, 1.0))
+    kappa_fn, _ = superpose_linear_solutions(
+        tc, u, v, kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + ratio)
     # A C - B^2 is c0 only up to the rounding of kappa0^2 kappa0'^2
-    return sol._replace(C0=c0)
-
-
-def _pinney_form(A: float, B: float, C: float, u, v, t: float):
-    """(s, s') of Pinney's form s = A u^2 + 2 B u v + C v^2 from two
-    solutions u, v given as (value, derivative) at t; refuses s <= 0."""
-    u0, u1 = u[:2]
-    v0, v1 = v[:2]
-    s = A * u0 * u0 + 2.0 * B * u0 * v0 + C * v0 * v0
-    if s <= 0.0:
-        raise NonPositiveForm("quadratic form is not positive", t=t)
-    return s, 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
-
-
-def pinney_superpose(u, v, A: float, B: float, C: float, W: float,
-                     c0: Optional[float] = None) -> ErmakovSolution:
-    """kappa = sqrt(A u^2 + 2 B u v + C v^2) from two linear solutions
-    (Pinney, Proc. AMS 1 (1950) 681).
-
-    ``u`` and ``v`` map t to (value, derivative) of independent solutions of
-    the same equation u'' + omega^2(t) u = 0 with constant Wronskian W.
-    The constants must satisfy A C - B^2 = c0 / W^2.
-    """
-    implied = (A * C - B * B) * W * W
-    if c0 is None:
-        c0 = implied
-    elif abs(implied - c0) > 1e-10 * max(1.0, abs(c0)):
-        raise ConstraintViolated(
-            "A C - B^2 is inconsistent with c0 / W^2",
-            implied_c0=implied, c0=c0)
-
-    def kappa(t):
-        return math.sqrt(_pinney_form(A, B, C, u(t), v(t), t)[0])
-
-    def kappa_prime(t):
-        s, ds = _pinney_form(A, B, C, u(t), v(t), t)
-        return 0.5 * ds / math.sqrt(s)
-
-    return ErmakovSolution(kappa=kappa, kappa_prime=kappa_prime, C0=c0)
-
-
-def _symmetric_form(mu: float, q: float, C0: float, w: float,
-                    t: float) -> QuadraticForm:
-    """[(mu p - q x)^2 + C0 x^2 / mu^2] w expanded as a quadratic form."""
-    return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
-                         C=-mu * q * w, D=-mu * q * w, t=t)
-
-
-def lewis_riesenfeld_invariant(sol: ErmakovSolution, t: float) -> QuadraticForm:
-    """(kappa p - kappa' x)^2 + c0 x^2 / kappa^2 expanded as a quadratic form
-    (Lewis & Riesenfeld, J. Math. Phys. 10 (1969) 1458): the symmetric form
-    of :func:`general_invariant` at a = 1/2, c = d = 0, q = kappa', e^I = 1."""
-    return _symmetric_form(sol.kappa(t), sol.kappa_prime(t), sol.C0, 1.0, t)
+    return kappa_fn, c0
 
 
 def _mu_triplet(mu_fn, t: float):
-    """(mu, mu', mu'') from a callable returning two or three derivatives."""
+    """(f, f', f'') from a callable that must return exactly these three."""
     vals = mu_fn(t)
-    if len(vals) >= 3:
-        return vals[0], vals[1], vals[2]
-    h = max(1e-5, 1e-7 * abs(t))
-    mupp = (mu_fn(t + h)[1] - mu_fn(t - h)[1]) / (2.0 * h)
-    return vals[0], vals[1], mupp
+    if len(vals) != 3:
+        raise ValidationError("mu_fn and A_fn must return (f, f', f'')",
+                              t=t, length=len(vals))
+    return vals
 
 
 def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
@@ -269,7 +207,8 @@ def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
 def superpose_linear_solutions(tc: TimeCoefficients, u, v,
                                A: float, B: float, C: float):
     """Combine two solutions of the linear auxiliary equation into a solution
-    of the nonlinear one: mu = sqrt(A u^2 + 2 B u v + C v^2).
+    of the nonlinear one: mu = sqrt(A u^2 + 2 B u v + C v^2) (Pinney, Proc.
+    AMS 1 (1950) 681); NonPositiveForm where the form is not positive.
 
     ``u`` and ``v`` map t to (value, derivative).  Their Wronskian equals
     const * 2a(t); the combined solution has C0 = (A C - B^2) W^2 / (2a)^2,
@@ -279,13 +218,15 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     u0, u1 = u(0.0)[:2]
     v0, v1 = v(0.0)[:2]
     W0 = u0 * v1 - u1 * v0
-    a0 = tc.a(0.0)
-    C0 = (A * C - B * B) * W0 * W0 / (2.0 * a0) ** 2
+    C0 = (A * C - B * B) * W0 * W0 / (2.0 * tc.a(0.0)) ** 2
 
     def mu_fn(t):
         u0, u1 = u(t)[:2]
         v0, v1 = v(t)[:2]
-        s, ds = _pinney_form(A, B, C, (u0, u1), (v0, v1), t)
+        s = A * u0 * u0 + 2.0 * B * u0 * v0 + C * v0 * v0
+        if s <= 0.0:
+            raise NonPositiveForm("quadratic form is not positive", t=t)
+        ds = 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
         _, p, q = _auxiliary_coefficients(tc, t)
         # second derivatives of u, v from the linear equation itself
         u2 = p * u1 - q * u0
@@ -327,30 +268,32 @@ def solve_linear_auxiliary(flow: Flow, init):
 def _mu_q(tc: TimeCoefficients, mu_fn, t: float):
     """(mu, q) of the symmetric form at t, q = (mu' - (c + d) mu) / (2a);
     refuses mu = 0."""
-    mu, mup = mu_fn(t)[:2]
+    mu, mup, _ = _mu_triplet(mu_fn, t)
     if mu == 0.0:
         raise MuVanishes("mu vanishes", t=t)
     return mu, (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * tc.a(t))
 
 
 def general_invariant(flow: Flow, mu_fn, C0: float,
-                      t: float, residual_tol: float = 1e-8) -> QuadraticForm:
+                      t: float) -> QuadraticForm:
     """Symmetric-form invariant for a general quadratic Hamiltonian:
 
         E = [(mu p - q x)^2 + C0 x^2 / mu^2] exp(int_0^t (c - d)),
         q = (mu' - (c + d) mu) / (2a),
 
-    where mu solves the nonlinear auxiliary equation and the integral is
-    the I of ``flow``.
+    where mu solves the nonlinear auxiliary equation to 1e-8 and the
+    integral is the I of ``flow``.
     """
     tc = flow.tc
     res = auxiliary_residual(tc, mu_fn, C0, t)
-    if res > residual_tol:
+    if res > _RESIDUAL_TOL:
         raise AuxiliaryResidualTooLarge(
             "mu does not solve the auxiliary equation at t",
             residual=res, t=t)
     mu, q = _mu_q(tc, mu_fn, t)
-    return _symmetric_form(mu, q, C0, math.exp(flow.at(t).i), t)
+    w = math.exp(flow.at(t).i)
+    return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
+                         C=-mu * q * w, D=-mu * q * w, t=t)
 
 
 def linear_invariant(flow: Flow, A_fn, C0_const: float,
@@ -358,18 +301,17 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
     """Linear invariant P = A p + ((2c A - A') / 2a) x + C0 exp(int (c - d))
     of the coefficients of ``flow``, with the integral its I.
 
-    ``A_fn`` maps t to (A, A') or (A, A', A'') and must solve, to 1e-8,
+    ``A_fn`` maps t to (A, A', A'') and must solve, to 1e-8,
 
         A'' - (a'/a + 2c - 2d) A' + 4(a b - c d + c a'/(2a) - c'/2) A = 0.
     """
     tc = flow.tc
     A0, A1, A2 = _mu_triplet(A_fn, t)
-    a, b = tc.a(t), tc.b(t)
-    c, d = tc.c(t), tc.d(t)
+    a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
     ap, cp = tc.deriv_a(t), tc.deriv_c(t)
     res = abs(A2 - (ap / a + 2.0 * c - 2.0 * d) * A1
               + 4.0 * (a * b - c * d + c * ap / (2.0 * a) - 0.5 * cp) * A0)
-    if res > 1e-8:
+    if res > _RESIDUAL_TOL:
         raise ResidualTooLarge("A does not solve the linear-invariant equation",
                                residual=res, t=t)
     B = (2.0 * c * A0 - A1) / (2.0 * a)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -726,12 +728,10 @@ PUBLIC = {
     "propagator": ("GaussianState", "GridState", "gaussian_sweep",
                    "green_eval", "propagate_gaussian", "propagate_grid",
                    "schrodinger_residual"),
-    "invariants": ("ErmakovSolution", "LadderPair", "LinearForm",
-                   "QuadraticForm", "energy_operator_catalog",
-                   "general_invariant", "ladder_factorization",
-                   "lewis_riesenfeld_invariant", "linear_invariant",
-                   "pinney_superpose", "solve_energy_system",
-                   "solve_ermakov"),
+    "invariants": ("LadderPair", "LinearForm", "QuadraticForm",
+                   "energy_operator_catalog", "general_invariant",
+                   "ladder_factorization", "linear_invariant",
+                   "solve_energy_system", "solve_ermakov"),
     "dynamics": ("FirstMoments", "HyperbolicBasis", "SecondMoments",
                  "closed_form_expectation", "evolve_first_moments",
                  "evolve_second_moments", "uncertainty_check"),
@@ -743,7 +743,7 @@ SUBMODULES = ("coefficients", "models", "ode", "characteristic",
 def test_public_names_resolve_to_their_home_objects():
     names = [(home, name) for home, names in PUBLIC.items()
              for name in names]
-    assert len(names) == 40
+    assert len(names) == 37
     for home, name in names:
         module = importlib.import_module(f"quadham.{home}")
         assert getattr(quadham, name) is getattr(module, name), name
@@ -756,6 +756,27 @@ def test_public_names_resolve_to_their_home_objects():
     exec("from quadham import *", star)
     assert set(star) - {"__builtins__"} == {
         "errors", *SUBMODULES, *(name for _, name in names)}
+
+
+def test_every_error_class_is_named_outside_errors():
+    # the error-code table holds no code that no module can raise
+    root = pathlib.Path(quadham.__file__).parent
+    defined = {node.name for node in ast.parse(
+        (root / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)}
+    named = set()
+    for path in root.rglob("*.py"):
+        if path.name == "errors.py" and path.parent == root:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert len(defined) >= 20
+    assert sorted(defined - named) == []
 
 
 def test_bare_import_loads_submodules_on_first_use():

@@ -16,7 +16,8 @@ from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
-from quadham.errors import BoundaryLeak, NumericalError, ValidationError
+from quadham.errors import (BoundaryLeak, NumericalError,
+                            SingularCoefficient, ValidationError)
 
 SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
 CK = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
@@ -236,6 +237,40 @@ def test_evolve_grid_refuses_bad_dt_steps_and_record_every(bad):
         gridsim.evolve_grid(tc, psi0, **args)
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_evolve_grid_refuses_a_non_finite_t0(t0):
+    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    with pytest.raises(ValidationError) as err:
+        gridsim.evolve_grid(tc, psi0, 1e-3, 3, t0=t0)
+    assert "t0" in err.value.info
+
+
+def test_coefficient_overflow_is_a_singular_coefficient():
+    # Caldirola-Kanai's e^{2 lambda t} overflows math.exp at t0 = 1e6
+    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    with pytest.raises(SingularCoefficient) as err:
+        gridsim.evolve_grid(tc, psi0, 1e-3, 3, t0=1e6)
+    assert err.value.info["t"] == pytest.approx(1e6 + 5e-4)
+
+
+@pytest.mark.parametrize("b", [
+    lambda t: math.nan if t > 0.01 else 0.5,
+    lambda t: 0.5 + math.sqrt(0.01 - t),
+], ids=["non_finite", "value_error"])
+def test_failing_coefficient_names_its_midpoint(b):
+    # b fails for t > 0.01: at the first midpoint, 0.0105, of the second
+    # chunk of ten steps of 1e-3
+    half = lambda t: 0.5
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(half, b, zero, zero)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
+    with pytest.raises(SingularCoefficient) as err:
+        gridsim.evolve_grid(tc, psi0, 1e-3, 30, record_every=10)
+    assert err.value.info["t"] == pytest.approx(0.0105)
+
+
 def test_snapshot_count_default():
     tc = _ham(SHO)
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
@@ -291,6 +326,16 @@ def test_cn_steps_bitwise_equal_to_scipy_linalg_zgtsv():
     after = _run_fresh(_CN_RUN.format(first="",
                                       second="import scipy.linalg"))
     assert before[0] == before[1] == after[0] == after[1]
+
+
+def test_gridsim_shares_a_loaded_lapack_extension():
+    # after scipy.linalg, gridsim binds scipy's own module object of the
+    # extension instead of loading a second copy
+    same = _run_fresh(
+        "import json, scipy.linalg, scipy.linalg._flapack as f; "
+        "from quadham import gridsim; "
+        "print(json.dumps(gridsim.zgtsv is f.zgtsv))")
+    assert same is True
 
 
 def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):

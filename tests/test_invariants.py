@@ -9,10 +9,9 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from quadham import coefficients as coeff
 from quadham import invariants as inv
 from quadham.characteristic import classical_flow
-from quadham.errors import (AuxiliaryResidualTooLarge, ConstraintViolated,
-                            InvalidC0, KappaCollapse, NoClosedForm,
-                            NonPositiveForm, ResidualTooLarge,
-                            ValidationError)
+from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
+                            KappaCollapse, NoClosedForm, NonPositiveForm,
+                            ResidualTooLarge, ValidationError)
 
 CATALOG_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -117,59 +116,70 @@ def test_superposition_property_random_coefficients(A, C, frac):
         assert inv.auxiliary_residual(tc, mu_fn, C0, t) <= 1e-9
 
 
+def _oscillator(omega_sq, domega_sq=lambda t: 0.0):
+    """H = (p^2 + omega^2(t) x^2) / 2 with its derivatives."""
+    zero = lambda t: 0.0
+    return coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
+                                  zero, zero, coeff.HAMILTONIAN, zero,
+                                  lambda t: 0.5 * domega_sq(t), zero, zero)
+
+
 def test_pinney_matches_direct_ermakov():
     # constant frequency: u = cos, v = sin, W = 1
     u = lambda t: (math.cos(t), -math.sin(t))
     v = lambda t: (math.sin(t), math.cos(t))
-    sol = inv.pinney_superpose(u, v, A=2.0, B=0.3, C=1.0, W=1.0)
-    direct = inv.solve_ermakov(lambda t: 1.0, sol.C0,
-                               (sol.kappa(0.0), sol.kappa_prime(0.0)), 3.0)
+    mu_fn, C0 = inv.superpose_linear_solutions(_oscillator(lambda t: 1.0),
+                                               u, v, A=2.0, B=0.3, C=1.0)
+    kappa_fn, _ = inv.solve_ermakov(lambda t: 1.0, C0, mu_fn(0.0)[:2], 3.0)
     for t in np.linspace(0.0, 3.0, 13):
-        assert direct.kappa(float(t)) == pytest.approx(sol.kappa(float(t)),
-                                                       rel=1e-8)
+        assert kappa_fn(float(t))[0] == pytest.approx(mu_fn(float(t))[0],
+                                                      rel=1e-8)
 
 
 def test_pinney_and_linear_superposition_agree():
     # a = 1/2, b = omega^2 / 2, c = d = 0: the linear auxiliary equation is
-    # u'' + omega^2 u = 0, and Pinney's kappa from the columns of the flow
-    # is the superposed mu of the same u, v, A, B, C
+    # u'' + omega^2 u = 0, and solve_ermakov's kappa from the columns of
+    # the flow is the superposed mu of the same u, v, A, B, C
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
-    zero = lambda t: 0.0
-    tc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                                zero, zero, coeff.HAMILTONIAN, zero,
-                                lambda t: 0.15 * math.cos(t), zero, zero)
+    tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
     flow = classical_flow(tc, 2.0)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     kappa0, kappa0p, c0 = 1.0, 0.2, 0.7
     A, B, C = kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + c0 / kappa0 ** 2
-    pinney = inv.pinney_superpose(u, v, A, B, C, 1.0)
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
-    ermakov = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p), 2.0)
-    assert C0 == pytest.approx(pinney.C0, rel=1e-15)
+    kappa_fn, c0_out = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p),
+                                         2.0)
+    assert c0_out == c0
     assert C0 == pytest.approx(c0, rel=1e-15)
     for t in np.linspace(0.0, 2.0, 9):
         t = float(t)
-        mu, mup = mu_fn(t)[:2]
-        assert pinney.kappa(t) == pytest.approx(mu, rel=1e-15)
-        assert pinney.kappa_prime(t) == pytest.approx(mup, rel=1e-15)
-        assert ermakov.kappa(t) == pytest.approx(mu, rel=1e-15)
-        assert ermakov.kappa_prime(t) == pytest.approx(mup, rel=1e-15)
-
-
-def test_pinney_constraint_check():
-    u = lambda t: (math.cos(t), -math.sin(t))
-    v = lambda t: (math.sin(t), math.cos(t))
-    with pytest.raises(ConstraintViolated):
-        inv.pinney_superpose(u, v, 1.0, 0.0, 1.0, 1.0, c0=2.0)
+        for k, m in zip(kappa_fn(t), mu_fn(t)):
+            assert k == pytest.approx(m, rel=1e-15)
 
 
 def test_pinney_nonpositive_form():
     u = lambda t: (math.cos(t), -math.sin(t))
     v = lambda t: (math.sin(t), math.cos(t))
-    sol = inv.pinney_superpose(u, v, A=1.0, B=-1.0, C=1.0, W=1.0)
+    mu_fn, _ = inv.superpose_linear_solutions(_oscillator(lambda t: 1.0),
+                                              u, v, A=1.0, B=-1.0, C=1.0)
     with pytest.raises(NonPositiveForm):
-        sol.kappa(math.pi / 4)
+        mu_fn(math.pi / 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps=st.floats(-0.5, 0.5), c0=st.floats(0.05, 1.0),
+       kappa0=st.floats(0.5, 2.0), kappa0p=st.floats(-1.0, 1.0),
+       t=st.floats(0.0, 2.0))
+def test_ermakov_solves_the_auxiliary_equation(eps, c0, kappa0, kappa0p, t):
+    # solve_ermakov's pair is a solution of the auxiliary equation of
+    # H = (p^2 + omega^2 x^2) / 2, with kappa'' exact, not differenced
+    omega_sq = lambda s: 1.0 + eps * math.sin(s)
+    kappa_fn, C0 = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p), 2.0)
+    tc = _oscillator(omega_sq, lambda s: eps * math.cos(s))
+    kappa = kappa_fn(t)[0]
+    res = inv.auxiliary_residual(tc, kappa_fn, C0, t)
+    assert res <= 1e-9 * max(1.0, abs(c0 / kappa ** 3))
 
 
 def test_kappa_collapse_detected():
@@ -199,14 +209,14 @@ def test_kappa_collapse_event_matches_scipy():
 
 def test_ermakov_keeps_c0_past_the_rounding_of_its_constants():
     # kappa0 = kappa0' = 100: Pinney's A C - B^2 = 1e8 + 0.3 - 1e8 rounds
-    # to 0.29999999702, outside pinney_superpose's 1e-10 check on a given
-    # c0, so solve_ermakov sets C0 itself instead of passing c0 to it
-    sol = inv.solve_ermakov(lambda t: 1.0, 0.3, (100.0, 100.0), 1.0)
-    assert sol.C0 == 0.3
+    # to 0.29999999702, so solve_ermakov returns the given c0, not the C0
+    # that superpose_linear_solutions computes from A, B and C
+    kappa_fn, C0 = inv.solve_ermakov(lambda t: 1.0, 0.3, (100.0, 100.0), 1.0)
+    assert C0 == 0.3
     for t in (0.3, 1.0):
         ell = 100.0 * (math.cos(t) + math.sin(t))
         ref = math.sqrt(ell * ell + 0.3e-4 * math.sin(t) ** 2)
-        assert sol.kappa(t) == pytest.approx(ref, rel=1e-12)
+        assert kappa_fn(t)[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_kappa_collapse_with_negative_c0():
@@ -234,23 +244,20 @@ def test_kappa_collapse_at_the_start():
 
 
 def test_lewis_riesenfeld_equals_general_route():
-    # with a = 1/2 and no drift the two constructions coincide exactly
-    half = lambda t: 0.5
-    zero = lambda t: 0.0
-    b_of = lambda t: 0.5 * (1.0 + 0.3 * math.sin(t))
-    db = lambda t: 0.15 * math.cos(t)
-    tc = coeff.TimeCoefficients(half, b_of, zero, zero, coeff.HAMILTONIAN,
-                                zero, db, zero, zero)
-    c0 = 0.7
-    sol = inv.solve_ermakov(lambda t: 2.0 * b_of(t), c0, (1.0, 0.2), 2.0)
-    mu_fn = lambda t: (sol.kappa(t), sol.kappa_prime(t))
+    # at a = 1/2 and c = d = 0 the general invariant of solve_ermakov's
+    # pair is Lewis and Riesenfeld's (kappa p - kappa' x)^2 + c0 x^2/kappa^2
+    omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
+    tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
+    kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
     flow = classical_flow(tc, 1.9)
     for t in (0.3, 1.1, 1.9):
-        lr = inv.lewis_riesenfeld_invariant(sol, t)
-        gen = inv.general_invariant(flow, mu_fn, c0, t, residual_tol=1e-6)
-        assert gen.A == pytest.approx(lr.A, rel=1e-9)
-        assert gen.B == pytest.approx(lr.B, rel=1e-9)
-        assert gen.C == pytest.approx(lr.C, rel=1e-9)
+        kappa, kappa_p, _ = kappa_fn(t)
+        gen = inv.general_invariant(flow, kappa_fn, c0, t)
+        assert gen.A == pytest.approx(kappa ** 2, rel=1e-9)
+        assert gen.B == pytest.approx(kappa_p ** 2 + c0 / kappa ** 2,
+                                      rel=1e-9)
+        assert gen.C == pytest.approx(-kappa * kappa_p, rel=1e-9)
+        assert gen.D == pytest.approx(-kappa * kappa_p, rel=1e-9)
 
 
 def test_invariant_expectation_is_constant_under_moment_flow():
@@ -319,6 +326,28 @@ def test_linear_invariant_rejects_bad_solution():
     bad = lambda t: (1.0 + t * t, 2.0 * t, 2.0)
     with pytest.raises(ResidualTooLarge):
         inv.linear_invariant(flow, bad, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["two", "four"])
+@pytest.mark.parametrize("call", ["auxiliary_residual", "general_invariant",
+                                  "linear_invariant", "ladder_factorization"])
+def test_callables_must_return_three_values(call, extra):
+    # on SHO mu = 1 (C0 = 1) and A = cos t solve their equations; a tuple
+    # of two or four values is refused, never differenced or cut
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
+                                    coeff.HAMILTONIAN)
+    flow = classical_flow(tc, 1.0)
+    mu = lambda t: (1.0, 0.0, 0.0, 0.0)[:3 + extra]
+    A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t),
+                   math.sin(t))[:3 + extra]
+    args = {"auxiliary_residual": (tc, mu, 1.0),
+            "general_invariant": (flow, mu, 1.0),
+            "linear_invariant": (flow, A, 0.2),
+            "ladder_factorization": (flow, mu, 1.0)}[call]
+    with pytest.raises(ValidationError) as err:
+        getattr(inv, call)(*args, 0.5)
+    assert type(err.value) is ValidationError
+    assert err.value.info == {"t": 0.5, "length": 3 + extra}
 
 
 def test_invariants_read_the_integral_off_one_flow(solves):
