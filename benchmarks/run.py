@@ -16,7 +16,10 @@ source, one child per sample: one evaluation of the coefficients
 (a, b, c, d) the flow reads (H's own), ``classical_flow`` on the
 Caldirola-Kanai window of the subcommands and on a window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
-t_end 2), one ``Flow.at`` point, one point of the second-moment path, one
+t_end 2), one ``Flow.at`` point, one point of the second-moment path and
+of the energy path (``solve_energy_system``) on that flow, one point of
+the first-moment path on the first flow, one ``general_invariant`` of
+``solve_ermakov``'s pair (omega^2 = 1 + 0.3 sin t, c0 = 0.7, t = 1), one
 ``kernel_parameters`` point, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
 layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
@@ -74,7 +77,7 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
 # the in-process layer timings, one sample per child on the measured
 # source: {row: per-call seconds}, plus the flow solver's counts
 LAYERS = """
-import json, timeit
+import json, math, timeit
 from quadham import characteristic as chm, coefficients as coeff
 from quadham import dynamics as dyn, invariants as inv
 from quadham import propagator as prop
@@ -87,6 +90,18 @@ tc_inv = inv.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
 moment_flow = chm.classical_flow(tc_inv, 2.0)
 moments = dyn.evolve_second_moments(moment_flow,
                                     dyn.SecondMoments(0.8, 0.7, 0.1))
+first_moments = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.1, 0.2))
+q0 = inv.energy_operator_catalog(coeff.ModelSpec("caldirola_kanai", 1.0,
+                                                 0.1), 0.0)
+energy = inv.solve_energy_system(moment_flow, (q0.A, q0.B, q0.C, q0.D))
+# the Lewis-Riesenfeld invariant of H = (p^2 + omega^2 x^2) / 2,
+# omega^2 = 1 + 0.3 sin t: general_invariant of solve_ermakov's pair
+omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
+zero = lambda t: 0.0
+tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
+                                zero, zero, da=zero, dc=zero, dd=zero)
+osc_flow = chm.classical_flow(tc_osc, 2.0)
+kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
 path = chm.solve_characteristic(tc, 1.4)
 kp = chm.kernel_parameters(tc, path, 0.7)
 s0 = prop.GaussianState(0.5j)
@@ -121,6 +136,10 @@ print(json.dumps({
     "moment_flow": per_call(lambda: chm.classical_flow(tc_inv, 2.0), 50),
     "flow_at": per_call(lambda: flow.at(0.7), 5000),
     "moment_point": per_call(lambda: moments(0.7), 5000),
+    "first_moment_point": per_call(lambda: first_moments(0.7), 5000),
+    "energy_point": per_call(lambda: energy(0.7), 5000),
+    "invariant_point": per_call(
+        lambda: inv.general_invariant(osc_flow, kappa_fn, c0, 1.0), 5000),
     "kernel_parameters": per_call(
         lambda: chm.kernel_parameters(tc, path, 0.7), 5000),
     "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
@@ -139,6 +158,12 @@ LAYER_INPUTS = {"coefficients": {"t": 0.7},
                 "moment_flow": {"model": "caldirola_kanai", "lambda": 0.1,
                                 "t_end": 2.0},
                 "flow_at": {"t": 0.7}, "moment_point": {"t": 0.7},
+                "first_moment_point": {"t": 0.7},
+                "energy_point": {"model": "caldirola_kanai", "lambda": 0.1,
+                                 "t": 0.7},
+                "invariant_point": {"omega_sq": "1 + 0.3 sin t", "c0": 0.7,
+                                    "kappa0": 1.0, "kappa0_prime": 0.2,
+                                    "t": 1.0},
                 "kernel_parameters": {"t": 0.7},
                 "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
                 "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"},

@@ -192,21 +192,15 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
     moments flowed from m0."""
     from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
 
-    q0 = inv.energy_operator_catalog(spec, 0.0)
-    ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
-    # a drift relative to an E(0) that cancels among its terms measures
-    # rounding, not conservation
-    terms = q0.magnitude(m0.p2, m0.x2, m0.pxxp)
-    if not abs(ref) > 1e-8 * terms:
-        raise ValidationError("the invariant of the initial moments "
-                              "vanishes against its terms", reference=ref,
-                              terms=terms)
-    path = dyn.evolve_second_moments(
-        chr_mod.classical_flow(inv.catalog_coefficients(spec), t_end), m0)
-    drift = max(abs(inv.energy_operator_catalog(spec, t).expectation(
-        *((m := path(t)).p2, m.x2, m.pxxp)) - ref)
-        for t in _linspace(t_start, t_end, samples))
-    return ref, drift / abs(ref)
+    def pairs():
+        yield inv.energy_operator_catalog(spec, 0.0), m0
+        # solved only once E(0) has passed the cancellation check
+        path = dyn.evolve_second_moments(
+            chr_mod.classical_flow(inv.catalog_coefficients(spec), t_end), m0)
+        for t in _linspace(t_start, t_end, samples):
+            yield inv.energy_operator_catalog(spec, t), path(t)
+
+    return inv._expectation_drift(pairs(), 1e-8)
 
 
 def cmd_invariant(args):

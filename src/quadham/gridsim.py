@@ -12,21 +12,22 @@ routine would more than double the import time of this module.
 """
 
 import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy
 
-from ..coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
-from ..dynamics import FirstMoments, SecondMoments
-from ..errors import (BoundaryLeak, NegativeVariance, NumericalError,
+from .coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
+from .dynamics import FirstMoments, SecondMoments
+from .errors import (BoundaryLeak, NegativeVariance, NumericalError,
                       SingularCoefficient, ValidationError)
-from ..propagator import GridState
+from .invariants import _expectation_drift
+from .propagator import GridState
 
 
 def _load_flapack():
@@ -54,8 +55,7 @@ _LEAK_TOL = 1e-8
 _CANCEL = 1e-4
 
 
-@dataclass(frozen=True)
-class GridEvolution:
+class GridEvolution(NamedTuple):
     """Recorded states of one Crank-Nicolson run at a subset of step times."""
 
     times: Sequence[float]
@@ -130,6 +130,13 @@ def _midpoint_coefficients(tc: TimeCoefficients, t_mid):
     return coef.T
 
 
+def _count(name: str, n) -> int:
+    """``n`` as an int; ValidationError unless an integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValidationError(f"{name} must be an int >= 1", **{name: n})
+    return int(n)
+
+
 def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
                 steps: int, t0: float = 0.0,
                 record_every: int = None) -> GridEvolution:
@@ -138,41 +145,35 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     States are recorded every ``record_every`` steps (default about 16
     snapshots) plus the initial and final ones.  Raises ValidationError
     unless t0 and dt are finite, dt > 0 and steps and record_every are
-    ints >= 1; SingularCoefficient where a coefficient fails at a step
-    midpoint; BoundaryLeak where a non-negligible probability fraction
-    reaches the Dirichlet edges of a recorded state.
+    integers >= 1 (no bool); SingularCoefficient where a coefficient fails
+    at a step midpoint; BoundaryLeak where a non-negligible probability
+    fraction reaches the Dirichlet edges of a recorded state.
     """
     if not math.isfinite(t0):
         raise ValidationError("t0 must be finite", t0=t0)
     if not (0.0 < dt < math.inf):
         raise ValidationError("dt must be finite and positive", dt=dt)
-    if not isinstance(steps, int) or steps < 1:
-        raise ValidationError("steps must be an int >= 1", steps=steps)
-    if record_every is None:
-        record_every = max(1, steps // 16)
-    if not isinstance(record_every, int) or record_every < 1:
-        raise ValidationError("record_every must be an int >= 1",
-                              record_every=record_every)
+    steps = _count("steps", steps)
+    record_every = _count("record_every", max(1, steps // 16)
+                          if record_every is None else record_every)
     tc = convert_convention(tc, HAMILTONIAN)
-    x = psi0.x
     times = [t0]
     states = [psi0]
-    cur = psi0
+    psi = psi0.values
     done = 0
     while done < steps:
         chunk = min(record_every, steps - done)
         t_mid = t0 + (done + np.arange(chunk) + 0.5) * dt
         a_mid, b_mid, c_mid, d_mid = _midpoint_coefficients(tc, t_mid)
         s_mid = c_mid + d_mid
-        psi = _cn_run(cur.values, x, psi0.dx, dt, a_mid, b_mid, s_mid, c_mid)
+        psi = _cn_run(psi, psi0.x, psi0.dx, dt, a_mid, b_mid, s_mid, c_mid)
         done += chunk
-        cur = GridState(x0=psi0.x0, dx=psi0.dx, values=psi)
-        leak = _leak_fraction(cur)
+        times.append(t0 + done * dt)
+        states.append(GridState(x0=psi0.x0, dx=psi0.dx, values=psi))
+        leak = _leak_fraction(states[-1])
         if leak > _LEAK_TOL:
             raise BoundaryLeak("probability reached the grid edges",
-                               fraction=leak, t=t0 + done * dt)
-        times.append(t0 + done * dt)
-        states.append(cur)
+                               fraction=leak, t=times[-1])
     return GridEvolution(times=tuple(times), states=tuple(states))
 
 
@@ -223,21 +224,8 @@ def measure_moments(state: GridState):
 
 def invariant_drift(ev: GridEvolution, form_of) -> float:
     """max_t |<E>(t) - <E>(0)| / |<E>(0)| over the recorded states, with
-    ``form_of`` mapping t to a ``QuadraticForm``.  Raises ValidationError
-    when |<E>(0)| is at most _CANCEL times the summed magnitudes of its
-    terms: it has then cancelled to grid noise."""
-
-    def value(s, t):
-        _, m = measure_moments(s)
-        return form_of(t).expectation(m.p2, m.x2, m.pxxp)
-
-    _, m0 = measure_moments(ev.states[0])
-    q0 = form_of(ev.times[0])
-    ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
-    terms = q0.magnitude(m0.p2, m0.x2, m0.pxxp)
-    if not abs(ref) > _CANCEL * terms:
-        raise ValidationError("the invariant of the initial state vanishes "
-                              "against its terms", reference=ref,
-                              terms=terms)
-    return max(abs(value(s, t) - ref)
-               for t, s in zip(ev.times[1:], ev.states[1:])) / abs(ref)
+    ``form_of`` mapping t to a ``QuadraticForm``: the CLI's drift, whose
+    refusal here reads |<E>(0)| <= _CANCEL times its terms as grid noise."""
+    pairs = ((form_of(t), measure_moments(s)[1])
+             for t, s in zip(ev.times, ev.states))
+    return _expectation_drift(pairs, _CANCEL)[1]

@@ -6,9 +6,11 @@ any quadratic Hamiltonian, linear invariants and the ladder factorization.
 mu solves the nonlinear auxiliary equation, as the square root of Pinney's
 superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
 a = 1/2, c = d = 0 that is the Ermakov equation, and the form is the
-Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'') at t.
+Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'') at t;
+an invariant calls it once and refuses a solution off its equation.
 All of it is algebra on the classical flow M and I = int_0^t (c - d) of
-:func:`quadham.characteristic.classical_flow`.
+:func:`quadham.characteristic.classical_flow`.  The CLI and the grid take
+the drift of an invariant's expectation here.
 """
 
 from __future__ import annotations
@@ -119,6 +121,23 @@ def energy_operator_catalog(spec: ModelSpec, t: float) -> QuadraticForm:
     return QuadraticForm(A, B, C, C, t)
 
 
+def _expectation_drift(pairs, cancel: float):
+    """(E(0), max |E(t) - E(0)| / |E(0)|) over the iterator ``pairs`` of
+    (QuadraticForm, SecondMoments), the first at t = 0; ValidationError
+    unless |E(0)| > ``cancel`` times its summed terms, since a drift
+    relative to a cancelled E(0) measures rounding.  Private, as is
+    ``_congruence`` and for its reason."""
+    q0, m0 = next(pairs)
+    ref = q0.expectation(m0.p2, m0.x2, m0.pxxp)
+    terms = q0.magnitude(m0.p2, m0.x2, m0.pxxp)
+    if not abs(ref) > cancel * terms:
+        raise ValidationError("the invariant of the initial moments "
+                              "vanishes against its terms", reference=ref,
+                              terms=terms)
+    return ref, max(abs(q.expectation(m.p2, m.x2, m.pxxp) - ref)
+                    for q, m in pairs) / abs(ref)
+
+
 def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
     """Hamiltonian under which the catalogued invariant is conserved."""
     spec.validate()
@@ -179,12 +198,31 @@ def _mu_triplet(mu_fn, t: float):
 
 
 def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
-    """a, a'/a and Q = 4ab + (a'/a - c - d)(c + d) - c' - d' at t, the
-    coefficients of the linear auxiliary equation mu'' - (a'/a) mu' + Q mu."""
+    """a, a'/a, Q = 4ab + (a'/a - c - d)(c + d) - c' - d' and c + d at t,
+    for the linear auxiliary equation mu'' - (a'/a) mu' + Q mu and for q."""
     a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
     ra = tc.deriv_a(t) / a
     return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - tc.deriv_c(t)
-                   - tc.deriv_d(t))
+                   - tc.deriv_d(t)), c + d
+
+
+def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float,
+                        checked: bool = True):
+    """(mu, q, residual) at t from one call of ``mu_fn``, q = (mu' - (c + d)
+    mu) / (2a), the residual that of :func:`auxiliary_residual`.  Refuses
+    mu = 0 and a residual above 1e-8; unchecked, only mu = 0 with C0 != 0."""
+    mu, mup, mupp = _mu_triplet(mu_fn, t)
+    a, ra, q, cd = _auxiliary_coefficients(tc, t)
+    if mu == 0.0 and (checked or C0 != 0.0):
+        raise MuVanishes("mu vanishes", t=t)
+    lhs = mupp - ra * mup + q * mu
+    rhs = C0 * (2.0 * a) ** 2 / mu ** 3 if C0 != 0.0 else 0.0
+    res = abs(lhs - rhs)
+    if checked and res > _RESIDUAL_TOL:
+        raise AuxiliaryResidualTooLarge(
+            "mu does not solve the auxiliary equation at t",
+            residual=res, t=t)
+    return mu, (mup - cd * mu) / (2.0 * a), res
 
 
 def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
@@ -195,13 +233,7 @@ def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
             = C0 (2a)^2 / mu^3.
     """
     tc = coeff.convert_convention(tc, HAMILTONIAN)
-    mu, mup, mupp = _mu_triplet(mu_fn, t)
-    if mu == 0.0 and C0 != 0.0:
-        raise MuVanishes("mu vanishes with C0 != 0", t=t)
-    a, ra, q = _auxiliary_coefficients(tc, t)
-    lhs = mupp - ra * mup + q * mu
-    rhs = C0 * (2.0 * a) ** 2 / mu ** 3 if C0 != 0.0 else 0.0
-    return abs(lhs - rhs)
+    return _auxiliary_solution(tc, mu_fn, C0, t, checked=False)[2]
 
 
 def superpose_linear_solutions(tc: TimeCoefficients, u, v,
@@ -227,7 +259,7 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
         if s <= 0.0:
             raise NonPositiveForm("quadratic form is not positive", t=t)
         ds = 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
-        _, p, q = _auxiliary_coefficients(tc, t)
+        _, p, q, _ = _auxiliary_coefficients(tc, t)
         # second derivatives of u, v from the linear equation itself
         u2 = p * u1 - q * u0
         v2 = p * v1 - q * v0
@@ -265,15 +297,6 @@ def solve_linear_auxiliary(flow: Flow, init):
     return path
 
 
-def _mu_q(tc: TimeCoefficients, mu_fn, t: float):
-    """(mu, q) of the symmetric form at t, q = (mu' - (c + d) mu) / (2a);
-    refuses mu = 0."""
-    mu, mup, _ = _mu_triplet(mu_fn, t)
-    if mu == 0.0:
-        raise MuVanishes("mu vanishes", t=t)
-    return mu, (mup - (tc.c(t) + tc.d(t)) * mu) / (2.0 * tc.a(t))
-
-
 def general_invariant(flow: Flow, mu_fn, C0: float,
                       t: float) -> QuadraticForm:
     """Symmetric-form invariant for a general quadratic Hamiltonian:
@@ -284,13 +307,7 @@ def general_invariant(flow: Flow, mu_fn, C0: float,
     where mu solves the nonlinear auxiliary equation to 1e-8 and the
     integral is the I of ``flow``.
     """
-    tc = flow.tc
-    res = auxiliary_residual(tc, mu_fn, C0, t)
-    if res > _RESIDUAL_TOL:
-        raise AuxiliaryResidualTooLarge(
-            "mu does not solve the auxiliary equation at t",
-            residual=res, t=t)
-    mu, q = _mu_q(tc, mu_fn, t)
+    mu, q, _ = _auxiliary_solution(flow.tc, mu_fn, C0, t)
     w = math.exp(flow.at(t).i)
     return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
                          C=-mu * q * w, D=-mu * q * w, t=t)
@@ -323,10 +340,11 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float,
                          t: float) -> LadderPair:
     """Time-dependent annihilation/creation pair factorizing the invariant as
     (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
-    exp(int (c - d)), the integral the I of ``flow``."""
+    exp(int (c - d)), the integral the I of ``flow``; mu must solve the
+    nonlinear auxiliary equation to 1e-8."""
     if not (C0 > 0):
         raise InvalidC0("C0 must be positive for the factorization", C0=C0)
-    mu, q = _mu_q(flow.tc, mu_fn, t)
+    mu, q, _ = _auxiliary_solution(flow.tc, mu_fn, C0, t)
     w0 = 2.0 * math.sqrt(C0)
     P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
     R = mu / math.sqrt(w0)

@@ -590,6 +590,20 @@ def test_invariant_refuses_a_vanishing_reference():
     assert json.loads(proc.stdout)["drift"] <= 1e-8
 
 
+def test_cancelled_reference_is_refused_in_invariants(capsys, solves):
+    # E(0) = (p2 - x2)/2 = 0 is refused by the drift shared with the grid,
+    # before any flow is solved; the record names quadham.invariants
+    code, out, err = run(capsys, "invariant", "--model",
+                         "modified_oscillator", "--t-end", "1", "--p2", "1",
+                         "--x2", "1")
+    assert (code, out) == (2, "")
+    rec = json.loads(err)
+    assert (rec["type"], rec["module"]) == ("ValidationError",
+                                            "quadham.invariants")
+    assert set(rec["info"]) == {"reference", "terms"}
+    assert solves == []
+
+
 def test_uncertainty_solves_one_flow(capsys, solves):
     code, out, err = run(capsys, "uncertainty", "--model", "caldirola_kanai",
                          "--lambda", "0.1", "--t-end", "3.0")

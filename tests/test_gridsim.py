@@ -225,16 +225,28 @@ def test_evolve_grid_validation():
 @pytest.mark.parametrize("bad", [
     {"dt": math.nan}, {"dt": math.inf}, {"steps": 2.5},
     {"record_every": 0}, {"record_every": -1}, {"record_every": 2.5},
+    {"steps": True}, {"record_every": True},
 ])
 def test_evolve_grid_refuses_bad_dt_steps_and_record_every(bad):
     # unchecked, a nan or inf dt runs to non-finite states, a fractional
-    # steps or record_every runs more steps than it records, and a
-    # record_every below 1 never ends
+    # steps or record_every runs more steps than it records, a record_every
+    # below 1 never ends, and a bool is no count
     tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     args = {"dt": 1e-3, "steps": 3, **bad}
     with pytest.raises(ValidationError):
         gridsim.evolve_grid(tc, psi0, **args)
+
+
+def test_evolve_grid_takes_numpy_integer_counts():
+    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    ref = gridsim.evolve_grid(tc, psi0, 1e-3, 4, record_every=2)
+    got = gridsim.evolve_grid(tc, psi0, 1e-3, np.int64(4),
+                              record_every=np.int32(2))
+    assert got.times == ref.times
+    assert all(type(t) is float for t in got.times)
+    assert np.array_equal(got.final().values, ref.final().values)
 
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf])

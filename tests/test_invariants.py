@@ -8,10 +8,11 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import invariants as inv
-from quadham.characteristic import classical_flow
+from quadham.characteristic import Flow, classical_flow
 from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
-                            KappaCollapse, NoClosedForm, NonPositiveForm,
-                            ResidualTooLarge, ValidationError)
+                            KappaCollapse, MuVanishes, NoClosedForm,
+                            NonPositiveForm, ResidualTooLarge,
+                            ValidationError)
 
 CATALOG_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -299,6 +300,61 @@ def test_ladder_requires_positive_c0():
     mu_fn, _ = UNITED.closed_form("invariant_mu")
     with pytest.raises(InvalidC0):
         inv.ladder_factorization(flow, mu_fn, -1.0, 0.5)
+
+
+def test_ladder_refuses_a_mu_off_the_auxiliary_equation():
+    # on SHO mu = 1 + t leaves a residual of 1.2 at t = 0.5; the pair built
+    # from it still had commutator 1, as every pair has by construction
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
+                                    coeff.HAMILTONIAN)
+    flow = classical_flow(tc, 1.0)
+    with pytest.raises(AuxiliaryResidualTooLarge) as err:
+        inv.ladder_factorization(flow, lambda t: (1.0 + t, 1.0, 0.0), 1.0,
+                                 0.5)
+    assert err.value.info["residual"] == pytest.approx(1.5 - 1.5 ** -3,
+                                                       rel=1e-12)
+
+
+def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
+    # on SHO mu = sin t solves the linear equation (C0 = 0) and vanishes
+    # at t = 0: its residual is defined there, the invariant is not
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
+                                    coeff.HAMILTONIAN)
+    flow = classical_flow(tc, 1.0)
+    mu = lambda t: (math.sin(t), math.cos(t), -math.sin(t))
+    assert inv.auxiliary_residual(tc, mu, 0.0, 0.0) == 0.0
+    for call, args in ((inv.auxiliary_residual, (tc, mu, 1.0)),
+                       (inv.general_invariant, (flow, mu, 0.0)),
+                       (inv.ladder_factorization, (flow, mu, 1.0))):
+        with pytest.raises(MuVanishes):
+            call(*args, 0.0)
+
+
+def test_invariants_read_mu_once(monkeypatch):
+    # solve_ermakov's mu_fn reads its flow's two columns; with I read once,
+    # general_invariant makes 3 Flow.at calls (5 when the residual check
+    # called mu_fn a second time), and ladder_factorization as many
+    omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
+    tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
+    kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
+    flow = classical_flow(tc, 2.0)
+    calls = []
+    at = Flow.at
+
+    def counted_mu(t):
+        calls.append("mu")
+        return kappa_fn(t)
+
+    def counted_at(self, t):
+        calls.append("at")
+        return at(self, t)
+
+    monkeypatch.setattr(Flow, "at", counted_at)
+    for call in (inv.general_invariant, inv.ladder_factorization):
+        calls.clear()
+        call(flow, counted_mu, c0, 1.0)
+        assert calls.count("mu") == 1
+        assert calls.count("at") <= 3
 
 
 def test_linear_invariant_is_conserved():
