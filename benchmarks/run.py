@@ -123,7 +123,8 @@ def cn_step(n):
     return lambda: gridsim.evolve_grid(tc, psi0, 1e-3, 64, record_every=64)
 
 def counts(f):
-    sol = f.solution
+    # an older checkout keeps the counts on the flow's solution
+    sol = getattr(f, "solution", f)
     return {"nfev": sol.nfev, "n_steps": sol.n_steps,
             "n_rejected": sol.n_rejected}
 

@@ -16,7 +16,8 @@ mu solves the characteristic equation with ``mu(0) = 0``,
 ``mu'(0) = 2 a(0)``.  The flow needs no derivative of the coefficients and
 no division by a(t).  ``quadham.ode`` integrates it by 6th-order Magnus
 steps, which keep det M = 1 to rounding, with one tolerance on every path,
-FLOW_TOL, and dense output by one sub-step from a step point.  The printed
+FLOW_TOL; the Flow holds the rows and the work counts of the solve and
+gives the dense output by one sub-step from a step point.  The printed
 mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -25,13 +26,15 @@ them up.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
 from .coefficients import (HAMILTONIAN, ModelSpec, TimeCoefficients,
                            convert_convention)
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
-from .ode import FLOW_TOL, bracket_sign_change, solve_ivp
+from .ode import (EVALS_PER_STEP, FLOW_TOL, bracket_sign_change,
+                  magnus_step, solve_ivp)
 
 MU_GUARD = 1e-10
 
@@ -78,25 +81,34 @@ def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
 
 class Flow:
     """The classical flow of the Hamiltonian coefficients ``tc`` between 0
-    and ``t_end``: ``solution(t)`` holds the row (M11, M12, M21, M22, I) at t
-    and ``steps`` the rows at the step points ``solution.t``.  :meth:`at`
-    refuses a time outside the window, where the dense output would
-    extrapolate.  The first caustic and the scale of mu are found once, on
-    a forward window."""
+    and ``t_end``, the result of one solve: ``steps`` holds the
+    :class:`FlowPoint` at each step point ``t``, and ``nfev``, ``n_steps``
+    and ``n_rejected`` count the solve's work (evaluations of (a, b, c, d)
+    and accepted and rejected steps).  :meth:`at` refuses a time outside
+    the window.  The first caustic and the scale of mu are found once."""
 
-    def __init__(self, solution, tc: TimeCoefficients):
-        self.solution, self.tc = solution, tc
-        self.t_end = float(solution.t[-1])
+    def __init__(self, tc: TimeCoefficients, ts, ys, n_rejected: int):
+        self.tc, self.t = tc, ts
+        self.steps = [FlowPoint._make(y) for y in ys]
+        self.t_end = float(ts[-1])
+        self.n_steps, self.n_rejected = len(ts) - 1, n_rejected
+        self.nfev = EVALS_PER_STEP * (self.n_steps + n_rejected)
+        self._coefficients = (tc.a, tc.b, tc.c, tc.d)
+        # the step points keep the window's sign: |t| orders them
+        self._keys = [abs(t) for t in ts]
 
     def at(self, t: float) -> FlowPoint:
+        """The flow at t, one sub-step from the step point before t."""
         if not min(0.0, self.t_end) <= t <= max(0.0, self.t_end):
             raise ValidationError("t lies outside the solved window",
                                   t=t, t_end=self.t_end)
-        return FlowPoint._make(self.solution(t))
-
-    @cached_property
-    def steps(self) -> list[FlowPoint]:
-        return [FlowPoint._make(row) for row in self.solution.y]
+        t = float(t)
+        k = bisect_right(self._keys, abs(t)) - 1
+        t_k = self.t[k]
+        if t == t_k:
+            return self.steps[k]
+        return FlowPoint._make(
+            magnus_step(self._coefficients, t_k, self.steps[k], t - t_k))
 
     def mu(self, t: float) -> float:
         p = self.at(t)
@@ -109,20 +121,31 @@ class Flow:
     def mu_scale(self) -> float:
         return max(1.0, *(abs(p.m12 * math.exp(p.i)) for p in self.steps))
 
+    def _first_zero(self, g, start: int):
+        """The first step interval, from step ``start`` on, at whose first
+        point g of the FlowPoint is zero or over which it changes sign, and
+        the zero's bracket in it narrowed on the dense output; the two as
+        ([t0, t1], [lo, hi]) in increasing time order, or None."""
+        g_k = [g(p) for p in self.steps]
+        k = next((k for k in range(start, len(g_k) - 1)
+                  if g_k[k] == 0.0 or g_k[k] * g_k[k + 1] < 0.0), None)
+        if k is None:
+            return None
+        ends = self.t[k], self.t[k + 1]
+        bracket = bracket_sign_change(lambda t: g(self.at(t)), *ends)
+        return sorted(ends), sorted(bracket)
+
     @cached_property
     def first_caustic(self):
-        """The bracket of the first zero of mu past t = 0, or None."""
-        # the first interior sign change of M12 (the sign of mu) between
-        # step points, or an exact zero, from index 1
-        grid, m12 = self.solution.t, [p.m12 for p in self.steps]
-        hit = next((k for k in range(1, len(m12) - 1)
-                    if m12[k] == 0.0 or m12[k] * m12[k + 1] < 0.0), None)
+        """The bracket of the first zero of mu on the window after t = 0,
+        in increasing time order, or None."""
+        # M12 has the sign of mu and vanishes at step 0
+        hit = self._first_zero(lambda p: p.m12, 1)
         if hit is None:
             return None
-        c0, c1 = grid[hit], grid[hit + 1]
-        # locate the zero on the dense output and widen it by a margin
-        # that holds the exact zero too (within about FLOW_TOL * t_end of it)
-        lo, hi = bracket_sign_change(lambda t: self.at(t).m12, c0, c1)
+        # widen the zero of the dense output by a margin that holds the
+        # exact zero too (within about FLOW_TOL * t_end of it)
+        (c0, c1), (lo, hi) = hit
         pad = math.sqrt(FLOW_TOL) * abs(self.t_end)
         return max(c0, lo - pad), min(c1, hi + pad)
 
@@ -134,7 +157,7 @@ def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
         raise ValidationError("the window must be finite", t_end=t_end)
     tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(t_end)
-    return Flow(solve_ivp((tc.a, tc.b, tc.c, tc.d), t_end), tc)
+    return Flow(tc, *solve_ivp((tc.a, tc.b, tc.c, tc.d), t_end))
 
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:

@@ -24,7 +24,6 @@ from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
                      MuVanishes, NonPositiveForm, ResidualTooLarge,
                      ValidationError)
-from .ode import bracket_sign_change
 
 # kappa at which solve_ermakov reports a collapse
 _COLLAPSE = 1e-8
@@ -172,13 +171,14 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
             ell = kappa0 * p.m11 + kappa0p * p.m12
             return ell * abs(ell) + ratio * p.m12 ** 2 - _COLLAPSE ** 2
 
-        k = next((k for k, p in enumerate(flow.steps) if guard(p) <= 0.0),
-                 None)
-        if k is not None:
-            grid = flow.solution.t
-            t_hit = 0.0 if k == 0 else bracket_sign_change(
-                lambda t: guard(flow.at(t)), grid[k - 1], grid[k])[1]
-            raise KappaCollapse("kappa reached the collapse guard", t=t_hit)
+        if guard(flow.steps[0]) <= 0.0:
+            # kappa(0) is inside the guard
+            raise KappaCollapse("kappa reached the collapse guard", t=0.0)
+        hit = flow._first_zero(guard, 0)
+        if hit is not None:
+            # the end of the bracket past the zero
+            raise KappaCollapse("kappa reached the collapse guard",
+                                t=max(hit[1], key=abs))
     # u = (M11, M21) and v = (M12, M22), the columns of M
     u = solve_linear_auxiliary(flow, (1.0, 0.0))
     v = solve_linear_auxiliary(flow, (0.0, 1.0))

@@ -22,17 +22,16 @@ steps, which are kept; M relative to |M|, and I absolutely, since e^I
 scales mu.  (An embedded 4th-order estimate differs from Omega only by
 commutators, so it misses the quadrature error when A(t) commutes with
 itself.)  The one-step error is held to the tolerance, because the dense
-output at t is one sub-step from the step point before t.  A step is
-refused when it turns by more than a quarter, |det Omega| > (pi/2)^2, so
-that it holds at most one zero of M12, or when a coefficient raises an
-arithmetic error or a ValueError at a node.
+output at t (``Flow.at``) is one :func:`magnus_step` from the step point
+before t.  A step is refused when it turns by more than a quarter,
+|det Omega| > (pi/2)^2, so that it holds at most one zero of M12, or when
+a coefficient raises an arithmetic error or a ValueError at a node.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 
 from .errors import ToleranceNotMet
 
@@ -46,7 +45,7 @@ _QUARTER_TURN = (0.5 * math.pi) ** 2
 _NODE = math.sqrt(15.0) / 10.0
 _ALPHA2 = math.sqrt(15.0) / 3.0
 # 3 nodes for the whole step and 3 for each half
-_EVALS_PER_STEP = 9
+EVALS_PER_STEP = 9
 # every solve's tolerance: one step's error in M relative to |M|, plus in I
 FLOW_TOL = 1e-14
 # attempted steps (accepted and rejected) one solve may take.  The damped
@@ -137,41 +136,16 @@ def bracket_sign_change(g, lo, hi):
     return lo, hi
 
 
-class Solution:
-    """The result of one :func:`solve_ivp` call.
-
-    ``t`` lists the accepted step points and ``y`` the rows
-    (M11, M12, M21, M22, I) there, one list of floats per step point;
-    calling the object evaluates the flow at a time t by one exponent
-    sub-step from the step point before t (from the first one for a time
-    before the span, from the last one past it).  ``nfev`` counts the
-    evaluations of (a, b, c, d) of the solve, 9 per attempted step,
-    ``n_steps`` the accepted steps and ``n_rejected`` the rejected ones.
-    """
-
-    def __init__(self, coefficients, ts, ys, direction, n_rejected):
-        self.t, self.y = ts, ys
-        self.n_steps = len(ts) - 1
-        self.n_rejected = n_rejected
-        self.nfev = _EVALS_PER_STEP * (self.n_steps + n_rejected)
-        self._coefficients = coefficients
-        self._sign = direction
-        self._keys = [direction * t for t in ts]
-
-    def __call__(self, t):
-        t = float(t)
-        k = max(bisect_right(self._keys, self._sign * t) - 1, 0)
-        t_k = self.t[k]
-        if t == t_k:
-            return list(self.y[k])
-        return _advance(_exponent(self._coefficients, t_k, t - t_k),
-                        self.y[k])
+def magnus_step(coefficients, t, y, h):
+    """The row (M11, M12, M21, M22, I) y at t moved by a step of size h."""
+    return _advance(_exponent(coefficients, t, h), y)
 
 
 def solve_ivp(coefficients, t_end):
     """The flow (M, I) of the coefficients (a, b, c, d) of H from M = 1,
     I = 0 at t = 0 to t_end (either direction), each step's error held to
-    FLOW_TOL; returns a :class:`Solution` with dense output.
+    FLOW_TOL.  Returns the accepted step points, the row (M11, M12, M21,
+    M22, I) at each as a list of floats, and the count of rejected steps.
 
     Raises ToleranceNotMet when the step size falls below ten ulp of t or
     after MAX_STEPS attempted steps.
@@ -196,7 +170,7 @@ def solve_ivp(coefficients, t_end):
                 raise ToleranceNotMet(
                     "the solve used up its step budget", t=t,
                     steps=len(ts) - 1, rejected=n_rejected,
-                    nfev=_EVALS_PER_STEP * (len(ts) - 1 + n_rejected))
+                    nfev=EVALS_PER_STEP * (len(ts) - 1 + n_rejected))
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -233,4 +207,4 @@ def solve_ivp(coefficients, t_end):
         t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
-    return Solution(coefficients, ts, ys, direction, n_rejected)
+    return ts, ys, n_rejected

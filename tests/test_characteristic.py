@@ -179,7 +179,7 @@ def test_equal_cross_terms_give_no_integral(spec):
     flow = chr_mod.solve_characteristic(tc, 1.5)
     assert len(flow.steps) > 10
     assert all(p.i == 0.0 for p in flow.steps)
-    for t in flow.solution.t[1:]:
+    for t in flow.t[1:]:
         assert chr_mod.kernel_parameters(tc, flow, t).h == 1.0
 
 
@@ -239,6 +239,27 @@ def test_kernel_past_solved_window_is_refused():
     assert kp.mu == pytest.approx(math.sin(2.0), rel=1e-8)
 
 
+def test_first_caustic_on_a_backward_window():
+    # mu = sin t vanishes at -pi: the bracket is narrowed as on a forward
+    # window and comes in increasing time order
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
+                                                    1.0))
+    flow = chr_mod.classical_flow(tc, -5.0)
+    lo, hi = flow.first_caustic
+    assert lo < -math.pi < hi
+    assert hi - lo <= 2.0 * math.sqrt(chr_mod.FLOW_TOL) * 5.0 + 1e-12
+
+
+def test_first_caustic_keeps_its_bits():
+    # the solve, the dense output and the scan together fix these floats;
+    # a change to any of them that moves a caustic shows here
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
+                                                    1.2))
+    caustic = chr_mod.classical_flow(tc, 5.0).first_caustic
+    assert [t.hex() for t in caustic] == ["0x1.4f1a6831cf1bcp+1",
+                                          "0x1.4f1a70954aec7p+1"]
+
+
 def _scan_first_caustic(grid, mu):
     # reference: the first index i >= 1 with mu[i] == 0 or a sign change
     # to mu[i + 1]
@@ -248,17 +269,19 @@ def _scan_first_caustic(grid, mu):
     return None
 
 
-class _StubSolution:
+class _StubFlow(chr_mod.Flow):
     """Rows (0, mu, 0, 0, 0) at the step points 0, 1, 2, ..., linear in
     between, in place of a solve."""
 
     def __init__(self, mu):
-        self.t = [float(k) for k in range(len(mu))]
-        self.y = [[0.0, float(m), 0.0, 0.0, 0.0] for m in mu]
+        ts = [float(k) for k in range(len(mu))]
+        super().__init__(_eq(ALL_MODELS[8]), ts,
+                         [[0.0, float(m), 0.0, 0.0, 0.0] for m in mu], 0)
         self.mu = mu
 
-    def __call__(self, t):
-        return [0.0, float(np.interp(t, self.t, self.mu)), 0.0, 0.0, 0.0]
+    def at(self, t):
+        return chr_mod.FlowPoint(0.0, float(np.interp(t, self.t, self.mu)),
+                                 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("mu", [
@@ -269,8 +292,8 @@ class _StubSolution:
     [1.0, -1.0, -2.0, -3.0, -4.0],
 ])
 def test_first_caustic_matches_scan(mu):
-    flow = chr_mod.Flow(_StubSolution(mu), _eq(ALL_MODELS[8]))
-    scan = _scan_first_caustic(flow.solution.t, mu)
+    flow = _StubFlow(mu)
+    scan = _scan_first_caustic(flow.t, mu)
     caustic = flow.first_caustic
     if scan is None:
         assert caustic is None

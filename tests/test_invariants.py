@@ -231,6 +231,14 @@ def test_kappa_collapse_with_negative_c0():
     assert exc.value.info["t"] == pytest.approx(t_zero, abs=1e-9)
 
 
+def test_kappa_collapse_keeps_its_bits():
+    # the case above: the solve, the dense output and the scan together fix
+    # the collapse time to the bit
+    with pytest.raises(KappaCollapse) as exc:
+        inv.solve_ermakov(lambda t: 1.0, -0.3, (1.0, 0.2), 3.0)
+    assert exc.value.info["t"].hex() == "0x1.3c747291c170ap+0"
+
+
 @pytest.mark.parametrize("kappa0", [0.0, -1.0, math.nan])
 def test_ermakov_refuses_a_non_positive_kappa0(kappa0):
     with pytest.raises(ValidationError):

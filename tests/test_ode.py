@@ -50,15 +50,14 @@ def _second_moments():
         m = path(t)
         return [m.p2, m.x2, m.pxxp, m.norm]
 
-    return flow.solution, got, scipy_solve_ivp(rhs, (0.0, 3.0), y0,
-                                               **REF_OPTS)
+    return flow, got, scipy_solve_ivp(rhs, (0.0, 3.0), y0, **REF_OPTS)
 
 
 def _characteristic():
     spec = coeff.ModelSpec(coeff.UNITED, 1.3, 0.35, 0.1)
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
     flow = classical_flow(tc, 4.0)
-    return flow.solution, flow.solution, scipy_solve_ivp(
+    return flow, flow.at, scipy_solve_ivp(
         _flow_rhs(tc), (0.0, 4.0), [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
 
 
@@ -69,10 +68,10 @@ SYSTEMS = pytest.mark.parametrize(
 
 @SYSTEMS
 def test_dense_output_matches_scipy_dop853(system):
-    sol, got, ref = system()
+    flow, got, ref = system()
     assert ref.success, ref.message
-    inner = np.linspace(sol.t[0], sol.t[-1], 52)[1:-1]
-    for ts in (sol.t, inner):
+    inner = np.linspace(flow.t[0], flow.t[-1], 52)[1:-1]
+    for ts in (flow.t, inner):
         for t in ts:
             want = ref.sol(t)
             assert np.all(np.abs(np.array(got(t)) - want)
@@ -81,13 +80,13 @@ def test_dense_output_matches_scipy_dop853(system):
 
 @SYSTEMS
 def test_work_counts(system):
-    sol = system()[0]
-    assert sol.n_steps == len(sol.t) - 1 == len(sol.y) - 1
+    flow = system()[0]
+    assert flow.n_steps == len(flow.t) - 1 == len(flow.steps) - 1
     # an attempted step reads (a, b, c, d) at 3 Gauss nodes for the whole
     # step and at 3 for each half; the dense output is not counted
-    assert sol.nfev == 9 * (sol.n_steps + sol.n_rejected)
-    sol(0.5 * sol.t[-1])
-    assert sol.nfev == 9 * (sol.n_steps + sol.n_rejected)
+    assert flow.nfev == 9 * (flow.n_steps + flow.n_rejected)
+    flow.at(0.5 * flow.t_end)
+    assert flow.nfev == 9 * (flow.n_steps + flow.n_rejected)
 
 
 @pytest.mark.parametrize("spec", [
@@ -112,11 +111,12 @@ def test_quadrature_error_of_i_is_controlled():
     # exact in one step, so only the error estimate of I keeps the steps
     # short enough for its Gauss quadrature
     half = lambda t: 0.5
-    sol = solve_ivp((half, half, lambda t: math.cos(5.0 * t),
-                     lambda t: -math.cos(5.0 * t)), 3.0)
-    assert sol.n_steps > 3
+    flow = classical_flow(coeff.TimeCoefficients(
+        half, half, lambda t: math.cos(5.0 * t),
+        lambda t: -math.cos(5.0 * t)), 3.0)
+    assert flow.n_steps > 3
     for t in np.linspace(0.0, 3.0, 31):
-        m11, m12, m21, m22, i = sol(t)
+        m11, m12, m21, m22, i = flow.at(t)
         assert i == pytest.approx(0.4 * math.sin(5.0 * t), abs=1e-13)
         assert [m11, m12, m21, m22] == pytest.approx(
             [math.cos(t), math.sin(t), -math.sin(t), math.cos(t)], abs=1e-13)
@@ -153,25 +153,35 @@ def test_scalar_and_array_times():
         coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), coeff.HAMILTONIAN)
     flow = classical_flow(sho, np.float64(2.0))
     assert flow.t_end == 2.0 and type(flow.t_end) is float
-    one = flow.solution(0.7)
+    one = flow.at(0.7)
     assert len(one) == 5 and all(type(v) is float for v in one)
-    assert one == pytest.approx(
+    assert list(one) == pytest.approx(
         [math.cos(0.7), math.sin(0.7), -math.sin(0.7), math.cos(0.7), 0.0],
         abs=1e-14)
-    assert flow.solution(np.float64(0.7)) == one
-    assert flow.at(np.float64(0.7)) == flow.at(0.7)
+    assert flow.at(np.float64(0.7)) == one
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0], ids=["forward", "backward"])
+def test_at_a_step_point_returns_its_row(t_end):
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2), coeff.HAMILTONIAN)
+    flow = classical_flow(tc, t_end)
+    assert flow.n_steps > 10
+    for t, row in zip(flow.t, flow.steps):
+        for s in (t, np.float64(t)):
+            assert [v.hex() for v in flow.at(s)] == [v.hex() for v in row]
 
 
 def test_zero_span_and_backward_solve():
     tc = coeff.builtin_coefficients(
         coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2), coeff.HAMILTONIAN)
     still = classical_flow(tc, 0.0)
-    assert still.solution.n_steps == 0 == still.solution.nfev
+    assert still.n_steps == 0 == still.nfev
     assert tuple(still.at(0.0)) == (1.0, 0.0, 0.0, 1.0, 0.0)
     back = classical_flow(tc, -1.0)
     assert back.t_end == -1.0
     ref = scipy_solve_ivp(_flow_rhs(tc), (0.0, -1.0),
                           [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
-    for t in (-1.0, -0.4, *back.solution.t):
+    for t in (-1.0, -0.4, *back.t):
         assert list(back.at(t)) == pytest.approx(list(ref.sol(t)),
                                                  rel=1e-12, abs=1e-13)
