@@ -1,5 +1,6 @@
 """Coefficient functions of quadratic Hamiltonians, and ``ModelSpec``, which
-selects a built-in model and looks up its record in :mod:`quadham.models`.
+selects a built-in model, checks its parameters once, when it is built, and
+looks up its record in :mod:`quadham.models`.
 
 Every numerical layer reads H's own coefficients, ``H = a p^2 + b x^2 +
 c px + d xp``.  The "equation" tag is an input form only: its (a, b, c, d)
@@ -28,18 +29,13 @@ EQUATION = "equation"
 HAMILTONIAN = "hamiltonian"
 
 
-def _fd_derivative(f: Callable[[float], float], t: float) -> float:
-    h = max(1e-6, 1e-8 * abs(t))
-    return (f(t + h) - f(t - h)) / (2.0 * h)
-
-
 @dataclass(frozen=True)
 class TimeCoefficients:
-    """The four real coefficient functions of a quadratic Hamiltonian.
-
-    Derivative callbacks are optional; central finite differences with step
-    ``max(1e-6, 1e-8 |t|)`` are used when they are absent.  Instances are
-    immutable and safe to share between threads.
+    """The four real coefficient functions of a quadratic Hamiltonian and
+    the derivatives a', c' and d'.  Only the invariants read the
+    derivatives, and they refuse coefficients without them; nothing takes a
+    finite difference.  Instances are immutable and safe to share between
+    threads.
     """
 
     a: Callable[[float], float]
@@ -48,6 +44,8 @@ class TimeCoefficients:
     d: Callable[[float], float]
     convention: str = HAMILTONIAN
     da: Optional[Callable[[float], float]] = None
+    # Kept only because the benchmark's tracer (quadbench/tracing.py,
+    # _CALLBACKS) reads it; no record sets a b' and nothing here reads one.
     db: Optional[Callable[[float], float]] = None
     dc: Optional[Callable[[float], float]] = None
     dd: Optional[Callable[[float], float]] = None
@@ -58,18 +56,6 @@ class TimeCoefficients:
     def __post_init__(self):
         if self.convention not in (EQUATION, HAMILTONIAN):
             raise ConventionMismatch(f"unknown convention {self.convention!r}")
-
-    def deriv_a(self, t: float) -> float:
-        return self.da(t) if self.da is not None else _fd_derivative(self.a, t)
-
-    def deriv_b(self, t: float) -> float:
-        return self.db(t) if self.db is not None else _fd_derivative(self.b, t)
-
-    def deriv_c(self, t: float) -> float:
-        return self.dc(t) if self.dc is not None else _fd_derivative(self.c, t)
-
-    def deriv_d(self, t: float) -> float:
-        return self.dd(t) if self.dd is not None else _fd_derivative(self.d, t)
 
     def require_window(self, t_end: float) -> None:
         """Refuse a window from 0 to t_end that reaches t_singular, at once;
@@ -82,7 +68,10 @@ class TimeCoefficients:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parameters selecting one of the built-in models.
+    """Parameters selecting one of the built-in models, checked once, when
+    the spec is built: an unknown id, a parameter that is not finite and
+    the record's ``problem`` raise InvalidModelParams, so a spec that exists
+    is valid.
 
     ``omega0`` is the frequency parameter of the model (for the modified
     parametric and sech^2 parametric oscillators it is the plain frequency
@@ -104,7 +93,7 @@ class ModelSpec:
             raise InvalidModelParams(f"unknown model {self.model_id!r}")
         return build(self.omega0, self.lam, self.mu_param, self.delta)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         model = self.model  # refuses an unknown id
         if not all(math.isfinite(v) for v in
                    (self.omega0, self.lam, self.mu_param, self.delta)):
@@ -115,8 +104,7 @@ class ModelSpec:
 
     def closed_form(self, name: str):
         """The printed closed form ``name`` of the model (an attribute of
-        :class:`quadham.models.Model`) after validating the parameters."""
-        self.validate()
+        :class:`quadham.models.Model`)."""
         form = getattr(self.model, name)
         if form is None:
             raise NoClosedForm(f"no closed-form {name} for {self.model_id!r}")
@@ -125,16 +113,15 @@ class ModelSpec:
 
 def model_coefficients(model: Model, hamiltonian) -> TimeCoefficients:
     """Hamiltonian-convention coefficients from a record's
-    (a, b, c, d, da, db, dc, dd) and its limits."""
-    a, b, c, d, da, db, dc, dd = hamiltonian
-    return TimeCoefficients(a, b, c, d, HAMILTONIAN, da, db, dc, dd,
-                            model.t_max, model.t_singular)
+    (a, b, c, d, da, dc, dd) and its limits."""
+    a, b, c, d, da, dc, dd = hamiltonian
+    return TimeCoefficients(a, b, c, d, da=da, dc=dc, dd=dd,
+                            t_max=model.t_max, t_singular=model.t_singular)
 
 
 def builtin_coefficients(spec: ModelSpec,
                          convention: str = HAMILTONIAN) -> TimeCoefficients:
     """Coefficient functions of a built-in model in the requested convention."""
-    spec.validate()
     return convert_convention(
         model_coefficients(spec.model, spec.model.hamiltonian), convention)
 

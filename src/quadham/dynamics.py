@@ -107,7 +107,6 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
     operator contracted with the second moments evolved on the classical
     flow.  Returns t -> y(t).
     """
-    spec.validate()
     if spec.model_id != coeff.CJ_COORDINATE:
         raise NoClosedForm("the energy equation is catalogued for the "
                            "hyperbolically damped model only")

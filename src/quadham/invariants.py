@@ -139,7 +139,6 @@ def _expectation_drift(pairs, cancel: float):
 
 def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
     """Hamiltonian under which the catalogued invariant is conserved."""
-    spec.validate()
     return coeff.model_coefficients(spec.model,
                                     spec.model.invariant_hamiltonian)
 
@@ -197,13 +196,22 @@ def _mu_triplet(mu_fn, t: float):
     return vals
 
 
+def _derivatives(tc: TimeCoefficients, t: float):
+    """(a', c', d') at t; ValidationError when a callback is missing."""
+    missing = [n for n in ("da", "dc", "dd") if getattr(tc, n) is None]
+    if missing:
+        raise ValidationError("the invariants need the derivatives a', c' "
+                              "and d' of the coefficients", missing=missing)
+    return tc.da(t), tc.dc(t), tc.dd(t)
+
+
 def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
     """a, a'/a, Q = 4ab + (a'/a - c - d)(c + d) - c' - d' and c + d at t,
     for the linear auxiliary equation mu'' - (a'/a) mu' + Q mu and for q."""
     a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
-    ra = tc.deriv_a(t) / a
-    return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - tc.deriv_c(t)
-                   - tc.deriv_d(t)), c + d
+    da, dc, dd = _derivatives(tc, t)
+    ra = da / a
+    return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - dc - dd), c + d
 
 
 def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float,
@@ -325,7 +333,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
     tc = flow.tc
     A0, A1, A2 = _mu_triplet(A_fn, t)
     a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
-    ap, cp = tc.deriv_a(t), tc.deriv_c(t)
+    ap, cp, _ = _derivatives(tc, t)
     res = abs(A2 - (ap / a + 2.0 * c - 2.0 * d) * A1
               + 4.0 * (a * b - c * d + c * ap / (2.0 * a) - 0.5 * cp) * A0)
     if res > _RESIDUAL_TOL:

@@ -1,25 +1,14 @@
 """CSV/JSON/config I/O helpers.
 
-CSV output uses RFC-4180 quoting and shortest round-trip float formatting
-so files can be diffed byte-wise across runs.  Config files are plain
+CSV output uses RFC-4180 quoting, and ``csv`` writes each float as its
+``repr``, the shortest decimal that reads back to the same float, so files
+can be diffed byte-wise across runs.  Config files are plain
 key=value sections (INI syntax); command-line flags override file values.
 ``csv``, ``json`` and ``configparser`` are imported by the functions that
 use them, so that a CLI call loads only the format it writes.
 """
 
 import sys
-
-
-def format_value(v) -> str:
-    """Shortest exact decimal representation for floats, plain str otherwise."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    # numpy is not imported here (no CLI subcommand loads it); a numpy
-    # scalar can only exist once something else has loaded it
-    np = sys.modules.get("numpy")
-    if isinstance(v, float) or (np is not None and isinstance(v, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 def write_csv(path, header, rows):
@@ -29,8 +18,7 @@ def write_csv(path, header, rows):
     def emit(fh):
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([format_value(v) for v in row])
+        w.writerows(rows)
 
     if path in (None, "-"):
         emit(sys.stdout)

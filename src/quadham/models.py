@@ -34,9 +34,10 @@ class Model:
 
     ``parameters`` and ``constraint`` are the text ``list-models`` prints;
     ``problem`` says what is wrong with the parameters (None when nothing
-    is).  ``hamiltonian`` is (a, b, c, d, da, db, dc, dd) of
-    ``H = a p^2 + b x^2 + c px + d xp``, served for t < ``t_max`` and
-    infinite at ``t_singular`` (nan when it is nowhere).  The closed forms,
+    is).  ``hamiltonian`` is (a, b, c, d, da, dc, dd) of
+    ``H = a p^2 + b x^2 + c px + d xp``, with the derivatives a', c' and d'
+    that the invariants read, served for t < ``t_max`` and infinite at
+    ``t_singular`` (nan when it is nowhere).  The closed forms,
     each None where the model has none:
 
     - ``mu(t)``: (mu, mu') of the characteristic equation;
@@ -87,7 +88,6 @@ def _exponential(w0, lam, w, c, d, rate, k, h_rate):
     a = lambda t: 0.5 * w0 * math.exp(-2.0 * lam * t)
     b = lambda t: 0.5 * w0 * math.exp(2.0 * lam * t)
     da = lambda t: -lam * w0 * math.exp(-2.0 * lam * t)
-    db = lambda t: lam * w0 * math.exp(2.0 * lam * t)
 
     def mu(t):
         e = math.exp(rate * t)
@@ -100,7 +100,7 @@ def _exponential(w0, lam, w, c, d, rate, k, h_rate):
                 -w / (w0 * s) * math.exp(lam * t),
                 (w * c - k * s) / (2.0 * w0 * s), math.exp(h_rate * t))
 
-    return (a, b, c, d, da, db, _zero, _zero), mu, kernel
+    return (a, b, c, d, da, _zero, _zero), mu, kernel
 
 
 def _energy_curve(w0, w, p2, x2, de, k, t):
@@ -202,8 +202,7 @@ def modified_oscillator(w0, lam, mu_p, dlt):
     # a(t) vanishes at t = pi/2; the reference operator is (p^2 + x^2)/2
     return Model("none", "t < pi/2", w0,
                  (lambda t: math.cos(t) ** 2, lambda t: math.sin(t) ** 2,
-                  cd, cd, lambda t: -math.sin(2.0 * t),
-                  lambda t: math.sin(2.0 * t), dcd, dcd),
+                  cd, cd, lambda t: -math.sin(2.0 * t), dcd, dcd),
                  t_max=0.5 * math.pi, mu=mu, kernel=kernel,
                  invariant=invariant,
                  expectation=lambda p2, x2, pxxp, t: (
@@ -216,7 +215,7 @@ def _cj_rescaled(w0, lam, w):
     """(a, b, a', b') of the frequency-rescaled hyperbolically damped
     oscillator H = (omega0/2)(sech^2(lam t) p^2 + cosh^2(lam t) x^2), the
     plain one at omega0 = 1, and its conserved (A, B, C); swapping p and x
-    gives the momentum form."""
+    gives the momentum form, whose a' is this b'."""
     a = lambda t: 0.5 * w0 / math.cosh(lam * t) ** 2
     b = lambda t: 0.5 * w0 * math.cosh(lam * t) ** 2
     da = lambda t: -w0 * lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2
@@ -233,7 +232,7 @@ def _cj_rescaled(w0, lam, w):
 
 def cj_coordinate(w0, lam, mu_p, dlt):
     w = _root(w0 ** 2 - lam ** 2)
-    (a, b, da, db), invariant = _cj_rescaled(w0, lam, w)
+    (a, b, da, _), invariant = _cj_rescaled(w0, lam, w)
 
     def mu(t):
         ch = math.cosh(lam * t)
@@ -276,11 +275,10 @@ def cj_coordinate(w0, lam, mu_p, dlt):
         (lambda t: 0.5 / math.cosh(lam * t) ** 2,
          lambda t: 0.5 * w0 ** 2 * math.cosh(lam * t) ** 2, _zero, _zero,
          lambda t: -lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2,
-         lambda t: 0.5 * w0 ** 2 * lam * math.sinh(2.0 * lam * t),
          _zero, _zero),
         problem=None if w > 0 else _UNDERDAMPED, mu=mu, kernel=kernel,
         invariant=invariant,
-        invariant_hamiltonian=(a, b, _zero, _zero, da, db, _zero, _zero),
+        invariant_hamiltonian=(a, b, _zero, _zero, da, _zero, _zero),
         expectation=expectation,
         reference=lambda t: (1.0 / math.cosh(lam * t) ** 2,
                              math.cosh(lam * t) ** 2, 0.0),
@@ -295,7 +293,7 @@ def cj_momentum(w0, lam, mu_p, dlt):
     w = _root(w0 ** 2 - lam ** 2)
     # this H is the momentum form of the rescaled one, which conserves the
     # swapped invariant
-    (a, b, da, db), rescaled = _cj_rescaled(w0, lam, w)
+    (a, b, _, db), rescaled = _cj_rescaled(w0, lam, w)
     mu = lambda t: ((lam * math.cos(w * t) * math.sinh(lam * t)
                      + w * math.sin(w * t) * math.cosh(lam * t)) / w0,
                     w0 * math.cos(w * t) * math.cosh(lam * t))
@@ -312,7 +310,7 @@ def cj_momentum(w0, lam, mu_p, dlt):
         return B, A, -C
 
     return Model("omega0, lambda", "omega0^2 > lambda^2", w,
-                 (b, a, _zero, _zero, db, da, _zero, _zero),
+                 (b, a, _zero, _zero, db, _zero, _zero),
                  problem=None if w > 0 else _UNDERDAMPED, mu=mu,
                  kernel=kernel, invariant=invariant)
 
@@ -324,8 +322,6 @@ def modified_parametric(w0, lam, mu_p, dlt):
     cd = lambda t: lam / math.sinh(2.0 * (lam * t + dlt))
     da = lambda t: (w * lam * math.tanh(lam * t + dlt)
                     / math.cosh(lam * t + dlt) ** 2)
-    db = lambda t: -w * lam / (math.tanh(lam * t + dlt) ** 3
-                               * math.cosh(lam * t + dlt) ** 2)
 
     def dcd(t):
         u = 2.0 * (lam * t + dlt)
@@ -350,7 +346,7 @@ def modified_parametric(w0, lam, mu_p, dlt):
 
     # tanh(lam t + delta) vanishes at t = -delta / lam
     return Model("omega0, lambda, delta", "delta != 0", w0,
-                 (a, b, cd, cd, da, db, dcd, dcd),
+                 (a, b, cd, cd, da, dcd, dcd),
                  problem=(None if w0 > 0 else _NONPOSITIVE) or (
                      "delta must be nonzero" if dlt == 0.0 else None),
                  t_singular=-dlt / lam if lam else math.nan,
@@ -360,8 +356,6 @@ def modified_parametric(w0, lam, mu_p, dlt):
 def parametric_sech2(w0, lam, mu_p, dlt):
     w = w0
     b = lambda t: 0.5 * (w ** 2 + 2.0 * lam ** 2 / math.cosh(lam * t) ** 2)
-    db = lambda t: (-2.0 * lam ** 3 * math.tanh(lam * t)
-                    / math.cosh(lam * t) ** 2)
 
     def mu(t):
         ch = math.cosh(lam * t)
@@ -390,7 +384,7 @@ def parametric_sech2(w0, lam, mu_p, dlt):
         return A, B, -lam ** 3 * math.sinh(lam * t) / ch ** 3
 
     return Model("omega0, lambda", "none", w0,
-                 (lambda t: 0.5, b, _zero, _zero, _zero, db, _zero, _zero),
+                 (lambda t: 0.5, b, _zero, _zero, _zero, _zero, _zero),
                  problem=None if w0 > 0 else _NONPOSITIVE, mu=mu,
                  kernel=kernel, invariant=invariant)
 
@@ -405,7 +399,7 @@ def simple_harmonic(w0, lam, mu_p, dlt):
         return alpha, -1.0 / s, alpha, 1.0
 
     return Model("omega0", "none", w0,
-                 (half, half, _zero, _zero, _zero, _zero, _zero, _zero),
+                 (half, half, _zero, _zero, _zero, _zero, _zero),
                  problem=None if w0 > 0 else _NONPOSITIVE,
                  mu=lambda t: (math.sin(w0 * t), w0 * math.cos(w0 * t)),
                  kernel=kernel,
@@ -414,8 +408,7 @@ def simple_harmonic(w0, lam, mu_p, dlt):
 
 def free_particle(w0, lam, mu_p, dlt):
     return Model("none", "none", 0.0,
-                 (lambda t: 0.5, _zero, _zero, _zero,
-                  _zero, _zero, _zero, _zero),
+                 (lambda t: 0.5, _zero, _zero, _zero, _zero, _zero, _zero),
                  mu=lambda t: (t, 1.0),
                  kernel=lambda t: (0.5 / t, -1.0 / t, 0.5 / t, 1.0),
                  invariant=lambda t: (0.5, 0.0, 0.0))

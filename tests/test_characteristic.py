@@ -228,6 +228,23 @@ def test_caustic_is_detected():
         chr_mod.kernel_parameters(tc, path, 3.5)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5, math.pi],
+                         ids=["zero", "negative", "caustic"])
+@pytest.mark.parametrize("numerical", [True, False],
+                         ids=["flow", "closed_form"])
+def test_kernels_refuse_t_at_zero_before_it_and_at_a_caustic(numerical, t):
+    # the kernel is singular at t = 0, is not served before it, and mu of
+    # SHO is inside the guard band at pi
+    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
+    tc = _eq(spec)
+    path = chr_mod.solve_characteristic(tc, 4.0)
+    with pytest.raises(CausticEncountered):
+        if numerical:
+            chr_mod.kernel_parameters(tc, path, t)
+        else:
+            chr_mod.closed_form_kernel(spec, t)
+
+
 def test_kernel_past_solved_window_is_refused():
     # the dense output would extrapolate to mu(3.5) = -0.3117 (exact
     # sin 3.5 = -0.3508) without seeing the caustic at pi

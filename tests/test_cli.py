@@ -33,18 +33,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_format_value_round_trip():
-    for v in (0.6, 1e-17, -3.25, math.pi, np.float64(0.6), np.float32(0.6)):
-        s = qio.format_value(v)
-        assert float(s) == float(v)
-        assert "np." not in s
-    assert qio.format_value(True) == "true"
-    assert qio.format_value("abc") == "abc"
-
-
 def test_csv_round_trip(tmp_path):
     p = tmp_path / "t.csv"
-    rows = [(0.1, "a,b", 2), (np.float64(0.3), "he said \"hi\"", -1)]
+    floats = (1e-17, -3.25, math.pi, np.float64(0.6))
+    rows = [(0.1, "a,b", 2), (np.float64(0.3), "he said \"hi\"", -1),
+            *((v, "f", 0) for v in floats)]
     qio.write_csv(str(p), ["x", "s", "n"], rows)
     with open(p, newline="") as fh:
         header, *got = csv.reader(fh)
@@ -52,6 +45,9 @@ def test_csv_round_trip(tmp_path):
     assert got[0] == ["0.1", "a,b", "2"]
     assert float(got[1][0]) == 0.3
     assert got[1][1] == 'he said "hi"'
+    # each float is written as its shortest round-trip repr
+    for row, v in zip(got[2:], floats):
+        assert row == [repr(float(v)), "f", "0"]
     # RFC-4180 line endings
     assert b"\r\n" in p.read_bytes()
 
@@ -812,7 +808,7 @@ def test_tolerance_not_met_gives_json_record(capsys, monkeypatch):
     monkeypatch.setitem(models.MODELS, coeff.SIMPLE_HARMONIC,
                         lambda *params: models.Model(
                             "omega0", "none", 1.0,
-                            (zero, zero, rate, rate) + (zero,) * 4))
+                            (zero, zero, rate, rate) + (zero,) * 3))
     code, out, err = run(capsys, "moments", "--model", "simple_harmonic",
                          "--t-end", "2")
     assert code == 3

@@ -12,7 +12,7 @@ from quadham import coefficients as coeff
 from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
-from quadham.errors import InvalidModelParams
+from quadham.errors import ConventionMismatch, InvalidModelParams
 
 
 def test_model_catalog_size():
@@ -21,16 +21,33 @@ def test_model_catalog_size():
 
 def test_invalid_overdamped():
     with pytest.raises(InvalidModelParams):
-        coeff.ModelSpec(coeff.CALDIROLA_KANAI, omega0=0.1, lam=5.0).validate()
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, omega0=0.1, lam=5.0)
     with pytest.raises(InvalidModelParams):
-        coeff.ModelSpec(coeff.UNITED, omega0=0.5, lam=2.0,
-                        mu_param=0.1).validate()
+        coeff.ModelSpec(coeff.UNITED, omega0=0.5, lam=2.0, mu_param=0.1)
 
 
 def test_parametric_needs_nonzero_shift():
     with pytest.raises(InvalidModelParams):
         coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, omega0=1.0, lam=0.3,
-                        delta=0.0).validate()
+                        delta=0.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("nosuch",), (coeff.SIMPLE_HARMONIC, math.nan),
+    (coeff.CALDIROLA_KANAI, 1.0, math.inf)], ids=["unknown", "nan", "inf"])
+def test_a_spec_is_checked_when_it_is_built(args):
+    # a spec that exists is valid: no entry checks it again
+    with pytest.raises(InvalidModelParams):
+        coeff.ModelSpec(*args)
+
+
+def test_an_unknown_convention_is_refused():
+    half = lambda t: 0.5
+    with pytest.raises(ConventionMismatch):
+        coeff.TimeCoefficients(half, half, half, half, convention="x")
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
+    with pytest.raises(ConventionMismatch):
+        coeff.convert_convention(tc, "x")
 
 
 def test_united_effective_frequency():
@@ -122,16 +139,20 @@ def test_convention_stays_in_coefficients():
 
 
 def test_analytic_derivatives_match_fd():
-    for spec in [coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.3, 0.4),
-                 coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
-                 coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.1, 0.4,
-                                 delta=0.5),
-                 coeff.ModelSpec(coeff.PARAMETRIC_SECH2, 1.2, 0.5)]:
-        tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    # the records hold a', c' and d', the derivatives the invariants read;
+    # the hyperbolically damped pair shares one a' and b'
+    cj = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.2, 0.5)
+    tcs = [coeff.builtin_coefficients(spec, coeff.HAMILTONIAN) for spec in (
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.3, 0.4),
+        coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
+        coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.1, 0.4, delta=0.5),
+        coeff.ModelSpec(coeff.PARAMETRIC_SECH2, 1.2, 0.5), cj,
+        coeff.ModelSpec(coeff.CJ_MOMENTUM, 1.2, 0.5))]
+    for tc in tcs + [inv.catalog_coefficients(cj)]:
+        assert tc.db is None
         eps = 1e-6
         for t in (0.2, 0.8):
-            for f, df in ((tc.a, tc.deriv_a), (tc.b, tc.deriv_b),
-                          (tc.c, tc.deriv_c), (tc.d, tc.deriv_d)):
+            for f, df in ((tc.a, tc.da), (tc.c, tc.dc), (tc.d, tc.dd)):
                 fd = (f(t + eps) - f(t - eps)) / (2.0 * eps)
                 assert df(t) == pytest.approx(fd, rel=1e-6, abs=1e-7)
 

@@ -54,9 +54,8 @@ def _paper_rhs(tc):
         a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
         p2, x2, pxxp, norm, x, p, A, B, C, D, mu, mup = y
         cross = 2.0 * (a * B - b * A)
-        ra = tc.deriv_a(t) / a
-        Q = (4.0 * a * b + (ra - c - d) * (c + d)
-             - tc.deriv_c(t) - tc.deriv_d(t))
+        ra = tc.da(t) / a
+        Q = 4.0 * a * b + (ra - c - d) * (c + d) - tc.dc(t) - tc.dd(t)
         return [(-3.0 * c - d) * p2 - 2.0 * b * pxxp,
                 (c + 3.0 * d) * x2 + 2.0 * a * pxxp,
                 4.0 * a * p2 - 4.0 * b * x2 + (d - c) * pxxp,

@@ -283,6 +283,15 @@ def test_failing_coefficient_names_its_midpoint(b):
     assert err.value.info["t"] == pytest.approx(0.0105)
 
 
+def test_an_empty_state_has_no_moments_and_evolves_to_zeros():
+    psi0 = prop.GridState(-4.0, 0.125, np.zeros(65, dtype=complex))
+    with pytest.raises(ValidationError):
+        gridsim.measure_moments(psi0)
+    # its leak fraction is 0, not 0/0
+    ev = gridsim.evolve_grid(_ham(SHO), psi0, 1e-3, 10)
+    assert not ev.final().values.any()
+
+
 def test_snapshot_count_default():
     tc = _ham(SHO)
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)

@@ -414,6 +414,26 @@ def test_callables_must_return_three_values(call, extra):
     assert err.value.info == {"t": 0.5, "length": 3 + extra}
 
 
+@pytest.mark.parametrize("call", ["auxiliary_residual", "general_invariant",
+                                  "linear_invariant"])
+def test_coefficients_without_a_derivative_are_refused(call):
+    # SHO without a': mu = 1 (C0 = 1) and A = cos t solve their equations,
+    # but the invariants take no finite difference of a
+    zero = lambda t: 0.0
+    half = lambda t: 0.5
+    tc = coeff.TimeCoefficients(half, half, zero, zero, dc=zero, dd=zero)
+    flow = classical_flow(tc, 1.0)
+    mu = lambda t: (1.0, 0.0, 0.0)
+    A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
+    args = {"auxiliary_residual": (tc, mu, 1.0),
+            "general_invariant": (flow, mu, 1.0),
+            "linear_invariant": (flow, A, 0.2)}[call]
+    with pytest.raises(ValidationError) as err:
+        getattr(inv, call)(*args, 0.5)
+    assert type(err.value) is ValidationError
+    assert err.value.info == {"missing": ["da"]}
+
+
 def test_invariants_read_the_integral_off_one_flow(solves):
     # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1, and A = cos t
     # the linear-invariant equation; I = 0, so E = p^2 + x^2

@@ -42,6 +42,9 @@ def test_model_ids_name_their_builders():
         models.MODIFIED_OSCILLATOR, models.CJ_COORDINATE, models.CJ_MOMENTUM,
         models.MODIFIED_PARAMETRIC, models.PARAMETRIC_SECH2,
         models.SIMPLE_HARMONIC, models.FREE_PARTICLE)
+    # verify_all checks every record's catalogued invariant
+    assert all(models.MODELS[m](1.0, 0.2, 0.1, 0.5).invariant is not None
+               for m in models.MODEL_IDS)
 
 
 def test_models_is_a_leaf():
@@ -60,9 +63,8 @@ def test_models_is_a_leaf():
        t_end=st.floats(0.1, 1.2))
 def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
                                            delta, t_end):
-    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     try:
-        spec.validate()
+        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     except InvalidModelParams:
         reject()
     tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
@@ -163,9 +165,8 @@ def test_cli_mu_and_moments_match_closed_forms(model_id, omega0, lam,
                                                samples, width, shift):
     # each row as quadbench/oracles.py cli_mu and cli_moments check it, on
     # windows inside the model's stated limit
-    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     try:
-        spec.validate()
+        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     except InvalidModelParams:
         reject()
     t_end = min(t_end, 0.98 * spec.model.t_max)
@@ -228,9 +229,8 @@ def test_cli_green_and_propagate_match_closed_forms(model_id, omega0, lam,
                                                     point):
     # as quadbench/oracles.py cli_green and cli_propagate check them, on
     # windows before 0.9 x the first caustic and inside the stated limit
-    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     try:
-        spec.validate()
+        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     except InvalidModelParams:
         reject()
     t_end = min(t_end, 0.98 * spec.model.t_max,
@@ -286,9 +286,8 @@ def test_cli_kernel_and_uncertainty_match_closed_forms(model_id, omega0, lam,
     # the windows of the green/propagate sweep; kernel rows against the
     # closed-form kernel, the uncertainty variances against those of the
     # closed-form Gaussian moments
-    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     try:
-        spec.validate()
+        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     except InvalidModelParams:
         reject()
     t_end = min(t_end, 0.98 * spec.model.t_max,
@@ -335,9 +334,8 @@ def test_cli_invariant_matches_closed_forms(model_id, omega0, lam, mu_param,
     # the record as quadbench/oracles.py cli_invariant checks it, on
     # windows inside the model's stated limit; a model without a catalogued
     # invariant exits 2
-    spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     try:
-        spec.validate()
+        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     except InvalidModelParams:
         reject()
     t_end = min(t_end, 0.98 * spec.model.t_max)

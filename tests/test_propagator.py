@@ -258,6 +258,12 @@ def test_caustic_guard_in_green_eval():
     _, _, kernel_of = _kernel_of(SHO, 4.0)
     with pytest.raises(CausticEncountered):
         kernel_of(math.pi - 1e-13)
+    # kernel_parameters refuses first; a hand-built kernel meets the guard
+    # of green_eval itself
+    kp = chr_mod.KernelParameters(t=1.0, mu=0.0, mu_prime=1.0, h=1.0,
+                                  alpha=0.5, beta=-1.0, gamma=0.5)
+    with pytest.raises(CausticEncountered):
+        prop.green_eval(kp, 0.3, -0.2)
 
 
 def test_residual_sho():
