@@ -156,7 +156,7 @@ def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
     if not math.isfinite(t_end):
         raise ValidationError("the window must be finite", t_end=t_end)
     tc = convert_convention(tc, HAMILTONIAN)
-    tc.require_window(t_end)
+    tc.require_window(0.0, t_end)
     return Flow(tc, *solve_ivp((tc.a, tc.b, tc.c, tc.d), t_end))
 
 

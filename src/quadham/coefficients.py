@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import (ConventionMismatch, InvalidModelParams, NoClosedForm,
-                     SingularCoefficient)
+                     NumericalError, SingularCoefficient)
 # the model ids are re-exported for the callers of this module
 from .models import (CALDIROLA_KANAI, CJ_COORDINATE, CJ_MOMENTUM,  # noqa: F401
                      FREE_PARTICLE, MODEL_IDS, MODELS, MODIFIED_CK,
@@ -57,10 +57,10 @@ class TimeCoefficients:
         if self.convention not in (EQUATION, HAMILTONIAN):
             raise ConventionMismatch(f"unknown convention {self.convention!r}")
 
-    def require_window(self, t_end: float) -> None:
-        """Refuse a window from 0 to t_end that reaches t_singular, at once;
-        a solve into it ends in ToleranceNotMet after its step budget."""
-        if min(0.0, t_end) <= self.t_singular <= max(0.0, t_end):
+    def require_window(self, t0: float, t_end: float) -> None:
+        """Refuse a window from t0 to t_end that reaches t_singular, at once;
+        a flow into it ends in ToleranceNotMet, a CN run steps across it."""
+        if min(t0, t_end) <= self.t_singular <= max(t0, t_end):
             raise SingularCoefficient(
                 "the window reaches a singularity of the coefficients",
                 t_end=t_end, t_singular=self.t_singular)
@@ -69,8 +69,10 @@ class TimeCoefficients:
 @dataclass(frozen=True)
 class ModelSpec:
     """Parameters selecting one of the built-in models, checked once, when
-    the spec is built: an unknown id, a parameter that is not finite and
-    the record's ``problem`` raise InvalidModelParams, so a spec that exists
+    the spec is built: an unknown id, a parameter that is not finite, a
+    record whose formulas raise ArithmeticError or ValueError at the
+    parameters (an overflow, a square root of a negative number) and the
+    record's ``problem`` raise InvalidModelParams, so a spec that exists
     is valid.
 
     ``omega0`` is the frequency parameter of the model (for the modified
@@ -91,7 +93,12 @@ class ModelSpec:
         build = MODELS.get(self.model_id)
         if build is None:
             raise InvalidModelParams(f"unknown model {self.model_id!r}")
-        return build(self.omega0, self.lam, self.mu_param, self.delta)
+        try:
+            return build(self.omega0, self.lam, self.mu_param, self.delta)
+        except (ArithmeticError, ValueError) as exc:
+            raise InvalidModelParams("the model's formulas fail at these "
+                                     "parameters", model=self.model_id,
+                                     error=repr(exc)) from exc
 
     def __post_init__(self):
         model = self.model  # refuses an unknown id
@@ -104,11 +111,26 @@ class ModelSpec:
 
     def closed_form(self, name: str):
         """The printed closed form ``name`` of the model (an attribute of
-        :class:`quadham.models.Model`)."""
+        :class:`quadham.models.Model`).  A form that is a function raises
+        NumericalError, naming the model and t, where its formula raises
+        ArithmeticError or ValueError; t is its last argument, and 0 for
+        ``mean_start``."""
         form = getattr(self.model, name)
         if form is None:
             raise NoClosedForm(f"no closed-form {name} for {self.model_id!r}")
-        return form
+        if not callable(form):
+            return form
+
+        def checked(*args):
+            try:
+                return form(*args)
+            except (ArithmeticError, ValueError) as exc:
+                t = 0.0 if name == "mean_start" else args[-1]
+                raise NumericalError(f"the closed-form {name} fails at t",
+                                     model=self.model_id, t=t,
+                                     error=repr(exc)) from exc
+
+        return checked
 
 
 def model_coefficients(model: Model, hamiltonian) -> TimeCoefficients:
@@ -124,6 +146,11 @@ def builtin_coefficients(spec: ModelSpec,
     """Coefficient functions of a built-in model in the requested convention."""
     return convert_convention(
         model_coefficients(spec.model, spec.model.hamiltonian), convention)
+
+
+def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
+    """Hamiltonian of the catalogued invariant and the expectation curve."""
+    return model_coefficients(spec.model, spec.model.invariant_hamiltonian)
 
 
 def convert_convention(tc: TimeCoefficients, target: str) -> TimeCoefficients:

@@ -6,8 +6,8 @@ The first and second moments are algebra on the classical flow M and
 ``I = int_0^t (c - d)`` of :func:`quadham.characteristic.classical_flow`:
 ``(<x>, <p>)(t) = e^{-I} M (<x>, <p>)_0`` and, with
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``,
-``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The solution
-of the damped oscillator's energy equation is the reference operator
+``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The energy
+path of every model with a reference operator is that operator
 contracted with S(t).
 """
 
@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
-from .coefficients import ModelSpec
-from .errors import InvalidMoments, NoClosedForm
-from .invariants import QuadraticForm, catalog_coefficients
+from .coefficients import ModelSpec, catalog_coefficients
+from .errors import InvalidMoments
 # unused here: the benchmark's tracer counts the solves through this name
 from .ode import solve_ivp  # noqa: F401
 
@@ -96,28 +94,25 @@ def reference_operator(spec: ModelSpec, t: float):
 
 def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
                                  t_end: float):
-    """The rescaled damped oscillator's <H_0> on [0, t_end], the solution
-    of the second-order equation
+    """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
+    on [0, t_end], contracted with the second moments flowed from m0 under
+    ``catalog_coefficients(spec)``; NoClosedForm, before any solve, for a
+    model without one.  For ``cj_coordinate`` E solves
 
         y'' - (4 lambda / sinh(2 lambda t)) y' +
-            2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0.
+            2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0,
 
-    The friction coefficient is singular at t = 0 (indicial roots 0, 3);
-    the t^3 branch is the one <px+xp>_0 selects.  y is the reference
-    operator contracted with the second moments evolved on the classical
-    flow.  Returns t -> y(t).
+    whose friction coefficient is singular at t = 0 (indicial roots 0, 3);
+    <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
-    if spec.model_id != coeff.CJ_COORDINATE:
-        raise NoClosedForm("the energy equation is catalogued for the "
-                           "hyperbolically damped model only")
+    reference = spec.closed_form("reference")
     path = evolve_second_moments(
         classical_flow(catalog_coefficients(spec), t_end), m0)
 
     def energy(t: float) -> float:
         m = path(t)
-        A, B, C = reference_operator(spec, t)
-        return QuadraticForm(A, B, C / 2, C / 2).expectation(m.p2, m.x2,
-                                                            m.pxxp)
+        A, B, C = reference(t)
+        return A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
 
     return energy
 

@@ -145,9 +145,11 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     States are recorded every ``record_every`` steps (default about 16
     snapshots) plus the initial and final ones.  Raises ValidationError
     unless t0 and dt are finite, dt > 0 and steps and record_every are
-    integers >= 1 (no bool); SingularCoefficient where a coefficient fails
-    at a step midpoint; BoundaryLeak where a non-negligible probability
-    fraction reaches the Dirichlet edges of a recorded state.
+    integers >= 1 (no bool); SingularCoefficient, before any step, where
+    the window [t0, t0 + steps dt] reaches ``tc.t_singular``, and where a
+    coefficient fails at a step midpoint; BoundaryLeak where a
+    non-negligible probability fraction reaches the Dirichlet edges of a
+    recorded state.
     """
     if not math.isfinite(t0):
         raise ValidationError("t0 must be finite", t0=t0)
@@ -157,6 +159,7 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     record_every = _count("record_every", max(1, steps // 16)
                           if record_every is None else record_every)
     tc = convert_convention(tc, HAMILTONIAN)
+    tc.require_window(t0, t0 + steps * dt)
     times = [t0]
     states = [psi0]
     psi = psi0.values

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
+from .coefficients import catalog_coefficients  # noqa: F401 (re-exported)
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
                      MuVanishes, NonPositiveForm, ResidualTooLarge,
                      ValidationError)
@@ -89,11 +90,10 @@ def solve_energy_system(flow: Flow, init):
     On the classical flow, Q = [[B, (C + D)/2], [(C + D)/2, A]] is
     e^I M^{-T} Q_0 M^{-1} and C - D = e^I (C_0 - D_0).  For self-adjoint
     data (c = d, C = D) this is the familiar three-component system.
-    ``init`` is (A0, B0, C0) with D0 = C0, or (A0, B0, C0, D0).  Returns a
-    callable t -> QuadraticForm on the window of ``flow``.
+    ``init`` is (A0, B0, C0, D0).  Returns a callable t -> QuadraticForm on
+    the window of ``flow``.
     """
-    A0, B0, C0 = init[:3]
-    D0 = init[3] if len(init) == 4 else C0
+    A0, B0, C0, D0 = init
     q0 = (B0, 0.5 * (C0 + D0), A0)
 
     def path(t: float) -> QuadraticForm:
@@ -135,12 +135,6 @@ def _expectation_drift(pairs, cancel: float):
                               terms=terms)
     return ref, max(abs(q.expectation(m.p2, m.x2, m.pxxp) - ref)
                     for q, m in pairs) / abs(ref)
-
-
-def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
-    """Hamiltonian under which the catalogued invariant is conserved."""
-    return coeff.model_coefficients(spec.model,
-                                    spec.model.invariant_hamiltonian)
 
 
 def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,

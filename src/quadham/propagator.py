@@ -175,20 +175,16 @@ def gaussian_sweep(kernel_of, times, s0: GaussianState):
     return out
 
 
-def propagate_grid(kp: KernelParameters, phi: GridState,
-                   target_grid=None) -> GridState:
-    """Trapezoid quadrature of psi(x) = int G(x, y) phi(y) dy.
+def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
+    """Trapezoid quadrature of psi(x) = int G(x, y) phi(y) dy, returned on
+    the grid of ``phi``.
 
-    ``target_grid`` is ``(x0, dx, n)`` of the output grid (default: the
-    source grid).  With x_k = x0 + dx k and y_j = y0 + dy j the cross term
-    splits as beta x_k y_j = beta (x0 y0 + x0 dy j + dx y0 k) + c k j with
+    With x_k = x0 + dx k and y_j = y0 + dy j the cross term splits as
+    beta x_k y_j = beta (x0 y0 + x0 dy j + dx y0 k) + c k j with
     c = beta dx dy, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
     j into one linear convolution with the chirp exp(-i c m^2 / 2).
     """
-    if target_grid is None:
-        x0, dx, n = phi.x0, phi.dx, phi.values.size
-    else:
-        x0, dx, n = target_grid
+    x0, dx, n = phi.x0, phi.dx, phi.values.size
     import numpy as np
     from numpy.fft import fft, ifft
 

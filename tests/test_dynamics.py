@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,10 +68,42 @@ def test_cj_energy_equation_vs_closed_form():
         assert abs(y(float(t)) - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-def test_energy_equation_only_for_damped_model():
-    with pytest.raises(NoClosedForm):
-        dyn.damped_energy_equation_solve(
-            coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), M0_EVEN, 1.0)
+REFERENCE_SPECS = {s.model_id: s for s in CLOSED_FORM_SPECS + [
+    coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)]}
+
+
+def test_energy_path_serves_every_reference_operator(solves):
+    # the numeric energy path of each of the five records with a reference
+    # operator matches its closed form at criterion 5's tolerance (the
+    # cj_coordinate curve is the even branch); the other five are refused
+    # before any flow is solved
+    assert len(REFERENCE_SPECS) == 5
+    for model_id in coeff.MODEL_IDS:
+        m0 = M0_EVEN if model_id == coeff.CJ_COORDINATE else M0
+        spec = REFERENCE_SPECS.get(model_id)
+        if spec is None:
+            n_solves = len(solves)
+            with pytest.raises(NoClosedForm):
+                dyn.damped_energy_equation_solve(
+                    coeff.ModelSpec(model_id, 1.0, 0.2, delta=0.5), m0, 3.0)
+            assert len(solves) == n_solves, model_id
+            continue
+        y = dyn.damped_energy_equation_solve(spec, m0, 3.0)
+        for t in np.linspace(0.1, 3.0, 11):
+            ref = dyn.closed_form_expectation(spec, m0, float(t))
+            assert abs(y(float(t)) - ref) <= 1e-8 * max(1.0, abs(ref)), \
+                (model_id, t)
+
+
+def test_dynamics_loads_no_invariants():
+    src = os.path.dirname(os.path.dirname(dyn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadham.dynamics; "
+         "print('quadham.invariants' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("spec", [
@@ -268,7 +303,7 @@ def test_paths_refuse_times_outside_the_flow_window():
     flow = classical_flow(tc, 1.0)
     paths = [dyn.evolve_second_moments(flow, m0),
              dyn.evolve_first_moments(flow, dyn.FirstMoments(0.1, 0.2)),
-             inv.solve_energy_system(flow, (1.0, 1.0, 0.0)),
+             inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0)),
              inv.solve_linear_auxiliary(flow, (1.0, 0.0))]
     for path in paths:
         path(0.0)

@@ -283,6 +283,23 @@ def test_failing_coefficient_names_its_midpoint(b):
     assert err.value.info["t"] == pytest.approx(0.0105)
 
 
+def test_window_reaching_the_singularity_is_refused():
+    # tanh(lam t + delta) vanishes at t = 2.5: stepped across it, successive
+    # dt gave a normalised <x^2> of 0.022, 0.0038 and 0.028 at t = 3
+    spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=-0.5)
+    tc = _ham(spec)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=128)
+    with pytest.raises(SingularCoefficient) as err:
+        gridsim.evolve_grid(tc, psi0, 1e-3, 3000)
+    assert err.value.info["t_singular"] == pytest.approx(2.5)
+    with pytest.raises(SingularCoefficient):
+        gridsim.evolve_grid(tc, psi0, 1e-3, 10, t0=2.495)
+    # windows that end before it or start after it are served
+    for t0 in (2.4, 2.6):
+        ev = gridsim.evolve_grid(tc, psi0, 1e-3, 10, t0=t0)
+        assert np.isfinite(ev.final().values).all()
+
+
 def test_an_empty_state_has_no_moments_and_evolves_to_zeros():
     psi0 = prop.GridState(-4.0, 0.125, np.zeros(65, dtype=complex))
     with pytest.raises(ValidationError):

@@ -47,16 +47,6 @@ def test_catalog_entry_solves_conservation_system(spec):
             assert abs(g - r) <= 1e-8 * scale
 
 
-def test_energy_system_three_component_init():
-    spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
-    tc = inv.catalog_coefficients(spec)
-    q0 = inv.energy_operator_catalog(spec, 0.0)
-    path = inv.solve_energy_system(classical_flow(tc, 1.0),
-                                   (q0.A, q0.B, q0.C))
-    got = path(1.0)
-    assert got.C == pytest.approx(got.D, abs=1e-12)
-
-
 def test_united_elementary_mu_residual():
     mu_fn, C0 = UNITED.closed_form("invariant_mu")
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)

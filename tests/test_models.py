@@ -7,10 +7,11 @@ import inspect
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, reject, settings
+from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
 from quadham import characteristic as chr_mod
@@ -22,7 +23,7 @@ from quadham import propagator as prop
 from quadham.characteristic import classical_flow
 from quadham.cli import main
 from quadham.errors import (CausticEncountered, InvalidModelParams,
-                            NoClosedForm, QuadhamError)
+                            NoClosedForm, NumericalError, QuadhamError)
 
 # the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL,
 # PROPAGATE_TOL, MOMENT_TOL, DRIFT_TOL)
@@ -45,6 +46,34 @@ def test_model_ids_name_their_builders():
     # verify_all checks every record's catalogued invariant
     assert all(models.MODELS[m](1.0, 0.2, 0.1, 0.5).invariant is not None
                for m in models.MODEL_IDS)
+
+
+def test_no_module_but_the_records_names_a_model_id():
+    # a model is described in one place: no other module branches on its
+    # id or names its constant, except coefficients' re-export line
+    constants = {name for name, value in vars(models).items()
+                 if isinstance(value, str) and value in models.MODEL_IDS}
+    root = pathlib.Path(models.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "models.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reexport = {id(alias) for node in ast.walk(tree)
+                    if path.name == "coefficients.py"
+                    and isinstance(node, ast.ImportFrom)
+                    and node.module == "models" for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                named = node.value in models.MODEL_IDS
+            elif isinstance(node, ast.alias):
+                named = node.name in constants and id(node) not in reexport
+            else:
+                named = getattr(node, "id", getattr(node, "attr", None)) \
+                    in constants
+            if named:
+                found.append((path.name, node.lineno))
+    assert found == []
 
 
 def test_models_is_a_leaf():
@@ -358,3 +387,48 @@ def test_cli_invariant_matches_closed_forms(model_id, omega0, lam, mu_param,
         m0["p2"], m0["x2"], m0["pxxp"])
     assert record["reference"] == pytest.approx(ref, rel=1e-12)
     assert 0.0 <= record["drift"] <= DRIFT_TOL
+
+
+@pytest.mark.parametrize("model_id, params", [
+    # OverflowError from omega0 ** 2 and ValueError from sqrt(omega0 / 2)
+    (coeff.CALDIROLA_KANAI, {"omega0": 1e300}),
+    (coeff.UNITED, {"omega0": -1.0}),
+])
+def test_record_formulas_that_fail_are_invalid_params(model_id, params):
+    with pytest.raises(InvalidModelParams) as err:
+        coeff.ModelSpec(model_id, **params)
+    assert err.value.info["model"] == model_id
+
+
+@pytest.mark.parametrize("model_id, params", [
+    # 1 / tanh(delta)^2 divides by zero, omega0 ** 2 overflows
+    (coeff.MODIFIED_PARAMETRIC, {"delta": 1e-300}),
+    (coeff.PARAMETRIC_SECH2, {"omega0": 1e300}),
+])
+def test_closed_forms_that_fail_are_numerical_errors(model_id, params):
+    spec = coeff.ModelSpec(model_id, **params)
+    with pytest.raises(NumericalError) as err:
+        inv.energy_operator_catalog(spec, 0.0)
+    assert (err.value.info["model"], err.value.info["t"]) == (model_id, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(("mu", "kernel", "green", "propagate",
+                                "moments", "invariant", "uncertainty")),
+       model_id=st.sampled_from(coeff.MODEL_IDS),
+       flag=st.sampled_from(("--omega0", "--lambda", "--mu-param",
+                             "--delta")),
+       value=st.sampled_from((-1.0, 0.0, 1e-300, 1e300, 50.0, 0.5)))
+@example(command="mu", model_id="caldirola_kanai", flag="--omega0",
+         value=1e300)
+@example(command="mu", model_id="united", flag="--omega0", value=-1.0)
+@example(command="invariant", model_id="modified_parametric",
+         flag="--delta", value=1e-300)
+@example(command="invariant", model_id="parametric_sech2", flag="--omega0",
+         value=1e300)
+def test_model_layer_failures_are_typed(command, model_id, flag, value):
+    # every refusal of a model parameter at its extremes names a class of
+    # quadham.errors; _cli_stdout asserts it
+    window = (["--t", "1", "--x", "0.3", "--y", "0.2"] if command == "green"
+              else ["--t-end", "1"])
+    _cli_stdout([command, "--model", model_id, f"{flag}={value!r}", *window])

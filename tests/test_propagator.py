@@ -23,11 +23,9 @@ SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
 CK = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
 
 
-def _dense_grid_sum(kp, phi, target_grid=None):
+def _dense_grid_sum(kp, phi):
     """Small-N oracle: the trapezoid sum through the full N x N kernel."""
-    x0, dx, n = target_grid or (phi.x0, phi.dx, phi.values.size)
-    x = x0 + dx * np.arange(n)
-    y = phi.x
+    x = y = phi.x
     weights = np.full(y.size, phi.dx)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -177,18 +175,6 @@ def test_grid_transform_matches_dense_sum(spec):
     got = prop.propagate_grid(kp, phi).values
     ref = _dense_grid_sum(kp, phi)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-
-def test_grid_transform_on_target_grid():
-    # output grid with its own origin, spacing and size
-    _, _, kernel_of = _kernel_of(CK, 1.0)
-    kp = kernel_of(0.5)
-    phi = _grid_gaussian(prop.GaussianState(0.5j, 0.4), 10.0, 900)
-    target = (-4.3, 0.0137, 701)
-    out = prop.propagate_grid(kp, phi, target_grid=target)
-    assert (out.x0, out.dx, out.values.size) == target
-    ref = _dense_grid_sum(kp, phi, target)
-    assert np.max(np.abs(out.values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_grid_zero_state_stays_zero():
