@@ -74,6 +74,14 @@ def _congruence(m11: float, m12: float, m21: float, m22: float, s):
     return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
 
 
+def _served(t: float, mu: float, scale: float) -> None:
+    """Refuse mu in the caustic guard band |mu| < MU_GUARD * scale: the one
+    check of every kernel reader, private so that a trace gives it no span."""
+    if abs(mu) < MU_GUARD * scale:
+        raise CausticEncountered("mu is inside the caustic guard band",
+                                 t=t, mu=mu)
+
+
 def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
     # (2 a M22 + 2 c M12) e^I
     return 2.0 * (tc.a(t) * p.m22 + tc.c(t) * p.m12) * math.exp(p.i)
@@ -193,9 +201,7 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
             "mu changes sign before the requested time", bracket=caustic)
     h = math.exp(p.i)
     mu = p.m12 * h
-    if abs(mu) < MU_GUARD * flow.mu_scale:
-        raise CausticEncountered("mu is inside the caustic guard band",
-                                 t=t, mu=mu)
+    _served(t, mu, flow.mu_scale)
     return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(flow.tc, t, p),
                             h=h, alpha=p.m22 / (2.0 * p.m12),
                             beta=-1.0 / p.m12, gamma=p.m11 / (2.0 * p.m12))
@@ -207,8 +213,7 @@ def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
     mu, mup = closed_form_mu(spec, t)
+    _served(t, mu, 1.0)
     alpha, beta, gamma, h = kernel(t)
-    if abs(mu) < MU_GUARD:
-        raise CausticEncountered("mu is inside the caustic guard band", t=t)
     return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h,
                             alpha=alpha, beta=beta, gamma=gamma)

@@ -55,23 +55,34 @@ def _spec_from(args):
     if getattr(args, "config", None):
         cfg = qio.read_config(args.config).get("model", {})
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            return float(cfg[key])
-        return default
-
     model = args.model or cfg.get("model")
     if not model:
         raise ValidationError("no model given (use --model or a config "
                               "[model] section)")
-    return ModelSpec(
-        model_id=model,
-        omega0=pick(args.omega0, "omega0", 1.0),
-        lam=pick(args.lam, "lambda", 0.0),
-        mu_param=pick(args.mu_param, "mu_param", 0.0),
-        delta=pick(args.delta, "delta", 0.0))
+    # a flag overrides the file; what neither gives is ModelSpec's default
+    given = {}
+    for dest, key in (("omega0", "omega0"), ("lam", "lambda"),
+                      ("mu_param", "mu_param"), ("delta", "delta")):
+        if getattr(args, dest) is not None:
+            given[dest] = getattr(args, dest)
+        elif key in cfg:
+            given[dest] = float(cfg[key])
+    return ModelSpec(model, **given)
+
+
+def _kernel_flow(spec, t_end):
+    """The classical flow of the kernel of ``spec`` on [0, t_end]."""
+    from . import characteristic as chr_mod, coefficients as coeff
+
+    return chr_mod.solve_characteristic(coeff.builtin_coefficients(spec),
+                                        t_end)
+
+
+def _moment_start(args):
+    """The spec of ``args`` and the second moments it gives at t = 0."""
+    from .dynamics import SecondMoments
+
+    return _spec_from(args), SecondMoments(args.p2, args.x2, args.pxxp)
 
 
 def _linspace(start, stop, num):
@@ -106,11 +117,7 @@ def cmd_list_models(args):
 
 
 def cmd_mu(args):
-    from . import characteristic as chr_mod, coefficients as coeff
-
-    spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.solve_characteristic(tc, args.t_end)
+    path = _kernel_flow(_spec_from(args), args.t_end)
     ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     rows = [(t, path.mu(t), path.mu_prime(t)) for t in ts]
     qio.write_csv(args.out, ["t", "mu", "mu_prime"], rows)
@@ -118,26 +125,22 @@ def cmd_mu(args):
 
 
 def cmd_kernel(args):
-    from . import characteristic as chr_mod, coefficients as coeff
+    from . import characteristic as chr_mod
 
-    spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.solve_characteristic(tc, args.t_end)
+    path = _kernel_flow(_spec_from(args), args.t_end)
     ts = _sample_times(path, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
-    rows = [chr_mod.kernel_parameters(tc, path, t) for t in ts]
+    rows = [chr_mod.kernel_parameters(path.tc, path, t) for t in ts]
     qio.write_csv(args.out, chr_mod.KernelParameters._fields, rows)
     return 0
 
 
 def cmd_green(args):
-    from . import (characteristic as chr_mod, coefficients as coeff,
-                   propagator as prop)
+    from . import characteristic as chr_mod, propagator as prop
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.solve_characteristic(tc, args.t)
-    kp = chr_mod.kernel_parameters(tc, path, args.t)
+    path = _kernel_flow(spec, args.t)
+    kp = chr_mod.kernel_parameters(path.tc, path, args.t)
     g = prop.green_eval(kp, args.x, args.y)
     qio.write_json(args.out, {"model": spec.model_id, "t": args.t,
                               "x": args.x, "y": args.y,
@@ -146,19 +149,17 @@ def cmd_green(args):
 
 
 def cmd_propagate(args):
-    from . import (characteristic as chr_mod, coefficients as coeff,
-                   propagator as prop)
+    from . import characteristic as chr_mod, propagator as prop
 
     spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec)
     s0 = prop.GaussianState(
         Lambda=complex(args.lambda_re, args.lambda_im),
         Theta=complex(args.theta_re, args.theta_im))
-    path = chr_mod.solve_characteristic(tc, args.t_end)
+    path = _kernel_flow(spec, args.t_end)
     ts = _sample_times(path, args.t_end, args.samples)
     rows = []
     for t, s in zip(ts, prop.gaussian_sweep(
-            lambda t: chr_mod.kernel_parameters(tc, path, t), ts, s0)):
+            lambda t: chr_mod.kernel_parameters(path.tc, path, t), ts, s0)):
         m = s.moments()
         rows.append((t, s.Lambda.real, s.Lambda.imag, s.Theta.real,
                      s.Theta.imag, s.Phi.real, s.Phi.imag,
@@ -173,11 +174,9 @@ def cmd_moments(args):
     from . import (characteristic as chr_mod, coefficients as coeff,
                    dynamics as dyn)
 
-    spec = _spec_from(args)
-    tc = coeff.builtin_coefficients(spec)
-    m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
-    path = dyn.evolve_second_moments(
-        chr_mod.classical_flow(tc, args.t_end), m0)
+    spec, m0 = _moment_start(args)
+    path = dyn.evolve_second_moments(chr_mod.classical_flow(
+        coeff.builtin_coefficients(spec), args.t_end), m0)
     rows = [(t, *((m := path(t)).p2, m.x2, m.pxxp, m.norm))
             for t in _linspace(0.0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "p2", "x2", "pxxp", "norm"], rows)
@@ -202,10 +201,7 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
 
 
 def cmd_invariant(args):
-    from . import dynamics as dyn
-
-    spec = _spec_from(args)
-    m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
+    spec, m0 = _moment_start(args)
     ref, drift = _invariant_drift(spec, m0, args.t_end,
                                   args.t_end / args.samples, args.samples)
     qio.write_json(args.out, {"model": spec.model_id, "t_end": args.t_end,
@@ -240,8 +236,7 @@ def cmd_uncertainty(args):
     from . import (characteristic as chr_mod, coefficients as coeff,
                    dynamics as dyn)
 
-    spec = _spec_from(args)
-    m0 = dyn.SecondMoments(p2=args.p2, x2=args.x2, pxxp=args.pxxp)
+    spec, m0 = _moment_start(args)
     f0 = dyn.FirstMoments(x=args.x_mean, p=args.p_mean)
     flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec),
                                   args.t_end)
@@ -259,13 +254,12 @@ def _verify_one(model_id: str, budget: str):
     spec = coeff.ModelSpec(model_id, omega0=1.3, lam=0.35, mu_param=0.1,
                            delta=0.6)
     checks = []
-    tc = coeff.builtin_coefficients(spec)
     # one flow for the kernel on (0, 1.2] and the moments on [0, 1.5]
-    flow = chr_mod.solve_characteristic(tc, 1.5)
+    flow = _kernel_flow(spec, 1.5)
     n_kernel = 5 if budget == "quick" else 20
     worst = 0.0
     for t in _sample_times(flow, 1.2, n_kernel):
-        kp = chr_mod.kernel_parameters(tc, flow, t)
+        kp = chr_mod.kernel_parameters(flow.tc, flow, t)
         ref = chr_mod.closed_form_kernel(spec, t)
         for got, exp in ((kp.alpha, ref.alpha), (kp.beta, ref.beta),
                          (kp.gamma, ref.gamma)):

@@ -114,7 +114,7 @@ class ModelSpec:
         :class:`quadham.models.Model`).  A form that is a function raises
         NumericalError, naming the model and t, where its formula raises
         ArithmeticError or ValueError; t is its last argument, and 0 for
-        ``mean_start``."""
+        ``mean_start``.  A constant (``invariant_c0``) is returned as is."""
         form = getattr(self.model, name)
         if form is None:
             raise NoClosedForm(f"no closed-form {name} for {self.model_id!r}")

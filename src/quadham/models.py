@@ -49,8 +49,8 @@ class Model:
       raw second moments at 0;
     - ``mean_position(A, delta, t)``: <x>(t) of a family of amplitude A and
       phase delta, and ``mean_start(A, delta)``: its (<x>, <p>) at 0;
-    - ``invariant_mu``: (mu_fn, C0), an elementary solution of the
-      nonlinear auxiliary equation, mu_fn(t) = (mu, mu', mu'').
+    - ``invariant_mu(t)``: (mu, mu', mu'') of an elementary solution of the
+      nonlinear auxiliary equation with constant ``invariant_c0``.
     """
 
     def __init__(self, parameters, constraint, omega, hamiltonian, *,
@@ -58,7 +58,7 @@ class Model:
                  mu=None, kernel=None, invariant=None,
                  invariant_hamiltonian=None, expectation=None,
                  reference=None, mean_position=None, mean_start=None,
-                 invariant_mu=None):
+                 invariant_mu=None, invariant_c0=None):
         self.parameters, self.constraint = parameters, constraint
         self.omega, self.problem = omega, problem
         self.hamiltonian = hamiltonian
@@ -67,7 +67,7 @@ class Model:
         self.invariant_hamiltonian = invariant_hamiltonian or hamiltonian
         self.expectation, self.reference = expectation, reference
         self.mean_position, self.mean_start = mean_position, mean_start
-        self.invariant_mu = invariant_mu
+        self.invariant_mu, self.invariant_c0 = invariant_mu, invariant_c0
 
 
 def _zero(t):
@@ -180,7 +180,7 @@ def united(w0, lam, mu_p, dlt):
                      amplitude * math.exp(-(lam + mu_p) * t)
                      * math.sin(w * t + phase)),
                  mean_start=mean_start,
-                 invariant_mu=(invariant_mu, 0.25 * w ** 2))
+                 invariant_mu=invariant_mu, invariant_c0=0.25 * w ** 2)
 
 
 def modified_oscillator(w0, lam, mu_p, dlt):

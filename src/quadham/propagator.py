@@ -18,9 +18,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .characteristic import MU_GUARD, KernelParameters
-from .errors import (CausticEncountered, DegenerateWidth, NonNormalizable,
-                     NumericalError, UnderResolved, ValidationError)
+from .characteristic import KernelParameters, _served
+from .errors import (DegenerateWidth, NonNormalizable, NumericalError,
+                     UnderResolved, ValidationError)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -116,9 +116,7 @@ def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
     x and y, principal branch; NumericalError where it is not finite, and
     UnderResolved where one ulp of the phase's summed term magnitudes
     exceeds criterion 1's 1e-7 rad (from about 5.4e8 rad on)."""
-    if abs(kp.mu) < MU_GUARD:
-        raise CausticEncountered("mu is inside the caustic guard band",
-                                 t=kp.t)
+    _served(kp.t, kp.mu, 1.0)
     x, y = float(x), float(y)
     phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
@@ -141,6 +139,7 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
     branch_phase, so sweeping t with the output fed back keeps the phase
     continuous across principal-branch cuts.
     """
+    _served(kp.t, kp.mu, 1.0)
     A = kp.gamma + s.Lambda
     if abs(A) < 1e-12:
         raise DegenerateWidth("gamma + Lambda is (nearly) zero", t=kp.t)
@@ -179,11 +178,12 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
     """Trapezoid quadrature of psi(x) = int G(x, y) phi(y) dy, returned on
     the grid of ``phi``.
 
-    With x_k = x0 + dx k and y_j = y0 + dy j the cross term splits as
-    beta x_k y_j = beta (x0 y0 + x0 dy j + dx y0 k) + c k j with
-    c = beta dx dy, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
+    With x_k = x0 + dx k on both sides the cross term splits as
+    beta x_k x_j = beta (x0^2 + x0 dx j + dx x0 k) + c k j with
+    c = beta dx^2, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
     j into one linear convolution with the chirp exp(-i c m^2 / 2).
     """
+    _served(kp.t, kp.mu, 1.0)
     x0, dx, n = phi.x0, phi.dx, phi.values.size
     import numpy as np
     from numpy.fft import fft, ifft
@@ -196,35 +196,32 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
         raise UnderResolved("source state does not decay at the grid ends",
                             edge_fraction=float(edge / peak))
 
-    y = phi.x
     k = np.arange(n)
     x = x0 + dx * k
     # quadrature resolution guard: phase advance per source step
-    max_phase = abs(kp.beta) * phi.dx * float(np.max(np.abs(x)))
+    max_phase = abs(kp.beta) * dx * float(np.max(np.abs(x)))
     if max_phase > 0.25 * math.pi:
         raise UnderResolved("kernel phase advances too fast per source step",
                             phase_per_step=max_phase)
 
-    weights = np.full(y.size, phi.dx)
+    weights = np.full(n, dx)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
-    y0, dy, m = phi.x0, phi.dx, y.size
-    j = np.arange(m)
-    c = kp.beta * dx * dy
+    c = kp.beta * dx * dx
     u = weights * phi.values * np.exp(
-        1j * (kp.gamma * y ** 2 + kp.beta * x0 * dy * j + 0.5 * c * j * j))
-    # chirp at lags -(m - 1) .. n - 1, the negative lags wrapped to the end,
-    # so that the circular convolution of length size >= n + m - 1 (the
-    # next power of two) equals the linear one
-    size = 1 << (n + m - 2).bit_length()
+        1j * (kp.gamma * x ** 2 + kp.beta * x0 * dx * k + 0.5 * c * k * k))
+    # chirp at lags -(n - 1) .. n - 1, the negative lags wrapped to the end,
+    # so that the circular convolution of length size >= 2 n - 1 (the next
+    # power of two) equals the linear one
+    size = 1 << (2 * n - 2).bit_length()
     lag = np.zeros(size)
     lag[:n] = k
-    lag[size - m + 1:] = np.arange(1 - m, 0)
+    lag[size - n + 1:] = np.arange(1 - n, 0)
     chirp = np.exp(-0.5j * c * lag * lag)
     conv = ifft(fft(u, size) * fft(chirp))[:n]
     values = pref * conv * np.exp(
-        1j * (kp.alpha * x ** 2 + kp.beta * (x0 * y0 + dx * y0 * k)
+        1j * (kp.alpha * x ** 2 + kp.beta * (x0 * x0 + dx * x0 * k)
               + 0.5 * c * k * k))
     return GridState(x0, dx, values)
 

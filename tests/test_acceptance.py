@@ -135,7 +135,8 @@ def test_criterion_03_invariant_conservation():
 
 def test_criterion_04_elementary_and_superposed_invariants():
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    mu_fn, C0 = UNITED.closed_form("invariant_mu")
+    mu_fn, C0 = (UNITED.closed_form("invariant_mu"),
+                 UNITED.closed_form("invariant_c0"))
     res = max(inv.auxiliary_residual(tc, mu_fn, C0, float(t))
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
@@ -256,7 +257,8 @@ def test_criterion_08_ladder_algebra():
     cases = []
     flow_u = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 2.5)
-    cases.append((flow_u,) + UNITED.closed_form("invariant_mu"))
+    cases.append((flow_u, UNITED.closed_form("invariant_mu"),
+                  UNITED.closed_form("invariant_c0")))
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
         flow = classical_flow(tc, 2.5)

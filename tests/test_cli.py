@@ -24,7 +24,7 @@ from quadham import io as qio
 from quadham import models
 from quadham import propagator as prop
 from quadham.cli import main
-from quadham.errors import ValidationError
+from quadham.errors import NumericalError, ValidationError
 
 
 def run(capsys, *argv):
@@ -475,7 +475,7 @@ def test_green_serves_a_resolved_phase_far_out(capsys):
 
 
 def test_write_json_refuses_nan(capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         qio.write_json(None, {"re": math.nan})
     assert capsys.readouterr().out == ""
 

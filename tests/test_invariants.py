@@ -30,6 +30,12 @@ CATALOG_SPECS = [
 UNITED = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
 
 
+def _united_invariant_mu():
+    """united's elementary solution of the auxiliary equation and its C0."""
+    return (UNITED.closed_form("invariant_mu"),
+            UNITED.closed_form("invariant_c0"))
+
+
 @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=lambda s: s.model_id)
 def test_catalog_entry_solves_conservation_system(spec):
     # propagating the t=0 entry through the conservation ODE must land on
@@ -48,7 +54,7 @@ def test_catalog_entry_solves_conservation_system(spec):
 
 
 def test_united_elementary_mu_residual():
-    mu_fn, C0 = UNITED.closed_form("invariant_mu")
+    mu_fn, C0 = _united_invariant_mu()
     tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
     assert C0 == pytest.approx(0.25 * UNITED.model.omega ** 2, rel=1e-14)
     for t in np.linspace(0.0, 3.0, 13):
@@ -56,7 +62,7 @@ def test_united_elementary_mu_residual():
 
 
 def test_united_general_invariant_reproduces_catalog():
-    mu_fn, C0 = UNITED.closed_form("invariant_mu")
+    mu_fn, C0 = _united_invariant_mu()
     flow = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.9)
     for t in (0.0, 0.7, 1.9):
@@ -280,7 +286,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
 def test_ladder_commutator_and_reconstruction():
     flow = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.6)
-    mu_fn, C0 = UNITED.closed_form("invariant_mu")
+    mu_fn, C0 = _united_invariant_mu()
     for t in (0.0, 0.8, 1.6):
         pair = inv.ladder_factorization(flow, mu_fn, C0, t)
         assert pair.commutator() == pytest.approx(1.0, abs=1e-12)
@@ -295,7 +301,7 @@ def test_ladder_commutator_and_reconstruction():
 def test_ladder_requires_positive_c0():
     flow = classical_flow(
         coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 0.5)
-    mu_fn, _ = UNITED.closed_form("invariant_mu")
+    mu_fn = UNITED.closed_form("invariant_mu")
     with pytest.raises(InvalidC0):
         inv.ladder_factorization(flow, mu_fn, -1.0, 0.5)
 

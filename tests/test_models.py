@@ -76,6 +76,45 @@ def test_no_module_but_the_records_names_a_model_id():
     assert found == []
 
 
+def _owners(picked):
+    """(module, function) of each node of the package that ``picked``
+    takes, with the innermost function around it (None at module level)."""
+    found = []
+    for path in sorted(pathlib.Path(models.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in filter(picked, ast.walk(tree)):
+            while node in parent and not isinstance(node, ast.FunctionDef):
+                node = parent[node]
+            found.append((path.stem, getattr(node, "name", None)))
+    return found
+
+
+def test_one_caustic_guard_for_every_kernel_reader():
+    # MU_GUARD is read, and the guard band's refusal raised, in one
+    # function, which every kernel reader calls
+    def reads_guard(node):
+        # a name or attribute that is not assigned, or an import of it
+        names = [getattr(node, key, None) for key in ("id", "attr", "name")]
+        return "MU_GUARD" in names and not isinstance(
+            getattr(node, "ctx", None), ast.Store)
+
+    def raises_band(node):
+        return isinstance(node, ast.Raise) and any(
+            getattr(n, "value", None) == "mu is inside the caustic guard band"
+            for n in ast.walk(node))
+
+    guard = [("characteristic", "_served")]
+    assert _owners(reads_guard) == guard
+    assert _owners(raises_band) == guard
+    readers = {"kernel_parameters", "closed_form_kernel", "green_eval",
+               "propagate_gaussian", "propagate_grid"}
+    assert {fn for _, fn in _owners(
+        lambda n: getattr(getattr(n, "func", None), "id", None) == "_served"
+    )} == readers
+
+
 def test_models_is_a_leaf():
     # the record module imports math and the error types, nothing else
     tree = ast.parse(inspect.getsource(models))
@@ -412,13 +451,32 @@ def test_closed_forms_that_fail_are_numerical_errors(model_id, params):
     assert (err.value.info["model"], err.value.info["t"]) == (model_id, 0.0)
 
 
+def test_united_invariant_mu_that_fails_is_a_numerical_error():
+    # e^{-lambda t} overflows at lambda = -400, t = 2
+    mu_fn = coeff.ModelSpec(coeff.UNITED, 1.0, -400.0, -400.0).closed_form(
+        "invariant_mu")
+    with pytest.raises(NumericalError) as err:
+        mu_fn(2.0)
+    assert (err.value.info["model"], err.value.info["t"]) == \
+        (coeff.UNITED, 2.0)
+
+
+# a parameter drawn log-uniformly over 1e-300 .. 1e300 with either sign, or
+# one of the extremes
+_PARAMETER = st.one_of(
+    st.sampled_from((-1.0, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 50.0,
+                     0.5)),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(command=st.sampled_from(("mu", "kernel", "green", "propagate",
                                 "moments", "invariant", "uncertainty")),
        model_id=st.sampled_from(coeff.MODEL_IDS),
        flag=st.sampled_from(("--omega0", "--lambda", "--mu-param",
                              "--delta")),
-       value=st.sampled_from((-1.0, 0.0, 1e-300, 1e300, 50.0, 0.5)))
+       value=_PARAMETER)
 @example(command="mu", model_id="caldirola_kanai", flag="--omega0",
          value=1e300)
 @example(command="mu", model_id="united", flag="--omega0", value=-1.0)
@@ -426,9 +484,20 @@ def test_closed_forms_that_fail_are_numerical_errors(model_id, params):
          flag="--delta", value=1e-300)
 @example(command="invariant", model_id="parametric_sech2", flag="--omega0",
          value=1e300)
+@example(command="moments", model_id="modified_parametric", flag="--delta",
+         value=1e-150)
+@example(command="uncertainty", model_id="modified_parametric",
+         flag="--delta", value=1e-150)
+@example(command="invariant", model_id="modified_parametric",
+         flag="--delta", value=1e-150)
 def test_model_layer_failures_are_typed(command, model_id, flag, value):
     # every refusal of a model parameter at its extremes names a class of
-    # quadham.errors; _cli_stdout asserts it
+    # quadham.errors (_cli_stdout asserts it), and a served table holds
+    # finite numbers only (the JSON writer is strict)
     window = (["--t", "1", "--x", "0.3", "--y", "0.2"] if command == "green"
               else ["--t-end", "1"])
-    _cli_stdout([command, "--model", model_id, f"{flag}={value!r}", *window])
+    text = _cli_stdout([command, "--model", model_id, f"{flag}={value!r}",
+                        *window])
+    if text is not None and command not in ("green", "invariant"):
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row)

@@ -240,16 +240,23 @@ def test_grid_state_refuses_bad_grids_and_non_finite_samples(x0, dx, values):
         prop.GridState(x0, dx, values)
 
 
-def test_caustic_guard_in_green_eval():
+@pytest.mark.parametrize("reader", [
+    lambda kp: prop.green_eval(kp, 0.3, -0.2),
+    lambda kp: prop.propagate_gaussian(kp, prop.GaussianState(0.5j, 0.2)),
+    lambda kp: prop.propagate_grid(
+        kp, _grid_gaussian(prop.GaussianState(0.5j), 8.0, 256)),
+], ids=["green_eval", "propagate_gaussian", "propagate_grid"])
+def test_caustic_guard_in_green_eval(reader):
     _, _, kernel_of = _kernel_of(SHO, 4.0)
     with pytest.raises(CausticEncountered):
         kernel_of(math.pi - 1e-13)
     # kernel_parameters refuses first; a hand-built kernel meets the guard
-    # of green_eval itself
+    # of each kernel reader itself
     kp = chr_mod.KernelParameters(t=1.0, mu=0.0, mu_prime=1.0, h=1.0,
                                   alpha=0.5, beta=-1.0, gamma=0.5)
-    with pytest.raises(CausticEncountered):
-        prop.green_eval(kp, 0.3, -0.2)
+    with pytest.raises(CausticEncountered) as err:
+        reader(kp)
+    assert err.value.info["t"] == 1.0
 
 
 def test_residual_sho():
