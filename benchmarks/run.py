@@ -20,7 +20,9 @@ t_end 2), one ``Flow.at`` point, one point of the second-moment path and
 of the energy path (``solve_energy_system``) on that flow, one point of
 the first-moment path on the first flow, one ``general_invariant`` of
 ``solve_ermakov``'s pair (omega^2 = 1 + 0.3 sin t, c0 = 0.7, t = 1), one
-``kernel_parameters`` point, the Gaussian propagation layer (one
+``kernel_parameters`` point, ``classical_flow`` on a coefficient that
+overflows inside its window (b = e^(1000 t) to t = 1), the refusal caught
+inside the timed call, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
 layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
 at N = 256 and 4096, and one ``propagate_grid`` at N = 4096), each the
@@ -81,6 +83,7 @@ import json, math, timeit
 from quadham import characteristic as chm, coefficients as coeff
 from quadham import dynamics as dyn, invariants as inv
 from quadham import propagator as prop
+from quadham.errors import NumericalError
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)
 flow = chm.classical_flow(tc, 1.4)
@@ -105,6 +108,15 @@ kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
 path = chm.solve_characteristic(tc, 1.4)
 kp = chm.kernel_parameters(tc, path, 0.7)
 s0 = prop.GaussianState(0.5j)
+# b = e^(1000 t) overflows math.exp from t = 0.71 on
+tc_exp = coeff.TimeCoefficients(lambda t: 0.5, lambda t: math.exp(1000.0 * t),
+                                zero, zero)
+
+def refused_flow():
+    try:
+        chm.classical_flow(tc_exp, 1.0)
+    except NumericalError:
+        pass
 
 def per_call(fn, number):
     fn()
@@ -140,6 +152,7 @@ print(json.dumps({
         lambda: inv.general_invariant(osc_flow, kappa_fn, c0, 1.0), 5000),
     "kernel_parameters": per_call(
         lambda: chm.kernel_parameters(tc, path, 0.7), 5000),
+    "refused_flow": per_call(refused_flow, 2),
     "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
     "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),
                                    20000),
@@ -163,6 +176,7 @@ LAYER_INPUTS = {"coefficients": {"t": 0.7},
                                     "kappa0": 1.0, "kappa0_prime": 0.2,
                                     "t": 1.0},
                 "kernel_parameters": {"t": 0.7},
+                "refused_flow": {"b": "exp(1000 t)", "t_end": 1.0},
                 "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
                 "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"},
                 "cn_step_256": {"n": 256, "dt": 1e-3, "steps": 64},

@@ -34,7 +34,7 @@ from .coefficients import (HAMILTONIAN, ModelSpec, TimeCoefficients,
                            convert_convention)
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import (EVALS_PER_STEP, FLOW_TOL, bracket_sign_change,
-                  magnus_step, solve_ivp)
+                  magnus_step, read, solve_ivp)
 
 MU_GUARD = 1e-10
 
@@ -83,8 +83,8 @@ def _served(t: float, mu: float, scale: float) -> None:
 
 
 def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
-    # (2 a M22 + 2 c M12) e^I
-    return 2.0 * (tc.a(t) * p.m22 + tc.c(t) * p.m12) * math.exp(p.i)
+    a, c = read((tc.a, tc.c), t)
+    return 2.0 * (a * p.m22 + c * p.m12) * math.exp(p.i)
 
 
 class Flow:
@@ -171,8 +171,7 @@ def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
 def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:
     """The classical flow of the kernel on [0, t_end]."""
     if not 0 < t_end < math.inf:
-        raise ValidationError("t_end must be positive and finite",
-                              t_end=t_end)
+        raise ValidationError("t_end must be positive and finite", t_end=t_end)
     if t_end >= tc.t_max:
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)

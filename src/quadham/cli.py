@@ -66,6 +66,9 @@ def _spec_from(args):
         if getattr(args, dest) is not None:
             given[dest] = getattr(args, dest)
         elif key in cfg:
+            if not _is_float(cfg[key]):
+                raise ValidationError("a config value is not a number",
+                                      key=key, value=cfg[key])
             given[dest] = float(cfg[key])
     return ModelSpec(model, **given)
 
@@ -238,8 +241,7 @@ def cmd_uncertainty(args):
 
     spec, m0 = _moment_start(args)
     f0 = dyn.FirstMoments(x=args.x_mean, p=args.p_mean)
-    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec),
-                                  args.t_end)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), args.t_end)
     rows = [(t, u["dp2"], u["dx2"], u["margin"], u["excess"])
             for t, u in _uncertainty(flow, m0, f0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "dp2", "dx2", "margin", "excess"], rows)

@@ -25,8 +25,9 @@ import scipy
 from .coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
 from .dynamics import FirstMoments, SecondMoments
 from .errors import (BoundaryLeak, NegativeVariance, NumericalError,
-                      SingularCoefficient, ValidationError)
+                      ValidationError)
 from .invariants import _expectation_drift
+from .ode import read
 from .propagator import GridState
 
 
@@ -112,24 +113,6 @@ def _cn_run(psi, x, dx, dt, a_mid, b_mid, s_mid, c_mid):
     return psi
 
 
-def _midpoint_coefficients(tc: TimeCoefficients, t_mid):
-    """(a, b, c, d) of H at the times ``t_mid``; SingularCoefficient at the
-    first where one raises ArithmeticError or ValueError or is not finite."""
-    rows = []
-    for t in t_mid:
-        try:
-            rows.append((tc.a(t), tc.b(t), tc.c(t), tc.d(t)))
-        except (ArithmeticError, ValueError) as exc:
-            raise SingularCoefficient("a coefficient fails at a midpoint",
-                                      t=float(t), error=repr(exc)) from exc
-    coef = np.array(rows, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(coef).all(axis=1))
-    if bad.size:
-        raise SingularCoefficient("a coefficient is not finite at a "
-                                  "midpoint", t=float(t_mid[bad[0]]))
-    return coef.T
-
-
 def _count(name: str, n) -> int:
     """``n`` as an int; ValidationError unless an integer >= 1, not a bool."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -146,10 +129,10 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     snapshots) plus the initial and final ones.  Raises ValidationError
     unless t0 and dt are finite, dt > 0 and steps and record_every are
     integers >= 1 (no bool); SingularCoefficient, before any step, where
-    the window [t0, t0 + steps dt] reaches ``tc.t_singular``, and where a
-    coefficient fails at a step midpoint; BoundaryLeak where a
-    non-negligible probability fraction reaches the Dirichlet edges of a
-    recorded state.
+    the window [t0, t0 + steps dt] reaches ``tc.t_singular`` and where a
+    coefficient fails at a step midpoint (see quadham.ode.read); BoundaryLeak
+    where a non-negligible probability fraction reaches the Dirichlet edges
+    of a recorded state.
     """
     if not math.isfinite(t0):
         raise ValidationError("t0 must be finite", t0=t0)
@@ -160,18 +143,16 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
                           if record_every is None else record_every)
     tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(t0, t0 + steps * dt)
-    times = [t0]
-    states = [psi0]
-    psi = psi0.values
-    done = 0
-    while done < steps:
-        chunk = min(record_every, steps - done)
-        t_mid = t0 + (done + np.arange(chunk) + 0.5) * dt
-        a_mid, b_mid, c_mid, d_mid = _midpoint_coefficients(tc, t_mid)
-        s_mid = c_mid + d_mid
-        psi = _cn_run(psi, psi0.x, psi0.dx, dt, a_mid, b_mid, s_mid, c_mid)
-        done += chunk
-        times.append(t0 + done * dt)
+    t_mid = t0 + (np.arange(steps) + 0.5) * dt
+    a_mid, b_mid, c_mid, d_mid = np.array(
+        [read((tc.a, tc.b, tc.c, tc.d), t) for t in t_mid], dtype=float).T
+    s_mid = c_mid + d_mid
+    times, states, psi = [t0], [psi0], psi0.values
+    for done in range(0, steps, record_every):
+        chunk = slice(done, min(done + record_every, steps))
+        psi = _cn_run(psi, psi0.x, psi0.dx, dt, a_mid[chunk], b_mid[chunk],
+                      s_mid[chunk], c_mid[chunk])
+        times.append(t0 + chunk.stop * dt)
         states.append(GridState(x0=psi0.x0, dx=psi0.dx, values=psi))
         leak = _leak_fraction(states[-1])
         if leak > _LEAK_TOL:

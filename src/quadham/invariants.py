@@ -25,6 +25,7 @@ from .coefficients import catalog_coefficients  # noqa: F401 (re-exported)
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
                      MuVanishes, NonPositiveForm, ResidualTooLarge,
                      ValidationError)
+from .ode import read
 
 # kappa at which solve_ermakov reports a collapse
 _COLLAPSE = 1e-8
@@ -191,18 +192,18 @@ def _mu_triplet(mu_fn, t: float):
 
 
 def _derivatives(tc: TimeCoefficients, t: float):
-    """(a', c', d') at t; ValidationError when a callback is missing."""
+    """(a', c', d') at t by ode.read; ValidationError when one is missing."""
     missing = [n for n in ("da", "dc", "dd") if getattr(tc, n) is None]
     if missing:
         raise ValidationError("the invariants need the derivatives a', c' "
                               "and d' of the coefficients", missing=missing)
-    return tc.da(t), tc.dc(t), tc.dd(t)
+    return read((tc.da, tc.dc, tc.dd), t)
 
 
 def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
     """a, a'/a, Q = 4ab + (a'/a - c - d)(c + d) - c' - d' and c + d at t,
     for the linear auxiliary equation mu'' - (a'/a) mu' + Q mu and for q."""
-    a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
+    a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
     da, dc, dd = _derivatives(tc, t)
     ra = da / a
     return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - dc - dd), c + d
@@ -252,7 +253,7 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     u0, u1 = u(0.0)[:2]
     v0, v1 = v(0.0)[:2]
     W0 = u0 * v1 - u1 * v0
-    C0 = (A * C - B * B) * W0 * W0 / (2.0 * tc.a(0.0)) ** 2
+    C0 = (A * C - B * B) * W0 * W0 / (2.0 * read((tc.a,), 0.0)[0]) ** 2
 
     def mu_fn(t):
         u0, u1 = u(t)[:2]
@@ -286,21 +287,22 @@ def solve_linear_auxiliary(flow: Flow, init):
     (mu_0, p_0), p_0 = (mu_0' - (c + d) mu_0) / (2a), and
     mu' = 2a p + (c + d) mu.
     """
-    tc = flow.tc
+    acd = (flow.tc.a, flow.tc.c, flow.tc.d)
     mu0, mup0 = init
-    p0 = (mup0 - (tc.c(0.0) + tc.d(0.0)) * mu0) / (2.0 * tc.a(0.0))
+    a, c, d = read(acd, 0.0)
+    p0 = (mup0 - (c + d) * mu0) / (2.0 * a)
 
     def path(t):
         m = flow.at(t)
         mu = m.m11 * mu0 + m.m12 * p0
         p = m.m21 * mu0 + m.m22 * p0
-        return mu, 2.0 * tc.a(t) * p + (tc.c(t) + tc.d(t)) * mu
+        a, c, d = read(acd, t)
+        return mu, 2.0 * a * p + (c + d) * mu
 
     return path
 
 
-def general_invariant(flow: Flow, mu_fn, C0: float,
-                      t: float) -> QuadraticForm:
+def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:
     """Symmetric-form invariant for a general quadratic Hamiltonian:
 
         E = [(mu p - q x)^2 + C0 x^2 / mu^2] exp(int_0^t (c - d)),
@@ -326,7 +328,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
     """
     tc = flow.tc
     A0, A1, A2 = _mu_triplet(A_fn, t)
-    a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
+    a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
     ap, cp, _ = _derivatives(tc, t)
     res = abs(A2 - (ap / a + 2.0 * c - 2.0 * d) * A1
               + 4.0 * (a * b - c * d + c * ap / (2.0 * a) - 0.5 * cp) * A0)
@@ -338,8 +340,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
     return LinearForm(A=A0, B=B, C=Cterm, t=t)
 
 
-def ladder_factorization(flow: Flow, mu_fn, C0: float,
-                         t: float) -> LadderPair:
+def ladder_factorization(flow: Flow, mu_fn, C0: float, t: float) -> LadderPair:
     """Time-dependent annihilation/creation pair factorizing the invariant as
     (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
     exp(int (c - d)), the integral the I of ``flow``; mu must solve the

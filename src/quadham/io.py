@@ -14,7 +14,7 @@ writes.
 import math
 import sys
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 
 
 def _require_finite(value):
@@ -67,10 +67,14 @@ def flush_stdout():
 
 
 def read_config(path) -> dict:
-    """Parse a key=value sectioned config file into {section: {key: value}}."""
+    """{section: {key: value}} of an INI file; ValidationError if malformed."""
     import configparser
 
     cp = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValidationError("the config file is malformed",
+                                  path=str(path), error=str(exc)) from exc
     return {section: dict(cp.items(section)) for section in cp.sections()}

@@ -24,16 +24,17 @@ commutators, so it misses the quadrature error when A(t) commutes with
 itself.)  The one-step error is held to the tolerance, because the dense
 output at t (``Flow.at``) is one :func:`magnus_step` from the step point
 before t.  A step is refused when it turns by more than a quarter,
-|det Omega| > (pi/2)^2, so that it holds at most one zero of M12, or when
-a coefficient raises an arithmetic error or a ValueError at a node.
+|det Omega| > (pi/2)^2, so that it holds at most one zero of M12.  Each
+node is read by :func:`read`, which refuses a coefficient that fails.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from math import isfinite
 
-from .errors import ToleranceNotMet
+from .errors import SingularCoefficient, ToleranceNotMet
 
 _EPS = sys.float_info.epsilon
 _SAFETY = 0.9
@@ -55,20 +56,35 @@ FLOW_TOL = 1e-14
 MAX_STEPS = 30_000
 
 
+def read(fns, t):
+    """[f(t) for f in fns], the one read of H's coefficients: raises
+    SingularCoefficient (info: t, and the failure's repr as ``error``) where
+    an f raises ArithmeticError or ValueError or returns a value not finite."""
+    values = []
+    for f in fns:
+        try:
+            value = f(t)
+            if not isfinite(value):
+                raise ValueError(f"{value!r} is not finite")
+        except (ArithmeticError, ValueError) as exc:
+            raise SingularCoefficient("a coefficient fails at t", t=float(t),
+                                      error=repr(exc)) from exc
+        values.append(value)
+    return values
+
+
 def _exponent(coefficients, t, h):
     """(w1, w2, w3, dI): the Magnus exponent
     Omega = [[w1, w2], [w3, -w1]] of the step of size h from t, and the
     step's increment of I."""
-    a, b, c, d = coefficients
     mid, off = t + 0.5 * h, _NODE * h
     t1, t3 = mid - off, mid + off
-    # c (u) and d (v) at the three nodes
-    u1, u2, u3 = c(t1), c(mid), c(t3)
-    v1, v2, v3 = d(t1), d(mid), d(t3)
+    # (a, b, c, d) at the three nodes, c as u and d as v
+    a1, b1, u1, v1 = read(coefficients, t1)
+    a2, b2, u2, v2 = read(coefficients, mid)
+    a3, b3, u3, v3 = read(coefficients, t3)
     # A = [[s, 2a], [-2b, -s]] there, with the drift s = c + d
     s1, s2, s3 = u1 + v1, u2 + v2, u3 + v3
-    a1, a2, a3 = a(t1), a(mid), a(t3)
-    b1, b2, b3 = b(t1), b(mid), b(t3)
     di = h * (5.0 * ((u1 - v1) + (u3 - v3)) + 8.0 * (u2 - v2)) / 18.0
     # alpha1 = (x1, x2, x3), alpha2 = (y1, y2, y3), alpha3 = (z1, z2, z3),
     # each the (1,1), (1,2) and (2,1) entries of a traceless matrix
@@ -99,7 +115,9 @@ def _advance(w, y):
     """The row (M11, M12, M21, M22, I) of y moved by the exponent w."""
     w1, w2, w3, di = w
     q2 = w1 * w1 + w2 * w3  # -det Omega
-    if q2 > 0.0:
+    if not abs(q2) < 5e5:  # short of cosh's overflow: a nan row, refused
+        ch = sh = math.nan
+    elif q2 > 0.0:
         q = math.sqrt(q2)
         ch, sh = math.cosh(q), math.sinh(q) / q
     elif q2 < 0.0:
@@ -147,8 +165,9 @@ def solve_ivp(coefficients, t_end):
     FLOW_TOL.  Returns the accepted step points, the row (M11, M12, M21,
     M22, I) at each as a list of floats, and the count of rejected steps.
 
-    Raises ToleranceNotMet when the step size falls below ten ulp of t or
-    after MAX_STEPS attempted steps.
+    Raises SingularCoefficient where a coefficient fails at a node (see
+    :func:`read`), and ToleranceNotMet when the step size falls below ten
+    ulp of t or after MAX_STEPS attempted steps.
     """
     t_bound = float(t_end)
     direction = 1.0 if t_bound >= 0.0 else -1.0
@@ -177,24 +196,21 @@ def solve_ivp(coefficients, t_end):
             h = t_new - t
             h_abs = abs(h)
             t_half = t + 0.5 * h
-            try:
-                w = _exponent(coefficients, t, h)
-                first = _exponent(coefficients, t, t_half - t)
-                second = _exponent(coefficients, t_half, t_new - t_half)
-                one = _advance(w, y)
-                y_new = _advance(second, _advance(first, y))
-                m11, m12, m21, m22, _ = y_new
-                # the one-step error against FLOW_TOL, then the turn against
-                # a quarter turn on the same 7th-order scale; sums, so that a
-                # coefficient that is not a number makes the ratio nan
-                err = ((abs(one[0] - m11) + abs(one[1] - m12)
-                        + abs(one[2] - m21) + abs(one[3] - m22))
-                       / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
-                       + abs(w[3] - first[3] - second[3])) / FLOW_TOL
-                ratio = max(err, (abs(w[0] * w[0] + w[1] * w[2])
-                                  / _QUARTER_TURN) ** 3.5)
-            except (ArithmeticError, ValueError):
-                ratio = math.inf
+            w = _exponent(coefficients, t, h)
+            first = _exponent(coefficients, t, t_half - t)
+            second = _exponent(coefficients, t_half, t_new - t_half)
+            one = _advance(w, y)
+            y_new = _advance(second, _advance(first, y))
+            m11, m12, m21, m22, _ = y_new
+            # the one-step error against FLOW_TOL, then the turn, capped
+            # short of overflow, against a quarter turn on the same scale;
+            # sums, so that an exponent that overflows makes the ratio nan
+            err = ((abs(one[0] - m11) + abs(one[1] - m12)
+                    + abs(one[2] - m21) + abs(one[3] - m22))
+                   / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
+                   + abs(w[3] - first[3] - second[3])) / FLOW_TOL
+            turn = min(abs(w[0] * w[0] + w[1] * w[2]) / _QUARTER_TURN, 1e80)
+            ratio = max(err, turn ** 3.5)
             if ratio <= 1.0:
                 factor = _MAX_FACTOR if ratio == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * ratio ** _EXPONENT)

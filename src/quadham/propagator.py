@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .characteristic import KernelParameters, _served
 from .errors import (DegenerateWidth, NonNormalizable, NumericalError,
                      UnderResolved, ValidationError)
+from .ode import read
 
 _TWO_PI = 2.0 * math.pi
 
@@ -93,9 +94,9 @@ class GridState:
         if not (0.0 < self.dx < math.inf and math.isfinite(self.x0)):
             raise ValidationError("x0 and dx must be finite, dx positive",
                                   x0=self.x0, dx=self.dx)
-        if self.values.size < 8:
-            raise ValidationError("grid must have at least 8 points",
-                                  size=self.values.size)
+        if self.values.ndim != 1 or self.values.size < 8:
+            raise ValidationError("grid samples must be a 1-D array of at "
+                                  "least 8 points", shape=self.values.shape)
         if not np.isfinite(self.values).all():
             raise ValidationError("grid samples must be finite")
 
@@ -106,9 +107,7 @@ class GridState:
         return self.x0 + self.dx * np.arange(self.values.size)
 
     def norm_sq(self) -> float:
-        import numpy as np
-
-        return float(self.dx * np.sum(np.abs(self.values) ** 2))
+        return float(self.dx * (abs(self.values) ** 2).sum())
 
 
 def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
@@ -248,7 +247,7 @@ def schrodinger_residual(tc, kernel_of, x: float, y: float, t: float,
     gxp, gxm = G(t, x + h), G(t, x - h)
     gxx = (gxp - 2.0 * g0 + gxm) / (h * h)
     gx = (gxp - gxm) / (2.0 * h)
-    c = tc.c(t)
-    res = (1j * gt + tc.a(t) * gxx - tc.b(t) * x * x * g0
-           + 1j * (c + tc.d(t)) * x * gx + 1j * c * g0)
+    a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
+    res = (1j * gt + a * gxx - b * x * x * g0
+           + 1j * (c + d) * x * gx + 1j * c * g0)
     return abs(res) / abs(g0)

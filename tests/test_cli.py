@@ -25,6 +25,7 @@ from quadham import models
 from quadham import propagator as prop
 from quadham.cli import main
 from quadham.errors import NumericalError, ValidationError
+from quadham.ode import MAX_STEPS
 
 
 def run(capsys, *argv):
@@ -311,6 +312,24 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     w = math.sqrt(0.99)
     mu1 = (1.0 / w) * math.exp(-0.1) * math.sin(w)
     assert float(rows[-1][1]) == pytest.approx(mu1, rel=1e-7)
+
+
+@pytest.mark.parametrize("text, info", [
+    ("model = caldirola_kanai\n", "path"),
+    ("[model]\nmodel = caldirola_kanai\nomega0 = 1\nomega0 = 2\n", "path"),
+    ("[model]\nmodel = caldirola_kanai\nlambda = fast\n", "key"),
+], ids=["no_section_header", "duplicate_key", "not_a_number"])
+def test_malformed_config_is_a_validation_error(capsys, tmp_path, text,
+                                                info):
+    # unrefused, configparser's errors end the CLI in a traceback with exit
+    # 1, and a value float cannot read in an untyped ValueError record
+    p = tmp_path / "m.ini"
+    p.write_text(text)
+    code, out, err = run(capsys, "mu", "--config", str(p), "--t-end", "1")
+    assert (code, out) == (2, "")
+    rec = json.loads(err.strip())
+    assert rec["type"] == "ValidationError"
+    assert rec["info"][info] == {"path": str(p), "key": "lambda"}[info]
 
 
 def test_validation_error_record(capsys):
@@ -799,10 +818,23 @@ def test_bare_import_loads_submodules_on_first_use():
     assert names == [f"quadham.{m}" for m in SUBMODULES]
 
 
-def test_tolerance_not_met_gives_json_record(capsys, monkeypatch):
+def test_tolerance_not_met_gives_json_record(capsys):
+    # finite coefficients of a frequency of 1e6: the window to t = 1 needs
+    # more steps than the solve's budget
+    code, out, err = run(capsys, "mu", "--model", "simple_harmonic",
+                         "--omega0=1e6", "--t-end", "1")
+    assert code == 3
+    assert out == ""
+    rec = json.loads(err.strip())
+    assert rec["type"] == "ToleranceNotMet"
+    assert rec["module"] == "quadham.ode"
+    assert rec["info"]["steps"] + rec["info"]["rejected"] == MAX_STEPS
+
+
+def test_singular_coefficient_gives_json_record(capsys, monkeypatch):
     # with c = d = 1/(2(1 - t)) the drift c + d is 1/(1 - t): the flow's
-    # M11 is 1/(1 - t), which blows up at t = 1, and the solve stalls
-    # short of t_end
+    # M11 is 1/(1 - t), which blows up at t = 1, where c and d divide by
+    # zero at the middle node of the first try
     zero = lambda t: 0.0
     rate = lambda t: 0.5 / (1.0 - t)
     monkeypatch.setitem(models.MODELS, coeff.SIMPLE_HARMONIC,
@@ -814,9 +846,9 @@ def test_tolerance_not_met_gives_json_record(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     rec = json.loads(err.strip())
-    assert rec["type"] == "ToleranceNotMet"
+    assert rec["type"] == "SingularCoefficient"
     assert rec["module"] == "quadham.ode"
-    assert rec["info"]["t"] == pytest.approx(1.0, abs=1e-6)
+    assert rec["info"]["t"] == 1.0
 
 
 def test_error_module_under_python_m():

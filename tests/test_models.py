@@ -115,6 +115,24 @@ def test_one_caustic_guard_for_every_kernel_reader():
     )} == readers
 
 
+def test_one_reader_of_the_coefficients():
+    # no code but quadham.ode.read calls a coefficient of a TimeCoefficients
+    # (a, b, c, d, a', c', d'), so each refuses a failing one alike
+    coefficient = {"a", "b", "c", "d", "da", "dc", "dd"}
+    assert _owners(lambda n: isinstance(n, ast.Call) and getattr(
+        n.func, "attr", None) in coefficient) == []
+    assert set(_owners(
+        lambda n: getattr(getattr(n, "func", None), "id", None) == "read"
+    )) == {("ode", "_exponent"), ("gridsim", "evolve_grid"),
+           ("characteristic", "_mu_prime"),
+           ("propagator", "schrodinger_residual"),
+           ("invariants", "_derivatives"),
+           ("invariants", "_auxiliary_coefficients"),
+           ("invariants", "superpose_linear_solutions"),
+           ("invariants", "solve_linear_auxiliary"), ("invariants", "path"),
+           ("invariants", "linear_invariant")}
+
+
 def test_models_is_a_leaf():
     # the record module imports math and the error types, nothing else
     tree = ast.parse(inspect.getsource(models))

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham.characteristic import classical_flow
-from quadham.errors import ToleranceNotMet
+from quadham.errors import SingularCoefficient, ToleranceNotMet
 from quadham.ode import MAX_STEPS, solve_ivp
 
 # the reference: scipy's DOP853 far below the flow's own error
@@ -123,7 +123,8 @@ def test_quadrature_error_of_i_is_controlled():
 
 
 def test_step_budget_stops_a_crawl():
-    # d = -c = 1/(2(1 - t)) is singular at t = 1: the rounding of t there
+    # d = -c = 1/(2(1 - t)) is singular at t = 1, but finite at every node
+    # of a window to 2.1 (no node lands on t = 1): the rounding of t there
     # is noise the controller cannot get under, and it would take 10^5 or
     # more tiny steps before the step size underflows
     zero = lambda t: 0.0
@@ -132,20 +133,60 @@ def test_step_budget_stops_a_crawl():
                                 coeff.HAMILTONIAN)
     start = time.perf_counter()
     with pytest.raises(ToleranceNotMet) as exc:
-        classical_flow(tc, 2.0)
+        classical_flow(tc, 2.1)
     assert time.perf_counter() - start < 2.0
     info = exc.value.info
     assert info["steps"] + info["rejected"] == MAX_STEPS
     assert info["t"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_blow_up_raises_tolerance_not_met():
+def test_blow_up_raises_singular_coefficient():
     # M' = diag(c, -c) M with c = 1/(1 - t): M11 = 1/(1 - t) blows up, and
     # c raises ZeroDivisionError at t = 1, the middle node of the first try
     zero = lambda t: 0.0
-    with pytest.raises(ToleranceNotMet) as exc:
+    with pytest.raises(SingularCoefficient) as exc:
         solve_ivp((zero, zero, lambda t: 1.0 / (1.0 - t), zero), 2.0)
-    assert exc.value.info["t"] == pytest.approx(1.0, abs=1e-6)
+    assert exc.value.info["t"] == 1.0
+    assert "ZeroDivisionError" in exc.value.info["error"]
+
+
+@pytest.mark.parametrize("b", [
+    lambda t: math.exp(1000.0 * t),
+    lambda t: 0.5 + math.sqrt(0.5 - t),
+    lambda t: math.nan if t > 0.5 else 0.5,
+], ids=["overflow", "value_error", "not_finite"])
+@pytest.mark.parametrize("reader", ["classical_flow", "evolve_grid",
+                                    "auxiliary_residual"])
+def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
+    # each b fails inside the window [0, 1]: every reader of H refuses it
+    # with the time, through the one reader quadham.ode.read
+    from quadham import gridsim, invariants as inv, propagator as prop
+
+    half, zero = lambda t: 0.5, lambda t: 0.0
+    tc = coeff.TimeCoefficients(half, b, zero, zero, da=zero, dc=zero,
+                                dd=zero)
+    x = np.linspace(-8.0, 8.0, 128)
+    run = {"classical_flow": lambda: classical_flow(tc, 1.0),
+           "evolve_grid": lambda: gridsim.evolve_grid(
+               tc, prop.GridState(-8.0, x[1] - x[0], np.exp(-x * x)),
+               1e-3, 1000),
+           "auxiliary_residual": lambda: inv.auxiliary_residual(
+               tc, lambda t: (1.0, 0.0, 0.0), 0.0, 0.9)}[reader]
+    with pytest.raises(SingularCoefficient) as exc:
+        run()
+    assert 0.5 < exc.value.info["t"] < 1.0
+
+
+@pytest.mark.parametrize("b", [-1e6, 1e300], ids=["cosh", "turn"])
+def test_exponent_that_overflows_on_finite_coefficients_is_refused(b):
+    # the first try spans the window: at b = -1e6 its exponential's cosh
+    # overflows, at b = 1e300 the power of its turn; each is a rejected
+    # step, and the solve ends typed (M overflows near t = 0.5, and
+    # 1e150 rad take more steps than the budget)
+    tc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: b, lambda t: 0.0,
+                                lambda t: 0.0)
+    with pytest.raises(ToleranceNotMet):
+        classical_flow(tc, 1.0)
 
 
 def test_scalar_and_array_times():

@@ -240,6 +240,14 @@ def test_grid_state_refuses_bad_grids_and_non_finite_samples(x0, dx, values):
         prop.GridState(x0, dx, values)
 
 
+def test_grid_state_refuses_values_that_are_not_1d():
+    # unrefused, a (4, 4) array passes the size check, and measure_moments,
+    # evolve_grid and propagate_grid each end in numpy's ValueError
+    with pytest.raises(ValidationError) as err:
+        prop.GridState(0.0, 0.1, np.ones((4, 4)))
+    assert err.value.info["shape"] == (4, 4)
+
+
 @pytest.mark.parametrize("reader", [
     lambda kp: prop.green_eval(kp, 0.3, -0.2),
     lambda kp: prop.propagate_gaussian(kp, prop.GaussianState(0.5j, 0.2)),
