@@ -25,7 +25,7 @@ overflows inside its window (b = e^(1000 t) to t = 1), the refusal caught
 inside the timed call, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
 layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
-at N = 256 and 4096, and one ``propagate_grid`` at N = 4096), each the
+at N = 256, 2048 and 4096, and one ``propagate_grid`` at N = 4096), each the
 median and the best of 7 samples, with the solver's counts for each
 solve.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package as
@@ -157,6 +157,7 @@ print(json.dumps({
     "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),
                                    20000),
     "cn_step_256": per_call(cn_step(256), 20) / 64,
+    "cn_step_2048": per_call(cn_step(2048), 5) / 64,
     "cn_step_4096": per_call(cn_step(4096), 5) / 64,
     "propagate_grid": per_call(lambda: prop.propagate_grid(kp, grid_4096),
                                50),
@@ -180,6 +181,7 @@ LAYER_INPUTS = {"coefficients": {"t": 0.7},
                 "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
                 "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"},
                 "cn_step_256": {"n": 256, "dt": 1e-3, "steps": 64},
+                "cn_step_2048": {"n": 2048, "dt": 1e-3, "steps": 64},
                 "cn_step_4096": {"n": 4096, "dt": 1e-3, "steps": 64},
                 "propagate_grid": {"t": 0.7, "n": 4096}}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",

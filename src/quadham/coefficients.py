@@ -154,7 +154,11 @@ def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
 
 
 def convert_convention(tc: TimeCoefficients, target: str) -> TimeCoefficients:
-    """Map coefficients between the two conventions; a round trip is exact."""
+    """Map coefficients between the two conventions: the equation's
+    (c, d) is H's (c + d, c).  A round trip is not exact: H -> equation -> H
+    gives c and c' back as the same functions but d as (c + d) - c, which
+    rounds (d = 1e-20 beside c = 1 comes back as 0.0), and d' likewise, or
+    as None where c' is not given."""
     if tc.convention == target:
         return tc
     c, d, dc, dd = tc.c, tc.d, tc.dc, tc.dd

@@ -66,53 +66,6 @@ class GridEvolution(NamedTuple):
         return self.states[-1]
 
 
-def _leak_fraction(state: GridState) -> float:
-    prob = np.abs(state.values) ** 2
-    total = prob.sum()
-    if total == 0.0:
-        return 0.0
-    edge = prob[:_EDGE_CELLS].sum() + prob[-_EDGE_CELLS:].sum()
-    return float(edge / total)
-
-
-def _cn_run(psi, x, dx, dt, a_mid, b_mid, s_mid, c_mid):
-    """Advance psi through len(a_mid) Crank-Nicolson steps of size dt.
-
-    The generator is K = i a D2 - i b x^2 - s (x D1 + D1 x)/2 + s/2 - c,
-    with H's c and drift s = c + d, centered D1, frozen at the midpoints and
-    Dirichlet boundaries (identity rows at both edges).  Each step solves
-    (I - dt/2 K) psi_new = (I + dt/2 K) psi in the form
-    (I - dt/2 K) y = 2 psi, psi_new = y - psi, with psi itself on the right
-    of the edge rows so that psi_new vanishes there.
-    """
-    psi = np.array(psi, dtype=np.complex128)
-    x2 = x * x
-    # (x_j + x_{j+1}) / (4 dx): the drift weight of the bond j, j+1
-    bond = (x[1:] + x[:-1]) / (4.0 * dx)
-    half = 0.5 * dt
-    for k, (a, b, s, c) in enumerate(zip(a_mid, b_mid, s_mid, c_mid)):
-        # lo, dg, up: the sub-, main and super-band of I - dt/2 K
-        ho = 1j * half * a / (dx * dx)
-        drift = (half * s) * bond
-        lo = -ho - drift
-        up = drift - ho
-        dg = ((1.0 + 2.0 * ho + half * c - 0.25 * dt * s)
-              + (1j * half * b) * x2)
-        dg[0] = dg[-1] = 1.0
-        lo[-1] = 0.0
-        up[0] = 0.0
-        rhs = 2.0 * psi
-        rhs[0], rhs[-1] = psi[0], psi[-1]
-        _, _, _, y, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
-                                 overwrite_d=1, overwrite_du=1,
-                                 overwrite_b=1)
-        if info != 0:
-            raise NumericalError("Crank-Nicolson system is singular",
-                                 step=k, info=int(info))
-        psi = y - psi
-    return psi
-
-
 def _count(name: str, n) -> int:
     """``n`` as an int; ValidationError unless an integer >= 1, not a bool."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -125,14 +78,24 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
                 record_every: int = None) -> GridEvolution:
     """Run `steps` Crank-Nicolson steps of size dt from t0.
 
+    The generator is K = i a D2 - i b x^2 - s (x D1 + D1 x)/2 + s/2 - c,
+    with H's c and drift s = c + d, centered D1, frozen at the step
+    midpoints and Dirichlet boundaries (identity rows at both edges).  Each
+    step solves (I - dt/2 K) psi_new = (I + dt/2 K) psi in the form
+    (I - dt/2 K) y = 2 psi, psi_new = y - psi, with psi itself on the right
+    of the edge rows so that psi_new vanishes there.
+
     States are recorded every ``record_every`` steps (default about 16
     snapshots) plus the initial and final ones.  Raises ValidationError
     unless t0 and dt are finite, dt > 0 and steps and record_every are
     integers >= 1 (no bool); SingularCoefficient, before any step, where
     the window [t0, t0 + steps dt] reaches ``tc.t_singular`` and where a
-    coefficient fails at a step midpoint (see quadham.ode.read); BoundaryLeak
-    where a non-negligible probability fraction reaches the Dirichlet edges
-    of a recorded state.
+    coefficient fails at a step midpoint (see quadham.ode.read);
+    NumericalError where a step's system is singular (info: the step,
+    counted from 0 at t0, its midpoint t and zgtsv's info) and at the first
+    recorded state whose |psi|^2 does not sum to a finite number (info: t);
+    BoundaryLeak where a non-negligible probability fraction reaches the
+    Dirichlet edges of a recorded state.
     """
     if not math.isfinite(t0):
         raise ValidationError("t0 must be finite", t0=t0)
@@ -144,20 +107,51 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(t0, t0 + steps * dt)
     t_mid = t0 + (np.arange(steps) + 0.5) * dt
-    a_mid, b_mid, c_mid, d_mid = np.array(
-        [read((tc.a, tc.b, tc.c, tc.d), t) for t in t_mid], dtype=float).T
-    s_mid = c_mid + d_mid
-    times, states, psi = [t0], [psi0], psi0.values
-    for done in range(0, steps, record_every):
-        chunk = slice(done, min(done + record_every, steps))
-        psi = _cn_run(psi, psi0.x, psi0.dx, dt, a_mid[chunk], b_mid[chunk],
-                      s_mid[chunk], c_mid[chunk])
-        times.append(t0 + chunk.stop * dt)
-        states.append(GridState(x0=psi0.x0, dx=psi0.dx, values=psi))
-        leak = _leak_fraction(states[-1])
-        if leak > _LEAK_TOL:
-            raise BoundaryLeak("probability reached the grid edges",
-                               fraction=leak, t=times[-1])
+    midpoints = [read((tc.a, tc.b, tc.c, tc.d), t) for t in t_mid]
+    x, dx, half = psi0.x, psi0.dx, 0.5 * dt
+    x2 = x * x
+    # (x_j + x_{j+1}) / (4 dx): the drift weight of the bond j, j+1
+    bond = (x[1:] + x[:-1]) / (4.0 * dx)
+    times, states = [t0], [psi0]
+    psi = np.array(psi0.values, dtype=np.complex128)
+    # overflow shows as a state that is not finite, refused at its record
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, (t, (a, b, c, d)) in enumerate(zip(t_mid, midpoints)):
+            s = c + d
+            # lo, dg, up: the sub-, main and super-band of I - dt/2 K
+            ho = 1j * half * a / (dx * dx)
+            drift = (half * s) * bond
+            lo = -ho - drift
+            up = drift - ho
+            dg = ((1.0 + 2.0 * ho + half * c - 0.25 * dt * s)
+                  + (1j * half * b) * x2)
+            dg[0] = dg[-1] = 1.0
+            lo[-1] = 0.0
+            up[0] = 0.0
+            rhs = 2.0 * psi
+            rhs[0], rhs[-1] = psi[0], psi[-1]
+            _, _, _, y, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
+                                     overwrite_d=1, overwrite_du=1,
+                                     overwrite_b=1)
+            if info != 0:
+                raise NumericalError("Crank-Nicolson system is singular",
+                                     step=step, t=float(t), info=int(info))
+            psi = y - psi
+            done = step + 1
+            if done % record_every and done < steps:
+                continue
+            times.append(t0 + done * dt)
+            prob = np.abs(psi) ** 2
+            total = prob.sum()
+            if not math.isfinite(total):
+                raise NumericalError("Crank-Nicolson state is not finite",
+                                     t=times[-1])
+            states.append(GridState(x0=psi0.x0, dx=dx, values=psi))
+            edge = prob[:_EDGE_CELLS].sum() + prob[-_EDGE_CELLS:].sum()
+            leak = float(edge / total) if total else 0.0
+            if leak > _LEAK_TOL:
+                raise BoundaryLeak("probability reached the grid edges",
+                                   fraction=leak, t=times[-1])
     return GridEvolution(times=tuple(times), states=tuple(states))
 
 

@@ -171,6 +171,22 @@ def test_convention_round_trip_any_linear(c0, d0, t):
     assert rt.d(t) == pytest.approx(tc.d(t), abs=1e-14)
 
 
+def test_convention_round_trip_keeps_c_and_rounds_d():
+    # H -> equation -> H passes c and c' through; d comes back as
+    # (c + d) - c, d' as (c' + d') - c', and only where c' is given
+    one, tiny = (lambda t: 1.0), (lambda t: 1e-20)
+    tc = coeff.TimeCoefficients(a=one, b=one, c=one, d=tiny, dc=one,
+                                dd=tiny)
+    rt = coeff.convert_convention(
+        coeff.convert_convention(tc, coeff.EQUATION), coeff.HAMILTONIAN)
+    assert rt.c is tc.c and rt.dc is tc.dc
+    assert rt.d(0.3) == 0.0 and rt.dd(0.3) == 0.0
+    no_dc = coeff.TimeCoefficients(a=one, b=one, c=one, d=tiny, dd=tiny)
+    rt = coeff.convert_convention(
+        coeff.convert_convention(no_dc, coeff.EQUATION), coeff.HAMILTONIAN)
+    assert rt.dc is None and rt.dd is None
+
+
 def test_cj_scaled_form():
     # the catalog Hamiltonian of the hyperbolically damped models is the
     # frequency-rescaled one, and its momentum representation

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -193,14 +194,56 @@ def test_evolve_grid_matches_dense_cn_reference():
 
 
 def test_singular_cn_system_raises():
-    # c = -2/dt and no drift make 1 + dt/2 c vanish on every interior row
-    dt, n = 0.5, 8
-    x = np.linspace(-1.0, 1.0, n)
-    zero = np.zeros(3)
-    with pytest.raises(NumericalError) as err:
-        gridsim._cn_run(np.ones(n), x, x[1] - x[0], dt, zero, zero, zero,
-                        np.full(3, -2.0 / dt))
-    assert err.value.info == {"step": 0, "info": 2}
+    # c = -2/dt and d = +2/dt for t > 3 make 1 + dt/2 c vanish on every
+    # interior row with no drift: step 6 (midpoint 3.25) of the run, however
+    # the run is recorded
+    dt = 0.5
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(zero, zero,
+                                lambda t: -2.0 / dt if t > 3.0 else 0.0,
+                                lambda t: 2.0 / dt if t > 3.0 else 0.0)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                          n=64)
+    for record_every in (1, 4, 100):
+        with pytest.raises(NumericalError) as err:
+            gridsim.evolve_grid(tc, psi0, dt, 10, record_every=record_every)
+        assert err.value.info == {"step": 6, "t": 3.25, "info": 2}
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e308, 0.5)])
+def test_a_state_that_stops_being_finite_is_a_numerical_error(a, b):
+    # the huge coefficient overflows the bands at the first step; the run
+    # is refused at its first record, with no numpy warning on the way
+    tc = coeff.TimeCoefficients(lambda t: a, lambda t: b, lambda t: 0.0,
+                                lambda t: 0.0)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                          n=64)
+    for record_every, t in ((None, 1.0), (2, 2.0), (10 ** 9, 5.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                gridsim.evolve_grid(tc, psi0, 1.0, 5,
+                                    record_every=record_every)
+        assert err.value.info == {"t": t}
+
+
+def test_a_run_does_not_depend_on_how_it_is_recorded():
+    # modified Caldirola-Kanai has c != 0 and d != 0
+    tc = _ham(coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
+                          half_width=6.0, n=64)
+    t0, dt, steps = 0.2, 1e-2, 30
+    final = None
+    for record_every in (1, 3, 7, steps, 10 ** 9):
+        ev = gridsim.evolve_grid(tc, psi0, dt, steps, t0=t0,
+                                 record_every=record_every)
+        marks = [*range(0, steps, record_every), steps]
+        assert ev.times == tuple(t0 + k * dt for k in marks)
+        assert len(ev.states) == len(marks)
+        values = ev.final().values
+        if final is None:
+            final = values
+        assert values.tobytes() == final.tobytes()
 
 
 def test_boundary_leak_detected():
