@@ -28,8 +28,10 @@ layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
 at N = 256, 2048 and 4096, and one ``propagate_grid`` at N = 4096), each the
 median and the best of 7 samples, with the solver's counts for each
 solve.  The children run with
-``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package as
-the ``quadbench`` children do and the measured checkout is left as it was.
+``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package and
+the measured checkout is left as it was (the ``quadbench`` children set
+only ``PYTHONPATH``, so from their second call on they read cached
+bytecode).
 ``--root`` measures another checkout (for example the parent commit) with
 this same script.  ``--against OTHER`` measures ``--root`` and OTHER
 together, alternating the two sample by sample in every subprocess and

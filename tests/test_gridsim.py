@@ -233,17 +233,15 @@ def test_a_run_does_not_depend_on_how_it_is_recorded():
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
                           half_width=6.0, n=64)
     t0, dt, steps = 0.2, 1e-2, 30
-    final = None
+    finals = set()
     for record_every in (1, 3, 7, steps, 10 ** 9):
         ev = gridsim.evolve_grid(tc, psi0, dt, steps, t0=t0,
                                  record_every=record_every)
         marks = [*range(0, steps, record_every), steps]
         assert ev.times == tuple(t0 + k * dt for k in marks)
         assert len(ev.states) == len(marks)
-        values = ev.final().values
-        if final is None:
-            final = values
-        assert values.tobytes() == final.tobytes()
+        finals.add(ev.final().values.tobytes())
+    assert len(finals) == 1
 
 
 def test_boundary_leak_detected():
