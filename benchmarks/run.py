@@ -90,8 +90,8 @@ spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)
 flow = chm.classical_flow(tc, 1.4)
 # criterion 3's moment check on the catalogued Caldirola-Kanai invariant
-tc_inv = inv.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
-                                                  0.1))
+tc_inv = coeff.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
+                                                    0.1))
 moment_flow = chm.classical_flow(tc_inv, 2.0)
 moments = dyn.evolve_second_moments(moment_flow,
                                     dyn.SecondMoments(0.8, 0.7, 0.1))

@@ -191,12 +191,13 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
     over t in linspace(t_start, t_end, samples), E(t) from the second
     moments flowed from m0."""
     from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
+    from .coefficients import catalog_coefficients
 
     def pairs():
         yield inv.energy_operator_catalog(spec, 0.0), m0
         # solved only once E(0) has passed the cancellation check
         path = dyn.evolve_second_moments(
-            chr_mod.classical_flow(inv.catalog_coefficients(spec), t_end), m0)
+            chr_mod.classical_flow(catalog_coefficients(spec), t_end), m0)
         for t in _linspace(t_start, t_end, samples):
             yield inv.energy_operator_catalog(spec, t), path(t)
 
@@ -416,6 +417,11 @@ def _check_args(args):
     for flag, dest in args.finite.items():
         if not math.isfinite(value := getattr(args, dest)):
             raise ValidationError(f"{flag} must be finite", option=flag,
+                                  value=value)
+    # an initial <p^2> or <x^2> of a state is positive
+    for flag in ("--p2", "--x2"):
+        if (value := getattr(args, flag[2:], 1.0)) <= 0:
+            raise ValidationError(f"{flag} must be positive", option=flag,
                                   value=value)
 
 

@@ -92,8 +92,10 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     the window [t0, t0 + steps dt] reaches ``tc.t_singular`` and where a
     coefficient fails at a step midpoint (see quadham.ode.read);
     NumericalError where a step's system is singular (info: the step,
-    counted from 0 at t0, its midpoint t and zgtsv's info) and at the first
-    recorded state whose |psi|^2 does not sum to a finite number (info: t);
+    counted from 0 at t0, its midpoint t and zgtsv's info), at the first
+    step whose bands are not finite, and at the first recorded state whose
+    |psi|^2 does not sum to a finite number (info: t, the end of that step
+    or that record);
     BoundaryLeak where a non-negligible probability fraction reaches the
     Dirichlet edges of a recorded state.
     """
@@ -112,19 +114,25 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     x2 = x * x
     # (x_j + x_{j+1}) / (4 dx): the drift weight of the bond j, j+1
     bond = (x[1:] + x[:-1]) / (4.0 * dx)
+    x2_max, bond_max = float(x2.max()), float(np.abs(bond).max())
     times, states = [t0], [psi0]
     psi = np.array(psi0.values, dtype=np.complex128)
-    # overflow shows as a state that is not finite, refused at its record
+    # a band that overflows is refused at its step, at O(1) cost; a state
+    # that overflows on finite bands is refused at its record
     with np.errstate(over="ignore", invalid="ignore"):
         for step, (t, (a, b, c, d)) in enumerate(zip(t_mid, midpoints)):
             s = c + d
             # lo, dg, up: the sub-, main and super-band of I - dt/2 K
             ho = 1j * half * a / (dx * dx)
+            diag = 1.0 + 2.0 * ho + half * c - 0.25 * dt * s
+            if not math.isfinite(abs(diag.real) + abs(diag.imag) + half * (
+                    abs(s) * bond_max + abs(b) * x2_max)):
+                raise NumericalError("Crank-Nicolson state is not finite",
+                                     t=t0 + (step + 1) * dt)
             drift = (half * s) * bond
             lo = -ho - drift
             up = drift - ho
-            dg = ((1.0 + 2.0 * ho + half * c - 0.25 * dt * s)
-                  + (1j * half * b) * x2)
+            dg = diag + (1j * half * b) * x2
             dg[0] = dg[-1] = 1.0
             lo[-1] = 0.0
             up[0] = 0.0

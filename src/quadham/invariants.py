@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple
 from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
-from .coefficients import catalog_coefficients  # noqa: F401 (re-exported)
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
                      MuVanishes, NonPositiveForm, ResidualTooLarge,
                      ValidationError)

@@ -103,7 +103,7 @@ def test_criterion_03_invariant_conservation():
     worst_grid = 0.0
     worst_ode = 0.0
     for spec in CATALOG_SPECS:
-        tc = inv.catalog_coefficients(spec)
+        tc = coeff.catalog_coefficients(spec)
         form = lambda t, s=spec: inv.energy_operator_catalog(s, t)
 
         lam0, half, n = 0.5j, 10.0, 2048
@@ -172,7 +172,7 @@ def test_criterion_05_energy_expectation_closed_forms():
     worst = 0.0
     for spec in (CK, coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1),
                  UNITED, coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)):
-        tc = inv.catalog_coefficients(spec)
+        tc = coeff.catalog_coefficients(spec)
         path = dyn.evolve_second_moments(classical_flow(tc, 3.0), m0)
         for t in np.linspace(0.2, 3.0, 11):
             m = path(float(t))
@@ -180,7 +180,7 @@ def test_criterion_05_energy_expectation_closed_forms():
             got = A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
             ref = dyn.closed_form_expectation(spec, m0, float(t))
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    tc = inv.catalog_coefficients(CJ)
+    tc = coeff.catalog_coefficients(CJ)
     y = dyn.damped_energy_equation_solve(CJ, m0_even, 5.0)
     worst_cj = 0.0
     for t in np.concatenate(([0.01, 0.05], np.linspace(0.2, 5.0, 25))):

@@ -456,6 +456,21 @@ def test_nonfinite_options_are_refused(capsys, argv, flag, value):
     assert rec["info"] == {"option": flag, "value": value}
 
 
+@pytest.mark.parametrize("command", ["moments", "invariant", "uncertainty"])
+@pytest.mark.parametrize("flag, value", [("--p2", -1.0), ("--x2", 0.0)])
+def test_a_second_moment_that_is_not_positive_is_refused(capsys, command,
+                                                          flag, value):
+    # moments and uncertainty exited 0 with a wrong answer or ended in
+    # InvalidMoments (exit 3), and invariant in a refusal naming no option
+    code, out, err = run(capsys, command, *_SHO, "--t-end", "1",
+                         "--samples", "2", f"{flag}={value}")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["type"] == "ValidationError"
+    assert rec["module"] == "quadham.cli"
+    assert rec["info"] == {"option": flag, "value": value}
+
+
 def test_green_refuses_a_value_that_is_not_finite(capsys):
     # x^2 overflows, so the phase and the value are nan; the output was
     # a JSON success record with "re": NaN
@@ -746,36 +761,13 @@ def test_linspace_equals_numpy(start, stop, num):
     assert all(type(t) is float for t in got)
 
 
-# every public name `import quadham` binds, with the submodule it comes from
-PUBLIC = {
-    "coefficients": ("EQUATION", "HAMILTONIAN", "MODEL_IDS", "ModelSpec",
-                     "TimeCoefficients", "builtin_coefficients",
-                     "convert_convention"),
-    "characteristic": ("Flow", "KernelParameters", "classical_flow",
-                       "closed_form_kernel", "closed_form_mu",
-                       "kernel_parameters", "solve_characteristic"),
-    "propagator": ("GaussianState", "GridState", "gaussian_sweep",
-                   "green_eval", "propagate_gaussian", "propagate_grid",
-                   "schrodinger_residual"),
-    "invariants": ("LadderPair", "LinearForm", "QuadraticForm",
-                   "energy_operator_catalog", "general_invariant",
-                   "ladder_factorization", "linear_invariant",
-                   "solve_energy_system", "solve_ermakov"),
-    "dynamics": ("FirstMoments", "HyperbolicBasis", "SecondMoments",
-                 "closed_form_expectation", "evolve_first_moments",
-                 "evolve_second_moments", "uncertainty_check"),
-}
 SUBMODULES = ("coefficients", "models", "ode", "characteristic",
               "propagator", "invariants", "dynamics")
 
 
-def test_public_names_resolve_to_their_home_objects():
-    names = [(home, name) for home, names in PUBLIC.items()
-             for name in names]
-    assert len(names) == 37
-    for home, name in names:
-        module = importlib.import_module(f"quadham.{home}")
-        assert getattr(quadham, name) is getattr(module, name), name
+def test_the_package_root_binds_only_its_submodules():
+    # a public name is read from its home submodule: the root serves
+    # errors, the version and the submodules, and no function or class
     for sub in SUBMODULES:
         assert getattr(quadham, sub) is importlib.import_module(
             f"quadham.{sub}")
@@ -783,8 +775,16 @@ def test_public_names_resolve_to_their_home_objects():
     assert quadham.__version__ == "0.1.0"
     star = {}
     exec("from quadham import *", star)
-    assert set(star) - {"__builtins__"} == {
-        "errors", *SUBMODULES, *(name for _, name in names)}
+    assert set(star) - {"__builtins__"} == {"errors", *SUBMODULES}
+    for name in ("classical_flow", "ModelSpec", "GridState",
+                 "catalog_coefficients", "solve_ermakov"):
+        assert not hasattr(quadham, name), name
+    public = {name: value for name, value in vars(quadham).items()
+              if not name.startswith("_")}
+    assert all(isinstance(value, type(quadham))
+               for value in public.values()), sorted(public)
+    # catalog_coefficients lives in coefficients alone
+    assert not hasattr(inv, "catalog_coefficients")
 
 
 def test_every_error_class_is_named_outside_errors():
@@ -955,6 +955,17 @@ def test_subprocess_output_is_complete(capsys, tmp_path):
     proc = subprocess.run(cli + ["--out", str(path)], env=_child_env(),
                           capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    GREEN_ARGV, ["invariant", *_SHO, "--t-end", "1", "--samples", "3"],
+    ["list-models", "--json"]], ids=lambda argv: argv[0])
+def test_json_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(want)
+    path = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
     assert path.read_bytes() == want.encode()
 
 

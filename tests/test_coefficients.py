@@ -148,7 +148,7 @@ def test_analytic_derivatives_match_fd():
         coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.1, 0.4, delta=0.5),
         coeff.ModelSpec(coeff.PARAMETRIC_SECH2, 1.2, 0.5), cj,
         coeff.ModelSpec(coeff.CJ_MOMENTUM, 1.2, 0.5))]
-    for tc in tcs + [inv.catalog_coefficients(cj)]:
+    for tc in tcs + [coeff.catalog_coefficients(cj)]:
         assert tc.db is None
         eps = 1e-6
         for t in (0.2, 0.8):
@@ -191,12 +191,12 @@ def test_cj_scaled_form():
     # the catalog Hamiltonian of the hyperbolically damped models is the
     # frequency-rescaled one, and its momentum representation
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, omega0=1.3, lam=0.45)
-    tc = inv.catalog_coefficients(spec)
+    tc = coeff.catalog_coefficients(spec)
     t = 0.7
     ch2 = math.cosh(0.45 * t) ** 2
     assert tc.a(t) == pytest.approx(0.5 * 1.3 / ch2, rel=1e-14)
     assert tc.b(t) == pytest.approx(0.5 * 1.3 * ch2, rel=1e-14)
     spec_p = coeff.ModelSpec(coeff.CJ_MOMENTUM, omega0=1.3, lam=0.45)
-    tp = inv.catalog_coefficients(spec_p)
+    tp = coeff.catalog_coefficients(spec_p)
     assert tp.a(t) == pytest.approx(tc.b(t), rel=1e-14)
     assert tp.b(t) == pytest.approx(tc.a(t), rel=1e-14)

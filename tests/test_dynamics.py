@@ -27,7 +27,7 @@ CLOSED_FORM_SPECS = [
 
 
 def _tc_for(spec):
-    return inv.catalog_coefficients(spec)
+    return coeff.catalog_coefficients(spec)
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s.model_id)

@@ -189,7 +189,7 @@ def test_damped_energy_keeps_the_odd_branch():
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.3)
     t_end = 5.0
-    tc = inv.catalog_coefficients(spec)
+    tc = coeff.catalog_coefficients(spec)
     y0 = [m0.p2, m0.x2, m0.pxxp, m0.norm, 0.0, 0.0, *Q0, *AUX0]
     ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0, method="DOP853",
                           rtol=1e-12, atol=1e-14, dense_output=True)

@@ -111,7 +111,7 @@ def test_invariant_drift_refuses_a_cancelled_reference():
     # terms summing to 0.89); relative to it, the drift read 1648
     spec = coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=1024)
-    ev = gridsim.evolve_grid(inv.catalog_coefficients(spec), psi0, 1e-3,
+    ev = gridsim.evolve_grid(coeff.catalog_coefficients(spec), psi0, 1e-3,
                              500)
     form = lambda t: inv.energy_operator_catalog(spec, t)
     with pytest.raises(ValidationError) as exc:
@@ -213,16 +213,36 @@ def test_singular_cn_system_raises():
 @pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e308, 0.5)])
 def test_a_state_that_stops_being_finite_is_a_numerical_error(a, b):
     # the huge coefficient overflows the bands at the first step; the run
-    # is refused at its first record, with no numpy warning on the way
+    # is refused at the end of that step however it is recorded, with no
+    # numpy warning on the way
     tc = coeff.TimeCoefficients(lambda t: a, lambda t: b, lambda t: 0.0,
                                 lambda t: 0.0)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
-                          n=64)
-    for record_every, t in ((None, 1.0), (2, 2.0), (10 ** 9, 5.0)):
+    for n, steps, record_every in ((64, 5, None), (64, 5, 2),
+                                   (64, 5, 10 ** 9), (2048, 5000, 10 ** 9)):
+        psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j),
+                              half_width=6.0, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError) as err:
-                gridsim.evolve_grid(tc, psi0, 1.0, 5,
+                gridsim.evolve_grid(tc, psi0, 1.0, steps,
+                                    record_every=record_every)
+        assert err.value.info == {"t": 1.0}
+
+
+def test_a_state_that_overflows_on_finite_bands_is_refused_at_its_record():
+    # c = -(2/dt)(1 - 1e-10), d = -c: finite bands that grow psi by 2e10 a
+    # step, so |psi|^2 overflows in step 15 (t = 7.5); the run is refused
+    # at the first record from there on
+    dt, c = 0.5, -4.0 * (1.0 - 1e-10)
+    tc = coeff.TimeCoefficients(lambda t: 0.0, lambda t: 0.0,
+                                lambda t: c, lambda t: -c)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                          n=64)
+    for record_every, t in ((1, 7.5), (5, 7.5), (None, 8.0), (10 ** 9, 20.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as err:
+                gridsim.evolve_grid(tc, psi0, dt, 40,
                                     record_every=record_every)
         assert err.value.info == {"t": t}
 

@@ -40,7 +40,7 @@ def _united_invariant_mu():
 def test_catalog_entry_solves_conservation_system(spec):
     # propagating the t=0 entry through the conservation ODE must land on
     # the closed-form entry at every later time
-    tc = inv.catalog_coefficients(spec)
+    tc = coeff.catalog_coefficients(spec)
     q0 = inv.energy_operator_catalog(spec, 0.0)
     path = inv.solve_energy_system(classical_flow(tc, 2.0),
                                    (q0.A, q0.B, q0.C, q0.D))

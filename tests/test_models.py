@@ -174,7 +174,7 @@ def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
         return
     m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
     moments = dyn.evolve_second_moments(
-        classical_flow(inv.catalog_coefficients(spec), t_end), m0)
+        classical_flow(coeff.catalog_coefficients(spec), t_end), m0)
     ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
     for t in np.linspace(t_end / 5, t_end, 5):
         m = moments(float(t))
