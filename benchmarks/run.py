@@ -25,9 +25,11 @@ overflows inside its window (b = e^(1000 t) to t = 1), the refusal caught
 inside the timed call, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
 layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
-at N = 256, 2048 and 4096, and one ``propagate_grid`` at N = 4096), each the
-median and the best of 7 samples, with the solver's counts for each
-solve.  The children run with
+at N = 256, 2048 and 4096 on the Caldirola-Kanai window, and at N = 2048
+on the simple harmonic oscillator, whose constant system is factored once;
+and one ``propagate_grid`` at N = 4096), each the median and the best of 7
+samples and ``fast_samples``, the number of samples within 25% of the
+best, with the solver's counts for each solve.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package and
 the measured checkout is left as it was (the ``quadbench`` children set
 only ``PYTHONPATH``, so from their second call on they read cached
@@ -132,9 +134,11 @@ def grid(n):
     x = np.linspace(-8.0, 8.0, n)
     return prop.GridState(-8.0, x[1] - x[0], np.exp(-0.5 * x * x + 0j))
 
-def cn_step(n):
+def cn_step(n, tc=tc):
     psi0 = grid(n)
     return lambda: gridsim.evolve_grid(tc, psi0, 1e-3, 64, record_every=64)
+
+sho = coeff.builtin_coefficients(coeff.ModelSpec("simple_harmonic"))
 
 def counts(f):
     return {"nfev": f.nfev, "n_steps": f.n_steps, "n_rejected": f.n_rejected}
@@ -161,6 +165,7 @@ print(json.dumps({
     "cn_step_256": per_call(cn_step(256), 20) / 64,
     "cn_step_2048": per_call(cn_step(2048), 5) / 64,
     "cn_step_4096": per_call(cn_step(4096), 5) / 64,
+    "cn_step_2048_constant": per_call(cn_step(2048, sho), 5) / 64,
     "propagate_grid": per_call(lambda: prop.propagate_grid(kp, grid_4096),
                                50),
     "counts": {"classical_flow": counts(flow),
@@ -185,6 +190,9 @@ LAYER_INPUTS = {"coefficients": {"t": 0.7},
                 "cn_step_256": {"n": 256, "dt": 1e-3, "steps": 64},
                 "cn_step_2048": {"n": 2048, "dt": 1e-3, "steps": 64},
                 "cn_step_4096": {"n": 4096, "dt": 1e-3, "steps": 64},
+                "cn_step_2048_constant": {"model": "simple_harmonic",
+                                          "n": 2048, "dt": 1e-3,
+                                          "steps": 64},
                 "propagate_grid": {"t": 0.7, "n": 4096}}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -270,9 +278,11 @@ def _layers(roots):
         record = {}
         for row, inputs in LAYER_INPUTS.items():
             per_call = [run[row] for run in runs]
+            best = min(per_call)
+            fast = sum(s <= 1.25 * best for s in per_call)
             record[row] = dict(median_s=statistics.median(per_call),
-                               best_s=min(per_call), samples_s=per_call,
-                               **inputs)
+                               best_s=best, fast_samples=fast,
+                               samples_s=per_call, **inputs)
         for row, counts in runs[0]["counts"].items():
             record[row].update(counts)
         records.append(record)

@@ -423,6 +423,12 @@ def _check_args(args):
         if (value := getattr(args, flag[2:], 1.0)) <= 0:
             raise ValidationError(f"{flag} must be positive", option=flag,
                                   value=value)
+    # ... and its variances <x^2> - <x>^2 and <p^2> - <p>^2 are not negative
+    for flag in ("--x-mean", "--p-mean"):
+        mean = getattr(args, f"{flag[2]}_mean", 0.0)
+        if (variance := getattr(args, f"{flag[2]}2", 1.0) - mean * mean) < 0:
+            raise ValidationError(f"the square of {flag} exceeds its second "
+                                  "moment", option=flag, variance=variance)
 
 
 def _jsonable(value):

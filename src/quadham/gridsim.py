@@ -4,11 +4,12 @@ Crank-Nicolson with centered differences, coefficients frozen at step
 midpoints, second-order in time and space.  The non-self-adjoint drift
 term (c + d) x d/dx is discretized symmetrically as (x D1 + D1 x)/2 - 1/2
 so the discrete norm obeys the continuum norm law up to O(dx^2).  Each
-step is one tridiagonal solve with LAPACK's ``zgtsv``; this is the only
-module of the package that imports scipy.  It takes scipy's LAPACK
-extension ``scipy.linalg._flapack`` from ``sys.modules``, or else loads
-it by itself: importing the ``scipy.linalg`` package for that one
-routine would more than double the import time of this module.
+step is one tridiagonal solve with LAPACK's ``zgtsv``, or with ``zgttrs``
+on one ``zgttrf`` factorisation where H is the same at every midpoint;
+this is the only module of the package that imports scipy.  It takes
+scipy's LAPACK extension ``scipy.linalg._flapack`` from ``sys.modules``,
+or else loads it by itself: importing ``scipy.linalg`` for three
+routines would more than double the import time of this module.
 """
 
 import math
@@ -44,7 +45,8 @@ def _load_flapack():
     return mod
 
 
-zgtsv = (sys.modules.get("scipy.linalg._flapack") or _load_flapack()).zgtsv
+_flapack = sys.modules.get("scipy.linalg._flapack") or _load_flapack()
+zgtsv, zgttrf, zgttrs = _flapack.zgtsv, _flapack.zgttrf, _flapack.zgttrs
 
 # Kept only because the benchmark's run record (quadbench/run.py,
 # environment()) reads it; there is one stepper and nothing compiled.
@@ -83,7 +85,10 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     midpoints and Dirichlet boundaries (identity rows at both edges).  Each
     step solves (I - dt/2 K) psi_new = (I + dt/2 K) psi in the form
     (I - dt/2 K) y = 2 psi, psi_new = y - psi, with psi itself on the right
-    of the edge rows so that psi_new vanishes there.
+    of the edge rows so that psi_new vanishes there.  Each step calls
+    ``zgtsv``, unless (a, b, c, d) is the same at every midpoint: then the
+    system is built and factored once (``zgttrf``) and each step calls
+    ``zgttrs``.
 
     States are recorded every ``record_every`` steps (default about 16
     snapshots) plus the initial and final ones.  Raises ValidationError
@@ -92,7 +97,8 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     the window [t0, t0 + steps dt] reaches ``tc.t_singular`` and where a
     coefficient fails at a step midpoint (see quadham.ode.read);
     NumericalError where a step's system is singular (info: the step,
-    counted from 0 at t0, its midpoint t and zgtsv's info), at the first
+    counted from 0 at t0, its midpoint t and LAPACK's info from ``zgtsv``
+    or ``zgttrf``; a constant system is refused at step 0), at the first
     step whose bands are not finite, and at the first recorded state whose
     |psi|^2 does not sum to a finite number (info: t, the end of that step
     or that record);
@@ -110,6 +116,8 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     tc.require_window(t0, t0 + steps * dt)
     t_mid = t0 + (np.arange(steps) + 0.5) * dt
     midpoints = [read((tc.a, tc.b, tc.c, tc.d), t) for t in t_mid]
+    # the same bands at every step: factor them once
+    constant = all(m == midpoints[0] for m in midpoints)
     x, dx, half = psi0.x, psi0.dx, 0.5 * dt
     x2 = x * x
     # (x_j + x_{j+1}) / (4 dx): the drift weight of the bond j, j+1
@@ -121,29 +129,36 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     # that overflows on finite bands is refused at its record
     with np.errstate(over="ignore", invalid="ignore"):
         for step, (t, (a, b, c, d)) in enumerate(zip(t_mid, midpoints)):
-            s = c + d
-            # lo, dg, up: the sub-, main and super-band of I - dt/2 K
-            ho = 1j * half * a / (dx * dx)
-            diag = 1.0 + 2.0 * ho + half * c - 0.25 * dt * s
-            if not math.isfinite(abs(diag.real) + abs(diag.imag) + half * (
-                    abs(s) * bond_max + abs(b) * x2_max)):
-                raise NumericalError("Crank-Nicolson state is not finite",
-                                     t=t0 + (step + 1) * dt)
-            drift = (half * s) * bond
-            lo = -ho - drift
-            up = drift - ho
-            dg = diag + (1j * half * b) * x2
-            dg[0] = dg[-1] = 1.0
-            lo[-1] = 0.0
-            up[0] = 0.0
+            if step == 0 or not constant:
+                s = c + d
+                # lo, dg, up: the sub-, main and super-band of I - dt/2 K
+                ho = 1j * half * a / (dx * dx)
+                diag = 1.0 + 2.0 * ho + half * c - 0.25 * dt * s
+                if not math.isfinite(abs(diag.real) + abs(diag.imag) + half * (
+                        abs(s) * bond_max + abs(b) * x2_max)):
+                    raise NumericalError("Crank-Nicolson state is not finite",
+                                         t=t0 + (step + 1) * dt)
+                drift = (half * s) * bond
+                lo = -ho - drift
+                up = drift - ho
+                dg = diag + (1j * half * b) * x2
+                dg[0] = dg[-1] = 1.0
+                lo[-1] = 0.0
+                up[0] = 0.0
             rhs = 2.0 * psi
             rhs[0], rhs[-1] = psi[0], psi[-1]
-            _, _, _, y, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
-                                     overwrite_d=1, overwrite_du=1,
-                                     overwrite_b=1)
+            if not constant:
+                _, _, _, y, info = zgtsv(lo, dg, up, rhs, overwrite_dl=1,
+                                         overwrite_d=1, overwrite_du=1,
+                                         overwrite_b=1)
+            elif step == 0:
+                *lu, info = zgttrf(lo, dg, up, overwrite_dl=1,
+                                   overwrite_d=1, overwrite_du=1)
             if info != 0:
                 raise NumericalError("Crank-Nicolson system is singular",
                                      step=step, t=float(t), info=int(info))
+            if constant:
+                y, _ = zgttrs(*lu, rhs, overwrite_b=1)
             psi = y - psi
             done = step + 1
             if done % record_every and done < steps:

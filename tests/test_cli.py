@@ -471,6 +471,22 @@ def test_a_second_moment_that_is_not_positive_is_refused(capsys, command,
     assert rec["info"] == {"option": flag, "value": value}
 
 
+@pytest.mark.parametrize("flag, value, variance", [
+    ("--x-mean", "5", -24.0), ("--p-mean", "2", -3.0),
+    ("--x-mean", "1e200", "-inf")])
+def test_a_mean_past_its_second_moment_is_refused(capsys, flag, value,
+                                                  variance):
+    # <x^2> = <p^2> = 1 by default; the first two ended in InvalidMoments
+    # from quadham.dynamics (exit 3), a numerical failure for a bad input
+    code, out, err = run(capsys, "uncertainty", *_SHO, "--t-end", "1",
+                         "--samples", "2", flag, value)
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["type"] == "ValidationError"
+    assert rec["module"] == "quadham.cli"
+    assert rec["info"] == {"option": flag, "variance": variance}
+
+
 def test_green_refuses_a_value_that_is_not_finite(capsys):
     # x^2 overflows, so the phase and the value are nan; the output was
     # a JSON success record with "re": NaN

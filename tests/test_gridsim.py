@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -208,6 +209,64 @@ def test_singular_cn_system_raises():
         with pytest.raises(NumericalError) as err:
             gridsim.evolve_grid(tc, psi0, dt, 10, record_every=record_every)
         assert err.value.info == {"step": 6, "t": 3.25, "info": 2}
+
+
+def _counting(monkeypatch):
+    """Calls of gridsim's three LAPACK routines while the test runs."""
+    calls = dict.fromkeys(("zgtsv", "zgttrf", "zgttrs"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _routine=getattr(gridsim, name),
+                    **kw):
+            calls[_name] += 1
+            return _routine(*args, **kw)
+        monkeypatch.setattr(gridsim, name, counted)
+    return calls
+
+
+def test_singular_constant_cn_system_is_refused_at_step_0(monkeypatch):
+    # test_singular_cn_system_raises's system at every t: zgttrf finds the
+    # zero pivot when it factors, and nothing is solved on it
+    dt = 0.5
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(zero, zero, lambda t: -2.0 / dt,
+                                lambda t: 2.0 / dt)
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                          n=64)
+    calls = _counting(monkeypatch)
+    for record_every in (1, 4, 100):
+        with pytest.raises(NumericalError) as err:
+            gridsim.evolve_grid(tc, psi0, dt, 10, record_every=record_every)
+        assert err.value.info == {"step": 0, "t": 0.25, "info": 2}
+    assert calls == {"zgtsv": 0, "zgttrf": 3, "zgttrs": 0}
+
+
+def test_a_constant_run_factors_once_and_a_varying_one_never(monkeypatch):
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    calls = _counting(monkeypatch)
+    gridsim.evolve_grid(_ham(SHO), psi0, 1e-3, 50)
+    assert calls == {"zgtsv": 0, "zgttrf": 1, "zgttrs": 50}
+    calls.update(zgttrs=0, zgttrf=0)
+    gridsim.evolve_grid(_ham(CK), psi0, 1e-3, 50)
+    assert calls == {"zgtsv": 50, "zgttrf": 0, "zgttrs": 0}
+
+
+@pytest.mark.parametrize("spec, digests", [
+    (SHO,
+     ["0d14ffebc31ff694fc083fff605345380e3ea458344e38fe5e0ba03ebaf5f15c",
+      "91880ee1f6441078d56d1cab764461dd533b1b460cb295e3e0eb0bba2cbb9104",
+      "8147341ae037de8df487dc7a0cb2476f16170de78cddd27cb914ffb2e93c80f9"]),
+    (coeff.ModelSpec(coeff.FREE_PARTICLE),
+     ["fc4f55cc3e2278e6cb355884f5c28a8528ffd1206e847f228c79c6d5ac7661a3",
+      "5d09603655db09ac99cdd03a6c00e2407410eaea158602c78ae581c2b06ab1ac",
+      "4edcc15612d15ee0473a2a4d6f192fb71ea02745059f60226108b91b1696d39d"]),
+], ids=["simple_harmonic", "free_particle"])
+def test_a_constant_run_keeps_its_bits(spec, digests):
+    # the bits of zgtsv's per-step solves: one zgttrf and a zgttrs a step
+    # do the same arithmetic
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3), n=256)
+    ev = gridsim.evolve_grid(_ham(spec), psi0, 1e-3, 300, record_every=100)
+    assert [hashlib.sha256(s.values.tobytes()).hexdigest()
+            for s in ev.states[1:]] == digests
 
 
 @pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e308, 0.5)])
