@@ -29,7 +29,9 @@ at N = 256, 2048 and 4096 on the Caldirola-Kanai window, and at N = 2048
 on the simple harmonic oscillator, whose constant system is factored once;
 and one ``propagate_grid`` at N = 4096), each the median and the best of 7
 samples and ``fast_samples``, the number of samples within 25% of the
-best, with the solver's counts for each solve.  The children run with
+best, with the solver's counts for each solve, and ``steal_s``, the host's
+steal time (from /proc/stat) during each sample's child, null where that
+file cannot be read.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package and
 the measured checkout is left as it was (the ``quadbench`` children set
 only ``PYTHONPATH``, so from their second call on they read cached
@@ -259,11 +261,29 @@ def _commands(argv, roots):
             for root, timing in zip(roots, _medians(args, roots))]
 
 
+def _steal_ticks():
+    """The host's steal time so far, in clock ticks summed over its CPUs,
+    from the ``cpu`` line of /proc/stat (read only); None where it cannot
+    be read."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return int(fh.readline().split()[8])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def _layer_sample(root):
+    """One layer child's timings, with ``steal_s``, the seconds of steal
+    time that passed while it ran (None where /proc/stat cannot be read)."""
+    before = _steal_ticks()
     proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=root,
                           env=_env(root), capture_output=True, text=True,
                           check=True)
-    return json.loads(proc.stdout)
+    after = _steal_ticks()
+    run = json.loads(proc.stdout)
+    run["steal_s"] = (None if None in (before, after)
+                      else (after - before) / os.sysconf("SC_CLK_TCK"))
+    return run
 
 
 def _layers(roots):
@@ -276,13 +296,15 @@ def _layers(roots):
     records = []
     for runs in samples:
         record = {}
+        steal = [run["steal_s"] for run in runs]
         for row, inputs in LAYER_INPUTS.items():
             per_call = [run[row] for run in runs]
             best = min(per_call)
             fast = sum(s <= 1.25 * best for s in per_call)
             record[row] = dict(median_s=statistics.median(per_call),
                                best_s=best, fast_samples=fast,
-                               samples_s=per_call, **inputs)
+                               samples_s=per_call, steal_s=steal,
+                               **inputs)
         for row, counts in runs[0]["counts"].items():
             record[row].update(counts)
         records.append(record)

@@ -97,13 +97,6 @@ def _linspace(start, stop, num):
     return [start + i * step for i in range(num - 1)] + [stop]
 
 
-def _sample_times(flow, t_end, samples):
-    """Sample times in (0, t_end] short of the first caustic of ``flow``."""
-    caustic = flow.first_caustic
-    hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
-    return _linspace(hi / samples, hi, samples)
-
-
 def cmd_list_models(args):
     from .models import MODELS
 
@@ -131,7 +124,7 @@ def cmd_kernel(args):
     from . import characteristic as chr_mod
 
     path = _kernel_flow(_spec_from(args), args.t_end)
-    ts = _sample_times(path, args.t_end, args.samples)
+    ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
     rows = [chr_mod.kernel_parameters(path.tc, path, t) for t in ts]
     qio.write_csv(args.out, chr_mod.KernelParameters._fields, rows)
@@ -159,7 +152,7 @@ def cmd_propagate(args):
         Lambda=complex(args.lambda_re, args.lambda_im),
         Theta=complex(args.theta_re, args.theta_im))
     path = _kernel_flow(spec, args.t_end)
-    ts = _sample_times(path, args.t_end, args.samples)
+    ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     rows = []
     for t, s in zip(ts, prop.gaussian_sweep(
             lambda t: chr_mod.kernel_parameters(path.tc, path, t), ts, s0)):
@@ -261,7 +254,7 @@ def _verify_one(model_id: str, budget: str):
     flow = _kernel_flow(spec, 1.5)
     n_kernel = 5 if budget == "quick" else 20
     worst = 0.0
-    for t in _sample_times(flow, 1.2, n_kernel):
+    for t in _linspace(1.2 / n_kernel, 1.2, n_kernel):
         kp = chr_mod.kernel_parameters(flow.tc, flow, t)
         ref = chr_mod.closed_form_kernel(spec, t)
         for got, exp in ((kp.alpha, ref.alpha), (kp.beta, ref.beta),
@@ -414,6 +407,9 @@ def _check_args(args):
     if not (getattr(args, "t_start", 1.0) > 0):
         raise ValidationError("--t-start must be positive",
                               t_start=args.t_start)
+    if getattr(args, "omega_d", 1.0) == 0:
+        raise ValidationError("--omega must be nonzero", option="--omega",
+                              value=args.omega_d)
     for flag, dest in args.finite.items():
         if not math.isfinite(value := getattr(args, dest)):
             raise ValidationError(f"{flag} must be finite", option=flag,

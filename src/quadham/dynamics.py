@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .characteristic import Flow, _congruence, classical_flow
 from .coefficients import ModelSpec, catalog_coefficients
-from .errors import InvalidMoments
+from .errors import InvalidMoments, SingularCoefficient
 # unused here: the benchmark's tracer counts the solves through this name
 from .ode import solve_ivp  # noqa: F401
 
@@ -151,7 +151,10 @@ class HyperbolicBasis(NamedTuple):
     gamma: float = 0.0
 
     def _u(self, t):
-        return self.lam * t + self.gamma
+        # coth(u) and 1/sinh(2u) of the z pair and the friction term
+        if (u := self.lam * t + self.gamma) == 0.0:
+            raise SingularCoefficient("lambda t + gamma is zero", t=t)
+        return u
 
     def _cs(self, which, t):
         """(C, S) = (cos wt, sin wt) for which = 1 and (sin wt, -cos wt) for

@@ -28,17 +28,11 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Wavefunction exp(i(Lambda x^2 + Theta x + Phi)).
-
-    ``branch_phase`` is the accumulated argument of the square-root branch
-    picked up during propagation; it is carried so that time sweeps can
-    unwrap the phase continuously.
-    """
+    """Wavefunction exp(i(Lambda x^2 + Theta x + Phi))."""
 
     Lambda: complex
     Theta: complex = 0.0
     Phi: complex = 0.0
-    branch_phase: float = 0.0
 
     def __post_init__(self):
         if not all(map(cmath.isfinite, (self.Lambda, self.Theta, self.Phi))):
@@ -132,12 +126,10 @@ def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
 
 
 def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
-    """Closed-form propagation of a Gaussian state by the kernel at kp.t.
-
-    The square-root branch is chosen nearest to the state's accumulated
-    branch_phase, so sweeping t with the output fed back keeps the phase
-    continuous across principal-branch cuts.
-    """
+    """Closed-form propagation of a Gaussian state by the kernel at kp.t,
+    on the principal branch of log(2 mu A), A = gamma + Lambda.  Im A > 0,
+    so the phase is continuous in t while mu keeps its sign, that is
+    before the first caustic."""
     _served(kp.t, kp.mu, 1.0)
     A = kp.gamma + s.Lambda
     if abs(A) < 1e-12:
@@ -147,30 +139,18 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
     # prefactor 1/sqrt(2 pi i mu) folded with the Gaussian integral
     # sqrt(pi / (-i A)) leaves an overall (2 mu A)^(-1/2)
     w = 2.0 * kp.mu * A
-    arg = cmath.phase(w)
-    k = round((s.branch_phase - arg) / _TWO_PI)
-    arg += _TWO_PI * k
-    log_w = complex(math.log(abs(w)), arg)
+    log_w = complex(math.log(abs(w)), cmath.phase(w))
     Phi_out = s.Phi - s.Theta ** 2 / (4.0 * A) + 0.5j * log_w
     if not (Lambda_out.imag > 0):
         raise NonNormalizable("propagated state is not normalizable",
                               t=kp.t, Lambda=Lambda_out)
-    return GaussianState(Lambda_out, Theta_out, Phi_out, branch_phase=arg)
+    return GaussianState(Lambda_out, Theta_out, Phi_out)
 
 
 def gaussian_sweep(kernel_of, times, s0: GaussianState):
-    """Propagate the same initial state to each time in ``times`` with a
-    continuously tracked branch; ``kernel_of`` maps t to KernelParameters."""
-    out = []
-    carry = s0
-    for t in times:
-        kp = kernel_of(t)
-        # feed the previous branch phase through a fresh copy of s0
-        seed = GaussianState(s0.Lambda, s0.Theta, s0.Phi,
-                             branch_phase=carry.branch_phase)
-        carry = propagate_gaussian(kp, seed)
-        out.append(carry)
-    return out
+    """The state s0 propagated to each time in ``times``; ``kernel_of``
+    maps t to KernelParameters."""
+    return [propagate_gaussian(kernel_of(t), s0) for t in times]
 
 
 def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:

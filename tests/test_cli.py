@@ -137,35 +137,25 @@ def _close(got, exp, tol=1e-7):
     return abs(got - exp) <= tol * max(1.0, abs(exp))
 
 
-def test_kernel_window_past_caustic(capsys):
-    # the window holds caustics at pi, 2 pi, ...; samples stop before the first
-    code, out, err = run(capsys, "kernel", "--model", "simple_harmonic",
+def _caustic_refusal(capsys, command):
+    # the window holds caustics at pi, 2 pi, ...; the samples of (0, 20]
+    # reach them, and no row is written
+    code, out, err = run(capsys, command, "--model", "simple_harmonic",
                          "--t-end", "20")
-    assert code == 0
-    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    rows = _csv(out)
-    assert len(rows) == 20
-    for row in rows:
-        assert row["t"] < math.pi
-        ref = chr_mod.closed_form_kernel(spec, row["t"])
-        for name in ("mu", "mu_prime", "h", "alpha", "beta", "gamma"):
-            assert _close(row[name], getattr(ref, name))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    rec = json.loads(err)
+    assert rec["type"] == "CausticEncountered"
+    assert rec["module"] == "quadham.characteristic"
+
+
+def test_kernel_window_past_caustic(capsys):
+    _caustic_refusal(capsys, "kernel")
 
 
 def test_propagate_window_past_caustic(capsys):
-    code, out, err = run(capsys, "propagate", "--model", "simple_harmonic",
-                         "--t-end", "20")
-    assert code == 0
-    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    rows = _csv(out)
-    ts = [row["t"] for row in rows]
-    assert len(ts) == 20 and max(ts) < math.pi
-    states = prop.gaussian_sweep(
-        lambda t: chr_mod.closed_form_kernel(spec, t), ts,
-        prop.GaussianState(Lambda=0.5j, Theta=0j))
-    for row, s in zip(rows, states):
-        assert _close(row["lambda_re"], s.Lambda.real)
-        assert _close(row["lambda_im"], s.Lambda.imag)
+    _caustic_refusal(capsys, "propagate")
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,6 +288,23 @@ def test_appendix_d_cmd(capsys):
     assert len(rows) == 7
 
 
+@pytest.mark.parametrize("argv, t", [
+    (["--lambda", "0", "--omega", "1", "--t-end", "1", "--samples", "3"],
+     0.05),
+    (["--lambda", "-0.2", "--omega", "1", "--gamma-shift", "0.1",
+      "--t-start", "0.5", "--t-end", "1", "--samples", "2"], 0.5),
+], ids=["lambda_zero", "u_zero_at_t_start"])
+def test_appendix_d_singular_time_is_refused(capsys, argv, t):
+    # lambda t + gamma = 0 at a sampled t, where coth(u) and 1/sinh(2u) are
+    # singular; it ended in a bare ZeroDivisionError record with empty info
+    code, out, err = run(capsys, "appendix_d", *argv)
+    assert code == 3
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["type"] == "SingularCoefficient"
+    assert (rec["module"], rec["info"]) == ("quadham.dynamics", {"t": t})
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     p = tmp_path / "m.ini"
     p.write_text("[model]\nmodel = caldirola_kanai\nomega0 = 1.0\n"
@@ -378,6 +385,10 @@ def _window_argv(cmd, t_end):
       "--samples", "0"], "ValidationError", {"samples": 0}),
     (["appendix_d", "--lambda", "0.2", "--omega", "1", "--t-start", "0",
       "--t-end", "2"], "ValidationError", {"t_start": 0.0}),
+    # omega = 0 divides by omega^2; it ended in a bare ZeroDivisionError
+    (["appendix_d", "--lambda", "0.2", "--omega", "0", "--t-end", "1",
+      "--samples", "2"], "ValidationError", {"option": "--omega",
+                                             "value": 0.0}),
     # a non-finite model parameter is refused before any solve
     (["mu", "--model", "parametric_sech2", "--lambda", "nan", "--t-end", "1"],
      "InvalidModelParams", {"model": "parametric_sech2"}),
@@ -394,6 +405,7 @@ def _window_argv(cmd, t_end):
     *[(_window_argv(cmd, t_end), "ValidationError", {"t_end": t_end})
       for cmd, t_end in NONFINITE_WINDOWS],
 ], ids=["complex_info", "mu_samples", "kernel_samples", "t_start",
+        "omega_zero",
         "nan_lambda", "nan_delta", "inf_omega0", "inf_omega0_moments",
         *[f"{t_end}_t_end_{cmd}" for cmd, t_end in NONFINITE_WINDOWS]])
 def test_bad_arguments_give_json_record(capsys, argv, error_type, info):
