@@ -30,8 +30,7 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
-from .coefficients import (HAMILTONIAN, ModelSpec, TimeCoefficients,
-                           convert_convention)
+from .coefficients import ModelSpec, TimeCoefficients
 from .errors import CausticEncountered, SingularCoefficient, ValidationError
 from .ode import (EVALS_PER_STEP, FLOW_TOL, bracket_sign_change,
                   magnus_step, read, solve_ivp)
@@ -160,10 +159,9 @@ class Flow:
 
 def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
     """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
-    with dense output; ``tc`` may carry either tag."""
+    with dense output."""
     if not math.isfinite(t_end):
         raise ValidationError("the window must be finite", t_end=t_end)
-    tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(0.0, t_end)
     return Flow(tc, *solve_ivp((tc.a, tc.b, tc.c, tc.d), t_end))
 

@@ -2,18 +2,18 @@
 selects a built-in model, checks its parameters once, when it is built, and
 looks up its record in :mod:`quadham.models`.
 
-Every numerical layer reads H's own coefficients, ``H = a p^2 + b x^2 +
-c px + d xp``.  The "equation" tag is an input form only: its (a, b, c, d)
-are those of ``i psi_t = -a psi_xx + b x^2 psi - i (c x psi_x + d psi)``,
-``c_eq = c + d`` and ``d_eq = c``.  Each entry that takes raw coefficients
-maps them once with ``convert_convention(tc, HAMILTONIAN)``, the identity
-on H's own, so either tag gives the same answer.
+Every record holds H's own coefficients, ``H = a p^2 + b x^2 + c px +
+d xp``, and every numerical layer reads them as they are.  The "equation"
+tag is an input form only: its (a, b, c, d) are those of
+``i psi_t = -a psi_xx + b x^2 psi - i (c x psi_x + d psi)``,
+``c_eq = c + d`` and ``d_eq = c``.  A record built with that tag maps them
+to H's own once, when it is built, and reads ``HAMILTONIAN`` from then on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -56,6 +56,14 @@ class TimeCoefficients:
     def __post_init__(self):
         if self.convention not in (EQUATION, HAMILTONIAN):
             raise ConventionMismatch(f"unknown convention {self.convention!r}")
+        if self.convention == EQUATION:
+            # H's (c, d) is the equation's (d, c - d), and so are c' and d'
+            c, d, dc, dd = self.c, self.d, self.dc, self.dd
+            mapped = {"c": d, "d": lambda t: c(t) - d(t), "dc": dd,
+                      "dd": (lambda t: dc(t) - dd(t)) if (dc and dd) else None,
+                      "convention": HAMILTONIAN}
+            for name, value in mapped.items():
+                object.__setattr__(self, name, value)
 
     def require_window(self, t0: float, t_end: float) -> None:
         """Refuse a window from t0 to t_end that reaches t_singular, at once;
@@ -143,7 +151,7 @@ def model_coefficients(model: Model, hamiltonian) -> TimeCoefficients:
 
 def builtin_coefficients(spec: ModelSpec,
                          convention: str = HAMILTONIAN) -> TimeCoefficients:
-    """Coefficient functions of a built-in model in the requested convention."""
+    """H's own coefficient functions of a built-in model, for either tag."""
     return convert_convention(
         model_coefficients(spec.model, spec.model.hamiltonian), convention)
 
@@ -154,23 +162,8 @@ def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
 
 
 def convert_convention(tc: TimeCoefficients, target: str) -> TimeCoefficients:
-    """Map coefficients between the two conventions: the equation's
-    (c, d) is H's (c + d, c).  A round trip is not exact: H -> equation -> H
-    gives c and c' back as the same functions but d as (c + d) - c, which
-    rounds (d = 1e-20 beside c = 1 comes back as 0.0), and d' likewise, or
-    as None where c' is not given."""
-    if tc.convention == target:
-        return tc
-    c, d, dc, dd = tc.c, tc.d, tc.dc, tc.dd
-    if target == EQUATION:
-        new_c = lambda t: c(t) + d(t)
-        new_d = c
-        new_dc = (lambda t: dc(t) + dd(t)) if (dc and dd) else None
-        new_dd = dc
-    else:
-        new_c = d
-        new_d = lambda t: c(t) - d(t)
-        new_dc = dd
-        new_dd = (lambda t: dc(t) - dd(t)) if (dc and dd) else None
-    return replace(tc, c=new_c, d=new_d, convention=target, dc=new_dc, dd=new_dd)
-
+    """``tc`` itself, which holds H's own coefficients whatever its input
+    tag; ConventionMismatch for an unknown ``target``."""
+    if target not in (EQUATION, HAMILTONIAN):
+        raise ConventionMismatch(f"unknown convention {target!r}")
+    return tc

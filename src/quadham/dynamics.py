@@ -8,19 +8,22 @@ The first and second moments are algebra on the classical flow M and
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``,
 ``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The energy
 path of every model with a reference operator is that operator
-contracted with S(t).
+contracted with S(t).  The two functions that read the flow or a model
+import them when called, so that ``appendix_d`` loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .characteristic import Flow, _congruence, classical_flow
-from .coefficients import ModelSpec, catalog_coefficients
-from .errors import InvalidMoments, SingularCoefficient
+from .errors import InvalidMoments, SingularCoefficient, ValidationError
 # unused here: the benchmark's tracer counts the solves through this name
 from .ode import solve_ivp  # noqa: F401
+
+if TYPE_CHECKING:
+    from .characteristic import Flow
+    from .coefficients import ModelSpec
 
 
 class SecondMoments(NamedTuple):
@@ -49,6 +52,8 @@ class FirstMoments(NamedTuple):
 def evolve_second_moments(flow: Flow, m0: SecondMoments):
     """Raw second moments on the window of ``flow``; returns
     t -> SecondMoments."""
+    from .characteristic import _congruence
+
     s0 = (m0.x2, 0.5 * m0.pxxp, m0.p2)
 
     def path(t: float) -> SecondMoments:
@@ -105,6 +110,9 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
     whose friction coefficient is singular at t = 0 (indicial roots 0, 3);
     <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
+    from .characteristic import classical_flow
+    from .coefficients import catalog_coefficients
+
     reference = spec.closed_form("reference")
     path = evolve_second_moments(
         classical_flow(catalog_coefficients(spec), t_end), m0)
@@ -150,6 +158,13 @@ class HyperbolicBasis(NamedTuple):
     omega: float
     gamma: float = 0.0
 
+    def _params(self):
+        """(lambda, omega) for every method; ValidationError at omega = 0,
+        where y1, z1 and both Wronskians vanish and Y divides by zero."""
+        if self.omega == 0.0:
+            raise ValidationError("omega must be nonzero", omega=self.omega)
+        return self.lam, self.omega
+
     def _u(self, t):
         # coth(u) and 1/sinh(2u) of the z pair and the friction term
         if (u := self.lam * t + self.gamma) == 0.0:
@@ -174,7 +189,7 @@ class HyperbolicBasis(NamedTuple):
     def _y_derivs(self, which, t):
         """(y, y', y'') of y1 or y2: g = w T, h = lambda (1 + T^2),
         T = tanh(u)."""
-        lam, w = self.lam, self.omega
+        lam, w = self._params()
         T = math.tanh(self._u(t))
         dT = lam * (1.0 - T * T)
         d2T = -2.0 * lam * T * dT
@@ -184,7 +199,7 @@ class HyperbolicBasis(NamedTuple):
 
     def _z_derivs(self, which, t):
         """(z, z', z'') of z1 or z2: g = w, h = lambda coth(u)."""
-        lam, w = self.lam, self.omega
+        lam, w = self._params()
         T = math.tanh(self._u(t))
         co = 1.0 / T
         dco = -lam * (co * co - 1.0)
@@ -197,7 +212,7 @@ class HyperbolicBasis(NamedTuple):
     def _yp_derivs(self, t):
         """(Y, Y', Y'') of the particular solution Y = 1/w^2 - k sech^2(u),
         k = 2 lambda^2 / ((w^2 + 4 lambda^2) w^2)."""
-        lam, w = self.lam, self.omega
+        lam, w = self._params()
         u = self._u(t)
         ch, T = math.cosh(u), math.tanh(u)
         k = 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * w * w)
@@ -210,7 +225,7 @@ class HyperbolicBasis(NamedTuple):
     def _friction(self, f, t):
         """f'' - (4 lambda / sinh(2u)) f' + (w^2 + 2 lambda^2 / cosh^2 u) f
         from (f, f', f'')."""
-        lam, w, u = self.lam, self.omega, self._u(t)
+        (lam, w), u = self._params(), self._u(t)
         return (f[2] - 4.0 * lam / math.sinh(2.0 * u) * f[1]
                 + (w * w + 2.0 * lam * lam / math.cosh(u) ** 2) * f[0])
 
@@ -221,7 +236,7 @@ class HyperbolicBasis(NamedTuple):
         return self._y_derivs(2, t)[0]
 
     def y_wronskian(self, t: float) -> float:
-        w, lam = self.omega, self.lam
+        lam, w = self._params()
         return w * (w * w + 4.0 * lam * lam) * math.tanh(self._u(t)) ** 2
 
     def y_particular(self, t: float) -> float:
@@ -234,7 +249,7 @@ class HyperbolicBasis(NamedTuple):
         return self._z_derivs(2, t)[0]
 
     def z_wronskian(self) -> float:
-        w, lam = self.omega, self.lam
+        lam, w = self._params()
         return w * (w * w + lam * lam)
 
     def y_residual(self, which: int, t: float) -> float:
@@ -249,7 +264,7 @@ class HyperbolicBasis(NamedTuple):
     def z_residual(self, which: int, t: float) -> float:
         """Absolute residual of the coth-potential equation for z1/z2."""
         z, _, d2z = self._z_derivs(which, t)
-        lam, w = self.lam, self.omega
+        lam, w = self._params()
         return abs(d2z + (w * w - 2.0 * lam * lam / math.sinh(self._u(t)) ** 2)
                    * z)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy
 
-from .coefficients import HAMILTONIAN, TimeCoefficients, convert_convention
+from .coefficients import TimeCoefficients
 from .dynamics import FirstMoments, SecondMoments
 from .errors import (BoundaryLeak, NegativeVariance, NumericalError,
                       ValidationError)
@@ -112,7 +112,6 @@ def evolve_grid(tc: TimeCoefficients, psi0: GridState, dt: float,
     steps = _count("steps", steps)
     record_every = _count("record_every", max(1, steps // 16)
                           if record_every is None else record_every)
-    tc = convert_convention(tc, HAMILTONIAN)
     tc.require_window(t0, t0 + steps * dt)
     t_mid = t0 + (np.arange(steps) + 0.5) * dt
     midpoints = [read((tc.a, tc.b, tc.c, tc.d), t) for t in t_mid]

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from . import coefficients as coeff
 from .characteristic import Flow, _congruence, classical_flow
-from .coefficients import HAMILTONIAN, ModelSpec, TimeCoefficients
+from .coefficients import ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
                      MuVanishes, NonPositiveForm, ResidualTooLarge,
                      ValidationError)
@@ -234,7 +233,6 @@ def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
         mu'' - (a'/a) mu' + (4ab + (a'/a - c - d)(c + d) - c' - d') mu
             = C0 (2a)^2 / mu^3.
     """
-    tc = coeff.convert_convention(tc, HAMILTONIAN)
     return _auxiliary_solution(tc, mu_fn, C0, t, checked=False)[2]
 
 
@@ -248,7 +246,6 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     const * 2a(t); the combined solution has C0 = (A C - B^2) W^2 / (2a)^2,
     a constant.  Returns (mu_fn, C0) with mu_fn yielding (mu, mu', mu'').
     """
-    tc = coeff.convert_convention(tc, HAMILTONIAN)
     u0, u1 = u(0.0)[:2]
     v0, v1 = v(0.0)[:2]
     W0 = u0 * v1 - u1 * v0

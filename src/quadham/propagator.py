@@ -209,14 +209,11 @@ def schrodinger_residual(tc, kernel_of, x: float, y: float, t: float,
                          fd_step: float = 1e-3) -> float:
     """Finite-difference residual of the evolution equation at (x, y, t).
 
-    ``tc`` holds the coefficients of H (either tag) and ``kernel_of`` a
+    ``tc`` holds the coefficients of H and ``kernel_of`` a
     map from time to KernelParameters.  Central differences with step
     ``fd_step`` are used in both t and x; the result is |i G_t + a G_xx
     - b x^2 G + i (c + d) x G_x + i c G| / |G|.
     """
-    from .coefficients import HAMILTONIAN, convert_convention
-
-    tc = convert_convention(tc, HAMILTONIAN)
     h = fd_step
 
     def G(tt, xx):

@@ -772,6 +772,19 @@ print(json.dumps(stages))
     assert "quadham.propagator" in loaded["green"]
     assert _run_fresh("import json, sys, quadham.propagator; "
                       "print(json.dumps('numpy' in sys.modules))") is False
+    # appendix_d, run first, reads the hyperbolic basis alone: no model
+    # record, no flow and no dataclass
+    code, modules = _run_fresh("""
+import contextlib, io, json, sys
+import quadham.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quadham.cli.main(["appendix_d", "--lambda", "0.2", "--omega", "1",
+                             "--t-end", "3"])
+print(json.dumps([code, sorted(sys.modules)]))
+""")
+    assert code == 0
+    assert not set(modules) & {"quadham.coefficients", "quadham.models",
+                               "quadham.characteristic", "dataclasses"}
 
 
 @example(0.0, 1.0, 1)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 
@@ -55,18 +56,30 @@ def test_united_effective_frequency():
     assert spec.model.omega == pytest.approx(math.sqrt(1.0 - 0.09), rel=1e-14)
 
 
+def _equation_form(h):
+    """H's record ``h`` built again from the equation form: its (c, d) is
+    H's (c + d, c), and so are c' and d', where both are given."""
+    c, d, dc, dd = h.c, h.d, h.dc, h.dd
+    return coeff.TimeCoefficients(
+        h.a, h.b, lambda t: c(t) + d(t), c, coeff.EQUATION, da=h.da,
+        db=h.db, dc=(lambda t: dc(t) + dd(t)) if (dc and dd) else None,
+        dd=dc, t_max=h.t_max, t_singular=h.t_singular)
+
+
 def test_convention_mapping_exact():
-    # hamiltonian (c, d) -> equation (c + d, c) and back
+    # a record built from the equation's (c + d, c) holds H's (c, d), and
+    # builtin_coefficients gives H's record for either tag
     spec = coeff.ModelSpec(coeff.MODIFIED_CK, omega0=1.2, lam=0.3)
     h = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-    e = coeff.convert_convention(h, coeff.EQUATION)
+    e = _equation_form(h)
+    assert e.convention == coeff.HAMILTONIAN
+    assert e.c is h.c and e.dc is h.dc
     for t in (0.0, 0.4, 1.1):
-        assert e.c(t) == pytest.approx(h.c(t) + h.d(t), abs=1e-15)
-        assert e.d(t) == pytest.approx(h.c(t), abs=1e-15)
-    back = coeff.convert_convention(e, coeff.HAMILTONIAN)
-    for t in (0.0, 0.4, 1.1):
-        assert back.c(t) == pytest.approx(h.c(t), abs=1e-15)
-        assert back.d(t) == pytest.approx(h.d(t), abs=1e-15)
+        assert e.d(t) == pytest.approx(h.d(t), abs=1e-15)
+        assert e.dd(t) == pytest.approx(h.dd(t), abs=1e-15)
+    tagged = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    assert tagged.convention == coeff.HAMILTONIAN
+    assert (tagged.c, tagged.d) == (h.c, h.d)
 
 
 # H with c != d, both varying, so that the equation tag's c + d, and the d
@@ -102,9 +115,9 @@ def _entries(tc, kernel_of):
         coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)), VARYING],
     ids=["united", "varying"])
 def test_entries_accept_either_tag(tc):
-    # every entry maps its input to H's own coefficients once, so the
-    # equation tag of the same H gives the same answer
-    eq = coeff.convert_convention(tc, coeff.EQUATION)
+    # a record maps the equation form to H's own coefficients once, when
+    # it is built, so the equation form of the same H gives the same answer
+    eq = _equation_form(tc)
     flow = chr_mod.solve_characteristic(tc, 1.0)
     kernel_of = lambda t: chr_mod.kernel_parameters(tc, flow, t)
     got, want = _entries(eq, kernel_of), _entries(tc, kernel_of)
@@ -113,24 +126,36 @@ def test_entries_accept_either_tag(tc):
         assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
 
 
+def test_replace_keeps_the_mapped_record():
+    # dataclasses.replace, which the benchmark's tracer applies to every
+    # record a traced call returns, maps nothing again
+    e = _equation_form(VARYING)
+    r = dataclasses.replace(e)
+    assert r.convention == coeff.HAMILTONIAN
+    for name in ("a", "b", "c", "d", "da", "db", "dc", "dd"):
+        assert getattr(r, name) is getattr(e, name)
+    assert r.c is VARYING.c
+
+
 def test_convention_stays_in_coefficients():
-    # the numerical layers read H's own coefficients: outside
-    # quadham.coefficients (and the package's export table) no module
-    # names the equation tag or checks a tag with require
+    # a record maps the equation tag when it is built, so the numerical
+    # layers read H's own coefficients: outside quadham.coefficients no
+    # module names a tag or convert_convention, or checks a tag with require
     root = pathlib.Path(coeff.__file__).parent
+    names = {"EQUATION", "HAMILTONIAN", "convert_convention"}
+    values = {coeff.EQUATION, coeff.HAMILTONIAN}
     found = []
     for path in sorted(root.rglob("*.py")):
         name = path.relative_to(root).as_posix()
-        if name in ("coefficients.py", "__init__.py"):
+        if name == "coefficients.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Name) and node.id == "EQUATION"
+            if (isinstance(node, ast.Name) and node.id in names
                     or isinstance(node, ast.Attribute)
-                    and node.attr == "EQUATION"
-                    or isinstance(node, ast.alias)
-                    and node.name == "EQUATION"
+                    and node.attr in names
+                    or isinstance(node, ast.alias) and node.name in names
                     or isinstance(node, ast.Constant)
-                    and node.value == coeff.EQUATION
+                    and node.value in values
                     or isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "require"):
@@ -163,28 +188,25 @@ def test_analytic_derivatives_match_fd():
 def test_convention_round_trip_any_linear(c0, d0, t):
     tc = coeff.TimeCoefficients(
         a=lambda s: 0.5, b=lambda s: 0.5 + 0.1 * s,
-        c=lambda s: c0 * s, d=lambda s: d0,
-        convention=coeff.HAMILTONIAN)
-    rt = coeff.convert_convention(
-        coeff.convert_convention(tc, coeff.EQUATION), coeff.HAMILTONIAN)
+        c=lambda s: c0 * s, d=lambda s: d0)
+    rt = _equation_form(tc)
     assert rt.c(t) == pytest.approx(tc.c(t), abs=1e-14)
     assert rt.d(t) == pytest.approx(tc.d(t), abs=1e-14)
 
 
 def test_convention_round_trip_keeps_c_and_rounds_d():
-    # H -> equation -> H passes c and c' through; d comes back as
-    # (c + d) - c, d' as (c' + d') - c', and only where c' is given
+    # the equation form's d and d' are H's c and c', passed through; H's
+    # d comes back as (c + d) - c, which rounds, and d' as (c' + d') - c',
+    # only where the equation form gives both
     one, tiny = (lambda t: 1.0), (lambda t: 1e-20)
     tc = coeff.TimeCoefficients(a=one, b=one, c=one, d=tiny, dc=one,
                                 dd=tiny)
-    rt = coeff.convert_convention(
-        coeff.convert_convention(tc, coeff.EQUATION), coeff.HAMILTONIAN)
+    rt = _equation_form(tc)
     assert rt.c is tc.c and rt.dc is tc.dc
     assert rt.d(0.3) == 0.0 and rt.dd(0.3) == 0.0
-    no_dc = coeff.TimeCoefficients(a=one, b=one, c=one, d=tiny, dd=tiny)
-    rt = coeff.convert_convention(
-        coeff.convert_convention(no_dc, coeff.EQUATION), coeff.HAMILTONIAN)
-    assert rt.dc is None and rt.dd is None
+    no_dc_eq = coeff.TimeCoefficients(one, one, one, one, coeff.EQUATION,
+                                      dd=one)
+    assert no_dc_eq.dc is one and no_dc_eq.dd is None
 
 
 def test_cj_scaled_form():

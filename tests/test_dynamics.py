@@ -241,6 +241,22 @@ def test_hyperbolic_particular_solution_values():
     assert basis.y_particular(t) == pytest.approx(expected, rel=1e-14)
 
 
+def test_hyperbolic_basis_refuses_zero_omega():
+    # at omega = 0, y1, z1 and both Wronskians read 0 and Y divides by zero
+    basis = dyn.HyperbolicBasis(lam=0.2, omega=0.0)
+    calls = [(name, (1.0,)) for name in (
+        "y1", "y2", "y_particular", "z1", "z2", "y_wronskian",
+        "y_particular_residual", "y_wronskian_residual",
+        "z_wronskian_residual")]
+    calls += [("z_wronskian", ()), ("y_residual", (1, 1.0)),
+              ("y_residual", (2, 1.0)), ("z_residual", (1, 1.0)),
+              ("z_residual", (2, 1.0))]
+    for name, args in calls:
+        with pytest.raises(ValidationError) as exc:
+            getattr(basis, name)(*args)
+        assert exc.value.info == {"omega": 0.0}, name
+
+
 def test_variances_require_positive_norm():
     m = dyn.SecondMoments(p2=1.0, x2=1.0, norm=-1.0)
     with pytest.raises(InvalidMoments):

@@ -180,16 +180,16 @@ def test_evolve_grid_matches_dense_cn_reference():
     # the modified Caldirola-Kanai model has c != 0 and d != 0 (plain
     # Caldirola-Kanai has c = d = 0)
     tc = _ham(coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
-    eq = coeff.convert_convention(tc, coeff.EQUATION)
     t0, dt, steps = 0.2, 1e-2, 30
-    assert eq.c(t0) != 0.0 and eq.d(t0) != 0.0
+    assert tc.c(t0) != 0.0 and tc.d(t0) != 0.0
     psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
                           half_width=6.0, n=64)
     ref = psi0.values.astype(complex)
     for k in range(steps):
         t = t0 + (k + 0.5) * dt
-        ref = _dense_cn_step(ref, psi0.x, psi0.dx, dt,
-                             eq.a(t), eq.b(t), eq.c(t), eq.d(t))
+        # the dense step reads the equation form's (c + d, c)
+        ref = _dense_cn_step(ref, psi0.x, psi0.dx, dt, tc.a(t), tc.b(t),
+                             tc.c(t) + tc.d(t), tc.c(t))
     ev = gridsim.evolve_grid(tc, psi0, dt, steps, t0=t0, record_every=7)
     assert np.max(np.abs(ev.final().values - ref)) <= 1e-12
 

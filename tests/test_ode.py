@@ -16,15 +16,16 @@ REF_OPTS = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
 
 
 def _flow_rhs(tc):
-    eq = coeff.convert_convention(tc, coeff.EQUATION)
-    a, b, c, d = eq.a, eq.b, eq.c, eq.d
+    a, b, c, d = tc.a, tc.b, tc.c, tc.d
 
     def rhs(t, y):
-        # M' = [[c, 2a], [-2b, -c]] M and I' = 2d - c (equation convention)
-        two_a, two_b, s = 2 * a(t), 2 * b(t), c(t)
+        # M' = [[s, 2a], [-2b, -s]] M and I' = 2 c - s, s = c + d: the
+        # equation form's (c_eq, d_eq) = (c + d, c)
+        two_a, two_b, c_t = 2 * a(t), 2 * b(t), c(t)
+        s = c_t + d(t)
         return [two_a * y[2] + s * y[0], two_a * y[3] + s * y[1],
                 -two_b * y[0] - s * y[2], -two_b * y[1] - s * y[3],
-                2 * d(t) - s]
+                2 * c_t - s]
 
     return rhs
 
