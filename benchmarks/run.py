@@ -33,9 +33,13 @@ best, with the solver's counts for each solve, and ``steal_s``, the host's
 steal time (from /proc/stat) during each sample's child, null where that
 file cannot be read.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package and
-the measured checkout is left as it was (the ``quadbench`` children set
-only ``PYTHONPATH``, so from their second call on they read cached
-bytecode).
+the measured checkout is left as it was.  The ``quadbench`` children copy
+the benchmark's own environment and add ``PYTHONPATH`` (``child_env`` in
+``quadbench/run.py``), so they read cached bytecode from their second call
+on only where ``PYTHONDONTWRITEBYTECODE`` is unset; where it is set, every
+``cli_session`` call compiles the modules it loads (``mu``: medians of
+49–51 ms against 39–40 ms with cached bytecode, in two sets of 25
+alternated calls on a 2-CPU Xeon).
 ``--root`` measures another checkout (for example the parent commit) with
 this same script.  ``--against OTHER`` measures ``--root`` and OTHER
 together, alternating the two sample by sample in every subprocess and

@@ -2,18 +2,18 @@
 selects a built-in model, checks its parameters once, when it is built, and
 looks up its record in :mod:`quadham.models`.
 
-Every record holds H's own coefficients, ``H = a p^2 + b x^2 + c px +
-d xp``, and every numerical layer reads them as they are.  The "equation"
-tag is an input form only: its (a, b, c, d) are those of
-``i psi_t = -a psi_xx + b x^2 psi - i (c x psi_x + d psi)``,
-``c_eq = c + d`` and ``d_eq = c``.  A record built with that tag maps them
-to H's own once, when it is built, and reads ``HAMILTONIAN`` from then on.
+A record holds H's own coefficients, ``H = a p^2 + b x^2 + c px + d xp``,
+and every numerical layer reads them as they are.  The paper writes the
+evolution equation as
+``i psi_t = -a psi_xx + b x^2 psi - i (c_eq x psi_x + d_eq psi)``; a caller
+holding that form's coefficients passes ``c = d_eq`` and
+``d = c_eq - d_eq`` (and likewise for the derivatives).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -42,7 +42,7 @@ class TimeCoefficients:
     b: Callable[[float], float]
     c: Callable[[float], float]
     d: Callable[[float], float]
-    convention: str = HAMILTONIAN
+    _: KW_ONLY
     da: Optional[Callable[[float], float]] = None
     # Kept only because the benchmark's tracer (quadbench/tracing.py,
     # _CALLBACKS) reads it; no record sets a b' and nothing here reads one.
@@ -52,18 +52,6 @@ class TimeCoefficients:
     t_max: float = math.inf
     # a time where the coefficients are infinite; nan when there is none
     t_singular: float = math.nan
-
-    def __post_init__(self):
-        if self.convention not in (EQUATION, HAMILTONIAN):
-            raise ConventionMismatch(f"unknown convention {self.convention!r}")
-        if self.convention == EQUATION:
-            # H's (c, d) is the equation's (d, c - d), and so are c' and d'
-            c, d, dc, dd = self.c, self.d, self.dc, self.dd
-            mapped = {"c": d, "d": lambda t: c(t) - d(t), "dc": dd,
-                      "dd": (lambda t: dc(t) - dd(t)) if (dc and dd) else None,
-                      "convention": HAMILTONIAN}
-            for name, value in mapped.items():
-                object.__setattr__(self, name, value)
 
     def require_window(self, t0: float, t_end: float) -> None:
         """Refuse a window from t0 to t_end that reaches t_singular, at once;
@@ -142,8 +130,7 @@ class ModelSpec:
 
 
 def model_coefficients(model: Model, hamiltonian) -> TimeCoefficients:
-    """Hamiltonian-convention coefficients from a record's
-    (a, b, c, d, da, dc, dd) and its limits."""
+    """H's record from a model's (a, b, c, d, da, dc, dd) and its limits."""
     a, b, c, d, da, dc, dd = hamiltonian
     return TimeCoefficients(a, b, c, d, da=da, dc=dc, dd=dd,
                             t_max=model.t_max, t_singular=model.t_singular)
@@ -162,8 +149,7 @@ def catalog_coefficients(spec: ModelSpec) -> TimeCoefficients:
 
 
 def convert_convention(tc: TimeCoefficients, target: str) -> TimeCoefficients:
-    """``tc`` itself, which holds H's own coefficients whatever its input
-    tag; ConventionMismatch for an unknown ``target``."""
+    """``tc`` itself; ConventionMismatch for an unknown ``target``."""
     if target not in (EQUATION, HAMILTONIAN):
         raise ConventionMismatch(f"unknown convention {target!r}")
     return tc

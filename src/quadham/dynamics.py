@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidMoments, SingularCoefficient, ValidationError
+from .errors import (InvalidMoments, NumericalError, SingularCoefficient,
+                     ValidationError)
 # unused here: the benchmark's tracer counts the solves through this name
 from .ode import solve_ivp  # noqa: F401
 
@@ -171,6 +172,15 @@ class HyperbolicBasis(NamedTuple):
             raise SingularCoefficient("lambda t + gamma is zero", t=t)
         return u
 
+    @staticmethod
+    def _hyp(f, u, t, power=1):
+        """f(u) ** power; NumericalError naming t where it overflows."""
+        try:
+            return f(u) ** power
+        except OverflowError as exc:
+            raise NumericalError("cosh or sinh of lambda t + gamma overflows",
+                                 t=t) from exc
+
     def _cs(self, which, t):
         """(C, S) = (cos wt, sin wt) for which = 1 and (sin wt, -cos wt) for
         which = 2: in both, C' = -w S and S' = w C."""
@@ -214,7 +224,7 @@ class HyperbolicBasis(NamedTuple):
         k = 2 lambda^2 / ((w^2 + 4 lambda^2) w^2)."""
         lam, w = self._params()
         u = self._u(t)
-        ch, T = math.cosh(u), math.tanh(u)
+        ch, T = self._hyp(math.cosh, u, t), math.tanh(u)
         k = 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * w * w)
         sech2 = 1.0 / (ch * ch)
         # the printed value, which rounds apart from 1/w^2 - k sech^2
@@ -226,7 +236,8 @@ class HyperbolicBasis(NamedTuple):
         """f'' - (4 lambda / sinh(2u)) f' + (w^2 + 2 lambda^2 / cosh^2 u) f
         from (f, f', f'')."""
         (lam, w), u = self._params(), self._u(t)
-        return (f[2] - 4.0 * lam / math.sinh(2.0 * u) * f[1]
+        # cosh(u)^2 is finite wherever sinh(2u) is
+        return (f[2] - 4.0 * lam / self._hyp(math.sinh, 2.0 * u, t) * f[1]
                 + (w * w + 2.0 * lam * lam / math.cosh(u) ** 2) * f[0])
 
     def y1(self, t: float) -> float:
@@ -265,8 +276,8 @@ class HyperbolicBasis(NamedTuple):
         """Absolute residual of the coth-potential equation for z1/z2."""
         z, _, d2z = self._z_derivs(which, t)
         lam, w = self._params()
-        return abs(d2z + (w * w - 2.0 * lam * lam / math.sinh(self._u(t)) ** 2)
-                   * z)
+        sh2 = self._hyp(math.sinh, self._u(t), t, 2)
+        return abs(d2z + (w * w - 2.0 * lam * lam / sh2) * z)
 
     def y_wronskian_residual(self, t: float) -> float:
         """|y1 y2' - y1' y2 - W(t)| with analytic derivatives."""

@@ -50,11 +50,18 @@ class GaussianState:
         return np.exp(1j * (self.Lambda * x ** 2 + self.Theta * x + self.Phi))
 
     def norm_sq(self) -> float:
-        """Closed-form integral of |psi|^2."""
-        li = self.Lambda.imag
-        ti = self.Theta.imag
-        return math.sqrt(math.pi / (2.0 * li)) * math.exp(
-            ti * ti / (2.0 * li) - 2.0 * self.Phi.imag)
+        """Closed-form integral of |psi|^2; NumericalError if it overflows."""
+        li, ti = self.Lambda.imag, self.Theta.imag
+        try:
+            n = math.sqrt(math.pi / (2.0 * li)) * math.exp(
+                ti * ti / (2.0 * li) - 2.0 * self.Phi.imag)
+        except OverflowError:
+            n = math.inf
+        if n == math.inf:
+            raise NumericalError("the norm of the Gaussian overflows",
+                                 Lambda=self.Lambda, Theta=self.Theta,
+                                 Phi=self.Phi)
+        return n
 
     def moments(self):
         """Raw (unnormalized) expectations of 1, x, x^2, p, p^2, px+xp."""

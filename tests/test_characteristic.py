@@ -333,10 +333,8 @@ def test_cj_pure_damping_limit():
     tc = coeff.TimeCoefficients(
         a=lambda s: 0.5 / math.cosh(lam * s) ** 2,
         b=zero, c=zero, d=zero,
-        convention=coeff.HAMILTONIAN,
         da=lambda s: -lam * math.tanh(lam * s) / math.cosh(lam * s) ** 2,
         db=zero, dc=zero, dd=zero)
-    tc = coeff.convert_convention(tc, coeff.EQUATION)
     path = chr_mod.solve_characteristic(tc, 1.0)
     kp = chr_mod.kernel_parameters(tc, path, t)
     mu_pure = math.tanh(lam * t) / lam

@@ -305,6 +305,23 @@ def test_appendix_d_singular_time_is_refused(capsys, argv, t):
     assert (rec["module"], rec["info"]) == ("quadham.dynamics", {"t": t})
 
 
+@pytest.mark.parametrize("argv, module, keys", [
+    (["propagate", "--model", "caldirola_kanai", "--lambda", "0.3",
+      "--t-end", "1.2", "--theta-im", "50"], "quadham.propagator",
+     {"Lambda", "Theta", "Phi"}),
+    (["appendix_d", "--lambda", "800", "--omega", "1", "--t-end", "2"],
+     "quadham.dynamics", {"t"}),
+], ids=["propagate_norm", "appendix_d_cosh"])
+def test_an_overflow_gives_a_typed_record(capsys, argv, module, keys):
+    # the norm of the propagated Gaussian, and cosh(lambda t), overflow:
+    # both ended in the backstop's OverflowError record with empty info
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    rec = json.loads(err)
+    assert (rec["type"], rec["module"]) == ("NumericalError", module)
+    assert set(rec["info"]) == keys
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     p = tmp_path / "m.ini"
     p.write_text("[model]\nmodel = caldirola_kanai\nomega0 = 1.0\n"

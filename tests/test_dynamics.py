@@ -13,7 +13,8 @@ from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham.characteristic import classical_flow
 from quadham.errors import (InvalidModelParams, InvalidMoments, NoClosedForm,
-                            SingularCoefficient, ValidationError)
+                            NumericalError, SingularCoefficient,
+                            ValidationError)
 
 M0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
 M0_EVEN = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.0, norm=1.0)
@@ -255,6 +256,24 @@ def test_hyperbolic_basis_refuses_zero_omega():
         with pytest.raises(ValidationError) as exc:
             getattr(basis, name)(*args)
         assert exc.value.info == {"omega": 0.0}, name
+
+
+def test_hyperbolic_basis_refuses_an_overflowing_cosh():
+    # u = lambda t + gamma = 1600: cosh u and sinh 2u overflow, and Y and
+    # every residual that reads them ended in a bare OverflowError; the
+    # values that read tanh u alone keep serving
+    basis = dyn.HyperbolicBasis(lam=800.0, omega=1.0)
+    for name, args in (("y_particular", (2.0,)),
+                       ("y_particular_residual", (2.0,)),
+                       ("y_residual", (1, 2.0)), ("y_residual", (2, 2.0)),
+                       ("z_residual", (1, 2.0)), ("z_residual", (2, 2.0))):
+        with pytest.raises(NumericalError) as exc:
+            getattr(basis, name)(*args)
+        assert exc.value.info == {"t": 2.0}, name
+    for name in ("y1", "y2", "z1", "z2", "y_wronskian"):
+        assert math.isfinite(getattr(basis, name)(2.0)), name
+    # below the overflow, sech^2 u rounds to 0 and Y is 1/w^2
+    assert dyn.HyperbolicBasis(lam=1.0, omega=2.0).y_particular(400.0) == 0.25
 
 
 def test_variances_require_positive_norm():

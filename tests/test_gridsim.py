@@ -269,6 +269,25 @@ def test_a_constant_run_keeps_its_bits(spec, digests):
             for s in ev.states[1:]] == digests
 
 
+@pytest.mark.parametrize("spec, digests", [
+    (CK,
+     ["4d774fe2cd4fffd11eeb59824e8a2d44c74a10398b484812e27d7d1a68c9ca89",
+      "8da09958a75861a7ed9e8fc764adf718b25fd7632807b90cd93fbf7a80ddedc6",
+      "5d8bea13dd0740127e1817474aef848edad454f2576ced0b5e4ad554faee7b4c"]),
+    (coeff.ModelSpec(coeff.MODIFIED_CK, 1.2, 0.3),
+     ["c791a7c5c5d913db06c0e90e8d820f33e0209c69b7496ea151b8d6006df0129e",
+      "6c2af126bec78718d355e94d9887362cbc12807592db373b2bad8a894ee955e3",
+      "2d062567e902d513ceea32c90539b4426e6c1cf5755d57ac31dca90b8e402736"]),
+], ids=["caldirola_kanai", "modified_ck"])
+def test_a_varying_run_keeps_its_bits(spec, digests):
+    # the bits of the per-step band assembly and zgtsv solve, which the
+    # dense reference checks only to 1e-12; modified_ck has c + d != 0
+    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3), n=256)
+    ev = gridsim.evolve_grid(_ham(spec), psi0, 1e-3, 300, record_every=100)
+    assert [hashlib.sha256(s.values.tobytes()).hexdigest()
+            for s in ev.states[1:]] == digests
+
+
 @pytest.mark.parametrize("a, b", [(0.5, 1e308), (1e308, 0.5)])
 def test_a_state_that_stops_being_finite_is_a_numerical_error(a, b):
     # the huge coefficient overflows the bands at the first step; the run

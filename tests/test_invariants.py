@@ -117,8 +117,9 @@ def _oscillator(omega_sq, domega_sq=lambda t: 0.0):
     """H = (p^2 + omega^2(t) x^2) / 2 with its derivatives."""
     zero = lambda t: 0.0
     return coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                                  zero, zero, coeff.HAMILTONIAN, zero,
-                                  lambda t: 0.5 * domega_sq(t), zero, zero)
+                                  zero, zero, da=zero,
+                                  db=lambda t: 0.5 * domega_sq(t), dc=zero,
+                                  dd=zero)
 
 
 def test_pinney_matches_direct_ermakov():

@@ -130,8 +130,7 @@ def test_step_budget_stops_a_crawl():
     # more tiny steps before the step size underflows
     zero = lambda t: 0.0
     d = lambda t: 1.0 / (2.0 * (1.0 - t))
-    tc = coeff.TimeCoefficients(zero, zero, lambda t: -d(t), d,
-                                coeff.HAMILTONIAN)
+    tc = coeff.TimeCoefficients(zero, zero, lambda t: -d(t), d)
     start = time.perf_counter()
     with pytest.raises(ToleranceNotMet) as exc:
         classical_flow(tc, 2.1)

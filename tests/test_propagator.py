@@ -10,7 +10,8 @@ from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
 from quadham import propagator as prop
 from quadham.errors import (CausticEncountered, DegenerateWidth,
-                            NonNormalizable, UnderResolved, ValidationError)
+                            NonNormalizable, NumericalError, UnderResolved,
+                            ValidationError)
 
 
 def _kernel_of(spec, horizon):
@@ -85,6 +86,22 @@ def test_sho_coherent_center_oscillates():
                                                    abs=1e-9)
         # unitary evolution preserves the norm
         assert m["norm"] == pytest.approx(n0, rel=1e-9)
+
+
+@pytest.mark.parametrize("state", [
+    prop.GaussianState(Lambda=0.5j, Theta=50j),
+    prop.GaussianState(Lambda=0.5j, Phi=-400j),
+    # exp stays finite and the product with the width factor overflows
+    prop.GaussianState(Lambda=1e-300j, Phi=-250j)],
+    ids=["theta", "phi", "width"])
+def test_an_overflowing_norm_is_a_numerical_error(state):
+    # exp(Im Theta^2 / (2 Im Lambda) - 2 Im Phi) beyond the float range
+    # ended in a bare OverflowError, or in an infinite norm
+    for read in (state.norm_sq, state.moments):
+        with pytest.raises(NumericalError) as exc:
+            read()
+        assert exc.value.info == {"Lambda": state.Lambda,
+                                  "Theta": state.Theta, "Phi": state.Phi}
 
 
 def test_norm_law_self_adjoint_gaussian():
