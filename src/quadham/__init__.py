@@ -8,7 +8,10 @@ Each public name lives in one submodule and is read from there, as in
 ``from quadham import characteristic`` and
 ``characteristic.classical_flow``.  The submodules are loaded on first use
 (PEP 562), so that ``import quadham`` or a CLI subcommand pays only for
-the ones it touches; ``quadham.errors`` is always loaded.
+the ones it touches; ``quadham.errors`` is always loaded.  This is the
+package's one lazy loader: ``quadham.cli`` and ``quadham.dynamics`` read
+the other submodules through it (``quadham.coefficients.ModelSpec``) at
+call time and import none of them inside a function.
 """
 
 import importlib

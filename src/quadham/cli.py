@@ -6,9 +6,11 @@ a malformed command line is a validation error too.  An option's value may
 be a negative number in any form ``float`` reads (``--pxxp -1e-05``).
 
 The import loads ``argparse``, ``quadham.io`` and ``quadham.errors`` and
-builds no parser.  Each subcommand imports the modules it runs inside its
-own function, so that a call pays only for what it uses: ``list-models``
-reads ``quadham.models`` alone, the model subcommands load
+builds no parser.  Each subcommand reads the modules it runs as attributes
+of the package root (``quadham.characteristic.kernel_parameters``) when it
+runs, and the root's lazy loader imports a submodule on its first read, so
+that a call pays only for what it uses: ``list-models`` reads
+``quadham.models`` alone, the model subcommands load
 ``quadham.coefficients`` (and with it ``dataclasses``), and ``mu`` and
 ``kernel`` load no moment dynamics.  A call builds the parser of its own
 subcommand only; ``--help``, no command or an unknown one gets all ten, so
@@ -36,6 +38,7 @@ import math
 import os
 import sys
 
+import quadham
 from . import io as qio
 from .errors import QuadhamError, ValidationError
 
@@ -49,8 +52,6 @@ def _add_model_args(p):
 
 
 def _spec_from(args):
-    from .coefficients import ModelSpec
-
     cfg = {}
     if getattr(args, "config", None):
         cfg = qio.read_config(args.config).get("model", {})
@@ -70,22 +71,19 @@ def _spec_from(args):
                 raise ValidationError("a config value is not a number",
                                       key=key, value=cfg[key])
             given[dest] = float(cfg[key])
-    return ModelSpec(model, **given)
+    return quadham.coefficients.ModelSpec(model, **given)
 
 
 def _kernel_flow(spec, t_end):
     """The classical flow of the kernel of ``spec`` on [0, t_end]."""
-    from . import characteristic as chr_mod, coefficients as coeff
-
-    return chr_mod.solve_characteristic(coeff.builtin_coefficients(spec),
-                                        t_end)
+    return quadham.characteristic.solve_characteristic(
+        quadham.coefficients.builtin_coefficients(spec), t_end)
 
 
 def _moment_start(args):
     """The spec of ``args`` and the second moments it gives at t = 0."""
-    from .dynamics import SecondMoments
-
-    return _spec_from(args), SecondMoments(args.p2, args.x2, args.pxxp)
+    return _spec_from(args), quadham.dynamics.SecondMoments(
+        args.p2, args.x2, args.pxxp)
 
 
 def _linspace(start, stop, num):
@@ -98,10 +96,9 @@ def _linspace(start, stop, num):
 
 
 def cmd_list_models(args):
-    from .models import MODELS
-
     # each record at the default parameters of ModelSpec
-    records = ((m, build(1.0, 0.0, 0.0, 0.0)) for m, build in MODELS.items())
+    records = ((m, build(1.0, 0.0, 0.0, 0.0))
+               for m, build in quadham.models.MODELS.items())
     rows = [(m, r.parameters, r.constraint) for m, r in records]
     if args.json:
         qio.write_json(args.out, [
@@ -121,8 +118,7 @@ def cmd_mu(args):
 
 
 def cmd_kernel(args):
-    from . import characteristic as chr_mod
-
+    chr_mod = quadham.characteristic
     path = _kernel_flow(_spec_from(args), args.t_end)
     ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     # one column per field: t, mu, mu_prime, h, alpha, beta, gamma
@@ -132,12 +128,10 @@ def cmd_kernel(args):
 
 
 def cmd_green(args):
-    from . import characteristic as chr_mod, propagator as prop
-
     spec = _spec_from(args)
     path = _kernel_flow(spec, args.t)
-    kp = chr_mod.kernel_parameters(path.tc, path, args.t)
-    g = prop.green_eval(kp, args.x, args.y)
+    kp = quadham.characteristic.kernel_parameters(path.tc, path, args.t)
+    g = quadham.propagator.green_eval(kp, args.x, args.y)
     qio.write_json(args.out, {"model": spec.model_id, "t": args.t,
                               "x": args.x, "y": args.y,
                               "re": g.real, "im": g.imag})
@@ -145,8 +139,7 @@ def cmd_green(args):
 
 
 def cmd_propagate(args):
-    from . import characteristic as chr_mod, propagator as prop
-
+    chr_mod, prop = quadham.characteristic, quadham.propagator
     spec = _spec_from(args)
     s0 = prop.GaussianState(
         Lambda=complex(args.lambda_re, args.lambda_im),
@@ -167,12 +160,10 @@ def cmd_propagate(args):
 
 
 def cmd_moments(args):
-    from . import (characteristic as chr_mod, coefficients as coeff,
-                   dynamics as dyn)
-
     spec, m0 = _moment_start(args)
-    path = dyn.evolve_second_moments(chr_mod.classical_flow(
-        coeff.builtin_coefficients(spec), args.t_end), m0)
+    path = quadham.dynamics.evolve_second_moments(
+        quadham.characteristic.classical_flow(
+            quadham.coefficients.builtin_coefficients(spec), args.t_end), m0)
     rows = [(t, *((m := path(t)).p2, m.x2, m.pxxp, m.norm))
             for t in _linspace(0.0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "p2", "x2", "pxxp", "norm"], rows)
@@ -183,14 +174,14 @@ def _invariant_drift(spec, m0, t_end, t_start, samples):
     """E(0) of the catalogued invariant E and max |E(t) - E(0)| / |E(0)|
     over t in linspace(t_start, t_end, samples), E(t) from the second
     moments flowed from m0."""
-    from . import characteristic as chr_mod, dynamics as dyn, invariants as inv
-    from .coefficients import catalog_coefficients
+    inv = quadham.invariants
 
     def pairs():
         yield inv.energy_operator_catalog(spec, 0.0), m0
         # solved only once E(0) has passed the cancellation check
-        path = dyn.evolve_second_moments(
-            chr_mod.classical_flow(catalog_coefficients(spec), t_end), m0)
+        path = quadham.dynamics.evolve_second_moments(
+            quadham.characteristic.classical_flow(
+                quadham.coefficients.catalog_coefficients(spec), t_end), m0)
         for t in _linspace(t_start, t_end, samples):
             yield inv.energy_operator_catalog(spec, t), path(t)
 
@@ -207,10 +198,8 @@ def cmd_invariant(args):
 
 
 def cmd_appendix_d(args):
-    from . import dynamics as dyn
-
-    hb = dyn.HyperbolicBasis(lam=args.lam_d, omega=args.omega_d,
-                             gamma=args.gamma_shift)
+    hb = quadham.dynamics.HyperbolicBasis(lam=args.lam_d, omega=args.omega_d,
+                                          gamma=args.gamma_shift)
     rows = [(t, hb.y1(t), hb.y2(t), hb.y_particular(t), hb.z1(t), hb.z2(t))
             for t in _linspace(args.t_start, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "y1", "y2", "y_particular", "z1", "z2"],
@@ -221,8 +210,7 @@ def cmd_appendix_d(args):
 def _uncertainty(flow, m0, f0, t_end, samples):
     """(t, uncertainty_check) of the moments flowed on ``flow`` from
     (m0, f0) at each t in linspace(0, t_end, samples)."""
-    from . import dynamics as dyn
-
+    dyn = quadham.dynamics
     mpath = dyn.evolve_second_moments(flow, m0)
     fpath = dyn.evolve_first_moments(flow, f0)
     return [(t, dyn.uncertainty_check(mpath(t), fpath(t)))
@@ -230,12 +218,10 @@ def _uncertainty(flow, m0, f0, t_end, samples):
 
 
 def cmd_uncertainty(args):
-    from . import (characteristic as chr_mod, coefficients as coeff,
-                   dynamics as dyn)
-
     spec, m0 = _moment_start(args)
-    f0 = dyn.FirstMoments(x=args.x_mean, p=args.p_mean)
-    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), args.t_end)
+    f0 = quadham.dynamics.FirstMoments(x=args.x_mean, p=args.p_mean)
+    flow = quadham.characteristic.classical_flow(
+        quadham.coefficients.builtin_coefficients(spec), args.t_end)
     rows = [(t, u["dp2"], u["dx2"], u["margin"], u["excess"])
             for t, u in _uncertainty(flow, m0, f0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "dp2", "dx2", "margin", "excess"], rows)
@@ -244,11 +230,9 @@ def cmd_uncertainty(args):
 
 def _verify_one(model_id: str, budget: str):
     """Quick per-model verification; returns (name, passed, detail)."""
-    from . import (characteristic as chr_mod, coefficients as coeff,
-                   dynamics as dyn)
-
-    spec = coeff.ModelSpec(model_id, omega0=1.3, lam=0.35, mu_param=0.1,
-                           delta=0.6)
+    chr_mod, dyn = quadham.characteristic, quadham.dynamics
+    spec = quadham.coefficients.ModelSpec(model_id, omega0=1.3, lam=0.35,
+                                          mu_param=0.1, delta=0.6)
     checks = []
     # one flow for the kernel on (0, 1.2] and the moments on [0, 1.5]
     flow = _kernel_flow(spec, 1.5)
@@ -276,9 +260,8 @@ def _verify_one(model_id: str, budget: str):
 
 
 def cmd_verify_all(args):
-    from .models import MODEL_IDS
-
-    models = MODEL_IDS if args.model in (None, "all") else [args.model]
+    models = (quadham.models.MODEL_IDS if args.model in (None, "all")
+              else [args.model])
     results = [r for m in models for r in _verify_one(m, args.budget)]
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -425,6 +408,15 @@ def _check_args(args):
         if (variance := getattr(args, f"{flag[2]}2", 1.0) - mean * mean) < 0:
             raise ValidationError(f"the square of {flag} exceeds its second "
                                   "moment", option=flag, variance=variance)
+    # ... and the centred covariance [[dx2, cov], [cov, dp2]] has det >= 0
+    if hasattr(args, "pxxp"):
+        xm, pm = getattr(args, "x_mean", 0.0), getattr(args, "p_mean", 0.0)
+        cov = 0.5 * args.pxxp - xm * pm
+        if (args.x2 - xm * xm) * (args.p2 - pm * pm) - cov * cov < 0:
+            raise ValidationError("no state has these initial moments: their "
+                                  "covariance has a negative determinant",
+                                  p2=args.p2, x2=args.x2, pxxp=args.pxxp,
+                                  x_mean=xm, p_mean=pm)
 
 
 def _jsonable(value):

@@ -8,23 +8,22 @@ The first and second moments are algebra on the classical flow M and
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``,
 ``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The energy
 path of every model with a reference operator is that operator
-contracted with S(t).  The two functions that read the flow or a model
-import them when called, so that ``appendix_d`` loads neither.
+contracted with S(t).  The functions that read the flow or a model
+reach ``quadham.characteristic`` and ``quadham.coefficients`` through the
+package root when called, which loads them on first use, so that
+``appendix_d`` loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+import quadham
 from .errors import (InvalidMoments, NumericalError, SingularCoefficient,
                      ValidationError)
 # unused here: the benchmark's tracer counts the solves through this name
 from .ode import solve_ivp  # noqa: F401
-
-if TYPE_CHECKING:
-    from .characteristic import Flow
-    from .coefficients import ModelSpec
 
 
 class SecondMoments(NamedTuple):
@@ -50,24 +49,25 @@ class FirstMoments(NamedTuple):
     p: float
 
 
-def evolve_second_moments(flow: Flow, m0: SecondMoments):
+def evolve_second_moments(flow: quadham.characteristic.Flow,
+                          m0: SecondMoments):
     """Raw second moments on the window of ``flow``; returns
     t -> SecondMoments."""
-    from .characteristic import _congruence
-
+    congruence = quadham.characteristic._congruence
     s0 = (m0.x2, 0.5 * m0.pxxp, m0.p2)
 
     def path(t: float) -> SecondMoments:
         p = flow.at(t)
         w = math.exp(-p.i)
-        x2, half_pxxp, p2 = _congruence(p.m11, p.m12, p.m21, p.m22, s0)
+        x2, half_pxxp, p2 = congruence(p.m11, p.m12, p.m21, p.m22, s0)
         return SecondMoments(w * p2, w * x2, 2.0 * w * half_pxxp,
                              w * m0.norm)
 
     return path
 
 
-def evolve_first_moments(flow: Flow, fm0: FirstMoments):
+def evolve_first_moments(flow: quadham.characteristic.Flow,
+                         fm0: FirstMoments):
     """<x> and <p> on the window of ``flow``; they obey
     d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
 
@@ -80,8 +80,8 @@ def evolve_first_moments(flow: Flow, fm0: FirstMoments):
     return path
 
 
-def closed_form_expectation(spec: ModelSpec, m0: SecondMoments,
-                            t: float) -> float:
+def closed_form_expectation(spec: quadham.coefficients.ModelSpec,
+                            m0: SecondMoments, t: float) -> float:
     """Exact expectation value of the model's positive reference operator
     (``reference_operator``) at time t from the initial second moments
     (norm taken as <1>_0 = 1).  Each model's record in
@@ -92,14 +92,14 @@ def closed_form_expectation(spec: ModelSpec, m0: SecondMoments,
     return spec.closed_form("expectation")(m0.p2, m0.x2, m0.pxxp, t)
 
 
-def reference_operator(spec: ModelSpec, t: float):
+def reference_operator(spec: quadham.coefficients.ModelSpec, t: float):
     """(A, B, C) of the positive reference operator A p^2 + B x^2
     + (C/2)(px+xp) whose expectation closed_form_expectation returns."""
     return spec.closed_form("reference")(t)
 
 
-def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
-                                 t_end: float):
+def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
+                                 m0: SecondMoments, t_end: float):
     """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
     on [0, t_end], contracted with the second moments flowed from m0 under
     ``catalog_coefficients(spec)``; NoClosedForm, before any solve, for a
@@ -111,12 +111,9 @@ def damped_energy_equation_solve(spec: ModelSpec, m0: SecondMoments,
     whose friction coefficient is singular at t = 0 (indicial roots 0, 3);
     <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
-    from .characteristic import classical_flow
-    from .coefficients import catalog_coefficients
-
     reference = spec.closed_form("reference")
-    path = evolve_second_moments(
-        classical_flow(catalog_coefficients(spec), t_end), m0)
+    path = evolve_second_moments(quadham.characteristic.classical_flow(
+        quadham.coefficients.catalog_coefficients(spec), t_end), m0)
 
     def energy(t: float) -> float:
         m = path(t)

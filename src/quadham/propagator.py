@@ -64,19 +64,24 @@ class GaussianState:
         return n
 
     def moments(self):
-        """Raw (unnormalized) expectations of 1, x, x^2, p, p^2, px+xp."""
+        """Raw (unnormalized) expectations of 1, x, x^2, p, p^2, px+xp;
+        NumericalError where one of them is not finite."""
         n = self.norm_sq()
-        li, ti = self.Lambda.imag, self.Theta.imag
+        lr, li, ti = self.Lambda.real, self.Lambda.imag, self.Theta.imag
         x_mean = -ti / (2.0 * li)
         x2_mean = x_mean * x_mean + 1.0 / (4.0 * li)
-        p_mean = (2.0 * self.Lambda * x_mean + self.Theta).real
-        p2_mean = (-2j * self.Lambda + 4.0 * self.Lambda ** 2 * x2_mean
-                   + 4.0 * self.Lambda * self.Theta * x_mean
-                   + self.Theta ** 2).real
-        pxxp_mean = 2.0 * (2.0 * self.Lambda.real * x2_mean
-                           + self.Theta.real * x_mean)
-        return {"norm": n, "x": x_mean * n, "x2": x2_mean * n,
-                "p": p_mean * n, "p2": p2_mean * n, "pxxp": pxxp_mean * n}
+        # psi' = i (2 Lambda x + Theta) psi: <p> = Re z, z real up to
+        # rounding, and <p^2> = |z|^2 + |Lambda|^2 / Im Lambda is not negative
+        z = 2.0 * self.Lambda * x_mean + self.Theta
+        p2_mean = z.real * z.real + z.imag * z.imag + lr * lr / li + li
+        pxxp_mean = 2.0 * (2.0 * lr * x2_mean + self.Theta.real * x_mean)
+        out = {"norm": n, "x": x_mean * n, "x2": x2_mean * n,
+               "p": z.real * n, "p2": p2_mean * n, "pxxp": pxxp_mean * n}
+        if not all(map(math.isfinite, out.values())):
+            raise NumericalError("a moment of the Gaussian is not finite",
+                                 Lambda=self.Lambda, Theta=self.Theta,
+                                 Phi=self.Phi)
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,21 +141,27 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
     """Closed-form propagation of a Gaussian state by the kernel at kp.t,
     on the principal branch of log(2 mu A), A = gamma + Lambda.  Im A > 0,
     so the phase is continuous in t while mu keeps its sign, that is
-    before the first caustic."""
+    before the first caustic.  NumericalError naming t where the result
+    overflows."""
     _served(kp.t, kp.mu, 1.0)
-    A = kp.gamma + s.Lambda
-    if abs(A) < 1e-12:
-        raise DegenerateWidth("gamma + Lambda is (nearly) zero", t=kp.t)
-    Lambda_out = kp.alpha - kp.beta ** 2 / (4.0 * A)
-    Theta_out = -kp.beta * s.Theta / (2.0 * A)
-    # prefactor 1/sqrt(2 pi i mu) folded with the Gaussian integral
-    # sqrt(pi / (-i A)) leaves an overall (2 mu A)^(-1/2)
-    w = 2.0 * kp.mu * A
-    log_w = complex(math.log(abs(w)), cmath.phase(w))
-    Phi_out = s.Phi - s.Theta ** 2 / (4.0 * A) + 0.5j * log_w
-    if not (Lambda_out.imag > 0):
-        raise NonNormalizable("propagated state is not normalizable",
-                              t=kp.t, Lambda=Lambda_out)
+    # ** raises OverflowError where a square overflows, and a product or a
+    # quotient gives inf or nan instead; both end in one NumericalError
+    try:
+        A = kp.gamma + s.Lambda
+        if abs(A) < 1e-12:
+            raise DegenerateWidth("gamma + Lambda is (nearly) zero", t=kp.t)
+        Lambda_out = kp.alpha - kp.beta ** 2 / (4.0 * A)
+        Theta_out = -kp.beta * s.Theta / (2.0 * A)
+        # prefactor 1/sqrt(2 pi i mu) folded with the Gaussian integral
+        # sqrt(pi / (-i A)) leaves an overall (2 mu A)^(-1/2)
+        w = 2.0 * kp.mu * A
+        log_w = complex(math.log(abs(w)), cmath.phase(w))
+        Phi_out = s.Phi - s.Theta ** 2 / (4.0 * A) + 0.5j * log_w
+        finite = all(map(cmath.isfinite, (Lambda_out, Theta_out, Phi_out)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericalError("the propagated Gaussian overflows", t=kp.t)
     return GaussianState(Lambda_out, Theta_out, Phi_out)
 
 

@@ -311,10 +311,20 @@ def test_appendix_d_singular_time_is_refused(capsys, argv, t):
      {"Lambda", "Theta", "Phi"}),
     (["appendix_d", "--lambda", "800", "--omega", "1", "--t-end", "2"],
      "quadham.dynamics", {"t"}),
-], ids=["propagate_norm", "appendix_d_cosh"])
+    *[(["propagate", "--model", "simple_harmonic", "--t-end", "0.5",
+        "--samples", "2", flag, value],
+       "quadham.propagator", {"t"})
+      for flag, value in (("--theta-re", "1e200"), ("--theta-im", "1e155"))],
+    (["propagate", "--model", "simple_harmonic", "--t-end", "0.5",
+      "--samples", "2", "--lambda-im", "1e-300", "--theta-im", "1e-149"],
+     "quadham.propagator", {"Lambda", "Theta", "Phi"}),
+], ids=["propagate_norm", "appendix_d_cosh", "propagate_theta_re",
+        "propagate_theta_im", "propagate_moments"])
 def test_an_overflow_gives_a_typed_record(capsys, argv, module, keys):
-    # the norm of the propagated Gaussian, and cosh(lambda t), overflow:
-    # both ended in the backstop's OverflowError record with empty info
+    # the norm of the propagated Gaussian, cosh(lambda t) and Theta^2
+    # overflow: each ended in the backstop's OverflowError record with empty
+    # info; <x> and <x^2> times a finite norm overflow too, which ended in
+    # quadham.io's record, naming no state
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     rec = json.loads(err)
@@ -514,6 +524,36 @@ def test_a_mean_past_its_second_moment_is_refused(capsys, flag, value,
     assert rec["type"] == "ValidationError"
     assert rec["module"] == "quadham.cli"
     assert rec["info"] == {"option": flag, "variance": variance}
+
+
+@pytest.mark.parametrize("argv, info", [
+    (["moments", "--t-end", "3", "--samples", "4", "--p2", "1", "--x2", "1",
+      "--pxxp", "5"],
+     {"p2": 1.0, "x2": 1.0, "pxxp": 5.0, "x_mean": 0.0, "p_mean": 0.0}),
+    (["invariant", "--t-end", "1", "--pxxp", "-2.5"],
+     {"p2": 1.0, "x2": 1.0, "pxxp": -2.5, "x_mean": 0.0, "p_mean": 0.0}),
+    (["uncertainty", "--t-end", "1", "--samples", "3", "--p2", "1",
+      "--p-mean", "1", "--x2", "1", "--x-mean", "1"],
+     {"p2": 1.0, "x2": 1.0, "pxxp": 0.0, "x_mean": 1.0, "p_mean": 1.0}),
+], ids=["moments", "invariant", "uncertainty"])
+def test_initial_moments_of_no_state_are_refused(capsys, argv, info):
+    # the centred covariance has det < 0: moments exited 0 with <p^2> =
+    # -1.27 at t = 1, and uncertainty ended in InvalidMoments (exit 3)
+    code, out, err = run(capsys, argv[0], *_SHO, *argv[1:])
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert (rec["type"], rec["module"]) == ("ValidationError", "quadham.cli")
+    assert rec["info"] == info
+
+
+def test_a_state_below_the_uncertainty_bound_is_reported(capsys):
+    # det = 1/16 of the covariance is not negative, so the input is served,
+    # with the broken bound as a negative margin from t = 0 on
+    code, out, err = run(capsys, "uncertainty", *_SHO, "--t-end", "1",
+                         "--samples", "2", "--p2", "0.25", "--x2", "0.25")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(r["margin"]) for r in rows] == [-0.1875, -0.1875]
 
 
 def test_green_refuses_a_value_that_is_not_finite(capsys):
@@ -843,6 +883,32 @@ def test_the_package_root_binds_only_its_submodules():
                for value in public.values()), sorted(public)
     # catalog_coefficients lives in coefficients alone
     assert not hasattr(inv, "catalog_coefficients")
+
+
+def test_the_package_root_is_the_one_lazy_loader():
+    # a function reads a sibling module as an attribute of the package
+    # root, whose __getattr__ imports it; no function imports one itself,
+    # and no module keeps TYPE_CHECKING imports beside that loader
+    root = pathlib.Path(quadham.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or node.module.startswith("quadham")):
+                    found.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.Import) and any(
+                        a.name.startswith("quadham") for a in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+        found += [f"{path.name}:{node.lineno} TYPE_CHECKING"
+                  for node in ast.walk(tree)
+                  if "TYPE_CHECKING" in (getattr(node, "name", None),
+                                         getattr(node, "id", None),
+                                         getattr(node, "attr", None))]
+    assert found == []
 
 
 def test_every_error_class_is_named_outside_errors():

@@ -104,6 +104,52 @@ def test_an_overflowing_norm_is_a_numerical_error(state):
                                   "Theta": state.Theta, "Phi": state.Phi}
 
 
+def test_a_moment_that_overflows_is_a_numerical_error():
+    # the norm is finite (6.5e171) and <x> and <x^2> times it are not: they
+    # read -inf and inf, and <p^2> -6.4e-127 from an underflowed Lambda^2
+    state = prop.GaussianState(1e-300j, 1e-149j)
+    assert math.isfinite(state.norm_sq())
+    with pytest.raises(NumericalError) as exc:
+        state.moments()
+    assert exc.value.info == {"Lambda": state.Lambda, "Theta": state.Theta,
+                              "Phi": state.Phi}
+
+
+@pytest.mark.parametrize("state", [
+    prop.GaussianState(Lambda=0.5j),
+    prop.GaussianState(Lambda=0.3 + 0.7j, Theta=0.4 - 0.2j, Phi=0.1 + 0.2j),
+    prop.GaussianState(Lambda=-1.5 + 0.2j, Theta=-2.0 + 1.5j)])
+def test_p2_is_the_mean_square_of_psi_prime(state):
+    # <p^2> = int |psi'|^2 with psi' = i (2 Lambda x + Theta) psi, by
+    # trapezoid quadrature over 12 widths each side of <x>
+    m = state.moments()
+    width = 0.5 / math.sqrt(state.Lambda.imag)
+    x, dx = np.linspace(-12.0, 12.0, 20001, retstep=True)
+    x = m["x"] / m["norm"] + width * x
+    f = np.abs(1j * (2.0 * state.Lambda * x + state.Theta)
+               * state.eval(x)) ** 2
+    p2 = width * dx * (f.sum() - 0.5 * (f[0] + f[-1]))
+    assert m["p2"] == pytest.approx(p2, rel=1e-10)
+
+
+def test_p2_is_exact_where_lambda_squared_underflows():
+    # Lambda^2 = -1e-320 is subnormal: the expanded form read <p^2> / <1>
+    # 1.00002e-160, where it is |Lambda|^2 / Im Lambda = 1e-160
+    state = prop.GaussianState(1e-160j, 1e-80j)
+    m = state.moments()
+    assert m["p2"] / m["norm"] == pytest.approx(1e-160, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [1e200, 1e155j])
+def test_a_propagated_gaussian_that_overflows_is_a_numerical_error(theta):
+    # Theta^2 overflows: a bare OverflowError from complex exponentiation
+    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    with pytest.raises(NumericalError) as exc:
+        prop.propagate_gaussian(kernel_of(0.25),
+                                prop.GaussianState(0.5j, theta))
+    assert exc.value.info == {"t": 0.25}
+
+
 def test_norm_law_self_adjoint_gaussian():
     # norm conserved to 1e-8 when the drift terms are symmetric
     _, _, kernel_of = _kernel_of(SHO, 2.0)
