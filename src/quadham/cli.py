@@ -170,18 +170,19 @@ def cmd_moments(args):
     return 0
 
 
-def _invariant_drift(spec, m0, t_end, t_start, samples):
+def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
     """E(0) of the catalogued invariant E and max |E(t) - E(0)| / |E(0)|
     over t in linspace(t_start, t_end, samples), E(t) from the second
-    moments flowed from m0."""
+    moments flowed from m0 on ``flow``, the flow of the invariant's H on
+    [0, t_end], which is solved here if it is None."""
     inv = quadham.invariants
 
     def pairs():
         yield inv.energy_operator_catalog(spec, 0.0), m0
         # solved only once E(0) has passed the cancellation check
-        path = quadham.dynamics.evolve_second_moments(
+        path = quadham.dynamics.evolve_second_moments(flow or (
             quadham.characteristic.classical_flow(
-                quadham.coefficients.catalog_coefficients(spec), t_end), m0)
+                quadham.coefficients.catalog_coefficients(spec), t_end)), m0)
         for t in _linspace(t_start, t_end, samples):
             yield inv.energy_operator_catalog(spec, t), path(t)
 
@@ -228,35 +229,67 @@ def cmd_uncertainty(args):
     return 0
 
 
+def _max_rel_err(pairs) -> float:
+    """max |got - want| / max(1, |want|) over the (got, want) pairs."""
+    return max(abs(g - w) / max(1.0, abs(w)) for g, w in pairs)
+
+
 def _verify_one(model_id: str, budget: str):
-    """Quick per-model verification; returns (name, passed, detail)."""
-    chr_mod, dyn = quadham.characteristic, quadham.dynamics
+    """Per-model verification on two flows, H's and the catalogued
+    invariant's; yields (name, passed, detail)."""
+    chr_mod, dyn, inv = (quadham.characteristic, quadham.dynamics,
+                         quadham.invariants)
     spec = quadham.coefficients.ModelSpec(model_id, omega0=1.3, lam=0.35,
                                           mu_param=0.1, delta=0.6)
-    checks = []
     # one flow for the kernel on (0, 1.2] and the moments on [0, 1.5]
     flow = _kernel_flow(spec, 1.5)
     n_kernel = 5 if budget == "quick" else 20
-    worst = 0.0
-    for t in _linspace(1.2 / n_kernel, 1.2, n_kernel):
-        kp = chr_mod.kernel_parameters(flow.tc, flow, t)
-        ref = chr_mod.closed_form_kernel(spec, t)
-        for got, exp in ((kp.alpha, ref.alpha), (kp.beta, ref.beta),
-                         (kp.gamma, ref.gamma)):
-            worst = max(worst, abs(got - exp) / max(1.0, abs(exp)))
-    checks.append(("kernel", worst <= 1e-7, f"max rel err {worst:.2e}"))
+    # alpha, beta and gamma, the last three fields
+    err = _max_rel_err(z for t in _linspace(1.2 / n_kernel, 1.2, n_kernel)
+                       for z in zip(chr_mod.kernel_parameters(
+                           flow.tc, flow, t)[4:],
+                           chr_mod.closed_form_kernel(spec, t)[4:]))
+    yield f"kernel {model_id}", err <= 1e-7, f"max rel err {err:.2e}"
 
+    cat = chr_mod.classical_flow(
+        quadham.coefficients.catalog_coefficients(spec), 1.5)
     _, drift = _invariant_drift(
-        spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), 1.5, 0.1, 8)
-    checks.append(("invariant", drift <= 1e-8, f"drift {drift:.2e}"))
+        spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), 1.5, 0.1, 8, cat)
+    yield f"invariant {model_id}", drift <= 1e-8, f"drift {drift:.2e}"
 
     # coherent initial data: variances 1/2, zero covariance
     worst_m = min(u["margin"] for _, u in _uncertainty(
         flow, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04),
         dyn.FirstMoments(0.1, 0.2), 1.5, 10))
-    checks.append(("uncertainty", worst_m >= -1e-10,
-                   f"min margin {worst_m:.2e}"))
-    return [(f"{name} {model_id}", ok, detail) for name, ok, detail in checks]
+    yield (f"uncertainty {model_id}", worst_m >= -1e-10,
+           f"min margin {worst_m:.2e}")
+    if budget == "quick":
+        return
+
+    ts = _linspace(0.3, 1.5, 5)
+    catalog = functools.partial(inv.energy_operator_catalog, spec)
+    form = inv.solve_energy_system(cat, catalog(0.0)[:4])
+    err = _max_rel_err(z for t in ts for z in zip(form(t)[:4], catalog(t)[:4]))
+    yield f"energy-system {model_id}", err <= 1e-8, f"max rel err {err:.2e}"
+
+    # the ladder of criterion 8's superposition of the columns of M
+    mu_fn, c0 = inv.superpose_linear_solutions(flow.tc, *(
+        inv.solve_linear_auxiliary(flow, col)
+        for col in ((1.0, 0.0), (0.0, 1.0))), 1.2, 0.3, 0.9)
+    ladder = [inv.ladder_factorization(flow, mu_fn, c0, t) for t in ts]
+    comm = _max_rel_err((p.commutator(), 1.0) for p in ladder)
+    rec = _max_rel_err(z for p in ladder for z in zip(
+        p.reconstruct()[:4], inv.general_invariant(flow, mu_fn, c0, p.t)[:4]))
+    yield (f"ladder {model_id}", comm <= 1e-12 and rec <= 1e-10,
+           f"commutator err {comm:.2e}, reconstruction err {rec:.2e}")
+
+    if spec.model.expectation is not None:
+        # the even branch, which cj_coordinate's curve requires
+        m0 = dyn.SecondMoments(p2=1.1, x2=0.9)
+        energy = dyn.damped_energy_equation_solve(spec, m0, cat)
+        err = _max_rel_err((energy(t), dyn.closed_form_expectation(
+            spec, m0, t)) for t in ts)
+        yield f"energy {model_id}", err <= 1e-6, f"max rel err {err:.2e}"
 
 
 def cmd_verify_all(args):

@@ -8,10 +8,9 @@ The first and second moments are algebra on the classical flow M and
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``,
 ``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The energy
 path of every model with a reference operator is that operator
-contracted with S(t).  The functions that read the flow or a model
-reach ``quadham.characteristic`` and ``quadham.coefficients`` through the
-package root when called, which loads them on first use, so that
-``appendix_d`` loads neither.
+contracted with S(t) on the flow the caller passes.  The moment paths
+reach ``quadham.characteristic`` through the package root when called,
+which loads it on first use, so that ``appendix_d`` does not.
 """
 
 from __future__ import annotations
@@ -99,11 +98,12 @@ def reference_operator(spec: quadham.coefficients.ModelSpec, t: float):
 
 
 def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
-                                 m0: SecondMoments, t_end: float):
+                                 m0: SecondMoments,
+                                 flow: quadham.characteristic.Flow):
     """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
-    on [0, t_end], contracted with the second moments flowed from m0 under
-    ``catalog_coefficients(spec)``; NoClosedForm, before any solve, for a
-    model without one.  For ``cj_coordinate`` E solves
+    on the window of ``flow``, the flow of ``catalog_coefficients(spec)``,
+    contracted with the second moments flowed from m0 on it; NoClosedForm
+    for a model without one.  For ``cj_coordinate`` E solves
 
         y'' - (4 lambda / sinh(2 lambda t)) y' +
             2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0,
@@ -112,8 +112,7 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
     <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
     reference = spec.closed_form("reference")
-    path = evolve_second_moments(quadham.characteristic.classical_flow(
-        quadham.coefficients.catalog_coefficients(spec), t_end), m0)
+    path = evolve_second_moments(flow, m0)
 
     def energy(t: float) -> float:
         m = path(t)

@@ -224,8 +224,8 @@ def measure_moments(state: GridState):
 
 def invariant_drift(ev: GridEvolution, form_of) -> float:
     """max_t |<E>(t) - <E>(0)| / |<E>(0)| over the recorded states, with
-    ``form_of`` mapping t to a ``QuadraticForm``: the CLI's drift, whose
-    refusal here reads |<E>(0)| <= _CANCEL times its terms as grid noise."""
+    ``form_of`` mapping t to a ``QuadraticForm``: criterion 3's grid drift,
+    whose refusal reads |<E>(0)| <= _CANCEL times its terms as grid noise."""
     pairs = ((form_of(t), measure_moments(s)[1])
              for t, s in zip(ev.times, ev.states))
     return _expectation_drift(pairs, _CANCEL)[1]

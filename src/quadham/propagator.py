@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .characteristic import KernelParameters, _served
 from .errors import (DegenerateWidth, NonNormalizable, NumericalError,
                      UnderResolved, ValidationError)
-from .ode import read
 
 _TWO_PI = 2.0 * math.pi
 
@@ -142,7 +141,7 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
     on the principal branch of log(2 mu A), A = gamma + Lambda.  Im A > 0,
     so the phase is continuous in t while mu keeps its sign, that is
     before the first caustic.  NumericalError naming t where the result
-    overflows."""
+    overflows or Im Lambda underflows to 0."""
     _served(kp.t, kp.mu, 1.0)
     # ** raises OverflowError where a square overflows, and a product or a
     # quotient gives inf or nan instead; both end in one NumericalError
@@ -162,6 +161,10 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
         finite = False
     if not finite:
         raise NumericalError("the propagated Gaussian overflows", t=kp.t)
+    # Im Lambda' = beta^2 Im A / (4 |A|^2) > 0 reads 0 only by underflow
+    if not Lambda_out.imag > 0:
+        raise NumericalError("the width of the propagated Gaussian "
+                             "underflows", t=kp.t, Lambda=Lambda_out)
     return GaussianState(Lambda_out, Theta_out, Phi_out)
 
 
@@ -222,27 +225,3 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
               + 0.5 * c * k * k))
     return GridState(x0, dx, values)
 
-
-def schrodinger_residual(tc, kernel_of, x: float, y: float, t: float,
-                         fd_step: float = 1e-3) -> float:
-    """Finite-difference residual of the evolution equation at (x, y, t).
-
-    ``tc`` holds the coefficients of H and ``kernel_of`` a
-    map from time to KernelParameters.  Central differences with step
-    ``fd_step`` are used in both t and x; the result is |i G_t + a G_xx
-    - b x^2 G + i (c + d) x G_x + i c G| / |G|.
-    """
-    h = fd_step
-
-    def G(tt, xx):
-        return green_eval(kernel_of(tt), xx, y)
-
-    g0 = G(t, x)
-    gt = (G(t + h, x) - G(t - h, x)) / (2.0 * h)
-    gxp, gxm = G(t, x + h), G(t, x - h)
-    gxx = (gxp - 2.0 * g0 + gxm) / (h * h)
-    gx = (gxp - gxm) / (2.0 * h)
-    a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
-    res = (1j * gt + a * gxx - b * x * x * g0
-           + 1j * (c + d) * x * gx + 1j * c * g0)
-    return abs(res) / abs(g0)

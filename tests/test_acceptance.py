@@ -18,6 +18,7 @@ from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
+from schrodinger import schrodinger_residual
 
 KERNEL_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -86,7 +87,7 @@ def test_criterion_02_pde_residual():
         for _ in range(10):
             x, y = rng.uniform(-0.6, 0.6, size=2)
             t = rng.uniform(lo, hi)
-            worst = max(worst, prop.schrodinger_residual(
+            worst = max(worst, schrodinger_residual(
                 tc, kernel_of, float(x), float(y), float(t), fd_step=1e-3))
     ok = worst <= 1e-5
     _report(2, "PDE residual (10 random triples per model, fd_step 1e-3)",
@@ -181,7 +182,7 @@ def test_criterion_05_energy_expectation_closed_forms():
             ref = dyn.closed_form_expectation(spec, m0, float(t))
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     tc = coeff.catalog_coefficients(CJ)
-    y = dyn.damped_energy_equation_solve(CJ, m0_even, 5.0)
+    y = dyn.damped_energy_equation_solve(CJ, m0_even, classical_flow(tc, 5.0))
     worst_cj = 0.0
     for t in np.concatenate(([0.01, 0.05], np.linspace(0.2, 5.0, 25))):
         ref = dyn.closed_form_expectation(CJ, m0_even, float(t))
@@ -322,10 +323,10 @@ def test_criterion_10_convergence_orders():
     time_ratio = e1 / e2
 
     tc_e, _, kernel_of = _kernel_of(CK, 1.0)
-    r1 = prop.schrodinger_residual(tc_e, kernel_of, 0.5, 0.2, 0.6,
-                                   fd_step=2e-3)
-    r2 = prop.schrodinger_residual(tc_e, kernel_of, 0.5, 0.2, 0.6,
-                                   fd_step=1e-3)
+    r1 = schrodinger_residual(tc_e, kernel_of, 0.5, 0.2, 0.6,
+                              fd_step=2e-3)
+    r2 = schrodinger_residual(tc_e, kernel_of, 0.5, 0.2, 0.6,
+                              fd_step=1e-3)
     fd_ratio = r1 / r2
     ok = 3.5 <= time_ratio <= 4.5 and 3.5 <= fd_ratio <= 4.5
     _report(10, "convergence orders (time halving, fd halving)", ok,

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -318,13 +319,18 @@ def test_appendix_d_singular_time_is_refused(capsys, argv, t):
     (["propagate", "--model", "simple_harmonic", "--t-end", "0.5",
       "--samples", "2", "--lambda-im", "1e-300", "--theta-im", "1e-149"],
      "quadham.propagator", {"Lambda", "Theta", "Phi"}),
+    (["propagate", "--model", "simple_harmonic", "--t-end", "0.5",
+      "--samples", "2", "--lambda-im", "1e308"],
+     "quadham.propagator", {"t", "Lambda"}),
 ], ids=["propagate_norm", "appendix_d_cosh", "propagate_theta_re",
-        "propagate_theta_im", "propagate_moments"])
+        "propagate_theta_im", "propagate_moments", "propagate_width"])
 def test_an_overflow_gives_a_typed_record(capsys, argv, module, keys):
     # the norm of the propagated Gaussian, cosh(lambda t) and Theta^2
     # overflow: each ended in the backstop's OverflowError record with empty
     # info; <x> and <x^2> times a finite norm overflow too, which ended in
-    # quadham.io's record, naming no state
+    # quadham.io's record, naming no state.  A start state 1e308 wide in
+    # Im Lambda is valid, and Im Lambda' underflows to 0: that was refused
+    # as a bad input (NonNormalizable, exit 2) with no t
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     rec = json.loads(err)
@@ -1124,6 +1130,58 @@ def test_verify_all_quick_single_model(capsys):
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert lines and all(ln.startswith("PASS") for ln in lines)
+
+
+def test_verify_all_quick_keeps_its_bytes(capsys):
+    # the quick budget's stdout for all ten models, digest taken before
+    # the full budget gained its checks of the paper's constructions; each
+    # model alone prints its own three lines of it
+    code, out, _ = run(capsys, "verify_all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8b08746b380e9e388aea30320f681f2ebe121513176b614f57a6271d9e38b132")
+    lines = out.splitlines()
+    assert len(lines) == 3 * len(coeff.MODEL_IDS)
+    for k, model_id in enumerate(coeff.MODEL_IDS):
+        code, one, _ = run(capsys, "verify_all", "--model", model_id)
+        assert code == 0
+        assert one.splitlines() == lines[3 * k:3 * k + 3]
+
+
+# the models whose records carry an expectation curve
+_ENERGY_MODELS = {coeff.CALDIROLA_KANAI, coeff.MODIFIED_CK, coeff.UNITED,
+                  coeff.MODIFIED_OSCILLATOR, coeff.CJ_COORDINATE}
+
+
+@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
+def test_verify_all_full_checks_the_paper_constructions(capsys, model_id):
+    # the full budget adds the energy system and the ladder for every
+    # model and the energy curve for five; each line reads
+    # "PASS name model_id: detail", the form the benchmark's oracle reads
+    code, out, err = run(capsys, "verify_all", "--model", model_id,
+                         "--budget", "full")
+    assert (code, err) == (0, "")
+    names = ["kernel", "invariant", "uncertainty", "energy-system", "ladder"]
+    names += ["energy"] if model_id in _ENERGY_MODELS else []
+    lines = out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"PASS {name} {model_id}" for name in names]
+    assert all(ln.split(": ", 1)[1] for ln in lines)
+
+
+def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
+    # a conservation system that returns the wrong form is a FAIL line and
+    # exit 3; the other checks still pass
+    def wrong(flow, init):
+        return lambda t: inv.QuadraticForm(*init[:2], 0.0, 0.0, t)
+
+    monkeypatch.setattr(inv, "solve_energy_system", wrong)
+    code, out, err = run(capsys, "verify_all", "--model", "caldirola_kanai",
+                         "--budget", "full")
+    assert (code, err) == (3, "")
+    failed = [ln for ln in out.splitlines() if not ln.startswith("PASS ")]
+    assert [ln.split(":")[0] for ln in failed] == [
+        "FAIL energy-system caldirola_kanai"]
 
 
 # -- property test: every subcommand exits 0, 2 or 3 ------------------------

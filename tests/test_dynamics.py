@@ -63,7 +63,8 @@ def test_cj_closed_form_requires_even_branch():
 
 def test_cj_energy_equation_vs_closed_form():
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
-    y = dyn.damped_energy_equation_solve(spec, M0_EVEN, 5.0)
+    y = dyn.damped_energy_equation_solve(
+        spec, M0_EVEN, classical_flow(_tc_for(spec), 5.0))
     for t in np.concatenate(([0.01, 0.05], np.linspace(0.2, 5.0, 25))):
         ref = dyn.closed_form_expectation(spec, M0_EVEN, float(t))
         assert abs(y(float(t)) - ref) <= 1e-6 * max(1.0, abs(ref))
@@ -76,20 +77,22 @@ REFERENCE_SPECS = {s.model_id: s for s in CLOSED_FORM_SPECS + [
 def test_energy_path_serves_every_reference_operator(solves):
     # the numeric energy path of each of the five records with a reference
     # operator matches its closed form at criterion 5's tolerance (the
-    # cj_coordinate curve is the even branch); the other five are refused
-    # before any flow is solved
+    # cj_coordinate curve is the even branch); the other five are refused.
+    # The path contracts on the flow it is given and solves none itself
     assert len(REFERENCE_SPECS) == 5
     for model_id in coeff.MODEL_IDS:
         m0 = M0_EVEN if model_id == coeff.CJ_COORDINATE else M0
-        spec = REFERENCE_SPECS.get(model_id)
-        if spec is None:
-            n_solves = len(solves)
+        spec = REFERENCE_SPECS.get(model_id) or coeff.ModelSpec(
+            model_id, 1.0, 0.2, delta=0.5)
+        flow = classical_flow(_tc_for(spec), 3.0)
+        n_solves = len(solves)
+        if model_id not in REFERENCE_SPECS:
             with pytest.raises(NoClosedForm):
-                dyn.damped_energy_equation_solve(
-                    coeff.ModelSpec(model_id, 1.0, 0.2, delta=0.5), m0, 3.0)
+                dyn.damped_energy_equation_solve(spec, m0, flow)
             assert len(solves) == n_solves, model_id
             continue
-        y = dyn.damped_energy_equation_solve(spec, m0, 3.0)
+        y = dyn.damped_energy_equation_solve(spec, m0, flow)
+        assert len(solves) == n_solves, model_id
         for t in np.linspace(0.1, 3.0, 11):
             ref = dyn.closed_form_expectation(spec, m0, float(t))
             assert abs(y(float(t)) - ref) <= 1e-8 * max(1.0, abs(ref)), \

@@ -125,7 +125,6 @@ def test_one_reader_of_the_coefficients():
         lambda n: getattr(getattr(n, "func", None), "id", None) == "read"
     )) == {("ode", "_exponent"), ("gridsim", "evolve_grid"),
            ("characteristic", "_mu_prime"),
-           ("propagator", "schrodinger_residual"),
            ("invariants", "_derivatives"),
            ("invariants", "_auxiliary_coefficients"),
            ("invariants", "superpose_linear_solutions"),

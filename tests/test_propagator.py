@@ -12,6 +12,7 @@ from quadham import propagator as prop
 from quadham.errors import (CausticEncountered, DegenerateWidth,
                             NonNormalizable, NumericalError, UnderResolved,
                             ValidationError)
+from schrodinger import schrodinger_residual
 
 
 def _kernel_of(spec, horizon):
@@ -148,6 +149,17 @@ def test_a_propagated_gaussian_that_overflows_is_a_numerical_error(theta):
         prop.propagate_gaussian(kernel_of(0.25),
                                 prop.GaussianState(0.5j, theta))
     assert exc.value.info == {"t": 0.25}
+
+
+def test_a_propagated_width_that_underflows_is_a_numerical_error():
+    # Im Lambda' = beta^2 Im A / (4 |A|^2) underflows to 0 from a valid,
+    # very narrow start state: a numerical failure naming t, not the
+    # NonNormalizable of a bad input
+    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    with pytest.raises(NumericalError) as exc:
+        prop.propagate_gaussian(kernel_of(0.25), prop.GaussianState(1e308j))
+    assert exc.value.info["t"] == 0.25
+    assert exc.value.info["Lambda"].imag == 0.0
 
 
 def test_norm_law_self_adjoint_gaussian():
@@ -334,8 +346,8 @@ def test_caustic_guard_in_green_eval(reader):
 
 def test_residual_sho():
     tc, _, kernel_of = _kernel_of(SHO, 1.0)
-    assert prop.schrodinger_residual(tc, kernel_of, 0.6, -0.3, 0.5,
-                                     fd_step=1e-4) <= 1e-6
+    assert schrodinger_residual(tc, kernel_of, 0.6, -0.3, 0.5,
+                                fd_step=1e-4) <= 1e-6
 
 
 def test_residual_mpo():
@@ -344,20 +356,20 @@ def test_residual_mpo():
     # scaling below confirms the kernel itself satisfies the equation
     spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=0.5)
     tc, _, kernel_of = _kernel_of(spec, 1.0)
-    r_fine = prop.schrodinger_residual(tc, kernel_of, 0.3, -0.2, 0.4,
-                                       fd_step=2.5e-4)
+    r_fine = schrodinger_residual(tc, kernel_of, 0.3, -0.2, 0.4,
+                                  fd_step=2.5e-4)
     assert r_fine <= 1e-5
-    r_coarse = prop.schrodinger_residual(tc, kernel_of, 0.3, -0.2, 0.4,
-                                         fd_step=5e-4)
+    r_coarse = schrodinger_residual(tc, kernel_of, 0.3, -0.2, 0.4,
+                                    fd_step=5e-4)
     assert 3.5 <= r_coarse / r_fine <= 4.5
 
 
 def test_residual_fd_halving_is_second_order():
     tc, _, kernel_of = _kernel_of(CK, 1.0)
-    r1 = prop.schrodinger_residual(tc, kernel_of, 0.5, 0.2, 0.6,
-                                   fd_step=2e-3)
-    r2 = prop.schrodinger_residual(tc, kernel_of, 0.5, 0.2, 0.6,
-                                   fd_step=1e-3)
+    r1 = schrodinger_residual(tc, kernel_of, 0.5, 0.2, 0.6,
+                              fd_step=2e-3)
+    r2 = schrodinger_residual(tc, kernel_of, 0.5, 0.2, 0.6,
+                              fd_step=1e-3)
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -392,4 +404,4 @@ def test_residual_property_random_triples(x, y, t):
     # the fd truncation grows like (phase rate)^3 h^2; small t and large
     # |x|, |y| push it past the tolerance, so sample a moderate window
     tc, _, kernel_of = _kernel_of(CK, 1.5)
-    assert prop.schrodinger_residual(tc, kernel_of, x, y, t) <= 1e-5
+    assert schrodinger_residual(tc, kernel_of, x, y, t) <= 1e-5
