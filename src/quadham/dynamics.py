@@ -1,6 +1,5 @@
 """Expectation-value dynamics: moments, closed-form energy curves,
-Ehrenfest motion, uncertainty bounds, and the hyperbolic basis functions
-used to solve the damped-oscillator energy equation.
+Ehrenfest motion, uncertainty bounds and Appendix D's hyperbolic basis.
 
 The first and second moments are algebra on the classical flow M and
 ``I = int_0^t (c - d)`` of :func:`quadham.characteristic.classical_flow`:

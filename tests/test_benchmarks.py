@@ -1,0 +1,26 @@
+import json
+import os
+import pathlib
+import runpy
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_layer_child_times_every_row():
+    # one child of benchmarks/run.py's layer timings on this checkout's
+    # source: every row its records describe gets a positive time, and
+    # the flow solver's counts are there for both flows
+    bench = runpy.run_path(str(ROOT / "benchmarks" / "run.py"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", bench["LAYERS"]], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert set(run) == {*bench["LAYER_INPUTS"], "counts"}
+    assert all(run[row] > 0 for row in bench["LAYER_INPUTS"])
+    assert set(run["counts"]) == {"classical_flow", "moment_flow"}
+    for counts in run["counts"].values():
+        assert counts["nfev"] > 0 and counts["n_steps"] > 0

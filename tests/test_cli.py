@@ -732,11 +732,18 @@ def test_uncertainty_solves_one_flow(capsys, solves):
     assert solves == [(0.0, 3.0)]
 
 
-def test_verify_all_solves_two_flows_per_model(capsys, solves):
-    # one for the kernel and the moments, one for the catalogued invariant
-    code, out, err = run(capsys, "verify_all", "--budget", "full")
+@pytest.mark.parametrize("budget", ["quick", "full"])
+@pytest.mark.parametrize("model_id, n_solves", [
+    ("all", len(coeff.MODEL_IDS) + 1), (coeff.CJ_COORDINATE, 2),
+    (coeff.CALDIROLA_KANAI, 1)])
+def test_verify_all_one_flow_per_hamiltonian(capsys, solves, budget,
+                                             model_id, n_solves):
+    # H's flow serves the kernel, the moments and every check; only
+    # cj_coordinate's catalogued invariant belongs to another H
+    code, out, err = run(capsys, "verify_all", "--model", model_id,
+                         "--budget", budget)
     assert code == 0
-    assert len(solves) == 2 * len(coeff.MODEL_IDS)
+    assert len(solves) == n_solves
 
 
 @pytest.mark.parametrize("modules", [
@@ -1146,6 +1153,24 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
         code, one, _ = run(capsys, "verify_all", "--model", model_id)
         assert code == 0
         assert one.splitlines() == lines[3 * k:3 * k + 3]
+
+
+def test_verify_all_full_keeps_its_bytes(capsys):
+    # the full budget's stdout for all ten models, digest taken while each
+    # model still solved the catalogued invariant's flow apart from H's;
+    # each model alone prints its own lines of it
+    code, out, _ = run(capsys, "verify_all", "--budget", "full")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ecccb75d236f5846a7ae5e7b22c809b848423e41351a3ae046d71cfd6aeddad8")
+    lines = out.splitlines()
+    assert len(lines) == 55
+    for model_id in coeff.MODEL_IDS:
+        code, one, _ = run(capsys, "verify_all", "--model", model_id,
+                           "--budget", "full")
+        assert code == 0
+        assert one.splitlines() == [
+            ln for ln in lines if ln.split(":")[0].endswith(f" {model_id}")]
 
 
 # the models whose records carry an expectation curve
