@@ -31,7 +31,9 @@ and one ``propagate_grid`` at N = 4096), each the median and the best of 7
 samples and ``fast_samples``, the number of samples within 25% of the
 best, with the solver's counts for each solve, and ``steal_s``, the host's
 steal time (from /proc/stat) during each sample's child, null where that
-file cannot be read.  The children run with
+file cannot be read.  Each child imports numpy and every package module it
+times before it builds any input, so that every row is timed after one
+import order.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package and
 the measured checkout is left as it was.  The ``quadbench`` children copy
 the benchmark's own environment and add ``PYTHONPATH`` (``child_env`` in
@@ -90,8 +92,9 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
 # source: {row: per-call seconds}, plus the flow solver's counts
 LAYERS = """
 import json, math, timeit
+import numpy as np
 from quadham import characteristic as chm, coefficients as coeff
-from quadham import dynamics as dyn, invariants as inv
+from quadham import dynamics as dyn, gridsim, invariants as inv
 from quadham import propagator as prop
 from quadham.errors import NumericalError
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
@@ -115,8 +118,7 @@ tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                                 zero, zero, da=zero, dc=zero, dd=zero)
 osc_flow = chm.classical_flow(tc_osc, 2.0)
 kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
-path = chm.solve_characteristic(tc, 1.4)
-kp = chm.kernel_parameters(tc, path, 0.7)
+kp = chm.kernel_parameters(tc, flow, 0.7)
 s0 = prop.GaussianState(0.5j)
 # b = e^(1000 t) overflows math.exp from t = 0.71 on
 tc_exp = coeff.TimeCoefficients(lambda t: 0.5, lambda t: math.exp(1000.0 * t),
@@ -133,9 +135,6 @@ def per_call(fn, number):
     return timeit.timeit(fn, number=number) / number
 
 # the grid layers: a Gaussian on [-8, 8], its tails below 1e-13
-import numpy as np
-from quadham import gridsim
-
 def grid(n):
     x = np.linspace(-8.0, 8.0, n)
     return prop.GridState(-8.0, x[1] - x[0], np.exp(-0.5 * x * x + 0j))
@@ -163,7 +162,7 @@ print(json.dumps({
     "invariant_point": per_call(
         lambda: inv.general_invariant(osc_flow, kappa_fn, c0, 1.0), 5000),
     "kernel_parameters": per_call(
-        lambda: chm.kernel_parameters(tc, path, 0.7), 5000),
+        lambda: chm.kernel_parameters(tc, flow, 0.7), 5000),
     "refused_flow": per_call(refused_flow, 2),
     "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
     "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),

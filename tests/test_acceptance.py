@@ -18,6 +18,7 @@ from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
+from helpers import grid_gaussian, solve_kernel
 from schrodinger import schrodinger_residual
 
 KERNEL_SPECS = [
@@ -45,22 +46,10 @@ def _report(num: int, name: str, ok: bool, detail: str):
     print(line)
 
 
-def _kernel_of(spec, horizon):
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
-    path = chr_mod.solve_characteristic(tc, horizon)
-    return tc, path, lambda t: chr_mod.kernel_parameters(tc, path, t)
-
-
-def _grid_gaussian(state, half_width, n=2048):
-    dx = 2.0 * half_width / (n - 1)
-    x = -half_width + dx * np.arange(n)
-    return prop.GridState(-half_width, dx, state.eval(x))
-
-
 def test_criterion_01_kernel_consistency():
     worst = 0.0
     for spec in KERNEL_SPECS:
-        tc, path, kernel_of = _kernel_of(spec, 1.4)
+        tc, path, kernel_of = solve_kernel(spec, 1.4)
         caustic = path.first_caustic
         hi = 1.4 if caustic is None else min(1.4, 0.9 * caustic[0])
         for t in np.linspace(hi / 20, hi, 20):
@@ -83,7 +72,7 @@ def test_criterion_02_pde_residual():
         # window keeps |x|, |y| moderate and stays where mu is O(1)
         lo, hi = ((1.3, 2.0) if spec.model_id == coeff.MODIFIED_PARAMETRIC
                   else (0.7, 1.3))
-        tc, _, kernel_of = _kernel_of(spec, hi + 0.1)
+        tc, _, kernel_of = solve_kernel(spec, hi + 0.1)
         for _ in range(10):
             x, y = rng.uniform(-0.6, 0.6, size=2)
             t = rng.uniform(lo, hi)
@@ -115,7 +104,7 @@ def test_criterion_03_invariant_conservation():
             # the packet squeezes hard mid-period, so the O(dx^2) moment
             # error needs the finer grid
             n = 4096
-        psi0 = _grid_gaussian(prop.GaussianState(Lambda=lam0), half, n)
+        psi0 = grid_gaussian(prop.GaussianState(Lambda=lam0), half, n)
         steps = int(round(t_end / 1e-3))
         ev = gridsim.evolve_grid(tc, psi0, 1e-3, steps)
         worst_grid = max(worst_grid, gridsim.invariant_drift(ev, form))
@@ -135,7 +124,7 @@ def test_criterion_03_invariant_conservation():
 
 
 def test_criterion_04_elementary_and_superposed_invariants():
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(UNITED)
     mu_fn, C0 = (UNITED.closed_form("invariant_mu"),
                  UNITED.closed_form("invariant_c0"))
     res = max(inv.auxiliary_residual(tc, mu_fn, C0, float(t))
@@ -217,15 +206,15 @@ def test_criterion_06_hyperbolic_basis():
 def test_criterion_07_first_moments_norm_and_uncertainty():
     worst_x = 0.0
     for spec in (UNITED, CJ):
-        tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+        tc = coeff.builtin_coefficients(spec)
         fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(0.9, 0.4))
         path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
         for t in np.linspace(0.0, 4.0, 17):
             ref = spec.closed_form("mean_position")(0.9, 0.4, float(t))
             worst_x = max(worst_x, abs(path(float(t)).x - ref))
 
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), 10.0)
+    tc = coeff.builtin_coefficients(UNITED)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), 10.0)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     n0 = psi0.norm_sq()
     worst_norm = max(abs(s.norm_sq() / n0 - math.exp(-0.1 * t))
@@ -236,7 +225,7 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     margin0 = dyn.uncertainty_check(m0, f0)["margin"]
     worst_margin = 0.0
     for spec in (CK, UNITED, CJ):
-        tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+        tc = coeff.builtin_coefficients(spec)
         flow = classical_flow(tc, 3.0)
         mp = dyn.evolve_second_moments(flow, m0)
         fp = dyn.evolve_first_moments(flow, f0)
@@ -256,12 +245,11 @@ def test_criterion_08_ladder_algebra():
     worst_c = 0.0
     worst_rec = 0.0
     cases = []
-    flow_u = classical_flow(
-        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 2.5)
+    flow_u = classical_flow(coeff.builtin_coefficients(UNITED), 2.5)
     cases.append((flow_u, UNITED.closed_form("invariant_mu"),
                   UNITED.closed_form("invariant_c0")))
     for spec in (CK, SHO):
-        tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+        tc = coeff.builtin_coefficients(spec)
         flow = classical_flow(tc, 2.5)
         u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
         v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
@@ -287,15 +275,14 @@ def test_criterion_08_ladder_algebra():
 def test_criterion_09_three_way_oracle_cross_check():
     worst = 0.0
     for spec in (CK, SHO):
-        tc_h = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-        tc_e = coeff.convert_convention(tc_h, coeff.EQUATION)
-        path = chr_mod.solve_characteristic(tc_e, 0.7)
-        kp = chr_mod.kernel_parameters(tc_e, path, 0.5)
+        tc = coeff.builtin_coefficients(spec)
+        path = classical_flow(tc, 0.7)
+        kp = chr_mod.kernel_parameters(tc, path, 0.5)
         s0 = prop.GaussianState(Lambda=0.5j, Theta=0.2)
-        psi0 = _grid_gaussian(s0, 12.0)
+        psi0 = grid_gaussian(s0, 12.0)
         exact = prop.propagate_gaussian(kp, s0).eval(psi0.x)
         quad_vals = prop.propagate_grid(kp, psi0).values
-        cn_vals = gridsim.evolve_grid(tc_h, psi0, 5e-4, 1000).final().values
+        cn_vals = gridsim.evolve_grid(tc, psi0, 5e-4, 1000).final().values
         worst = max(worst,
                     float(np.max(np.abs(exact - quad_vals))),
                     float(np.max(np.abs(exact - cn_vals))),
@@ -309,8 +296,8 @@ def test_criterion_09_three_way_oracle_cross_check():
 def test_criterion_10_convergence_orders():
     # time order: same spatial grid, reference at much smaller dt so the
     # spatial error cancels in the differences
-    tc = coeff.builtin_coefficients(SHO, coeff.HAMILTONIAN)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), 10.0, n=512)
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), 10.0, n=512)
     t_end = 0.4
 
     def run(dt):
@@ -322,10 +309,10 @@ def test_criterion_10_convergence_orders():
     e2 = float(np.max(np.abs(run(t_end / 64) - ref)))
     time_ratio = e1 / e2
 
-    tc_e, _, kernel_of = _kernel_of(CK, 1.0)
-    r1 = schrodinger_residual(tc_e, kernel_of, 0.5, 0.2, 0.6,
+    tc_ck, _, kernel_of = solve_kernel(CK, 1.0)
+    r1 = schrodinger_residual(tc_ck, kernel_of, 0.5, 0.2, 0.6,
                               fd_step=2e-3)
-    r2 = schrodinger_residual(tc_e, kernel_of, 0.5, 0.2, 0.6,
+    r2 = schrodinger_residual(tc_ck, kernel_of, 0.5, 0.2, 0.6,
                               fd_step=1e-3)
     fd_ratio = r1 / r2
     ok = 3.5 <= time_ratio <= 4.5 and 3.5 <= fd_ratio <= 4.5

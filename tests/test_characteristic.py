@@ -5,7 +5,8 @@ import pytest
 
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
-from quadham.errors import CausticEncountered, ValidationError
+from quadham.errors import (CausticEncountered, SingularCoefficient,
+                            ValidationError)
 
 ALL_MODELS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -21,14 +22,10 @@ ALL_MODELS = [
 ]
 
 
-def _eq(spec):
-    return coeff.builtin_coefficients(spec, coeff.EQUATION)
-
-
 def test_ck_mu_closed_form():
     # damped oscillator: mu = (omega0/omega) e^{-lambda t} sin(omega t)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, omega0=1.0, lam=0.1)
-    path = chr_mod.solve_characteristic(_eq(spec), 1.2)
+    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.2)
     w = math.sqrt(0.99)
     expected = (1.0 / w) * math.exp(-0.1) * math.sin(w)
     assert path.mu(1.0) == pytest.approx(expected, rel=1e-8)
@@ -38,7 +35,7 @@ def test_cj_mu_closed_form():
     # mu = sin(omega t) / (omega cosh(lambda t))
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, omega0=1.0, lam=0.2)
     w = math.sqrt(1.0 - 0.04)
-    path = chr_mod.solve_characteristic(_eq(spec), 1.0)
+    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.0)
     t = 0.8
     assert path.mu(t) == pytest.approx(
         math.sin(w * t) / (w * math.cosh(0.2 * t)), rel=1e-8)
@@ -52,7 +49,7 @@ def test_cj_momentum_mu_closed_form():
     expected = (0.2 * math.cos(w * t) * math.sinh(0.2 * t)
                 + w * math.sin(w * t) * math.cosh(0.2 * t)) / 1.0
     assert mu == pytest.approx(expected, rel=1e-12)
-    path = chr_mod.solve_characteristic(_eq(spec), 1.0)
+    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.0)
     assert path.mu(t) == pytest.approx(expected, rel=1e-8)
 
 
@@ -74,8 +71,8 @@ def test_sech2_initial_data():
 
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_initial_slope_is_2a0(spec):
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 0.5)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 0.5)
     # mu(eps)/eps carries an O(eps) term; one Richardson step removes it
     eps = 1e-4
     f1 = path.mu(eps) / eps
@@ -85,8 +82,8 @@ def test_initial_slope_is_2a0(spec):
 
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_mu_matches_closed_form_on_window(spec):
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 1.3)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 1.3)
     for t in np.linspace(0.05, 1.3, 15):
         mu_ref, mup_ref = chr_mod.closed_form_mu(spec, float(t))
         assert abs(path.mu(float(t)) - mu_ref) <= 1e-8 * max(1.0, abs(mu_ref))
@@ -97,8 +94,8 @@ def test_mu_matches_closed_form_on_window(spec):
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_kernel_identities(spec):
     # beta mu + h = 0 and h(0+) -> 1
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 1.2)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 1.2)
     for t in (0.3, 0.9):
         kp = chr_mod.kernel_parameters(tc, path, t)
         assert abs(kp.beta * kp.mu + kp.h) <= 1e-12 * max(1.0, abs(kp.h))
@@ -110,8 +107,8 @@ def test_kernel_identities(spec):
 
 def test_simple_harmonic_quarter_period():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, omega0=1.0)
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 1.0)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 1.0)
     kp = chr_mod.kernel_parameters(tc, path, math.pi / 4)
     assert kp.alpha == pytest.approx(0.5 / math.tan(math.pi / 4), rel=1e-8)
     assert kp.gamma == pytest.approx(kp.alpha, rel=1e-8)
@@ -123,8 +120,8 @@ def test_ck_kernel_vs_printed_forms():
     w0, lam = 1.0, 0.1
     w = math.sqrt(w0 * w0 - lam * lam)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, w0, lam)
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 1.0)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 1.0)
     t = 0.5
     kp = chr_mod.kernel_parameters(tc, path, t)
     s, c = math.sin(w * t), math.cos(w * t)
@@ -140,8 +137,8 @@ def test_united_kernel_vs_printed_forms():
     w0, lam, mu_p = 1.0, 0.3, 0.1
     w = math.sqrt(w0 * w0 - (lam - mu_p) ** 2)
     spec = coeff.ModelSpec(coeff.UNITED, w0, lam, mu_p)
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 0.8)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 0.8)
     t = 0.4
     kp = chr_mod.kernel_parameters(tc, path, t)
     ref = chr_mod.closed_form_kernel(spec, t)
@@ -156,8 +153,8 @@ def test_united_kernel_vs_printed_forms():
 
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_assembled_kernel_matches_closed_form(spec):
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 1.3)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 1.3)
     caustic = path.first_caustic
     hi = 1.3 if caustic is None else min(1.3, 0.9 * caustic[0])
     for t in np.linspace(hi / 12, hi, 12):
@@ -176,7 +173,7 @@ def test_equal_cross_terms_give_no_integral(spec):
     # c = d: I' = c - d vanishes at every node, so I is exactly 0 and
     # h = e^I exactly 1
     tc = coeff.builtin_coefficients(spec)
-    flow = chr_mod.solve_characteristic(tc, 1.5)
+    flow = chr_mod.classical_flow(tc, 1.5)
     assert len(flow.steps) > 10
     assert all(p.i == 0.0 for p in flow.steps)
     for t in flow.t[1:]:
@@ -186,8 +183,8 @@ def test_equal_cross_terms_give_no_integral(spec):
 def test_gamma_internal_consistency():
     # gamma - d0/(2 a0) - a h^2/(mu mu') equals the quadrature tail
     spec = coeff.ModelSpec(coeff.MODIFIED_CK, 1.2, 0.3)
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 1.0)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 1.0)
     t = 0.7
     kp = chr_mod.kernel_parameters(tc, path, t)
     lead = tc.a(t) * kp.h ** 2 / (kp.mu * kp.mu_prime) \
@@ -207,8 +204,8 @@ def test_gamma_internal_consistency():
 def test_gamma_continues_past_mu_prime_zero(spec, window, t):
     # gamma must match the closed form past a zero of mu' and just before
     # one, where a form of gamma weighted by 1/mu'^2 loses its accuracy
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, window)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, window)
     kp = chr_mod.kernel_parameters(tc, path, t)
     ref = chr_mod.closed_form_kernel(spec, t)
     # gamma is 4e-5 in the second case: an absolute floor at the solver
@@ -219,8 +216,8 @@ def test_gamma_continues_past_mu_prime_zero(spec, window, t):
 
 def test_caustic_is_detected():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 4.0)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 4.0)
     lo, hi = path.first_caustic
     assert lo < math.pi < hi
     assert hi - lo < 0.1
@@ -236,8 +233,8 @@ def test_kernels_refuse_t_at_zero_before_it_and_at_a_caustic(numerical, t):
     # the kernel is singular at t = 0, is not served before it, and mu of
     # SHO is inside the guard band at pi
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    tc = _eq(spec)
-    path = chr_mod.solve_characteristic(tc, 4.0)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, 4.0)
     with pytest.raises(CausticEncountered):
         if numerical:
             chr_mod.kernel_parameters(tc, path, t)
@@ -248,12 +245,30 @@ def test_kernels_refuse_t_at_zero_before_it_and_at_a_caustic(numerical, t):
 def test_kernel_past_solved_window_is_refused():
     # the dense output would extrapolate to mu(3.5) = -0.3117 (exact
     # sin 3.5 = -0.3508) without seeing the caustic at pi
-    tc = _eq(coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0))
-    path = chr_mod.solve_characteristic(tc, 2.0)
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
+                                                    1.0))
+    path = chr_mod.classical_flow(tc, 2.0)
     with pytest.raises(ValidationError):
         chr_mod.kernel_parameters(tc, path, 3.5)
     kp = chr_mod.kernel_parameters(tc, path, path.t_end)
     assert kp.mu == pytest.approx(math.sin(2.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("spec, t_end, error", [
+    (coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), 0.0, ValidationError),
+    (coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), -0.5, ValidationError),
+    (coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR), math.pi / 2,
+     SingularCoefficient),
+    (coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR), 2.0, SingularCoefficient),
+], ids=["zero", "negative", "t_max", "past_t_max"])
+def test_solve_characteristic_refuses_what_the_cli_refuses(spec, t_end,
+                                                           error, solves):
+    # the CLI's solve: a window that is not positive, or that reaches the
+    # record's stated limit t_max (pi/2 for the modified oscillator), is
+    # refused before any flow is solved
+    with pytest.raises(error):
+        chr_mod.solve_characteristic(coeff.builtin_coefficients(spec), t_end)
+    assert solves == []
 
 
 def test_first_caustic_on_a_backward_window():
@@ -292,7 +307,7 @@ class _StubFlow(chr_mod.Flow):
 
     def __init__(self, mu):
         ts = [float(k) for k in range(len(mu))]
-        super().__init__(_eq(ALL_MODELS[8]), ts,
+        super().__init__(coeff.builtin_coefficients(ALL_MODELS[8]), ts,
                          [[0.0, float(m), 0.0, 0.0, 0.0] for m in mu], 0)
         self.mu = mu
 
@@ -335,7 +350,7 @@ def test_cj_pure_damping_limit():
         b=zero, c=zero, d=zero,
         da=lambda s: -lam * math.tanh(lam * s) / math.cosh(lam * s) ** 2,
         db=zero, dc=zero, dd=zero)
-    path = chr_mod.solve_characteristic(tc, 1.0)
+    path = chr_mod.classical_flow(tc, 1.0)
     kp = chr_mod.kernel_parameters(tc, path, t)
     mu_pure = math.tanh(lam * t) / lam
     assert kp.mu == pytest.approx(mu_pure, rel=1e-8)

@@ -27,6 +27,7 @@ from quadham import propagator as prop
 from quadham.cli import main
 from quadham.errors import NumericalError, ValidationError
 from quadham.ode import MAX_STEPS
+from helpers import run_fresh
 
 
 def run(capsys, *argv):
@@ -777,22 +778,12 @@ def test_import_leaves_scipy_unloaded(module):
     assert proc.stdout.strip() == "[]"
 
 
-def _run_fresh(code):
-    """Run ``code`` in a fresh interpreter; returns its stdout as JSON."""
-    src = os.path.dirname(os.path.dirname(quadham.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def test_cli_and_gridsim_load_every_traced_module():
     # quadbench/tracing.py Tracer.install imports quadham.cli and
     # quadham.gridsim, then reads the traced modules from sys.modules and
     # wraps quadham.dynamics.solve_ivp; the CLI imports its solvers lazily,
     # so gridsim's imports must load them
-    loaded, has_solve_ivp = _run_fresh(
+    loaded, has_solve_ivp = run_fresh(
         "import json, sys, quadham.cli, quadham.gridsim; "
         "print(json.dumps([sorted(sys.modules), "
         "hasattr(sys.modules['quadham.dynamics'], 'solve_ivp')]))")
@@ -808,7 +799,7 @@ def test_subcommands_import_only_what_they_run():
     # CLI call pay for it; list-models needs no numpy, mu only the
     # characteristic solve, and no subcommand loads numpy: the flow and the
     # Gaussian propagator are plain float arithmetic
-    stages = _run_fresh("""
+    stages = run_fresh("""
 import contextlib, io, json, sys
 import quadham.cli
 stages = [["import", 0, sorted(sys.modules)]]
@@ -840,11 +831,11 @@ print(json.dumps(stages))
     for name, _, _ in stages:
         assert "numpy" not in loaded[name], name
     assert "quadham.propagator" in loaded["green"]
-    assert _run_fresh("import json, sys, quadham.propagator; "
-                      "print(json.dumps('numpy' in sys.modules))") is False
+    assert run_fresh("import json, sys, quadham.propagator; "
+                     "print(json.dumps('numpy' in sys.modules))") is False
     # appendix_d, run first, reads the hyperbolic basis alone: no model
     # record, no flow and no dataclass
-    code, modules = _run_fresh("""
+    code, modules = run_fresh("""
 import contextlib, io, json, sys
 import quadham.cli
 with contextlib.redirect_stdout(io.StringIO()):
@@ -946,7 +937,7 @@ def test_every_error_class_is_named_outside_errors():
 
 
 def test_bare_import_loads_submodules_on_first_use():
-    before, names = _run_fresh(
+    before, names = run_fresh(
         "import json, sys, quadham; "
         "before = sorted(m for m in sys.modules if m.startswith('quadham')); "
         f"names = [getattr(quadham, m).__name__ for m in {SUBMODULES!r}]; "

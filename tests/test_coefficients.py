@@ -2,11 +2,13 @@ import ast
 import dataclasses
 import math
 import pathlib
+import re
 
 import pytest
 
 from quadham import coefficients as coeff
-from quadham.errors import ConventionMismatch, InvalidModelParams
+from quadham import errors
+from quadham.errors import InvalidModelParams
 
 
 def test_model_catalog_size():
@@ -37,7 +39,7 @@ def test_a_spec_is_checked_when_it_is_built(args):
 
 def test_an_unknown_convention_is_refused():
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
-    with pytest.raises(ConventionMismatch):
+    with pytest.raises(errors.ConventionMismatch):
         coeff.convert_convention(tc, "x")
 
 
@@ -119,11 +121,54 @@ def test_convention_stays_in_coefficients():
     assert found == []
 
 
+def test_benchmark_only_api_stays_in_its_contract_tests():
+    # src keeps the tag API and solve_characteristic only because the
+    # benchmark (quadbench/) calls them: outside src and quadbench/ only
+    # their contract tests name them, so that deleting them edits src,
+    # quadbench/ and these tests alone
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    tag = re.compile(r"\b(EQUATION|HAMILTONIAN|convert_convention"
+                     r"|ConventionMismatch)\b")
+    solve = re.compile(r"\bsolve_characteristic\b")
+    guards = {"test_convention_stays_in_coefficients",
+              "test_benchmark_only_api_stays_in_its_contract_tests"}
+    # (pattern, file): the functions that may name it, None for any line
+    allowed = {
+        (tag, "tests/test_coefficients.py"): guards | {
+            "test_an_unknown_convention_is_refused",
+            "test_convention_mapping_exact"},
+        (solve, "tests/test_coefficients.py"): guards,
+        (solve, "tests/test_characteristic.py"): {
+            "test_solve_characteristic_refuses_what_the_cli_refuses"},
+        (solve, "src/quadham/characteristic.py"): None,
+        (solve, "src/quadham/cli.py"): None}
+    scanned = [(path, (tag, solve)) for path in
+               [*sorted((repo / "tests").glob("*.py")),
+                repo / "benchmarks" / "run.py"]]
+    scanned += [(path, (solve,))
+                for path in sorted((repo / "src" / "quadham").glob("*.py"))]
+    found = []
+    for path, patterns in scanned:
+        name = path.relative_to(repo).as_posix()
+        text = path.read_text()
+        spans = [(node.lineno, node.end_lineno, node.name)
+                 for node in ast.parse(text).body
+                 if isinstance(node, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            owner = next((fn for lo, hi, fn in spans if lo <= lineno <= hi),
+                         None)
+            for pattern in patterns:
+                ok = allowed.get((pattern, name), set())
+                if pattern.search(line) and not (ok is None or owner in ok):
+                    found.append((name, lineno))
+    assert found == []
+
+
 def test_analytic_derivatives_match_fd():
     # the records hold a', c' and d', the derivatives the invariants read;
     # the hyperbolically damped pair shares one a' and b'
     cj = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.2, 0.5)
-    tcs = [coeff.builtin_coefficients(spec, coeff.HAMILTONIAN) for spec in (
+    tcs = [coeff.builtin_coefficients(spec) for spec in (
         coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.3, 0.4),
         coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
         coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.1, 0.4, delta=0.5),

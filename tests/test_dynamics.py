@@ -115,7 +115,7 @@ def test_dynamics_loads_no_invariants():
     coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2),
 ], ids=lambda s: s.model_id)
 def test_mean_position_closed_form_vs_ode(spec):
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     amp, phase = 0.9, 0.4
     fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(amp, phase))
     path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
@@ -128,7 +128,7 @@ def test_norm_rate_matches_drift_asymmetry():
     # d<1>/dt = (d - c)<1>; for the united model d - c = -mu_param is
     # constant, so the integrated norm decays exponentially at that rate
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     path = dyn.evolve_second_moments(classical_flow(tc, 2.0), M0)
     rate = tc.d(0.7) - tc.c(0.7)
     assert path(0.7).norm == pytest.approx(math.exp(rate * 0.7) * M0.norm,
@@ -146,7 +146,7 @@ def test_uncertainty_coherent_initial_data():
 
 def test_uncertainty_margin_stays_nonnegative_along_flow():
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04, norm=1.0)
     fm0 = dyn.FirstMoments(x=0.1, p=0.2)
     flow = classical_flow(tc, 3.0)
@@ -290,7 +290,7 @@ def test_window_across_parametric_singularity_is_refused(delta, t_end):
     # tanh(lam t + delta) vanishes at t = -delta / lam inside the window;
     # the moment solve used to crawl towards it for about a minute
     spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 1.0, delta=delta)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     with pytest.raises(SingularCoefficient):
         classical_flow(tc, t_end)
     path = dyn.evolve_second_moments(classical_flow(tc, 0.4 * t_end), M0)
@@ -319,7 +319,7 @@ def test_long_window_second_moments():
     # p -> p cos t - x sin t.  A moment ODE at tol 1e-12 ran out of steps
     # at t ~ 330; the flow is served
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     path = dyn.evolve_second_moments(classical_flow(tc, 400.0), M0)
     for t in np.linspace(0.0, 400.0, 41):
         c, s = math.cos(t), math.sin(t)
@@ -335,8 +335,7 @@ def test_long_window_second_moments():
 def test_paths_refuse_times_outside_the_flow_window():
     # the dense output would extrapolate: SHO p2 read 152.6 at t = 6 on a
     # flow solved to 1, where the exact value is 1
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
-                                    coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     m0 = dyn.SecondMoments(p2=1.0, x2=1.0)
     flow = classical_flow(tc, 1.0)
     paths = [dyn.evolve_second_moments(flow, m0),

@@ -7,7 +7,8 @@ oscillator's energy equation are algebra on one flow
 the paper states it and solved with scipy's DOP853, the oracle the
 flow-derived paths must reproduce.  The flow itself, on any H, is judged
 by a 20-digit Taylor-series reference (``mpmath.odefun``), which shares
-no code with the package's Magnus steps.
+no code with the package's Magnus steps, and the kernel, the Gaussian
+propagator and the moment paths on it by identities that hold for every H.
 """
 
 import ast
@@ -26,9 +27,12 @@ import quadham
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
-from quadham.characteristic import classical_flow
+from quadham.characteristic import classical_flow, kernel_parameters
 from quadham.coefficients import TimeCoefficients
 from quadham.ode import FLOW_TOL
+from quadham.propagator import (GaussianState, propagate_gaussian,
+                                propagate_grid)
+from helpers import grid_gaussian
 
 SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -98,7 +102,7 @@ def _flow_values(tc, t_end):
 def test_flow_paths_match_the_paper_systems():
     worst = {}
     for spec, t_end in CASES:
-        tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+        tc = coeff.builtin_coefficients(spec)
         y0 = [M0.p2, M0.x2, M0.pxxp, M0.norm, F0.x, F0.p, *Q0, *AUX0]
         ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0,
                               method="DOP853", rtol=1e-12, atol=1e-14,
@@ -308,3 +312,55 @@ def test_reference_flow_judges_drawn_hamiltonians(a0, b0, a1, b1, c0, c1, d0,
     times = [float(t) for t in np.linspace(t_end / 10, t_end, 10)]
     err = _flow_error(flow, times, _reference_rows(family(mpmath), times))
     assert err <= FLOW_TOL * flow.n_steps
+
+
+S0 = GaussianState(0.5j, 0.3 - 0.2j)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a0=st.floats(0.3, 1.0), b0=st.floats(0.2, 1.5),
+       a1=st.floats(-0.1, 0.1), b1=_COEFF, c0=_COEFF, c1=_COEFF, d0=_COEFF,
+       d1=_COEFF,
+       rate=st.floats(-0.5, 0.5), omega=st.floats(0.5, 3.0),
+       phase=st.floats(0.0, 3.0), t_end=st.floats(0.5, 2.0))
+def test_drawn_hamiltonians_keep_the_identities_of_every_h(
+        a0, b0, a1, b1, c0, c1, d0, d1, rate, omega, phase, t_end):
+    # oracles that need no closed form, on the family of the reference
+    # sweep before its first caustic: det M = 1; the Gaussian propagated in
+    # closed form against the chirp-z quadrature of its samples; and the
+    # moment path against the propagated Gaussian's moments, normalised,
+    # with the norm law <1>(t) = e^{-I} <1>(0) for c != d.  a > 0 up to
+    # t_end, so M12 changes sign at each zero, and the flow runs to
+    # 2 t_end, so that a caustic just past t_end bounds the times too
+    def h(t):
+        e, s = math.exp(rate * t), math.sin(omega * t + phase)
+        return a0 * e + a1 * s, b0 / e + b1 * s, c0 + c1 * s, d0 + d1 * t
+
+    tc = TimeCoefficients(*(lambda t, k=k: h(t)[k] for k in range(4)))
+    flow = classical_flow(tc, 2.0 * t_end)
+    caustic = flow.first_caustic
+    hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
+    times = [float(t) for t in np.linspace(hi / 3, hi, 3)]
+    for p in flow.steps + [flow.at(t) for t in times]:
+        assert abs(p.m11 * p.m22 - p.m12 * p.m21 - 1.0) <= 1e-14
+    m0 = S0.moments()
+    path = dyn.evolve_second_moments(flow, dyn.SecondMoments(
+        m0["p2"], m0["x2"], m0["pxxp"], m0["norm"]))
+    for t in times:
+        kp = kernel_parameters(tc, flow, t)
+        s = propagate_gaussian(kp, S0)
+        # on [-8, 8] the tails are below 1e-13 of the peak, and the grid
+        # keeps the kernel's phase to pi/8 a source step, half the guard
+        # of propagate_grid: |beta| dx 8 <= pi/8
+        n = max(1024, 1 + math.ceil(1024.0 * abs(kp.beta) / math.pi))
+        phi = grid_gaussian(S0, 8.0, n)
+        exact = s.eval(phi.x)
+        quad = propagate_grid(kp, phi).values
+        assert np.max(np.abs(quad - exact)) <= 1e-10 * np.max(np.abs(exact))
+        got, want = path(t), s.moments()
+        assert _rel_err([got.p2 / got.norm, got.x2 / got.norm,
+                         got.pxxp / got.norm],
+                        [want[k] / want["norm"]
+                         for k in ("p2", "x2", "pxxp")]) <= 1e-10
+        assert want["norm"] == pytest.approx(
+            math.exp(-flow.at(t).i) * m0["norm"], rel=1e-10)

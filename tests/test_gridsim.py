@@ -1,16 +1,11 @@
 import hashlib
-import json
 import math
-import os
-import subprocess
-import sys
 import types
 import warnings
 
 import numpy as np
 import pytest
 
-import quadham
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
@@ -20,25 +15,16 @@ from quadham import propagator as prop
 from quadham.characteristic import classical_flow
 from quadham.errors import (BoundaryLeak, NumericalError,
                             SingularCoefficient, ValidationError)
+from helpers import grid_gaussian, run_fresh
 
 SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
 CK = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
 
 
-def _grid_gaussian(state: prop.GaussianState, half_width=10.0, n=2048):
-    dx = 2.0 * half_width / (n - 1)
-    x = -half_width + dx * np.arange(n)
-    return prop.GridState(-half_width, dx, state.eval(x))
-
-
-def _ham(spec):
-    return coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
-
-
 def test_sho_period_return_with_maslov_sign():
     # after one full period the wavefunction returns to minus itself
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j))
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j))
     steps = 6284
     dt = 2.0 * math.pi / steps
     ev = gridsim.evolve_grid(tc, psi0, dt, steps)
@@ -47,8 +33,8 @@ def test_sho_period_return_with_maslov_sign():
 
 
 def test_norm_conservation_self_adjoint():
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j))
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j))
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     n0 = psi0.norm_sq()
     for s in ev.states:
@@ -57,8 +43,8 @@ def test_norm_conservation_self_adjoint():
 
 def test_united_norm_decay_rate():
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
-    tc = _ham(spec)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j))
+    tc = coeff.builtin_coefficients(spec)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j))
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     n0 = psi0.norm_sq()
     for t, s in zip(ev.times[1:], ev.states[1:]):
@@ -66,7 +52,7 @@ def test_united_norm_decay_rate():
 
 
 def test_unit_gaussian_moments():
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j))
     fm, m = gridsim.measure_moments(psi0)
     assert m.p2 / m.norm == pytest.approx(0.5, abs=1e-8)
     assert m.x2 / m.norm == pytest.approx(0.5, abs=1e-8)
@@ -77,14 +63,14 @@ def test_unit_gaussian_moments():
 
 def test_translated_gaussian_mean_position():
     x0 = 0.35
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=-1j * x0))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=-1j * x0))
     fm, m = gridsim.measure_moments(psi0)
     assert fm.x / m.norm == pytest.approx(x0, abs=1e-10)
 
 
 def test_grid_moments_track_moment_ode():
-    tc = _ham(CK)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.2))
+    tc = coeff.builtin_coefficients(CK)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.2))
     _, m0 = gridsim.measure_moments(psi0)
     path = dyn.evolve_second_moments(classical_flow(tc, 1.0), m0)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
@@ -98,8 +84,8 @@ def test_grid_moments_track_moment_ode():
 
 def test_invariant_drift_zero_form():
     # E = 0 has no relative drift: refused, not reported as 0
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j))
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j))
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 64)
     zero = lambda t: inv.QuadraticForm(0.0, 0.0, 0.0, 0.0, t)
     with pytest.raises(ValidationError):
@@ -111,7 +97,7 @@ def test_invariant_drift_refuses_a_cancelled_reference():
     # Gaussian Lambda = i/2, so the grid's E(0) is noise (-1.6e-8 against
     # terms summing to 0.89); relative to it, the drift read 1648
     spec = coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=1024)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=1024)
     ev = gridsim.evolve_grid(coeff.catalog_coefficients(spec), psi0, 1e-3,
                              500)
     form = lambda t: inv.energy_operator_catalog(spec, t)
@@ -122,8 +108,8 @@ def test_invariant_drift_refuses_a_cancelled_reference():
 
 
 def test_invariant_drift_sho_energy():
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3))
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3))
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     form = lambda t: inv.energy_operator_catalog(SHO, t)
     assert gridsim.invariant_drift(ev, form) <= 1e-4
@@ -131,22 +117,21 @@ def test_invariant_drift_sho_energy():
 
 def test_grid_cross_check_with_kernel_propagation():
     # Crank-Nicolson vs quadrature of the exact kernel at t = 0.5
-    tc_h = _ham(CK)
-    tc_e = coeff.convert_convention(tc_h, coeff.EQUATION)
-    path = chr_mod.solve_characteristic(tc_e, 1.0)
-    kp = chr_mod.kernel_parameters(tc_e, path, 0.5)
+    tc = coeff.builtin_coefficients(CK)
+    path = classical_flow(tc, 1.0)
+    kp = chr_mod.kernel_parameters(tc, path, 0.5)
     s0 = prop.GaussianState(Lambda=0.5j, Theta=0.2)
-    psi0 = _grid_gaussian(s0, half_width=12.0)
+    psi0 = grid_gaussian(s0, half_width=12.0)
     out_quad = prop.propagate_grid(kp, psi0)
-    ev = gridsim.evolve_grid(tc_h, psi0, 5e-4, 1000)
+    ev = gridsim.evolve_grid(tc, psi0, 5e-4, 1000)
     assert np.max(np.abs(ev.final().values - out_quad.values)) <= 1e-4
 
 
 def test_time_halving_is_second_order():
     # compare against a same-grid reference with much smaller dt so the
     # spatial discretization error cancels exactly
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=512)
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=512)
     t_end = 0.4
 
     def run(dt):
@@ -179,11 +164,12 @@ def _dense_cn_step(psi, x, dx, dt, a, b, c, d):
 def test_evolve_grid_matches_dense_cn_reference():
     # the modified Caldirola-Kanai model has c != 0 and d != 0 (plain
     # Caldirola-Kanai has c = d = 0)
-    tc = _ham(coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
     t0, dt, steps = 0.2, 1e-2, 30
     assert tc.c(t0) != 0.0 and tc.d(t0) != 0.0
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
-                          half_width=6.0, n=64)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
+                         half_width=6.0, n=64)
     ref = psi0.values.astype(complex)
     for k in range(steps):
         t = t0 + (k + 0.5) * dt
@@ -203,8 +189,8 @@ def test_singular_cn_system_raises():
     tc = coeff.TimeCoefficients(zero, zero,
                                 lambda t: -2.0 / dt if t > 3.0 else 0.0,
                                 lambda t: 2.0 / dt if t > 3.0 else 0.0)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
-                          n=64)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                         n=64)
     for record_every in (1, 4, 100):
         with pytest.raises(NumericalError) as err:
             gridsim.evolve_grid(tc, psi0, dt, 10, record_every=record_every)
@@ -230,8 +216,8 @@ def test_singular_constant_cn_system_is_refused_at_step_0(monkeypatch):
     zero = lambda t: 0.0
     tc = coeff.TimeCoefficients(zero, zero, lambda t: -2.0 / dt,
                                 lambda t: 2.0 / dt)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
-                          n=64)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                         n=64)
     calls = _counting(monkeypatch)
     for record_every in (1, 4, 100):
         with pytest.raises(NumericalError) as err:
@@ -241,12 +227,12 @@ def test_singular_constant_cn_system_is_refused_at_step_0(monkeypatch):
 
 
 def test_a_constant_run_factors_once_and_a_varying_one_never(monkeypatch):
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     calls = _counting(monkeypatch)
-    gridsim.evolve_grid(_ham(SHO), psi0, 1e-3, 50)
+    gridsim.evolve_grid(coeff.builtin_coefficients(SHO), psi0, 1e-3, 50)
     assert calls == {"zgtsv": 0, "zgttrf": 1, "zgttrs": 50}
     calls.update(zgttrs=0, zgttrf=0)
-    gridsim.evolve_grid(_ham(CK), psi0, 1e-3, 50)
+    gridsim.evolve_grid(coeff.builtin_coefficients(CK), psi0, 1e-3, 50)
     assert calls == {"zgtsv": 50, "zgttrf": 0, "zgttrs": 0}
 
 
@@ -263,8 +249,9 @@ def test_a_constant_run_factors_once_and_a_varying_one_never(monkeypatch):
 def test_a_constant_run_keeps_its_bits(spec, digests):
     # the bits of zgtsv's per-step solves: one zgttrf and a zgttrs a step
     # do the same arithmetic
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3), n=256)
-    ev = gridsim.evolve_grid(_ham(spec), psi0, 1e-3, 300, record_every=100)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3), n=256)
+    ev = gridsim.evolve_grid(coeff.builtin_coefficients(spec), psi0, 1e-3,
+                             300, record_every=100)
     assert [hashlib.sha256(s.values.tobytes()).hexdigest()
             for s in ev.states[1:]] == digests
 
@@ -282,8 +269,9 @@ def test_a_constant_run_keeps_its_bits(spec, digests):
 def test_a_varying_run_keeps_its_bits(spec, digests):
     # the bits of the per-step band assembly and zgtsv solve, which the
     # dense reference checks only to 1e-12; modified_ck has c + d != 0
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3), n=256)
-    ev = gridsim.evolve_grid(_ham(spec), psi0, 1e-3, 300, record_every=100)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3), n=256)
+    ev = gridsim.evolve_grid(coeff.builtin_coefficients(spec), psi0, 1e-3,
+                             300, record_every=100)
     assert [hashlib.sha256(s.values.tobytes()).hexdigest()
             for s in ev.states[1:]] == digests
 
@@ -297,8 +285,8 @@ def test_a_state_that_stops_being_finite_is_a_numerical_error(a, b):
                                 lambda t: 0.0)
     for n, steps, record_every in ((64, 5, None), (64, 5, 2),
                                    (64, 5, 10 ** 9), (2048, 5000, 10 ** 9)):
-        psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j),
-                              half_width=6.0, n=n)
+        psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j),
+                             half_width=6.0, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError) as err:
@@ -314,8 +302,8 @@ def test_a_state_that_overflows_on_finite_bands_is_refused_at_its_record():
     dt, c = 0.5, -4.0 * (1.0 - 1e-10)
     tc = coeff.TimeCoefficients(lambda t: 0.0, lambda t: 0.0,
                                 lambda t: c, lambda t: -c)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
-                          n=64)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), half_width=6.0,
+                         n=64)
     for record_every, t in ((1, 7.5), (5, 7.5), (None, 8.0), (10 ** 9, 20.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -327,9 +315,10 @@ def test_a_state_that_overflows_on_finite_bands_is_refused_at_its_record():
 
 def test_a_run_does_not_depend_on_how_it_is_recorded():
     # modified Caldirola-Kanai has c != 0 and d != 0
-    tc = _ham(coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
-                          half_width=6.0, n=64)
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.3),
+                         half_width=6.0, n=64)
     t0, dt, steps = 0.2, 1e-2, 30
     finals = set()
     for record_every in (1, 3, 7, steps, 10 ** 9):
@@ -345,16 +334,16 @@ def test_a_run_does_not_depend_on_how_it_is_recorded():
 def test_boundary_leak_detected():
     # a fast free packet reaches the edge of a narrow box
     spec = coeff.ModelSpec(coeff.FREE_PARTICLE)
-    tc = _ham(spec)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=2.0j, Theta=6.0),
-                          half_width=3.0, n=512)
+    tc = coeff.builtin_coefficients(spec)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=2.0j, Theta=6.0),
+                         half_width=3.0, n=512)
     with pytest.raises(BoundaryLeak):
         gridsim.evolve_grid(tc, psi0, 1e-3, 2000)
 
 
 def test_evolve_grid_validation():
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
     with pytest.raises(ValidationError):
         gridsim.evolve_grid(tc, psi0, -1e-3, 10)
     with pytest.raises(ValidationError):
@@ -370,16 +359,18 @@ def test_evolve_grid_refuses_bad_dt_steps_and_record_every(bad):
     # unchecked, a nan or inf dt runs to non-finite states, a fractional
     # steps or record_every runs more steps than it records, a record_every
     # below 1 never ends, and a bool is no count
-    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     args = {"dt": 1e-3, "steps": 3, **bad}
     with pytest.raises(ValidationError):
         gridsim.evolve_grid(tc, psi0, **args)
 
 
 def test_evolve_grid_takes_numpy_integer_counts():
-    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     ref = gridsim.evolve_grid(tc, psi0, 1e-3, 4, record_every=2)
     got = gridsim.evolve_grid(tc, psi0, 1e-3, np.int64(4),
                               record_every=np.int32(2))
@@ -390,8 +381,9 @@ def test_evolve_grid_takes_numpy_integer_counts():
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf])
 def test_evolve_grid_refuses_a_non_finite_t0(t0):
-    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     with pytest.raises(ValidationError) as err:
         gridsim.evolve_grid(tc, psi0, 1e-3, 3, t0=t0)
     assert "t0" in err.value.info
@@ -399,8 +391,9 @@ def test_evolve_grid_refuses_a_non_finite_t0(t0):
 
 def test_coefficient_overflow_is_a_singular_coefficient():
     # Caldirola-Kanai's e^{2 lambda t} overflows math.exp at t0 = 1e6
-    tc = _ham(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
+    tc = coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=256)
     with pytest.raises(SingularCoefficient) as err:
         gridsim.evolve_grid(tc, psi0, 1e-3, 3, t0=1e6)
     assert err.value.info["t"] == pytest.approx(1e6 + 5e-4)
@@ -416,7 +409,7 @@ def test_failing_coefficient_names_its_midpoint(b):
     half = lambda t: 0.5
     zero = lambda t: 0.0
     tc = coeff.TimeCoefficients(half, b, zero, zero)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
     with pytest.raises(SingularCoefficient) as err:
         gridsim.evolve_grid(tc, psi0, 1e-3, 30, record_every=10)
     assert err.value.info["t"] == pytest.approx(0.0105)
@@ -426,8 +419,8 @@ def test_window_reaching_the_singularity_is_refused():
     # tanh(lam t + delta) vanishes at t = 2.5: stepped across it, successive
     # dt gave a normalised <x^2> of 0.022, 0.0038 and 0.028 at t = 3
     spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=-0.5)
-    tc = _ham(spec)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=128)
+    tc = coeff.builtin_coefficients(spec)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=128)
     with pytest.raises(SingularCoefficient) as err:
         gridsim.evolve_grid(tc, psi0, 1e-3, 3000)
     assert err.value.info["t_singular"] == pytest.approx(2.5)
@@ -444,33 +437,23 @@ def test_an_empty_state_has_no_moments_and_evolves_to_zeros():
     with pytest.raises(ValidationError):
         gridsim.measure_moments(psi0)
     # its leak fraction is 0, not 0/0
-    ev = gridsim.evolve_grid(_ham(SHO), psi0, 1e-3, 10)
+    ev = gridsim.evolve_grid(coeff.builtin_coefficients(SHO), psi0, 1e-3, 10)
     assert not ev.final().values.any()
 
 
 def test_snapshot_count_default():
-    tc = _ham(SHO)
-    psi0 = _grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
+    tc = coeff.builtin_coefficients(SHO)
+    psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 160)
     assert 16 <= len(ev.states) <= 18
     assert ev.times[0] == 0.0
     assert ev.times[-1] == pytest.approx(0.16)
 
 
-def _run_fresh(code):
-    """Run ``code`` in a fresh interpreter; returns its stdout as JSON."""
-    src = os.path.dirname(os.path.dirname(quadham.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def test_grid_setup_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg's __init__ would be more than half of the import of
     # gridsim, which calls one routine of its LAPACK extension
-    loaded = _run_fresh(
+    loaded = run_fresh(
         "import json, sys; import quadham.characteristic, "
         "quadham.propagator, quadham.gridsim; "
         "print(json.dumps(sorted(sys.modules)))")
@@ -484,8 +467,8 @@ import numpy as np
 from quadham import coefficients as coeff, gridsim, propagator as prop
 {second}
 import scipy.linalg.lapack
-tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0,
-                                                0.2), coeff.HAMILTONIAN)
+tc = coeff.builtin_coefficients(
+    coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
 x = np.linspace(-6.0, 6.0, 64)
 psi0 = prop.GridState(-6.0, x[1] - x[0], np.exp(-x * x / 2 + 0.3j * x))
 run = lambda: gridsim.evolve_grid(tc, psi0, 1e-2, 20).final().values
@@ -498,17 +481,17 @@ print(json.dumps([own.tobytes().hex(), run().tobytes().hex()]))
 def test_cn_steps_bitwise_equal_to_scipy_linalg_zgtsv():
     # gridsim loads scipy's LAPACK extension itself: whether scipy.linalg
     # came before or after it, the steps equal those of scipy's own zgtsv
-    before = _run_fresh(_CN_RUN.format(first="import scipy.linalg",
-                                       second=""))
-    after = _run_fresh(_CN_RUN.format(first="",
-                                      second="import scipy.linalg"))
+    before = run_fresh(_CN_RUN.format(first="import scipy.linalg",
+                                      second=""))
+    after = run_fresh(_CN_RUN.format(first="",
+                                     second="import scipy.linalg"))
     assert before[0] == before[1] == after[0] == after[1]
 
 
 def test_gridsim_shares_a_loaded_lapack_extension():
     # after scipy.linalg, gridsim binds scipy's own module object of the
     # extension instead of loading a second copy
-    same = _run_fresh(
+    same = run_fresh(
         "import json, scipy.linalg, scipy.linalg._flapack as f; "
         "from quadham import gridsim; "
         "print(json.dumps(gridsim.zgtsv is f.zgtsv))")

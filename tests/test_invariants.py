@@ -55,7 +55,7 @@ def test_catalog_entry_solves_conservation_system(spec):
 
 def test_united_elementary_mu_residual():
     mu_fn, C0 = _united_invariant_mu()
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(UNITED)
     assert C0 == pytest.approx(0.25 * UNITED.model.omega ** 2, rel=1e-14)
     for t in np.linspace(0.0, 3.0, 13):
         assert inv.auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-10
@@ -63,8 +63,7 @@ def test_united_elementary_mu_residual():
 
 def test_united_general_invariant_reproduces_catalog():
     mu_fn, C0 = _united_invariant_mu()
-    flow = classical_flow(
-        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.9)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED), 1.9)
     for t in (0.0, 0.7, 1.9):
         got = inv.general_invariant(flow, mu_fn, C0, t)
         ref = inv.energy_operator_catalog(UNITED, t)
@@ -81,15 +80,14 @@ def test_united_invariant_mu_only_for_united():
 
 
 def test_general_invariant_rejects_bad_mu():
-    flow = classical_flow(
-        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.0)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED), 1.0)
     bad = lambda t: (1.0 + t, 1.0, 0.0)
     with pytest.raises(AuxiliaryResidualTooLarge):
         inv.general_invariant(flow, bad, 0.25, 1.0)
 
 
 def test_superposed_mu_solves_auxiliary_equation():
-    tc = coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(UNITED)
     flow = classical_flow(tc, 2.0)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
@@ -104,7 +102,7 @@ def test_superposed_mu_solves_auxiliary_equation():
 def test_superposition_property_random_coefficients(A, C, frac):
     B = frac * math.sqrt(A * C)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     flow = classical_flow(tc, 1.5)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
@@ -272,7 +270,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
     from quadham import dynamics as dyn
 
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
     path = dyn.evolve_second_moments(classical_flow(tc, 2.0), m0)
     e0 = inv.energy_operator_catalog(spec, 0.0).expectation(
@@ -285,8 +283,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
 
 
 def test_ladder_commutator_and_reconstruction():
-    flow = classical_flow(
-        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 1.6)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED), 1.6)
     mu_fn, C0 = _united_invariant_mu()
     for t in (0.0, 0.8, 1.6):
         pair = inv.ladder_factorization(flow, mu_fn, C0, t)
@@ -300,8 +297,7 @@ def test_ladder_commutator_and_reconstruction():
 
 
 def test_ladder_requires_positive_c0():
-    flow = classical_flow(
-        coeff.builtin_coefficients(UNITED, coeff.HAMILTONIAN), 0.5)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED), 0.5)
     mu_fn = UNITED.closed_form("invariant_mu")
     with pytest.raises(InvalidC0):
         inv.ladder_factorization(flow, mu_fn, -1.0, 0.5)
@@ -310,8 +306,7 @@ def test_ladder_requires_positive_c0():
 def test_ladder_refuses_a_mu_off_the_auxiliary_equation():
     # on SHO mu = 1 + t leaves a residual of 1.2 at t = 0.5; the pair built
     # from it still had commutator 1, as every pair has by construction
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
-                                    coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc, 1.0)
     with pytest.raises(AuxiliaryResidualTooLarge) as err:
         inv.ladder_factorization(flow, lambda t: (1.0 + t, 1.0, 0.0), 1.0,
@@ -323,8 +318,7 @@ def test_ladder_refuses_a_mu_off_the_auxiliary_equation():
 def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
     # on SHO mu = sin t solves the linear equation (C0 = 0) and vanishes
     # at t = 0: its residual is defined there, the invariant is not
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
-                                    coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc, 1.0)
     mu = lambda t: (math.sin(t), math.cos(t), -math.sin(t))
     assert inv.auxiliary_residual(tc, mu, 0.0, 0.0) == 0.0
@@ -368,7 +362,7 @@ def test_linear_invariant_is_conserved():
     from quadham import dynamics as dyn
 
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
     A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
     flow = classical_flow(tc, 2.0)
     fm_path = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.4, -0.3))
@@ -382,8 +376,7 @@ def test_linear_invariant_is_conserved():
 
 def test_linear_invariant_rejects_bad_solution():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    flow = classical_flow(coeff.builtin_coefficients(spec, coeff.HAMILTONIAN),
-                          1.0)
+    flow = classical_flow(coeff.builtin_coefficients(spec), 1.0)
     bad = lambda t: (1.0 + t * t, 2.0 * t, 2.0)
     with pytest.raises(ResidualTooLarge):
         inv.linear_invariant(flow, bad, 0.0, 1.0)
@@ -395,8 +388,7 @@ def test_linear_invariant_rejects_bad_solution():
 def test_callables_must_return_three_values(call, extra):
     # on SHO mu = 1 (C0 = 1) and A = cos t solve their equations; a tuple
     # of two or four values is refused, never differenced or cut
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
-                                    coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc, 1.0)
     mu = lambda t: (1.0, 0.0, 0.0, 0.0)[:3 + extra]
     A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t),
@@ -434,8 +426,7 @@ def test_coefficients_without_a_derivative_are_refused(call):
 def test_invariants_read_the_integral_off_one_flow(solves):
     # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1, and A = cos t
     # the linear-invariant equation; I = 0, so E = p^2 + x^2
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
-                                    coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc, 2.0)
     assert len(solves) == 1
     mu_fn = lambda t: (1.0, 0.0, 0.0)

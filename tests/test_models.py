@@ -152,8 +152,8 @@ def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
         spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
     except InvalidModelParams:
         reject()
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
-    path = chr_mod.solve_characteristic(tc, t_end)
+    tc = coeff.builtin_coefficients(spec)
+    path = chr_mod.classical_flow(tc, t_end)
     for t in np.linspace(t_end / 5, t_end, 5):
         mu, mup = chr_mod.closed_form_mu(spec, float(t))
         assert _close(path.mu(float(t)), mu)

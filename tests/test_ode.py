@@ -32,7 +32,7 @@ def _flow_rhs(tc):
 
 def _second_moments():
     spec = coeff.ModelSpec(coeff.MODIFIED_CK, 1.1, 0.3)
-    tc = coeff.builtin_coefficients(spec, coeff.HAMILTONIAN)
+    tc = coeff.builtin_coefficients(spec)
 
     def rhs(t, y):
         # the raw second moments <p^2>, <x^2>, <px+xp> and the norm <1>
@@ -56,7 +56,7 @@ def _second_moments():
 
 def _characteristic():
     spec = coeff.ModelSpec(coeff.UNITED, 1.3, 0.35, 0.1)
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
+    tc = coeff.builtin_coefficients(spec)
     flow = classical_flow(tc, 4.0)
     return flow, flow.at, scipy_solve_ivp(
         _flow_rhs(tc), (0.0, 4.0), [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
@@ -99,8 +99,7 @@ def test_work_counts(system):
 def test_flow_keeps_det_one(spec):
     # each step multiplies M by the exact exponential of a traceless
     # matrix, so det M = 1 holds to rounding, between step points too
-    flow = classical_flow(coeff.builtin_coefficients(spec,
-                                                     coeff.HAMILTONIAN), 3.0)
+    flow = classical_flow(coeff.builtin_coefficients(spec), 3.0)
     points = flow.steps + [flow.at(t) for t in np.linspace(0.0, 3.0, 41)]
     for p in points:
         assert abs(p.m11 * p.m22 - p.m12 * p.m21 - 1.0) <= 1e-14
@@ -191,7 +190,7 @@ def test_exponent_that_overflows_on_finite_coefficients_is_refused(b):
 
 def test_scalar_and_array_times():
     sho = coeff.builtin_coefficients(
-        coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), coeff.HAMILTONIAN)
+        coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0))
     flow = classical_flow(sho, np.float64(2.0))
     assert flow.t_end == 2.0 and type(flow.t_end) is float
     one = flow.at(0.7)
@@ -205,7 +204,7 @@ def test_scalar_and_array_times():
 @pytest.mark.parametrize("t_end", [3.0, -3.0], ids=["forward", "backward"])
 def test_at_a_step_point_returns_its_row(t_end):
     tc = coeff.builtin_coefficients(
-        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2), coeff.HAMILTONIAN)
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
     flow = classical_flow(tc, t_end)
     assert flow.n_steps > 10
     for t, row in zip(flow.t, flow.steps):
@@ -215,7 +214,7 @@ def test_at_a_step_point_returns_its_row(t_end):
 
 def test_zero_span_and_backward_solve():
     tc = coeff.builtin_coefficients(
-        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2), coeff.HAMILTONIAN)
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
     still = classical_flow(tc, 0.0)
     assert still.n_steps == 0 == still.nfev
     assert tuple(still.at(0.0)) == (1.0, 0.0, 0.0, 1.0, 0.0)

@@ -12,13 +12,8 @@ from quadham import propagator as prop
 from quadham.errors import (CausticEncountered, DegenerateWidth,
                             NonNormalizable, NumericalError, UnderResolved,
                             ValidationError)
+from helpers import grid_gaussian, solve_kernel
 from schrodinger import schrodinger_residual
-
-
-def _kernel_of(spec, horizon):
-    tc = coeff.builtin_coefficients(spec, coeff.EQUATION)
-    path = chr_mod.solve_characteristic(tc, horizon)
-    return tc, path, lambda t: chr_mod.kernel_parameters(tc, path, t)
 
 
 SHO = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
@@ -38,15 +33,9 @@ def _dense_grid_sum(kp, phi):
     return pref * kernel @ (weights * phi.values)
 
 
-def _grid_gaussian(state, half_width, n):
-    dx = 2.0 * half_width / (n - 1)
-    return prop.GridState(-half_width, dx,
-                          state.eval(-half_width + dx * np.arange(n)))
-
-
 def test_sho_quarter_period_green():
     # at t = pi/2: alpha = gamma = 0, beta = -1, prefactor (2 pi i)^(-1/2)
-    _, _, kernel_of = _kernel_of(SHO, 2.0)
+    _, _, kernel_of = solve_kernel(SHO, 2.0)
     kp = kernel_of(math.pi / 2)
     g = prop.green_eval(kp, 0.7, -0.4)
     expected = cmath.exp(-1j * 0.7 * (-0.4)) / cmath.sqrt(2j * math.pi)
@@ -54,7 +43,7 @@ def test_sho_quarter_period_green():
 
 
 def test_green_symmetric_when_alpha_equals_gamma():
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     kp = kernel_of(0.6)
     ga = prop.green_eval(kp, 0.3, 1.1)
     gb = prop.green_eval(kp, 1.1, 0.3)
@@ -66,7 +55,7 @@ def test_green_symmetric_when_alpha_equals_gamma():
 def test_free_particle_width_spread():
     # unit Gaussian Lambda = i/2 spreads as Im Lambda = 1/(2(1 + t^2))
     spec = coeff.ModelSpec(coeff.FREE_PARTICLE)
-    _, _, kernel_of = _kernel_of(spec, 3.0)
+    _, _, kernel_of = solve_kernel(spec, 3.0)
     s0 = prop.GaussianState(Lambda=0.5j)
     for t in (0.4, 1.0, 2.5):
         out = prop.propagate_gaussian(kernel_of(t), s0)
@@ -76,7 +65,7 @@ def test_free_particle_width_spread():
 
 def test_sho_coherent_center_oscillates():
     # coherent state centered at x0 follows x0 cos(t)
-    _, _, kernel_of = _kernel_of(SHO, 3.0)
+    _, _, kernel_of = solve_kernel(SHO, 3.0)
     x0 = 0.8
     s0 = prop.GaussianState(Lambda=0.5j, Theta=-1j * x0)
     n0 = s0.norm_sq()
@@ -144,7 +133,7 @@ def test_p2_is_exact_where_lambda_squared_underflows():
 @pytest.mark.parametrize("theta", [1e200, 1e155j])
 def test_a_propagated_gaussian_that_overflows_is_a_numerical_error(theta):
     # Theta^2 overflows: a bare OverflowError from complex exponentiation
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     with pytest.raises(NumericalError) as exc:
         prop.propagate_gaussian(kernel_of(0.25),
                                 prop.GaussianState(0.5j, theta))
@@ -155,7 +144,7 @@ def test_a_propagated_width_that_underflows_is_a_numerical_error():
     # Im Lambda' = beta^2 Im A / (4 |A|^2) underflows to 0 from a valid,
     # very narrow start state: a numerical failure naming t, not the
     # NonNormalizable of a bad input
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     with pytest.raises(NumericalError) as exc:
         prop.propagate_gaussian(kernel_of(0.25), prop.GaussianState(1e308j))
     assert exc.value.info["t"] == 0.25
@@ -164,7 +153,7 @@ def test_a_propagated_width_that_underflows_is_a_numerical_error():
 
 def test_norm_law_self_adjoint_gaussian():
     # norm conserved to 1e-8 when the drift terms are symmetric
-    _, _, kernel_of = _kernel_of(SHO, 2.0)
+    _, _, kernel_of = solve_kernel(SHO, 2.0)
     s0 = prop.GaussianState(Lambda=0.2 + 0.7j, Theta=0.3 - 0.2j, Phi=0.1)
     n0 = s0.norm_sq()
     for t in np.linspace(0.1, 2.0, 8):
@@ -175,7 +164,7 @@ def test_norm_law_self_adjoint_gaussian():
 def test_norm_law_united_gaussian():
     # norm decays exactly like exp(-mu_param t) for the united model
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
-    _, _, kernel_of = _kernel_of(spec, 1.5)
+    _, _, kernel_of = solve_kernel(spec, 1.5)
     s0 = prop.GaussianState(Lambda=0.6j, Theta=0.2)
     n0 = s0.norm_sq()
     for t in (0.4, 0.9, 1.4):
@@ -188,7 +177,7 @@ def test_branch_phase_continuity():
     # sweep close to the focal point at pi from below: for this oscillator
     # and width 2 mu A = e^{it}, so Phi = (i/2) log(2 mu A) is -t/2 on the
     # principal branch, with no jump
-    _, _, kernel_of = _kernel_of(SHO, 7.0)
+    _, _, kernel_of = solve_kernel(SHO, 7.0)
     times = [float(t) for t in np.arange(0.05, 3.05, 0.01)]
     s0 = prop.GaussianState(Lambda=0.5j)
     states = prop.gaussian_sweep(kernel_of, times, s0)
@@ -200,7 +189,7 @@ def test_branch_phase_continuity():
 
 
 def test_sweep_conserves_norm():
-    _, _, kernel_of = _kernel_of(SHO, 7.0)
+    _, _, kernel_of = solve_kernel(SHO, 7.0)
     times = [2.6, 2.8, 3.0, 3.1]
     s0 = prop.GaussianState(Lambda=0.5j, Theta=0.4)
     states = prop.gaussian_sweep(kernel_of, times, s0)
@@ -211,7 +200,7 @@ def test_sweep_conserves_norm():
 
 def test_grid_matches_gaussian_closed_form():
     # quadrature superposition against the exact Gaussian update
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     kp = kernel_of(0.7)
     n = 2048
     x0, x1 = -12.0, 12.0
@@ -226,10 +215,10 @@ def test_grid_matches_gaussian_closed_form():
 
 def test_grid_matches_gaussian_closed_form_large_n():
     # the dense kernel of this size would take 4 GB
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     kp = kernel_of(0.7)
     s0 = prop.GaussianState(Lambda=0.5j, Theta=0.3 - 0.5j)
-    phi = _grid_gaussian(s0, 12.0, 16384)
+    phi = grid_gaussian(s0, 12.0, 16384)
     out_grid = prop.propagate_grid(kp, phi)
     out_exact = prop.propagate_gaussian(kp, s0).eval(phi.x)
     assert np.max(np.abs(out_grid.values - out_exact)) <= 1e-6
@@ -244,24 +233,24 @@ def test_grid_matches_gaussian_closed_form_large_n():
 ], ids=lambda s: s.model_id)
 def test_grid_transform_matches_dense_sum(spec):
     # N = 1000 is not a power of two
-    _, _, kernel_of = _kernel_of(spec, 1.0)
+    _, _, kernel_of = solve_kernel(spec, 1.0)
     kp = kernel_of(0.6)
-    phi = _grid_gaussian(prop.GaussianState(0.2 + 0.5j, 0.3 - 0.2j), 8.0,
-                         1000)
+    phi = grid_gaussian(prop.GaussianState(0.2 + 0.5j, 0.3 - 0.2j), 8.0,
+                        1000)
     got = prop.propagate_grid(kp, phi).values
     ref = _dense_grid_sum(kp, phi)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_grid_zero_state_stays_zero():
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     phi = prop.GridState(-5.0, 0.1, np.zeros(101, dtype=complex))
     out = prop.propagate_grid(kernel_of(0.5), phi)
     assert np.all(out.values == 0)
 
 
 def test_grid_rejects_non_decaying_source():
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     x = -2.0 + 0.1 * np.arange(41)
     phi = prop.GridState(-2.0, 0.1, np.exp(-x ** 2 / 2))
     with pytest.raises(UnderResolved):
@@ -269,7 +258,7 @@ def test_grid_rejects_non_decaying_source():
 
 
 def test_grid_rejects_coarse_sampling():
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     x = -30.0 + 2.0 * np.arange(31)
     phi = prop.GridState(-30.0, 2.0, np.exp(-x ** 2 / 2))
     with pytest.raises(UnderResolved):
@@ -279,7 +268,7 @@ def test_grid_rejects_coarse_sampling():
 def test_nonnormalizable_and_degenerate_guards():
     with pytest.raises(NonNormalizable):
         prop.GaussianState(Lambda=0.5 - 0.1j)
-    _, _, kernel_of = _kernel_of(SHO, 1.0)
+    _, _, kernel_of = solve_kernel(SHO, 1.0)
     kp = kernel_of(0.4)
     # a state engineered so gamma + Lambda ~ 0 is rejected
     with pytest.raises((DegenerateWidth, NonNormalizable)):
@@ -329,10 +318,10 @@ def test_grid_state_refuses_values_that_are_not_1d():
     lambda kp: prop.green_eval(kp, 0.3, -0.2),
     lambda kp: prop.propagate_gaussian(kp, prop.GaussianState(0.5j, 0.2)),
     lambda kp: prop.propagate_grid(
-        kp, _grid_gaussian(prop.GaussianState(0.5j), 8.0, 256)),
+        kp, grid_gaussian(prop.GaussianState(0.5j), 8.0, 256)),
 ], ids=["green_eval", "propagate_gaussian", "propagate_grid"])
 def test_caustic_guard_in_green_eval(reader):
-    _, _, kernel_of = _kernel_of(SHO, 4.0)
+    _, _, kernel_of = solve_kernel(SHO, 4.0)
     with pytest.raises(CausticEncountered):
         kernel_of(math.pi - 1e-13)
     # kernel_parameters refuses first; a hand-built kernel meets the guard
@@ -345,7 +334,7 @@ def test_caustic_guard_in_green_eval(reader):
 
 
 def test_residual_sho():
-    tc, _, kernel_of = _kernel_of(SHO, 1.0)
+    tc, _, kernel_of = solve_kernel(SHO, 1.0)
     assert schrodinger_residual(tc, kernel_of, 0.6, -0.3, 0.5,
                                 fd_step=1e-4) <= 1e-6
 
@@ -355,7 +344,7 @@ def test_residual_mpo():
     # finer step than the default to reach the tolerance; the clean 4x
     # scaling below confirms the kernel itself satisfies the equation
     spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=0.5)
-    tc, _, kernel_of = _kernel_of(spec, 1.0)
+    tc, _, kernel_of = solve_kernel(spec, 1.0)
     r_fine = schrodinger_residual(tc, kernel_of, 0.3, -0.2, 0.4,
                                   fd_step=2.5e-4)
     assert r_fine <= 1e-5
@@ -365,7 +354,7 @@ def test_residual_mpo():
 
 
 def test_residual_fd_halving_is_second_order():
-    tc, _, kernel_of = _kernel_of(CK, 1.0)
+    tc, _, kernel_of = solve_kernel(CK, 1.0)
     r1 = schrodinger_residual(tc, kernel_of, 0.5, 0.2, 0.6,
                               fd_step=2e-3)
     r2 = schrodinger_residual(tc, kernel_of, 0.5, 0.2, 0.6,
@@ -376,7 +365,7 @@ def test_residual_fd_halving_is_second_order():
 def test_delta_like_source_spreads_linearly():
     # narrow free-particle Gaussian: width^2 grows ~ t^2 / (4 li0)
     spec = coeff.ModelSpec(coeff.FREE_PARTICLE)
-    _, _, kernel_of = _kernel_of(spec, 2.0)
+    _, _, kernel_of = solve_kernel(spec, 2.0)
     li0 = 200.0
     s0 = prop.GaussianState(Lambda=1j * li0)
     for t in (0.5, 1.0, 2.0):
@@ -391,7 +380,7 @@ def test_delta_like_source_spreads_linearly():
        tr=st.floats(-1.0, 1.0), ti=st.floats(-1.0, 1.0),
        t=st.floats(0.1, 2.0))
 def test_gaussian_norm_is_conserved_property(lr, li, tr, ti, t):
-    _, _, kernel_of = _kernel_of(SHO, 2.1)
+    _, _, kernel_of = solve_kernel(SHO, 2.1)
     s0 = prop.GaussianState(Lambda=complex(lr, li), Theta=complex(tr, ti))
     out = prop.propagate_gaussian(kernel_of(t), s0)
     assert out.norm_sq() == pytest.approx(s0.norm_sq(), rel=1e-7)
@@ -403,5 +392,5 @@ def test_gaussian_norm_is_conserved_property(lr, li, tr, ti, t):
 def test_residual_property_random_triples(x, y, t):
     # the fd truncation grows like (phase rate)^3 h^2; small t and large
     # |x|, |y| push it past the tolerance, so sample a moderate window
-    tc, _, kernel_of = _kernel_of(CK, 1.5)
+    tc, _, kernel_of = solve_kernel(CK, 1.5)
     assert schrodinger_residual(tc, kernel_of, x, y, t) <= 1e-5
