@@ -123,8 +123,8 @@ def test_convention_stays_in_coefficients():
 
 def test_benchmark_only_api_stays_in_its_contract_tests():
     # src keeps the tag API and solve_characteristic only because the
-    # benchmark (quadbench/) calls them: outside src and quadbench/ only
-    # their contract tests name them, so that deleting them edits src,
+    # benchmark (quadbench/) calls them: outside quadbench/ only their
+    # homes and contract tests name them, so that deleting them edits src,
     # quadbench/ and these tests alone
     repo = pathlib.Path(__file__).resolve().parents[1]
     tag = re.compile(r"\b(EQUATION|HAMILTONIAN|convert_convention"
@@ -134,21 +134,20 @@ def test_benchmark_only_api_stays_in_its_contract_tests():
               "test_benchmark_only_api_stays_in_its_contract_tests"}
     # (pattern, file): the functions that may name it, None for any line
     allowed = {
+        (tag, "src/quadham/coefficients.py"): None,
+        (tag, "src/quadham/errors.py"): None,
         (tag, "tests/test_coefficients.py"): guards | {
             "test_an_unknown_convention_is_refused",
             "test_convention_mapping_exact"},
+        (solve, "src/quadham/characteristic.py"): None,
+        (solve, "src/quadham/cli.py"): None,
         (solve, "tests/test_coefficients.py"): guards,
         (solve, "tests/test_characteristic.py"): {
-            "test_solve_characteristic_refuses_what_the_cli_refuses"},
-        (solve, "src/quadham/characteristic.py"): None,
-        (solve, "src/quadham/cli.py"): None}
-    scanned = [(path, (tag, solve)) for path in
-               [*sorted((repo / "tests").glob("*.py")),
-                repo / "benchmarks" / "run.py"]]
-    scanned += [(path, (solve,))
-                for path in sorted((repo / "src" / "quadham").glob("*.py"))]
+            "test_solve_characteristic_refuses_what_the_cli_refuses"}}
     found = []
-    for path, patterns in scanned:
+    for path in [*sorted((repo / "src" / "quadham").glob("*.py")),
+                 *sorted((repo / "tests").glob("*.py")),
+                 repo / "benchmarks" / "run.py"]:
         name = path.relative_to(repo).as_posix()
         text = path.read_text()
         spans = [(node.lineno, node.end_lineno, node.name)
@@ -157,7 +156,7 @@ def test_benchmark_only_api_stays_in_its_contract_tests():
         for lineno, line in enumerate(text.splitlines(), 1):
             owner = next((fn for lo, hi, fn in spans if lo <= lineno <= hi),
                          None)
-            for pattern in patterns:
+            for pattern in (tag, solve):
                 ok = allowed.get((pattern, name), set())
                 if pattern.search(line) and not (ok is None or owner in ok):
                     found.append((name, lineno))
