@@ -31,7 +31,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .coefficients import ModelSpec, TimeCoefficients
-from .errors import CausticEncountered, SingularCoefficient, ValidationError
+from .errors import (CausticEncountered, NumericalError, SingularCoefficient,
+                     ValidationError)
 from .ode import (EVALS_PER_STEP, FLOW_TOL, bracket_sign_change,
                   magnus_step, read, solve_ivp)
 
@@ -81,9 +82,19 @@ def _served(t: float, mu: float, scale: float) -> None:
                                  t=t, mu=mu)
 
 
+def _weight(t: float, i: float, sign: float = 1.0) -> float:
+    """e^(sign I) for the flow's I = i at t; NumericalError where it
+    overflows, private so that a trace gives it no span."""
+    try:
+        return math.exp(sign * i)
+    except OverflowError as exc:
+        raise NumericalError("the flow's weight e^(+-I) overflows",
+                             t=t, I=i) from exc
+
+
 def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
     a, c = read((tc.a, tc.c), t)
-    return 2.0 * (a * p.m22 + c * p.m12) * math.exp(p.i)
+    return 2.0 * (a * p.m22 + c * p.m12) * _weight(t, p.i)
 
 
 class Flow:
@@ -119,14 +130,15 @@ class Flow:
 
     def mu(self, t: float) -> float:
         p = self.at(t)
-        return p.m12 * math.exp(p.i)
+        return p.m12 * _weight(t, p.i)
 
     def mu_prime(self, t: float) -> float:
         return _mu_prime(self.tc, t, self.at(t))
 
     @cached_property
     def mu_scale(self) -> float:
-        return max(1.0, *(abs(p.m12 * math.exp(p.i)) for p in self.steps))
+        return max(1.0, *(abs(p.m12 * _weight(t, p.i))
+                          for t, p in zip(self.t, self.steps)))
 
     def _first_zero(self, g, start: int):
         """The first step interval, from step ``start`` on, at whose first
@@ -196,7 +208,7 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     if caustic is not None and caustic[0] < t:
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
-    h = math.exp(p.i)
+    h = _weight(t, p.i)
     mu = p.m12 * h
     _served(t, mu, flow.mu_scale)
     return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(flow.tc, t, p),

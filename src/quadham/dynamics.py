@@ -56,7 +56,7 @@ def evolve_second_moments(flow: quadham.characteristic.Flow,
 
     def path(t: float) -> SecondMoments:
         p = flow.at(t)
-        w = math.exp(-p.i)
+        w = quadham.characteristic._weight(t, p.i, -1.0)
         x2, half_pxxp, p2 = congruence(p.m11, p.m12, p.m21, p.m22, s0)
         return SecondMoments(w * p2, w * x2, 2.0 * w * half_pxxp,
                              w * m0.norm)
@@ -71,7 +71,7 @@ def evolve_first_moments(flow: quadham.characteristic.Flow,
 
     def path(t: float) -> FirstMoments:
         p = flow.at(t)
-        w = math.exp(-p.i)
+        w = quadham.characteristic._weight(t, p.i, -1.0)
         return FirstMoments(w * (p.m11 * fm0.x + p.m12 * fm0.p),
                             w * (p.m21 * fm0.x + p.m22 * fm0.p))
 
@@ -126,8 +126,14 @@ def uncertainty_check(m: SecondMoments, fm: FirstMoments) -> dict:
 
     Returns the raw margin <(Dp)^2><(Dx)^2> - <1>^2/4 (nonnegative for any
     admissible state) and the normalized product delta_p delta_x - 1/2.
+    Raises NumericalError where a variance is not finite and InvalidMoments
+    where one is negative.
     """
     dp2, dx2 = m.variances(fm)
+    # a squared mean that overflows reads as -inf, not as a negative variance
+    if not (math.isfinite(dp2) and math.isfinite(dx2)):
+        raise NumericalError("a variance is not finite", dp2=dp2, dx2=dx2,
+                             norm=m.norm)
     if dp2 < -1e-12 or dx2 < -1e-12:
         raise InvalidMoments("negative variance", dp2=dp2, dx2=dx2)
     margin = dp2 * dx2 - 0.25 * m.norm * m.norm

@@ -65,10 +65,6 @@ class BoundaryLeak(NumericalError):
     code = "boundary_leak"
 
 
-class NegativeVariance(NumericalError):
-    code = "negative_variance"
-
-
 class KappaCollapse(NumericalError):
     code = "kappa_collapse"
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .characteristic import Flow, _congruence, classical_flow
+from .characteristic import Flow, _congruence, _weight, classical_flow
 from .coefficients import ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
                      MuVanishes, NonPositiveForm, ResidualTooLarge,
@@ -97,7 +97,7 @@ def solve_energy_system(flow: Flow, init):
 
     def path(t: float) -> QuadraticForm:
         p = flow.at(t)
-        w = math.exp(p.i)
+        w = _weight(t, p.i)
         # M^{-T} of a flow with det M = 1
         B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
         half = 0.5 * w * (C0 - D0)
@@ -308,7 +308,7 @@ def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:
     integral is the I of ``flow``.
     """
     mu, q, _ = _auxiliary_solution(flow.tc, mu_fn, C0, t)
-    w = math.exp(flow.at(t).i)
+    w = _weight(t, flow.at(t).i)
     return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
                          C=-mu * q * w, D=-mu * q * w, t=t)
 
@@ -332,7 +332,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
         raise ResidualTooLarge("A does not solve the linear-invariant equation",
                                residual=res, t=t)
     B = (2.0 * c * A0 - A1) / (2.0 * a)
-    Cterm = C0_const * math.exp(flow.at(t).i)
+    Cterm = C0_const * _weight(t, flow.at(t).i)
     return LinearForm(A=A0, B=B, C=Cterm, t=t)
 
 
@@ -347,6 +347,6 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float, t: float) -> LadderPair:
     w0 = 2.0 * math.sqrt(C0)
     P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
     R = mu / math.sqrt(w0)
-    omega_t = w0 * math.exp(flow.at(t).i)
+    omega_t = w0 * _weight(t, flow.at(t).i)
     return LadderPair(x_coeff=P, ddx_coeff=R, omega_t=omega_t, t=t)
 

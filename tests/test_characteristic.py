@@ -5,8 +5,10 @@ import pytest
 
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
-from quadham.errors import (CausticEncountered, SingularCoefficient,
-                            ValidationError)
+from quadham import dynamics as dyn
+from quadham import invariants as inv
+from quadham.errors import (CausticEncountered, NumericalError,
+                            SingularCoefficient, ValidationError)
 
 ALL_MODELS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -355,3 +357,23 @@ def test_cj_pure_damping_limit():
     mu_pure = math.tanh(lam * t) / lam
     assert kp.mu == pytest.approx(mu_pure, rel=1e-8)
     assert kp.beta == pytest.approx(-1.0 / mu_pure, rel=1e-8)
+
+
+@pytest.mark.parametrize("mu_param", [300.0, -300.0])
+def test_an_overflowing_flow_weight_is_typed(mu_param):
+    # united has I = mu_param t, so e^{+I} (mu, mu', the energy path) or
+    # e^{-I} (the moment paths) overflows at t = 3; each was a bare
+    # OverflowError
+    spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, mu_param)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 3.0)
+    reads = ([flow.mu, flow.mu_prime,
+              inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0))]
+             if mu_param > 0 else
+             [dyn.evolve_first_moments(flow, dyn.FirstMoments(1.0, 0.0)),
+              dyn.evolve_second_moments(flow, dyn.SecondMoments(1.0, 1.0))])
+    for read in reads:
+        read(0.1)  # served where |I| = 30
+        with pytest.raises(NumericalError) as err:
+            read(3.0)
+        assert err.value.info["t"] == 3.0
+        assert err.value.info["I"] == pytest.approx(3.0 * mu_param)

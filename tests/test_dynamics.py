@@ -171,6 +171,17 @@ def test_uncertainty_rejects_negative_variance():
             dyn.FirstMoments(0.0, 1.0))
 
 
+def test_uncertainty_refuses_a_variance_that_overflows():
+    # finite moments whose means overflow when squared: the variances read
+    # -inf and were refused as negative (InvalidMoments)
+    with pytest.raises(NumericalError) as err:
+        dyn.uncertainty_check(dyn.SecondMoments(1e308, 1e308, 0.0, 1.0),
+                              dyn.FirstMoments(1e200, 1e200))
+    assert err.value.info == {"dp2": -math.inf, "dx2": -math.inf,
+                              "norm": 1.0}
+    assert type(err.value) is NumericalError
+
+
 @settings(max_examples=30, deadline=None)
 @given(dp=st.floats(0.5, 2.0), dx=st.floats(0.5, 2.0),
        xm=st.floats(-1.0, 1.0), pm=st.floats(-1.0, 1.0),

@@ -441,6 +441,38 @@ def test_an_empty_state_has_no_moments_and_evolves_to_zeros():
     assert not ev.final().values.any()
 
 
+def _unit_gaussian_64(scale):
+    x = np.linspace(-8.0, 8.0, 64)
+    return prop.GridState(-8.0, x[1] - x[0], scale * np.exp(-0.5 * x * x)
+                          + 0j)
+
+
+def test_valid_states_get_finite_moments():
+    # both were refused as a negative variance: the width-1e-4 Gaussian near
+    # x = 1e6 reads var_x = -2.98e-8, inside the rounding of <x^2> = 1.77e8,
+    # and for the 1e150 Gaussian <x>^2 overflows though no moment does
+    sigma, c = 1e-4, 1e6
+    dx = 16.0 * sigma / 255
+    x = c - 8.0 * sigma + dx * np.arange(256)
+    narrow = prop.GridState(c - 8.0 * sigma, dx,
+                            np.exp(-(x - c) ** 2 / (2.0 * sigma * sigma)) + 0j)
+    for state in (narrow, _unit_gaussian_64(1e150)):
+        fm, m = gridsim.measure_moments(state)
+        assert all(map(math.isfinite, (*fm, *m)))
+    assert m.norm == pytest.approx(math.sqrt(math.pi) * 1e300, rel=1e-6)
+    assert m.x2 / m.norm == pytest.approx(0.5, rel=1e-6)
+
+
+def test_a_moment_that_overflows_is_refused_without_warnings():
+    # |psi|^2 of the 1e160 Gaussian overflows: the moments were returned as
+    # norm = inf and x = p = nan, with NumPy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as err:
+            gridsim.measure_moments(_unit_gaussian_64(1e160))
+    assert err.value.info["norm"] == math.inf
+
+
 def test_snapshot_count_default():
     tc = coeff.builtin_coefficients(SHO)
     psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), n=64)
