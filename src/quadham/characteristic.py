@@ -17,8 +17,9 @@ mu solves the characteristic equation with ``mu(0) = 0``,
 no division by a(t).  ``quadham.ode`` integrates it by 6th-order Magnus
 steps, which keep det M = 1 to rounding, with one tolerance on every path,
 FLOW_TOL; the Flow holds the rows and the work counts of the solve and
-gives the dense output by one sub-step from a step point.  The printed
-mu and kernel of each built-in model live in its record in
+gives the dense output by one sub-step from a step point.  Every kernel
+reader refuses the one caustic band |mu| < MU_GUARD, whatever the window.
+The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
 """
@@ -74,10 +75,10 @@ def _congruence(m11: float, m12: float, m21: float, m22: float, s):
     return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
 
 
-def _served(t: float, mu: float, scale: float) -> None:
-    """Refuse mu in the caustic guard band |mu| < MU_GUARD * scale: the one
-    check of every kernel reader, private so that a trace gives it no span."""
-    if abs(mu) < MU_GUARD * scale:
+def _served(t: float, mu: float) -> None:
+    """Refuse mu in the caustic guard band |mu| < MU_GUARD: the one check
+    of every kernel reader, private so that a trace gives it no span."""
+    if abs(mu) < MU_GUARD:
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu)
 
@@ -103,7 +104,7 @@ class Flow:
     :class:`FlowPoint` at each step point ``t``, and ``nfev``, ``n_steps``
     and ``n_rejected`` count the solve's work (evaluations of (a, b, c, d)
     and accepted and rejected steps).  :meth:`at` refuses a time outside
-    the window.  The first caustic and the scale of mu are found once."""
+    the window.  The first caustic is found once."""
 
     def __init__(self, tc: TimeCoefficients, ts, ys, n_rejected: int):
         self.tc, self.t = tc, ts
@@ -134,11 +135,6 @@ class Flow:
 
     def mu_prime(self, t: float) -> float:
         return _mu_prime(self.tc, t, self.at(t))
-
-    @cached_property
-    def mu_scale(self) -> float:
-        return max(1.0, *(abs(p.m12 * _weight(t, p.i))
-                          for t, p in zip(self.t, self.steps)))
 
     def _first_zero(self, g, start: int):
         """The first step interval, from step ``start`` on, at whose first
@@ -198,8 +194,8 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
     matrix of ``flow`` and its coefficients (``tc`` is not read).
 
-    Raises CausticEncountered when mu vanishes at t or changes sign before
-    it, and ValidationError when t lies past the solved window.
+    Raises CausticEncountered when |mu| < MU_GUARD at t or mu changes sign
+    before it, and ValidationError when t lies past the solved window.
     """
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
@@ -210,7 +206,7 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
             "mu changes sign before the requested time", bracket=caustic)
     h = _weight(t, p.i)
     mu = p.m12 * h
-    _served(t, mu, flow.mu_scale)
+    _served(t, mu)
     return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(flow.tc, t, p),
                             h=h, alpha=p.m22 / (2.0 * p.m12),
                             beta=-1.0 / p.m12, gamma=p.m11 / (2.0 * p.m12))
@@ -222,7 +218,7 @@ def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
     mu, mup = closed_form_mu(spec, t)
-    _served(t, mu, 1.0)
+    _served(t, mu)
     alpha, beta, gamma, h = kernel(t)
     return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h,
                             alpha=alpha, beta=beta, gamma=gamma)

@@ -40,7 +40,7 @@ import sys
 
 import quadham
 from . import io as qio
-from .errors import QuadhamError, ValidationError
+from .errors import NumericalError, QuadhamError, ValidationError
 
 def _add_model_args(p):
     p.add_argument("--model", help="model id (see list-models)")
@@ -210,12 +210,18 @@ def cmd_appendix_d(args):
 
 def _uncertainty(flow, m0, f0, t_end, samples):
     """(t, uncertainty_check) of the moments flowed on ``flow`` from
-    (m0, f0) at each t in linspace(0, t_end, samples)."""
+    (m0, f0) at each t in linspace(0, t_end, samples); NumericalError
+    naming t and I where <1> = e^(-I) <1>_0 underflows to 0."""
     dyn = quadham.dynamics
     mpath = dyn.evolve_second_moments(flow, m0)
     fpath = dyn.evolve_first_moments(flow, f0)
-    return [(t, dyn.uncertainty_check(mpath(t), fpath(t)))
-            for t in _linspace(0.0, t_end, samples)]
+    rows = []
+    for t in _linspace(0.0, t_end, samples):
+        if (m := mpath(t)).norm == 0.0:
+            raise NumericalError("the flow's weight e^(-I) underflows", t=t,
+                                 I=flow.at(t).i)
+        rows.append((t, dyn.uncertainty_check(m, fpath(t))))
+    return rows
 
 
 def cmd_uncertainty(args):

@@ -7,7 +7,8 @@ mu solves the nonlinear auxiliary equation, as the square root of Pinney's
 superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
 a = 1/2, c = d = 0 that is the Ermakov equation, and the form is the
 Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'') at t;
-an invariant calls it once and refuses a solution off its equation.
+an invariant calls it once and, on its one checked path, refuses a
+solution whose residual exceeds 1e-8.
 All of it is algebra on the classical flow M and I = int_0^t (c - d) of
 :func:`quadham.characteristic.classical_flow`.  The CLI and the grid take
 the drift of an invariant's expectation here.
@@ -207,33 +208,21 @@ def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
     return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - dc - dd), c + d
 
 
-def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float,
-                        checked: bool = True):
-    """(mu, q, residual) at t from one call of ``mu_fn``, q = (mu' - (c + d)
-    mu) / (2a), the residual that of :func:`auxiliary_residual`.  Refuses
-    mu = 0 and a residual above 1e-8; unchecked, only mu = 0 with C0 != 0."""
+def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float):
+    """(mu, q) at t from one call of ``mu_fn``, q = (mu' - (c + d) mu) /
+    (2a); refuses mu = 0 and a residual above 1e-8 of the nonlinear
+    auxiliary equation mu'' - (a'/a) mu' + Q mu = C0 (2a)^2 / mu^3."""
     mu, mup, mupp = _mu_triplet(mu_fn, t)
     a, ra, q, cd = _auxiliary_coefficients(tc, t)
-    if mu == 0.0 and (checked or C0 != 0.0):
+    if mu == 0.0:
         raise MuVanishes("mu vanishes", t=t)
-    lhs = mupp - ra * mup + q * mu
     rhs = C0 * (2.0 * a) ** 2 / mu ** 3 if C0 != 0.0 else 0.0
-    res = abs(lhs - rhs)
-    if checked and res > _RESIDUAL_TOL:
+    res = abs(mupp - ra * mup + q * mu - rhs)
+    if res > _RESIDUAL_TOL:
         raise AuxiliaryResidualTooLarge(
             "mu does not solve the auxiliary equation at t",
             residual=res, t=t)
-    return mu, (mup - cd * mu) / (2.0 * a), res
-
-
-def auxiliary_residual(tc: TimeCoefficients, mu_fn, C0: float,
-                       t: float) -> float:
-    """Absolute residual of the nonlinear auxiliary equation
-
-        mu'' - (a'/a) mu' + (4ab + (a'/a - c - d)(c + d) - c' - d') mu
-            = C0 (2a)^2 / mu^3.
-    """
-    return _auxiliary_solution(tc, mu_fn, C0, t, checked=False)[2]
+    return mu, (mup - cd * mu) / (2.0 * a)
 
 
 def superpose_linear_solutions(tc: TimeCoefficients, u, v,
@@ -307,7 +296,7 @@ def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:
     where mu solves the nonlinear auxiliary equation to 1e-8 and the
     integral is the I of ``flow``.
     """
-    mu, q, _ = _auxiliary_solution(flow.tc, mu_fn, C0, t)
+    mu, q = _auxiliary_solution(flow.tc, mu_fn, C0, t)
     w = _weight(t, flow.at(t).i)
     return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
                          C=-mu * q * w, D=-mu * q * w, t=t)
@@ -343,7 +332,7 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float, t: float) -> LadderPair:
     nonlinear auxiliary equation to 1e-8."""
     if not (C0 > 0):
         raise InvalidC0("C0 must be positive for the factorization", C0=C0)
-    mu, q, _ = _auxiliary_solution(flow.tc, mu_fn, C0, t)
+    mu, q = _auxiliary_solution(flow.tc, mu_fn, C0, t)
     w0 = 2.0 * math.sqrt(C0)
     P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
     R = mu / math.sqrt(w0)

@@ -120,7 +120,7 @@ def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
     x and y, principal branch; NumericalError where it is not finite, and
     UnderResolved where one ulp of the phase's summed term magnitudes
     exceeds criterion 1's 1e-7 rad (from about 5.4e8 rad on)."""
-    _served(kp.t, kp.mu, 1.0)
+    _served(kp.t, kp.mu)
     x, y = float(x), float(y)
     phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
@@ -142,7 +142,7 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
     so the phase is continuous in t while mu keeps its sign, that is
     before the first caustic.  NumericalError naming t where the result
     overflows or Im Lambda underflows to 0."""
-    _served(kp.t, kp.mu, 1.0)
+    _served(kp.t, kp.mu)
     # ** raises OverflowError where a square overflows, and a product or a
     # quotient gives inf or nan instead; both end in one NumericalError
     try:
@@ -183,7 +183,7 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
     c = beta dx^2, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
     j into one linear convolution with the chirp exp(-i c m^2 / 2).
     """
-    _served(kp.t, kp.mu, 1.0)
+    _served(kp.t, kp.mu)
     x0, dx, n = phi.x0, phi.dx, phi.values.size
     import numpy as np
     from numpy.fft import fft, ifft

@@ -1,6 +1,8 @@
 """Builders the test modules share: H's flow and kernel reader for a model,
-a sampled Gaussian, and a fresh interpreter on this checkout's source."""
+a sampled Gaussian, a fresh interpreter on this checkout's source, and the
+hypothesis seed of one case of a parametrized test."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -37,3 +39,12 @@ def run_fresh(code):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def case_seed(request) -> int:
+    """The hypothesis seed of the running case of a parametrized test, a
+    hash of its name (``test_x[united]``): one ``@seed`` on the test would
+    give every case the same stream, and ``derandomize`` alone seeds from
+    the test's source, which any edit moves."""
+    return int.from_bytes(
+        hashlib.sha256(request.node.name.encode()).digest(), "big")

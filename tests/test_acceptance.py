@@ -18,6 +18,7 @@ from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
+from auxiliary import auxiliary_residual
 from helpers import grid_gaussian, solve_kernel
 from schrodinger import schrodinger_residual
 
@@ -127,7 +128,7 @@ def test_criterion_04_elementary_and_superposed_invariants():
     tc = coeff.builtin_coefficients(UNITED)
     mu_fn, C0 = (UNITED.closed_form("invariant_mu"),
                  UNITED.closed_form("invariant_c0"))
-    res = max(inv.auxiliary_residual(tc, mu_fn, C0, float(t))
+    res = max(auxiliary_residual(tc, mu_fn, C0, float(t))
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
     flow = classical_flow(tc, 2.1)
@@ -147,7 +148,7 @@ def test_criterion_04_elementary_and_superposed_invariants():
         B = rng.uniform(-0.9, 0.9) * math.sqrt(A * C)
         m_fn, c0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
         sup_res = max(sup_res, max(
-            inv.auxiliary_residual(tc, m_fn, c0, float(t))
+            auxiliary_residual(tc, m_fn, c0, float(t))
             for t in np.linspace(0.0, 2.0, 9)))
     ok = res <= 1e-10 and coeff_err <= 1e-10 and sup_res <= 1e-9
     _report(4, "elementary invariant + superposed auxiliary solutions", ok,

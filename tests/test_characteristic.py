@@ -351,7 +351,7 @@ def test_cj_pure_damping_limit():
         a=lambda s: 0.5 / math.cosh(lam * s) ** 2,
         b=zero, c=zero, d=zero,
         da=lambda s: -lam * math.tanh(lam * s) / math.cosh(lam * s) ** 2,
-        db=zero, dc=zero, dd=zero)
+        dc=zero, dd=zero)
     path = chr_mod.classical_flow(tc, 1.0)
     kp = chr_mod.kernel_parameters(tc, path, t)
     mu_pure = math.tanh(lam * t) / lam
@@ -377,3 +377,19 @@ def test_an_overflowing_flow_weight_is_typed(mu_param):
             read(3.0)
         assert err.value.info["t"] == 3.0
         assert err.value.info["I"] == pytest.approx(3.0 * mu_param)
+
+
+def test_the_caustic_band_does_not_depend_on_the_window():
+    # united at omega0 = 400, mu_param = 300: |mu| grows as e^I, I = 300 t.
+    # The band of kernel_parameters was scaled by the largest |mu| of the
+    # solved window, so at t = 0.005 a flow to t = 3 raised the weight's
+    # NumericalError (at t = 2.37, I = 709.8) where a flow to t = 0.01
+    # served the kernel; every reader now refuses |mu| < MU_GUARD alone
+    spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, 300.0)
+    tc = coeff.builtin_coefficients(spec)
+    ref = chr_mod.closed_form_kernel(spec, 0.005)
+    for t_end in (0.01, 3.0):
+        kp = chr_mod.kernel_parameters(
+            tc, chr_mod.classical_flow(tc, t_end), 0.005)
+        for got, want in zip(kp, ref):
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), t_end

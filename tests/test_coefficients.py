@@ -122,14 +122,16 @@ def test_convention_stays_in_coefficients():
 
 
 def test_benchmark_only_api_stays_in_its_contract_tests():
-    # src keeps the tag API and solve_characteristic only because the
-    # benchmark (quadbench/) calls them: outside quadbench/ only their
-    # homes and contract tests name them, so that deleting them edits src,
-    # quadbench/ and these tests alone
+    # src keeps the tag API, solve_characteristic and the field db only
+    # because the benchmark (quadbench/) calls or reads them: outside
+    # quadbench/ only their homes and contract tests name them, so that
+    # deleting them edits src, quadbench/ and these tests alone
     repo = pathlib.Path(__file__).resolve().parents[1]
     tag = re.compile(r"\b(EQUATION|HAMILTONIAN|convert_convention"
                      r"|ConventionMismatch)\b")
     solve = re.compile(r"\bsolve_characteristic\b")
+    # the keyword and the attribute; models' local db is not the field
+    field = re.compile(r"\bdb=|\.db\b")
     guards = {"test_convention_stays_in_coefficients",
               "test_benchmark_only_api_stays_in_its_contract_tests"}
     # (pattern, file): the functions that may name it, None for any line
@@ -143,20 +145,27 @@ def test_benchmark_only_api_stays_in_its_contract_tests():
         (solve, "src/quadham/cli.py"): None,
         (solve, "tests/test_coefficients.py"): guards,
         (solve, "tests/test_characteristic.py"): {
-            "test_solve_characteristic_refuses_what_the_cli_refuses"}}
+            "test_solve_characteristic_refuses_what_the_cli_refuses"},
+        (field, "src/quadham/coefficients.py"): None,
+        (field, "tests/test_coefficients.py"): guards | {
+            "VARYING", "test_replace_keeps_the_mapped_record",
+            "test_analytic_derivatives_match_fd"}}
     found = []
     for path in [*sorted((repo / "src" / "quadham").glob("*.py")),
                  *sorted((repo / "tests").glob("*.py")),
                  repo / "benchmarks" / "run.py"]:
         name = path.relative_to(repo).as_posix()
         text = path.read_text()
-        spans = [(node.lineno, node.end_lineno, node.name)
+        # the top-level functions and assigned names
+        spans = [(node.lineno, node.end_lineno, node.name
+                  if isinstance(node, ast.FunctionDef)
+                  else ast.unparse(node.targets[0]))
                  for node in ast.parse(text).body
-                 if isinstance(node, ast.FunctionDef)]
+                 if isinstance(node, (ast.FunctionDef, ast.Assign))]
         for lineno, line in enumerate(text.splitlines(), 1):
             owner = next((fn for lo, hi, fn in spans if lo <= lineno <= hi),
                          None)
-            for pattern in (tag, solve):
+            for pattern in (tag, solve, field):
                 ok = allowed.get((pattern, name), set())
                 if pattern.search(line) and not (ok is None or owner in ok):
                     found.append((name, lineno))

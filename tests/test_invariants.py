@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -13,6 +13,8 @@ from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
                             KappaCollapse, MuVanishes, NoClosedForm,
                             NonPositiveForm, ResidualTooLarge,
                             ValidationError)
+
+from auxiliary import auxiliary_residual
 
 CATALOG_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -58,7 +60,7 @@ def test_united_elementary_mu_residual():
     tc = coeff.builtin_coefficients(UNITED)
     assert C0 == pytest.approx(0.25 * UNITED.model.omega ** 2, rel=1e-14)
     for t in np.linspace(0.0, 3.0, 13):
-        assert inv.auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-10
+        assert auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-10
 
 
 def test_united_general_invariant_reproduces_catalog():
@@ -93,10 +95,29 @@ def test_superposed_mu_solves_auxiliary_equation():
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
     for t in np.linspace(0.0, 2.0, 9):
-        assert inv.auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-9
+        assert auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-9
 
 
-@settings(max_examples=12, deadline=None)
+@pytest.mark.parametrize("spec", [
+    coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR),
+    coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 0.2, delta=0.5),
+], ids=lambda s: s.model_id)
+def test_superposed_mu_solves_the_equation_where_c_plus_d_varies(spec):
+    # c' + d' is not 0 on these two models, as it is on united and
+    # Caldirola-Kanai: the judge reads that term of Q itself, so a wrong
+    # one in the package's Q, which the superposed mu'' is built from,
+    # shows here (a flipped sign read 11.3 and 0.39)
+    tc = coeff.builtin_coefficients(spec)
+    flow = classical_flow(tc, 1.4)
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
+    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
+    for t in np.linspace(0.0, 1.4, 8):
+        assert auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-9
+
+
+@seed(18007391977996491405311385996762510238731534574760373146268145898231727227147204191502240348289374441815095467894515)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(A=st.floats(0.5, 2.0), C=st.floats(0.5, 2.0),
        frac=st.floats(-0.9, 0.9))
 def test_superposition_property_random_coefficients(A, C, frac):
@@ -108,16 +129,14 @@ def test_superposition_property_random_coefficients(A, C, frac):
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
     for t in (0.0, 0.6, 1.4):
-        assert inv.auxiliary_residual(tc, mu_fn, C0, t) <= 1e-9
+        assert auxiliary_residual(tc, mu_fn, C0, t) <= 1e-9
 
 
 def _oscillator(omega_sq, domega_sq=lambda t: 0.0):
     """H = (p^2 + omega^2(t) x^2) / 2 with its derivatives."""
     zero = lambda t: 0.0
     return coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                                  zero, zero, da=zero,
-                                  db=lambda t: 0.5 * domega_sq(t), dc=zero,
-                                  dd=zero)
+                                  zero, zero, da=zero, dc=zero, dd=zero)
 
 
 def test_pinney_matches_direct_ermakov():
@@ -163,7 +182,8 @@ def test_pinney_nonpositive_form():
         mu_fn(math.pi / 4)
 
 
-@settings(max_examples=30, deadline=None)
+@seed(17576708527379597108981712300698836528432069015576139225029068876887963154685149787915036614061780509071160199590509)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(eps=st.floats(-0.5, 0.5), c0=st.floats(0.05, 1.0),
        kappa0=st.floats(0.5, 2.0), kappa0p=st.floats(-1.0, 1.0),
        t=st.floats(0.0, 2.0))
@@ -174,7 +194,7 @@ def test_ermakov_solves_the_auxiliary_equation(eps, c0, kappa0, kappa0p, t):
     kappa_fn, C0 = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p), 2.0)
     tc = _oscillator(omega_sq, lambda s: eps * math.cos(s))
     kappa = kappa_fn(t)[0]
-    res = inv.auxiliary_residual(tc, kappa_fn, C0, t)
+    res = auxiliary_residual(tc, kappa_fn, C0, t)
     assert res <= 1e-9 * max(1.0, abs(c0 / kappa ** 3))
 
 
@@ -321,9 +341,8 @@ def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc, 1.0)
     mu = lambda t: (math.sin(t), math.cos(t), -math.sin(t))
-    assert inv.auxiliary_residual(tc, mu, 0.0, 0.0) == 0.0
-    for call, args in ((inv.auxiliary_residual, (tc, mu, 1.0)),
-                       (inv.general_invariant, (flow, mu, 0.0)),
+    assert auxiliary_residual(tc, mu, 0.0, 0.0) == 0.0
+    for call, args in ((inv.general_invariant, (flow, mu, 0.0)),
                        (inv.ladder_factorization, (flow, mu, 1.0))):
         with pytest.raises(MuVanishes):
             call(*args, 0.0)
@@ -383,8 +402,8 @@ def test_linear_invariant_rejects_bad_solution():
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["two", "four"])
-@pytest.mark.parametrize("call", ["auxiliary_residual", "general_invariant",
-                                  "linear_invariant", "ladder_factorization"])
+@pytest.mark.parametrize("call", ["general_invariant", "linear_invariant",
+                                  "ladder_factorization"])
 def test_callables_must_return_three_values(call, extra):
     # on SHO mu = 1 (C0 = 1) and A = cos t solve their equations; a tuple
     # of two or four values is refused, never differenced or cut
@@ -393,8 +412,7 @@ def test_callables_must_return_three_values(call, extra):
     mu = lambda t: (1.0, 0.0, 0.0, 0.0)[:3 + extra]
     A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t),
                    math.sin(t))[:3 + extra]
-    args = {"auxiliary_residual": (tc, mu, 1.0),
-            "general_invariant": (flow, mu, 1.0),
+    args = {"general_invariant": (flow, mu, 1.0),
             "linear_invariant": (flow, A, 0.2),
             "ladder_factorization": (flow, mu, 1.0)}[call]
     with pytest.raises(ValidationError) as err:
@@ -403,8 +421,7 @@ def test_callables_must_return_three_values(call, extra):
     assert err.value.info == {"t": 0.5, "length": 3 + extra}
 
 
-@pytest.mark.parametrize("call", ["auxiliary_residual", "general_invariant",
-                                  "linear_invariant"])
+@pytest.mark.parametrize("call", ["general_invariant", "linear_invariant"])
 def test_coefficients_without_a_derivative_are_refused(call):
     # SHO without a': mu = 1 (C0 = 1) and A = cos t solve their equations,
     # but the invariants take no finite difference of a
@@ -414,8 +431,7 @@ def test_coefficients_without_a_derivative_are_refused(call):
     flow = classical_flow(tc, 1.0)
     mu = lambda t: (1.0, 0.0, 0.0)
     A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
-    args = {"auxiliary_residual": (tc, mu, 1.0),
-            "general_invariant": (flow, mu, 1.0),
+    args = {"general_invariant": (flow, mu, 1.0),
             "linear_invariant": (flow, A, 0.2)}[call]
     with pytest.raises(ValidationError) as err:
         getattr(inv, call)(*args, 0.5)

@@ -26,6 +26,8 @@ from quadham.cli import main
 from quadham.errors import (CausticEncountered, InvalidModelParams,
                             NoClosedForm, NumericalError, QuadhamError)
 
+from helpers import case_seed
+
 # the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL,
 # PROPAGATE_TOL, MOMENT_TOL, DRIFT_TOL)
 KERNEL_TOL = 1e-7
@@ -143,45 +145,47 @@ def test_models_is_a_leaf():
 
 
 @pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
-@seed(22563302534338786998383027143148251332032568385748209756557021228884325137724718820710793117660539709694478375617166)
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
-       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
-       t_end=st.floats(0.1, 1.2))
-def test_closed_forms_match_numerical_path(model_id, omega0, lam, mu_param,
-                                           delta, t_end):
-    try:
-        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
-    except InvalidModelParams:
-        reject()
-    tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, t_end)
-    for t in np.linspace(t_end / 5, t_end, 5):
-        mu, mup = chr_mod.closed_form_mu(spec, float(t))
-        assert _close(path.mu(float(t)), mu)
-        assert _close(path.mu_prime(float(t)), mup)
+def test_closed_forms_match_numerical_path(request, model_id):
+    @seed(case_seed(request))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+           mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+           t_end=st.floats(0.1, 1.2))
+    def case(omega0, lam, mu_param, delta, t_end):
+        try:
+            spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+        except InvalidModelParams:
+            reject()
+        tc = coeff.builtin_coefficients(spec)
+        path = chr_mod.classical_flow(tc, t_end)
+        for t in np.linspace(t_end / 5, t_end, 5):
+            mu, mup = chr_mod.closed_form_mu(spec, float(t))
+            assert _close(path.mu(float(t)), mu)
+            assert _close(path.mu_prime(float(t)), mup)
 
-    caustic = path.first_caustic
-    hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
-    for t in np.linspace(hi / 5, hi, 5):
-        kp = chr_mod.kernel_parameters(tc, path, float(t))
-        ref = chr_mod.closed_form_kernel(spec, float(t))
-        for name in ("mu", "mu_prime", "h", "alpha", "beta", "gamma"):
-            assert _close(getattr(kp, name), getattr(ref, name)), name
+        caustic = path.first_caustic
+        hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
+        for t in np.linspace(hi / 5, hi, 5):
+            kp = chr_mod.kernel_parameters(tc, path, float(t))
+            ref = chr_mod.closed_form_kernel(spec, float(t))
+            for name in ("mu", "mu_prime", "h", "alpha", "beta", "gamma"):
+                assert _close(getattr(kp, name), getattr(ref, name)), name
 
-    try:
-        form = inv.energy_operator_catalog(spec, 0.0)
-    except NoClosedForm:
-        return
-    m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
-    moments = dyn.evolve_second_moments(
-        classical_flow(coeff.catalog_coefficients(spec), t_end), m0)
-    ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
-    for t in np.linspace(t_end / 5, t_end, 5):
-        m = moments(float(t))
-        got = inv.energy_operator_catalog(spec, float(t)).expectation(
-            m.p2, m.x2, m.pxxp)
-        assert abs(got - ref) <= DRIFT_TOL * max(abs(ref), 1e-30)
+        try:
+            form = inv.energy_operator_catalog(spec, 0.0)
+        except NoClosedForm:
+            return
+        m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
+        moments = dyn.evolve_second_moments(
+            classical_flow(coeff.catalog_coefficients(spec), t_end), m0)
+        ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
+        for t in np.linspace(t_end / 5, t_end, 5):
+            m = moments(float(t))
+            got = inv.energy_operator_catalog(spec, float(t)).expectation(
+                m.p2, m.x2, m.pxxp)
+            assert abs(got - ref) <= DRIFT_TOL * max(abs(ref), 1e-30)
+
+    case()
 
 
 def _error_types():
@@ -240,55 +244,58 @@ def _gaussian_moments(spec, s0, t):
 # no explain phase: it reruns a failing example about 500 times, a minute
 # per model here
 @pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
-@seed(38894025454156345813677728516309962736991176267747662681006135415221667867673680644256706399373823255275336758551677)
-@settings(max_examples=10, deadline=None, derandomize=True,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
-       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
-       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
-       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
-       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
-def test_cli_mu_and_moments_match_closed_forms(model_id, omega0, lam,
-                                               mu_param, delta, t_end,
-                                               samples, width, shift):
-    # each row as quadbench/oracles.py cli_mu and cli_moments check it, on
-    # windows inside the model's stated limit
-    try:
-        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
-    except InvalidModelParams:
-        reject()
-    t_end = min(t_end, 0.98 * spec.model.t_max)
-    # --flag=value, because argparse reads "-1e-05" as an option
-    flags = ["--model", model_id, f"--omega0={omega0!r}", f"--lambda={lam!r}",
-             f"--mu-param={mu_param!r}", f"--delta={delta!r}",
-             f"--t-end={t_end!r}", f"--samples={samples}"]
+def test_cli_mu_and_moments_match_closed_forms(request, model_id):
+    @seed(case_seed(request))
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink])
+    @given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+           mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+           t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+           width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
+    def case(omega0, lam, mu_param, delta, t_end, samples, width, shift):
+        # each row as quadbench/oracles.py cli_mu and cli_moments check it, on
+        # windows inside the model's stated limit
+        try:
+            spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+        except InvalidModelParams:
+            reject()
+        t_end = min(t_end, 0.98 * spec.model.t_max)
+        # --flag=value, because argparse reads "-1e-05" as an option
+        flags = ["--model", model_id, f"--omega0={omega0!r}",
+                 f"--lambda={lam!r}", f"--mu-param={mu_param!r}",
+                 f"--delta={delta!r}",
+                 f"--t-end={t_end!r}", f"--samples={samples}"]
 
-    rows = _cli_rows(["mu", *flags], ["t", "mu", "mu_prime"])
-    for t, mu, mup in rows or ():
-        ref_mu, ref_mup = chr_mod.closed_form_mu(spec, t)
-        assert 0.0 < t <= t_end
-        assert _close(mu, ref_mu) and _close(mup, ref_mup), t
+        rows = _cli_rows(["mu", *flags], ["t", "mu", "mu_prime"])
+        for t, mu, mup in rows or ():
+            ref_mu, ref_mup = chr_mod.closed_form_mu(spec, t)
+            assert 0.0 < t <= t_end
+            assert _close(mu, ref_mu) and _close(mup, ref_mup), t
 
-    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
-    m0 = _gaussian_moments(spec, s0, 0.0)
-    rows = _cli_rows(["moments", *flags, *(f"--{k}={m0[k]!r}"
-                                           for k in ("p2", "x2", "pxxp"))],
-                     ["t", "p2", "x2", "pxxp", "norm"])
-    record = spec.model
-    energy = (record.expectation is not None
-              and record.invariant_hamiltonian is record.hamiltonian)
-    for t, p2, x2, pxxp, norm in rows or ():
-        ref = _gaussian_moments(spec, s0, t)
-        if ref is not None:
-            for got, key in ((p2, "p2"), (x2, "x2"), (pxxp, "pxxp"),
-                             (norm, "norm")):
-                assert _close(got, ref[key], MOMENT_TOL), (key, t)
-        if energy:
-            A, B, C = dyn.reference_operator(spec, t)
-            want = dyn.closed_form_expectation(
-                spec, dyn.SecondMoments(m0["p2"], m0["x2"], m0["pxxp"]), t)
-            assert _close(A * p2 + B * x2 + 0.5 * C * pxxp, want,
-                          MOMENT_TOL), t
+        s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+        m0 = _gaussian_moments(spec, s0, 0.0)
+        rows = _cli_rows(["moments", *flags, *(f"--{k}={m0[k]!r}"
+                                               for k in ("p2", "x2", "pxxp"))],
+                         ["t", "p2", "x2", "pxxp", "norm"])
+        record = spec.model
+        energy = (record.expectation is not None
+                  and record.invariant_hamiltonian is record.hamiltonian)
+        for t, p2, x2, pxxp, norm in rows or ():
+            ref = _gaussian_moments(spec, s0, t)
+            if ref is not None:
+                for got, key in ((p2, "p2"), (x2, "x2"), (pxxp, "pxxp"),
+                                 (norm, "norm")):
+                    assert _close(got, ref[key], MOMENT_TOL), (key, t)
+            if energy:
+                A, B, C = dyn.reference_operator(spec, t)
+                want = dyn.closed_form_expectation(
+                    spec, dyn.SecondMoments(m0["p2"], m0["x2"], m0["pxxp"]), t)
+                assert _close(A * p2 + B * x2 + 0.5 * C * pxxp, want,
+                              MOMENT_TOL), t
+
+    case()
 
 
 def _before_caustic(spec, horizon, points=100):
@@ -303,152 +310,162 @@ def _before_caustic(spec, horizon, points=100):
 
 
 @pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
-@seed(16669921955904592536195042076069975375128405086780008672150408387269465293351058162766080866020164786438325638639159)
-@settings(max_examples=10, deadline=None, derandomize=True,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
-       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
-       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
-       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
-       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
-       point=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
-def test_cli_green_and_propagate_match_closed_forms(model_id, omega0, lam,
-                                                    mu_param, delta, t_end,
-                                                    samples, width, shift,
-                                                    point):
-    # as quadbench/oracles.py cli_green and cli_propagate check them, on
-    # windows before 0.9 x the first caustic and inside the stated limit
-    try:
-        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
-    except InvalidModelParams:
-        reject()
-    t_end = min(t_end, 0.98 * spec.model.t_max,
-                0.89 * _before_caustic(spec, t_end))
-    model = ["--model", model_id, f"--omega0={omega0!r}", f"--lambda={lam!r}",
-             f"--mu-param={mu_param!r}", f"--delta={delta!r}"]
+def test_cli_green_and_propagate_match_closed_forms(request, model_id):
+    @seed(case_seed(request))
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink])
+    @given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+           mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+           t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+           width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
+           point=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def case(omega0, lam, mu_param, delta, t_end, samples, width, shift,
+             point):
+        # as quadbench/oracles.py cli_green and cli_propagate check them, on
+        # windows before 0.9 x the first caustic and inside the stated limit
+        try:
+            spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+        except InvalidModelParams:
+            reject()
+        t_end = min(t_end, 0.98 * spec.model.t_max,
+                    0.89 * _before_caustic(spec, t_end))
+        model = ["--model", model_id, f"--omega0={omega0!r}",
+                 f"--lambda={lam!r}", f"--mu-param={mu_param!r}",
+                 f"--delta={delta!r}"]
 
-    x, y = point
-    text = _cli_stdout(["green", *model, f"--t={t_end!r}", f"--x={x!r}",
-                        f"--y={y!r}"])
-    if text is not None:
-        out = json.loads(text)
-        ref = prop.green_eval(chr_mod.closed_form_kernel(spec, t_end), x, y)
-        assert _close(out["re"], ref.real) and _close(out["im"], ref.imag)
+        x, y = point
+        text = _cli_stdout(["green", *model, f"--t={t_end!r}", f"--x={x!r}",
+                            f"--y={y!r}"])
+        if text is not None:
+            out = json.loads(text)
+            ref = prop.green_eval(chr_mod.closed_form_kernel(spec, t_end),
+                                  x, y)
+            assert _close(out["re"], ref.real) and _close(out["im"], ref.imag)
 
-    text = _cli_stdout(["propagate", *model, f"--t-end={t_end!r}",
-                        f"--samples={samples}",
-                        f"--lambda-re={width[0]!r}",
-                        f"--lambda-im={width[1]!r}",
-                        f"--theta-re={shift[0]!r}",
-                        f"--theta-im={shift[1]!r}"])
-    if text is None:
-        return
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["t", "lambda_re", "lambda_im", "theta_re", "theta_im",
-                       "phi_re", "phi_im", "norm", "x_mean", "p_mean"]
-    rows = [[float(v) for v in row] for row in rows[1:]]
-    ts = [row[0] for row in rows]
-    assert len(ts) == samples and 0.0 < ts[0] and ts[-1] <= t_end
-    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
-    sweep = prop.gaussian_sweep(
-        lambda t: chr_mod.closed_form_kernel(spec, t), ts, s0)
-    for row, s in zip(rows, sweep):
-        m = s.moments()
-        want = (s.Lambda.real, s.Lambda.imag, s.Theta.real, s.Theta.imag,
-                s.Phi.real, s.Phi.imag, m["norm"], m["x"], m["p"])
-        for got, ref in zip(row[1:], want):
-            assert _close(got, ref, PROPAGATE_TOL), row[0]
+        text = _cli_stdout(["propagate", *model, f"--t-end={t_end!r}",
+                            f"--samples={samples}",
+                            f"--lambda-re={width[0]!r}",
+                            f"--lambda-im={width[1]!r}",
+                            f"--theta-re={shift[0]!r}",
+                            f"--theta-im={shift[1]!r}"])
+        if text is None:
+            return
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["t", "lambda_re", "lambda_im", "theta_re",
+                           "theta_im",
+                           "phi_re", "phi_im", "norm", "x_mean", "p_mean"]
+        rows = [[float(v) for v in row] for row in rows[1:]]
+        ts = [row[0] for row in rows]
+        assert len(ts) == samples and 0.0 < ts[0] and ts[-1] <= t_end
+        s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+        sweep = prop.gaussian_sweep(
+            lambda t: chr_mod.closed_form_kernel(spec, t), ts, s0)
+        for row, s in zip(rows, sweep):
+            m = s.moments()
+            want = (s.Lambda.real, s.Lambda.imag, s.Theta.real, s.Theta.imag,
+                    s.Phi.real, s.Phi.imag, m["norm"], m["x"], m["p"])
+            for got, ref in zip(row[1:], want):
+                assert _close(got, ref, PROPAGATE_TOL), row[0]
 
-
-@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
-@seed(2192421007665860064377715288736100838939329071099837155703322806874854917546599881084001064409985946897938145370846)
-@settings(max_examples=10, deadline=None, derandomize=True,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
-       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
-       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
-       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
-       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
-def test_cli_kernel_and_uncertainty_match_closed_forms(model_id, omega0, lam,
-                                                       mu_param, delta,
-                                                       t_end, samples, width,
-                                                       shift):
-    # the windows of the green/propagate sweep; kernel rows against the
-    # closed-form kernel, the uncertainty variances against those of the
-    # closed-form Gaussian moments
-    try:
-        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
-    except InvalidModelParams:
-        reject()
-    t_end = min(t_end, 0.98 * spec.model.t_max,
-                0.89 * _before_caustic(spec, t_end))
-    flags = ["--model", model_id, f"--omega0={omega0!r}", f"--lambda={lam!r}",
-             f"--mu-param={mu_param!r}", f"--delta={delta!r}",
-             f"--t-end={t_end!r}", f"--samples={samples}"]
-
-    fields = ["t", "mu", "mu_prime", "h", "alpha", "beta", "gamma"]
-    rows = _cli_rows(["kernel", *flags], fields)
-    for t, *values in rows or ():
-        assert 0.0 < t <= t_end
-        ref = chr_mod.closed_form_kernel(spec, t)
-        for name, got in zip(fields[1:], values):
-            assert _close(got, getattr(ref, name)), (name, t)
-
-    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
-    m0 = _gaussian_moments(spec, s0, 0.0)
-    rows = _cli_rows(["uncertainty", *flags,
-                      *(f"--{k}={m0[k]!r}" for k in ("p2", "x2", "pxxp")),
-                      f"--x-mean={m0['x']!r}", f"--p-mean={m0['p']!r}"],
-                     ["t", "dp2", "dx2", "margin", "excess"])
-    for t, dp2, dx2, _, _ in rows or ():
-        ref = _gaussian_moments(spec, s0, t)
-        if ref is None:
-            continue
-        assert _close(dp2, ref["p2"] - ref["p"] ** 2 / ref["norm"],
-                      MOMENT_TOL), t
-        assert _close(dx2, ref["x2"] - ref["x"] ** 2 / ref["norm"],
-                      MOMENT_TOL), t
+    case()
 
 
 @pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
-@seed(5907564518229296493508801616994189607400457632091868324105524593871470095816297569925321641885079135718116853263356)
-@settings(max_examples=10, deadline=None, derandomize=True,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
-       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
-       t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
-       width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
-       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
-def test_cli_invariant_matches_closed_forms(model_id, omega0, lam, mu_param,
-                                            delta, t_end, samples, width,
-                                            shift):
-    # the record as quadbench/oracles.py cli_invariant checks it, on
-    # windows inside the model's stated limit; a model without a catalogued
-    # invariant exits 2
-    try:
-        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
-    except InvalidModelParams:
-        reject()
-    t_end = min(t_end, 0.98 * spec.model.t_max)
-    s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
-    m0 = _gaussian_moments(spec, s0, 0.0)
-    text = _cli_stdout(
-        ["invariant", "--model", model_id, f"--omega0={omega0!r}",
-         f"--lambda={lam!r}", f"--mu-param={mu_param!r}",
-         f"--delta={delta!r}", f"--t-end={t_end!r}", f"--samples={samples}",
-         *(f"--{k}={m0[k]!r}" for k in ("p2", "x2", "pxxp"))])
-    if text is None:
-        return
+def test_cli_kernel_and_uncertainty_match_closed_forms(request, model_id):
+    @seed(case_seed(request))
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink])
+    @given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+           mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+           t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+           width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
+    def case(omega0, lam, mu_param, delta, t_end, samples, width, shift):
+        # the windows of the green/propagate sweep; kernel rows against the
+        # closed-form kernel, the uncertainty variances against those of the
+        # closed-form Gaussian moments
+        try:
+            spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+        except InvalidModelParams:
+            reject()
+        t_end = min(t_end, 0.98 * spec.model.t_max,
+                    0.89 * _before_caustic(spec, t_end))
+        flags = ["--model", model_id, f"--omega0={omega0!r}",
+                 f"--lambda={lam!r}", f"--mu-param={mu_param!r}",
+                 f"--delta={delta!r}",
+                 f"--t-end={t_end!r}", f"--samples={samples}"]
 
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
+        fields = ["t", "mu", "mu_prime", "h", "alpha", "beta", "gamma"]
+        rows = _cli_rows(["kernel", *flags], fields)
+        for t, *values in rows or ():
+            assert 0.0 < t <= t_end
+            ref = chr_mod.closed_form_kernel(spec, t)
+            for name, got in zip(fields[1:], values):
+                assert _close(got, getattr(ref, name)), (name, t)
 
-    record = json.loads(text, parse_constant=refuse)
-    assert (record["model"], record["t_end"]) == (model_id, t_end)
-    ref = inv.energy_operator_catalog(spec, 0.0).expectation(
-        m0["p2"], m0["x2"], m0["pxxp"])
-    assert record["reference"] == pytest.approx(ref, rel=1e-12)
-    assert 0.0 <= record["drift"] <= DRIFT_TOL
+        s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+        m0 = _gaussian_moments(spec, s0, 0.0)
+        rows = _cli_rows(["uncertainty", *flags,
+                          *(f"--{k}={m0[k]!r}" for k in ("p2", "x2", "pxxp")),
+                          f"--x-mean={m0['x']!r}", f"--p-mean={m0['p']!r}"],
+                         ["t", "dp2", "dx2", "margin", "excess"])
+        for t, dp2, dx2, _, _ in rows or ():
+            ref = _gaussian_moments(spec, s0, t)
+            if ref is None:
+                continue
+            assert _close(dp2, ref["p2"] - ref["p"] ** 2 / ref["norm"],
+                          MOMENT_TOL), t
+            assert _close(dx2, ref["x2"] - ref["x"] ** 2 / ref["norm"],
+                          MOMENT_TOL), t
+
+    case()
+
+
+@pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
+def test_cli_invariant_matches_closed_forms(request, model_id):
+    @seed(case_seed(request))
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink])
+    @given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+           mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+           t_end=st.floats(0.1, 3.0), samples=st.integers(1, 12),
+           width=st.tuples(st.floats(-0.2, 0.2), st.floats(0.3, 1.0)),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)))
+    def case(omega0, lam, mu_param, delta, t_end, samples, width, shift):
+        # the record as quadbench/oracles.py cli_invariant checks it, on
+        # windows inside the model's stated limit; a model without a catalogued
+        # invariant exits 2
+        try:
+            spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+        except InvalidModelParams:
+            reject()
+        t_end = min(t_end, 0.98 * spec.model.t_max)
+        s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
+        m0 = _gaussian_moments(spec, s0, 0.0)
+        text = _cli_stdout(
+            ["invariant", "--model", model_id, f"--omega0={omega0!r}",
+             f"--lambda={lam!r}", f"--mu-param={mu_param!r}",
+             f"--delta={delta!r}", f"--t-end={t_end!r}",
+             f"--samples={samples}",
+             *(f"--{k}={m0[k]!r}" for k in ("p2", "x2", "pxxp"))])
+        if text is None:
+            return
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        record = json.loads(text, parse_constant=refuse)
+        assert (record["model"], record["t_end"]) == (model_id, t_end)
+        ref = inv.energy_operator_catalog(spec, 0.0).expectation(
+            m0["p2"], m0["x2"], m0["pxxp"])
+        assert record["reference"] == pytest.approx(ref, rel=1e-12)
+        assert 0.0 <= record["drift"] <= DRIFT_TOL
+
+    case()
 
 
 @pytest.mark.parametrize("model_id, params", [

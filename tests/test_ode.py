@@ -155,7 +155,7 @@ def test_blow_up_raises_singular_coefficient():
     lambda t: math.nan if t > 0.5 else 0.5,
 ], ids=["overflow", "value_error", "not_finite"])
 @pytest.mark.parametrize("reader", ["classical_flow", "evolve_grid",
-                                    "auxiliary_residual"])
+                                    "superposed_mu"])
 def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
     # each b fails inside the window [0, 1]: every reader of H refuses it
     # with the time, through the one reader quadham.ode.read
@@ -169,8 +169,10 @@ def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
            "evolve_grid": lambda: gridsim.evolve_grid(
                tc, prop.GridState(-8.0, x[1] - x[0], np.exp(-x * x)),
                1e-3, 1000),
-           "auxiliary_residual": lambda: inv.auxiliary_residual(
-               tc, lambda t: (1.0, 0.0, 0.0), 0.0, 0.9)}[reader]
+           # superpose_linear_solutions' mu_fn reads Q, and so b, at t
+           "superposed_mu": lambda: inv.superpose_linear_solutions(
+               tc, lambda t: (1.0, 0.0), lambda t: (0.0, 1.0), 1.0, 0.0,
+               1.0)[0](0.9)}[reader]
     with pytest.raises(SingularCoefficient) as exc:
         run()
     assert 0.5 < exc.value.info["t"] < 1.0

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from quadham import characteristic as chr_mod
@@ -375,7 +375,8 @@ def test_delta_like_source_spreads_linearly():
             1.0 / (4 * li0) + li0 * t * t, rel=1e-9)
 
 
-@settings(max_examples=25, deadline=None)
+@seed(18097941866195524649892026862655422347937936947125260658927008065523049290010848592821830547311232581530748482096031)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(lr=st.floats(-1.0, 1.0), li=st.floats(0.1, 2.0),
        tr=st.floats(-1.0, 1.0), ti=st.floats(-1.0, 1.0),
        t=st.floats(0.1, 2.0))
@@ -386,7 +387,8 @@ def test_gaussian_norm_is_conserved_property(lr, li, tr, ti, t):
     assert out.norm_sq() == pytest.approx(s0.norm_sq(), rel=1e-7)
 
 
-@settings(max_examples=25, deadline=None)
+@seed(32384353742886974724920283478466496930616889166555070106590436423480868476743082270762804882094207405662191472595116)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(x=st.floats(-0.6, 0.6), y=st.floats(-0.6, 0.6),
        t=st.floats(0.7, 1.3))
 def test_residual_property_random_triples(x, y, t):
