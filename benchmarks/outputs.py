@@ -1,0 +1,92 @@
+"""Compare the CLI outputs of this checkout with another's.
+
+Usage: python3 benchmarks/outputs.py --against OTHER [--seeds N [N ...]]
+
+Draws the argvs of the ``cli_session`` workload once, from OTHER's
+``quadbench/workloads.py`` on OTHER's source: every call, timed or probe,
+of the blocks that ``quadbench/run.py --seconds 40`` executes for each
+seed (1 to 5 by default).  Drawing them on one side keeps a change to the
+code under test from moving the inputs (the workload draws some flags from
+``GaussianState.moments``).  Then runs every argv through
+``quadham.cli.main`` in one child interpreter per checkout, and prints
+each argv whose exit code, stdout or stderr differ between the two, then
+the count of those that moved.  An exception that leaves ``main`` counts
+as exit 1 with its type and message on stderr.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 40.0
+
+DRAW = """
+import json, sys
+import run, workloads
+blocks = run.block_count("cli_session", float(sys.argv[1]))
+argvs = []
+for seed in json.loads(sys.argv[2]):
+    gen = workloads.blocks("cli_session", seed)
+    argvs += [task.argv for _ in range(blocks) for task in next(gen)]
+print(json.dumps(argvs))
+"""
+
+RUN = """
+import contextlib, io, json, sys
+from quadham.cli import main
+outputs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+    outputs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def _child(root, code, args=(), stdin=None, path=("src",)):
+    """Run ``code`` in a fresh interpreter on ``root``'s directories
+    ``path``; returns its stdout read as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        os.path.join(root, p) for p in path)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=root,
+                          env=env, input=stdin, capture_output=True,
+                          text=True, timeout=600)
+    if proc.returncode != 0:
+        raise SystemExit(f"child on {root} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", required=True,
+                    help="the other checkout, whose quadbench draws the argvs")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    args = ap.parse_args(argv)
+    other = os.path.abspath(args.against)
+    argvs = _child(other, DRAW, (str(SECONDS), json.dumps(args.seeds)),
+                   path=("src", "quadbench"))
+    batch = json.dumps(argvs)
+    here, there = (_child(root, RUN, stdin=batch) for root in (ROOT, other))
+    moved = 0
+    for argv, mine, theirs in zip(argvs, here, there):
+        parts = [name for name, a, b in zip(("exit", "stdout", "stderr"),
+                                            mine, theirs) if a != b]
+        if parts:
+            moved += 1
+            print(f"moved ({', '.join(parts)}): {' '.join(argv)}")
+    print(f"{moved} of {len(argvs)} outputs moved")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ no division by a(t).  ``quadham.ode`` integrates it by 6th-order Magnus
 steps, which keep det M = 1 to rounding, with one tolerance on every path,
 FLOW_TOL; the Flow holds the rows and the work counts of the solve and
 gives the dense output by one sub-step from a step point.  Every kernel
-reader refuses the one caustic band |mu| < MU_GUARD, whatever the window.
+reader refuses the caustic band |mu| <= MU_GUARD |t mu'|, in any units.
 The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -37,7 +37,12 @@ from .errors import (CausticEncountered, NumericalError, SingularCoefficient,
 from .ode import (EVALS_PER_STEP, FLOW_TOL, bracket_sign_change,
                   magnus_step, read, solve_ivp)
 
-MU_GUARD = 1e-10
+# beta = -1/M12 is off by M12's error over |M12|, which shrinks as the time
+# |mu / mu'| to the zero of mu.  Over the ten models at omega0 0.7, 1, 1.5,
+# lambda 0.2 and 0.35, flows solved to t within 1e-3 before the first
+# caustic, 1e-7 is the least power of ten serving no kernel past criterion
+# 1's 1e-7; at 1e-8 modified_ck (omega0 0.7, lambda 0.35) is 1.4e-7 off.
+MU_GUARD = 1e-7
 
 
 class KernelParameters(NamedTuple):
@@ -75,12 +80,12 @@ def _congruence(m11: float, m12: float, m21: float, m22: float, s):
     return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
 
 
-def _served(t: float, mu: float) -> None:
-    """Refuse mu in the caustic guard band |mu| < MU_GUARD: the one check
-    of every kernel reader, private so that a trace gives it no span."""
-    if abs(mu) < MU_GUARD:
+def _served(t: float, mu: float, mu_prime: float) -> None:
+    """Refuse the caustic band |mu| <= MU_GUARD |t mu'|: the one check of
+    every kernel reader, private so that a trace gives it no span."""
+    if not abs(mu) > MU_GUARD * abs(t * mu_prime):
         raise CausticEncountered("mu is inside the caustic guard band",
-                                 t=t, mu=mu)
+                                 t=t, mu=mu, mu_prime=mu_prime)
 
 
 def _weight(t: float, i: float, sign: float = 1.0) -> float:
@@ -159,9 +164,9 @@ class Flow:
         if hit is None:
             return None
         # widen the zero of the dense output by a margin that holds the
-        # exact zero too (within about FLOW_TOL * t_end of it)
+        # exact zero too, on the zero's own time scale
         (c0, c1), (lo, hi) = hit
-        pad = math.sqrt(FLOW_TOL) * abs(self.t_end)
+        pad = math.sqrt(FLOW_TOL) * max(abs(lo), abs(hi))
         return max(c0, lo - pad), min(c1, hi + pad)
 
 
@@ -194,8 +199,8 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
     matrix of ``flow`` and its coefficients (``tc`` is not read).
 
-    Raises CausticEncountered when |mu| < MU_GUARD at t or mu changes sign
-    before it, and ValidationError when t lies past the solved window.
+    Raises CausticEncountered inside the caustic band at t or where mu
+    changes sign before it, and ValidationError past the solved window.
     """
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
@@ -205,11 +210,11 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
     h = _weight(t, p.i)
-    mu = p.m12 * h
-    _served(t, mu)
-    return KernelParameters(t=t, mu=mu, mu_prime=_mu_prime(flow.tc, t, p),
-                            h=h, alpha=p.m22 / (2.0 * p.m12),
-                            beta=-1.0 / p.m12, gamma=p.m11 / (2.0 * p.m12))
+    mu, mu_prime = p.m12 * h, _mu_prime(flow.tc, t, p)
+    _served(t, mu, mu_prime)
+    return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,
+                            alpha=p.m22 / (2.0 * p.m12), beta=-1.0 / p.m12,
+                            gamma=p.m11 / (2.0 * p.m12))
 
 
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
@@ -218,7 +223,7 @@ def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
     mu, mup = closed_form_mu(spec, t)
-    _served(t, mu)
+    _served(t, mu, mup)
     alpha, beta, gamma, h = kernel(t)
     return KernelParameters(t=t, mu=mu, mu_prime=mup, h=h,
                             alpha=alpha, beta=beta, gamma=gamma)

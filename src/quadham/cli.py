@@ -298,6 +298,27 @@ def _verify_one(model_id: str, budget: str):
             spec, m0, t)) for t in ts)
         yield f"energy {model_id}", err <= 1e-6, f"max rel err {err:.2e}"
 
+    if spec.model.mean_position is not None:
+        # Ehrenfest: <x> on H's flow against the record's family
+        mean = functools.partial(spec.closed_form("mean_position"), 0.9, 0.4)
+        path = dyn.evolve_first_moments(flow, dyn.FirstMoments(
+            *spec.closed_form("mean_start")(0.9, 0.4)))
+        err = max(abs(path(t).x - mean(t)) for t in ts)
+        yield f"ehrenfest {model_id}", err <= 1e-8, f"max err {err:.2e}"
+
+    if spec.model.invariant_mu is not None:
+        # the invariant of the record's elementary mu against the catalogue
+        mu_fn, c0 = (spec.closed_form("invariant_mu"),
+                     spec.closed_form("invariant_c0"))
+
+        def rel_err(t):
+            form, want = inv.general_invariant(flow, mu_fn, c0, t), catalog(t)
+            return max(abs(g - w) for g, w in zip(form[:4], want[:4])) / max(
+                abs(want.A), abs(want.B), 1.0)
+
+        err = max(map(rel_err, ts))
+        yield f"auxiliary {model_id}", err <= 1e-10, f"max rel err {err:.2e}"
+
 
 def cmd_verify_all(args):
     models = (quadham.models.MODEL_IDS if args.model in (None, "all")

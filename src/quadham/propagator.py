@@ -23,6 +23,10 @@ from .errors import (DegenerateWidth, NonNormalizable, NumericalError,
                      UnderResolved, ValidationError)
 
 _TWO_PI = 2.0 * math.pi
+# gamma + Lambda amplifies gamma's error (2.2e-14 off the caustic band, by
+# criterion 1) by |gamma| / |gamma + Lambda|: at this bound Lambda' keeps
+# about 2.2e-7, inside the 1e-6 the benchmark holds a propagated state to
+WIDTH_GUARD = 1e-7
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def green_eval(kp: KernelParameters, x: float, y: float) -> complex:
     x and y, principal branch; NumericalError where it is not finite, and
     UnderResolved where one ulp of the phase's summed term magnitudes
     exceeds criterion 1's 1e-7 rad (from about 5.4e8 rad on)."""
-    _served(kp.t, kp.mu)
+    _served(kp.t, kp.mu, kp.mu_prime)
     x, y = float(x), float(y)
     phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
     pref = 1.0 / cmath.sqrt(_TWO_PI * 1j * kp.mu)
@@ -140,15 +144,16 @@ def propagate_gaussian(kp: KernelParameters, s: GaussianState) -> GaussianState:
     """Closed-form propagation of a Gaussian state by the kernel at kp.t,
     on the principal branch of log(2 mu A), A = gamma + Lambda.  Im A > 0,
     so the phase is continuous in t while mu keeps its sign, that is
-    before the first caustic.  NumericalError naming t where the result
-    overflows or Im Lambda underflows to 0."""
-    _served(kp.t, kp.mu)
+    before the first caustic.  DegenerateWidth where |A| <= WIDTH_GUARD
+    |gamma|, NumericalError naming t where the result overflows or Im
+    Lambda underflows to 0."""
+    _served(kp.t, kp.mu, kp.mu_prime)
     # ** raises OverflowError where a square overflows, and a product or a
     # quotient gives inf or nan instead; both end in one NumericalError
     try:
         A = kp.gamma + s.Lambda
-        if abs(A) < 1e-12:
-            raise DegenerateWidth("gamma + Lambda is (nearly) zero", t=kp.t)
+        if not abs(A) > WIDTH_GUARD * abs(kp.gamma):
+            raise DegenerateWidth("gamma + Lambda cancels", t=kp.t)
         Lambda_out = kp.alpha - kp.beta ** 2 / (4.0 * A)
         Theta_out = -kp.beta * s.Theta / (2.0 * A)
         # prefactor 1/sqrt(2 pi i mu) folded with the Gaussian integral
@@ -183,7 +188,7 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
     c = beta dx^2, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
     j into one linear convolution with the chirp exp(-i c m^2 / 2).
     """
-    _served(kp.t, kp.mu)
+    _served(kp.t, kp.mu, kp.mu_prime)
     x0, dx, n = phi.x0, phi.dx, phi.values.size
     import numpy as np
     from numpy.fft import fft, ifft

@@ -24,3 +24,16 @@ def test_layer_child_times_every_row():
     assert set(run["counts"]) == {"classical_flow", "moment_flow"}
     for counts in run["counts"].values():
         assert counts["nfev"] > 0 and counts["n_steps"] > 0
+
+
+def test_outputs_of_a_checkout_against_itself_do_not_move():
+    # benchmarks/outputs.py draws seed 1's cli_session argvs from this
+    # checkout's quadbench and runs them here twice: nothing may move
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "outputs.py"),
+         "--against", str(ROOT), "--seeds", "1"], cwd=ROOT,
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("0 of ") and last.endswith(" outputs moved")
+    assert int(last.split()[2]) > 10

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, seed, settings
+from hypothesis import strategies as st
 
 from quadham import characteristic as chr_mod
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
-from quadham.errors import (CausticEncountered, NumericalError,
+from quadham import propagator as prop
+from quadham.errors import (CausticEncountered, InvalidModelParams,
+                            NumericalError, QuadhamError,
                             SingularCoefficient, ValidationError)
 
 ALL_MODELS = [
@@ -281,7 +285,7 @@ def test_first_caustic_on_a_backward_window():
     flow = chr_mod.classical_flow(tc, -5.0)
     lo, hi = flow.first_caustic
     assert lo < -math.pi < hi
-    assert hi - lo <= 2.0 * math.sqrt(chr_mod.FLOW_TOL) * 5.0 + 1e-12
+    assert hi - lo <= 2.0 * math.sqrt(chr_mod.FLOW_TOL) * math.pi + 1e-12
 
 
 def test_first_caustic_keeps_its_bits():
@@ -290,8 +294,8 @@ def test_first_caustic_keeps_its_bits():
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
                                                     1.2))
     caustic = chr_mod.classical_flow(tc, 5.0).first_caustic
-    assert [t.hex() for t in caustic] == ["0x1.4f1a6831cf1bcp+1",
-                                          "0x1.4f1a70954aec7p+1"]
+    assert [t.hex() for t in caustic] == ["0x1.4f1a6a315747ap+1",
+                                          "0x1.4f1a6e95c2c09p+1"]
 
 
 def _scan_first_caustic(grid, mu):
@@ -333,10 +337,10 @@ def test_first_caustic_matches_scan(mu):
         assert caustic is None
         return
     # the step that the scan finds, narrowed onto the zero of the dense
-    # output with a margin of sqrt(tol) * t_end either side
+    # output with a margin of sqrt(tol) times the zero's time either side
     i = int(scan[0])
     zero = i + mu[i] / (mu[i] - mu[i + 1])
-    pad = math.sqrt(chr_mod.FLOW_TOL) * flow.t_end
+    pad = math.sqrt(chr_mod.FLOW_TOL) * zero
     lo, hi = caustic
     assert scan[0] <= lo <= zero <= hi <= scan[1]
     assert hi - lo <= 2.0 * pad + 1e-12
@@ -384,7 +388,7 @@ def test_the_caustic_band_does_not_depend_on_the_window():
     # The band of kernel_parameters was scaled by the largest |mu| of the
     # solved window, so at t = 0.005 a flow to t = 3 raised the weight's
     # NumericalError (at t = 2.37, I = 709.8) where a flow to t = 0.01
-    # served the kernel; every reader now refuses |mu| < MU_GUARD alone
+    # served the kernel; every reader now refuses by t, mu and mu' alone
     spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, 300.0)
     tc = coeff.builtin_coefficients(spec)
     ref = chr_mod.closed_form_kernel(spec, 0.005)
@@ -393,3 +397,126 @@ def test_the_caustic_band_does_not_depend_on_the_window():
             tc, chr_mod.classical_flow(tc, t_end), 0.005)
         for got, want in zip(kp, ref):
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), t_end
+
+
+@pytest.mark.parametrize("t_end", [4.0, 20.0])
+def test_a_kernel_by_a_caustic_does_not_depend_on_the_window(t_end):
+    # SHO 1e-6 before its caustic at pi: the bracket's pad was
+    # sqrt(FLOW_TOL) |t_end|, 4e-7 on a flow to 4 and 2e-6 on one to 20,
+    # so the one served the kernel and the other refused it
+    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
+    tc = coeff.builtin_coefficients(spec)
+    t = math.pi - 1e-6
+    kp = chr_mod.kernel_parameters(tc, chr_mod.classical_flow(tc, t_end), t)
+    ref = chr_mod.closed_form_kernel(spec, t)
+    for got, want in zip(kp[4:], ref[4:]):
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+
+def test_a_kernel_in_small_units_is_served():
+    # a free particle with a = 5e-13 (a = 1/2 in a length unit 1e-6 times
+    # as long) has no caustic, but mu = 2 a t = 1e-11 fell inside the
+    # absolute band |mu| < 1e-10 at t = 10
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 5e-13, zero, zero, zero)
+    kp = chr_mod.kernel_parameters(tc, chr_mod.classical_flow(tc, 10.0), 10.0)
+    assert kp.mu == pytest.approx(1e-11, rel=1e-14)
+    assert kp.beta == pytest.approx(-1e11, rel=1e-14)
+
+
+def _rescaled(tc, s, tau):
+    """H's record in a length unit 1/s and a time unit 1/tau times the old:
+    (s^2 a, b / s^2, c, d) read at t / tau and divided by tau."""
+    def scaled(f, k):
+        return lambda t: k * f(t / tau)
+
+    return coeff.TimeCoefficients(
+        scaled(tc.a, s * s / tau), scaled(tc.b, 1.0 / (s * s * tau)),
+        scaled(tc.c, 1.0 / tau), scaled(tc.d, 1.0 / tau),
+        t_singular=tau * tc.t_singular)
+
+
+def _reads(tc, t_end, times, s):
+    """At each t, kernel_parameters on H's flow to t_end, and green_eval,
+    propagate_gaussian and propagate_grid on the flow's kernel assembled
+    without that reader's guard, for points, states and grids of length
+    scale s: each reader's result, or the type of the QuadhamError it
+    raises."""
+    def outcome(read, *args):
+        try:
+            return read(*args)
+        except QuadhamError as exc:
+            return type(exc)
+
+    flow = chr_mod.classical_flow(tc, t_end)
+    state = prop.GaussianState(complex(0.1, 0.6) / s ** 2,
+                               complex(0.2, -0.1) / s)
+    x = np.linspace(-4.0, 4.0, 256)
+    grid = prop.GridState(-4.0 * s, 8.0 * s / 255, np.exp(-2.0 * x * x))
+    readers = (lambda kp: prop.green_eval(kp, 0.3 * s, -0.2 * s),
+               lambda kp: prop.propagate_gaussian(kp, state),
+               lambda kp: prop.propagate_grid(kp, grid))
+    out = []
+    for t in times:
+        p = flow.at(t)
+        # h = 1: no reader reads it
+        bare = chr_mod.KernelParameters(
+            t, flow.mu(t), flow.mu_prime(t), 1.0, p.m22 / (2.0 * p.m12),
+            -1.0 / p.m12, p.m11 / (2.0 * p.m12))
+        out.append([outcome(chr_mod.kernel_parameters, tc, flow, t),
+                    *(outcome(read, bare) for read in readers)])
+    return out
+
+
+@seed(41)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model_id=st.sampled_from(coeff.MODEL_IDS),
+       omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.6),
+       mu_param=st.floats(0.0, 0.3), delta=st.floats(0.2, 1.5),
+       t_end=st.floats(0.5, 5.0),
+       fractions=st.lists(st.floats(0.02, 1.0), min_size=3, max_size=3),
+       k=st.integers(-20, 20), j=st.integers(-6, 6))
+def test_the_kernel_readers_do_not_depend_on_the_units(
+        model_id, omega0, lam, mu_param, delta, t_end, fractions, k, j):
+    # under x -> s x and t -> tau t every reader refuses alike at
+    # corresponding times, and a served kernel maps by formula: mu -> s^2
+    # mu, mu' -> s^2 mu' / tau, alpha, beta, gamma -> (.) / s^2, h -> h.
+    # The bits differ, since the step controller's |M| mixes the scales.
+    # The absolute band |mu| < 1e-10 refused Caldirola-Kanai at s = 2^-20
+    try:
+        spec = coeff.ModelSpec(model_id, omega0, lam, mu_param, delta)
+    except InvalidModelParams:
+        reject()
+    tc = coeff.builtin_coefficients(spec)
+    if math.isfinite(tc.t_singular):
+        t_end = min(t_end, 0.9 * tc.t_singular)
+    s, tau = 2.0 ** k, 2.0 ** j
+    times = [u * t_end for u in fractions]
+    caustic = chr_mod.classical_flow(tc, t_end).first_caustic
+    if caustic is not None:
+        # inside the band, where mu is not yet 0
+        times.append(0.5 * (caustic[0] + caustic[1]) * (1.0 - 1e-9))
+    plain = _reads(tc, t_end, times, 1.0)
+    scaled = _reads(_rescaled(tc, s, tau), tau * t_end,
+                    [tau * t for t in times], s)
+    def refusals(row):
+        return [r if isinstance(r, type) else None for r in row]
+
+    for t, got, want in zip(times, scaled, plain):
+        assert refusals(got) == refusals(want), t
+        kp, ref = got[0], want[0]
+        near = caustic is not None and t > 0.9 * caustic[0]
+        if isinstance(ref, type) or near:
+            continue
+        # mu' against |mu'| + |mu / t|, as it may pass through 0, and the
+        # kernel's three coefficients against the largest of them
+        scale = max(map(abs, ref[4:]))
+        for got_v, want_v, unit, size in (
+                (kp.mu, ref.mu, s * s, abs(ref.mu)),
+                (kp.mu_prime, ref.mu_prime, s * s / tau,
+                 abs(ref.mu_prime) + abs(ref.mu / t)),
+                (kp.h, ref.h, 1.0, ref.h),
+                (kp.alpha, ref.alpha, 1 / (s * s), scale),
+                (kp.beta, ref.beta, 1 / (s * s), scale),
+                (kp.gamma, ref.gamma, 1 / (s * s), scale)):
+            assert abs(got_v / unit - want_v) <= 1e-12 * size, t

@@ -395,6 +395,32 @@ def test_validation_error_record(capsys):
     assert rec["info"].get("model") == "caldirola_kanai"
 
 
+def test_a_kernel_by_a_caustic_is_refused(capsys):
+    # SHO 1e-10 before its caustic at pi: the absolute band |mu| < 1e-10
+    # served beta = -5000001667.97, 1.0e-6 from the closed form, at exit 0
+    code, out, err = run(capsys, "kernel", "--model", "simple_harmonic",
+                         "--t-end", "3.1415926533897933", "--samples", "1")
+    assert (code, out) == (3, "")
+    rec = json.loads(err)
+    assert rec["type"] == "CausticEncountered"
+    assert set(rec["info"]) == {"t", "mu", "mu_prime"}
+
+
+def test_a_kernel_with_a_small_weight_is_served(capsys):
+    # united at mu_param = -300 has e^I = 1.9e-12 at t = 0.09, so mu =
+    # 4.5e-12 fell inside the absolute band, though M12 = 2.38 there
+    code, out, err = run(capsys, "kernel", "--model", "united", "--lambda",
+                         "0.3", "--mu-param", "-300", "--omega0", "302",
+                         "--t-end", "0.09", "--samples", "1")
+    assert (code, err) == (0, "")
+    row = list(csv.DictReader(io.StringIO(out)))[-1]
+    ref = chr_mod.closed_form_kernel(
+        coeff.ModelSpec(coeff.UNITED, 302.0, 0.3, -300.0), 0.09)
+    for name in ("alpha", "beta", "gamma"):
+        want = getattr(ref, name)
+        assert abs(float(row[name]) - want) <= 1e-7 * max(1.0, abs(want))
+
+
 def test_numerical_error_exit_code(capsys):
     # asking for the kernel inside the caustic guard band fails numerically
     code, out, err = run(capsys, "green", "--model", "simple_harmonic",
@@ -1159,15 +1185,20 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
 
 
 def test_verify_all_full_keeps_its_bytes(capsys):
-    # the full budget's stdout for all ten models, digest taken while each
-    # model still solved the catalogued invariant's flow apart from H's;
-    # each model alone prints its own lines of it
+    # the full budget's stdout for all ten models; without the ehrenfest
+    # and auxiliary lines, digest taken while each model still solved the
+    # catalogued invariant's flow apart from H's; each model alone prints
+    # its own lines of it
     code, out, _ = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ecccb75d236f5846a7ae5e7b22c809b848423e41351a3ae046d71cfd6aeddad8")
     lines = out.splitlines()
-    assert len(lines) == 55
+    older = "".join(f"{ln}\n" for ln in lines
+                    if ln.split()[1] not in ("ehrenfest", "auxiliary"))
+    assert hashlib.sha256(older.encode()).hexdigest() == (
+        "ecccb75d236f5846a7ae5e7b22c809b848423e41351a3ae046d71cfd6aeddad8")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07a85fcfd58c289bcc0e5a27c7d7c6866cbfd444613fd694ecc7a47f5b3203d5")
+    assert len(lines) == 58
     for model_id in coeff.MODEL_IDS:
         code, one, _ = run(capsys, "verify_all", "--model", model_id,
                            "--budget", "full")
@@ -1176,21 +1207,27 @@ def test_verify_all_full_keeps_its_bytes(capsys):
             ln for ln in lines if ln.split(":")[0].endswith(f" {model_id}")]
 
 
-# the models whose records carry an expectation curve
+# the models whose records carry an expectation curve, a mean position
+# and an elementary solution of the auxiliary equation
 _ENERGY_MODELS = {coeff.CALDIROLA_KANAI, coeff.MODIFIED_CK, coeff.UNITED,
                   coeff.MODIFIED_OSCILLATOR, coeff.CJ_COORDINATE}
+_MEAN_MODELS = {coeff.UNITED, coeff.CJ_COORDINATE}
+_AUXILIARY_MODELS = {coeff.UNITED}
 
 
 @pytest.mark.parametrize("model_id", coeff.MODEL_IDS)
 def test_verify_all_full_checks_the_paper_constructions(capsys, model_id):
     # the full budget adds the energy system and the ladder for every
-    # model and the energy curve for five; each line reads
+    # model, the energy curve for five, the mean position for two and the
+    # auxiliary equation's invariant for one; each line reads
     # "PASS name model_id: detail", the form the benchmark's oracle reads
     code, out, err = run(capsys, "verify_all", "--model", model_id,
                          "--budget", "full")
     assert (code, err) == (0, "")
     names = ["kernel", "invariant", "uncertainty", "energy-system", "ladder"]
     names += ["energy"] if model_id in _ENERGY_MODELS else []
+    names += ["ehrenfest"] if model_id in _MEAN_MODELS else []
+    names += ["auxiliary"] if model_id in _AUXILIARY_MODELS else []
     lines = out.splitlines()
     assert [ln.split(":")[0] for ln in lines] == [
         f"PASS {name} {model_id}" for name in names]
@@ -1210,6 +1247,34 @@ def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
     failed = [ln for ln in out.splitlines() if not ln.startswith("PASS ")]
     assert [ln.split(":")[0] for ln in failed] == [
         "FAIL energy-system caldirola_kanai"]
+
+
+@pytest.mark.parametrize("check", ["ehrenfest", "auxiliary"])
+def test_verify_all_full_fails_a_wrong_closed_form_check(capsys, monkeypatch,
+                                                         check):
+    # a mean position off by 1e-7, or an invariant off by 1e-9 of its A,
+    # is a FAIL line of its check and exit 3
+    if check == "ehrenfest":
+        real = dyn.evolve_first_moments
+
+        def wrong(flow, f0):
+            path = real(flow, f0)
+            return lambda t: path(t)._replace(x=path(t).x + 1e-7)
+
+        monkeypatch.setattr(dyn, "evolve_first_moments", wrong)
+    else:
+        real = inv.general_invariant
+
+        def wrong(*args):
+            form = real(*args)
+            return form._replace(A=form.A * (1.0 + 1e-9))
+
+        monkeypatch.setattr(inv, "general_invariant", wrong)
+    code, out, err = run(capsys, "verify_all", "--model", "united",
+                         "--budget", "full")
+    assert (code, err) == (3, "")
+    assert f"FAIL {check} united" in [ln.split(":")[0]
+                                     for ln in out.splitlines()]
 
 
 # -- property test: every subcommand exits 0, 2 or 3 ------------------------

@@ -276,6 +276,23 @@ def test_nonnormalizable_and_degenerate_guards():
             Lambda=complex(-kp.gamma, 1e-13)))
 
 
+def test_a_width_that_cancels_is_refused():
+    # Lambda = -gamma + i w: gamma + Lambda cancels |gamma| / w-fold.  At
+    # w = 1e-10 the absolute bound |gamma + Lambda| < 1e-12 served a Lambda'
+    # 2.3e-6 (relative) from the same state sent through K(0.2) twice; at
+    # w = 1e-6 the two routes agree to 2.0e-10
+    k4, k2 = (chr_mod.closed_form_kernel(SHO, t) for t in (0.4, 0.2))
+
+    def state(w):
+        return prop.GaussianState(complex(-k4.gamma, w), complex(0.1, 0.05))
+
+    with pytest.raises(DegenerateWidth):
+        prop.propagate_gaussian(k4, state(1e-10))
+    one = prop.propagate_gaussian(k4, state(1e-6))
+    two = prop.propagate_gaussian(k2, prop.propagate_gaussian(k2, state(1e-6)))
+    assert abs(one.Lambda - two.Lambda) <= 1e-9 * abs(two.Lambda)
+
+
 @pytest.mark.parametrize("params", [
     {"Lambda": complex(math.nan, 0.5)},
     {"Lambda": complex(0.1, math.inf)},
