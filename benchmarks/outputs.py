@@ -10,13 +10,19 @@ code under test from moving the inputs (the workload draws some flags from
 ``GaussianState.moments``).  Then runs every argv through
 ``quadham.cli.main`` in one child interpreter per checkout, and prints
 each argv whose exit code, stdout or stderr differ between the two, then
-the count of those that moved.  An exception that leaves ``main`` counts
-as exit 1 with its type and message on stderr.
+the count of those that moved.  Under each such argv it prints every CSV
+cell or JSON key that moved, OTHER's value first, and for two floats
+their distance in ulps.  An exception that leaves ``main`` counts as exit
+1 with its type and message on stderr.
 """
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -66,6 +72,55 @@ def _child(root, code, args=(), stdin=None, path=("src",)):
     return json.loads(proc.stdout)
 
 
+def _flatten(doc, where=""):
+    """{key path: value} of the leaves of a JSON document."""
+    if not isinstance(doc, (dict, list)):
+        return {where or "value": doc}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = {}
+    for key, value in items:
+        out.update(_flatten(value, f"{where}.{key}" if where else str(key)))
+    return out
+
+
+def _cells(text):
+    """{address: value} of an output: the leaves of a JSON document, or
+    the cells of CSV text as "row:column", column by its header name."""
+    try:
+        return _flatten(json.loads(text))
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(text)))
+    head = rows[0] if rows else []
+    return {f"{i}:{head[j] if i and j < len(head) else j}": cell
+            for i, row in enumerate(rows) for j, cell in enumerate(row)}
+
+
+def _ordinal(x: float) -> int:
+    """x's place on the line of doubles, where neighbours differ by one."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def ulps(a, b):
+    """The number of doubles from a to b, or None unless both are finite
+    numbers (a CSV cell is read as one)."""
+    try:
+        a, b = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    return abs(_ordinal(a) - _ordinal(b))
+
+
+def moved_cells(theirs: str, mine: str):
+    """(address, their value, my value, ulps) of each cell that moved."""
+    a, b = _cells(theirs), _cells(mine)
+    return [(key, a.get(key), b.get(key), ulps(a.get(key), b.get(key)))
+            for key in [*a, *(k for k in b if k not in a)]
+            if a.get(key) != b.get(key)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", required=True,
@@ -84,6 +139,10 @@ def main(argv=None) -> int:
         if parts:
             moved += 1
             print(f"moved ({', '.join(parts)}): {' '.join(argv)}")
+            for stream in (1, 2):
+                for key, a, b, n in moved_cells(theirs[stream], mine[stream]):
+                    gap = "" if n is None else f" ({n} ulp)"
+                    print(f"  {key}: {a} -> {b}{gap}")
     print(f"{moved} of {len(argvs)} outputs moved")
     return 0
 

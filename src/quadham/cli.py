@@ -40,7 +40,7 @@ import sys
 
 import quadham
 from . import io as qio
-from .errors import NumericalError, QuadhamError, ValidationError
+from .errors import QuadhamError, ValidationError
 
 def _add_model_args(p):
     p.add_argument("--model", help="model id (see list-models)")
@@ -160,11 +160,12 @@ def cmd_propagate(args):
 
 
 def cmd_moments(args):
+    dyn = quadham.dynamics
     spec, m0 = _moment_start(args)
-    path = quadham.dynamics.evolve_second_moments(
-        quadham.characteristic.classical_flow(
-            quadham.coefficients.builtin_coefficients(spec), args.t_end), m0)
-    rows = [(t, *((m := path(t)).p2, m.x2, m.pxxp, m.norm))
+    flow = quadham.characteristic.classical_flow(
+        quadham.coefficients.builtin_coefficients(spec), args.t_end)
+    path, norm = dyn.evolve_second_moments(flow, m0), dyn.evolve_norm(flow)
+    rows = [(t, *path(t).scaled(norm(t)))
             for t in _linspace(0.0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "p2", "x2", "pxxp", "norm"], rows)
     return 0
@@ -175,16 +176,17 @@ def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
     over t in linspace(t_start, t_end, samples), E(t) from the second
     moments flowed from m0 on ``flow``, the flow of the invariant's H on
     [0, t_end], which is solved here if it is None."""
-    inv = quadham.invariants
+    inv, dyn = quadham.invariants, quadham.dynamics
 
     def pairs():
         yield inv.energy_operator_catalog(spec, 0.0), m0
         # solved only once E(0) has passed the cancellation check
-        path = quadham.dynamics.evolve_second_moments(flow or (
-            quadham.characteristic.classical_flow(
-                quadham.coefficients.catalog_coefficients(spec), t_end)), m0)
+        cat = flow or quadham.characteristic.classical_flow(
+            quadham.coefficients.catalog_coefficients(spec), t_end)
+        path = dyn.evolve_second_moments(cat, m0)
+        norm = dyn.evolve_norm(cat, m0.norm)
         for t in _linspace(t_start, t_end, samples):
-            yield inv.energy_operator_catalog(spec, t), path(t)
+            yield inv.energy_operator_catalog(spec, t), path(t).scaled(norm(t))
 
     return inv._expectation_drift(pairs(), 1e-8)
 
@@ -209,19 +211,14 @@ def cmd_appendix_d(args):
 
 
 def _uncertainty(flow, m0, f0, t_end, samples):
-    """(t, uncertainty_check) of the moments flowed on ``flow`` from
-    (m0, f0) at each t in linspace(0, t_end, samples); NumericalError
-    naming t and I where <1> = e^(-I) <1>_0 underflows to 0."""
+    """(t, <1>, uncertainty_check) of the state (m0, f0) flowed on ``flow``
+    at each t in linspace(0, t_end, samples), checked per unit <1>."""
     dyn = quadham.dynamics
     mpath = dyn.evolve_second_moments(flow, m0)
-    fpath = dyn.evolve_first_moments(flow, f0)
-    rows = []
-    for t in _linspace(0.0, t_end, samples):
-        if (m := mpath(t)).norm == 0.0:
-            raise NumericalError("the flow's weight e^(-I) underflows", t=t,
-                                 I=flow.at(t).i)
-        rows.append((t, dyn.uncertainty_check(m, fpath(t))))
-    return rows
+    fpath = dyn.evolve_first_moments(flow, f0, m0.norm)
+    norm = dyn.evolve_norm(flow, m0.norm)
+    return [(t, norm(t), dyn.uncertainty_check(mpath(t), fpath(t)))
+            for t in _linspace(0.0, t_end, samples)]
 
 
 def cmd_uncertainty(args):
@@ -229,8 +226,10 @@ def cmd_uncertainty(args):
     f0 = quadham.dynamics.FirstMoments(x=args.x_mean, p=args.p_mean)
     flow = quadham.characteristic.classical_flow(
         quadham.coefficients.builtin_coefficients(spec), args.t_end)
-    rows = [(t, u["dp2"], u["dx2"], u["margin"], u["excess"])
-            for t, u in _uncertainty(flow, m0, f0, args.t_end, args.samples)]
+    # the raw columns: variances times <1>, the margin times <1>^2
+    rows = [(t, w * u["dp2"], w * u["dx2"], u["margin"] * w * w, u["excess"])
+            for t, w, u in _uncertainty(flow, m0, f0, args.t_end,
+                                        args.samples)]
     qio.write_csv(args.out, ["t", "dp2", "dx2", "margin", "excess"], rows)
     return 0
 
@@ -264,8 +263,8 @@ def _verify_one(model_id: str, budget: str):
         spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), 1.5, 0.1, 8, cat)
     yield f"invariant {model_id}", drift <= 1e-8, f"drift {drift:.2e}"
 
-    # coherent initial data: variances 1/2, zero covariance
-    worst_m = min(u["margin"] for _, u in _uncertainty(
+    # coherent initial data: variances 1/2, zero covariance; per unit <1>
+    worst_m = min(u["margin"] for _, _, u in _uncertainty(
         flow, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04),
         dyn.FirstMoments(0.1, 0.2), 1.5, 10))
     yield (f"uncertainty {model_id}", worst_m >= -1e-10,
@@ -301,9 +300,9 @@ def _verify_one(model_id: str, budget: str):
     if spec.model.mean_position is not None:
         # Ehrenfest: <x> on H's flow against the record's family
         mean = functools.partial(spec.closed_form("mean_position"), 0.9, 0.4)
-        path = dyn.evolve_first_moments(flow, dyn.FirstMoments(
-            *spec.closed_form("mean_start")(0.9, 0.4)))
-        err = max(abs(path(t).x - mean(t)) for t in ts)
+        path, norm = dyn.evolve_first_moments(flow, dyn.FirstMoments(
+            *spec.closed_form("mean_start")(0.9, 0.4))), dyn.evolve_norm(flow)
+        err = max(abs(norm(t) * path(t).x - mean(t)) for t in ts)
         yield f"ehrenfest {model_id}", err <= 1e-8, f"max err {err:.2e}"
 
     if spec.model.invariant_mu is not None:

@@ -2,14 +2,14 @@
 Ehrenfest motion, uncertainty bounds and Appendix D's hyperbolic basis.
 
 The first and second moments are algebra on the classical flow M and
-``I = int_0^t (c - d)`` of :func:`quadham.characteristic.classical_flow`:
-``(<x>, <p>)(t) = e^{-I} M (<x>, <p>)_0`` and, with
-``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``,
-``S(t) = e^{-I} M S_0 M^T`` and ``<1>(t) = e^{-I} <1>_0``.  The energy
-path of every model with a reference operator is that operator
-contracted with S(t) on the flow the caller passes.  The moment paths
-reach ``quadham.characteristic`` through the package root when called,
-which loads it on first use, so that ``appendix_d`` does not.
+``I = int_0^t (c - d)`` of :func:`quadham.characteristic.classical_flow`.
+Their paths work per unit ``<1>``, with no weight: ``<(x, p)>/<1> =
+M <(x, p)>_0 / <1>_0`` and ``S/<1> = M S_0 M^T / <1>_0`` for
+``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``.  :func:`evolve_norm`
+gives ``<1> = e^{-I} <1>_0``, which multiplies in only where a raw number
+is returned (the energy path, the CLI's columns).  The paths reach
+``quadham.characteristic`` through the package root when called, which
+loads it on first use, so that ``appendix_d`` does not.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ class SecondMoments(NamedTuple):
 
     def variances(self, fm: "FirstMoments"):
         """(<(Delta p)^2>, <(Delta x)^2>) as raw expectations about fm."""
-        if self.norm <= 0.0:
-            raise InvalidMoments("norm must be positive", norm=self.norm)
-        return (self.p2 - fm.p * fm.p / self.norm,
-                self.x2 - fm.x * fm.x / self.norm)
+        p, x = _per_unit(self.norm, fm.p, fm.x)
+        return self.p2 - fm.p * p, self.x2 - fm.x * x
+
+    def scaled(self, w: float) -> "SecondMoments":
+        """Each value times w: per unit <1>, the raw moments at <1> = w."""
+        return SecondMoments._make(w * v for v in self)
 
 
 class FirstMoments(NamedTuple):
@@ -47,35 +49,53 @@ class FirstMoments(NamedTuple):
     p: float
 
 
+def _per_unit(norm: float, *values: float):
+    """values / norm; InvalidMoments unless the norm <1> is positive."""
+    if not norm > 0.0:
+        raise InvalidMoments("norm must be positive", norm=norm)
+    return [v / norm for v in values]
+
+
+def _finite(t: float, *values: float):
+    """values; NumericalError naming t where one is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("a moment is not finite", t=t, values=values)
+    return values
+
+
 def evolve_second_moments(flow: quadham.characteristic.Flow,
                           m0: SecondMoments):
-    """Raw second moments on the window of ``flow``; returns
-    t -> SecondMoments."""
+    """Second moments per unit <1> on the window of ``flow``; returns
+    t -> SecondMoments with norm 1."""
     congruence = quadham.characteristic._congruence
-    s0 = (m0.x2, 0.5 * m0.pxxp, m0.p2)
+    s0 = _per_unit(m0.norm, m0.x2, 0.5 * m0.pxxp, m0.p2)
 
     def path(t: float) -> SecondMoments:
         p = flow.at(t)
-        w = quadham.characteristic._weight(t, p.i, -1.0)
         x2, half_pxxp, p2 = congruence(p.m11, p.m12, p.m21, p.m22, s0)
-        return SecondMoments(w * p2, w * x2, 2.0 * w * half_pxxp,
-                             w * m0.norm)
+        return SecondMoments(*_finite(t, p2, x2, 2.0 * half_pxxp))
 
     return path
 
 
 def evolve_first_moments(flow: quadham.characteristic.Flow,
-                         fm0: FirstMoments):
-    """<x> and <p> on the window of ``flow``; they obey
-    d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
+                         fm0: FirstMoments, norm0: float = 1.0):
+    """<x> and <p> per unit <1> on the window of ``flow`` from those at
+    <1>_0 = norm0; raw, d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
+    x0, p0 = _per_unit(norm0, fm0.x, fm0.p)
 
     def path(t: float) -> FirstMoments:
         p = flow.at(t)
-        w = quadham.characteristic._weight(t, p.i, -1.0)
-        return FirstMoments(w * (p.m11 * fm0.x + p.m12 * fm0.p),
-                            w * (p.m21 * fm0.x + p.m22 * fm0.p))
+        return FirstMoments(*_finite(t, p.m11 * x0 + p.m12 * p0,
+                                     p.m21 * x0 + p.m22 * p0))
 
     return path
+
+
+def evolve_norm(flow: quadham.characteristic.Flow, norm0: float = 1.0):
+    """t -> <1> = e^{-I} norm0 on the window of ``flow``: the one weight."""
+    weight = quadham.characteristic._weight
+    return lambda t: _finite(t, norm0 * weight(t, flow.at(t).i, -1.0))[0]
 
 
 def closed_form_expectation(spec: quadham.coefficients.ModelSpec,
@@ -101,7 +121,7 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
                                  flow: quadham.characteristic.Flow):
     """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
     on the window of ``flow``, the flow of ``catalog_coefficients(spec)``,
-    contracted with the second moments flowed from m0 on it; NoClosedForm
+    contracted with the raw moments flowed from m0 on it; NoClosedForm
     for a model without one.  For ``cj_coordinate`` E solves
 
         y'' - (4 lambda / sinh(2 lambda t)) y' +
@@ -111,10 +131,10 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
     <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
     reference = spec.closed_form("reference")
-    path = evolve_second_moments(flow, m0)
+    path, norm = evolve_second_moments(flow, m0), evolve_norm(flow, m0.norm)
 
     def energy(t: float) -> float:
-        m = path(t)
+        m = path(t).scaled(norm(t))
         A, B, C = reference(t)
         return A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
 
@@ -122,21 +142,23 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
 
 
 def uncertainty_check(m: SecondMoments, fm: FirstMoments) -> dict:
-    """Heisenberg bound diagnostics from raw moments.
+    """Heisenberg bound diagnostics in units of <1> = m.norm, which is 1 on
+    the moment paths, so that nothing underflows with e^{-I}.
 
-    Returns the raw margin <(Dp)^2><(Dx)^2> - <1>^2/4 (nonnegative for any
-    admissible state) and the normalized product delta_p delta_x - 1/2.
-    Raises NumericalError where a variance is not finite and InvalidMoments
-    where one is negative.
+    Returns the variances, the margin <(Dp)^2><(Dx)^2> - <1>^2/4
+    (nonnegative for any admissible state) and the normalized product
+    delta_p delta_x - 1/2.  Raises NumericalError where a variance or the
+    margin is not finite and InvalidMoments where a variance is below
+    -1e-12 <1>.
     """
     dp2, dx2 = m.variances(fm)
-    # a squared mean that overflows reads as -inf, not as a negative variance
-    if not (math.isfinite(dp2) and math.isfinite(dx2)):
-        raise NumericalError("a variance is not finite", dp2=dp2, dx2=dx2,
-                             norm=m.norm)
-    if dp2 < -1e-12 or dx2 < -1e-12:
-        raise InvalidMoments("negative variance", dp2=dp2, dx2=dx2)
     margin = dp2 * dx2 - 0.25 * m.norm * m.norm
+    # a squared mean that overflows reads as -inf, not as a negative variance
+    if not math.isfinite(margin):
+        raise NumericalError("a variance or the margin is not finite",
+                             dp2=dp2, dx2=dx2, norm=m.norm)
+    if min(dp2, dx2) < -1e-12 * m.norm:
+        raise InvalidMoments("negative variance", dp2=dp2, dx2=dx2)
     prod = math.sqrt(max(dp2, 0.0) * max(dx2, 0.0)) / m.norm
     return {"margin": margin, "product": prod, "excess": prod - 0.5,
             "dp2": dp2, "dx2": dx2}

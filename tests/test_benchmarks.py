@@ -37,3 +37,21 @@ def test_outputs_of_a_checkout_against_itself_do_not_move():
     last = proc.stdout.splitlines()[-1]
     assert last.startswith("0 of ") and last.endswith(" outputs moved")
     assert int(last.split()[2]) > 10
+
+
+def test_outputs_lists_each_moved_cell_with_its_ulps():
+    # benchmarks/outputs.py names every CSV cell and JSON key that moved,
+    # the other checkout's value first, and for two floats their distance
+    # in ulps, so that a gate in ulps can be read off its output
+    outputs = runpy.run_path(str(ROOT / "benchmarks" / "outputs.py"))
+    moved = outputs["moved_cells"]
+    table = "t,margin,excess\r\n0.0,0.25,0.5\r\n1.0,{},0.5\r\n"
+    assert moved(table.format("0.1"), table.format("0.10000000000000003")) \
+        == [("2:margin", "0.1", "0.10000000000000003", 2)]
+    assert moved('{"drift": 1e-09, "info": {"t": [1.0, -0.0]}}',
+                 '{"drift": 1e-09, "info": {"t": [1.0, 5e-324]}}') \
+        == [("info.t.1", -0.0, 5e-324, 1)]
+    assert moved("PASS a: x\n", "FAIL a: x\n") == [
+        ("0:0", "PASS a: x", "FAIL a: x", None)]
+    assert moved("t\r\n1.0\r\n", "t\r\n1.0\r\n") == []
+    assert outputs["ulps"](-1.0, 1.0) == 2 * outputs["ulps"](0.0, 1.0)

@@ -366,15 +366,16 @@ def test_cj_pure_damping_limit():
 @pytest.mark.parametrize("mu_param", [300.0, -300.0])
 def test_an_overflowing_flow_weight_is_typed(mu_param):
     # united has I = mu_param t, so e^{+I} (mu, mu', the energy path) or
-    # e^{-I} (the moment paths) overflows at t = 3; each was a bare
-    # OverflowError
+    # e^{-I} (<1>) overflows at t = 3; each was a bare OverflowError.  The
+    # moment paths work per unit <1> and serve there
     spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, mu_param)
     flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 3.0)
     reads = ([flow.mu, flow.mu_prime,
               inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0))]
-             if mu_param > 0 else
-             [dyn.evolve_first_moments(flow, dyn.FirstMoments(1.0, 0.0)),
-              dyn.evolve_second_moments(flow, dyn.SecondMoments(1.0, 1.0))])
+             if mu_param > 0 else [dyn.evolve_norm(flow)])
+    for path in (dyn.evolve_first_moments(flow, dyn.FirstMoments(1.0, 0.0)),
+                 dyn.evolve_second_moments(flow, dyn.SecondMoments(1.0, 1.0))):
+        assert all(map(math.isfinite, path(3.0)))
     for read in reads:
         read(0.1)  # served where |I| = 30
         with pytest.raises(NumericalError) as err:

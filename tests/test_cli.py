@@ -329,13 +329,10 @@ def test_appendix_d_singular_time_is_refused(capsys, argv, t):
        "quadham.characteristic", {"t", "I"})
       for cmd, mu_param in (("mu", "300"), ("moments", "-300"),
                             ("uncertainty", "-300"), ("invariant", "-300"))],
-    # ... and where e^{-I} underflows, <1> = 0 was refused as bad moments
-    (["uncertainty", "--model", "united", "--lambda", "0.3", "--mu-param",
-      "300", "--omega0", "400", "--t-end", "3"], "quadham.cli", {"t", "I"}),
 ], ids=["propagate_norm", "appendix_d_cosh", "propagate_theta_re",
         "propagate_theta_im", "propagate_moments", "propagate_width",
         "mu_weight", "moments_weight", "uncertainty_weight",
-        "invariant_weight", "uncertainty_norm"])
+        "invariant_weight"])
 def test_an_overflow_gives_a_typed_record(capsys, argv, module, keys):
     # the norm of the propagated Gaussian, cosh(lambda t) and Theta^2
     # overflow: each ended in the backstop's OverflowError record with empty
@@ -348,6 +345,39 @@ def test_an_overflow_gives_a_typed_record(capsys, argv, module, keys):
     rec = json.loads(err)
     assert (rec["type"], rec["module"]) == ("NumericalError", module)
     assert set(rec["info"]) == keys
+
+
+_UNDERFLOW = ["uncertainty", "--model", "united", "--lambda", "0.3",
+              "--mu-param", "300", "--omega0", "400"]
+
+
+def test_a_small_weight_keeps_the_excess(capsys):
+    # <1> = e^{-300 t}: dp2 dx2 of the raw moments underflowed, and the
+    # excess read -0.5 at t = 1.47, 1.96 and 2.45, a state below the
+    # Heisenberg bound, at exit 0
+    code, out, err = run(capsys, *_UNDERFLOW, "--t-end", "2.45",
+                         "--samples", "6")
+    assert (code, err) == (0, "")
+    excess = [float(r["excess"]) for r in csv.DictReader(io.StringIO(out))]
+    assert excess[3:] == pytest.approx(
+        [0.50177992637373, 1.73366011886980, 2.76955496474444], abs=1e-12)
+    assert min(excess) >= 0.0
+
+
+def test_a_weight_that_underflows_serves_zero_raw_columns(capsys):
+    # from t = 2.49 on, <1> = e^{-300 t} rounds to 0; that was refused as a
+    # NumericalError naming t and I.  The check reads the moments per unit
+    # <1>, so the raw columns round to 0 and the excess stays finite
+    code, out, err = run(capsys, *_UNDERFLOW, "--t-end", "3")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    zero = [r for r in rows if 300.0 * float(r["t"]) > 746.0]
+    assert len(zero) == 9
+    for r in zero:
+        assert [float(r[k]) for k in ("dp2", "dx2", "margin")] == [0.0] * 3
+    for r in rows:
+        assert math.isfinite(float(r["excess"]))
+        assert float(r["excess"]) >= 0.0
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -1257,8 +1287,8 @@ def test_verify_all_full_fails_a_wrong_closed_form_check(capsys, monkeypatch,
     if check == "ehrenfest":
         real = dyn.evolve_first_moments
 
-        def wrong(flow, f0):
-            path = real(flow, f0)
+        def wrong(flow, f0, *norm0):
+            path = real(flow, f0, *norm0)
             return lambda t: path(t)._replace(x=path(t).x + 1e-7)
 
         monkeypatch.setattr(dyn, "evolve_first_moments", wrong)

@@ -5,13 +5,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
+
+import twin
 
 from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham import invariants as inv
-from quadham.characteristic import classical_flow
+from quadham.characteristic import FlowPoint, classical_flow
 from quadham.errors import (InvalidModelParams, InvalidMoments, NoClosedForm,
                             NumericalError, SingularCoefficient,
                             ValidationError)
@@ -33,10 +35,10 @@ def _tc_for(spec):
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s.model_id)
 def test_closed_form_expectation_vs_moment_ode(spec):
-    tc = _tc_for(spec)
-    path = dyn.evolve_second_moments(classical_flow(tc, 3.0), M0)
+    flow = classical_flow(_tc_for(spec), 3.0)
+    path, norm = dyn.evolve_second_moments(flow, M0), dyn.evolve_norm(flow)
     for t in np.linspace(0.2, 3.0, 11):
-        m = path(float(t))
+        m = path(float(t)).scaled(norm(float(t)))
         A, B, C = dyn.reference_operator(spec, float(t))
         got = A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
         ref = dyn.closed_form_expectation(spec, M0, float(t))
@@ -118,10 +120,11 @@ def test_mean_position_closed_form_vs_ode(spec):
     tc = coeff.builtin_coefficients(spec)
     amp, phase = 0.9, 0.4
     fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(amp, phase))
-    path = dyn.evolve_first_moments(classical_flow(tc, 4.0), fm0)
+    flow = classical_flow(tc, 4.0)
+    path, norm = dyn.evolve_first_moments(flow, fm0), dyn.evolve_norm(flow)
     for t in np.linspace(0.0, 4.0, 17):
         ref = spec.closed_form("mean_position")(amp, phase, float(t))
-        assert abs(path(float(t)).x - ref) <= 1e-8
+        assert abs(norm(float(t)) * path(float(t)).x - ref) <= 1e-8
 
 
 def test_norm_rate_matches_drift_asymmetry():
@@ -129,11 +132,14 @@ def test_norm_rate_matches_drift_asymmetry():
     # constant, so the integrated norm decays exponentially at that rate
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec)
-    path = dyn.evolve_second_moments(classical_flow(tc, 2.0), M0)
+    flow = classical_flow(tc, 2.0)
+    norm = dyn.evolve_norm(flow, M0.norm)
     rate = tc.d(0.7) - tc.c(0.7)
-    assert path(0.7).norm == pytest.approx(math.exp(rate * 0.7) * M0.norm,
-                                           rel=1e-10)
-    assert path(2.0).norm == pytest.approx(math.exp(-0.1 * 2.0), rel=1e-10)
+    assert norm(0.7) == pytest.approx(math.exp(rate * 0.7) * M0.norm,
+                                      rel=1e-10)
+    assert norm(2.0) == pytest.approx(math.exp(-0.1 * 2.0), rel=1e-10)
+    # the moment paths carry no weight
+    assert dyn.evolve_second_moments(flow, M0)(2.0).norm == 1.0
 
 
 def test_uncertainty_coherent_initial_data():
@@ -200,6 +206,52 @@ def test_uncertainty_margin_sign_property(dp, dx, xm, pm, r):
     assert out["margin"] >= -1e-12
     assert out["dp2"] == pytest.approx(dp2, rel=1e-10)
     assert out["dx2"] == pytest.approx(dx, rel=1e-10)
+
+
+# means n/16, whose squares are exact, so that a centred variance of
+# -2^-41 (above the floor -1e-12) or -2^-38 (below it) survives p2 - p^2
+_MEANS = st.builds(lambda n, sign: sign * n / 16.0, st.integers(1, 256),
+                   st.sampled_from([-1.0, 1.0]))
+_VARIANCES = st.one_of(st.sampled_from([0.0, -2.0 ** -41, -2.0 ** -38]),
+                       st.floats(2.0 ** -6, 2.0 ** 6))
+
+
+def _outcome(flow, m0, f0):
+    """The moments per unit <1>, the excess and the verdicts of the
+    variance floor and of verify_all's margin floor, as reprs."""
+    m = dyn.evolve_second_moments(flow, m0)(1.0)
+    fm = dyn.evolve_first_moments(flow, f0, m0.norm)(1.0)
+    try:
+        u = dyn.uncertainty_check(m, fm)
+    except InvalidMoments:
+        return repr((m, fm, "below the variance floor"))
+    return repr((m, fm, u["excess"], u["margin"] >= -1e-10))
+
+
+@seed(4219)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(point=st.one_of(st.builds(twin.draw_point, st.floats(-3.0, 3.0),
+                                 st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+                                 st.floats(-745.0, 745.0)),
+                       st.builds(lambda i: FlowPoint(1.0, 0.0, 0.0, 1.0, i),
+                                 st.floats(-745.0, 745.0))),
+       vx=_VARIANCES, vp=_VARIANCES, corr=st.floats(-0.9, 0.9),
+       xm=_MEANS, pm=_MEANS, k=st.integers(-1000, 1000))
+def test_moments_per_unit_do_not_see_the_norm(point, vx, vp, corr, xm, pm,
+                                               k):
+    # a state of <1>_0 = 2^k has its raw moments 2^k times those of <1>_0
+    # = 1: the paths, the excess and both floors read them per unit <1>,
+    # so nothing may move by a bit, where absolute floors and a margin
+    # in units of <1>^2 moved with k
+    cov = corr * math.sqrt(max(vx, 0.0) * max(vp, 0.0))
+    unit = (vp + pm * pm, vx + xm * xm, 2.0 * (cov + xm * pm), 1.0, xm, pm)
+    # every raw value stays a normal float at |k| <= 1000
+    assume(all(v == 0.0 or 2.0 ** -20 <= abs(v) <= 2.0 ** 20 for v in unit))
+    flow = twin.FlowStub(point)
+    raw = [math.ldexp(v, k) for v in unit]
+    assert _outcome(flow, dyn.SecondMoments(*raw[:4]),
+                    dyn.FirstMoments(*raw[4:])) == _outcome(
+        flow, dyn.SecondMoments(*unit[:4]), dyn.FirstMoments(*unit[4:]))
 
 
 BASES = [dyn.HyperbolicBasis(lam=0.2, omega=1.0),

@@ -88,12 +88,14 @@ def _flow_values(tc, t_end):
     flow = classical_flow(tc, t_end)
     second = dyn.evolve_second_moments(flow, M0)
     first = dyn.evolve_first_moments(flow, F0)
+    norm = dyn.evolve_norm(flow, M0.norm)
     form = inv.solve_energy_system(flow, Q0)
     aux = inv.solve_linear_auxiliary(flow, AUX0)
 
     def values(t):
-        m, f, q = second(t), first(t), form(t)
-        return [m.p2, m.x2, m.pxxp, m.norm, f.x, f.p, q.A, q.B, q.C, q.D,
+        # the paper's systems move raw moments: per unit <1> times <1>
+        w, f, q = norm(t), first(t), form(t)
+        return [*second(t).scaled(w), w * f.x, w * f.p, q.A, q.B, q.C, q.D,
                 *aux(t)]
 
     return values

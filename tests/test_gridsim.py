@@ -72,11 +72,14 @@ def test_grid_moments_track_moment_ode():
     tc = coeff.builtin_coefficients(CK)
     psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.2))
     _, m0 = gridsim.measure_moments(psi0)
-    path = dyn.evolve_second_moments(classical_flow(tc, 1.0), m0)
+    flow = classical_flow(tc, 1.0)
+    path = dyn.evolve_second_moments(flow, m0)
+    norm = dyn.evolve_norm(flow, m0.norm)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     for t, s in zip(ev.times[1:], ev.states[1:]):
         _, m = gridsim.measure_moments(s)
-        ref = path(t)
+        # the grid's raw moments: per unit <1> times <1>
+        ref = path(t).scaled(norm(t))
         for got, exp in ((m.p2, ref.p2), (m.x2, ref.x2),
                          (m.pxxp, ref.pxxp)):
             assert abs(got - exp) <= 1e-4 * max(1.0, abs(exp))

@@ -292,11 +292,12 @@ def test_invariant_expectation_is_constant_under_moment_flow():
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
-    path = dyn.evolve_second_moments(classical_flow(tc, 2.0), m0)
+    flow = classical_flow(tc, 2.0)
+    path, norm = dyn.evolve_second_moments(flow, m0), dyn.evolve_norm(flow)
     e0 = inv.energy_operator_catalog(spec, 0.0).expectation(
         m0.p2, m0.x2, m0.pxxp)
     for t in np.linspace(0.2, 2.0, 7):
-        m = path(float(t))
+        m = path(float(t)).scaled(norm(float(t)))
         e = inv.energy_operator_catalog(spec, float(t)).expectation(
             m.p2, m.x2, m.pxxp)
         assert e == pytest.approx(e0, rel=1e-8)

@@ -176,11 +176,12 @@ def test_closed_forms_match_numerical_path(request, model_id):
         except NoClosedForm:
             return
         m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
-        moments = dyn.evolve_second_moments(
-            classical_flow(coeff.catalog_coefficients(spec), t_end), m0)
+        flow = classical_flow(coeff.catalog_coefficients(spec), t_end)
+        moments, norm = (dyn.evolve_second_moments(flow, m0),
+                         dyn.evolve_norm(flow))
         ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
         for t in np.linspace(t_end / 5, t_end, 5):
-            m = moments(float(t))
+            m = moments(float(t)).scaled(norm(float(t)))
             got = inv.energy_operator_catalog(spec, float(t)).expectation(
                 m.p2, m.x2, m.pxxp)
             assert abs(got - ref) <= DRIFT_TOL * max(abs(ref), 1e-30)
