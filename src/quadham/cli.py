@@ -81,9 +81,12 @@ def _kernel_flow(spec, t_end):
 
 
 def _moment_start(args):
-    """The spec of ``args`` and the second moments it gives at t = 0."""
-    return _spec_from(args), quadham.dynamics.SecondMoments(
-        args.p2, args.x2, args.pxxp)
+    """The second moments ``args`` gives at t = 0 about the means it gives:
+    centred for ``uncertainty``, raw where a subcommand takes no means."""
+    dyn = quadham.dynamics
+    return dyn.SecondMoments(args.p2, args.x2, args.pxxp).centred(
+        dyn.FirstMoments(getattr(args, "x_mean", 0.0),
+                         getattr(args, "p_mean", 0.0)))
 
 
 def _linspace(start, stop, num):
@@ -161,11 +164,12 @@ def cmd_propagate(args):
 
 def cmd_moments(args):
     dyn = quadham.dynamics
-    spec, m0 = _moment_start(args)
+    spec, m0 = _spec_from(args), _moment_start(args)
     flow = quadham.characteristic.classical_flow(
         quadham.coefficients.builtin_coefficients(spec), args.t_end)
-    path, norm = dyn.evolve_second_moments(flow, m0), dyn.evolve_norm(flow)
-    rows = [(t, *path(t).scaled(norm(t)))
+    path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
+    # p2, x2, pxxp and the norm 1 per unit <1>, each times <1>
+    rows = [(t, *map(raw(t), path(t)))
             for t in _linspace(0.0, args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "p2", "x2", "pxxp", "norm"], rows)
     return 0
@@ -192,7 +196,7 @@ def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
 
 
 def cmd_invariant(args):
-    spec, m0 = _moment_start(args)
+    spec, m0 = _spec_from(args), _moment_start(args)
     ref, drift = _invariant_drift(spec, m0, args.t_end,
                                   args.t_end / args.samples, args.samples)
     qio.write_json(args.out, {"model": spec.model_id, "t_end": args.t_end,
@@ -210,26 +214,25 @@ def cmd_appendix_d(args):
     return 0
 
 
-def _uncertainty(flow, m0, f0, t_end, samples):
-    """(t, <1>, uncertainty_check) of the state (m0, f0) flowed on ``flow``
-    at each t in linspace(0, t_end, samples), checked per unit <1>."""
+def _uncertainty(flow, c0, t_end, samples):
+    """(t, raw, uncertainty_check) at each t in linspace(0, t_end, samples)
+    of the centred moments c0 at <1>_0 = 1 flowed on ``flow``, with no
+    means; ``raw`` is that of :func:`quadham.dynamics.evolve_raw` at t."""
     dyn = quadham.dynamics
-    mpath = dyn.evolve_second_moments(flow, m0)
-    fpath = dyn.evolve_first_moments(flow, f0, m0.norm)
-    norm = dyn.evolve_norm(flow, m0.norm)
-    return [(t, norm(t), dyn.uncertainty_check(mpath(t), fpath(t)))
+    path, raw = dyn.evolve_second_moments(flow, c0), dyn.evolve_raw(flow)
+    return [(t, raw(t), dyn.uncertainty_check(path(t)))
             for t in _linspace(0.0, t_end, samples)]
 
 
 def cmd_uncertainty(args):
-    spec, m0 = _moment_start(args)
-    f0 = quadham.dynamics.FirstMoments(x=args.x_mean, p=args.p_mean)
+    spec = _spec_from(args)
     flow = quadham.characteristic.classical_flow(
         quadham.coefficients.builtin_coefficients(spec), args.t_end)
     # the raw columns: variances times <1>, the margin times <1>^2
-    rows = [(t, w * u["dp2"], w * u["dx2"], u["margin"] * w * w, u["excess"])
-            for t, w, u in _uncertainty(flow, m0, f0, args.t_end,
-                                        args.samples)]
+    rows = [(t, raw(u["dp2"]), raw(u["dx2"]), raw(raw(u["margin"])),
+             u["excess"])
+            for t, raw, u in _uncertainty(flow, _moment_start(args),
+                                          args.t_end, args.samples)]
     qio.write_csv(args.out, ["t", "dp2", "dx2", "margin", "excess"], rows)
     return 0
 
@@ -263,10 +266,9 @@ def _verify_one(model_id: str, budget: str):
         spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), 1.5, 0.1, 8, cat)
     yield f"invariant {model_id}", drift <= 1e-8, f"drift {drift:.2e}"
 
-    # coherent initial data: variances 1/2, zero covariance; per unit <1>
+    # coherent initial data, centred: variances 1/2, zero covariance
     worst_m = min(u["margin"] for _, _, u in _uncertainty(
-        flow, dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04),
-        dyn.FirstMoments(0.1, 0.2), 1.5, 10))
+        flow, dyn.SecondMoments(p2=0.5, x2=0.5), 1.5, 10))
     yield (f"uncertainty {model_id}", worst_m >= -1e-10,
            f"min margin {worst_m:.2e}")
     if budget == "quick":
@@ -462,21 +464,22 @@ def _check_args(args):
         if (value := getattr(args, flag[2:], 1.0)) <= 0:
             raise ValidationError(f"{flag} must be positive", option=flag,
                                   value=value)
-    # ... and its variances <x^2> - <x>^2 and <p^2> - <p>^2 are not negative
-    for flag in ("--x-mean", "--p-mean"):
-        mean = getattr(args, f"{flag[2]}_mean", 0.0)
-        if (variance := getattr(args, f"{flag[2]}2", 1.0) - mean * mean) < 0:
+    if not hasattr(args, "pxxp"):
+        return
+    c = _moment_start(args)
+    # ... its variances <x^2> - <x>^2 and <p^2> - <p>^2 are not negative
+    for flag, variance in (("--x-mean", c.x2), ("--p-mean", c.p2)):
+        if variance < 0:
             raise ValidationError(f"the square of {flag} exceeds its second "
                                   "moment", option=flag, variance=variance)
-    # ... and the centred covariance [[dx2, cov], [cov, dp2]] has det >= 0
-    if hasattr(args, "pxxp"):
-        xm, pm = getattr(args, "x_mean", 0.0), getattr(args, "p_mean", 0.0)
-        cov = 0.5 * args.pxxp - xm * pm
-        if (args.x2 - xm * xm) * (args.p2 - pm * pm) - cov * cov < 0:
-            raise ValidationError("no state has these initial moments: their "
-                                  "covariance has a negative determinant",
-                                  p2=args.p2, x2=args.x2, pxxp=args.pxxp,
-                                  x_mean=xm, p_mean=pm)
+    # ... and its covariance has det >= 0, read as |cov| <= sqrt(dx2 dp2)
+    # in a form that cannot overflow
+    if not abs(0.5 * c.pxxp) <= math.sqrt(c.x2) * math.sqrt(c.p2):
+        raise ValidationError("no state has these initial moments: their "
+                              "covariance has a negative determinant",
+                              p2=args.p2, x2=args.x2, pxxp=args.pxxp,
+                              x_mean=getattr(args, "x_mean", 0.0),
+                              p_mean=getattr(args, "p_mean", 0.0))
 
 
 def _jsonable(value):

@@ -5,9 +5,11 @@ The first and second moments are algebra on the classical flow M and
 ``I = int_0^t (c - d)`` of :func:`quadham.characteristic.classical_flow`.
 Their paths work per unit ``<1>``, with no weight: ``<(x, p)>/<1> =
 M <(x, p)>_0 / <1>_0`` and ``S/<1> = M S_0 M^T / <1>_0`` for
-``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``.  :func:`evolve_norm`
-gives ``<1> = e^{-I} <1>_0``, which multiplies in only where a raw number
-is returned (the energy path, the CLI's columns).  The paths reach
+``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``; the centred ``S``
+moves alike, as ``W_t(z) = e^{-I} W_0(M^{-1} z)``, so a state is centred
+once, at t = 0.  :func:`evolve_raw` multiplies ``<1> = e^{-I}`` in only
+where a raw number is returned (the energy path, the CLI's columns), and
+:func:`evolve_norm` reads ``<1>`` from it.  The paths reach
 ``quadham.characteristic`` through the package root when called, which
 loads it on first use, so that ``appendix_d`` does not.
 """
@@ -32,10 +34,13 @@ class SecondMoments(NamedTuple):
     pxxp: float = 0.0
     norm: float = 1.0
 
-    def variances(self, fm: "FirstMoments"):
-        """(<(Delta p)^2>, <(Delta x)^2>) as raw expectations about fm."""
+    def centred(self, fm: FirstMoments) -> SecondMoments:
+        """The moments about the means fm at <1> = norm: <p^2> - <p>^2/<1>,
+        <x^2> - <x>^2/<1>, <px+xp> - 2<x><p>/<1>; InvalidMoments unless
+        <1> is positive."""
         p, x = _per_unit(self.norm, fm.p, fm.x)
-        return self.p2 - fm.p * p, self.x2 - fm.x * x
+        return SecondMoments(self.p2 - fm.p * p, self.x2 - fm.x * x,
+                             self.pxxp - 2.0 * fm.x * p, self.norm)
 
     def scaled(self, w: float) -> "SecondMoments":
         """Each value times w: per unit <1>, the raw moments at <1> = w."""
@@ -79,10 +84,10 @@ def evolve_second_moments(flow: quadham.characteristic.Flow,
 
 
 def evolve_first_moments(flow: quadham.characteristic.Flow,
-                         fm0: FirstMoments, norm0: float = 1.0):
-    """<x> and <p> per unit <1> on the window of ``flow`` from those at
-    <1>_0 = norm0; raw, d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
-    x0, p0 = _per_unit(norm0, fm0.x, fm0.p)
+                         fm0: FirstMoments):
+    """<x> and <p> per unit <1> on the window of ``flow`` from fm0 per
+    unit <1>_0; raw, d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
+    x0, p0 = fm0
 
     def path(t: float) -> FirstMoments:
         p = flow.at(t)
@@ -93,9 +98,25 @@ def evolve_first_moments(flow: quadham.characteristic.Flow,
 
 
 def evolve_norm(flow: quadham.characteristic.Flow, norm0: float = 1.0):
-    """t -> <1> = e^{-I} norm0 on the window of ``flow``: the one weight."""
+    """t -> <1> = e^{-I} norm0 on the window of ``flow``."""
+    raw = evolve_raw(flow)
+    return lambda t: _finite(t, raw(t)(norm0))[0]
+
+
+def evolve_raw(flow: quadham.characteristic.Flow):
+    """t -> raw, raw(v) = v e^{-I} for v per unit <1>: the one weight.  A
+    subnormal e^{-I} meets v as two normal halves e^{-I/2}, so that only
+    the product is rounded; a normal one multiplies v in one step."""
     weight = quadham.characteristic._weight
-    return lambda t: _finite(t, norm0 * weight(t, flow.at(t).i, -1.0))[0]
+
+    def at(t: float):
+        i = flow.at(t).i
+        if (w := _finite(t, weight(t, i, -1.0))[0]) >= 2.0 ** -1022:
+            return lambda v: v * w
+        h = weight(t, i, -0.5)
+        return lambda v: v * h * h
+
+    return at
 
 
 def closed_form_expectation(spec: quadham.coefficients.ModelSpec,
@@ -141,25 +162,26 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
     return energy
 
 
-def uncertainty_check(m: SecondMoments, fm: FirstMoments) -> dict:
-    """Heisenberg bound diagnostics in units of <1> = m.norm, which is 1 on
+def uncertainty_check(c: SecondMoments) -> dict:
+    """Heisenberg bound diagnostics of centred moments c (see
+    :meth:`SecondMoments.centred`) in units of <1> = c.norm, which is 1 on
     the moment paths, so that nothing underflows with e^{-I}.
 
     Returns the variances, the margin <(Dp)^2><(Dx)^2> - <1>^2/4
     (nonnegative for any admissible state) and the normalized product
     delta_p delta_x - 1/2.  Raises NumericalError where a variance or the
     margin is not finite and InvalidMoments where a variance is below
-    -1e-12 <1>.
+    -1e-12 <1> or <1> is not positive.
     """
-    dp2, dx2 = m.variances(fm)
-    margin = dp2 * dx2 - 0.25 * m.norm * m.norm
+    dp2, dx2, _, norm = c
+    margin = dp2 * dx2 - 0.25 * norm * norm
     # a squared mean that overflows reads as -inf, not as a negative variance
     if not math.isfinite(margin):
         raise NumericalError("a variance or the margin is not finite",
-                             dp2=dp2, dx2=dx2, norm=m.norm)
-    if min(dp2, dx2) < -1e-12 * m.norm:
+                             dp2=dp2, dx2=dx2, norm=norm)
+    if min(dp2, dx2) < -1e-12 * norm:
         raise InvalidMoments("negative variance", dp2=dp2, dx2=dx2)
-    prod = math.sqrt(max(dp2, 0.0) * max(dx2, 0.0)) / m.norm
+    (prod,) = _per_unit(norm, math.sqrt(max(dp2, 0.0) * max(dx2, 0.0)))
     return {"margin": margin, "product": prod, "excess": prod - 0.5,
             "dp2": dp2, "dx2": dx2}
 

@@ -225,17 +225,15 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     worst_norm = max(abs(s.norm_sq() / n0 - math.exp(-0.1 * t))
                      for t, s in zip(ev.times[1:], ev.states[1:]))
 
-    m0 = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04)
-    f0 = dyn.FirstMoments(0.1, 0.2)
-    margin0 = dyn.uncertainty_check(m0, f0)["margin"]
+    c0 = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04).centred(
+        dyn.FirstMoments(0.1, 0.2))
+    margin0 = dyn.uncertainty_check(c0)["margin"]
     worst_margin = 0.0
     for spec in (CK, UNITED, CJ):
         tc = coeff.builtin_coefficients(spec)
-        flow = classical_flow(tc, 3.0)
-        mp = dyn.evolve_second_moments(flow, m0)
-        fp = dyn.evolve_first_moments(flow, f0)
+        path = dyn.evolve_second_moments(classical_flow(tc, 3.0), c0)
         worst_margin = min(worst_margin, min(
-            dyn.uncertainty_check(mp(float(t)), fp(float(t)))["margin"]
+            dyn.uncertainty_check(path(float(t)))["margin"]
             for t in np.linspace(0.0, 3.0, 13)))
     ok = (worst_x <= 1e-8 and worst_norm <= 1e-4
           and worst_margin >= -1e-10 and abs(margin0) <= 1e-12)

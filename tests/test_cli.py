@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -27,7 +28,8 @@ from quadham import propagator as prop
 from quadham.cli import main
 from quadham.errors import NumericalError, ValidationError
 from quadham.ode import MAX_STEPS
-from helpers import case_seed, run_fresh
+from helpers import (DYADIC_COVARIANCES, case_seed, run_fresh,
+                     shifted_moments)
 
 
 def run(capsys, *argv):
@@ -380,6 +382,29 @@ def test_a_weight_that_underflows_serves_zero_raw_columns(capsys):
         assert float(r["excess"]) >= 0.0
 
 
+def test_raw_columns_keep_their_digits_where_the_norm_is_subnormal(capsys):
+    # <1> = e^{-300 t} is subnormal from t = 2.37 on and was rounded before
+    # it multiplied a moment: p2 read 3.4200679170944414e-12 at t = 2.4,
+    # 1.6e-12 off the product, and 0.0 at t = 2.6, where it is 2.85e-38
+    flags = ["--model", "united", "--lambda", "0.3", "--mu-param", "300",
+             "--omega0", "400", "--t-end", "2.6", "--samples", "14",
+             "--p2", "1e300", "--x2", "1e300"]
+    code, out, err = run(capsys, "moments", *flags)
+    assert (code, err) == (0, "")
+    spec = coeff.ModelSpec("united", 400.0, 0.3, 300.0)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 2.6)
+    path = dyn.evolve_second_moments(flow, dyn.SecondMoments(1e300, 1e300))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert float(rows[-1]["p2"]) > 0.0
+    for r in rows:
+        t = float(r["t"])
+        weight = mpmath.exp(-mpmath.mpf(flow.at(t).i))
+        for key, v in zip(("p2", "x2", "pxxp", "norm"), path(t)):
+            want = weight * v
+            assert abs(float(r[key]) - want) <= (
+                4.0 * 2.0 ** -53 * abs(want) + 2.0 ** -1074), (t, key)
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     p = tmp_path / "m.ini"
     p.write_text("[model]\nmodel = caldirola_kanai\nomega0 = 1.0\n"
@@ -618,6 +643,72 @@ def test_initial_moments_of_no_state_are_refused(capsys, argv, info):
     rec = json.loads(err)
     assert (rec["type"], rec["module"]) == ("ValidationError", "quadham.cli")
     assert rec["info"] == info
+
+
+@pytest.mark.parametrize("command", ["moments", "invariant", "uncertainty"])
+def test_a_determinant_past_the_float_range_is_refused(capsys, command):
+    # (x2 - <x>^2)(p2 - <p>^2) - cov^2 read inf - inf = nan, and nan < 0
+    # is false: moments and invariant exited 0, moments with <p^2> =
+    # -2.6e199 at t = 0.5, and uncertainty ended in exit 3
+    code, out, err = run(capsys, command, *_SHO, "--t-end", "1",
+                         "--samples", "3", "--p2", "1e200", "--x2", "1e200",
+                         "--pxxp", "3e200")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert (rec["type"], rec["module"]) == ("ValidationError", "quadham.cli")
+    assert rec["info"] == {"p2": 1e200, "x2": 1e200, "pxxp": 3e200,
+                           "x_mean": 0.0, "p_mean": 0.0}
+
+
+def _uncertainty_rows(*argv):
+    """The rows ``uncertainty`` prints, as dicts of strings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["uncertainty", *argv]) == 0
+    return list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+@pytest.mark.parametrize("x_mean, x2", [("1e6", "1000000000000.5"),
+                                        ("1e7", "100000000000000.5")])
+def test_a_coherent_state_far_out_stays_on_the_bound(x_mean, x2):
+    # the exact excess is 0 at every t; with the means subtracted at t it
+    # read 3.05e-5, -1.53e-5 and 6.10e-5 at x_mean 1e6, a state below the
+    # bound at exit 0, and 9.7e-3 at t = 1 at 1e7
+    rows = _uncertainty_rows(*_SHO, "--omega0", "1", "--t-end", "3",
+                             "--samples", "4", "--x-mean", x_mean,
+                             "--p-mean", "0", "--x2", x2, "--p2", "0.5",
+                             "--pxxp", "0")
+    assert len(rows) == 4
+    for r in rows:
+        assert abs(float(r["excess"])) <= 1e-15
+        assert abs(float(r["margin"])) <= 1e-15
+        assert abs(float(r["dp2"]) - 0.5) <= 1e-15
+        assert abs(float(r["dx2"]) - 0.5) <= 1e-15
+
+
+@seed(20261044)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from([
+    ["--model", "simple_harmonic"],
+    ["--model", "caldirola_kanai", "--lambda", "0.3"],
+    ["--model", "united", "--lambda", "0.3", "--mu-param", "0.2"]]),
+    cov=DYADIC_COVARIANCES, x_mean=st.integers(-2 ** 22, 2 ** 22),
+    p_mean=st.integers(-2 ** 22, 2 ** 22))
+def test_uncertainty_does_not_see_a_shift_of_the_means(model, cov, x_mean,
+                                                       p_mean):
+    # integer means on a grid covariance keep every moment and the
+    # centring exact, so no printed bit may move; with the means
+    # subtracted at t, a shift of 1e6 moved the excess by 3e-5
+    def columns(x, p):
+        p2, x2, pxxp, _, _ = shifted_moments(*cov, x, p)
+        rows = _uncertainty_rows(
+            *model, "--t-end", "2", "--samples", "5", f"--p2={p2!r}",
+            f"--x2={x2!r}", f"--pxxp={pxxp!r}", f"--x-mean={x!r}",
+            f"--p-mean={p!r}")
+        return [[r[k] for k in ("dp2", "dx2", "margin", "excess")]
+                for r in rows]
+
+    assert columns(float(x_mean), float(p_mean)) == columns(0.0, 0.0)
 
 
 def test_a_state_below_the_uncertainty_bound_is_reported(capsys):
@@ -1287,8 +1378,8 @@ def test_verify_all_full_fails_a_wrong_closed_form_check(capsys, monkeypatch,
     if check == "ehrenfest":
         real = dyn.evolve_first_moments
 
-        def wrong(flow, f0, *norm0):
-            path = real(flow, f0, *norm0)
+        def wrong(flow, f0):
+            path = real(flow, f0)
             return lambda t: path(t)._replace(x=path(t).x + 1e-7)
 
         monkeypatch.setattr(dyn, "evolve_first_moments", wrong)

@@ -145,7 +145,7 @@ def test_norm_rate_matches_drift_asymmetry():
 def test_uncertainty_coherent_initial_data():
     m = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04, norm=1.0)
     fm = dyn.FirstMoments(x=0.1, p=0.2)
-    out = dyn.uncertainty_check(m, fm)
+    out = dyn.uncertainty_check(m.centred(fm))
     assert abs(out["margin"]) <= 1e-12
     assert out["product"] == pytest.approx(0.5, abs=1e-12)
 
@@ -156,33 +156,29 @@ def test_uncertainty_margin_stays_nonnegative_along_flow():
     m0 = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04, norm=1.0)
     fm0 = dyn.FirstMoments(x=0.1, p=0.2)
     flow = classical_flow(tc, 3.0)
-    mp = dyn.evolve_second_moments(flow, m0)
-    fp = dyn.evolve_first_moments(flow, fm0)
+    path = dyn.evolve_second_moments(flow, m0.centred(fm0))
     for t in np.linspace(0.0, 3.0, 13):
-        out = dyn.uncertainty_check(mp(float(t)), fp(float(t)))
+        out = dyn.uncertainty_check(path(float(t)))
         assert out["margin"] >= -1e-10
 
 
 def test_uncertainty_rejects_nonpositive_norm():
     with pytest.raises(InvalidMoments):
-        dyn.uncertainty_check(
-            dyn.SecondMoments(p2=1.0, x2=1.0, norm=0.0),
-            dyn.FirstMoments(0.0, 0.0))
+        dyn.uncertainty_check(dyn.SecondMoments(p2=1.0, x2=1.0, norm=0.0))
 
 
 def test_uncertainty_rejects_negative_variance():
     with pytest.raises(InvalidMoments):
-        dyn.uncertainty_check(
-            dyn.SecondMoments(p2=0.1, x2=1.0, norm=1.0),
-            dyn.FirstMoments(0.0, 1.0))
+        dyn.uncertainty_check(dyn.SecondMoments(
+            p2=0.1, x2=1.0, norm=1.0).centred(dyn.FirstMoments(0.0, 1.0)))
 
 
 def test_uncertainty_refuses_a_variance_that_overflows():
     # finite moments whose means overflow when squared: the variances read
     # -inf and were refused as negative (InvalidMoments)
     with pytest.raises(NumericalError) as err:
-        dyn.uncertainty_check(dyn.SecondMoments(1e308, 1e308, 0.0, 1.0),
-                              dyn.FirstMoments(1e200, 1e200))
+        dyn.uncertainty_check(dyn.SecondMoments(1e308, 1e308, 0.0, 1.0)
+                              .centred(dyn.FirstMoments(1e200, 1e200)))
     assert err.value.info == {"dp2": -math.inf, "dx2": -math.inf,
                               "norm": 1.0}
     assert type(err.value) is NumericalError
@@ -202,7 +198,7 @@ def test_uncertainty_margin_sign_property(dp, dx, xm, pm, r):
                           x2=dx + xm * xm,
                           pxxp=2.0 * (cov + xm * pm), norm=1.0)
     fm = dyn.FirstMoments(x=xm, p=pm)
-    out = dyn.uncertainty_check(m, fm)
+    out = dyn.uncertainty_check(m.centred(fm))
     assert out["margin"] >= -1e-12
     assert out["dp2"] == pytest.approx(dp2, rel=1e-10)
     assert out["dx2"] == pytest.approx(dx, rel=1e-10)
@@ -217,15 +213,16 @@ _VARIANCES = st.one_of(st.sampled_from([0.0, -2.0 ** -41, -2.0 ** -38]),
 
 
 def _outcome(flow, m0, f0):
-    """The moments per unit <1>, the excess and the verdicts of the
-    variance floor and of verify_all's margin floor, as reprs."""
+    """The moments and the centred moments per unit <1>, the excess and
+    the verdicts of the variance floor and of verify_all's margin floor,
+    as reprs."""
     m = dyn.evolve_second_moments(flow, m0)(1.0)
-    fm = dyn.evolve_first_moments(flow, f0, m0.norm)(1.0)
+    c = dyn.evolve_second_moments(flow, m0.centred(f0))(1.0)
     try:
-        u = dyn.uncertainty_check(m, fm)
+        u = dyn.uncertainty_check(c)
     except InvalidMoments:
-        return repr((m, fm, "below the variance floor"))
-    return repr((m, fm, u["excess"], u["margin"] >= -1e-10))
+        return repr((m, c, "below the variance floor"))
+    return repr((m, c, u["excess"], u["margin"] >= -1e-10))
 
 
 @seed(4219)
@@ -346,7 +343,7 @@ def test_hyperbolic_basis_refuses_an_overflowing_cosh():
 def test_variances_require_positive_norm():
     m = dyn.SecondMoments(p2=1.0, x2=1.0, norm=-1.0)
     with pytest.raises(InvalidMoments):
-        m.variances(dyn.FirstMoments(0.1, 0.1))
+        m.centred(dyn.FirstMoments(0.1, 0.1))
 
 
 @pytest.mark.parametrize("delta, t_end", [(-0.5, 1.0), (0.5, -1.0)])

@@ -1,9 +1,14 @@
 """The moment layer against its 40-digit twin (``twin.py``), over drawn
 flow points M in Sp(2) with squeezes up to e^{+-40}, I in [-745, 745],
-log-uniform widths and means up to 1e+-150.  Every returned number is
-within the twin's bound, or a typed refusal that the twin allows: an
-overflow where the evaluation may overflow, a negative variance where the
-float one may fall below the floor."""
+and states of two kinds: log-uniform widths and means up to 1e+-150, and
+exact states, dyadic covariances about integer means up to 2^22 whose
+raw moments are floats.  Every returned number is within the twin's
+bound, or a typed refusal that the twin allows: an overflow where the
+evaluation may overflow, a negative variance where the float one may
+fall below the floor.  The exact states have an exact centring, so the
+uncertainty columns are judged to the rounding of their covariance
+alone: subtracting the means at t, which rounds at the scale of the
+means squared, fails there."""
 
 import contextlib
 import csv
@@ -20,6 +25,7 @@ import twin
 from quadham import dynamics as dyn
 from quadham.cli import main
 from quadham.errors import InvalidMoments, NumericalError, ValidationError
+from helpers import dyadic_states
 
 POINTS = st.builds(twin.draw_point, st.floats(-math.pi, math.pi),
                    st.floats(-40.0, 40.0), st.floats(-10.0, 10.0),
@@ -28,16 +34,18 @@ WIDTHS = st.floats(-30.0, 30.0).map(lambda u: 10.0 ** u)
 MEANS = st.one_of(st.just(0.0), st.builds(
     lambda u, sign: sign * 10.0 ** u, st.floats(-150.0, 150.0),
     st.sampled_from([-1.0, 1.0])))
-STATES = st.tuples(WIDTHS, WIDTHS, st.floats(-0.99, 0.99), MEANS, MEANS)
+STATES = st.one_of(
+    st.builds(lambda sx, sp, corr, xm, pm: (
+        sp * sp + pm * pm, sx * sx + xm * xm,
+        2.0 * (corr * sx * sp + xm * pm), xm, pm),
+        WIDTHS, WIDTHS, st.floats(-0.99, 0.99), MEANS, MEANS),
+    dyadic_states(2 ** 22))
 
 
-def raw_state(norm0, sx, sp, corr, xm, pm):
-    """Raw (SecondMoments, FirstMoments) of centred widths sx, sp, their
-    correlation and the means, at <1>_0 = norm0."""
-    return (dyn.SecondMoments(norm0 * (sp * sp + pm * pm),
-                              norm0 * (sx * sx + xm * xm),
-                              2.0 * norm0 * (corr * sx * sp + xm * pm),
-                              norm0),
+def raw_state(norm0, p2, x2, pxxp, xm, pm):
+    """Raw (SecondMoments, FirstMoments) at <1>_0 = norm0 of the state
+    with these moments at <1> = 1."""
+    return (dyn.SecondMoments(norm0 * p2, norm0 * x2, norm0 * pxxp, norm0),
             dyn.FirstMoments(norm0 * xm, norm0 * pm))
 
 
@@ -66,19 +74,21 @@ def test_moment_readers_match_their_twin(point, state, k):
     m0, f0 = raw_state(norm0, *state)
     assume(all(map(math.isfinite, (*m0, *f0))))
     flow = twin.FlowStub(point)
-    second = twin.second_moments(point, m0)
-    first = twin.first_moments(point, f0, norm0)
-    m = judge(lambda: dyn.evolve_second_moments(flow, m0)(1.0)[:3], second)
-    fm = judge(lambda: dyn.evolve_first_moments(flow, f0, norm0)(1.0),
-               first)
+    judge(lambda: dyn.evolve_second_moments(flow, m0)(1.0)[:3],
+          twin.second_moments(point, m0))
+    fm0 = dyn.FirstMoments(*state[3:])
+    judge(lambda: dyn.evolve_first_moments(flow, fm0)(1.0),
+          twin.first_moments(point, fm0))
     judge(lambda: [dyn.evolve_norm(flow, norm0)(1.0)],
           [twin.norm(point, norm0)])
-    if m is None or fm is None:
+    centred = twin.second_moments(point, twin.centred(m0, f0))
+    c = judge(lambda: dyn.evolve_second_moments(
+        flow, m0.centred(f0))(1.0)[:3], centred)
+    if c is None:
         return
     keys = ("dp2", "dx2", "margin", "excess")
-    u = twin.uncertainty(second, first)
-    judge(lambda: [dyn.uncertainty_check(dyn.SecondMoments(*m),
-                                         dyn.FirstMoments(*fm))[key]
+    u = twin.uncertainty(centred)
+    judge(lambda: [dyn.uncertainty_check(dyn.SecondMoments(*c))[key]
                    for key in keys],
           [u[key] for key in keys], variances=(u["dp2"], u["dx2"]))
 
@@ -115,8 +125,8 @@ def test_printed_moment_columns_match_their_twin(point, state):
         try:
             judge(lambda: _cli_row(["moments", *flags]),
                   twin.moments_row(point, m0))
-            u = twin.uncertainty(twin.second_moments(point, m0),
-                                 twin.first_moments(point, f0, 1.0))
+            u = twin.uncertainty(twin.second_moments(
+                point, twin.centred(m0, f0)))
             judge(lambda: _cli_row(["uncertainty", *flags, *means]),
                   twin.uncertainty_row(point, m0, f0),
                   variances=(u["dp2"], u["dx2"]))

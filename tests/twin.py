@@ -1,22 +1,28 @@
 """A 40-digit twin of the moment layer: the test-side judge of the float
 arithmetic between a flow point (M, I) and the numbers that the moment
-paths, ``evolve_norm``, ``uncertainty_check`` and the CLI's ``moments``
-and ``uncertainty`` columns return.
+paths, ``SecondMoments.centred``, ``evolve_norm``, ``uncertainty_check`` and
+the CLI's ``moments`` and ``uncertainty`` columns return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
 formula, in the same order: every operation adds half an ulp of its
 result, or 2^-1075 where that result is subnormal, to the errors its
-inputs carry forward.  That bound is the unit roundoff times |value|
-times the formula's condition number, so a returned number within
-BOUND of it is within BOUND ulps times that condition number.  The
-formulas are written from the paper's moment law, S/<1> = M S_0 M^T /
-<1>_0 and <z>/<1> = M <z>_0 / <1>_0 with <1> = e^{-I} <1>_0, and share
-no code with the package.  ``FlowStub`` feeds the paths a drawn flow
-point.
+inputs carry forward.  An operation on exact inputs whose result is a
+float adds nothing, since IEEE arithmetic returns that float.  That
+bound is the unit roundoff times |value| times the formula's condition
+number, so a returned number within BOUND of it is within BOUND ulps
+times that condition number.  The formulas are written from the paper's
+moment law, S/<1> = M S_0 M^T / <1>_0 and <z>/<1> = M <z>_0 / <1>_0 with
+<1> = e^{-I} <1>_0, and share no code with the package.  The centred
+covariance follows the same congruence, so the uncertainty columns are
+the centred formula: centre once at t = 0, flow, and read the variances
+with no means at t.  Its bound carries the rounding of the centring at
+t = 0 alone, which is none for a state whose centring is exact, however
+large its means.  ``FlowStub`` feeds the paths a drawn flow point.
 """
 
 import math
+import sys
 
 import mpmath
 
@@ -47,7 +53,10 @@ class Twin:
         return x if isinstance(x, Twin) else Twin(x)
 
     def _round(self, other, v, e):
-        return Twin(v, e + EPS * abs(v) + TINY, max(self.peak, other.peak))
+        peak = max(self.peak, other.peak)
+        if e == 0 and mpmath.mpf(float(v)) == v:
+            return Twin(v, 0, peak)
+        return Twin(v, e + EPS * abs(v) + TINY, peak)
 
     def __add__(self, other):
         other = Twin.of(other)
@@ -116,10 +125,20 @@ def draw_point(theta: float, r: float, shear: float, i: float) -> FlowPoint:
     return FlowPoint(a11, a11 * shear + a12, a21, a21 * shear + a22, i)
 
 
+def centred(m0, f0):
+    """(p2, x2, pxxp, norm) of the centred moments of raw (m0, f0):
+    <p^2> - <p> (<p>/<1>), <x^2> - <x> (<x>/<1>), <px+xp> - 2<x> (<p>/<1>)."""
+    n, x, p = Twin(m0.norm), Twin(f0.x), Twin(f0.p)
+    p_unit = p / n
+    return (Twin(m0.p2) - p * p_unit, Twin(m0.x2) - x * (x / n),
+            Twin(m0.pxxp) - (2.0 * x) * p_unit, n)
+
+
 def second_moments(point: FlowPoint, m0):
-    """(p2, x2, pxxp) per unit <1> at the point, from raw m0."""
-    n = Twin(m0.norm)
-    s11, s12, s22 = Twin(m0.x2) / n, (0.5 * Twin(m0.pxxp)) / n, Twin(m0.p2) / n
+    """(p2, x2, pxxp) per unit <1> at the point, from raw m0, whose values
+    are floats or twins."""
+    p2, x2, pxxp, n = map(Twin.of, m0)
+    s11, s12, s22 = x2 / n, (0.5 * pxxp) / n, p2 / n
     m11, m12, m21, m22 = map(Twin, point[:4])
     r11, r12 = m11 * s11 + m12 * s12, m11 * s12 + m12 * s22
     r21, r22 = m21 * s11 + m22 * s12, m21 * s12 + m22 * s22
@@ -127,9 +146,9 @@ def second_moments(point: FlowPoint, m0):
             2.0 * (r11 * m21 + r12 * m22))
 
 
-def first_moments(point: FlowPoint, f0, norm0: float):
-    """(<x>, <p>) per unit <1> at the point, from raw f0 at <1>_0 = norm0."""
-    x0, p0 = Twin(f0.x) / Twin(norm0), Twin(f0.p) / Twin(norm0)
+def first_moments(point: FlowPoint, f0):
+    """(<x>, <p>) per unit <1> at the point, from f0 per unit <1>_0."""
+    x0, p0 = Twin(f0.x), Twin(f0.p)
     m11, m12, m21, m22 = map(Twin, point[:4])
     return m11 * x0 + m12 * p0, m21 * x0 + m22 * p0
 
@@ -139,11 +158,20 @@ def norm(point: FlowPoint, norm0: float) -> Twin:
     return Twin(norm0) * exp_neg(point.i)
 
 
-def uncertainty(second, first):
-    """dp2, dx2, margin and excess of moments per unit <1>, whose norm is
-    1 as the paths return them."""
-    (p2, x2, _), (x, p), one = second, first, Twin(1.0)
-    dp2, dx2 = p2 - p * (p / one), x2 - x * (x / one)
+def raw(point: FlowPoint, v):
+    """v <1> at the point for <1>_0 = 1, as the CLI forms a raw column:
+    v e^{-I}, or (v e^{-I/2}) e^{-I/2} where the float e^{-I} is
+    subnormal."""
+    if math.exp(-point.i) >= sys.float_info.min:
+        return v * exp_neg(point.i)
+    half = exp_neg(0.5 * point.i)
+    return v * half * half
+
+
+def uncertainty(second):
+    """dp2, dx2, margin and excess of centred moments per unit <1>, whose
+    norm is 1 as the paths return them."""
+    (dp2, dx2, _), one = second, Twin(1.0)
     margin = dp2 * dx2 - (0.25 * one) * one
     prod = (dp2.clamp() * dx2.clamp()).sqrt() / one
     return {"dp2": dp2, "dx2": dx2, "margin": margin, "excess": prod - 0.5}
@@ -152,16 +180,16 @@ def uncertainty(second, first):
 def moments_row(point: FlowPoint, m0):
     """The ``moments`` columns p2, x2, pxxp, norm: per unit times <1>,
     for a state with <1>_0 = 1."""
-    w = norm(point, 1.0)
-    return [w * v for v in second_moments(point, m0)] + [w * 1.0]
+    return [raw(point, v) for v in (*second_moments(point, m0), Twin(1.0))]
 
 
 def uncertainty_row(point: FlowPoint, m0, f0):
     """The ``uncertainty`` columns dp2, dx2, margin, excess: variances
-    times <1>, the margin times <1>^2, for a state with <1>_0 = 1."""
-    w = norm(point, 1.0)
-    u = uncertainty(second_moments(point, m0), first_moments(point, f0, 1.0))
-    return [w * u["dp2"], w * u["dx2"], u["margin"] * w * w, u["excess"]]
+    times <1>, the margin times <1>^2, for a state with <1>_0 = 1, from
+    the centred moments flowed."""
+    u = uncertainty(second_moments(point, centred(m0, f0)))
+    return [raw(point, u["dp2"]), raw(point, u["dx2"]),
+            raw(point, raw(point, u["margin"])), u["excess"]]
 
 
 def may_overflow(*twins) -> bool:
