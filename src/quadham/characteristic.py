@@ -98,9 +98,11 @@ def _weight(t: float, i: float, sign: float = 1.0) -> float:
                              t=t, I=i) from exc
 
 
-def _mu_prime(tc: TimeCoefficients, t: float, p: FlowPoint) -> float:
+def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
+    """(mu, mu', h) at t from the flow point p, with one h = e^I."""
+    h = _weight(t, p.i)
     a, c = read((tc.a, tc.c), t)
-    return 2.0 * (a * p.m22 + c * p.m12) * _weight(t, p.i)
+    return p.m12 * h, 2.0 * (a * p.m22 + c * p.m12) * h, h
 
 
 class Flow:
@@ -109,7 +111,8 @@ class Flow:
     :class:`FlowPoint` at each step point ``t``, and ``nfev``, ``n_steps``
     and ``n_rejected`` count the solve's work (evaluations of (a, b, c, d)
     and accepted and rejected steps).  :meth:`at` refuses a time outside
-    the window.  The first caustic is found once."""
+    the window, and :meth:`mu` reads (mu, mu') off one point of it, the
+    pair ``closed_form_mu`` returns.  The first caustic is found once."""
 
     def __init__(self, tc: TimeCoefficients, ts, ys, n_rejected: int):
         self.tc, self.t = tc, ts
@@ -134,12 +137,8 @@ class Flow:
         return FlowPoint._make(
             magnus_step(self._coefficients, t_k, self.steps[k], t - t_k))
 
-    def mu(self, t: float) -> float:
-        p = self.at(t)
-        return p.m12 * _weight(t, p.i)
-
-    def mu_prime(self, t: float) -> float:
-        return _mu_prime(self.tc, t, self.at(t))
+    def mu(self, t: float) -> tuple[float, float]:
+        return _mu(self.tc, t, self.at(t))[:2]
 
     def _first_zero(self, g, start: int):
         """The first step interval, from step ``start`` on, at whose first
@@ -209,8 +208,7 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     if caustic is not None and caustic[0] < t:
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
-    h = _weight(t, p.i)
-    mu, mu_prime = p.m12 * h, _mu_prime(flow.tc, t, p)
+    mu, mu_prime, h = _mu(flow.tc, t, p)
     _served(t, mu, mu_prime)
     return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,
                             alpha=p.m22 / (2.0 * p.m12), beta=-1.0 / p.m12,

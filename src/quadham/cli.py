@@ -115,7 +115,7 @@ def cmd_list_models(args):
 def cmd_mu(args):
     path = _kernel_flow(_spec_from(args), args.t_end)
     ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
-    rows = [(t, path.mu(t), path.mu_prime(t)) for t in ts]
+    rows = [(t, *path.mu(t)) for t in ts]
     qio.write_csv(args.out, ["t", "mu", "mu_prime"], rows)
     return 0
 
@@ -148,10 +148,10 @@ def cmd_propagate(args):
         Lambda=complex(args.lambda_re, args.lambda_im),
         Theta=complex(args.theta_re, args.theta_im))
     path = _kernel_flow(spec, args.t_end)
-    ts = _linspace(args.t_end / args.samples, args.t_end, args.samples)
     rows = []
-    for t, s in zip(ts, prop.gaussian_sweep(
-            lambda t: chr_mod.kernel_parameters(path.tc, path, t), ts, s0)):
+    for t in _linspace(args.t_end / args.samples, args.t_end, args.samples):
+        s = prop.propagate_gaussian(
+            chr_mod.kernel_parameters(path.tc, path, t), s0)
         m = s.moments()
         rows.append((t, s.Lambda.real, s.Lambda.imag, s.Theta.real,
                      s.Theta.imag, s.Phi.real, s.Phi.imag,
@@ -178,8 +178,8 @@ def cmd_moments(args):
 def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
     """E(0) of the catalogued invariant E and max |E(t) - E(0)| / |E(0)|
     over t in linspace(t_start, t_end, samples), E(t) from the second
-    moments flowed from m0 on ``flow``, the flow of the invariant's H on
-    [0, t_end], which is solved here if it is None."""
+    moments flowed from m0 at <1>_0 = 1 on ``flow``, the flow of the
+    invariant's H on [0, t_end], which is solved here if it is None."""
     inv, dyn = quadham.invariants, quadham.dynamics
 
     def pairs():
@@ -187,10 +187,10 @@ def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
         # solved only once E(0) has passed the cancellation check
         cat = flow or quadham.characteristic.classical_flow(
             quadham.coefficients.catalog_coefficients(spec), t_end)
-        path = dyn.evolve_second_moments(cat, m0)
-        norm = dyn.evolve_norm(cat, m0.norm)
+        path, raw = dyn.evolve_second_moments(cat, m0), dyn.evolve_raw(cat)
         for t in _linspace(t_start, t_end, samples):
-            yield inv.energy_operator_catalog(spec, t), path(t).scaled(norm(t))
+            yield (inv.energy_operator_catalog(spec, t),
+                   dyn.SecondMoments(*map(raw(t), path(t))))
 
     return inv._expectation_drift(pairs(), 1e-8)
 
@@ -302,9 +302,9 @@ def _verify_one(model_id: str, budget: str):
     if spec.model.mean_position is not None:
         # Ehrenfest: <x> on H's flow against the record's family
         mean = functools.partial(spec.closed_form("mean_position"), 0.9, 0.4)
-        path, norm = dyn.evolve_first_moments(flow, dyn.FirstMoments(
-            *spec.closed_form("mean_start")(0.9, 0.4))), dyn.evolve_norm(flow)
-        err = max(abs(norm(t) * path(t).x - mean(t)) for t in ts)
+        path, raw = dyn.evolve_first_moments(flow, dyn.FirstMoments(
+            *spec.closed_form("mean_start")(0.9, 0.4))), dyn.evolve_raw(flow)
+        err = max(abs(raw(t)(path(t).x) - mean(t)) for t in ts)
         yield f"ehrenfest {model_id}", err <= 1e-8, f"max err {err:.2e}"
 
     if spec.model.invariant_mu is not None:

@@ -7,9 +7,9 @@ Their paths work per unit ``<1>``, with no weight: ``<(x, p)>/<1> =
 M <(x, p)>_0 / <1>_0`` and ``S/<1> = M S_0 M^T / <1>_0`` for
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``; the centred ``S``
 moves alike, as ``W_t(z) = e^{-I} W_0(M^{-1} z)``, so a state is centred
-once, at t = 0.  :func:`evolve_raw` multiplies ``<1> = e^{-I}`` in only
-where a raw number is returned (the energy path, the CLI's columns), and
-:func:`evolve_norm` reads ``<1>`` from it.  The paths reach
+once, at t = 0.  :func:`evolve_raw` is the one weight: each raw number
+returned is a value per unit ``<1>`` times ``e^{-I}`` formed there, and
+:func:`evolve_norm` reads ``<1> = e^{-I} <1>_0`` from it.  The paths reach
 ``quadham.characteristic`` through the package root when called, which
 loads it on first use, so that ``appendix_d`` does not.
 """
@@ -41,10 +41,6 @@ class SecondMoments(NamedTuple):
         p, x = _per_unit(self.norm, fm.p, fm.x)
         return SecondMoments(self.p2 - fm.p * p, self.x2 - fm.x * x,
                              self.pxxp - 2.0 * fm.x * p, self.norm)
-
-    def scaled(self, w: float) -> "SecondMoments":
-        """Each value times w: per unit <1>, the raw moments at <1> = w."""
-        return SecondMoments._make(w * v for v in self)
 
 
 class FirstMoments(NamedTuple):
@@ -142,8 +138,9 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
                                  flow: quadham.characteristic.Flow):
     """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
     on the window of ``flow``, the flow of ``catalog_coefficients(spec)``,
-    contracted with the raw moments flowed from m0 on it; NoClosedForm
-    for a model without one.  For ``cj_coordinate`` E solves
+    from the moments flowed from m0 on it, each weighed by
+    :func:`evolve_raw`; NoClosedForm for a model without one and
+    NumericalError where E is not finite.  For ``cj_coordinate`` E solves
 
         y'' - (4 lambda / sinh(2 lambda t)) y' +
             2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0,
@@ -152,12 +149,13 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
     <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
     reference = spec.closed_form("reference")
-    path, norm = evolve_second_moments(flow, m0), evolve_norm(flow, m0.norm)
+    path, raw = evolve_second_moments(flow, m0), evolve_raw(flow)
 
     def energy(t: float) -> float:
-        m = path(t).scaled(norm(t))
+        (p2, x2, pxxp, _), weigh = path(t), raw(t)
         A, B, C = reference(t)
-        return A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
+        e = A * weigh(p2) + B * weigh(x2) + 0.5 * C * weigh(pxxp)
+        return _finite(t, e * m0.norm)[0]
 
     return energy
 

@@ -112,11 +112,11 @@ def test_criterion_03_invariant_conservation():
 
         m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1)
         flow = classical_flow(tc, 2.0)
-        path, norm = dyn.evolve_second_moments(flow, m0), dyn.evolve_norm(flow)
+        path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
         ref = form(0.0).expectation(m0.p2, m0.x2, m0.pxxp)
         # the raw moments: per unit <1> times <1>
         drift = max(abs(form(float(t)).expectation(
-            *path(float(t)).scaled(norm(float(t)))[:3]) - ref)
+            *map(raw(float(t)), path(float(t))[:3])) - ref)
             for t in np.linspace(0.1, 2.0, 16)) / max(abs(ref), 1e-30)
         worst_ode = max(worst_ode, drift)
     ok = worst_grid <= 1e-4 and worst_ode <= 1e-8
@@ -166,9 +166,9 @@ def test_criterion_05_energy_expectation_closed_forms():
     for spec in (CK, coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1),
                  UNITED, coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)):
         flow = classical_flow(coeff.catalog_coefficients(spec), 3.0)
-        path, norm = dyn.evolve_second_moments(flow, m0), dyn.evolve_norm(flow)
+        path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
         for t in np.linspace(0.2, 3.0, 11):
-            m = path(float(t)).scaled(norm(float(t)))
+            m = dyn.SecondMoments(*map(raw(float(t)), path(float(t))))
             A, B, C = dyn.reference_operator(spec, float(t))
             got = A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
             ref = dyn.closed_form_expectation(spec, m0, float(t))
@@ -212,11 +212,11 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
         tc = coeff.builtin_coefficients(spec)
         fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(0.9, 0.4))
         flow = classical_flow(tc, 4.0)
-        path, norm = dyn.evolve_first_moments(flow, fm0), dyn.evolve_norm(flow)
+        path, raw = dyn.evolve_first_moments(flow, fm0), dyn.evolve_raw(flow)
         for t in np.linspace(0.0, 4.0, 17):
             ref = spec.closed_form("mean_position")(0.9, 0.4, float(t))
             worst_x = max(worst_x,
-                          abs(norm(float(t)) * path(float(t)).x - ref))
+                          abs(raw(float(t))(path(float(t)).x) - ref))
 
     tc = coeff.builtin_coefficients(UNITED)
     psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j), 10.0)

@@ -34,7 +34,7 @@ def test_ck_mu_closed_form():
     path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.2)
     w = math.sqrt(0.99)
     expected = (1.0 / w) * math.exp(-0.1) * math.sin(w)
-    assert path.mu(1.0) == pytest.approx(expected, rel=1e-8)
+    assert path.mu(1.0)[0] == pytest.approx(expected, rel=1e-8)
 
 
 def test_cj_mu_closed_form():
@@ -43,7 +43,7 @@ def test_cj_mu_closed_form():
     w = math.sqrt(1.0 - 0.04)
     path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.0)
     t = 0.8
-    assert path.mu(t) == pytest.approx(
+    assert path.mu(t)[0] == pytest.approx(
         math.sin(w * t) / (w * math.cosh(0.2 * t)), rel=1e-8)
 
 
@@ -56,7 +56,7 @@ def test_cj_momentum_mu_closed_form():
                 + w * math.sin(w * t) * math.cosh(0.2 * t)) / 1.0
     assert mu == pytest.approx(expected, rel=1e-12)
     path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.0)
-    assert path.mu(t) == pytest.approx(expected, rel=1e-8)
+    assert path.mu(t)[0] == pytest.approx(expected, rel=1e-8)
 
 
 def test_parametric_mu_large_time_limit():
@@ -81,9 +81,34 @@ def test_initial_slope_is_2a0(spec):
     path = chr_mod.classical_flow(tc, 0.5)
     # mu(eps)/eps carries an O(eps) term; one Richardson step removes it
     eps = 1e-4
-    f1 = path.mu(eps) / eps
-    f2 = path.mu(2 * eps) / (2 * eps)
+    f1 = path.mu(eps)[0] / eps
+    f2 = path.mu(2 * eps)[0] / (2 * eps)
     assert 2 * f1 - f2 == pytest.approx(2.0 * tc.a(0.0), abs=1e-6)
+
+
+def test_mu_and_the_kernel_read_one_flow_point(monkeypatch):
+    # Flow.mu and kernel_parameters read (mu, mu') off one flow point with
+    # one e^I, the pair that closed_form_mu returns
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.UNITED, 1.0, 0.3,
+                                                    0.1))
+    flow = chr_mod.classical_flow(tc, 1.0)
+    assert flow.first_caustic is None
+    calls = {"at": 0, "weight": 0}
+
+    def counted(name, fn):
+        def read(*args):
+            calls[name] += 1
+            return fn(*args)
+        return read
+
+    monkeypatch.setattr(flow, "at", counted("at", flow.at))
+    monkeypatch.setattr(chr_mod, "_weight",
+                        counted("weight", chr_mod._weight))
+    mu = flow.mu(0.7)
+    assert calls == {"at": 1, "weight": 1}
+    kp = chr_mod.kernel_parameters(tc, flow, 0.7)
+    assert calls == {"at": 2, "weight": 2}
+    assert (kp.mu, kp.mu_prime) == mu
 
 
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
@@ -92,9 +117,9 @@ def test_mu_matches_closed_form_on_window(spec):
     path = chr_mod.classical_flow(tc, 1.3)
     for t in np.linspace(0.05, 1.3, 15):
         mu_ref, mup_ref = chr_mod.closed_form_mu(spec, float(t))
-        assert abs(path.mu(float(t)) - mu_ref) <= 1e-8 * max(1.0, abs(mu_ref))
-        assert abs(path.mu_prime(float(t)) - mup_ref) <= \
-            1e-7 * max(1.0, abs(mup_ref))
+        mu, mup = path.mu(float(t))
+        assert abs(mu - mu_ref) <= 1e-8 * max(1.0, abs(mu_ref))
+        assert abs(mup - mup_ref) <= 1e-7 * max(1.0, abs(mup_ref))
 
 
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
@@ -370,7 +395,7 @@ def test_an_overflowing_flow_weight_is_typed(mu_param):
     # moment paths work per unit <1> and serve there
     spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, mu_param)
     flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 3.0)
-    reads = ([flow.mu, flow.mu_prime,
+    reads = ([flow.mu,
               inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0))]
              if mu_param > 0 else [dyn.evolve_norm(flow)])
     for path in (dyn.evolve_first_moments(flow, dyn.FirstMoments(1.0, 0.0)),
@@ -428,12 +453,12 @@ def test_a_kernel_in_small_units_is_served():
 def _rescaled(tc, s, tau):
     """H's record in a length unit 1/s and a time unit 1/tau times the old:
     (s^2 a, b / s^2, c, d) read at t / tau and divided by tau."""
-    def scaled(f, k):
+    def stretched(f, k):
         return lambda t: k * f(t / tau)
 
     return coeff.TimeCoefficients(
-        scaled(tc.a, s * s / tau), scaled(tc.b, 1.0 / (s * s * tau)),
-        scaled(tc.c, 1.0 / tau), scaled(tc.d, 1.0 / tau),
+        stretched(tc.a, s * s / tau), stretched(tc.b, 1.0 / (s * s * tau)),
+        stretched(tc.c, 1.0 / tau), stretched(tc.d, 1.0 / tau),
         t_singular=tau * tc.t_singular)
 
 
@@ -462,7 +487,7 @@ def _reads(tc, t_end, times, s):
         p = flow.at(t)
         # h = 1: no reader reads it
         bare = chr_mod.KernelParameters(
-            t, flow.mu(t), flow.mu_prime(t), 1.0, p.m22 / (2.0 * p.m12),
+            t, *flow.mu(t), 1.0, p.m22 / (2.0 * p.m12),
             -1.0 / p.m12, p.m11 / (2.0 * p.m12))
         out.append([outcome(chr_mod.kernel_parameters, tc, flow, t),
                     *(outcome(read, bare) for read in readers)])

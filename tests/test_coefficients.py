@@ -122,16 +122,19 @@ def test_convention_stays_in_coefficients():
 
 
 def test_benchmark_only_api_stays_in_its_contract_tests():
-    # src keeps the tag API, solve_characteristic and the field db only
-    # because the benchmark (quadbench/) calls or reads them: outside
-    # quadbench/ only their homes and contract tests name them, so that
-    # deleting them edits src, quadbench/ and these tests alone
+    # src keeps the tag API, solve_characteristic, the field db,
+    # gaussian_sweep and gridsim.COMPILED only because the benchmark
+    # (quadbench/) calls or reads them: outside quadbench/ only their
+    # homes and contract tests name them, so that deleting them edits
+    # src, quadbench/ and these tests alone
     repo = pathlib.Path(__file__).resolve().parents[1]
     tag = re.compile(r"\b(EQUATION|HAMILTONIAN|convert_convention"
                      r"|ConventionMismatch)\b")
     solve = re.compile(r"\bsolve_characteristic\b")
     # the keyword and the attribute; models' local db is not the field
     field = re.compile(r"\bdb=|\.db\b")
+    sweep = re.compile(r"\bgaussian_sweep\b")
+    compiled = re.compile(r"\bCOMPILED\b")
     guards = {"test_convention_stays_in_coefficients",
               "test_benchmark_only_api_stays_in_its_contract_tests"}
     # (pattern, file): the functions that may name it, None for any line
@@ -149,7 +152,13 @@ def test_benchmark_only_api_stays_in_its_contract_tests():
         (field, "src/quadham/coefficients.py"): None,
         (field, "tests/test_coefficients.py"): guards | {
             "VARYING", "test_replace_keeps_the_mapped_record",
-            "test_analytic_derivatives_match_fd"}}
+            "test_analytic_derivatives_match_fd"},
+        (sweep, "src/quadham/propagator.py"): None,
+        (sweep, "tests/test_coefficients.py"): guards,
+        (sweep, "tests/test_propagator.py"): {
+            "test_branch_phase_continuity", "test_sweep_conserves_norm"},
+        (compiled, "src/quadham/gridsim.py"): None,
+        (compiled, "tests/test_coefficients.py"): guards}
     found = []
     for path in [*sorted((repo / "src" / "quadham").glob("*.py")),
                  *sorted((repo / "tests").glob("*.py")),
@@ -165,7 +174,7 @@ def test_benchmark_only_api_stays_in_its_contract_tests():
         for lineno, line in enumerate(text.splitlines(), 1):
             owner = next((fn for lo, hi, fn in spans if lo <= lineno <= hi),
                          None)
-            for pattern in (tag, solve, field):
+            for pattern in (tag, solve, field, sweep, compiled):
                 ok = allowed.get((pattern, name), set())
                 if pattern.search(line) and not (ok is None or owner in ok):
                     found.append((name, lineno))

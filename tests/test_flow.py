@@ -88,14 +88,15 @@ def _flow_values(tc, t_end):
     flow = classical_flow(tc, t_end)
     second = dyn.evolve_second_moments(flow, M0)
     first = dyn.evolve_first_moments(flow, F0)
-    norm = dyn.evolve_norm(flow, M0.norm)
+    raw = dyn.evolve_raw(flow)
     form = inv.solve_energy_system(flow, Q0)
     aux = inv.solve_linear_auxiliary(flow, AUX0)
 
     def values(t):
-        # the paper's systems move raw moments: per unit <1> times <1>
-        w, f, q = norm(t), first(t), form(t)
-        return [*second(t).scaled(w), w * f.x, w * f.p, q.A, q.B, q.C, q.D,
+        # the paper's systems move raw moments: per unit <1> times <1>,
+        # here <1>_0 = 1
+        q = form(t)
+        return [*map(raw(t), [*second(t), *first(t)]), q.A, q.B, q.C, q.D,
                 *aux(t)]
 
     return values

@@ -73,15 +73,13 @@ def test_grid_moments_track_moment_ode():
     psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.2))
     _, m0 = gridsim.measure_moments(psi0)
     flow = classical_flow(tc, 1.0)
-    path = dyn.evolve_second_moments(flow, m0)
-    norm = dyn.evolve_norm(flow, m0.norm)
+    path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     for t, s in zip(ev.times[1:], ev.states[1:]):
         _, m = gridsim.measure_moments(s)
-        # the grid's raw moments: per unit <1> times <1>
-        ref = path(t).scaled(norm(t))
-        for got, exp in ((m.p2, ref.p2), (m.x2, ref.x2),
-                         (m.pxxp, ref.pxxp)):
+        # the grid's raw moments: per unit <1> times <1> = <1>_0 e^{-I}
+        ref = [raw(t)(v) * m0.norm for v in path(t)]
+        for got, exp in zip(m[:3], ref):
             assert abs(got - exp) <= 1e-4 * max(1.0, abs(exp))
 
 

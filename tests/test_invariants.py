@@ -293,11 +293,11 @@ def test_invariant_expectation_is_constant_under_moment_flow():
     tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
     flow = classical_flow(tc, 2.0)
-    path, norm = dyn.evolve_second_moments(flow, m0), dyn.evolve_norm(flow)
+    path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
     e0 = inv.energy_operator_catalog(spec, 0.0).expectation(
         m0.p2, m0.x2, m0.pxxp)
     for t in np.linspace(0.2, 2.0, 7):
-        m = path(float(t)).scaled(norm(float(t)))
+        m = dyn.SecondMoments(*map(raw(float(t)), path(float(t))))
         e = inv.energy_operator_catalog(spec, float(t)).expectation(
             m.p2, m.x2, m.pxxp)
         assert e == pytest.approx(e0, rel=1e-8)

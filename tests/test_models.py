@@ -127,7 +127,7 @@ def test_one_reader_of_the_coefficients():
     assert set(_owners(
         lambda n: getattr(getattr(n, "func", None), "id", None) == "read"
     )) == {("ode", "_exponent"), ("gridsim", "evolve_grid"),
-           ("characteristic", "_mu_prime"),
+           ("characteristic", "_mu"),
            ("invariants", "_derivatives"),
            ("invariants", "_auxiliary_coefficients"),
            ("invariants", "superpose_linear_solutions"),
@@ -159,9 +159,9 @@ def test_closed_forms_match_numerical_path(request, model_id):
         tc = coeff.builtin_coefficients(spec)
         path = chr_mod.classical_flow(tc, t_end)
         for t in np.linspace(t_end / 5, t_end, 5):
-            mu, mup = chr_mod.closed_form_mu(spec, float(t))
-            assert _close(path.mu(float(t)), mu)
-            assert _close(path.mu_prime(float(t)), mup)
+            for got, want in zip(path.mu(float(t)),
+                                 chr_mod.closed_form_mu(spec, float(t))):
+                assert _close(got, want)
 
         caustic = path.first_caustic
         hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
@@ -177,11 +177,11 @@ def test_closed_forms_match_numerical_path(request, model_id):
             return
         m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
         flow = classical_flow(coeff.catalog_coefficients(spec), t_end)
-        moments, norm = (dyn.evolve_second_moments(flow, m0),
-                         dyn.evolve_norm(flow))
+        moments, raw = (dyn.evolve_second_moments(flow, m0),
+                        dyn.evolve_raw(flow))
         ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
         for t in np.linspace(t_end / 5, t_end, 5):
-            m = moments(float(t)).scaled(norm(float(t)))
+            m = dyn.SecondMoments(*map(raw(float(t)), moments(float(t))))
             got = inv.energy_operator_catalog(spec, float(t)).expectation(
                 m.p2, m.x2, m.pxxp)
             assert abs(got - ref) <= DRIFT_TOL * max(abs(ref), 1e-30)
@@ -361,9 +361,9 @@ def test_cli_green_and_propagate_match_closed_forms(request, model_id):
         ts = [row[0] for row in rows]
         assert len(ts) == samples and 0.0 < ts[0] and ts[-1] <= t_end
         s0 = prop.GaussianState(Lambda=complex(*width), Theta=complex(*shift))
-        sweep = prop.gaussian_sweep(
-            lambda t: chr_mod.closed_form_kernel(spec, t), ts, s0)
-        for row, s in zip(rows, sweep):
+        for row in rows:
+            s = prop.propagate_gaussian(
+                chr_mod.closed_form_kernel(spec, row[0]), s0)
             m = s.moments()
             want = (s.Lambda.real, s.Lambda.imag, s.Theta.real, s.Theta.imag,
                     s.Phi.real, s.Phi.imag, m["norm"], m["x"], m["p"])

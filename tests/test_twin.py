@@ -1,14 +1,14 @@
-"""The moment layer against its 40-digit twin (``twin.py``), over drawn
-flow points M in Sp(2) with squeezes up to e^{+-40}, I in [-745, 745],
-and states of two kinds: log-uniform widths and means up to 1e+-150, and
-exact states, dyadic covariances about integer means up to 2^22 whose
-raw moments are floats.  Every returned number is within the twin's
-bound, or a typed refusal that the twin allows: an overflow where the
-evaluation may overflow, a negative variance where the float one may
-fall below the floor.  The exact states have an exact centring, so the
-uncertainty columns are judged to the rounding of their covariance
-alone: subtracting the means at t, which rounds at the scale of the
-means squared, fails there."""
+"""The moment layer and the energy path against their 40-digit twin
+(``twin.py``), over drawn flow points M in Sp(2) with squeezes up to
+e^{+-40}, I in [-745, 745], and states of two kinds: log-uniform widths
+and means up to 1e+-150, and exact states, dyadic covariances about
+integer means up to 2^22 whose raw moments are floats.  Every returned
+number is within the twin's bound, or a typed refusal that the twin
+allows: an overflow where the evaluation may overflow, a negative
+variance where the float one may fall below the floor.  The exact states
+have an exact centring, so the uncertainty columns are judged to the
+rounding of their covariance alone: subtracting the means at t, which
+rounds at the scale of the means squared, fails there."""
 
 import contextlib
 import csv
@@ -23,13 +23,20 @@ from hypothesis import strategies as st
 import quadham
 import twin
 from quadham import dynamics as dyn
+from quadham.coefficients import CALDIROLA_KANAI, ModelSpec
 from quadham.cli import main
 from quadham.errors import InvalidMoments, NumericalError, ValidationError
 from helpers import dyadic_states
 
-POINTS = st.builds(twin.draw_point, st.floats(-math.pi, math.pi),
-                   st.floats(-40.0, 40.0), st.floats(-10.0, 10.0),
-                   st.floats(-745.0, 745.0))
+
+def points(i_low):
+    """Drawn flow points with I in [i_low, 745]."""
+    return st.builds(twin.draw_point, st.floats(-math.pi, math.pi),
+                     st.floats(-40.0, 40.0), st.floats(-10.0, 10.0),
+                     st.floats(i_low, 745.0))
+
+
+POINTS = points(-745.0)
 WIDTHS = st.floats(-30.0, 30.0).map(lambda u: 10.0 ** u)
 MEANS = st.one_of(st.just(0.0), st.builds(
     lambda u, sign: sign * 10.0 ** u, st.floats(-150.0, 150.0),
@@ -40,6 +47,7 @@ STATES = st.one_of(
         2.0 * (corr * sx * sp + xm * pm), xm, pm),
         WIDTHS, WIDTHS, st.floats(-0.99, 0.99), MEANS, MEANS),
     dyadic_states(2 ** 22))
+CK = ModelSpec(CALDIROLA_KANAI, 1.0, 0.3)
 
 
 def raw_state(norm0, p2, x2, pxxp, xm, pm):
@@ -91,6 +99,22 @@ def test_moment_readers_match_their_twin(point, state, k):
     judge(lambda: [dyn.uncertainty_check(dyn.SecondMoments(*c))[key]
                    for key in keys],
           [u[key] for key in keys], variances=(u["dp2"], u["dx2"]))
+
+
+@seed(20261022)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(point=st.one_of(POINTS, points(708.0)), state=STATES,
+       k=st.integers(-200, 200))
+def test_energy_path_matches_its_twin(point, state, k):
+    # a <1> = e^{-I} <1>_0 rounded into the subnormal range before it
+    # meets moments up to 1e300 is off by up to 2^-1075 / <1>; few draws
+    # of I over [-745, 745] come near it, so half draw I from [708, 745].
+    # An E that overflows is refused, not returned as inf
+    m0, _ = raw_state(math.ldexp(1.0, k), *state)
+    assume(all(map(math.isfinite, m0)))
+    energy = dyn.damped_energy_equation_solve(CK, m0, twin.FlowStub(point))
+    judge(lambda: [energy(1.0)],
+          [twin.energy(point, m0, dyn.reference_operator(CK, 1.0))])
 
 
 def _cli_row(argv):

@@ -1,7 +1,8 @@
 """A 40-digit twin of the moment layer: the test-side judge of the float
 arithmetic between a flow point (M, I) and the numbers that the moment
-paths, ``SecondMoments.centred``, ``evolve_norm``, ``uncertainty_check`` and
-the CLI's ``moments`` and ``uncertainty`` columns return.
+paths, ``SecondMoments.centred``, ``evolve_norm``, the energy path,
+``uncertainty_check`` and the CLI's ``moments`` and ``uncertainty``
+columns return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
@@ -166,6 +167,17 @@ def raw(point: FlowPoint, v):
         return v * exp_neg(point.i)
     half = exp_neg(0.5 * point.i)
     return v * half * half
+
+
+def energy(point: FlowPoint, m0, reference) -> Twin:
+    """E = (A raw(p2) + B raw(x2) + (C/2) raw(pxxp)) <1>_0 at the point,
+    the energy path's value for the reference operator (A, B, C) read as
+    exact floats: the moments per unit <1> flowed from raw m0, each
+    weighed as a raw column, the sum times <1>_0."""
+    A, B, C = map(Twin, reference)
+    p2, x2, pxxp = second_moments(point, m0)
+    return (A * raw(point, p2) + B * raw(point, x2)
+            + (0.5 * C) * raw(point, pxxp)) * Twin(m0.norm)
 
 
 def uncertainty(second):
