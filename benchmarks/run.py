@@ -13,16 +13,16 @@ under ``-X importtime`` records whether the subcommand loaded numpy and
 its ``import_s``, the summed cumulative time of the top-level imports.
 The layers are timed in child interpreters on the measured checkout's
 source, one child per sample: one evaluation of the coefficients
-(a, b, c, d) the flow reads (H's own), ``classical_flow`` on the
-Caldirola-Kanai window of the subcommands and on a window of the tier-1
+(a, b, c, d) the flow reads (H's own), ``classical_flow`` solved to the
+Caldirola-Kanai window of the subcommands and to the window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
-t_end 2), one ``Flow.at`` point, one point of the second-moment path and
+t_end 2), on either API of ``classical_flow``, one ``Flow.at`` point, one point of the second-moment path and
 of the energy path (``solve_energy_system``) on that flow, one point of
 the first-moment path on the first flow, one ``general_invariant`` of
 ``solve_ermakov``'s pair (omega^2 = 1 + 0.3 sin t, c0 = 0.7, t = 1), one
-``kernel_parameters`` point, ``classical_flow`` on a coefficient that
-overflows inside its window (b = e^(1000 t) to t = 1), the refusal caught
-inside the timed call, the Gaussian propagation layer (one
+``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
+a coefficient that overflows inside that window (b = e^(1000 t)), the
+refusal caught inside the timed call, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
 layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
 at N = 256, 2048 and 4096 on the Caldirola-Kanai window, and at N = 2048
@@ -91,19 +91,31 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
 # the in-process layer timings, one sample per child on the measured
 # source: {row: per-call seconds}, plus the flow solver's counts
 LAYERS = """
-import json, math, timeit
+import inspect, json, math, timeit
 import numpy as np
 from quadham import characteristic as chm, coefficients as coeff
 from quadham import dynamics as dyn, gridsim, invariants as inv
 from quadham import propagator as prop
 from quadham.errors import NumericalError
+
+# the flow of tc solved to t_end: classical_flow(tc, t_end) where the flow
+# is solved on a window, and classical_flow(tc) read at t_end where it
+# grows on demand, so that both sides of a pair time the same solve
+if len(inspect.signature(chm.classical_flow).parameters) == 2:
+    solve = chm.classical_flow
+else:
+    def solve(tc, t_end):
+        flow = chm.classical_flow(tc)
+        flow.at(t_end)
+        return flow
+
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)
-flow = chm.classical_flow(tc, 1.4)
+flow = solve(tc, 1.4)
 # criterion 3's moment check on the catalogued Caldirola-Kanai invariant
 tc_inv = coeff.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
                                                     0.1))
-moment_flow = chm.classical_flow(tc_inv, 2.0)
+moment_flow = solve(tc_inv, 2.0)
 moments = dyn.evolve_second_moments(moment_flow,
                                     dyn.SecondMoments(0.8, 0.7, 0.1))
 first_moments = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.1, 0.2))
@@ -116,7 +128,7 @@ omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
 zero = lambda t: 0.0
 tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                                 zero, zero, da=zero, dc=zero, dd=zero)
-osc_flow = chm.classical_flow(tc_osc, 2.0)
+osc_flow = solve(tc_osc, 2.0)
 kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
 kp = chm.kernel_parameters(tc, flow, 0.7)
 s0 = prop.GaussianState(0.5j)
@@ -126,7 +138,7 @@ tc_exp = coeff.TimeCoefficients(lambda t: 0.5, lambda t: math.exp(1000.0 * t),
 
 def refused_flow():
     try:
-        chm.classical_flow(tc_exp, 1.0)
+        solve(tc_exp, 1.0)
     except NumericalError:
         pass
 
@@ -153,8 +165,8 @@ print(json.dumps({
     "coefficients": per_call(
         lambda: (tc.a(0.7), tc.b(0.7), tc.c(0.7), tc.d(0.7)),
         20000),
-    "classical_flow": per_call(lambda: chm.classical_flow(tc, 1.4), 50),
-    "moment_flow": per_call(lambda: chm.classical_flow(tc_inv, 2.0), 50),
+    "classical_flow": per_call(lambda: solve(tc, 1.4), 50),
+    "moment_flow": per_call(lambda: solve(tc_inv, 2.0), 50),
     "flow_at": per_call(lambda: flow.at(0.7), 5000),
     "moment_point": per_call(lambda: moments(0.7), 5000),
     "first_moment_point": per_call(lambda: first_moments(0.7), 5000),

@@ -16,9 +16,10 @@ mu solves the characteristic equation with ``mu(0) = 0``,
 ``mu'(0) = 2 a(0)``.  The flow needs no derivative of the coefficients and
 no division by a(t).  ``quadham.ode`` integrates it by 6th-order Magnus
 steps, which keep det M = 1 to rounding, with one tolerance on every path,
-FLOW_TOL; the Flow holds the rows and the work counts of the solve and
-gives the dense output by one sub-step from a step point.  Every kernel
-reader refuses the caustic band |mu| <= MU_GUARD |t mu'|, in any units.
+FLOW_TOL; the Flow grows on demand, holds the rows and the work counts
+of its solve and gives the dense output by one sub-step from a step
+point.  Every kernel reader refuses the caustic band |mu| <= MU_GUARD
+|t mu'|, in any units.
 The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cached_property
 from typing import NamedTuple
 
 from .coefficients import ModelSpec, TimeCoefficients
@@ -105,87 +105,142 @@ def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
     return p.m12 * h, 2.0 * (a * p.m22 + c * p.m12) * h, h
 
 
-class Flow:
-    """The classical flow of the Hamiltonian coefficients ``tc`` between 0
-    and ``t_end``, the result of one solve: ``steps`` holds the
-    :class:`FlowPoint` at each step point ``t``, and ``nfev``, ``n_steps``
-    and ``n_rejected`` count the solve's work (evaluations of (a, b, c, d)
-    and accepted and rejected steps).  :meth:`at` refuses a time outside
-    the window, and :meth:`mu` reads (mu, mu') off one point of it, the
-    pair ``closed_form_mu`` returns.  The first caustic is found once."""
+class _Side:
+    """One side of a flow from t = 0: its step points ``t``, their ``keys``
+    |t|, which order them, the :class:`FlowPoint` at each, the signed size
+    ``h`` of its next try and its count of rejected tries."""
 
-    def __init__(self, tc: TimeCoefficients, ts, ys, n_rejected: int):
-        self.tc, self.t = tc, ts
-        self.steps = [FlowPoint._make(y) for y in ys]
-        self.t_end = float(ts[-1])
-        self.n_steps, self.n_rejected = len(ts) - 1, n_rejected
-        self.nfev = EVALS_PER_STEP * (self.n_steps + n_rejected)
+    def __init__(self, direction: float):
+        self.t, self.keys = [0.0], [0.0]
+        self.steps = [FlowPoint(1.0, 0.0, 0.0, 1.0, 0.0)]
+        self.h, self.n_rejected = 0.0 * direction, 0
+
+
+class Flow:
+    """The classical flow of the Hamiltonian coefficients ``tc`` from t = 0,
+    solved on demand: :meth:`at` past the last step point on the side of t
+    continues that side's solve, whose step points depend on H alone, so no
+    value depends on what was read before.  ``t`` and ``steps`` list the
+    step points reached and the :class:`FlowPoint` at each in increasing
+    time order; ``nfev``, ``n_steps`` and ``n_rejected`` count the work
+    (evaluations of (a, b, c, d), accepted and rejected steps).  :meth:`mu`
+    reads (mu, mu') off one point, the pair ``closed_form_mu`` returns.  A
+    read may extend a Flow, so it is mutable and not for sharing between
+    threads."""
+
+    def __init__(self, tc: TimeCoefficients):
+        self.tc = tc
         self._coefficients = (tc.a, tc.b, tc.c, tc.d)
-        # the step points keep the window's sign: |t| orders them
-        self._keys = [abs(t) for t in ts]
+        self._sides = {d: _Side(d) for d in (1.0, -1.0)}
+        # the first caustic once found, and the first step not yet searched
+        self._caustic, self._caustic_from = None, 1
+
+    @property
+    def t(self) -> list:
+        return self._sides[-1.0].t[:0:-1] + self._sides[1.0].t
+
+    @property
+    def steps(self) -> list:
+        return self._sides[-1.0].steps[:0:-1] + self._sides[1.0].steps
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.t) - 1
+
+    @property
+    def n_rejected(self) -> int:
+        return sum(side.n_rejected for side in self._sides.values())
+
+    @property
+    def nfev(self) -> int:
+        # and one read at t = 0 by each side that has stepped, to size it
+        return EVALS_PER_STEP * (self.n_steps + self.n_rejected) + sum(
+            len(side.t) > 1 for side in self._sides.values())
 
     def at(self, t: float) -> FlowPoint:
-        """The flow at t, one sub-step from the step point before t."""
-        if not min(0.0, self.t_end) <= t <= max(0.0, self.t_end):
-            raise ValidationError("t lies outside the solved window",
-                                  t=t, t_end=self.t_end)
+        """The flow at t, one sub-step from the step point before t, which a
+        t past the side's last step point solves for first; ValidationError
+        for a t that is not finite, SingularCoefficient where [0, t] reaches
+        t_singular."""
         t = float(t)
-        k = bisect_right(self._keys, abs(t)) - 1
-        t_k = self.t[k]
+        if not math.isfinite(t):
+            raise ValidationError("t must be finite", t=t)
+        self.tc.require_window(0.0, t)
+        side = self._sides[math.copysign(1.0, t)]
+        ts, keys, steps = side.t, side.keys, side.steps
+        while keys[-1] < abs(t):
+            t_k, y, side.h, rejected = solve_ivp(
+                self._coefficients, self.tc.t_singular, ts[-1], steps[-1],
+                side.h, len(ts) - 1, side.n_rejected)
+            side.n_rejected += rejected
+            ts.append(t_k)
+            keys.append(abs(t_k))
+            steps.append(FlowPoint._make(y))
+        k = bisect_right(keys, abs(t)) - 1
+        t_k = ts[k]
         if t == t_k:
-            return self.steps[k]
+            return steps[k]
         return FlowPoint._make(
-            magnus_step(self._coefficients, t_k, self.steps[k], t - t_k))
+            magnus_step(self._coefficients, t_k, steps[k], t - t_k))
 
     def mu(self, t: float) -> tuple[float, float]:
         return _mu(self.tc, t, self.at(t))[:2]
 
-    def _first_zero(self, g, start: int):
-        """The first step interval, from step ``start`` on, at whose first
-        point g of the FlowPoint is zero or over which it changes sign, and
-        the zero's bracket in it narrowed on the dense output; the two as
-        ([t0, t1], [lo, hi]) in increasing time order, or None."""
-        g_k = [g(p) for p in self.steps]
-        k = next((k for k in range(start, len(g_k) - 1)
-                  if g_k[k] == 0.0 or g_k[k] * g_k[k + 1] < 0.0), None)
-        if k is None:
-            return None
-        ends = self.t[k], self.t[k + 1]
-        bracket = bracket_sign_change(lambda t: g(self.at(t)), *ends)
-        return sorted(ends), sorted(bracket)
+    def _first_zero(self, g, t_end: float, start: int = 0):
+        """The first zero on [0, t_end] of g of the FlowPoint, searched from
+        step ``start`` of the side of t_end among the step points reached:
+        the step interval at whose first point g is zero or over which it
+        changes sign, and the zero's bracket in it narrowed on the dense
+        output; the two as ([t0, t1], [lo, hi]) in increasing time order,
+        or None."""
+        side = self._sides[math.copysign(1.0, t_end)]
+        for k in range(start, len(side.t) - 1):
+            if side.keys[k] >= abs(t_end):
+                return None
+            g0, g1 = g(side.steps[k]), g(side.steps[k + 1])
+            if g0 == 0.0 or g0 * g1 < 0.0:
+                ends = side.t[k], side.t[k + 1]
+                bracket = sorted(bracket_sign_change(
+                    lambda t: g(self.at(t)), *ends))
+                return (sorted(ends), bracket) if abs(
+                    bracket[0]) <= abs(t_end) else None
+        return None
 
-    @cached_property
+    @property
     def first_caustic(self):
-        """The bracket of the first zero of mu on the window after t = 0,
-        in increasing time order, or None."""
-        # M12 has the sign of mu and vanishes at step 0
-        hit = self._first_zero(lambda p: p.m12, 1)
-        if hit is None:
-            return None
-        # widen the zero of the dense output by a margin that holds the
-        # exact zero too, on the zero's own time scale
-        (c0, c1), (lo, hi) = hit
-        pad = math.sqrt(FLOW_TOL) * max(abs(lo), abs(hi))
-        return max(c0, lo - pad), min(c1, hi + pad)
+        """The bracket of the first zero of mu after t = 0 among the step
+        points reached so far, in increasing time order, or None."""
+        forward = self._sides[1.0].t
+        if self._caustic is None and self._caustic_from < len(forward) - 1:
+            # M12 has the sign of mu and vanishes at step 0
+            hit = self._first_zero(lambda p: p.m12, forward[-1],
+                                   self._caustic_from)
+            self._caustic_from = len(forward) - 1
+            if hit is not None:
+                # widen the zero of the dense output by a margin that holds
+                # the exact zero too, on the zero's own time scale
+                (c0, c1), (lo, hi) = hit
+                pad = math.sqrt(FLOW_TOL) * max(abs(lo), abs(hi))
+                self._caustic = max(c0, lo - pad), min(c1, hi + pad)
+        return self._caustic
 
 
-def classical_flow(tc: TimeCoefficients, t_end: float) -> Flow:
-    """Integrate (M11, M12, M21, M22, I) on [0, t_end] (either direction)
-    with dense output."""
-    if not math.isfinite(t_end):
-        raise ValidationError("the window must be finite", t_end=t_end)
-    tc.require_window(0.0, t_end)
-    return Flow(tc, *solve_ivp((tc.a, tc.b, tc.c, tc.d), t_end))
+def classical_flow(tc: TimeCoefficients) -> Flow:
+    """The classical flow (M11, M12, M21, M22, I) of ``tc`` from t = 0, with
+    dense output; nothing is solved until it is read."""
+    return Flow(tc)
 
 
 def solve_characteristic(tc: TimeCoefficients, t_end: float) -> Flow:
-    """The classical flow of the kernel on [0, t_end]."""
+    """The classical flow of the kernel, refused on a window (0, t_end]
+    that is empty, not finite, or reaches t_max or t_singular."""
     if not 0 < t_end < math.inf:
         raise ValidationError("t_end must be positive and finite", t_end=t_end)
     if t_end >= tc.t_max:
         raise SingularCoefficient("t_end reaches the coefficient limit t_max",
                                   t_end=t_end, t_max=tc.t_max)
-    return classical_flow(tc, t_end)
+    tc.require_window(0.0, t_end)
+    return classical_flow(tc)
 
 
 def closed_form_mu(spec: ModelSpec, t: float) -> tuple[float, float]:
@@ -198,18 +253,18 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
     matrix of ``flow`` and its coefficients (``tc`` is not read).
 
-    Raises CausticEncountered inside the caustic band at t or where mu
-    changes sign before it, and ValidationError past the solved window.
+    Raises CausticEncountered inside the caustic band at t or, outside it,
+    where mu changes sign before t, and the refusals of :meth:`Flow.at`.
     """
     if not (t > 0):
         raise CausticEncountered("kernel is singular at t = 0", t=t)
     p = flow.at(t)
+    mu, mu_prime, h = _mu(flow.tc, t, p)
+    _served(t, mu, mu_prime)
     caustic = flow.first_caustic
     if caustic is not None and caustic[0] < t:
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
-    mu, mu_prime, h = _mu(flow.tc, t, p)
-    _served(t, mu, mu_prime)
     return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,
                             alpha=p.m22 / (2.0 * p.m12), beta=-1.0 / p.m12,
                             gamma=p.m11 / (2.0 * p.m12))

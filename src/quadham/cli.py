@@ -75,7 +75,8 @@ def _spec_from(args):
 
 
 def _kernel_flow(spec, t_end):
-    """The classical flow of the kernel of ``spec`` on [0, t_end]."""
+    """The classical flow of the kernel of ``spec``, refused by
+    ``solve_characteristic`` where its window (0, t_end] is."""
     return quadham.characteristic.solve_characteristic(
         quadham.coefficients.builtin_coefficients(spec), t_end)
 
@@ -166,7 +167,7 @@ def cmd_moments(args):
     dyn = quadham.dynamics
     spec, m0 = _spec_from(args), _moment_start(args)
     flow = quadham.characteristic.classical_flow(
-        quadham.coefficients.builtin_coefficients(spec), args.t_end)
+        quadham.coefficients.builtin_coefficients(spec))
     path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
     # p2, x2, pxxp and the norm 1 per unit <1>, each times <1>
     rows = [(t, *map(raw(t), path(t)))
@@ -175,19 +176,17 @@ def cmd_moments(args):
     return 0
 
 
-def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
+def _invariant_drift(spec, m0, flow, t_end, t_start, samples):
     """E(0) of the catalogued invariant E and max |E(t) - E(0)| / |E(0)|
     over t in linspace(t_start, t_end, samples), E(t) from the second
     moments flowed from m0 at <1>_0 = 1 on ``flow``, the flow of the
-    invariant's H on [0, t_end], which is solved here if it is None."""
+    invariant's H, which is read only once E(0) has passed the
+    cancellation check."""
     inv, dyn = quadham.invariants, quadham.dynamics
 
     def pairs():
         yield inv.energy_operator_catalog(spec, 0.0), m0
-        # solved only once E(0) has passed the cancellation check
-        cat = flow or quadham.characteristic.classical_flow(
-            quadham.coefficients.catalog_coefficients(spec), t_end)
-        path, raw = dyn.evolve_second_moments(cat, m0), dyn.evolve_raw(cat)
+        path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
         for t in _linspace(t_start, t_end, samples):
             yield (inv.energy_operator_catalog(spec, t),
                    dyn.SecondMoments(*map(raw(t), path(t))))
@@ -197,7 +196,9 @@ def _invariant_drift(spec, m0, t_end, t_start, samples, flow=None):
 
 def cmd_invariant(args):
     spec, m0 = _spec_from(args), _moment_start(args)
-    ref, drift = _invariant_drift(spec, m0, args.t_end,
+    flow = quadham.characteristic.classical_flow(
+        quadham.coefficients.catalog_coefficients(spec))
+    ref, drift = _invariant_drift(spec, m0, flow, args.t_end,
                                   args.t_end / args.samples, args.samples)
     qio.write_json(args.out, {"model": spec.model_id, "t_end": args.t_end,
                               "reference": ref, "drift": drift})
@@ -227,7 +228,7 @@ def _uncertainty(flow, c0, t_end, samples):
 def cmd_uncertainty(args):
     spec = _spec_from(args)
     flow = quadham.characteristic.classical_flow(
-        quadham.coefficients.builtin_coefficients(spec), args.t_end)
+        quadham.coefficients.builtin_coefficients(spec))
     # the raw columns: variances times <1>, the margin times <1>^2
     rows = [(t, raw(u["dp2"]), raw(u["dx2"]), raw(raw(u["margin"])),
              u["excess"])
@@ -250,7 +251,8 @@ def _verify_one(model_id: str, budget: str):
     spec = quadham.coefficients.ModelSpec(model_id, omega0=1.3, lam=0.35,
                                           mu_param=0.1, delta=0.6)
     # one flow for the kernel on (0, 1.2] and the moments on [0, 1.5]
-    flow = _kernel_flow(spec, 1.5)
+    flow = chr_mod.classical_flow(
+        quadham.coefficients.builtin_coefficients(spec))
     n_kernel = 5 if budget == "quick" else 20
     # alpha, beta and gamma, the last three fields
     err = _max_rel_err(z for t in _linspace(1.2 / n_kernel, 1.2, n_kernel)
@@ -261,9 +263,9 @@ def _verify_one(model_id: str, budget: str):
 
     cat_h = spec.model.invariant_hamiltonian  # H's own but in cj_coordinate
     cat = flow if cat_h == spec.model.hamiltonian else chr_mod.classical_flow(
-        quadham.coefficients.catalog_coefficients(spec), 1.5)
+        quadham.coefficients.catalog_coefficients(spec))
     _, drift = _invariant_drift(
-        spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), 1.5, 0.1, 8, cat)
+        spec, dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2), cat, 1.5, 0.1, 8)
     yield f"invariant {model_id}", drift <= 1e-8, f"drift {drift:.2e}"
 
     # coherent initial data, centred: variances 1/2, zero covariance
@@ -480,6 +482,10 @@ def _check_args(args):
                               p2=args.p2, x2=args.x2, pxxp=args.pxxp,
                               x_mean=getattr(args, "x_mean", 0.0),
                               p_mean=getattr(args, "p_mean", 0.0))
+    # the flows of these three meet a window that is not finite only at a
+    # read, as a nan time where the window is infinite
+    if not math.isfinite(args.t_end):
+        raise ValidationError("the window must be finite", t_end=args.t_end)
 
 
 def _jsonable(value):

@@ -66,8 +66,8 @@ def _finite(t: float, *values: float):
 
 def evolve_second_moments(flow: quadham.characteristic.Flow,
                           m0: SecondMoments):
-    """Second moments per unit <1> on the window of ``flow``; returns
-    t -> SecondMoments with norm 1."""
+    """Second moments per unit <1> on ``flow``; returns t -> SecondMoments
+    with norm 1."""
     congruence = quadham.characteristic._congruence
     s0 = _per_unit(m0.norm, m0.x2, 0.5 * m0.pxxp, m0.p2)
 
@@ -81,8 +81,8 @@ def evolve_second_moments(flow: quadham.characteristic.Flow,
 
 def evolve_first_moments(flow: quadham.characteristic.Flow,
                          fm0: FirstMoments):
-    """<x> and <p> per unit <1> on the window of ``flow`` from fm0 per
-    unit <1>_0; raw, d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
+    """<x> and <p> per unit <1> on ``flow`` from fm0 per unit <1>_0;
+    raw, d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
     x0, p0 = fm0
 
     def path(t: float) -> FirstMoments:
@@ -94,7 +94,7 @@ def evolve_first_moments(flow: quadham.characteristic.Flow,
 
 
 def evolve_norm(flow: quadham.characteristic.Flow, norm0: float = 1.0):
-    """t -> <1> = e^{-I} norm0 on the window of ``flow``."""
+    """t -> <1> = e^{-I} norm0 on ``flow``."""
     raw = evolve_raw(flow)
     return lambda t: _finite(t, raw(t)(norm0))[0]
 
@@ -137,10 +137,10 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
                                  m0: SecondMoments,
                                  flow: quadham.characteristic.Flow):
     """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
-    on the window of ``flow``, the flow of ``catalog_coefficients(spec)``,
-    from the moments flowed from m0 on it, each weighed by
-    :func:`evolve_raw`; NoClosedForm for a model without one and
-    NumericalError where E is not finite.  For ``cj_coordinate`` E solves
+    on ``flow``, the flow of ``catalog_coefficients(spec)``, from the
+    moments flowed from m0 on it, each weighed by :func:`evolve_raw`;
+    NoClosedForm for a model without one and NumericalError where E is not
+    finite.  For ``cj_coordinate`` E solves
 
         y'' - (4 lambda / sinh(2 lambda t)) y' +
             2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0,

@@ -91,7 +91,7 @@ def solve_energy_system(flow: Flow, init):
     e^I M^{-T} Q_0 M^{-1} and C - D = e^I (C_0 - D_0).  For self-adjoint
     data (c = d, C = D) this is the familiar three-component system.
     ``init`` is (A0, B0, C0, D0).  Returns a callable t -> QuadraticForm on
-    the window of ``flow``.
+    ``flow``.
     """
     A0, B0, C0, D0 = init
     q0 = (B0, 0.5 * (C0 + D0), A0)
@@ -148,7 +148,8 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
     Returns (kappa_fn, c0) as :func:`superpose_linear_solutions` does; the
     :func:`general_invariant` of it on H's flow is the Lewis-Riesenfeld
     invariant (J. Math. Phys. 10 (1969) 1458).  Raises KappaCollapse where
-    kappa falls to 1e-8, which needs c0 <= 0 (else the form is definite).
+    kappa falls to 1e-8 on [0, t_end], which needs c0 <= 0 (else the form
+    is definite).
     """
     kappa0, kappa0p = init
     if not (kappa0 > 0):
@@ -156,7 +157,7 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
     zero = lambda t: 0.0
     tc = TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                           zero, zero, da=zero, dc=zero, dd=zero)
-    flow = classical_flow(tc, t_end)
+    flow = classical_flow(tc)
     ratio = c0 / kappa0 ** 2
     if c0 <= 0.0:
         def guard(p):
@@ -164,10 +165,11 @@ def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
             ell = kappa0 * p.m11 + kappa0p * p.m12
             return ell * abs(ell) + ratio * p.m12 ** 2 - _COLLAPSE ** 2
 
-        if guard(flow.steps[0]) <= 0.0:
+        if guard(flow.at(0.0)) <= 0.0:
             # kappa(0) is inside the guard
             raise KappaCollapse("kappa reached the collapse guard", t=0.0)
-        hit = flow._first_zero(guard, 0)
+        flow.at(t_end)
+        hit = flow._first_zero(guard, t_end)
         if hit is not None:
             # the end of the bracket past the zero
             raise KappaCollapse("kappa reached the collapse guard",
@@ -268,7 +270,7 @@ def solve_linear_auxiliary(flow: Flow, init):
         Q = 4ab + (a'/a - c - d)(c + d) - c' - d',
 
     from init = (mu(0), mu'(0)) and return a callable t -> (mu, mu') on
-    the window of ``flow``.  mu is the position row of the flow applied to
+    ``flow``.  mu is the position row of the flow applied to
     (mu_0, p_0), p_0 = (mu_0' - (c + d) mu_0) / (2a), and
     mu' = 2a p + (c + d) mu.
     """

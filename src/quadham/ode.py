@@ -159,68 +159,68 @@ def magnus_step(coefficients, t, y, h):
     return _advance(_exponent(coefficients, t, h), y)
 
 
-def solve_ivp(coefficients, t_end):
-    """The flow (M, I) of the coefficients (a, b, c, d) of H from M = 1,
-    I = 0 at t = 0 to t_end (either direction), each step's error held to
-    FLOW_TOL.  Returns the accepted step points, the row (M11, M12, M21,
-    M22, I) at each as a list of floats, and the count of rejected steps.
+def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected):
+    """The next step of one side of the flow (M, I) of the coefficients
+    (a, b, c, d) of H from M = 1, I = 0 at t = 0, continued from the side's
+    last accepted step point t, its row y = (M11, M12, M21, M22, I) and h,
+    the signed size of its next try (a zero of the side's sign at t = 0,
+    where the try is sized from A(0)); n_steps and n_rejected count the
+    side's tries so far.  Returns the new (t, y, h) and the count of tries
+    rejected on the way.  Each step's error is held to FLOW_TOL, no step is
+    clipped to a requested time, and none crosses t_singular (nan for none),
+    so the step points depend on H alone.
 
     Raises SingularCoefficient where a coefficient fails at a node (see
     :func:`read`), and ToleranceNotMet when the step size falls below ten
-    ulp of t or after MAX_STEPS attempted steps.
+    ulp of t or after MAX_STEPS tries of the side.
     """
-    t_bound = float(t_end)
-    direction = 1.0 if t_bound >= 0.0 else -1.0
-    t, y = 0.0, [1.0, 0.0, 0.0, 1.0, 0.0]
-    ts, ys = [t], [y]
-    n_rejected = 0
-    # the first attempt spans the window; the controller shrinks it
-    h_abs = abs(t_bound)
-    while direction * (t - t_bound) < 0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise ToleranceNotMet(
-                    "required step size is below the spacing of "
-                    "floating-point numbers", t=t, h=float(h_abs))
-            if len(ts) - 1 + n_rejected >= MAX_STEPS:
-                raise ToleranceNotMet(
-                    "the solve used up its step budget", t=t,
-                    steps=len(ts) - 1, rejected=n_rejected,
-                    nfev=EVALS_PER_STEP * (len(ts) - 1 + n_rejected))
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            t_half = t + 0.5 * h
-            w = _exponent(coefficients, t, h)
-            first = _exponent(coefficients, t, t_half - t)
-            second = _exponent(coefficients, t_half, t_new - t_half)
-            one = _advance(w, y)
-            y_new = _advance(second, _advance(first, y))
-            m11, m12, m21, m22, _ = y_new
-            # the one-step error against FLOW_TOL, then the turn, capped
-            # short of overflow, against a quarter turn on the same scale;
-            # sums, so that an exponent that overflows makes the ratio nan
-            err = ((abs(one[0] - m11) + abs(one[1] - m12)
-                    + abs(one[2] - m21) + abs(one[3] - m22))
-                   / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
-                   + abs(w[3] - first[3] - second[3])) / FLOW_TOL
-            turn = min(abs(w[0] * w[0] + w[1] * w[2]) / _QUARTER_TURN, 1e80)
-            ratio = max(err, turn ** 3.5)
-            if ratio <= 1.0:
-                factor = _MAX_FACTOR if ratio == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * ratio ** _EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            # max keeps the smallest factor when the ratio is nan
-            h_abs *= max(_MIN_FACTOR, _SAFETY * ratio ** _EXPONENT)
-            rejected = True
-            n_rejected += 1
-        t, y = t_new, y_new
-        ts.append(t)
-        ys.append(y)
-    return ts, ys, n_rejected
+    direction, h_abs = math.copysign(1.0, h), abs(h)
+    if h_abs == 0.0:
+        # as in Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4, without
+        # their second read of A: f is the largest entry of A(0) and of I'
+        a, b, c, d = read(coefficients, t)
+        f = max(abs(c + d), 2.0 * abs(a), 2.0 * abs(b), abs(c - d))
+        h_abs = (min(1.0 / f, (0.01 * FLOW_TOL / f) ** (1.0 / 7.0)) if f
+                 else 1e-6)
+    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+    h_abs = max(h_abs, min_step)
+    rejected = 0
+    while True:
+        if h_abs < min_step:
+            raise ToleranceNotMet(
+                "required step size is below the spacing of "
+                "floating-point numbers", t=t, h=float(h_abs))
+        if n_steps + n_rejected + rejected >= MAX_STEPS:
+            raise ToleranceNotMet(
+                "the solve used up its step budget", t=t, steps=n_steps,
+                rejected=n_rejected + rejected,
+                nfev=EVALS_PER_STEP * (n_steps + n_rejected + rejected) + 1)
+        t_new = t + h_abs * direction
+        if 0.0 < direction * t_singular < direction * t_new:
+            t_new = t_singular
+        h = t_new - t
+        h_abs = abs(h)
+        t_half = t + 0.5 * h
+        w = _exponent(coefficients, t, h)
+        first = _exponent(coefficients, t, t_half - t)
+        second = _exponent(coefficients, t_half, t_new - t_half)
+        one = _advance(w, y)
+        y_new = _advance(second, _advance(first, y))
+        m11, m12, m21, m22, _ = y_new
+        # the one-step error against FLOW_TOL, then the turn, capped short
+        # of overflow, against a quarter turn on the same scale; sums, so
+        # that an exponent that overflows makes the ratio nan
+        err = ((abs(one[0] - m11) + abs(one[1] - m12)
+                + abs(one[2] - m21) + abs(one[3] - m22))
+               / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
+               + abs(w[3] - first[3] - second[3])) / FLOW_TOL
+        turn = min(abs(w[0] * w[0] + w[1] * w[2]) / _QUARTER_TURN, 1e80)
+        ratio = max(err, turn ** 3.5)
+        if ratio <= 1.0:
+            factor = _MAX_FACTOR if ratio == 0.0 else min(
+                _MAX_FACTOR, _SAFETY * ratio ** _EXPONENT)
+            h_abs *= min(1.0, factor) if rejected else factor
+            return t_new, y_new, direction * h_abs, rejected
+        # max keeps the smallest factor when the ratio is nan
+        h_abs *= max(_MIN_FACTOR, _SAFETY * ratio ** _EXPONENT)
+        rejected += 1

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -5,19 +6,27 @@ import pytest
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The spans of every classical-flow solve made while the test runs
-    (``classical_flow``'s ``solve_ivp`` call is the package's only one)."""
+    """The step points of each side of a classical flow that stepped while
+    the test runs, one growing list per side (``Flow.at`` makes the
+    package's only solve_ivp call, one step at a time; a side that is never
+    read past t = 0 takes no step and is not listed)."""
     from quadham import characteristic
 
-    spans = []
+    sides, current = [], {}
     solve = characteristic.solve_ivp
 
-    def counting(fun, t_end):
-        spans.append((0.0, t_end))
-        return solve(fun, t_end)
+    def counting(coefficients, t_singular, t, y, h, *work):
+        step = solve(coefficients, t_singular, t, y, h, *work)
+        # a side's first step starts from t = 0
+        key = id(coefficients), math.copysign(1.0, h)
+        if t == 0.0:
+            current[key] = []
+            sides.append(current[key])
+        current[key].append(step[0])
+        return step
 
     monkeypatch.setattr(characteristic, "solve_ivp", counting)
-    return spans
+    return sides
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

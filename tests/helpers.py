@@ -20,10 +20,11 @@ from quadham.coefficients import builtin_coefficients
 
 
 def solve_kernel(spec, horizon):
-    """H's record, its flow on [0, horizon] and the map from t to the
+    """H's record, its flow read to horizon and the map from t to the
     kernel parameters on that flow."""
     tc = builtin_coefficients(spec)
-    flow = classical_flow(tc, horizon)
+    flow = classical_flow(tc)
+    flow.at(horizon)
     return tc, flow, lambda t: kernel_parameters(tc, flow, t)
 
 

@@ -111,7 +111,7 @@ def test_criterion_03_invariant_conservation():
         worst_grid = max(worst_grid, gridsim.invariant_drift(ev, form))
 
         m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1)
-        flow = classical_flow(tc, 2.0)
+        flow = classical_flow(tc)
         path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
         ref = form(0.0).expectation(m0.p2, m0.x2, m0.pxxp)
         # the raw moments: per unit <1> times <1>
@@ -133,7 +133,7 @@ def test_criterion_04_elementary_and_superposed_invariants():
     res = max(auxiliary_residual(tc, mu_fn, C0, float(t))
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
-    flow = classical_flow(tc, 2.1)
+    flow = classical_flow(tc)
     for t in (0.0, 0.9, 2.1):
         got = inv.general_invariant(flow, mu_fn, C0, t)
         ref = inv.energy_operator_catalog(UNITED, t)
@@ -165,7 +165,7 @@ def test_criterion_05_energy_expectation_closed_forms():
     worst = 0.0
     for spec in (CK, coeff.ModelSpec(coeff.MODIFIED_CK, 1.0, 0.1),
                  UNITED, coeff.ModelSpec(coeff.MODIFIED_OSCILLATOR)):
-        flow = classical_flow(coeff.catalog_coefficients(spec), 3.0)
+        flow = classical_flow(coeff.catalog_coefficients(spec))
         path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
         for t in np.linspace(0.2, 3.0, 11):
             m = dyn.SecondMoments(*map(raw(float(t)), path(float(t))))
@@ -174,7 +174,7 @@ def test_criterion_05_energy_expectation_closed_forms():
             ref = dyn.closed_form_expectation(spec, m0, float(t))
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     tc = coeff.catalog_coefficients(CJ)
-    y = dyn.damped_energy_equation_solve(CJ, m0_even, classical_flow(tc, 5.0))
+    y = dyn.damped_energy_equation_solve(CJ, m0_even, classical_flow(tc))
     worst_cj = 0.0
     for t in np.concatenate(([0.01, 0.05], np.linspace(0.2, 5.0, 25))):
         ref = dyn.closed_form_expectation(CJ, m0_even, float(t))
@@ -211,7 +211,7 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     for spec in (UNITED, CJ):
         tc = coeff.builtin_coefficients(spec)
         fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(0.9, 0.4))
-        flow = classical_flow(tc, 4.0)
+        flow = classical_flow(tc)
         path, raw = dyn.evolve_first_moments(flow, fm0), dyn.evolve_raw(flow)
         for t in np.linspace(0.0, 4.0, 17):
             ref = spec.closed_form("mean_position")(0.9, 0.4, float(t))
@@ -231,7 +231,7 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
     worst_margin = 0.0
     for spec in (CK, UNITED, CJ):
         tc = coeff.builtin_coefficients(spec)
-        path = dyn.evolve_second_moments(classical_flow(tc, 3.0), c0)
+        path = dyn.evolve_second_moments(classical_flow(tc), c0)
         worst_margin = min(worst_margin, min(
             dyn.uncertainty_check(path(float(t)))["margin"]
             for t in np.linspace(0.0, 3.0, 13)))
@@ -248,12 +248,12 @@ def test_criterion_08_ladder_algebra():
     worst_c = 0.0
     worst_rec = 0.0
     cases = []
-    flow_u = classical_flow(coeff.builtin_coefficients(UNITED), 2.5)
+    flow_u = classical_flow(coeff.builtin_coefficients(UNITED))
     cases.append((flow_u, UNITED.closed_form("invariant_mu"),
                   UNITED.closed_form("invariant_c0")))
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec)
-        flow = classical_flow(tc, 2.5)
+        flow = classical_flow(tc)
         u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
         v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
         mu_fn, c0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
@@ -279,7 +279,7 @@ def test_criterion_09_three_way_oracle_cross_check():
     worst = 0.0
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec)
-        path = classical_flow(tc, 0.7)
+        path = classical_flow(tc)
         kp = chr_mod.kernel_parameters(tc, path, 0.5)
         s0 = prop.GaussianState(Lambda=0.5j, Theta=0.2)
         psi0 = grid_gaussian(s0, 12.0)

@@ -31,7 +31,7 @@ ALL_MODELS = [
 def test_ck_mu_closed_form():
     # damped oscillator: mu = (omega0/omega) e^{-lambda t} sin(omega t)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, omega0=1.0, lam=0.1)
-    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.2)
+    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
     w = math.sqrt(0.99)
     expected = (1.0 / w) * math.exp(-0.1) * math.sin(w)
     assert path.mu(1.0)[0] == pytest.approx(expected, rel=1e-8)
@@ -41,7 +41,7 @@ def test_cj_mu_closed_form():
     # mu = sin(omega t) / (omega cosh(lambda t))
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, omega0=1.0, lam=0.2)
     w = math.sqrt(1.0 - 0.04)
-    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.0)
+    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
     t = 0.8
     assert path.mu(t)[0] == pytest.approx(
         math.sin(w * t) / (w * math.cosh(0.2 * t)), rel=1e-8)
@@ -55,7 +55,7 @@ def test_cj_momentum_mu_closed_form():
     expected = (0.2 * math.cos(w * t) * math.sinh(0.2 * t)
                 + w * math.sin(w * t) * math.cosh(0.2 * t)) / 1.0
     assert mu == pytest.approx(expected, rel=1e-12)
-    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 1.0)
+    path = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
     assert path.mu(t)[0] == pytest.approx(expected, rel=1e-8)
 
 
@@ -78,7 +78,7 @@ def test_sech2_initial_data():
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_initial_slope_is_2a0(spec):
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 0.5)
+    path = chr_mod.classical_flow(tc)
     # mu(eps)/eps carries an O(eps) term; one Richardson step removes it
     eps = 1e-4
     f1 = path.mu(eps)[0] / eps
@@ -91,7 +91,8 @@ def test_mu_and_the_kernel_read_one_flow_point(monkeypatch):
     # one e^I, the pair that closed_form_mu returns
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.UNITED, 1.0, 0.3,
                                                     0.1))
-    flow = chr_mod.classical_flow(tc, 1.0)
+    flow = chr_mod.classical_flow(tc)
+    flow.at(1.0)
     assert flow.first_caustic is None
     calls = {"at": 0, "weight": 0}
 
@@ -114,7 +115,7 @@ def test_mu_and_the_kernel_read_one_flow_point(monkeypatch):
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_mu_matches_closed_form_on_window(spec):
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 1.3)
+    path = chr_mod.classical_flow(tc)
     for t in np.linspace(0.05, 1.3, 15):
         mu_ref, mup_ref = chr_mod.closed_form_mu(spec, float(t))
         mu, mup = path.mu(float(t))
@@ -126,7 +127,7 @@ def test_mu_matches_closed_form_on_window(spec):
 def test_kernel_identities(spec):
     # beta mu + h = 0 and h(0+) -> 1
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 1.2)
+    path = chr_mod.classical_flow(tc)
     for t in (0.3, 0.9):
         kp = chr_mod.kernel_parameters(tc, path, t)
         assert abs(kp.beta * kp.mu + kp.h) <= 1e-12 * max(1.0, abs(kp.h))
@@ -139,7 +140,7 @@ def test_kernel_identities(spec):
 def test_simple_harmonic_quarter_period():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, omega0=1.0)
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 1.0)
+    path = chr_mod.classical_flow(tc)
     kp = chr_mod.kernel_parameters(tc, path, math.pi / 4)
     assert kp.alpha == pytest.approx(0.5 / math.tan(math.pi / 4), rel=1e-8)
     assert kp.gamma == pytest.approx(kp.alpha, rel=1e-8)
@@ -152,7 +153,7 @@ def test_ck_kernel_vs_printed_forms():
     w = math.sqrt(w0 * w0 - lam * lam)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, w0, lam)
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 1.0)
+    path = chr_mod.classical_flow(tc)
     t = 0.5
     kp = chr_mod.kernel_parameters(tc, path, t)
     s, c = math.sin(w * t), math.cos(w * t)
@@ -169,7 +170,7 @@ def test_united_kernel_vs_printed_forms():
     w = math.sqrt(w0 * w0 - (lam - mu_p) ** 2)
     spec = coeff.ModelSpec(coeff.UNITED, w0, lam, mu_p)
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 0.8)
+    path = chr_mod.classical_flow(tc)
     t = 0.4
     kp = chr_mod.kernel_parameters(tc, path, t)
     ref = chr_mod.closed_form_kernel(spec, t)
@@ -185,7 +186,8 @@ def test_united_kernel_vs_printed_forms():
 @pytest.mark.parametrize("spec", ALL_MODELS, ids=lambda s: s.model_id)
 def test_assembled_kernel_matches_closed_form(spec):
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 1.3)
+    path = chr_mod.classical_flow(tc)
+    path.at(1.3)
     caustic = path.first_caustic
     hi = 1.3 if caustic is None else min(1.3, 0.9 * caustic[0])
     for t in np.linspace(hi / 12, hi, 12):
@@ -204,7 +206,8 @@ def test_equal_cross_terms_give_no_integral(spec):
     # c = d: I' = c - d vanishes at every node, so I is exactly 0 and
     # h = e^I exactly 1
     tc = coeff.builtin_coefficients(spec)
-    flow = chr_mod.classical_flow(tc, 1.5)
+    flow = chr_mod.classical_flow(tc)
+    flow.at(1.5)
     assert len(flow.steps) > 10
     assert all(p.i == 0.0 for p in flow.steps)
     for t in flow.t[1:]:
@@ -215,7 +218,7 @@ def test_gamma_internal_consistency():
     # gamma - d0/(2 a0) - a h^2/(mu mu') equals the quadrature tail
     spec = coeff.ModelSpec(coeff.MODIFIED_CK, 1.2, 0.3)
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 1.0)
+    path = chr_mod.classical_flow(tc)
     t = 0.7
     kp = chr_mod.kernel_parameters(tc, path, t)
     lead = tc.a(t) * kp.h ** 2 / (kp.mu * kp.mu_prime) \
@@ -236,7 +239,7 @@ def test_gamma_continues_past_mu_prime_zero(spec, window, t):
     # gamma must match the closed form past a zero of mu' and just before
     # one, where a form of gamma weighted by 1/mu'^2 loses its accuracy
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, window)
+    path = chr_mod.classical_flow(tc)
     kp = chr_mod.kernel_parameters(tc, path, t)
     ref = chr_mod.closed_form_kernel(spec, t)
     # gamma is 4e-5 in the second case: an absolute floor at the solver
@@ -248,7 +251,8 @@ def test_gamma_continues_past_mu_prime_zero(spec, window, t):
 def test_caustic_is_detected():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 4.0)
+    path = chr_mod.classical_flow(tc)
+    path.at(4.0)
     lo, hi = path.first_caustic
     assert lo < math.pi < hi
     assert hi - lo < 0.1
@@ -265,7 +269,7 @@ def test_kernels_refuse_t_at_zero_before_it_and_at_a_caustic(numerical, t):
     # SHO is inside the guard band at pi
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec)
-    path = chr_mod.classical_flow(tc, 4.0)
+    path = chr_mod.classical_flow(tc)
     with pytest.raises(CausticEncountered):
         if numerical:
             chr_mod.kernel_parameters(tc, path, t)
@@ -274,14 +278,17 @@ def test_kernels_refuse_t_at_zero_before_it_and_at_a_caustic(numerical, t):
 
 
 def test_kernel_past_solved_window_is_refused():
-    # the dense output would extrapolate to mu(3.5) = -0.3117 (exact
-    # sin 3.5 = -0.3508) without seeing the caustic at pi
+    # a flow solved to 2 would extrapolate to mu(3.5) = -0.3117 (exact
+    # sin 3.5 = -0.3508) without seeing the caustic at pi; the read
+    # continues the solve instead, and the caustic refuses it
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
                                                     1.0))
-    path = chr_mod.classical_flow(tc, 2.0)
-    with pytest.raises(ValidationError):
+    path = chr_mod.classical_flow(tc)
+    path.at(2.0)
+    with pytest.raises(CausticEncountered) as exc:
         chr_mod.kernel_parameters(tc, path, 3.5)
-    kp = chr_mod.kernel_parameters(tc, path, path.t_end)
+    assert set(exc.value.info) == {"bracket"}
+    kp = chr_mod.kernel_parameters(tc, path, 2.0)
     assert kp.mu == pytest.approx(math.sin(2.0), rel=1e-8)
 
 
@@ -303,14 +310,17 @@ def test_solve_characteristic_refuses_what_the_cli_refuses(spec, t_end,
 
 
 def test_first_caustic_on_a_backward_window():
-    # mu = sin t vanishes at -pi: the bracket is narrowed as on a forward
-    # window and comes in increasing time order
+    # mu = sin t vanishes at -pi: on the backward side the zero is
+    # narrowed as on the forward one, and both come in increasing time
+    # order; the first caustic itself is the kernel's, after t = 0
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
                                                     1.0))
-    flow = chr_mod.classical_flow(tc, -5.0)
-    lo, hi = flow.first_caustic
-    assert lo < -math.pi < hi
-    assert hi - lo <= 2.0 * math.sqrt(chr_mod.FLOW_TOL) * math.pi + 1e-12
+    flow = chr_mod.classical_flow(tc)
+    flow.at(-5.0)
+    (t0, t1), (lo, hi) = flow._first_zero(lambda p: p.m12, -5.0, 1)
+    assert t0 <= lo <= hi <= t1 < 0.0
+    assert abs(lo + math.pi) <= 1e-12 and hi - lo <= 1e-14
+    assert flow.first_caustic is None
 
 
 def test_first_caustic_keeps_its_bits():
@@ -318,9 +328,11 @@ def test_first_caustic_keeps_its_bits():
     # a change to any of them that moves a caustic shows here
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
                                                     1.2))
-    caustic = chr_mod.classical_flow(tc, 5.0).first_caustic
-    assert [t.hex() for t in caustic] == ["0x1.4f1a6a315747ap+1",
-                                          "0x1.4f1a6e95c2c09p+1"]
+    flow = chr_mod.classical_flow(tc)
+    flow.at(5.0)
+    caustic = flow.first_caustic
+    assert [t.hex() for t in caustic] == ["0x1.4f1a6a3157477p+1",
+                                          "0x1.4f1a6e95c2c06p+1"]
 
 
 def _scan_first_caustic(grid, mu):
@@ -337,9 +349,11 @@ class _StubFlow(chr_mod.Flow):
     between, in place of a solve."""
 
     def __init__(self, mu):
-        ts = [float(k) for k in range(len(mu))]
-        super().__init__(coeff.builtin_coefficients(ALL_MODELS[8]), ts,
-                         [[0.0, float(m), 0.0, 0.0, 0.0] for m in mu], 0)
+        super().__init__(coeff.builtin_coefficients(ALL_MODELS[8]))
+        forward = self._sides[1.0]
+        forward.t = forward.keys = [float(k) for k in range(len(mu))]
+        forward.steps = [chr_mod.FlowPoint(0.0, float(m), 0.0, 0.0, 0.0)
+                         for m in mu]
         self.mu = mu
 
     def at(self, t):
@@ -381,7 +395,7 @@ def test_cj_pure_damping_limit():
         b=zero, c=zero, d=zero,
         da=lambda s: -lam * math.tanh(lam * s) / math.cosh(lam * s) ** 2,
         dc=zero, dd=zero)
-    path = chr_mod.classical_flow(tc, 1.0)
+    path = chr_mod.classical_flow(tc)
     kp = chr_mod.kernel_parameters(tc, path, t)
     mu_pure = math.tanh(lam * t) / lam
     assert kp.mu == pytest.approx(mu_pure, rel=1e-8)
@@ -394,7 +408,7 @@ def test_an_overflowing_flow_weight_is_typed(mu_param):
     # e^{-I} (<1>) overflows at t = 3; each was a bare OverflowError.  The
     # moment paths work per unit <1> and serve there
     spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, mu_param)
-    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 3.0)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
     reads = ([flow.mu,
               inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0))]
              if mu_param > 0 else [dyn.evolve_norm(flow)])
@@ -419,8 +433,9 @@ def test_the_caustic_band_does_not_depend_on_the_window():
     tc = coeff.builtin_coefficients(spec)
     ref = chr_mod.closed_form_kernel(spec, 0.005)
     for t_end in (0.01, 3.0):
-        kp = chr_mod.kernel_parameters(
-            tc, chr_mod.classical_flow(tc, t_end), 0.005)
+        flow = chr_mod.classical_flow(tc)
+        flow.at(t_end)
+        kp = chr_mod.kernel_parameters(tc, flow, 0.005)
         for got, want in zip(kp, ref):
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), t_end
 
@@ -433,10 +448,29 @@ def test_a_kernel_by_a_caustic_does_not_depend_on_the_window(t_end):
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec)
     t = math.pi - 1e-6
-    kp = chr_mod.kernel_parameters(tc, chr_mod.classical_flow(tc, t_end), t)
+    flow = chr_mod.classical_flow(tc)
+    flow.at(t_end)
+    kp = chr_mod.kernel_parameters(tc, flow, t)
     ref = chr_mod.closed_form_kernel(spec, t)
     for got, want in zip(kp[4:], ref[4:]):
         assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("first", [None, 5.0], ids=["to_t", "to_5"])
+def test_a_kernel_in_the_band_before_a_caustic_gets_the_band_record(first):
+    # SHO at pi (1 - 5e-8), inside the band before the zero of mu: a flow
+    # read to 5 first found the caustic, whose bracket, padded by
+    # sqrt(FLOW_TOL) t, covers t, and refused it as a sign change before t
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
+                                                    1.0))
+    t = math.pi * (1.0 - 5e-8)
+    flow = chr_mod.classical_flow(tc)
+    if first is not None:
+        flow.at(first)
+        assert flow.first_caustic[0] < t
+    with pytest.raises(CausticEncountered) as exc:
+        chr_mod.kernel_parameters(tc, flow, t)
+    assert set(exc.value.info) == {"t", "mu", "mu_prime"}
 
 
 def test_a_kernel_in_small_units_is_served():
@@ -445,7 +479,7 @@ def test_a_kernel_in_small_units_is_served():
     # absolute band |mu| < 1e-10 at t = 10
     zero = lambda t: 0.0
     tc = coeff.TimeCoefficients(lambda t: 5e-13, zero, zero, zero)
-    kp = chr_mod.kernel_parameters(tc, chr_mod.classical_flow(tc, 10.0), 10.0)
+    kp = chr_mod.kernel_parameters(tc, chr_mod.classical_flow(tc), 10.0)
     assert kp.mu == pytest.approx(1e-11, rel=1e-14)
     assert kp.beta == pytest.approx(-1e11, rel=1e-14)
 
@@ -474,7 +508,7 @@ def _reads(tc, t_end, times, s):
         except QuadhamError as exc:
             return type(exc)
 
-    flow = chr_mod.classical_flow(tc, t_end)
+    flow = chr_mod.classical_flow(tc)
     state = prop.GaussianState(complex(0.1, 0.6) / s ** 2,
                                complex(0.2, -0.1) / s)
     x = np.linspace(-4.0, 4.0, 256)
@@ -518,7 +552,9 @@ def test_the_kernel_readers_do_not_depend_on_the_units(
         t_end = min(t_end, 0.9 * tc.t_singular)
     s, tau = 2.0 ** k, 2.0 ** j
     times = [u * t_end for u in fractions]
-    caustic = chr_mod.classical_flow(tc, t_end).first_caustic
+    flow = chr_mod.classical_flow(tc)
+    flow.at(t_end)
+    caustic = flow.first_caustic
     if caustic is not None:
         # inside the band, where mu is not yet 0
         times.append(0.5 * (caustic[0] + caustic[1]) * (1.0 - 1e-9))

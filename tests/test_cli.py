@@ -392,7 +392,7 @@ def test_raw_columns_keep_their_digits_where_the_norm_is_subnormal(capsys):
     code, out, err = run(capsys, "moments", *flags)
     assert (code, err) == (0, "")
     spec = coeff.ModelSpec("united", 400.0, 0.3, 300.0)
-    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec), 2.6)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
     path = dyn.evolve_second_moments(flow, dyn.SecondMoments(1e300, 1e300))
     rows = list(csv.DictReader(io.StringIO(out)))
     assert float(rows[-1]["p2"]) > 0.0
@@ -888,7 +888,8 @@ def test_uncertainty_solves_one_flow(capsys, solves):
     code, out, err = run(capsys, "uncertainty", "--model", "caldirola_kanai",
                          "--lambda", "0.1", "--t-end", "3.0")
     assert code == 0
-    assert solves == [(0.0, 3.0)]
+    # one side of one flow, solved one step past the window and no further
+    assert [side[-2] < 3.0 <= side[-1] for side in solves] == [True]
 
 
 @pytest.mark.parametrize("budget", ["quick", "full"])
@@ -1119,11 +1120,10 @@ def test_tolerance_not_met_gives_json_record(capsys):
 
 
 def test_singular_coefficient_gives_json_record(capsys, monkeypatch):
-    # with c = d = 1/(2(1 - t)) the drift c + d is 1/(1 - t): the flow's
-    # M11 is 1/(1 - t), which blows up at t = 1, where c and d divide by
-    # zero at the middle node of the first try
+    # c = d = 1/2 divide by zero from t = 1 on, where the first node of a
+    # try past 1 reads them
     zero = lambda t: 0.0
-    rate = lambda t: 0.5 / (1.0 - t)
+    rate = lambda t: 0.5 if t < 1.0 else 0.5 / 0.0
     monkeypatch.setitem(models.MODELS, coeff.SIMPLE_HARMONIC,
                         lambda *params: models.Model(
                             "omega0", "none", 1.0,
@@ -1135,7 +1135,7 @@ def test_singular_coefficient_gives_json_record(capsys, monkeypatch):
     rec = json.loads(err.strip())
     assert rec["type"] == "SingularCoefficient"
     assert rec["module"] == "quadham.ode"
-    assert rec["info"]["t"] == 1.0
+    assert rec["info"]["t"] == float.fromhex("0x1.02e475f15acbfp+0")
 
 
 def test_error_module_under_python_m():
@@ -1290,13 +1290,13 @@ def test_verify_all_quick_single_model(capsys):
 
 
 def test_verify_all_quick_keeps_its_bytes(capsys):
-    # the quick budget's stdout for all ten models, digest taken before
-    # the full budget gained its checks of the paper's constructions; each
-    # model alone prints its own three lines of it
+    # the quick budget's stdout for all ten models, digest taken once the
+    # flow's step points depended on H alone; each model alone prints its
+    # own three lines of it
     code, out, _ = run(capsys, "verify_all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "8b08746b380e9e388aea30320f681f2ebe121513176b614f57a6271d9e38b132")
+        "3985ae80a65413205ca3142afee478591b7eb254bb81c848e101325073ea957f")
     lines = out.splitlines()
     assert len(lines) == 3 * len(coeff.MODEL_IDS)
     for k, model_id in enumerate(coeff.MODEL_IDS):
@@ -1306,19 +1306,19 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
 
 
 def test_verify_all_full_keeps_its_bytes(capsys):
-    # the full budget's stdout for all ten models; without the ehrenfest
-    # and auxiliary lines, digest taken while each model still solved the
-    # catalogued invariant's flow apart from H's; each model alone prints
-    # its own lines of it
+    # the full budget's stdout for all ten models, with and without the
+    # ehrenfest and auxiliary lines, digests taken once the flow's step
+    # points depended on H alone; each model alone prints its own lines
+    # of it
     code, out, _ = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
     lines = out.splitlines()
     older = "".join(f"{ln}\n" for ln in lines
                     if ln.split()[1] not in ("ehrenfest", "auxiliary"))
     assert hashlib.sha256(older.encode()).hexdigest() == (
-        "ecccb75d236f5846a7ae5e7b22c809b848423e41351a3ae046d71cfd6aeddad8")
+        "c0e2132f2dc4a19c1179e39fdf64ea0373f76aa51cf48642f535aac39bbdfb17")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "07a85fcfd58c289bcc0e5a27c7d7c6866cbfd444613fd694ecc7a47f5b3203d5")
+        "02336b3157164518ceddb8a5a3d9ecc67ec28d958aabd3110660c16d092e1e4d")
     assert len(lines) == 58
     for model_id in coeff.MODEL_IDS:
         code, one, _ = run(capsys, "verify_all", "--model", model_id,

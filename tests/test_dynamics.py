@@ -35,7 +35,7 @@ def _tc_for(spec):
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s.model_id)
 def test_closed_form_expectation_vs_moment_ode(spec):
-    flow = classical_flow(_tc_for(spec), 3.0)
+    flow = classical_flow(_tc_for(spec))
     path, raw = dyn.evolve_second_moments(flow, M0), dyn.evolve_raw(flow)
     for t in np.linspace(0.2, 3.0, 11):
         m = dyn.SecondMoments(*map(raw(float(t)), path(float(t))))
@@ -48,7 +48,7 @@ def test_closed_form_expectation_vs_moment_ode(spec):
 def test_cj_closed_form_vs_moment_ode():
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
     tc = _tc_for(spec)
-    path = dyn.evolve_second_moments(classical_flow(tc, 5.0), M0_EVEN)
+    path = dyn.evolve_second_moments(classical_flow(tc), M0_EVEN)
     for t in np.linspace(0.2, 5.0, 13):
         m = path(float(t))
         A, B, C = dyn.reference_operator(spec, float(t))
@@ -66,7 +66,7 @@ def test_cj_closed_form_requires_even_branch():
 def test_cj_energy_equation_vs_closed_form():
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
     y = dyn.damped_energy_equation_solve(
-        spec, M0_EVEN, classical_flow(_tc_for(spec), 5.0))
+        spec, M0_EVEN, classical_flow(_tc_for(spec)))
     for t in np.concatenate(([0.01, 0.05], np.linspace(0.2, 5.0, 25))):
         ref = dyn.closed_form_expectation(spec, M0_EVEN, float(t))
         assert abs(y(float(t)) - ref) <= 1e-6 * max(1.0, abs(ref))
@@ -86,7 +86,7 @@ def test_energy_path_serves_every_reference_operator(solves):
         m0 = M0_EVEN if model_id == coeff.CJ_COORDINATE else M0
         spec = REFERENCE_SPECS.get(model_id) or coeff.ModelSpec(
             model_id, 1.0, 0.2, delta=0.5)
-        flow = classical_flow(_tc_for(spec), 3.0)
+        flow = classical_flow(_tc_for(spec))
         n_solves = len(solves)
         if model_id not in REFERENCE_SPECS:
             with pytest.raises(NoClosedForm):
@@ -120,7 +120,7 @@ def test_mean_position_closed_form_vs_ode(spec):
     tc = coeff.builtin_coefficients(spec)
     amp, phase = 0.9, 0.4
     fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(amp, phase))
-    flow = classical_flow(tc, 4.0)
+    flow = classical_flow(tc)
     path, raw = dyn.evolve_first_moments(flow, fm0), dyn.evolve_raw(flow)
     for t in np.linspace(0.0, 4.0, 17):
         ref = spec.closed_form("mean_position")(amp, phase, float(t))
@@ -132,7 +132,7 @@ def test_norm_rate_matches_drift_asymmetry():
     # constant, so the integrated norm decays exponentially at that rate
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec)
-    flow = classical_flow(tc, 2.0)
+    flow = classical_flow(tc)
     norm = dyn.evolve_norm(flow, M0.norm)
     rate = tc.d(0.7) - tc.c(0.7)
     assert norm(0.7) == pytest.approx(math.exp(rate * 0.7) * M0.norm,
@@ -155,7 +155,7 @@ def test_uncertainty_margin_stays_nonnegative_along_flow():
     tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=0.54, x2=0.51, pxxp=0.04, norm=1.0)
     fm0 = dyn.FirstMoments(x=0.1, p=0.2)
-    flow = classical_flow(tc, 3.0)
+    flow = classical_flow(tc)
     path = dyn.evolve_second_moments(flow, m0.centred(fm0))
     for t in np.linspace(0.0, 3.0, 13):
         out = dyn.uncertainty_check(path(float(t)))
@@ -349,13 +349,17 @@ def test_variances_require_positive_norm():
 @pytest.mark.parametrize("delta, t_end", [(-0.5, 1.0), (0.5, -1.0)])
 def test_window_across_parametric_singularity_is_refused(delta, t_end):
     # tanh(lam t + delta) vanishes at t = -delta / lam inside the window;
-    # the moment solve used to crawl towards it for about a minute
+    # the moment solve used to crawl towards it for about a minute.  No
+    # step crosses it, so the same flow serves a time before it
     spec = coeff.ModelSpec(coeff.MODIFIED_PARAMETRIC, 1.0, 1.0, delta=delta)
     tc = coeff.builtin_coefficients(spec)
-    with pytest.raises(SingularCoefficient):
-        classical_flow(tc, t_end)
-    path = dyn.evolve_second_moments(classical_flow(tc, 0.4 * t_end), M0)
+    flow = classical_flow(tc)
+    with pytest.raises(SingularCoefficient) as exc:
+        flow.at(t_end)
+    assert exc.value.info["t_singular"] == tc.t_singular == -delta
+    path = dyn.evolve_second_moments(flow, M0)
     assert math.isfinite(path(0.4 * t_end).x2)
+    assert all(abs(t) < abs(tc.t_singular) for t in flow.t)
 
 
 def test_reference_operator_validates_the_spec():
@@ -381,7 +385,7 @@ def test_long_window_second_moments():
     # at t ~ 330; the flow is served
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec)
-    path = dyn.evolve_second_moments(classical_flow(tc, 400.0), M0)
+    path = dyn.evolve_second_moments(classical_flow(tc), M0)
     for t in np.linspace(0.0, 400.0, 41):
         c, s = math.cos(t), math.sin(t)
         m = path(float(t))
@@ -393,12 +397,13 @@ def test_long_window_second_moments():
     assert path(400.0).norm == 1.0
 
 
-def test_paths_refuse_times_outside_the_flow_window():
-    # the dense output would extrapolate: SHO p2 read 152.6 at t = 6 on a
-    # flow solved to 1, where the exact value is 1
+def test_paths_read_past_the_solved_steps():
+    # a flow solved to 1 extrapolated: SHO p2 read 152.6 at t = 6, where
+    # the exact value is 1.  A read past the last step point on either side
+    # continues the solve; a t that is not finite is refused
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     m0 = dyn.SecondMoments(p2=1.0, x2=1.0)
-    flow = classical_flow(tc, 1.0)
+    flow = classical_flow(tc)
     paths = [dyn.evolve_second_moments(flow, m0),
              dyn.evolve_first_moments(flow, dyn.FirstMoments(0.1, 0.2)),
              inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0)),
@@ -406,11 +411,10 @@ def test_paths_refuse_times_outside_the_flow_window():
     for path in paths:
         path(0.0)
         path(1.0)
-        for t in (6.0, 1.0 + 1e-9, -0.1, math.nan):
+        for t in (6.0, 1.0 + 1e-9, -0.1):
+            path(t)
+        for t in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError):
                 path(t)
-    assert paths[0](1.0).p2 == pytest.approx(1.0, rel=1e-10)
-    backward = dyn.evolve_second_moments(classical_flow(tc, -1.0), m0)
-    assert backward(-1.0).p2 == pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(ValidationError):
-        backward(0.5)
+    for t in (1.0, 6.0, -0.1, -1.0):
+        assert paths[0](t).p2 == pytest.approx(1.0, rel=1e-10)

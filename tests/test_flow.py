@@ -19,7 +19,7 @@ import pathlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, given, seed, settings
+from hypothesis import Phase, given, reject, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -29,6 +29,7 @@ from quadham import dynamics as dyn
 from quadham import invariants as inv
 from quadham.characteristic import classical_flow, kernel_parameters
 from quadham.coefficients import TimeCoefficients
+from quadham.errors import InvalidModelParams, QuadhamError
 from quadham.ode import FLOW_TOL
 from quadham.propagator import (GaussianState, propagate_gaussian,
                                 propagate_grid)
@@ -85,7 +86,7 @@ def _paper_rhs(tc):
 
 
 def _flow_values(tc, t_end):
-    flow = classical_flow(tc, t_end)
+    flow = classical_flow(tc)
     second = dyn.evolve_second_moments(flow, M0)
     first = dyn.evolve_first_moments(flow, F0)
     raw = dyn.evolve_raw(flow)
@@ -193,7 +194,7 @@ def test_damped_energy_matches_the_paper_equation(omega0, lam, m0):
     t_end = 5.0
     ref = _energy_equation(spec, m0, t_end)
     y = dyn.damped_energy_equation_solve(
-        spec, m0, classical_flow(coeff.catalog_coefficients(spec), t_end))
+        spec, m0, classical_flow(coeff.catalog_coefficients(spec)))
     for t in np.linspace(0.05, t_end, 13):
         assert _rel_err(y(float(t)), ref(float(t))) <= TOL
 
@@ -210,7 +211,7 @@ def test_damped_energy_keeps_the_odd_branch():
     ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0, method="DOP853",
                           rtol=1e-12, atol=1e-14, dense_output=True)
     assert ref.success, ref.message
-    y = dyn.damped_energy_equation_solve(spec, m0, classical_flow(tc, t_end))
+    y = dyn.damped_energy_equation_solve(spec, m0, classical_flow(tc))
     for t in np.linspace(0.0, t_end, 13):
         p2, x2, pxxp = ref.sol(t)[:3]
         A, B, C = dyn.reference_operator(spec, float(t))
@@ -238,7 +239,7 @@ def test_one_linear_system_in_the_package():
                 owner.update((node, fn.name) for node in ast.walk(fn)
                              if _is_solve(node))
         sites |= {(path.stem, name) for name in owner.values()}
-    assert sites == {("characteristic", "classical_flow")}
+    assert sites == {("characteristic", "at")}
 
 
 def _reference_rows(coefficients, times):
@@ -275,7 +276,7 @@ def test_reference_flow_judges_caldirola_kanai():
     # 14 times to t = 1.4 at lambda = 0.2: about 6e-15 over 54 steps
     w0, lam = 1.0, 0.2
     flow = classical_flow(coeff.builtin_coefficients(
-        coeff.ModelSpec(coeff.CALDIROLA_KANAI, w0, lam)), 1.4)
+        coeff.ModelSpec(coeff.CALDIROLA_KANAI, w0, lam)))
     times = [float(t) for t in np.linspace(0.1, 1.4, 14)]
     rows = _reference_rows(lambda t: (0.5 * w0 * mpmath.exp(-2 * lam * t),
                                       0.5 * w0 * mpmath.exp(2 * lam * t),
@@ -312,7 +313,7 @@ def test_reference_flow_judges_drawn_hamiltonians(a0, b0, a1, b1, c0, c1, d0,
 
     h = family(math)
     flow = classical_flow(TimeCoefficients(
-        *(lambda t, k=k: h(t)[k] for k in range(4))), t_end)
+        *(lambda t, k=k: h(t)[k] for k in range(4))))
     times = [float(t) for t in np.linspace(t_end / 10, t_end, 10)]
     err = _flow_error(flow, times, _reference_rows(family(mpmath), times))
     assert err <= FLOW_TOL * flow.n_steps
@@ -342,7 +343,8 @@ def test_drawn_hamiltonians_keep_the_identities_of_every_h(
         return a0 * e + a1 * s, b0 / e + b1 * s, c0 + c1 * s, d0 + d1 * t
 
     tc = TimeCoefficients(*(lambda t, k=k: h(t)[k] for k in range(4)))
-    flow = classical_flow(tc, 2.0 * t_end)
+    flow = classical_flow(tc)
+    flow.at(2.0 * t_end)
     caustic = flow.first_caustic
     hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
     times = [float(t) for t in np.linspace(hi / 3, hi, 3)]
@@ -369,3 +371,67 @@ def test_drawn_hamiltonians_keep_the_identities_of_every_h(
                          for k in ("p2", "x2", "pxxp")]) <= 1e-10
         assert want["norm"] == pytest.approx(
             math.exp(-flow.at(t).i) * m0["norm"], rel=1e-10)
+
+
+@st.composite
+def _hamiltonians(draw):
+    """H's record: a catalogued model at drawn parameters, or a member of
+    the drawn family of the reference sweeps above."""
+    if draw(st.booleans()):
+        try:
+            return coeff.builtin_coefficients(coeff.ModelSpec(
+                draw(st.sampled_from(coeff.MODEL_IDS)),
+                draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 0.6)),
+                draw(st.floats(0.0, 0.3)), draw(st.floats(0.2, 1.5))))
+        except InvalidModelParams:
+            reject()
+    a0, b0 = draw(st.floats(0.3, 1.0)), draw(st.floats(0.2, 1.5))
+    a1, b1, c0, c1, d0, d1 = (draw(_COEFF) for _ in range(6))
+    rate, omega = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 3.0))
+    phase = draw(st.floats(0.0, 3.0))
+
+    def h(t):
+        e, s = math.exp(rate * t), math.sin(omega * t + phase)
+        return a0 * e + a1 * s, b0 / e + b1 * s, c0 + c1 * s, d0 + d1 * t
+
+    return TimeCoefficients(*(lambda t, k=k: h(t)[k] for k in range(4)))
+
+
+def _readings(tc, flow, t):
+    """Every value read off ``flow`` at t, each float as its hex, or the
+    type and info of the QuadhamError that refuses it."""
+    def outcome(read):
+        try:
+            return [v.hex() for v in read()]
+        except QuadhamError as exc:
+            return type(exc).__name__, repr(exc.info)
+
+    path = dyn.evolve_second_moments(flow, M0)
+    first = dyn.evolve_first_moments(flow, F0)
+    raw = dyn.evolve_raw(flow)
+    return [outcome(lambda: flow.at(t)), outcome(lambda: flow.mu(t)),
+            outcome(lambda: kernel_parameters(tc, flow, t)),
+            outcome(lambda: path(t)), outcome(lambda: first(t)),
+            outcome(lambda: [raw(t)(1.0)])]
+
+
+@seed(20261046)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tc=_hamiltonians(), t=st.floats(0.05, 1.2), backward=st.booleans(),
+       far=st.floats(2.5, 4.0))
+def test_a_value_does_not_depend_on_what_was_read_first(tc, t, backward,
+                                                        far):
+    # the step points depend on H alone: every reader's value at t, and
+    # its refusal, has the same bits on a fresh flow whether the flow was
+    # first read at t, at 2t, at a farther time or on the other side
+    t = -t if backward else t
+    values = []
+    for first in (None, 2.0 * t, far * t, -t):
+        flow = classical_flow(tc)
+        if first is not None:
+            try:
+                flow.at(first)
+            except QuadhamError:
+                pass
+        values.append(_readings(tc, flow, t))
+    assert values[1:] == values[:1] * 3

@@ -72,7 +72,7 @@ def test_grid_moments_track_moment_ode():
     tc = coeff.builtin_coefficients(CK)
     psi0 = grid_gaussian(prop.GaussianState(Lambda=0.5j, Theta=0.2))
     _, m0 = gridsim.measure_moments(psi0)
-    flow = classical_flow(tc, 1.0)
+    flow = classical_flow(tc)
     path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
     ev = gridsim.evolve_grid(tc, psi0, 1e-3, 1000)
     for t, s in zip(ev.times[1:], ev.states[1:]):
@@ -119,7 +119,7 @@ def test_invariant_drift_sho_energy():
 def test_grid_cross_check_with_kernel_propagation():
     # Crank-Nicolson vs quadrature of the exact kernel at t = 0.5
     tc = coeff.builtin_coefficients(CK)
-    path = classical_flow(tc, 1.0)
+    path = classical_flow(tc)
     kp = chr_mod.kernel_parameters(tc, path, 0.5)
     s0 = prop.GaussianState(Lambda=0.5j, Theta=0.2)
     psi0 = grid_gaussian(s0, half_width=12.0)

@@ -44,7 +44,7 @@ def test_catalog_entry_solves_conservation_system(spec):
     # the closed-form entry at every later time
     tc = coeff.catalog_coefficients(spec)
     q0 = inv.energy_operator_catalog(spec, 0.0)
-    path = inv.solve_energy_system(classical_flow(tc, 2.0),
+    path = inv.solve_energy_system(classical_flow(tc),
                                    (q0.A, q0.B, q0.C, q0.D))
     for t in np.linspace(0.25, 2.0, 8):
         got = path(float(t))
@@ -65,7 +65,7 @@ def test_united_elementary_mu_residual():
 
 def test_united_general_invariant_reproduces_catalog():
     mu_fn, C0 = _united_invariant_mu()
-    flow = classical_flow(coeff.builtin_coefficients(UNITED), 1.9)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED))
     for t in (0.0, 0.7, 1.9):
         got = inv.general_invariant(flow, mu_fn, C0, t)
         ref = inv.energy_operator_catalog(UNITED, t)
@@ -82,7 +82,7 @@ def test_united_invariant_mu_only_for_united():
 
 
 def test_general_invariant_rejects_bad_mu():
-    flow = classical_flow(coeff.builtin_coefficients(UNITED), 1.0)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED))
     bad = lambda t: (1.0 + t, 1.0, 0.0)
     with pytest.raises(AuxiliaryResidualTooLarge):
         inv.general_invariant(flow, bad, 0.25, 1.0)
@@ -90,7 +90,7 @@ def test_general_invariant_rejects_bad_mu():
 
 def test_superposed_mu_solves_auxiliary_equation():
     tc = coeff.builtin_coefficients(UNITED)
-    flow = classical_flow(tc, 2.0)
+    flow = classical_flow(tc)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
@@ -108,7 +108,7 @@ def test_superposed_mu_solves_the_equation_where_c_plus_d_varies(spec):
     # one in the package's Q, which the superposed mu'' is built from,
     # shows here (a flipped sign read 11.3 and 0.39)
     tc = coeff.builtin_coefficients(spec)
-    flow = classical_flow(tc, 1.4)
+    flow = classical_flow(tc)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
@@ -124,7 +124,7 @@ def test_superposition_property_random_coefficients(A, C, frac):
     B = frac * math.sqrt(A * C)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
     tc = coeff.builtin_coefficients(spec)
-    flow = classical_flow(tc, 1.5)
+    flow = classical_flow(tc)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
@@ -157,7 +157,7 @@ def test_pinney_and_linear_superposition_agree():
     # the flow is the superposed mu of the same u, v, A, B, C
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
     tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
-    flow = classical_flow(tc, 2.0)
+    flow = classical_flow(tc)
     u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
     v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     kappa0, kappa0p, c0 = 1.0, 0.2, 0.7
@@ -251,7 +251,18 @@ def test_kappa_collapse_keeps_its_bits():
     # the collapse time to the bit
     with pytest.raises(KappaCollapse) as exc:
         inv.solve_ermakov(lambda t: 1.0, -0.3, (1.0, 0.2), 3.0)
-    assert exc.value.info["t"].hex() == "0x1.3c747291c170ap+0"
+    assert exc.value.info["t"].hex() == "0x1.3c747291c1705p+0"
+
+
+def test_kappa_collapse_past_t_end_is_not_reported():
+    # kappa = |cos t + sin t / 2| falls to 0 at t0 = pi - atan 2; the flow
+    # read to a t_end just before t0 takes a step past it, and only a
+    # collapse on [0, t_end] is reported
+    t0 = math.pi - math.atan(2.0)
+    inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.5), t0 - 1e-3)
+    with pytest.raises(KappaCollapse) as exc:
+        inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.5), t0 + 1e-3)
+    assert exc.value.info["t"] == pytest.approx(t0, abs=1e-7)
 
 
 @pytest.mark.parametrize("kappa0", [0.0, -1.0, math.nan])
@@ -273,7 +284,7 @@ def test_lewis_riesenfeld_equals_general_route():
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
     tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
     kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
-    flow = classical_flow(tc, 1.9)
+    flow = classical_flow(tc)
     for t in (0.3, 1.1, 1.9):
         kappa, kappa_p, _ = kappa_fn(t)
         gen = inv.general_invariant(flow, kappa_fn, c0, t)
@@ -292,7 +303,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
-    flow = classical_flow(tc, 2.0)
+    flow = classical_flow(tc)
     path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
     e0 = inv.energy_operator_catalog(spec, 0.0).expectation(
         m0.p2, m0.x2, m0.pxxp)
@@ -304,7 +315,7 @@ def test_invariant_expectation_is_constant_under_moment_flow():
 
 
 def test_ladder_commutator_and_reconstruction():
-    flow = classical_flow(coeff.builtin_coefficients(UNITED), 1.6)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED))
     mu_fn, C0 = _united_invariant_mu()
     for t in (0.0, 0.8, 1.6):
         pair = inv.ladder_factorization(flow, mu_fn, C0, t)
@@ -318,7 +329,7 @@ def test_ladder_commutator_and_reconstruction():
 
 
 def test_ladder_requires_positive_c0():
-    flow = classical_flow(coeff.builtin_coefficients(UNITED), 0.5)
+    flow = classical_flow(coeff.builtin_coefficients(UNITED))
     mu_fn = UNITED.closed_form("invariant_mu")
     with pytest.raises(InvalidC0):
         inv.ladder_factorization(flow, mu_fn, -1.0, 0.5)
@@ -328,7 +339,7 @@ def test_ladder_refuses_a_mu_off_the_auxiliary_equation():
     # on SHO mu = 1 + t leaves a residual of 1.2 at t = 0.5; the pair built
     # from it still had commutator 1, as every pair has by construction
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
-    flow = classical_flow(tc, 1.0)
+    flow = classical_flow(tc)
     with pytest.raises(AuxiliaryResidualTooLarge) as err:
         inv.ladder_factorization(flow, lambda t: (1.0 + t, 1.0, 0.0), 1.0,
                                  0.5)
@@ -340,7 +351,7 @@ def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
     # on SHO mu = sin t solves the linear equation (C0 = 0) and vanishes
     # at t = 0: its residual is defined there, the invariant is not
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
-    flow = classical_flow(tc, 1.0)
+    flow = classical_flow(tc)
     mu = lambda t: (math.sin(t), math.cos(t), -math.sin(t))
     assert auxiliary_residual(tc, mu, 0.0, 0.0) == 0.0
     for call, args in ((inv.general_invariant, (flow, mu, 0.0)),
@@ -356,7 +367,7 @@ def test_invariants_read_mu_once(monkeypatch):
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
     tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
     kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
-    flow = classical_flow(tc, 2.0)
+    flow = classical_flow(tc)
     calls = []
     at = Flow.at
 
@@ -384,7 +395,7 @@ def test_linear_invariant_is_conserved():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec)
     A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
-    flow = classical_flow(tc, 2.0)
+    flow = classical_flow(tc)
     fm_path = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.4, -0.3))
     vals = []
     for t in (0.0, 0.5, 1.0, 2.0):
@@ -396,7 +407,7 @@ def test_linear_invariant_is_conserved():
 
 def test_linear_invariant_rejects_bad_solution():
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    flow = classical_flow(coeff.builtin_coefficients(spec), 1.0)
+    flow = classical_flow(coeff.builtin_coefficients(spec))
     bad = lambda t: (1.0 + t * t, 2.0 * t, 2.0)
     with pytest.raises(ResidualTooLarge):
         inv.linear_invariant(flow, bad, 0.0, 1.0)
@@ -409,7 +420,7 @@ def test_callables_must_return_three_values(call, extra):
     # on SHO mu = 1 (C0 = 1) and A = cos t solve their equations; a tuple
     # of two or four values is refused, never differenced or cut
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
-    flow = classical_flow(tc, 1.0)
+    flow = classical_flow(tc)
     mu = lambda t: (1.0, 0.0, 0.0, 0.0)[:3 + extra]
     A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t),
                    math.sin(t))[:3 + extra]
@@ -429,7 +440,7 @@ def test_coefficients_without_a_derivative_are_refused(call):
     zero = lambda t: 0.0
     half = lambda t: 0.5
     tc = coeff.TimeCoefficients(half, half, zero, zero, dc=zero, dd=zero)
-    flow = classical_flow(tc, 1.0)
+    flow = classical_flow(tc)
     mu = lambda t: (1.0, 0.0, 0.0)
     A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
     args = {"general_invariant": (flow, mu, 1.0),
@@ -444,8 +455,8 @@ def test_invariants_read_the_integral_off_one_flow(solves):
     # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1, and A = cos t
     # the linear-invariant equation; I = 0, so E = p^2 + x^2
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
-    flow = classical_flow(tc, 2.0)
-    assert len(solves) == 1
+    flow = classical_flow(tc)
+    assert solves == []  # nothing is solved until the flow is read
     mu_fn = lambda t: (1.0, 0.0, 0.0)
     A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
     for t in np.linspace(0.1, 2.0, 20):

@@ -126,7 +126,8 @@ def test_one_reader_of_the_coefficients():
         n.func, "attr", None) in coefficient) == []
     assert set(_owners(
         lambda n: getattr(getattr(n, "func", None), "id", None) == "read"
-    )) == {("ode", "_exponent"), ("gridsim", "evolve_grid"),
+    )) == {("ode", "_exponent"), ("ode", "solve_ivp"),
+           ("gridsim", "evolve_grid"),
            ("characteristic", "_mu"),
            ("invariants", "_derivatives"),
            ("invariants", "_auxiliary_coefficients"),
@@ -157,7 +158,7 @@ def test_closed_forms_match_numerical_path(request, model_id):
         except InvalidModelParams:
             reject()
         tc = coeff.builtin_coefficients(spec)
-        path = chr_mod.classical_flow(tc, t_end)
+        path = chr_mod.classical_flow(tc)
         for t in np.linspace(t_end / 5, t_end, 5):
             for got, want in zip(path.mu(float(t)),
                                  chr_mod.closed_form_mu(spec, float(t))):
@@ -176,7 +177,7 @@ def test_closed_forms_match_numerical_path(request, model_id):
         except NoClosedForm:
             return
         m0 = dyn.SecondMoments(p2=1.1, x2=0.9, pxxp=0.2)
-        flow = classical_flow(coeff.catalog_coefficients(spec), t_end)
+        flow = classical_flow(coeff.catalog_coefficients(spec))
         moments, raw = (dyn.evolve_second_moments(flow, m0),
                         dyn.evolve_raw(flow))
         ref = form.expectation(m0.p2, m0.x2, m0.pxxp)
@@ -543,3 +544,23 @@ def test_model_layer_failures_are_typed(command, model_id, flag, value):
     if text is not None and command not in ("green", "invariant"):
         rows = list(csv.reader(io.StringIO(text)))[1:]
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.1])
+def test_cj_momentum_catalogue_is_the_fourier_dual_of_cj_coordinate(t):
+    # x -> p, p -> -x takes H's (a, b, c, d) to (b, a, -d, -c) and an
+    # invariant's (A, B, C, D) to (B, A, -D, -C): the two records' catalogued
+    # H and invariant agree to the bit under it (+ 0.0 reads -0.0 as 0.0,
+    # since a vanishing c or d has no sign)
+    def bits(values):
+        return [(v + 0.0).hex() for v in values]
+
+    coord, mom = (coeff.ModelSpec(m, 1.3, 0.35)
+                  for m in (coeff.CJ_COORDINATE, coeff.CJ_MOMENTUM))
+    h, dual = (coeff.catalog_coefficients(s) for s in (coord, mom))
+    a, b, c, d = (f(t) for f in (h.a, h.b, h.c, h.d))
+    assert bits(f(t) for f in (dual.a, dual.b, dual.c, dual.d)) == bits(
+        (b, a, -d, -c))
+    A, B, C, D, _ = inv.energy_operator_catalog(coord, t)
+    assert bits(inv.energy_operator_catalog(mom, t)[:4]) == bits(
+        (B, A, -D, -C))

@@ -44,7 +44,8 @@ def _second_moments():
                 (d - c) * norm]
 
     y0 = [0.8, 0.7, 0.1, 1.0]
-    flow = classical_flow(tc, 3.0)
+    flow = classical_flow(tc)
+    flow.at(3.0)
     path = dyn.evolve_second_moments(flow, dyn.SecondMoments(*y0))
 
     def got(t):
@@ -57,7 +58,8 @@ def _second_moments():
 def _characteristic():
     spec = coeff.ModelSpec(coeff.UNITED, 1.3, 0.35, 0.1)
     tc = coeff.builtin_coefficients(spec)
-    flow = classical_flow(tc, 4.0)
+    flow = classical_flow(tc)
+    flow.at(4.0)
     return flow, flow.at, scipy_solve_ivp(
         _flow_rhs(tc), (0.0, 4.0), [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
 
@@ -71,8 +73,9 @@ SYSTEMS = pytest.mark.parametrize(
 def test_dense_output_matches_scipy_dop853(system):
     flow, got, ref = system()
     assert ref.success, ref.message
-    inner = np.linspace(flow.t[0], flow.t[-1], 52)[1:-1]
-    for ts in (flow.t, inner):
+    # the step points in the reference's window, and times between them
+    inner = np.linspace(0.0, ref.t[-1], 52)[1:-1]
+    for ts in ([t for t in flow.t if t <= ref.t[-1]], inner):
         for t in ts:
             want = ref.sol(t)
             assert np.all(np.abs(np.array(got(t)) - want)
@@ -84,10 +87,11 @@ def test_work_counts(system):
     flow = system()[0]
     assert flow.n_steps == len(flow.t) - 1 == len(flow.steps) - 1
     # an attempted step reads (a, b, c, d) at 3 Gauss nodes for the whole
-    # step and at 3 for each half; the dense output is not counted
-    assert flow.nfev == 9 * (flow.n_steps + flow.n_rejected)
-    flow.at(0.5 * flow.t_end)
-    assert flow.nfev == 9 * (flow.n_steps + flow.n_rejected)
+    # step and at 3 for each half, and the side read them once at t = 0 to
+    # size its first try; the dense output is not counted
+    assert flow.nfev == 9 * (flow.n_steps + flow.n_rejected) + 1
+    flow.at(0.5 * flow.t[-1])
+    assert flow.nfev == 9 * (flow.n_steps + flow.n_rejected) + 1
 
 
 @pytest.mark.parametrize("spec", [
@@ -99,7 +103,8 @@ def test_work_counts(system):
 def test_flow_keeps_det_one(spec):
     # each step multiplies M by the exact exponential of a traceless
     # matrix, so det M = 1 holds to rounding, between step points too
-    flow = classical_flow(coeff.builtin_coefficients(spec), 3.0)
+    flow = classical_flow(coeff.builtin_coefficients(spec))
+    flow.at(3.0)
     points = flow.steps + [flow.at(t) for t in np.linspace(0.0, 3.0, 41)]
     for p in points:
         assert abs(p.m11 * p.m22 - p.m12 * p.m21 - 1.0) <= 1e-14
@@ -113,7 +118,8 @@ def test_quadrature_error_of_i_is_controlled():
     half = lambda t: 0.5
     flow = classical_flow(coeff.TimeCoefficients(
         half, half, lambda t: math.cos(5.0 * t),
-        lambda t: -math.cos(5.0 * t)), 3.0)
+        lambda t: -math.cos(5.0 * t)))
+    flow.at(3.0)
     assert flow.n_steps > 3
     for t in np.linspace(0.0, 3.0, 31):
         m11, m12, m21, m22, i = flow.at(t)
@@ -124,15 +130,15 @@ def test_quadrature_error_of_i_is_controlled():
 
 def test_step_budget_stops_a_crawl():
     # d = -c = 1/(2(1 - t)) is singular at t = 1, but finite at every node
-    # of a window to 2.1 (no node lands on t = 1): the rounding of t there
-    # is noise the controller cannot get under, and it would take 10^5 or
-    # more tiny steps before the step size underflows
+    # of the steps towards 2.1 (no node lands on t = 1): the rounding of t
+    # there is noise the controller cannot get under, and it would take
+    # 10^5 or more tiny steps before the step size underflows
     zero = lambda t: 0.0
     d = lambda t: 1.0 / (2.0 * (1.0 - t))
     tc = coeff.TimeCoefficients(zero, zero, lambda t: -d(t), d)
     start = time.perf_counter()
     with pytest.raises(ToleranceNotMet) as exc:
-        classical_flow(tc, 2.1)
+        classical_flow(tc).at(2.1)
     assert time.perf_counter() - start < 2.0
     info = exc.value.info
     assert info["steps"] + info["rejected"] == MAX_STEPS
@@ -140,17 +146,24 @@ def test_step_budget_stops_a_crawl():
 
 
 def test_blow_up_raises_singular_coefficient():
-    # M' = diag(c, -c) M with c = 1/(1 - t): M11 = 1/(1 - t) blows up, and
-    # c raises ZeroDivisionError at t = 1, the middle node of the first try
+    # M' = diag(c, -c) M with c = 1 that divides by zero from t = 1 on: the
+    # first node of a try past 1 raises it.  (c = 1/(1 - t), finite past 1,
+    # crawls towards its blow-up instead: test_step_budget_stops_a_crawl)
     zero = lambda t: 0.0
+    c = lambda t: 1.0 if t < 1.0 else 1.0 / 0.0
+    t, y, h = 0.0, [1.0, 0.0, 0.0, 1.0, 0.0], 0.0
     with pytest.raises(SingularCoefficient) as exc:
-        solve_ivp((zero, zero, lambda t: 1.0 / (1.0 - t), zero), 2.0)
-    assert exc.value.info["t"] == 1.0
+        for n_steps in range(100):
+            t, y, h, _ = solve_ivp((zero, zero, c, zero), math.nan, t, y, h,
+                                   n_steps, 0)
+            assert t < 1.0
+    assert exc.value.info["t"].hex() == "0x1.244f53d0a66c5p+0"
     assert "ZeroDivisionError" in exc.value.info["error"]
 
 
 @pytest.mark.parametrize("b", [
-    lambda t: math.exp(1000.0 * t),
+    # cosh overflows past t = 0.7098, where b is 0 to rounding
+    lambda t: 0.5 / math.cosh(1000.0 * t),
     lambda t: 0.5 + math.sqrt(0.5 - t),
     lambda t: math.nan if t > 0.5 else 0.5,
 ], ids=["overflow", "value_error", "not_finite"])
@@ -165,7 +178,7 @@ def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
     tc = coeff.TimeCoefficients(half, b, zero, zero, da=zero, dc=zero,
                                 dd=zero)
     x = np.linspace(-8.0, 8.0, 128)
-    run = {"classical_flow": lambda: classical_flow(tc, 1.0),
+    run = {"classical_flow": lambda: classical_flow(tc).at(1.0),
            "evolve_grid": lambda: gridsim.evolve_grid(
                tc, prop.GridState(-8.0, x[1] - x[0], np.exp(-x * x)),
                1e-3, 1000),
@@ -180,21 +193,22 @@ def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
 
 @pytest.mark.parametrize("b", [-1e6, 1e300], ids=["cosh", "turn"])
 def test_exponent_that_overflows_on_finite_coefficients_is_refused(b):
-    # the first try spans the window: at b = -1e6 its exponential's cosh
-    # overflows, at b = 1e300 the power of its turn; each is a rejected
-    # step, and the solve ends typed (M overflows near t = 0.5, and
-    # 1e150 rad take more steps than the budget)
+    # a step whose exponential's cosh (b = -1e6) or the power of whose
+    # turn (b = 1e300) overflows is a rejected step, and the solve ends
+    # typed (M overflows near t = 0.5, and 1e150 rad take more steps than
+    # the budget)
     tc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: b, lambda t: 0.0,
                                 lambda t: 0.0)
     with pytest.raises(ToleranceNotMet):
-        classical_flow(tc, 1.0)
+        classical_flow(tc).at(1.0)
 
 
 def test_scalar_and_array_times():
     sho = coeff.builtin_coefficients(
         coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0))
-    flow = classical_flow(sho, np.float64(2.0))
-    assert flow.t_end == 2.0 and type(flow.t_end) is float
+    flow = classical_flow(sho)
+    flow.at(np.float64(2.0))
+    assert all(type(t) is float for t in flow.t)
     one = flow.at(0.7)
     assert len(one) == 5 and all(type(v) is float for v in one)
     assert list(one) == pytest.approx(
@@ -207,7 +221,8 @@ def test_scalar_and_array_times():
 def test_at_a_step_point_returns_its_row(t_end):
     tc = coeff.builtin_coefficients(
         coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
-    flow = classical_flow(tc, t_end)
+    flow = classical_flow(tc)
+    flow.at(t_end)
     assert flow.n_steps > 10
     for t, row in zip(flow.t, flow.steps):
         for s in (t, np.float64(t)):
@@ -217,13 +232,16 @@ def test_at_a_step_point_returns_its_row(t_end):
 def test_zero_span_and_backward_solve():
     tc = coeff.builtin_coefficients(
         coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.2))
-    still = classical_flow(tc, 0.0)
-    assert still.n_steps == 0 == still.nfev
+    still = classical_flow(tc)
     assert tuple(still.at(0.0)) == (1.0, 0.0, 0.0, 1.0, 0.0)
-    back = classical_flow(tc, -1.0)
-    assert back.t_end == -1.0
+    assert tuple(still.at(-0.0)) == (1.0, 0.0, 0.0, 1.0, 0.0)
+    assert still.n_steps == 0 == still.nfev
+    back = classical_flow(tc)
+    back.at(-1.0)
+    # the backward side alone, one step past -1 and no further
+    assert back.t[0] < -1.0 < back.t[1] and back.t[-1] == 0.0
     ref = scipy_solve_ivp(_flow_rhs(tc), (0.0, -1.0),
                           [1.0, 0.0, 0.0, 1.0, 0.0], **REF_OPTS)
-    for t in (-1.0, -0.4, *back.t):
+    for t in (-1.0, -0.4, *back.t[1:]):
         assert list(back.at(t)) == pytest.approx(list(ref.sol(t)),
                                                  rel=1e-12, abs=1e-13)

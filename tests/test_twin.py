@@ -76,8 +76,11 @@ def judge(read, twins, variances=()):
 
 @seed(20261020)
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(point=POINTS, state=STATES, k=st.integers(-200, 200))
+@given(point=st.one_of(POINTS, points(708.0)), state=STATES,
+       k=st.integers(-200, 200))
 def test_moment_readers_match_their_twin(point, state, k):
+    # a subnormal e^{-I} multiplies as two halves e^{-I/2}; few draws of I
+    # over [-745, 745] come near it, so half draw I from [708, 745]
     norm0 = math.ldexp(1.0, k)
     m0, f0 = raw_state(norm0, *state)
     assume(all(map(math.isfinite, (*m0, *f0))))
@@ -145,7 +148,7 @@ def test_printed_moment_columns_match_their_twin(point, state):
     means = ["--x-mean", repr(f0.x), "--p-mean", repr(f0.p)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadham.characteristic, "classical_flow",
-                   lambda tc, t_end: twin.FlowStub(point))
+                   lambda tc: twin.FlowStub(point))
         try:
             judge(lambda: _cli_row(["moments", *flags]),
                   twin.moments_row(point, m0))
