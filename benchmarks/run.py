@@ -16,8 +16,8 @@ source, one child per sample: one evaluation of the coefficients
 (a, b, c, d) the flow reads (H's own), ``classical_flow`` solved to the
 Caldirola-Kanai window of the subcommands and to the window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
-t_end 2), on either API of ``classical_flow``, one ``Flow.at`` point, one point of the second-moment path and
-of the energy path (``solve_energy_system``) on that flow, one point of
+t_end 2), on either API of ``classical_flow``, one ``Flow.at`` point,
+one point of the second-moment path and of the energy path (``solve_energy_system``) on that flow, one point of
 the first-moment path on the first flow, one ``general_invariant`` of
 ``solve_ermakov``'s pair (omega^2 = 1 + 0.3 sin t, c0 = 0.7, t = 1), one
 ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on

@@ -106,13 +106,12 @@ def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
 
 
 class _Side:
-    """One side of a flow from t = 0: its step points ``t``, their ``keys``
-    |t|, which order them, the :class:`FlowPoint` at each, the signed size
-    ``h`` of its next try and its count of rejected tries."""
+    """One side of a flow from t = 0: its step points ``t``, ordered by
+    |t|, the :class:`FlowPoint` at each, the signed size ``h`` of its next
+    try and its count of rejected tries."""
 
     def __init__(self, direction: float):
-        self.t, self.keys = [0.0], [0.0]
-        self.steps = [FlowPoint(1.0, 0.0, 0.0, 1.0, 0.0)]
+        self.t, self.steps = [0.0], [FlowPoint(1.0, 0.0, 0.0, 1.0, 0.0)]
         self.h, self.n_rejected = 0.0 * direction, 0
 
 
@@ -167,16 +166,14 @@ class Flow:
             raise ValidationError("t must be finite", t=t)
         self.tc.require_window(0.0, t)
         side = self._sides[math.copysign(1.0, t)]
-        ts, keys, steps = side.t, side.keys, side.steps
-        while keys[-1] < abs(t):
-            t_k, y, side.h, rejected = solve_ivp(
+        ts, steps = side.t, side.steps
+        if abs(ts[-1]) < abs(t):
+            new_ts, rows, side.h, side.n_rejected = solve_ivp(
                 self._coefficients, self.tc.t_singular, ts[-1], steps[-1],
-                side.h, len(ts) - 1, side.n_rejected)
-            side.n_rejected += rejected
-            ts.append(t_k)
-            keys.append(abs(t_k))
-            steps.append(FlowPoint._make(y))
-        k = bisect_right(keys, abs(t)) - 1
+                side.h, len(ts) - 1, side.n_rejected, t)
+            ts += new_ts
+            steps += map(FlowPoint._make, rows)
+        k = bisect_right(ts, abs(t), key=abs) - 1
         t_k = ts[k]
         if t == t_k:
             return steps[k]
@@ -195,7 +192,7 @@ class Flow:
         or None."""
         side = self._sides[math.copysign(1.0, t_end)]
         for k in range(start, len(side.t) - 1):
-            if side.keys[k] >= abs(t_end):
+            if abs(side.t[k]) >= abs(t_end):
                 return None
             g0, g1 = g(side.steps[k]), g(side.steps[k + 1])
             if g0 == 0.0 or g0 * g1 < 0.0:

@@ -159,16 +159,18 @@ def magnus_step(coefficients, t, y, h):
     return _advance(_exponent(coefficients, t, h), y)
 
 
-def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected):
-    """The next step of one side of the flow (M, I) of the coefficients
+def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected,
+              t_bound):
+    """The steps of one side of the flow (M, I) of the coefficients
     (a, b, c, d) of H from M = 1, I = 0 at t = 0, continued from the side's
     last accepted step point t, its row y = (M11, M12, M21, M22, I) and h,
     the signed size of its next try (a zero of the side's sign at t = 0,
-    where the try is sized from A(0)); n_steps and n_rejected count the
-    side's tries so far.  Returns the new (t, y, h) and the count of tries
-    rejected on the way.  Each step's error is held to FLOW_TOL, no step is
-    clipped to a requested time, and none crosses t_singular (nan for none),
-    so the step points depend on H alone.
+    where the try is sized from A(0)), until a step point reaches |t_bound|;
+    n_steps and n_rejected count the side's tries so far.  Returns the new
+    step points, their rows as lists of floats, the next h and the side's
+    new count of rejected tries.  Each step's error is held to FLOW_TOL,
+    no step is clipped to t_bound, and none crosses t_singular (nan for
+    none), so the step points depend on H alone.
 
     Raises SingularCoefficient where a coefficient fails at a node (see
     :func:`read`), and ToleranceNotMet when the step size falls below ten
@@ -182,45 +184,53 @@ def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected):
         f = max(abs(c + d), 2.0 * abs(a), 2.0 * abs(b), abs(c - d))
         h_abs = (min(1.0 / f, (0.01 * FLOW_TOL / f) ** (1.0 / 7.0)) if f
                  else 1e-6)
-    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-    h_abs = max(h_abs, min_step)
-    rejected = 0
-    while True:
-        if h_abs < min_step:
-            raise ToleranceNotMet(
-                "required step size is below the spacing of "
-                "floating-point numbers", t=t, h=float(h_abs))
-        if n_steps + n_rejected + rejected >= MAX_STEPS:
-            raise ToleranceNotMet(
-                "the solve used up its step budget", t=t, steps=n_steps,
-                rejected=n_rejected + rejected,
-                nfev=EVALS_PER_STEP * (n_steps + n_rejected + rejected) + 1)
-        t_new = t + h_abs * direction
-        if 0.0 < direction * t_singular < direction * t_new:
-            t_new = t_singular
-        h = t_new - t
-        h_abs = abs(h)
-        t_half = t + 0.5 * h
-        w = _exponent(coefficients, t, h)
-        first = _exponent(coefficients, t, t_half - t)
-        second = _exponent(coefficients, t_half, t_new - t_half)
-        one = _advance(w, y)
-        y_new = _advance(second, _advance(first, y))
-        m11, m12, m21, m22, _ = y_new
-        # the one-step error against FLOW_TOL, then the turn, capped short
-        # of overflow, against a quarter turn on the same scale; sums, so
-        # that an exponent that overflows makes the ratio nan
-        err = ((abs(one[0] - m11) + abs(one[1] - m12)
-                + abs(one[2] - m21) + abs(one[3] - m22))
-               / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
-               + abs(w[3] - first[3] - second[3])) / FLOW_TOL
-        turn = min(abs(w[0] * w[0] + w[1] * w[2]) / _QUARTER_TURN, 1e80)
-        ratio = max(err, turn ** 3.5)
-        if ratio <= 1.0:
-            factor = _MAX_FACTOR if ratio == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * ratio ** _EXPONENT)
-            h_abs *= min(1.0, factor) if rejected else factor
-            return t_new, y_new, direction * h_abs, rejected
-        # max keeps the smallest factor when the ratio is nan
-        h_abs *= max(_MIN_FACTOR, _SAFETY * ratio ** _EXPONENT)
-        rejected += 1
+    ts, ys = [], []
+    while abs(t) < abs(t_bound):
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ToleranceNotMet(
+                    "required step size is below the spacing of "
+                    "floating-point numbers", t=t, h=float(h_abs))
+            if n_steps + n_rejected >= MAX_STEPS:
+                raise ToleranceNotMet(
+                    "the solve used up its step budget", t=t,
+                    steps=n_steps, rejected=n_rejected,
+                    nfev=EVALS_PER_STEP * (n_steps + n_rejected) + 1)
+            t_new = t + h_abs * direction
+            if 0.0 < direction * t_singular < direction * t_new:
+                t_new = t_singular
+            h = t_new - t
+            h_abs = abs(h)
+            t_half = t + 0.5 * h
+            w = _exponent(coefficients, t, h)
+            first = _exponent(coefficients, t, t_half - t)
+            second = _exponent(coefficients, t_half, t_new - t_half)
+            one = _advance(w, y)
+            y_new = _advance(second, _advance(first, y))
+            m11, m12, m21, m22, _ = y_new
+            # the one-step error against FLOW_TOL, then the turn, capped
+            # short of overflow, against a quarter turn on the same scale;
+            # sums, so that an exponent that overflows makes the ratio nan
+            err = ((abs(one[0] - m11) + abs(one[1] - m12)
+                    + abs(one[2] - m21) + abs(one[3] - m22))
+                   / (abs(m11) + abs(m12) + abs(m21) + abs(m22))
+                   + abs(w[3] - first[3] - second[3])) / FLOW_TOL
+            turn = min(abs(w[0] * w[0] + w[1] * w[2]) / _QUARTER_TURN, 1e80)
+            ratio = max(err, turn ** 3.5)
+            if ratio <= 1.0:
+                factor = _MAX_FACTOR if ratio == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * ratio ** _EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # max keeps the smallest factor when the ratio is nan
+            h_abs *= max(_MIN_FACTOR, _SAFETY * ratio ** _EXPONENT)
+            rejected = True
+            n_rejected += 1
+        t, y = t_new, y_new
+        n_steps += 1
+        ts.append(t)
+        ys.append(y)
+    return ts, ys, direction * h_abs, n_rejected

@@ -8,22 +8,22 @@ import pytest
 def solves(monkeypatch):
     """The step points of each side of a classical flow that stepped while
     the test runs, one growing list per side (``Flow.at`` makes the
-    package's only solve_ivp call, one step at a time; a side that is never
-    read past t = 0 takes no step and is not listed)."""
+    package's only solve_ivp call; a side that is never read past t = 0
+    takes no step and is not listed)."""
     from quadham import characteristic
 
     sides, current = [], {}
     solve = characteristic.solve_ivp
 
     def counting(coefficients, t_singular, t, y, h, *work):
-        step = solve(coefficients, t_singular, t, y, h, *work)
-        # a side's first step starts from t = 0
+        steps = solve(coefficients, t_singular, t, y, h, *work)
+        # a side's first call starts from t = 0
         key = id(coefficients), math.copysign(1.0, h)
         if t == 0.0:
             current[key] = []
             sides.append(current[key])
-        current[key].append(step[0])
-        return step
+        current[key] += steps[0]
+        return steps
 
     monkeypatch.setattr(characteristic, "solve_ivp", counting)
     return sides

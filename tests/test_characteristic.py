@@ -351,7 +351,7 @@ class _StubFlow(chr_mod.Flow):
     def __init__(self, mu):
         super().__init__(coeff.builtin_coefficients(ALL_MODELS[8]))
         forward = self._sides[1.0]
-        forward.t = forward.keys = [float(k) for k in range(len(mu))]
+        forward.t = [float(k) for k in range(len(mu))]
         forward.steps = [chr_mod.FlowPoint(0.0, float(m), 0.0, 0.0, 0.0)
                          for m in mu]
         self.mu = mu
