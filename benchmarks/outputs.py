@@ -10,10 +10,11 @@ code under test from moving the inputs (the workload draws some flags from
 ``GaussianState.moments``).  Then runs every argv through
 ``quadham.cli.main`` in one child interpreter per checkout, and prints
 each argv whose exit code, stdout or stderr differ between the two, then
-the count of those that moved.  Under each such argv it prints every CSV
-cell or JSON key that moved, OTHER's value first, and for two floats
-their distance in ulps.  An exception that leaves ``main`` counts as exit
-1 with its type and message on stderr.
+the count of those that moved.  Under each such argv it prints every JSON
+key, CSV cell (of the subcommands in TABLES) or line of other text that
+moved, OTHER's value first, and for two floats their distance in ulps.
+An exception that leaves ``main`` counts as exit 1 with its type and
+message on stderr.
 """
 
 import argparse
@@ -28,6 +29,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 40.0
+# the subcommands whose stdout is a CSV table (list-models unless --format
+# json); verify_all writes lines of text, the others JSON
+TABLES = {"list-models", "mu", "kernel", "propagate", "moments",
+          "appendix_d", "uncertainty"}
 
 DRAW = """
 import json, sys
@@ -83,13 +88,18 @@ def _flatten(doc, where=""):
     return out
 
 
-def _cells(text):
-    """{address: value} of an output: the leaves of a JSON document, or
-    the cells of CSV text as "row:column", column by its header name."""
+def _cells(text, table):
+    """{address: value} of an output: the leaves of a JSON document, else
+    for a table the cells of CSV text as "row:column", column by its header
+    name, else each line as "line N", so that a moved line names no other."""
     try:
         return _flatten(json.loads(text))
     except ValueError:
-        rows = list(csv.reader(io.StringIO(text)))
+        pass
+    if not table:
+        return {f"line {n}": line
+                for n, line in enumerate(text.splitlines(), 1)}
+    rows = list(csv.reader(io.StringIO(text)))
     head = rows[0] if rows else []
     return {f"{i}:{head[j] if i and j < len(head) else j}": cell
             for i, row in enumerate(rows) for j, cell in enumerate(row)}
@@ -113,9 +123,10 @@ def ulps(a, b):
     return abs(_ordinal(a) - _ordinal(b))
 
 
-def moved_cells(theirs: str, mine: str):
-    """(address, their value, my value, ulps) of each cell that moved."""
-    a, b = _cells(theirs), _cells(mine)
+def moved_cells(theirs: str, mine: str, table: bool = False):
+    """(address, their value, my value, ulps) of each cell that moved; text
+    that is not JSON is read as CSV where ``table`` is true."""
+    a, b = _cells(theirs, table), _cells(mine, table)
     return [(key, a.get(key), b.get(key), ulps(a.get(key), b.get(key)))
             for key in [*a, *(k for k in b if k not in a)]
             if a.get(key) != b.get(key)]
@@ -140,7 +151,9 @@ def main(argv=None) -> int:
             moved += 1
             print(f"moved ({', '.join(parts)}): {' '.join(argv)}")
             for stream in (1, 2):
-                for key, a, b, n in moved_cells(theirs[stream], mine[stream]):
+                table = stream == 1 and argv[0] in TABLES
+                for key, a, b, n in moved_cells(theirs[stream], mine[stream],
+                                                table):
                     gap = "" if n is None else f" ({n} ulp)"
                     print(f"  {key}: {a} -> {b}{gap}")
     print(f"{moved} of {len(argvs)} outputs moved")

@@ -49,7 +49,12 @@ layer timing, so that a change in machine load falls on both alike; it
 writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  A
 record names the measured code twice: by ``git describe`` and by a sha256
 of the package source, which stays exact for uncommitted changes; beside
-them, ``source_lines`` counts the lines of that source.
+them, ``source_lines`` counts the lines of that source.  Two more keys
+name what moves a checkout's timings besides its source, so that a pair
+shows where the two differ: ``path_chars``, the length of its path, which
+moves the layer rows by a few percent, and ``cached_bytecode``, whether
+its ``src/quadham/__pycache__`` held bytecode when the run started, which
+the ``quadbench`` children read.
 """
 
 import argparse
@@ -360,6 +365,14 @@ def _source_lines(root):
                for path in pathlib.Path(root, "src").rglob("*.py"))
 
 
+def _confounds(root):
+    """The length of ``root``'s path and whether its
+    ``src/quadham/__pycache__`` holds bytecode now."""
+    cache = pathlib.Path(root, "src", "quadham", "__pycache__")
+    return {"path_chars": len(os.path.abspath(root)),
+            "cached_bytecode": any(cache.glob("*.pyc"))}
+
+
 def _cpu():
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -387,6 +400,11 @@ def main(argv=None):
         roots.append(os.path.abspath(args.against))
         tags.append(f"{args.tag}_against")
 
+    # named before the runs, so that the bytecode state is the one they met
+    names = [{"revision": _revision(root),
+              "source_sha256": _source_sha256(root),
+              "source_lines": _source_lines(root), **_confounds(root)}
+             for root in roots]
     import numpy
     import scipy
     imports = {name: _medians(["-c", code], roots)
@@ -394,9 +412,6 @@ def main(argv=None):
     commands = {name: _commands(cli, roots)
                 for name, cli in COMMANDS.items()}
     layers = _layers(roots)
-    names = [{"revision": _revision(root),
-              "source_sha256": _source_sha256(root),
-              "source_lines": _source_lines(root)} for root in roots]
     day = datetime.date.today().strftime("%Y%m%d")
     for i, (root, tag) in enumerate(zip(roots, tags)):
         record = {

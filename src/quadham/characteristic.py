@@ -16,10 +16,10 @@ mu solves the characteristic equation with ``mu(0) = 0``,
 ``mu'(0) = 2 a(0)``.  The flow needs no derivative of the coefficients and
 no division by a(t).  ``quadham.ode`` integrates it by 6th-order Magnus
 steps, which keep det M = 1 to rounding, with one tolerance on every path,
-FLOW_TOL; the Flow grows on demand, holds the rows and the work counts
-of its solve and gives the dense output by one sub-step from a step
-point.  Every kernel reader refuses the caustic band |mu| <= MU_GUARD
-|t mu'|, in any units.
+FLOW_TOL; a Flow grows its two ``quadham.ode.Side`` records, one per
+direction of t, on demand and gives the dense output by one sub-step
+from a step point.  Every kernel reader refuses the caustic band
+|mu| <= MU_GUARD |t mu'|, in any units.
 The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .coefficients import ModelSpec, TimeCoefficients
 from .errors import (CausticEncountered, NumericalError, SingularCoefficient,
                      ValidationError)
-from .ode import (EVALS_PER_STEP, FLOW_TOL, bracket_sign_change,
+from .ode import (FLOW_TOL, FlowPoint, Side, bracket_sign_change,
                   magnus_step, read, solve_ivp)
 
 # beta = -1/M12 is off by M12's error over |M12|, which shrinks as the time
@@ -55,16 +55,6 @@ class KernelParameters(NamedTuple):
     alpha: float
     beta: float
     gamma: float
-
-
-class FlowPoint(NamedTuple):
-    """M = [[m11, m12], [m21, m22]] and I at a time."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    i: float
 
 
 def _congruence(m11: float, m12: float, m21: float, m22: float, s):
@@ -105,16 +95,6 @@ def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
     return p.m12 * h, 2.0 * (a * p.m22 + c * p.m12) * h, h
 
 
-class _Side:
-    """One side of a flow from t = 0: its step points ``t``, ordered by
-    |t|, the :class:`FlowPoint` at each, the signed size ``h`` of its next
-    try and its count of rejected tries."""
-
-    def __init__(self, direction: float):
-        self.t, self.steps = [0.0], [FlowPoint(1.0, 0.0, 0.0, 1.0, 0.0)]
-        self.h, self.n_rejected = 0.0 * direction, 0
-
-
 class Flow:
     """The classical flow of the Hamiltonian coefficients ``tc`` from t = 0,
     solved on demand: :meth:`at` past the last step point on the side of t
@@ -130,7 +110,7 @@ class Flow:
     def __init__(self, tc: TimeCoefficients):
         self.tc = tc
         self._coefficients = (tc.a, tc.b, tc.c, tc.d)
-        self._sides = {d: _Side(d) for d in (1.0, -1.0)}
+        self._sides = {d: Side(d) for d in (1.0, -1.0)}
         # the first caustic once found, and the first step not yet searched
         self._caustic, self._caustic_from = None, 1
 
@@ -144,7 +124,7 @@ class Flow:
 
     @property
     def n_steps(self) -> int:
-        return len(self.t) - 1
+        return sum(len(side.t) - 1 for side in self._sides.values())
 
     @property
     def n_rejected(self) -> int:
@@ -152,9 +132,7 @@ class Flow:
 
     @property
     def nfev(self) -> int:
-        # and one read at t = 0 by each side that has stepped, to size it
-        return EVALS_PER_STEP * (self.n_steps + self.n_rejected) + sum(
-            len(side.t) > 1 for side in self._sides.values())
+        return sum(side.nfev for side in self._sides.values())
 
     def at(self, t: float) -> FlowPoint:
         """The flow at t, one sub-step from the step point before t, which a
@@ -166,19 +144,13 @@ class Flow:
             raise ValidationError("t must be finite", t=t)
         self.tc.require_window(0.0, t)
         side = self._sides[math.copysign(1.0, t)]
-        ts, steps = side.t, side.steps
-        if abs(ts[-1]) < abs(t):
-            new_ts, rows, side.h, side.n_rejected = solve_ivp(
-                self._coefficients, self.tc.t_singular, ts[-1], steps[-1],
-                side.h, len(ts) - 1, side.n_rejected, t)
-            ts += new_ts
-            steps += map(FlowPoint._make, rows)
-        k = bisect_right(ts, abs(t), key=abs) - 1
-        t_k = ts[k]
+        if abs(side.t[-1]) < abs(t):
+            solve_ivp(side, self._coefficients, self.tc.t_singular, t)
+        k = bisect_right(side.t, abs(t), key=abs) - 1
+        t_k = side.t[k]
         if t == t_k:
-            return steps[k]
-        return FlowPoint._make(
-            magnus_step(self._coefficients, t_k, steps[k], t - t_k))
+            return side.steps[k]
+        return magnus_step(self._coefficients, t_k, side.steps[k], t - t_k)
 
     def mu(self, t: float) -> tuple[float, float]:
         return _mu(self.tc, t, self.at(t))[:2]

@@ -26,6 +26,9 @@ output at t (``Flow.at``) is one :func:`magnus_step` from the step point
 before t.  A step is refused when it turns by more than a quarter,
 |det Omega| > (pi/2)^2, so that it holds at most one zero of M12.  Each
 node is read by :func:`read`, which refuses a coefficient that fails.
+
+Each side of a flow from t = 0 is one :class:`Side` record, which
+:func:`solve_ivp` grows in place and changes only when a solve succeeds.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from math import isfinite
+from typing import NamedTuple
 
 from .errors import SingularCoefficient, ToleranceNotMet
 
@@ -54,6 +58,27 @@ FLOW_TOL = 1e-14
 # solve towards a singular time, which would otherwise crawl on for tens
 # of thousands of steps a few ulp of t long, stops in about 0.5 s
 MAX_STEPS = 30_000
+
+
+class FlowPoint(NamedTuple):
+    """M = [[m11, m12], [m21, m22]] and I at a time."""
+
+    m11: float
+    m12: float
+    m21: float
+    m22: float
+    i: float
+
+
+class Side:
+    """One side of a flow from t = 0: its step points ``t``, ordered by
+    |t|, the :class:`FlowPoint` at each, the signed size ``h`` of its next
+    try (a zero of the side's sign before it steps), its count of rejected
+    tries and ``nfev``, its count of reads of (a, b, c, d)."""
+
+    def __init__(self, direction: float):
+        self.t, self.steps = [0.0], [FlowPoint(1.0, 0.0, 0.0, 1.0, 0.0)]
+        self.h, self.n_rejected, self.nfev = 0.0 * direction, 0, 0
 
 
 def read(fns, t):
@@ -155,32 +180,32 @@ def bracket_sign_change(g, lo, hi):
 
 
 def magnus_step(coefficients, t, y, h):
-    """The row (M11, M12, M21, M22, I) y at t moved by a step of size h."""
-    return _advance(_exponent(coefficients, t, h), y)
+    """The FlowPoint y at t moved by a step of size h."""
+    return FlowPoint._make(_advance(_exponent(coefficients, t, h), y))
 
 
-def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected,
-              t_bound):
-    """The steps of one side of the flow (M, I) of the coefficients
-    (a, b, c, d) of H from M = 1, I = 0 at t = 0, continued from the side's
-    last accepted step point t, its row y = (M11, M12, M21, M22, I) and h,
-    the signed size of its next try (a zero of the side's sign at t = 0,
-    where the try is sized from A(0)), until a step point reaches |t_bound|;
-    n_steps and n_rejected count the side's tries so far.  Returns the new
-    step points, their rows as lists of floats, the next h and the side's
-    new count of rejected tries.  Each step's error is held to FLOW_TOL,
-    no step is clipped to t_bound, and none crosses t_singular (nan for
-    none), so the step points depend on H alone.
+def solve_ivp(side, coefficients, t_singular, t_bound):
+    """Grow the :class:`Side` ``side`` of the flow (M, I) of the
+    coefficients (a, b, c, d) of H from M = 1, I = 0 at t = 0 from its last
+    step point until a step point reaches |t_bound|; a side that has not
+    stepped sizes its first try from A(0).  Each step's error is held to
+    FLOW_TOL, no step is clipped to t_bound, and none crosses t_singular
+    (nan for none), so the step points depend on H alone.  The side is
+    changed only when the solve succeeds: one that raises leaves it as it
+    was.
 
     Raises SingularCoefficient where a coefficient fails at a node (see
     :func:`read`), and ToleranceNotMet when the step size falls below ten
     ulp of t or after MAX_STEPS tries of the side.
     """
-    direction, h_abs = math.copysign(1.0, h), abs(h)
+    t, y = side.t[-1], side.steps[-1]
+    direction, h_abs = math.copysign(1.0, side.h), abs(side.h)
+    n_steps, n_rejected, nfev = len(side.t) - 1, side.n_rejected, side.nfev
     if h_abs == 0.0:
         # as in Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4, without
         # their second read of A: f is the largest entry of A(0) and of I'
         a, b, c, d = read(coefficients, t)
+        nfev += 1
         f = max(abs(c + d), 2.0 * abs(a), 2.0 * abs(b), abs(c - d))
         h_abs = (min(1.0 / f, (0.01 * FLOW_TOL / f) ** (1.0 / 7.0)) if f
                  else 1e-6)
@@ -197,8 +222,7 @@ def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected,
             if n_steps + n_rejected >= MAX_STEPS:
                 raise ToleranceNotMet(
                     "the solve used up its step budget", t=t,
-                    steps=n_steps, rejected=n_rejected,
-                    nfev=EVALS_PER_STEP * (n_steps + n_rejected) + 1)
+                    steps=n_steps, rejected=n_rejected, nfev=nfev)
             t_new = t + h_abs * direction
             if 0.0 < direction * t_singular < direction * t_new:
                 t_new = t_singular
@@ -208,6 +232,7 @@ def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected,
             w = _exponent(coefficients, t, h)
             first = _exponent(coefficients, t, t_half - t)
             second = _exponent(coefficients, t_half, t_new - t_half)
+            nfev += EVALS_PER_STEP
             one = _advance(w, y)
             y_new = _advance(second, _advance(first, y))
             m11, m12, m21, m22, _ = y_new
@@ -233,4 +258,6 @@ def solve_ivp(coefficients, t_singular, t, y, h, n_steps, n_rejected,
         n_steps += 1
         ts.append(t)
         ys.append(y)
-    return ts, ys, direction * h_abs, n_rejected
+    side.t += ts
+    side.steps += map(FlowPoint._make, ys)
+    side.h, side.n_rejected, side.nfev = direction * h_abs, n_rejected, nfev

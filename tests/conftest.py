@@ -1,4 +1,3 @@
-import math
 import sys
 
 import pytest
@@ -6,24 +5,20 @@ import pytest
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The step points of each side of a classical flow that stepped while
-    the test runs, one growing list per side (``Flow.at`` makes the
-    package's only solve_ivp call; a side that is never read past t = 0
-    takes no step and is not listed)."""
+    """The side records (``quadham.ode.Side``) of the classical flows that
+    stepped while the test runs, each listed once, in the order of their
+    first solve (``Flow.at`` makes the package's only solve_ivp call; a side
+    that is never read past t = 0 takes no step and is not listed).  The
+    list holds each record, so that no two sides are confused."""
     from quadham import characteristic
 
-    sides, current = [], {}
+    sides = []
     solve = characteristic.solve_ivp
 
-    def counting(coefficients, t_singular, t, y, h, *work):
-        steps = solve(coefficients, t_singular, t, y, h, *work)
-        # a side's first call starts from t = 0
-        key = id(coefficients), math.copysign(1.0, h)
-        if t == 0.0:
-            current[key] = []
-            sides.append(current[key])
-        current[key] += steps[0]
-        return steps
+    def counting(side, *args):
+        solve(side, *args)
+        if not any(seen is side for seen in sides):
+            sides.append(side)
 
     monkeypatch.setattr(characteristic, "solve_ivp", counting)
     return sides

@@ -26,6 +26,22 @@ def test_layer_child_times_every_row():
         assert counts["nfev"] > 0 and counts["n_steps"] > 0
 
 
+def test_a_record_names_the_confounds_of_its_checkout(tmp_path):
+    # benchmarks/run.py records the length of a checkout's path and
+    # whether its package held bytecode, the two confounds of a pair
+    confounds = runpy.run_path(str(ROOT / "benchmarks" / "run.py"))[
+        "_confounds"]
+    long = tmp_path / "a-longer-checkout"
+    cache = long / "src" / "quadham" / "__pycache__"
+    cache.mkdir(parents=True)
+    assert confounds(long) == {"path_chars": len(str(long)),
+                               "cached_bytecode": False}
+    (cache / "cli.cpython-312.pyc").write_bytes(b"")
+    assert confounds(long)["cached_bytecode"]
+    assert confounds(tmp_path / "b") == {
+        "path_chars": len(str(tmp_path)) + 2, "cached_bytecode": False}
+
+
 def test_outputs_of_a_checkout_against_itself_do_not_move():
     # benchmarks/outputs.py draws seed 1's cli_session argvs from this
     # checkout's quadbench and runs them here twice: nothing may move
@@ -40,18 +56,26 @@ def test_outputs_of_a_checkout_against_itself_do_not_move():
 
 
 def test_outputs_lists_each_moved_cell_with_its_ulps():
-    # benchmarks/outputs.py names every CSV cell and JSON key that moved,
-    # the other checkout's value first, and for two floats their distance
-    # in ulps, so that a gate in ulps can be read off its output
+    # benchmarks/outputs.py names every CSV cell, JSON key and line of
+    # text that moved, the other checkout's value first, and for two
+    # floats their distance in ulps, so that a gate in ulps can be read off
+    # its output
     outputs = runpy.run_path(str(ROOT / "benchmarks" / "outputs.py"))
     moved = outputs["moved_cells"]
     table = "t,margin,excess\r\n0.0,0.25,0.5\r\n1.0,{},0.5\r\n"
-    assert moved(table.format("0.1"), table.format("0.10000000000000003")) \
+    assert moved(table.format("0.1"), table.format("0.10000000000000003"),
+                 table=True) \
         == [("2:margin", "0.1", "0.10000000000000003", 2)]
     assert moved('{"drift": 1e-09, "info": {"t": [1.0, -0.0]}}',
                  '{"drift": 1e-09, "info": {"t": [1.0, 5e-324]}}') \
         == [("info.t.1", -0.0, 5e-324, 1)]
     assert moved("PASS a: x\n", "FAIL a: x\n") == [
-        ("0:0", "PASS a: x", "FAIL a: x", None)]
-    assert moved("t\r\n1.0\r\n", "t\r\n1.0\r\n") == []
+        ("line 1", "PASS a: x", "FAIL a: x", None)]
+    # verify_all's text by line: a moved first line keys no other line
+    assert moved("PASS a: err 4.33e-15\nPASS b: drift 4.66e-15\n",
+                 "PASS a: err 4.75e-15\nPASS b: drift 5.05e-15\n") == [
+        ("line 1", "PASS a: err 4.33e-15", "PASS a: err 4.75e-15", None),
+        ("line 2", "PASS b: drift 4.66e-15", "PASS b: drift 5.05e-15", None)]
+    assert outputs["TABLES"].isdisjoint({"verify_all", "green", "invariant"})
+    assert moved("t\r\n1.0\r\n", "t\r\n1.0\r\n", table=True) == []
     assert outputs["ulps"](-1.0, 1.0) == 2 * outputs["ulps"](0.0, 1.0)

@@ -889,7 +889,7 @@ def test_uncertainty_solves_one_flow(capsys, solves):
                          "--lambda", "0.1", "--t-end", "3.0")
     assert code == 0
     # one side of one flow, solved one step past the window and no further
-    assert [side[-2] < 3.0 <= side[-1] for side in solves] == [True]
+    assert [side.t[-2] < 3.0 <= side.t[-1] for side in solves] == [True]
 
 
 @pytest.mark.parametrize("budget", ["quick", "full"])

@@ -9,7 +9,7 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham.characteristic import classical_flow
 from quadham.errors import SingularCoefficient, ToleranceNotMet
-from quadham.ode import MAX_STEPS, solve_ivp
+from quadham.ode import MAX_STEPS, Side, solve_ivp
 
 # the reference: scipy's DOP853 far below the flow's own error
 REF_OPTS = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
@@ -152,10 +152,31 @@ def test_blow_up_raises_singular_coefficient():
     zero = lambda t: 0.0
     c = lambda t: 1.0 if t < 1.0 else 1.0 / 0.0
     with pytest.raises(SingularCoefficient) as exc:
-        solve_ivp((zero, zero, c, zero), math.nan, 0.0,
-                  [1.0, 0.0, 0.0, 1.0, 0.0], 0.0, 0, 0, 2.0)
+        solve_ivp(Side(1.0), (zero, zero, c, zero), math.nan, 2.0)
     assert exc.value.info["t"].hex() == "0x1.244f53d0a66c5p+0"
     assert "ZeroDivisionError" in exc.value.info["error"]
+
+
+def test_a_failed_read_leaves_its_side_as_it_was():
+    # the coefficient of test_blow_up_raises_singular_coefficient: a read
+    # at 0.5 grows the side, one at 2 fails past t = 1 and must leave the
+    # side, its counts and its next try as they were, so that it fails
+    # again alike and 0.5 keeps its bits
+    zero = lambda t: 0.0
+    c = lambda t: 1.0 if t < 1.0 else 1.0 / 0.0
+    flow = classical_flow(coeff.TimeCoefficients(zero, zero, c, zero))
+    bits = [v.hex() for v in flow.at(0.5)]
+    state = flow.t, flow.steps, flow.n_steps, flow.n_rejected, flow.nfev
+    assert flow.n_steps > 0
+    infos = []
+    for _ in range(2):
+        with pytest.raises(SingularCoefficient) as exc:
+            flow.at(2.0)
+        infos.append(exc.value.info)
+        assert (flow.t, flow.steps, flow.n_steps, flow.n_rejected,
+                flow.nfev) == state
+    assert infos[0] == infos[1]
+    assert [v.hex() for v in flow.at(0.5)] == bits
 
 
 @pytest.mark.parametrize("b", [
