@@ -29,8 +29,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 40.0
-# the subcommands whose stdout is a CSV table (list-models unless --format
-# json); verify_all writes lines of text, the others JSON
+# the subcommands whose stdout is a CSV table (list-models unless --json);
+# verify_all writes lines of text, the others JSON
 TABLES = {"list-models", "mu", "kernel", "propagate", "moments",
           "appendix_d", "uncertainty"}
 

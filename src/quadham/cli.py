@@ -168,10 +168,10 @@ def cmd_moments(args):
     spec, m0 = _spec_from(args), _moment_start(args)
     flow = quadham.characteristic.classical_flow(
         quadham.coefficients.builtin_coefficients(spec))
-    path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
+    path = dyn.evolve_second_moments(flow, m0)
+    ts = _linspace(0.0, args.t_end, args.samples)
     # p2, x2, pxxp and the norm 1 per unit <1>, each times <1>
-    rows = [(t, *map(raw(t), path(t)))
-            for t in _linspace(0.0, args.t_end, args.samples)]
+    rows = [(t, *map(raw, m)) for t, (m, raw) in zip(ts, map(path, ts))]
     qio.write_csv(args.out, ["t", "p2", "x2", "pxxp", "norm"], rows)
     return 0
 
@@ -186,10 +186,10 @@ def _invariant_drift(spec, m0, flow, t_end, t_start, samples):
 
     def pairs():
         yield inv.energy_operator_catalog(spec, 0.0), m0
-        path, raw = dyn.evolve_second_moments(flow, m0), dyn.evolve_raw(flow)
+        path = dyn.evolve_second_moments(flow, m0)
         for t in _linspace(t_start, t_end, samples):
-            yield (inv.energy_operator_catalog(spec, t),
-                   dyn.SecondMoments(*map(raw(t), path(t))))
+            form, (m, raw) = inv.energy_operator_catalog(spec, t), path(t)
+            yield form, dyn.SecondMoments(*map(raw, m))
 
     return inv._expectation_drift(pairs(), 1e-8)
 
@@ -218,11 +218,12 @@ def cmd_appendix_d(args):
 def _uncertainty(flow, c0, t_end, samples):
     """(t, raw, uncertainty_check) at each t in linspace(0, t_end, samples)
     of the centred moments c0 at <1>_0 = 1 flowed on ``flow``, with no
-    means; ``raw`` is that of :func:`quadham.dynamics.evolve_raw` at t."""
+    means; ``raw`` is the path's weight at t."""
     dyn = quadham.dynamics
-    path, raw = dyn.evolve_second_moments(flow, c0), dyn.evolve_raw(flow)
-    return [(t, raw(t), dyn.uncertainty_check(path(t)))
-            for t in _linspace(0.0, t_end, samples)]
+    path = dyn.evolve_second_moments(flow, c0)
+    ts = _linspace(0.0, t_end, samples)
+    return [(t, raw, dyn.uncertainty_check(c))
+            for t, (c, raw) in zip(ts, map(path, ts))]
 
 
 def cmd_uncertainty(args):
@@ -304,9 +305,10 @@ def _verify_one(model_id: str, budget: str):
     if spec.model.mean_position is not None:
         # Ehrenfest: <x> on H's flow against the record's family
         mean = functools.partial(spec.closed_form("mean_position"), 0.9, 0.4)
-        path, raw = dyn.evolve_first_moments(flow, dyn.FirstMoments(
-            *spec.closed_form("mean_start")(0.9, 0.4))), dyn.evolve_raw(flow)
-        err = max(abs(raw(t)(path(t).x) - mean(t)) for t in ts)
+        path = dyn.evolve_first_moments(flow, dyn.FirstMoments(
+            *spec.closed_form("mean_start")(0.9, 0.4)))
+        err = max(abs(raw(m.x) - mean(t))
+                  for t, (m, raw) in zip(ts, map(path, ts)))
         yield f"ehrenfest {model_id}", err <= 1e-8, f"max err {err:.2e}"
 
     if spec.model.invariant_mu is not None:

@@ -7,9 +7,9 @@ Their paths work per unit ``<1>``, with no weight: ``<(x, p)>/<1> =
 M <(x, p)>_0 / <1>_0`` and ``S/<1> = M S_0 M^T / <1>_0`` for
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``; the centred ``S``
 moves alike, as ``W_t(z) = e^{-I} W_0(M^{-1} z)``, so a state is centred
-once, at t = 0.  :func:`evolve_raw` is the one weight: each raw number
-returned is a value per unit ``<1>`` times ``e^{-I}`` formed there, and
-:func:`evolve_norm` reads ``<1> = e^{-I} <1>_0`` from it.  The paths reach
+once, at t = 0.  Each path returns the ``raw`` of its flow point beside
+the moments (:func:`_raw`), the one weight: each raw number returned is
+a value per unit ``<1>`` times ``e^{-I}`` formed there.  The paths reach
 ``quadham.characteristic`` through the package root when called, which
 loads it on first use, so that ``appendix_d`` does not.
 """
@@ -64,17 +64,34 @@ def _finite(t: float, *values: float):
     return values
 
 
+def _raw(t: float, i: float):
+    """v -> v e^{-I} for v per unit <1> at t, I = i: the one weight, formed
+    when called, so a per-unit read serves where e^{-I} overflows.  A
+    subnormal e^{-I} meets v as two normal halves e^{-I/2}, so that only
+    the product is rounded; a normal one multiplies v in one step."""
+    weight = quadham.characteristic._weight
+
+    def raw(v: float) -> float:
+        if (w := _finite(t, weight(t, i, -1.0))[0]) >= 2.0 ** -1022:
+            return v * w
+        h = weight(t, i, -0.5)
+        return v * h * h
+
+    return raw
+
+
 def evolve_second_moments(flow: quadham.characteristic.Flow,
                           m0: SecondMoments):
-    """Second moments per unit <1> on ``flow``; returns t -> SecondMoments
-    with norm 1."""
+    """Second moments per unit <1> on ``flow``; returns t -> (SecondMoments
+    with norm 1, raw), both read off one flow point (see :func:`_raw`)."""
     congruence = quadham.characteristic._congruence
     s0 = _per_unit(m0.norm, m0.x2, 0.5 * m0.pxxp, m0.p2)
 
-    def path(t: float) -> SecondMoments:
+    def path(t: float):
         p = flow.at(t)
         x2, half_pxxp, p2 = congruence(p.m11, p.m12, p.m21, p.m22, s0)
-        return SecondMoments(*_finite(t, p2, x2, 2.0 * half_pxxp))
+        moments = SecondMoments(*_finite(t, p2, x2, 2.0 * half_pxxp))
+        return moments, _raw(t, p.i)
 
     return path
 
@@ -82,37 +99,17 @@ def evolve_second_moments(flow: quadham.characteristic.Flow,
 def evolve_first_moments(flow: quadham.characteristic.Flow,
                          fm0: FirstMoments):
     """<x> and <p> per unit <1> on ``flow`` from fm0 per unit <1>_0;
-    raw, d<x>/dt = 2a<p> + 2d<x>, d<p>/dt = -2b<x> - 2c<p>."""
+    returns t -> (FirstMoments, raw), both read off one flow point (see
+    :func:`_raw`).  The raw means solve d<x>/dt = 2a<p> + 2d<x>,
+    d<p>/dt = -2b<x> - 2c<p>."""
     x0, p0 = fm0
 
-    def path(t: float) -> FirstMoments:
+    def path(t: float):
         p = flow.at(t)
         return FirstMoments(*_finite(t, p.m11 * x0 + p.m12 * p0,
-                                     p.m21 * x0 + p.m22 * p0))
+                                     p.m21 * x0 + p.m22 * p0)), _raw(t, p.i)
 
     return path
-
-
-def evolve_norm(flow: quadham.characteristic.Flow, norm0: float = 1.0):
-    """t -> <1> = e^{-I} norm0 on ``flow``."""
-    raw = evolve_raw(flow)
-    return lambda t: _finite(t, raw(t)(norm0))[0]
-
-
-def evolve_raw(flow: quadham.characteristic.Flow):
-    """t -> raw, raw(v) = v e^{-I} for v per unit <1>: the one weight.  A
-    subnormal e^{-I} meets v as two normal halves e^{-I/2}, so that only
-    the product is rounded; a normal one multiplies v in one step."""
-    weight = quadham.characteristic._weight
-
-    def at(t: float):
-        i = flow.at(t).i
-        if (w := _finite(t, weight(t, i, -1.0))[0]) >= 2.0 ** -1022:
-            return lambda v: v * w
-        h = weight(t, i, -0.5)
-        return lambda v: v * h * h
-
-    return at
 
 
 def closed_form_expectation(spec: quadham.coefficients.ModelSpec,
@@ -138,9 +135,9 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
                                  flow: quadham.characteristic.Flow):
     """E(t) of the model's reference operator A p^2 + B x^2 + (C/2)(px+xp)
     on ``flow``, the flow of ``catalog_coefficients(spec)``, from the
-    moments flowed from m0 on it, each weighed by :func:`evolve_raw`;
-    NoClosedForm for a model without one and NumericalError where E is not
-    finite.  For ``cj_coordinate`` E solves
+    moments flowed from m0 on it, each weighed by the ``raw`` of their flow
+    point (:func:`_raw`); NoClosedForm for a model without one and
+    NumericalError where E is not finite.  For ``cj_coordinate`` E solves
 
         y'' - (4 lambda / sinh(2 lambda t)) y' +
             2(2 omega^2 + lambda^2 / cosh^2(lambda t)) y = 8 omega0 <E>_0,
@@ -149,10 +146,10 @@ def damped_energy_equation_solve(spec: quadham.coefficients.ModelSpec,
     <px+xp>_0 selects the t^3 branch.  Returns t -> E(t).
     """
     reference = spec.closed_form("reference")
-    path, raw = evolve_second_moments(flow, m0), evolve_raw(flow)
+    path = evolve_second_moments(flow, m0)
 
     def energy(t: float) -> float:
-        (p2, x2, pxxp, _), weigh = path(t), raw(t)
+        (p2, x2, pxxp, _), weigh = path(t)
         A, B, C = reference(t)
         e = A * weigh(p2) + B * weigh(x2) + 0.5 * C * weigh(pxxp)
         return _finite(t, e * m0.norm)[0]

@@ -409,12 +409,14 @@ def test_an_overflowing_flow_weight_is_typed(mu_param):
     # moment paths work per unit <1> and serve there
     spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, mu_param)
     flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
+    paths = (dyn.evolve_first_moments(flow, dyn.FirstMoments(1.0, 0.0)),
+             dyn.evolve_second_moments(flow, dyn.SecondMoments(1.0, 1.0)))
+    # <1> through the second-moment path's raw
     reads = ([flow.mu,
               inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0))]
-             if mu_param > 0 else [dyn.evolve_norm(flow)])
-    for path in (dyn.evolve_first_moments(flow, dyn.FirstMoments(1.0, 0.0)),
-                 dyn.evolve_second_moments(flow, dyn.SecondMoments(1.0, 1.0))):
-        assert all(map(math.isfinite, path(3.0)))
+             if mu_param > 0 else [lambda t: paths[1](t)[1](1.0)])
+    for path in paths:
+        assert all(map(math.isfinite, path(3.0)[0]))
     for read in reads:
         read(0.1)  # served where |I| = 30
         with pytest.raises(NumericalError) as err:

@@ -399,7 +399,7 @@ def test_raw_columns_keep_their_digits_where_the_norm_is_subnormal(capsys):
     for r in rows:
         t = float(r["t"])
         weight = mpmath.exp(-mpmath.mpf(flow.at(t).i))
-        for key, v in zip(("p2", "x2", "pxxp", "norm"), path(t)):
+        for key, v in zip(("p2", "x2", "pxxp", "norm"), path(t)[0]):
             want = weight * v
             assert abs(float(r[key]) - want) <= (
                 4.0 * 2.0 ** -53 * abs(want) + 2.0 ** -1074), (t, key)
@@ -906,6 +906,96 @@ def test_verify_all_one_flow_per_hamiltonian(capsys, solves, budget,
     assert len(solves) == n_solves
 
 
+def _flow_reads(monkeypatch):
+    """The times of every ``Flow.at`` call while the test runs."""
+    reads, at = [], chr_mod.Flow.at
+
+    def counting(flow, t):
+        reads.append(t)
+        return at(flow, t)
+
+    monkeypatch.setattr(chr_mod.Flow, "at", counting)
+    return reads
+
+
+@pytest.mark.parametrize("command", ["moments", "invariant", "uncertainty"])
+def test_a_moment_row_reads_one_flow_point(capsys, monkeypatch, command):
+    # a moment path returns its row's weight e^{-I} with the moments, so
+    # each of the 50 rows reads the flow once
+    reads = _flow_reads(monkeypatch)
+    code, out, err = run(capsys, command, "--model", "caldirola_kanai",
+                         "--lambda", "0.2", "--t-end", "3")
+    assert (code, err) == (0, "")
+    assert len(reads) == 50
+
+
+def test_the_energy_and_ehrenfest_rows_read_one_flow_point(capsys,
+                                                           monkeypatch):
+    # verify_all's energy path and Ehrenfest row: one Flow.at call per t
+    reads, per_t = _flow_reads(monkeypatch), []
+
+    def counted(name, make):
+        def counting_make(*args):
+            path = make(*args)
+
+            def read(t):
+                before = len(reads)
+                value = path(t)
+                per_t.append((name, len(reads) - before))
+                return value
+
+            return read
+
+        monkeypatch.setattr(dyn, name, counting_make)
+
+    counted("damped_energy_equation_solve", dyn.damped_energy_equation_solve)
+    counted("evolve_first_moments", dyn.evolve_first_moments)
+    code, out, err = run(capsys, "verify_all", "--model", "united",
+                         "--budget", "full")
+    assert code == 0, out
+    assert per_t == ([("damped_energy_equation_solve", 1)] * 5
+                     + [("evolve_first_moments", 1)] * 5)
+
+
+def test_moment_commands_serve_a_backward_window(capsys):
+    # moments, invariant and uncertainty read the flow's backward side,
+    # each row bitwise the library path's at its t; mu, kernel, green and
+    # propagate refuse a window that is not positive
+    flags = ["--model", "caldirola_kanai", "--lambda", "0.2"]
+    window = ["--t-end", "-1.5", "--samples", "4"]
+    spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
+    flow = chr_mod.classical_flow(coeff.builtin_coefficients(spec))
+    m0 = dyn.SecondMoments(1.0, 1.0)
+    path = dyn.evolve_second_moments(flow, m0)
+    for command in ("moments", "uncertainty"):
+        code, out, err = run(capsys, command, *flags, *window)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["t"]) for r in rows] == [0.0, -0.5, -1.0, -1.5]
+        for r in rows:
+            m, raw = path(float(r["t"]))
+            u = dyn.uncertainty_check(m)
+            want = ({"p2": raw(m.p2), "x2": raw(m.x2), "pxxp": raw(m.pxxp),
+                     "norm": raw(m.norm)} if command == "moments" else
+                    {"dp2": raw(u["dp2"]), "dx2": raw(u["dx2"]),
+                     "margin": raw(raw(u["margin"])),
+                     "excess": u["excess"]})
+            assert {k: float(r[k]) for k in want} == want
+    code, out, err = run(capsys, "invariant", *flags, *window)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["t_end"] == -1.5 and data["drift"] <= 1e-8
+    for command, args in (("mu", window), ("kernel", window),
+                          ("propagate", window),
+                          ("green", ["--t", "-1.5", "--x", "0.1",
+                                     "--y", "0.2"])):
+        code, out, err = run(capsys, command, *flags, *args)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["message"] == "t_end must be positive and finite"
+        assert record["info"] == {"t_end": -1.5}
+
+
 @pytest.mark.parametrize("modules", [
     "quadham.cli",
     "quadham.characteristic, quadham.propagator, quadham.gridsim",
@@ -1380,7 +1470,12 @@ def test_verify_all_full_fails_a_wrong_closed_form_check(capsys, monkeypatch,
 
         def wrong(flow, f0):
             path = real(flow, f0)
-            return lambda t: path(t)._replace(x=path(t).x + 1e-7)
+
+            def shifted(t):
+                fm, raw = path(t)
+                return fm._replace(x=fm.x + 1e-7), raw
+
+            return shifted
 
         monkeypatch.setattr(dyn, "evolve_first_moments", wrong)
     else:

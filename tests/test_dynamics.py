@@ -36,9 +36,10 @@ def _tc_for(spec):
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s.model_id)
 def test_closed_form_expectation_vs_moment_ode(spec):
     flow = classical_flow(_tc_for(spec))
-    path, raw = dyn.evolve_second_moments(flow, M0), dyn.evolve_raw(flow)
+    path = dyn.evolve_second_moments(flow, M0)
     for t in np.linspace(0.2, 3.0, 11):
-        m = dyn.SecondMoments(*map(raw(float(t)), path(float(t))))
+        m, raw = path(float(t))
+        m = dyn.SecondMoments(*map(raw, m))
         A, B, C = dyn.reference_operator(spec, float(t))
         got = A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
         ref = dyn.closed_form_expectation(spec, M0, float(t))
@@ -50,7 +51,7 @@ def test_cj_closed_form_vs_moment_ode():
     tc = _tc_for(spec)
     path = dyn.evolve_second_moments(classical_flow(tc), M0_EVEN)
     for t in np.linspace(0.2, 5.0, 13):
-        m = path(float(t))
+        m = path(float(t))[0]
         A, B, C = dyn.reference_operator(spec, float(t))
         got = A * m.p2 + B * m.x2 + 0.5 * C * m.pxxp
         ref = dyn.closed_form_expectation(spec, M0_EVEN, float(t))
@@ -121,10 +122,11 @@ def test_mean_position_closed_form_vs_ode(spec):
     amp, phase = 0.9, 0.4
     fm0 = dyn.FirstMoments(*spec.closed_form("mean_start")(amp, phase))
     flow = classical_flow(tc)
-    path, raw = dyn.evolve_first_moments(flow, fm0), dyn.evolve_raw(flow)
+    path = dyn.evolve_first_moments(flow, fm0)
     for t in np.linspace(0.0, 4.0, 17):
         ref = spec.closed_form("mean_position")(amp, phase, float(t))
-        assert abs(raw(float(t))(path(float(t)).x) - ref) <= 1e-8
+        fm, raw = path(float(t))
+        assert abs(raw(fm.x) - ref) <= 1e-8
 
 
 def test_norm_rate_matches_drift_asymmetry():
@@ -133,13 +135,14 @@ def test_norm_rate_matches_drift_asymmetry():
     spec = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
     tc = coeff.builtin_coefficients(spec)
     flow = classical_flow(tc)
-    norm = dyn.evolve_norm(flow, M0.norm)
+    path = dyn.evolve_second_moments(flow, M0)
+    norm = lambda t: path(t)[1](M0.norm)
     rate = tc.d(0.7) - tc.c(0.7)
     assert norm(0.7) == pytest.approx(math.exp(rate * 0.7) * M0.norm,
                                       rel=1e-10)
     assert norm(2.0) == pytest.approx(math.exp(-0.1 * 2.0), rel=1e-10)
     # the moment paths carry no weight
-    assert dyn.evolve_second_moments(flow, M0)(2.0).norm == 1.0
+    assert path(2.0)[0].norm == 1.0
 
 
 def test_uncertainty_coherent_initial_data():
@@ -158,7 +161,7 @@ def test_uncertainty_margin_stays_nonnegative_along_flow():
     flow = classical_flow(tc)
     path = dyn.evolve_second_moments(flow, m0.centred(fm0))
     for t in np.linspace(0.0, 3.0, 13):
-        out = dyn.uncertainty_check(path(float(t)))
+        out = dyn.uncertainty_check(path(float(t))[0])
         assert out["margin"] >= -1e-10
 
 
@@ -216,8 +219,8 @@ def _outcome(flow, m0, f0):
     """The moments and the centred moments per unit <1>, the excess and
     the verdicts of the variance floor and of verify_all's margin floor,
     as reprs."""
-    m = dyn.evolve_second_moments(flow, m0)(1.0)
-    c = dyn.evolve_second_moments(flow, m0.centred(f0))(1.0)
+    m = dyn.evolve_second_moments(flow, m0)(1.0)[0]
+    c = dyn.evolve_second_moments(flow, m0.centred(f0))(1.0)[0]
     try:
         u = dyn.uncertainty_check(c)
     except InvalidMoments:
@@ -358,7 +361,7 @@ def test_window_across_parametric_singularity_is_refused(delta, t_end):
         flow.at(t_end)
     assert exc.value.info["t_singular"] == tc.t_singular == -delta
     path = dyn.evolve_second_moments(flow, M0)
-    assert math.isfinite(path(0.4 * t_end).x2)
+    assert math.isfinite(path(0.4 * t_end)[0].x2)
     assert all(abs(t) < abs(tc.t_singular) for t in flow.t)
 
 
@@ -388,13 +391,13 @@ def test_long_window_second_moments():
     path = dyn.evolve_second_moments(classical_flow(tc), M0)
     for t in np.linspace(0.0, 400.0, 41):
         c, s = math.cos(t), math.sin(t)
-        m = path(float(t))
+        m = path(float(t))[0]
         ref = (M0.p2 * c * c + M0.x2 * s * s - M0.pxxp * s * c,
                M0.x2 * c * c + M0.p2 * s * s + M0.pxxp * s * c,
                M0.pxxp * (c * c - s * s) + 2.0 * s * c * (M0.p2 - M0.x2))
         for got, want in zip((m.p2, m.x2, m.pxxp), ref):
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
-    assert path(400.0).norm == 1.0
+    assert path(400.0)[0].norm == 1.0
 
 
 def test_paths_read_past_the_solved_steps():
@@ -417,4 +420,4 @@ def test_paths_read_past_the_solved_steps():
             with pytest.raises(ValidationError):
                 path(t)
     for t in (1.0, 6.0, -0.1, -1.0):
-        assert paths[0](t).p2 == pytest.approx(1.0, rel=1e-10)
+        assert paths[0](t)[0].p2 == pytest.approx(1.0, rel=1e-10)

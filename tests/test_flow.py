@@ -89,16 +89,14 @@ def _flow_values(tc, t_end):
     flow = classical_flow(tc)
     second = dyn.evolve_second_moments(flow, M0)
     first = dyn.evolve_first_moments(flow, F0)
-    raw = dyn.evolve_raw(flow)
     form = inv.solve_energy_system(flow, Q0)
     aux = inv.solve_linear_auxiliary(flow, AUX0)
 
     def values(t):
         # the paper's systems move raw moments: per unit <1> times <1>,
         # here <1>_0 = 1
-        q = form(t)
-        return [*map(raw(t), [*second(t), *first(t)]), q.A, q.B, q.C, q.D,
-                *aux(t)]
+        q, (m, raw), (fm, _) = form(t), second(t), first(t)
+        return [*map(raw, [*m, *fm]), q.A, q.B, q.C, q.D, *aux(t)]
 
     return values
 
@@ -364,13 +362,60 @@ def test_drawn_hamiltonians_keep_the_identities_of_every_h(
         exact = s.eval(phi.x)
         quad = propagate_grid(kp, phi).values
         assert np.max(np.abs(quad - exact)) <= 1e-10 * np.max(np.abs(exact))
-        got, want = path(t), s.moments()
+        got, want = path(t)[0], s.moments()
         assert _rel_err([got.p2 / got.norm, got.x2 / got.norm,
                          got.pxxp / got.norm],
                         [want[k] / want["norm"]
                          for k in ("p2", "x2", "pxxp")]) <= 1e-10
         assert want["norm"] == pytest.approx(
             math.exp(-flow.at(t).i) * m0["norm"], rel=1e-10)
+
+
+def _of_largest(got, want):
+    """max |got - want| relative to the largest |want|."""
+    return max(abs(g - w) for g, w in zip(got, want)) / max(map(abs, want))
+
+
+@seed(20261048)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a0=st.floats(0.3, 1.0), b0=st.floats(0.2, 1.5), a1=_COEFF,
+       b1=_COEFF, c0=_COEFF, c1=_COEFF, d0=_COEFF, d1=_COEFF,
+       rate=st.floats(-0.5, 0.5), omega=st.floats(0.5, 3.0),
+       phase=st.floats(0.0, 3.0), t_end=st.floats(0.5, 2.0))
+def test_the_fourier_dual_flows_the_swapped_moments(a0, b0, a1, b1, c0, c1,
+                                                     d0, d1, rate, omega,
+                                                     phase, t_end):
+    # the dual map x -> p, p -> -x takes H = (a, b, c, d) to
+    # H' = (b, a, -d, -c) and keeps I.  So H' flows (x2, p2, -pxxp) of H's
+    # start to those of H at t and (<p>_0, -<x>_0) to (<p>, -<x>), with
+    # the same weight e^{-I}; each to FLOW_TOL a step of both flows,
+    # relative to the largest moment
+    def h(t):
+        e, s = math.exp(rate * t), math.sin(omega * t + phase)
+        return a0 * e + a1 * s, b0 / e + b1 * s, c0 + c1 * s, d0 + d1 * t
+
+    def dual(t):
+        a, b, c, d = h(t)
+        return b, a, -d, -c
+
+    flows = [classical_flow(TimeCoefficients(
+        *(lambda t, k=k, f=f: f(t)[k] for k in range(4))))
+        for f in (h, dual)]
+    second = [dyn.evolve_second_moments(flows[0], M0),
+              dyn.evolve_second_moments(flows[1], dyn.SecondMoments(
+                  M0.x2, M0.p2, -M0.pxxp))]
+    first = [dyn.evolve_first_moments(flows[0], F0),
+             dyn.evolve_first_moments(flows[1], dyn.FirstMoments(F0.p,
+                                                                 -F0.x))]
+    err = 0.0
+    for t in (t_end / 3, 2.0 * t_end / 3, t_end, -0.5 * t_end):
+        (m, raw), (m_dual, raw_dual) = (path(t) for path in second)
+        (f, _), (f_dual, _) = (path(t) for path in first)
+        err = max(err, _of_largest([m_dual.x2, m_dual.p2, -m_dual.pxxp],
+                                   [m.p2, m.x2, m.pxxp]),
+                  _of_largest([-f_dual.p, f_dual.x], [f.x, f.p]),
+                  _of_largest([raw_dual(1.0)], [raw(1.0)]))
+    assert err <= FLOW_TOL * sum(flow.n_steps for flow in flows)
 
 
 @st.composite
@@ -408,11 +453,10 @@ def _readings(tc, flow, t):
 
     path = dyn.evolve_second_moments(flow, M0)
     first = dyn.evolve_first_moments(flow, F0)
-    raw = dyn.evolve_raw(flow)
     return [outcome(lambda: flow.at(t)), outcome(lambda: flow.mu(t)),
             outcome(lambda: kernel_parameters(tc, flow, t)),
-            outcome(lambda: path(t)), outcome(lambda: first(t)),
-            outcome(lambda: [raw(t)(1.0)])]
+            outcome(lambda: path(t)[0]), outcome(lambda: first(t)[0]),
+            outcome(lambda: [path(t)[1](1.0)])]
 
 
 @seed(20261046)

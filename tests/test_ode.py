@@ -49,7 +49,7 @@ def _second_moments():
     path = dyn.evolve_second_moments(flow, dyn.SecondMoments(*y0))
 
     def got(t):
-        m = path(t)
+        m = path(t)[0]
         return [m.p2, m.x2, m.pxxp, m.norm]
 
     return flow, got, scipy_solve_ivp(rhs, (0.0, 3.0), y0, **REF_OPTS)

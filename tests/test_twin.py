@@ -85,16 +85,16 @@ def test_moment_readers_match_their_twin(point, state, k):
     m0, f0 = raw_state(norm0, *state)
     assume(all(map(math.isfinite, (*m0, *f0))))
     flow = twin.FlowStub(point)
-    judge(lambda: dyn.evolve_second_moments(flow, m0)(1.0)[:3],
-          twin.second_moments(point, m0))
+    path = dyn.evolve_second_moments(flow, m0)
+    judge(lambda: path(1.0)[0][:3], twin.second_moments(point, m0))
     fm0 = dyn.FirstMoments(*state[3:])
-    judge(lambda: dyn.evolve_first_moments(flow, fm0)(1.0),
+    judge(lambda: dyn.evolve_first_moments(flow, fm0)(1.0)[0],
           twin.first_moments(point, fm0))
-    judge(lambda: [dyn.evolve_norm(flow, norm0)(1.0)],
-          [twin.norm(point, norm0)])
+    # <1> = raw(<1>_0) of the path's flow point
+    judge(lambda: [path(1.0)[1](norm0)], [twin.norm(point, norm0)])
     centred = twin.second_moments(point, twin.centred(m0, f0))
     c = judge(lambda: dyn.evolve_second_moments(
-        flow, m0.centred(f0))(1.0)[:3], centred)
+        flow, m0.centred(f0))(1.0)[0][:3], centred)
     if c is None:
         return
     keys = ("dp2", "dx2", "margin", "excess")

@@ -1,8 +1,8 @@
 """A 40-digit twin of the moment layer: the test-side judge of the float
 arithmetic between a flow point (M, I) and the numbers that the moment
-paths, ``SecondMoments.centred``, ``evolve_norm``, the energy path,
-``uncertainty_check`` and the CLI's ``moments`` and ``uncertainty``
-columns return.
+paths, their weight ``raw`` (<1> = raw(<1>_0)), ``SecondMoments.centred``,
+the energy path, ``uncertainty_check`` and the CLI's ``moments`` and
+``uncertainty`` columns return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
