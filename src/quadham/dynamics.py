@@ -65,17 +65,17 @@ def _finite(t: float, *values: float):
 
 
 def _raw(t: float, i: float):
-    """v -> v e^{-I} for v per unit <1> at t, I = i: the one weight, formed
-    when called, so a per-unit read serves where e^{-I} overflows.  A
-    subnormal e^{-I} meets v as two normal halves e^{-I/2}, so that only
-    the product is rounded; a normal one multiplies v in one step."""
+    """v -> v e^{-I} for v per unit <1> at t, I = i, formed when called, so a
+    per-unit read serves where e^{-I} overflows; NumericalError naming t if
+    v e^{-I} is not finite.  A normal e^{-I} multiplies v in one step, a
+    subnormal one as two normal halves e^{-I/2}, so only the product rounds."""
     weight = quadham.characteristic._weight
 
     def raw(v: float) -> float:
-        if (w := _finite(t, weight(t, i, -1.0))[0]) >= 2.0 ** -1022:
-            return v * w
+        if (w := weight(t, i, -1.0)) >= 2.0 ** -1022:
+            return _finite(t, v * w)[0]
         h = weight(t, i, -0.5)
-        return v * h * h
+        return _finite(t, v * h * h)[0]
 
     return raw
 

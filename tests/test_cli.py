@@ -325,12 +325,16 @@ def test_appendix_d_singular_time_is_refused(capsys, argv, t):
     (["propagate", "--model", "simple_harmonic", "--t-end", "0.5",
       "--samples", "2", "--lambda-im", "1e308"],
      "quadham.propagator", {"t", "Lambda"}),
-    # the flow's weight e^{+-I} at |I| = 900 ended in the backstop too
+    # the flow's weight e^{+-I} at |I| = 900 ended in the backstop too.
+    # uncertainty's margin times <1>^2 = e^{900} at t = 1.5, where
+    # e^{-I} = e^{450}, is refused first, by the raw of its row
     *[([cmd, "--model", "united", "--lambda", "0.3", "--mu-param", mu_param,
-        "--omega0", "400", "--t-end", "3", "--samples", "3"],
-       "quadham.characteristic", {"t", "I"})
-      for cmd, mu_param in (("mu", "300"), ("moments", "-300"),
-                            ("uncertainty", "-300"), ("invariant", "-300"))],
+        "--omega0", "400", "--t-end", "3", "--samples", "3"], module, keys)
+      for cmd, mu_param, module, keys in (
+          ("mu", "300", "quadham.characteristic", {"t", "I"}),
+          ("moments", "-300", "quadham.characteristic", {"t", "I"}),
+          ("uncertainty", "-300", "quadham.dynamics", {"t", "values"}),
+          ("invariant", "-300", "quadham.characteristic", {"t", "I"}))],
 ], ids=["propagate_norm", "appendix_d_cosh", "propagate_theta_re",
         "propagate_theta_im", "propagate_moments", "propagate_width",
         "mu_weight", "moments_weight", "uncertainty_weight",
@@ -918,43 +922,23 @@ def _flow_reads(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("command", ["moments", "invariant", "uncertainty"])
-def test_a_moment_row_reads_one_flow_point(capsys, monkeypatch, command):
+_CK = ["--model", "caldirola_kanai", "--lambda", "0.2", "--t-end", "3"]
+
+
+@pytest.mark.parametrize("argv, n_reads", [
+    (["moments", *_CK], 50), (["invariant", *_CK], 50),
+    (["uncertainty", *_CK], 50), (["verify_all", "--budget", "full"], 790)],
+    ids=["moments", "invariant", "uncertainty", "verify_all"])
+def test_a_moment_row_reads_one_flow_point(capsys, monkeypatch, argv,
+                                           n_reads):
     # a moment path returns its row's weight e^{-I} with the moments, so
-    # each of the 50 rows reads the flow once
+    # each row reads the flow once: the 50 rows of a moment command, and
+    # verify_all's invariant, uncertainty, energy and Ehrenfest rows.  A
+    # weight read apart from its moments read each twice: 100 and 1,005
     reads = _flow_reads(monkeypatch)
-    code, out, err = run(capsys, command, "--model", "caldirola_kanai",
-                         "--lambda", "0.2", "--t-end", "3")
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert len(reads) == 50
-
-
-def test_the_energy_and_ehrenfest_rows_read_one_flow_point(capsys,
-                                                           monkeypatch):
-    # verify_all's energy path and Ehrenfest row: one Flow.at call per t
-    reads, per_t = _flow_reads(monkeypatch), []
-
-    def counted(name, make):
-        def counting_make(*args):
-            path = make(*args)
-
-            def read(t):
-                before = len(reads)
-                value = path(t)
-                per_t.append((name, len(reads) - before))
-                return value
-
-            return read
-
-        monkeypatch.setattr(dyn, name, counting_make)
-
-    counted("damped_energy_equation_solve", dyn.damped_energy_equation_solve)
-    counted("evolve_first_moments", dyn.evolve_first_moments)
-    code, out, err = run(capsys, "verify_all", "--model", "united",
-                         "--budget", "full")
-    assert code == 0, out
-    assert per_t == ([("damped_energy_equation_solve", 1)] * 5
-                     + [("evolve_first_moments", 1)] * 5)
+    assert len(reads) == n_reads
 
 
 def test_moment_commands_serve_a_backward_window(capsys):

@@ -104,6 +104,19 @@ def test_moment_readers_match_their_twin(point, state, k):
           [u[key] for key in keys], variances=(u["dp2"], u["dx2"]))
 
 
+def test_a_raw_value_past_the_float_range_is_typed():
+    # e^{-I} = e^600 is finite but <1>_0 e^{-I} = 2^200 e^600 is not: the
+    # path's raw refuses it with the t it was read at, not returning inf
+    point = twin.draw_point(0.0, 0.0, 0.0, -600.0)
+    assert twin.may_overflow(twin.norm(point, 2.0 ** 200))
+    raw = dyn.evolve_second_moments(
+        twin.FlowStub(point), dyn.SecondMoments(1.0, 1.0))(1.0)[1]
+    twin.norm(point, 2.0 ** -200).check(raw(2.0 ** -200))
+    with pytest.raises(NumericalError) as err:
+        raw(2.0 ** 200)
+    assert err.value.info["t"] == 1.0
+
+
 @seed(20261022)
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(point=st.one_of(POINTS, points(708.0)), state=STATES,
