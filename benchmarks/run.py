@@ -16,8 +16,8 @@ source, one child per sample: one evaluation of the coefficients
 (a, b, c, d) the flow reads (H's own), ``classical_flow`` solved to the
 Caldirola-Kanai window of the subcommands and to the window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
-t_end 2), on either API of ``classical_flow``, one ``Flow.at`` point,
-one point of the second-moment path and of the energy path (``solve_energy_system``) on that flow, one point of
+t_end 2), one ``Flow.at`` point, one point of the second-moment path and
+of the energy path (``solve_energy_system``) on that flow, one point of
 the first-moment path on the first flow, one ``general_invariant`` of
 ``solve_ermakov``'s pair (omega^2 = 1 + 0.3 sin t, c0 = 0.7, t = 1), one
 ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
@@ -96,23 +96,18 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
 # the in-process layer timings, one sample per child on the measured
 # source: {row: per-call seconds}, plus the flow solver's counts
 LAYERS = """
-import inspect, json, math, timeit
+import json, math, timeit
 import numpy as np
 from quadham import characteristic as chm, coefficients as coeff
 from quadham import dynamics as dyn, gridsim, invariants as inv
 from quadham import propagator as prop
 from quadham.errors import NumericalError
 
-# the flow of tc solved to t_end: classical_flow(tc, t_end) where the flow
-# is solved on a window, and classical_flow(tc) read at t_end where it
-# grows on demand, so that both sides of a pair time the same solve
-if len(inspect.signature(chm.classical_flow).parameters) == 2:
-    solve = chm.classical_flow
-else:
-    def solve(tc, t_end):
-        flow = chm.classical_flow(tc)
-        flow.at(t_end)
-        return flow
+# the flow of tc read to t_end, which solves it to there
+def solve(tc, t_end):
+    flow = chm.classical_flow(tc)
+    flow.at(t_end)
+    return flow
 
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)

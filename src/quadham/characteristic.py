@@ -78,21 +78,29 @@ def _served(t: float, mu: float, mu_prime: float) -> None:
                                  t=t, mu=mu, mu_prime=mu_prime)
 
 
-def _weight(t: float, i: float, sign: float = 1.0) -> float:
-    """e^(sign I) for the flow's I = i at t; NumericalError where it
-    overflows, private so that a trace gives it no span."""
+def _weight(t: float, i: float, sign: float, *values: float) -> tuple:
+    """values times e^(sign I), I = i the flow's at t: the one place a value
+    meets the weight, private so that a trace gives it no span.  A subnormal
+    or zero weight multiplies as two halves e^(sign I / 2); NumericalError
+    naming t and I where it overflows or a product is not finite."""
     try:
-        return math.exp(sign * i)
-    except OverflowError as exc:
-        raise NumericalError("the flow's weight e^(+-I) overflows",
-                             t=t, I=i) from exc
+        w = math.exp(sign * i)
+    except OverflowError:
+        w = math.inf
+    if w < 2.0 ** -1022:
+        w = math.exp(0.5 * sign * i)
+        values = [v * w for v in values]
+    out = tuple(v * w for v in values)
+    if not all(map(math.isfinite, out)):
+        raise NumericalError("the flow's weight e^(+-I) or a value times "
+                             "it is not finite", t=t, I=i)
+    return out
 
 
 def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
-    """(mu, mu', h) at t from the flow point p, with one h = e^I."""
-    h = _weight(t, p.i)
+    """(mu, mu', h) at t from the flow point p by one h = e^I."""
     a, c = read((tc.a, tc.c), t)
-    return p.m12 * h, 2.0 * (a * p.m22 + c * p.m12) * h, h
+    return _weight(t, p.i, 1.0, p.m12, 2.0 * (a * p.m22 + c * p.m12), 1.0)
 
 
 class Flow:

@@ -8,10 +8,10 @@ M <(x, p)>_0 / <1>_0`` and ``S/<1> = M S_0 M^T / <1>_0`` for
 ``S = [[<x^2>, <px+xp>/2], [<px+xp>/2, <p^2>]]``; the centred ``S``
 moves alike, as ``W_t(z) = e^{-I} W_0(M^{-1} z)``, so a state is centred
 once, at t = 0.  Each path returns the ``raw`` of its flow point beside
-the moments (:func:`_raw`), the one weight: each raw number returned is
-a value per unit ``<1>`` times ``e^{-I}`` formed there.  The paths reach
-``quadham.characteristic`` through the package root when called, which
-loads it on first use, so that ``appendix_d`` does not.
+the moments (:func:`_raw`): a raw number is a value per unit ``<1>``
+times ``e^{-I}`` by ``quadham.characteristic._weight``, which the paths
+reach through the package root when called, loading it on first use, so
+that ``appendix_d`` does not.
 """
 
 from __future__ import annotations
@@ -65,19 +65,11 @@ def _finite(t: float, *values: float):
 
 
 def _raw(t: float, i: float):
-    """v -> v e^{-I} for v per unit <1> at t, I = i, formed when called, so a
-    per-unit read serves where e^{-I} overflows; NumericalError naming t if
-    v e^{-I} is not finite.  A normal e^{-I} multiplies v in one step, a
-    subnormal one as two normal halves e^{-I/2}, so only the product rounds."""
+    """v -> v e^{-I} for v per unit <1> at t, I = i, by
+    :func:`quadham.characteristic._weight` when called, so a per-unit read
+    serves where e^{-I} overflows."""
     weight = quadham.characteristic._weight
-
-    def raw(v: float) -> float:
-        if (w := weight(t, i, -1.0)) >= 2.0 ** -1022:
-            return _finite(t, v * w)[0]
-        h = weight(t, i, -0.5)
-        return _finite(t, v * h * h)[0]
-
-    return raw
+    return lambda v: weight(t, i, -1.0, v)[0]
 
 
 def evolve_second_moments(flow: quadham.characteristic.Flow,

@@ -8,9 +8,9 @@ superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
 a = 1/2, c = d = 0 that is the Ermakov equation, and the form is the
 Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'') at t;
 an invariant calls it once and, on its one checked path, refuses a
-solution whose residual exceeds 1e-8.
-All of it is algebra on the classical flow M and I = int_0^t (c - d) of
-:func:`quadham.characteristic.classical_flow`.  The CLI and the grid take
+solution whose residual exceeds 1e-8.  All of it is algebra on the flow
+M and I = int_0^t (c - d) of :func:`quadham.characteristic.classical_flow`,
+whose ``_weight`` forms each value times e^I.  The CLI and the grid take
 the drift of an invariant's expectation here.
 """
 
@@ -98,12 +98,12 @@ def solve_energy_system(flow: Flow, init):
 
     def path(t: float) -> QuadraticForm:
         p = flow.at(t)
-        w = _weight(t, p.i)
         # M^{-T} of a flow with det M = 1
         B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
-        half = 0.5 * w * (C0 - D0)
-        return QuadraticForm(A=w * A, B=w * B, C=w * half_cd + half,
-                             D=w * half_cd - half, t=t)
+        A, B, half_cd, half = _weight(t, p.i, 1.0, A, B, half_cd,
+                                      0.5 * (C0 - D0))
+        return QuadraticForm(A=A, B=B, C=half_cd + half, D=half_cd - half,
+                             t=t)
 
     return path
 
@@ -299,9 +299,9 @@ def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:
     integral is the I of ``flow``.
     """
     mu, q = _auxiliary_solution(flow.tc, mu_fn, C0, t)
-    w = _weight(t, flow.at(t).i)
-    return QuadraticForm(A=mu * mu * w, B=(q * q + C0 / (mu * mu)) * w,
-                         C=-mu * q * w, D=-mu * q * w, t=t)
+    A, B, C = _weight(t, flow.at(t).i, 1.0, mu * mu,
+                      q * q + C0 / (mu * mu), -mu * q)
+    return QuadraticForm(A=A, B=B, C=C, D=C, t=t)
 
 
 def linear_invariant(flow: Flow, A_fn, C0_const: float,
@@ -323,7 +323,7 @@ def linear_invariant(flow: Flow, A_fn, C0_const: float,
         raise ResidualTooLarge("A does not solve the linear-invariant equation",
                                residual=res, t=t)
     B = (2.0 * c * A0 - A1) / (2.0 * a)
-    Cterm = C0_const * _weight(t, flow.at(t).i)
+    (Cterm,) = _weight(t, flow.at(t).i, 1.0, C0_const)
     return LinearForm(A=A0, B=B, C=Cterm, t=t)
 
 
@@ -338,6 +338,6 @@ def ladder_factorization(flow: Flow, mu_fn, C0: float, t: float) -> LadderPair:
     w0 = 2.0 * math.sqrt(C0)
     P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
     R = mu / math.sqrt(w0)
-    omega_t = w0 * _weight(t, flow.at(t).i)
+    (omega_t,) = _weight(t, flow.at(t).i, 1.0, w0)
     return LadderPair(x_coeff=P, ddx_coeff=R, omega_t=omega_t, t=t)
 

@@ -333,12 +333,17 @@ def test_appendix_d_singular_time_is_refused(capsys, argv, t):
       for cmd, mu_param, module, keys in (
           ("mu", "300", "quadham.characteristic", {"t", "I"}),
           ("moments", "-300", "quadham.characteristic", {"t", "I"}),
-          ("uncertainty", "-300", "quadham.dynamics", {"t", "values"}),
+          ("uncertainty", "-300", "quadham.characteristic", {"t", "I"}),
           ("invariant", "-300", "quadham.characteristic", {"t", "I"}))],
+    # mu' = inf at I = 706.5, where e^I is finite, ended in quadham.io's
+    # record, which names only the value
+    (["mu", "--model", "united", "--lambda", "0.3", "--mu-param", "300",
+      "--omega0", "400", "--t-end", "2.355", "--samples", "1"],
+     "quadham.characteristic", {"t", "I"}),
 ], ids=["propagate_norm", "appendix_d_cosh", "propagate_theta_re",
         "propagate_theta_im", "propagate_moments", "propagate_width",
         "mu_weight", "moments_weight", "uncertainty_weight",
-        "invariant_weight"])
+        "invariant_weight", "mu_product"])
 def test_an_overflow_gives_a_typed_record(capsys, argv, module, keys):
     # the norm of the propagated Gaussian, cosh(lambda t) and Theta^2
     # overflow: each ended in the backstop's OverflowError record with empty

@@ -8,11 +8,11 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import invariants as inv
-from quadham.characteristic import Flow, classical_flow
+from quadham.characteristic import Flow, classical_flow, kernel_parameters
 from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
                             KappaCollapse, MuVanishes, NoClosedForm,
-                            NonPositiveForm, ResidualTooLarge,
-                            ValidationError)
+                            NonPositiveForm, NumericalError,
+                            ResidualTooLarge, ValidationError)
 
 from auxiliary import auxiliary_residual
 
@@ -468,3 +468,38 @@ def test_invariants_read_the_integral_off_one_flow(solves):
         pair = inv.ladder_factorization(flow, mu_fn, 1.0, float(t))
         assert pair.omega_t == 2.0
     assert len(solves) == 1
+
+
+def test_no_weighted_reader_returns_a_number_past_the_float_range():
+    # united at omega0 400, mu_param 300 has I = 300 t: e^I is finite at
+    # t = 2.355 and 2.36 (I = 706.5 and 708), but mu' and the invariants
+    # times it are not.  Each read returned +-inf, and kernel_parameters
+    # refused mu' = inf as inside the caustic guard band
+    spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, 300.0)
+    tc = coeff.builtin_coefficients(spec)
+    flow = classical_flow(tc)
+    mu_fn, c0 = spec.closed_form("invariant_mu"), spec.closed_form(
+        "invariant_c0")
+    # H = (p^2 + x^2) / 2 - 300 xp: I = 300 t, and A = e^{rt} solves
+    # A'' - 600 A' + A = 0
+    zero, half = lambda t: 0.0, lambda t: 0.5
+    oscillator = classical_flow(coeff.TimeCoefficients(
+        half, half, zero, lambda t: -300.0, da=zero, dc=zero, dd=zero))
+    r = 300.0 - math.sqrt(300.0 ** 2 - 1.0)
+    A_fn = lambda t: tuple(r ** k * math.exp(r * t) for k in range(3))
+    served = inv.linear_invariant(oscillator, A_fn, 0.2, 2.36)
+    assert served.C == pytest.approx(0.2 * math.exp(708.0), rel=1e-9)
+    reads = [
+        (2.355, lambda: flow.mu(2.355)),
+        (2.355, lambda: kernel_parameters(tc, flow, 2.355)),
+        (2.36, lambda: inv.solve_energy_system(flow, (1e10, 1e10, 0.0,
+                                                      0.0))(2.36)),
+        (2.36, lambda: inv.general_invariant(flow, mu_fn, c0, 2.36)),
+        (2.36, lambda: inv.ladder_factorization(flow, mu_fn, c0, 2.36)),
+        (2.36, lambda: inv.linear_invariant(oscillator, A_fn, 1e10, 2.36))]
+    for t, read in reads:
+        with pytest.raises(NumericalError) as err:
+            read()
+        assert set(err.value.info) == {"t", "I"}
+        assert err.value.info["t"] == t
+        assert err.value.info["I"] == pytest.approx(300.0 * t)

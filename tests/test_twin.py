@@ -1,14 +1,15 @@
-"""The moment layer and the energy path against their 40-digit twin
-(``twin.py``), over drawn flow points M in Sp(2) with squeezes up to
-e^{+-40}, I in [-745, 745], and states of two kinds: log-uniform widths
-and means up to 1e+-150, and exact states, dyadic covariances about
-integer means up to 2^22 whose raw moments are floats.  Every returned
-number is within the twin's bound, or a typed refusal that the twin
-allows: an overflow where the evaluation may overflow, a negative
-variance where the float one may fall below the floor.  The exact states
-have an exact centring, so the uncertainty columns are judged to the
-rounding of their covariance alone: subtracting the means at t, which
-rounds at the scale of the means squared, fails there."""
+"""The moment layer, the energy path and the weighted form of
+``solve_energy_system`` against their 40-digit twin (``twin.py``), over
+drawn flow points M in Sp(2) with squeezes up to e^{+-40}, I in
+[-745, 745], and states of two kinds: log-uniform widths and means up to
+1e+-150, and exact states, dyadic covariances about integer means up to
+2^22 whose raw moments are floats.  Every returned number is within the
+twin's bound, or a typed refusal that the twin allows: an overflow where
+the evaluation may overflow, a negative variance where the float one may
+fall below the floor.  The exact states have an exact centring, so the
+uncertainty columns are judged to the rounding of their covariance
+alone: subtracting the means at t, which rounds at the scale of the
+means squared, fails there."""
 
 import contextlib
 import csv
@@ -22,18 +23,18 @@ from hypothesis import strategies as st
 
 import quadham
 import twin
-from quadham import dynamics as dyn
+from quadham import dynamics as dyn, invariants as inv
 from quadham.coefficients import CALDIROLA_KANAI, ModelSpec
 from quadham.cli import main
 from quadham.errors import InvalidMoments, NumericalError, ValidationError
 from helpers import dyadic_states
 
 
-def points(i_low):
-    """Drawn flow points with I in [i_low, 745]."""
+def points(i_low, i_high=745.0):
+    """Drawn flow points with I in [i_low, i_high]."""
     return st.builds(twin.draw_point, st.floats(-math.pi, math.pi),
                      st.floats(-40.0, 40.0), st.floats(-10.0, 10.0),
-                     st.floats(i_low, 745.0))
+                     st.floats(i_low, i_high))
 
 
 POINTS = points(-745.0)
@@ -131,6 +132,27 @@ def test_energy_path_matches_its_twin(point, state, k):
     energy = dyn.damped_energy_equation_solve(CK, m0, twin.FlowStub(point))
     judge(lambda: [energy(1.0)],
           [twin.energy(point, m0, dyn.reference_operator(CK, 1.0))])
+
+
+@seed(20261023)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(point=st.one_of(POINTS, points(-745.0, -705.0), points(705.0)),
+       init=st.tuples(*[st.one_of(st.just(0.0), MEANS)] * 4))
+def test_weighted_form_matches_its_twin(point, init):
+    # e^I M^{-T} Q_0 M^{-1} of solve_energy_system, weighed as every value
+    # times e^{+-I} is: a subnormal e^I multiplied in one step reads A up
+    # to 100% off near I = -729, so a third of the draws take I within 40
+    # of each edge.  A form past the float range is refused, naming t
+    path = inv.solve_energy_system(twin.FlowStub(point), init)
+
+    def read():
+        try:
+            return path(1.0)[:4]
+        except NumericalError as err:
+            assert err.info["t"] == 1.0
+            raise
+
+    judge(read, twin.energy_form(point, init))
 
 
 def _cli_row(argv):

@@ -1,8 +1,9 @@
-"""A 40-digit twin of the moment layer: the test-side judge of the float
-arithmetic between a flow point (M, I) and the numbers that the moment
-paths, their weight ``raw`` (<1> = raw(<1>_0)), ``SecondMoments.centred``,
-the energy path, ``uncertainty_check`` and the CLI's ``moments`` and
-``uncertainty`` columns return.
+"""A 40-digit twin of the moment layer and the weighted form: the
+test-side judge of the float arithmetic between a flow point (M, I) and
+the numbers that the moment paths, their weight ``raw`` (<1> =
+raw(<1>_0)), ``SecondMoments.centred``, the energy path,
+``uncertainty_check``, the CLI's ``moments`` and ``uncertainty`` columns
+and ``solve_energy_system`` return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
@@ -14,12 +15,13 @@ bound is the unit roundoff times |value| times the formula's condition
 number, so a returned number within BOUND of it is within BOUND ulps
 times that condition number.  The formulas are written from the paper's
 moment law, S/<1> = M S_0 M^T / <1>_0 and <z>/<1> = M <z>_0 / <1>_0 with
-<1> = e^{-I} <1>_0, and share no code with the package.  The centred
-covariance follows the same congruence, so the uncertainty columns are
-the centred formula: centre once at t = 0, flow, and read the variances
-with no means at t.  Its bound carries the rounding of the centring at
-t = 0 alone, which is none for a state whose centring is exact, however
-large its means.  ``FlowStub`` feeds the paths a drawn flow point.
+<1> = e^{-I} <1>_0, and its conserved form, Q = e^I M^{-T} Q_0 M^{-1},
+and share no code with the package.  The centred covariance follows the
+same congruence, so the uncertainty columns are the centred formula:
+centre once at t = 0, flow, and read the variances with no means at t.
+Its bound carries the rounding of the centring at t = 0 alone, which is
+none for a state whose centring is exact, however large its means.
+``FlowStub`` feeds the paths a drawn flow point.
 """
 
 import math
@@ -135,16 +137,22 @@ def centred(m0, f0):
             Twin(m0.pxxp) - (2.0 * x) * p_unit, n)
 
 
+def congruence(m11, m12, m21, m22, s11, s12, s22):
+    """(11, 12, 22) entries of M S M^T for M = [[m11, m12], [m21, m22]]
+    and the symmetric S = [[s11, s12], [s12, s22]], as (M S) M^T."""
+    m11, m12, m21, m22 = map(Twin.of, (m11, m12, m21, m22))
+    r11, r12 = m11 * s11 + m12 * s12, m11 * s12 + m12 * s22
+    r21, r22 = m21 * s11 + m22 * s12, m21 * s12 + m22 * s22
+    return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
+
+
 def second_moments(point: FlowPoint, m0):
     """(p2, x2, pxxp) per unit <1> at the point, from raw m0, whose values
     are floats or twins."""
     p2, x2, pxxp, n = map(Twin.of, m0)
-    s11, s12, s22 = x2 / n, (0.5 * pxxp) / n, p2 / n
-    m11, m12, m21, m22 = map(Twin, point[:4])
-    r11, r12 = m11 * s11 + m12 * s12, m11 * s12 + m12 * s22
-    r21, r22 = m21 * s11 + m22 * s12, m21 * s12 + m22 * s22
-    return (r21 * m21 + r22 * m22, r11 * m11 + r12 * m12,
-            2.0 * (r11 * m21 + r12 * m22))
+    x2, half_pxxp, p2 = congruence(*point[:4], x2 / n, (0.5 * pxxp) / n,
+                                   p2 / n)
+    return p2, x2, 2.0 * half_pxxp
 
 
 def first_moments(point: FlowPoint, f0):
@@ -159,14 +167,33 @@ def norm(point: FlowPoint, norm0: float) -> Twin:
     return Twin(norm0) * exp_neg(point.i)
 
 
+def weigh(i: float, v):
+    """v e^{i} for a float i, as the package weighs a value: v e^{i}, or
+    (v e^{i/2}) e^{i/2} where the float e^{i} is subnormal or zero."""
+    if i > 0.0 or math.exp(i) >= sys.float_info.min:
+        return v * exp_neg(-i)
+    half = exp_neg(-0.5 * i)
+    return v * half * half
+
+
 def raw(point: FlowPoint, v):
     """v <1> at the point for <1>_0 = 1, as the CLI forms a raw column:
-    v e^{-I}, or (v e^{-I/2}) e^{-I/2} where the float e^{-I} is
-    subnormal."""
-    if math.exp(-point.i) >= sys.float_info.min:
-        return v * exp_neg(point.i)
-    half = exp_neg(0.5 * point.i)
-    return v * half * half
+    v e^{-I}."""
+    return weigh(-point.i, v)
+
+
+def energy_form(point: FlowPoint, init):
+    """(A, B, C, D) of the conserved form at the point from init = (A0,
+    B0, C0, D0) read as exact floats, as solve_energy_system returns it:
+    [[B, (C + D)/2], [(C + D)/2, A]] = e^I M^{-T} Q_0 M^{-1} for Q_0 of
+    init, and C - D = e^I (C0 - D0)."""
+    A0, B0, C0, D0 = map(Twin, init)
+    m11, m12, m21, m22 = point[:4]
+    # M^{-T} of det M = 1
+    B, half_cd, A = congruence(m22, -m21, -m12, m11, B0, 0.5 * (C0 + D0), A0)
+    A, B, half_cd, half = (weigh(point.i, v)
+                           for v in (A, B, half_cd, 0.5 * (C0 - D0)))
+    return A, B, half_cd + half, half_cd - half
 
 
 def energy(point: FlowPoint, m0, reference) -> Twin:
