@@ -19,7 +19,8 @@ moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
 t_end 2), one ``Flow.at`` point, one point of the second-moment path and
 of the energy path (``solve_energy_system``) on that flow, one point of
 the first-moment path on the first flow, one ``general_invariant`` of
-``solve_ermakov``'s pair (omega^2 = 1 + 0.3 sin t, c0 = 0.7, t = 1), one
+the Ermakov pair, Pinney's superposition of the oscillator flow's columns
+(omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7, t = 1), one
 ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
 a coefficient that overflows inside that window (b = e^(1000 t)), the
 refusal caught inside the timed call, the Gaussian propagation layer (one
@@ -123,13 +124,16 @@ q0 = inv.energy_operator_catalog(coeff.ModelSpec("caldirola_kanai", 1.0,
                                                  0.1), 0.0)
 energy = inv.solve_energy_system(moment_flow, (q0.A, q0.B, q0.C, q0.D))
 # the Lewis-Riesenfeld invariant of H = (p^2 + omega^2 x^2) / 2,
-# omega^2 = 1 + 0.3 sin t: general_invariant of solve_ermakov's pair
+# omega^2 = 1 + 0.3 sin t: general_invariant of the Ermakov pair, kappa
+# from (1, 0.2) at c0 = 0.7 superposed from the columns of the flow
 omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
 zero = lambda t: 0.0
 tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                                 zero, zero, da=zero, dc=zero, dd=zero)
 osc_flow = solve(tc_osc, 2.0)
-kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
+u = inv.solve_linear_auxiliary(osc_flow, (1.0, 0.0))
+v = inv.solve_linear_auxiliary(osc_flow, (0.0, 1.0))
+kappa_fn, c0 = inv.superpose_linear_solutions(tc_osc, u, v, 1.0, 0.2, 0.74)
 kp = chm.kernel_parameters(tc, flow, 0.7)
 s0 = prop.GaussianState(0.5j)
 # b = e^(1000 t) overflows math.exp from t = 0.71 on
@@ -354,10 +358,17 @@ def _source_sha256(root):
     return digest.hexdigest()
 
 
+def _source_split(root):
+    """{module: lines} over ``src/**/*.py``, each module named by its path
+    under ``root``."""
+    return {path.relative_to(root).as_posix():
+            len(path.read_bytes().splitlines())
+            for path in pathlib.Path(root, "src").rglob("*.py")}
+
+
 def _source_lines(root):
     """The number of lines of ``src/**/*.py``, the tracked source size."""
-    return sum(len(path.read_bytes().splitlines())
-               for path in pathlib.Path(root, "src").rglob("*.py"))
+    return sum(_source_split(root).values())
 
 
 def _confounds(root):

@@ -72,8 +72,9 @@ def _congruence(m11: float, m12: float, m21: float, m22: float, s):
 
 def _served(t: float, mu: float, mu_prime: float) -> None:
     """Refuse the caustic band |mu| <= MU_GUARD |t mu'|: the one check of
-    every kernel reader, private so that a trace gives it no span."""
-    if not abs(mu) > MU_GUARD * abs(t * mu_prime):
+    every kernel reader, private so that a trace gives it no span.  The
+    guard multiplies first, so that a finite mu' does not overflow t mu'."""
+    if not abs(mu) > MU_GUARD * abs(t) * abs(mu_prime):
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu, mu_prime=mu_prime)
 

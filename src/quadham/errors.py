@@ -65,10 +65,6 @@ class BoundaryLeak(NumericalError):
     code = "boundary_leak"
 
 
-class KappaCollapse(NumericalError):
-    code = "kappa_collapse"
-
-
 class NonPositiveForm(NumericalError):
     code = "non_positive_form"
 

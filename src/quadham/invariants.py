@@ -5,9 +5,11 @@ general symmetric-form invariant [(mu p - q x)^2 + C0 x^2 / mu^2] e^I of
 any quadratic Hamiltonian, linear invariants and the ladder factorization.
 mu solves the nonlinear auxiliary equation, as the square root of Pinney's
 superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
-a = 1/2, c = d = 0 that is the Ermakov equation, and the form is the
-Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'') at t;
-an invariant calls it once and, on its one checked path, refuses a
+a = 1/2, c = d = 0 that is the Ermakov equation, kappa from (kappa0,
+kappa0') the superposition of the flow's columns with (A, B, C) =
+(kappa0^2, kappa0 kappa0', kappa0'^2 + c0 / kappa0^2), and the form of it
+the Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'')
+at t; an invariant calls it once and, on its one checked path, refuses a
 solution whose residual exceeds 1e-8.  All of it is algebra on the flow
 M and I = int_0^t (c - d) of :func:`quadham.characteristic.classical_flow`,
 whose ``_weight`` forms each value times e^I.  The CLI and the grid take
@@ -17,17 +19,15 @@ the drift of an invariant's expectation here.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .characteristic import Flow, _congruence, _weight, classical_flow
+from .characteristic import Flow, _congruence, _weight
 from .coefficients import ModelSpec, TimeCoefficients
-from .errors import (AuxiliaryResidualTooLarge, InvalidC0, KappaCollapse,
-                     MuVanishes, NonPositiveForm, ResidualTooLarge,
+from .errors import (AuxiliaryResidualTooLarge, InvalidC0, MuVanishes,
+                     NonPositiveForm, NumericalError, ResidualTooLarge,
                      ValidationError)
 from .ode import read
 
-# kappa at which solve_ermakov reports a collapse
-_COLLAPSE = 1e-8
 # the residual of an auxiliary or linear-invariant equation that is refused
 _RESIDUAL_TOL = 1e-8
 
@@ -102,8 +102,11 @@ def solve_energy_system(flow: Flow, init):
         B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
         A, B, half_cd, half = _weight(t, p.i, 1.0, A, B, half_cd,
                                       0.5 * (C0 - D0))
-        return QuadraticForm(A=A, B=B, C=half_cd + half, D=half_cd - half,
-                             t=t)
+        C, D = half_cd + half, half_cd - half
+        if not (math.isfinite(C) and math.isfinite(D)):
+            raise NumericalError("C or D of the weighted form is not finite",
+                                 t=t, I=p.i)
+        return QuadraticForm(A=A, B=B, C=C, D=D, t=t)
 
     return path
 
@@ -135,52 +138,6 @@ def _expectation_drift(pairs, cancel: float):
                               terms=terms)
     return ref, max(abs(q.expectation(m.p2, m.x2, m.pxxp) - ref)
                     for q, m in pairs) / abs(ref)
-
-
-def solve_ermakov(omega_sq: Callable[[float], float], c0: float, init,
-                  t_end: float):
-    """kappa'' + omega^2(t) kappa = c0 / kappa^3 from (kappa0, kappa0') on
-    [0, t_end], superposed from the columns of the flow M of
-    H = (p^2 + omega^2 x^2) / 2:
-
-        kappa^2 = l^2 + (c0 / kappa0^2) M12^2,  l = kappa0 M11 + kappa0' M12.
-
-    Returns (kappa_fn, c0) as :func:`superpose_linear_solutions` does; the
-    :func:`general_invariant` of it on H's flow is the Lewis-Riesenfeld
-    invariant (J. Math. Phys. 10 (1969) 1458).  Raises KappaCollapse where
-    kappa falls to 1e-8 on [0, t_end], which needs c0 <= 0 (else the form
-    is definite).
-    """
-    kappa0, kappa0p = init
-    if not (kappa0 > 0):
-        raise ValidationError("kappa(0) must be positive", kappa0=kappa0)
-    zero = lambda t: 0.0
-    tc = TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                          zero, zero, da=zero, dc=zero, dd=zero)
-    flow = classical_flow(tc)
-    ratio = c0 / kappa0 ** 2
-    if c0 <= 0.0:
-        def guard(p):
-            # kappa^2 - 1e-16 while l > 0, and negative once l is not
-            ell = kappa0 * p.m11 + kappa0p * p.m12
-            return ell * abs(ell) + ratio * p.m12 ** 2 - _COLLAPSE ** 2
-
-        if guard(flow.at(0.0)) <= 0.0:
-            # kappa(0) is inside the guard
-            raise KappaCollapse("kappa reached the collapse guard", t=0.0)
-        flow.at(t_end)
-        hit = flow._first_zero(guard, t_end)
-        if hit is not None:
-            # the end of the bracket past the zero
-            raise KappaCollapse("kappa reached the collapse guard",
-                                t=max(hit[1], key=abs))
-    # u = (M11, M21) and v = (M12, M22), the columns of M
-    u = solve_linear_auxiliary(flow, (1.0, 0.0))
-    v = solve_linear_auxiliary(flow, (0.0, 1.0))
-    kappa_fn, _ = superpose_linear_solutions(
-        tc, u, v, kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + ratio)
-    # A C - B^2 is c0 only up to the rounding of kappa0^2 kappa0'^2
-    return kappa_fn, c0
 
 
 def _mu_triplet(mu_fn, t: float):

@@ -1,5 +1,6 @@
 """Builders the test modules share: H's flow and kernel reader for a model,
-a sampled Gaussian, a fresh interpreter on this checkout's source, the
+the oscillator (p^2 + omega^2 x^2) / 2 and its Ermakov kappa, a sampled
+Gaussian, a fresh interpreter on this checkout's source, the
 hypothesis seed of one case of a parametrized test, and initial moments
 whose centring is exact."""
 
@@ -14,9 +15,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 import quadham
-from quadham import propagator as prop
+from quadham import invariants as inv, propagator as prop
 from quadham.characteristic import classical_flow, kernel_parameters
-from quadham.coefficients import builtin_coefficients
+from quadham.coefficients import TimeCoefficients, builtin_coefficients
 
 
 def solve_kernel(spec, horizon):
@@ -26,6 +27,29 @@ def solve_kernel(spec, horizon):
     flow = classical_flow(tc)
     flow.at(horizon)
     return tc, flow, lambda t: kernel_parameters(tc, flow, t)
+
+
+def oscillator(omega_sq):
+    """H = (p^2 + omega^2(t) x^2) / 2, with the derivatives of a, c, d."""
+    zero = lambda t: 0.0
+    return TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
+                            zero, zero, da=zero, dc=zero, dd=zero)
+
+
+def ermakov(omega_sq, c0, init):
+    """kappa'' + omega^2(t) kappa = c0 / kappa^3 from init = (kappa0,
+    kappa0'), as Pinney's superposition of the columns (M11, M12) of the
+    flow of ``oscillator(omega_sq)`` with (A, B, C) = (kappa0^2,
+    kappa0 kappa0', kappa0'^2 + c0 / kappa0^2).  Returns (kappa_fn, C0,
+    flow), C0 computed from A, B and C."""
+    kappa0, kappa0p = init
+    flow = classical_flow(oscillator(omega_sq))
+    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
+    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
+    kappa_fn, C0 = inv.superpose_linear_solutions(
+        flow.tc, u, v, kappa0 ** 2, kappa0 * kappa0p,
+        kappa0p ** 2 + c0 / kappa0 ** 2)
+    return kappa_fn, C0, flow
 
 
 def grid_gaussian(state, half_width=10.0, n=2048):

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from quadham import coefficients as coeff
 from quadham import invariants as inv
 from quadham.characteristic import Flow, classical_flow, kernel_parameters
 from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
-                            KappaCollapse, MuVanishes, NoClosedForm,
-                            NonPositiveForm, NumericalError,
-                            ResidualTooLarge, ValidationError)
+                            MuVanishes, NoClosedForm, NonPositiveForm,
+                            NumericalError, ResidualTooLarge,
+                            ValidationError)
 
 from auxiliary import auxiliary_residual
+from helpers import ermakov, oscillator
 
 CATALOG_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -132,51 +132,23 @@ def test_superposition_property_random_coefficients(A, C, frac):
         assert auxiliary_residual(tc, mu_fn, C0, t) <= 1e-9
 
 
-def _oscillator(omega_sq, domega_sq=lambda t: 0.0):
-    """H = (p^2 + omega^2(t) x^2) / 2 with its derivatives."""
-    zero = lambda t: 0.0
-    return coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                                  zero, zero, da=zero, dc=zero, dd=zero)
-
-
 def test_pinney_matches_direct_ermakov():
     # constant frequency: u = cos, v = sin, W = 1
     u = lambda t: (math.cos(t), -math.sin(t))
     v = lambda t: (math.sin(t), math.cos(t))
-    mu_fn, C0 = inv.superpose_linear_solutions(_oscillator(lambda t: 1.0),
+    mu_fn, C0 = inv.superpose_linear_solutions(oscillator(lambda t: 1.0),
                                                u, v, A=2.0, B=0.3, C=1.0)
-    kappa_fn, _ = inv.solve_ermakov(lambda t: 1.0, C0, mu_fn(0.0)[:2], 3.0)
+    # the same kappa from the flow's columns
+    kappa_fn, _, _ = ermakov(lambda t: 1.0, C0, mu_fn(0.0)[:2])
     for t in np.linspace(0.0, 3.0, 13):
         assert kappa_fn(float(t))[0] == pytest.approx(mu_fn(float(t))[0],
                                                       rel=1e-8)
 
 
-def test_pinney_and_linear_superposition_agree():
-    # a = 1/2, b = omega^2 / 2, c = d = 0: the linear auxiliary equation is
-    # u'' + omega^2 u = 0, and solve_ermakov's kappa from the columns of
-    # the flow is the superposed mu of the same u, v, A, B, C
-    omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
-    tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
-    flow = classical_flow(tc)
-    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
-    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
-    kappa0, kappa0p, c0 = 1.0, 0.2, 0.7
-    A, B, C = kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + c0 / kappa0 ** 2
-    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
-    kappa_fn, c0_out = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p),
-                                         2.0)
-    assert c0_out == c0
-    assert C0 == pytest.approx(c0, rel=1e-15)
-    for t in np.linspace(0.0, 2.0, 9):
-        t = float(t)
-        for k, m in zip(kappa_fn(t), mu_fn(t)):
-            assert k == pytest.approx(m, rel=1e-15)
-
-
 def test_pinney_nonpositive_form():
     u = lambda t: (math.cos(t), -math.sin(t))
     v = lambda t: (math.sin(t), math.cos(t))
-    mu_fn, _ = inv.superpose_linear_solutions(_oscillator(lambda t: 1.0),
+    mu_fn, _ = inv.superpose_linear_solutions(oscillator(lambda t: 1.0),
                                               u, v, A=1.0, B=-1.0, C=1.0)
     with pytest.raises(NonPositiveForm):
         mu_fn(math.pi / 4)
@@ -188,103 +160,20 @@ def test_pinney_nonpositive_form():
        kappa0=st.floats(0.5, 2.0), kappa0p=st.floats(-1.0, 1.0),
        t=st.floats(0.0, 2.0))
 def test_ermakov_solves_the_auxiliary_equation(eps, c0, kappa0, kappa0p, t):
-    # solve_ermakov's pair is a solution of the auxiliary equation of
+    # the Ermakov pair is a solution of the auxiliary equation of
     # H = (p^2 + omega^2 x^2) / 2, with kappa'' exact, not differenced
     omega_sq = lambda s: 1.0 + eps * math.sin(s)
-    kappa_fn, C0 = inv.solve_ermakov(omega_sq, c0, (kappa0, kappa0p), 2.0)
-    tc = _oscillator(omega_sq, lambda s: eps * math.cos(s))
+    kappa_fn, C0, flow = ermakov(omega_sq, c0, (kappa0, kappa0p))
     kappa = kappa_fn(t)[0]
-    res = auxiliary_residual(tc, kappa_fn, C0, t)
+    res = auxiliary_residual(flow.tc, kappa_fn, C0, t)
     assert res <= 1e-9 * max(1.0, abs(c0 / kappa ** 3))
 
 
-def test_kappa_collapse_detected():
-    with pytest.raises(KappaCollapse):
-        inv.solve_ermakov(lambda t: 0.0, 0.0, (1.0, -1.0), 3.0)
-
-
-def test_kappa_collapse_event_matches_scipy():
-    # kappa'' = -kappa from (1, 0) is cos t; the guard kappa = 1e-8 is
-    # crossed just before pi/2
-    def rhs(t, y):
-        return [y[1], -y[0]]
-
-    def collapse(t, y):
-        return y[0] - 1e-8
-
-    collapse.terminal = True
-    collapse.direction = -1
-    ref = scipy_solve_ivp(rhs, (0.0, 3.0), [1.0, 0.0], method="DOP853",
-                          rtol=1e-10, atol=1e-12, events=collapse)
-    t_ref = ref.t_events[0][0]
-    with pytest.raises(KappaCollapse) as exc:
-        inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.0), 3.0)
-    assert abs(exc.value.info["t"] - t_ref) <= 1e-10
-    assert exc.value.info["t"] == pytest.approx(math.acos(1e-8), abs=1e-8)
-
-
-def test_ermakov_keeps_c0_past_the_rounding_of_its_constants():
-    # kappa0 = kappa0' = 100: Pinney's A C - B^2 = 1e8 + 0.3 - 1e8 rounds
-    # to 0.29999999702, so solve_ermakov returns the given c0, not the C0
-    # that superpose_linear_solutions computes from A, B and C
-    kappa_fn, C0 = inv.solve_ermakov(lambda t: 1.0, 0.3, (100.0, 100.0), 1.0)
-    assert C0 == 0.3
-    for t in (0.3, 1.0):
-        ell = 100.0 * (math.cos(t) + math.sin(t))
-        ref = math.sqrt(ell * ell + 0.3e-4 * math.sin(t) ** 2)
-        assert kappa_fn(t)[0] == pytest.approx(ref, rel=1e-12)
-
-
-def test_kappa_collapse_with_negative_c0():
-    # omega = 1, c0 = -0.3: kappa^2 = (cos t + 0.2 sin t)^2 - 0.3 sin^2 t
-    # has its first zero where tan t = 1 / (sqrt(0.3) - 0.2), and kappa
-    # falls through the guard just before it
-    with pytest.raises(KappaCollapse) as exc:
-        inv.solve_ermakov(lambda t: 1.0, -0.3, (1.0, 0.2), 3.0)
-    t_zero = math.atan(1.0 / (math.sqrt(0.3) - 0.2))
-    assert t_zero == pytest.approx(1.2361518483971, abs=1e-12)
-    assert exc.value.info["t"] == pytest.approx(t_zero, abs=1e-9)
-
-
-def test_kappa_collapse_keeps_its_bits():
-    # the case above: the solve, the dense output and the scan together fix
-    # the collapse time to the bit
-    with pytest.raises(KappaCollapse) as exc:
-        inv.solve_ermakov(lambda t: 1.0, -0.3, (1.0, 0.2), 3.0)
-    assert exc.value.info["t"].hex() == "0x1.3c747291c1705p+0"
-
-
-def test_kappa_collapse_past_t_end_is_not_reported():
-    # kappa = |cos t + sin t / 2| falls to 0 at t0 = pi - atan 2; the flow
-    # read to a t_end just before t0 takes a step past it, and only a
-    # collapse on [0, t_end] is reported
-    t0 = math.pi - math.atan(2.0)
-    inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.5), t0 - 1e-3)
-    with pytest.raises(KappaCollapse) as exc:
-        inv.solve_ermakov(lambda t: 1.0, 0.0, (1.0, 0.5), t0 + 1e-3)
-    assert exc.value.info["t"] == pytest.approx(t0, abs=1e-7)
-
-
-@pytest.mark.parametrize("kappa0", [0.0, -1.0, math.nan])
-def test_ermakov_refuses_a_non_positive_kappa0(kappa0):
-    with pytest.raises(ValidationError):
-        inv.solve_ermakov(lambda t: 1.0, 0.3, (kappa0, 0.0), 1.0)
-
-
-def test_kappa_collapse_at_the_start():
-    # kappa(0) inside the guard has collapsed before the first step
-    with pytest.raises(KappaCollapse) as exc:
-        inv.solve_ermakov(lambda t: 1.0, 0.0, (1e-9, 0.0), 1.0)
-    assert exc.value.info["t"] == 0.0
-
-
 def test_lewis_riesenfeld_equals_general_route():
-    # at a = 1/2 and c = d = 0 the general invariant of solve_ermakov's
-    # pair is Lewis and Riesenfeld's (kappa p - kappa' x)^2 + c0 x^2/kappa^2
+    # at a = 1/2 and c = d = 0 the general invariant of the Ermakov pair
+    # is Lewis and Riesenfeld's (kappa p - kappa' x)^2 + c0 x^2/kappa^2
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
-    tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
-    kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
-    flow = classical_flow(tc)
+    kappa_fn, c0, flow = ermakov(omega_sq, 0.7, (1.0, 0.2))
     for t in (0.3, 1.1, 1.9):
         kappa, kappa_p, _ = kappa_fn(t)
         gen = inv.general_invariant(flow, kappa_fn, c0, t)
@@ -362,13 +251,11 @@ def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
 
 
 def test_invariants_read_mu_once(monkeypatch):
-    # solve_ermakov's mu_fn reads its flow's two columns; with I read once,
+    # the Ermakov kappa_fn reads its flow's two columns; with I read once,
     # general_invariant makes 3 Flow.at calls (5 when the residual check
     # called mu_fn a second time), and ladder_factorization as many
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
-    tc = _oscillator(omega_sq, lambda t: 0.3 * math.cos(t))
-    kappa_fn, c0 = inv.solve_ermakov(omega_sq, 0.7, (1.0, 0.2), 2.0)
-    flow = classical_flow(tc)
+    kappa_fn, c0, flow = ermakov(omega_sq, 0.7, (1.0, 0.2))
     calls = []
     at = Flow.at
 

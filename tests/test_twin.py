@@ -1,15 +1,16 @@
-"""The moment layer, the energy path and the weighted form of
-``solve_energy_system`` against their 40-digit twin (``twin.py``), over
-drawn flow points M in Sp(2) with squeezes up to e^{+-40}, I in
-[-745, 745], and states of two kinds: log-uniform widths and means up to
-1e+-150, and exact states, dyadic covariances about integer means up to
-2^22 whose raw moments are floats.  Every returned number is within the
-twin's bound, or a typed refusal that the twin allows: an overflow where
-the evaluation may overflow, a negative variance where the float one may
-fall below the floor.  The exact states have an exact centring, so the
-uncertainty columns are judged to the rounding of their covariance
-alone: subtracting the means at t, which rounds at the scale of the
-means squared, fails there."""
+"""The moment layer, the energy path, the weighted form of
+``solve_energy_system`` and ``kernel_parameters`` against their 40-digit
+twin (``twin.py``), over drawn flow points M in Sp(2) with squeezes up to
+e^{+-40}, I in [-745, 745], and states of two kinds: log-uniform widths
+and means up to 1e+-150, and exact states, dyadic covariances about
+integer means up to 2^22 whose raw moments are floats.  Every returned
+number is within the twin's bound, or a typed refusal that the twin
+allows: an overflow where the evaluation may overflow, a negative
+variance where the float one may fall below the floor, the caustic band
+where the float band test may hold.  The exact states have an exact
+centring, so the uncertainty columns are judged to the rounding of their
+covariance alone: subtracting the means at t, which rounds at the scale
+of the means squared, fails there."""
 
 import contextlib
 import csv
@@ -18,15 +19,17 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import quadham
 import twin
 from quadham import dynamics as dyn, invariants as inv
-from quadham.coefficients import CALDIROLA_KANAI, ModelSpec
+from quadham.characteristic import MU_GUARD, FlowPoint, kernel_parameters
 from quadham.cli import main
-from quadham.errors import InvalidMoments, NumericalError, ValidationError
+from quadham.coefficients import CALDIROLA_KANAI, ModelSpec, TimeCoefficients
+from quadham.errors import (CausticEncountered, InvalidMoments,
+                            NumericalError, ValidationError)
 from helpers import dyadic_states
 
 
@@ -138,21 +141,61 @@ def test_energy_path_matches_its_twin(point, state, k):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(point=st.one_of(POINTS, points(-745.0, -705.0), points(705.0)),
        init=st.tuples(*[st.one_of(st.just(0.0), MEANS)] * 4))
+@example(point=FlowPoint(1.5816407103081669, 1.4434652100397183,
+                         -1.3209986508034899, -0.5733385521972055,
+                         0.9419282717557427),
+         init=(-6.059295515513293e307, -1.1948623671075607e306,
+               -9.385291433926273e307, 1.859077474790154e307))
 def test_weighted_form_matches_its_twin(point, init):
     # e^I M^{-T} Q_0 M^{-1} of solve_energy_system, weighed as every value
     # times e^{+-I} is: a subnormal e^I multiplied in one step reads A up
     # to 100% off near I = -729, so a third of the draws take I within 40
-    # of each edge.  A form past the float range is refused, naming t
+    # of each edge.  A form past the float range is refused, naming t and
+    # I; in the example e^I (M^{-T} Q_0 M^{-1})_12 and e^I (C0 - D0)/2 are
+    # each finite, but C, their sum, is not, and the path returned -inf
     path = inv.solve_energy_system(twin.FlowStub(point), init)
 
     def read():
         try:
             return path(1.0)[:4]
         except NumericalError as err:
-            assert err.info["t"] == 1.0
+            assert err.info == {"t": 1.0, "I": point.i}
             raise
 
     judge(read, twin.energy_form(point, init))
+
+
+@seed(20261024)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(point=st.one_of(POINTS, points(-745.0, -705.0), points(705.0)),
+       a=st.builds(lambda u, sign: sign * 10.0 ** u, st.floats(-3.0, 3.0),
+                   st.sampled_from([-1.0, 1.0])),
+       c=st.floats(-5.0, 5.0), t=st.floats(1e-3, 10.0))
+@example(point=FlowPoint(-7812620482.636647, -42250519715.56078,
+                         7886011292.185185, 42647415974.97373,
+                         680.0260926727374),
+         a=96.96909696249828, c=3.554073270411509, t=4.0913317145717985)
+def test_kernel_parameters_match_their_twin(point, a, c, t):
+    # a third of the draws take I within 40 of each edge, where e^I is
+    # subnormal or overflows; kernel_parameters reads mu, mu' and h by one
+    # weight and the quotients off M, or refuses the weight or the band.
+    # A refusal must be one the twin allows: in the example mu' = 1.7e308
+    # is finite, but t mu' overflowed and refused mu = 1.1e306 as caustic
+    zero = lambda s: 0.0
+    tc = TimeCoefficients(lambda s: a, zero, lambda s: c, zero)
+    weighted = twin.kernel_weighted(point, a, c)
+    try:
+        got = kernel_parameters(tc, twin.FlowStub(point, tc), t)
+    except CausticEncountered:
+        assert twin.may_be_caustic(t, *weighted[:2], MU_GUARD)
+        return
+    except NumericalError as err:
+        assert err.info == {"t": t, "I": point.i}
+        assert twin.may_overflow(*weighted)
+        return
+    assert got.t == t
+    for g, w in zip(got[1:], (*weighted, *twin.kernel_quotients(point))):
+        w.check(g)
 
 
 def _cli_row(argv):

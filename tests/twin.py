@@ -1,9 +1,9 @@
-"""A 40-digit twin of the moment layer and the weighted form: the
-test-side judge of the float arithmetic between a flow point (M, I) and
-the numbers that the moment paths, their weight ``raw`` (<1> =
+"""A 40-digit twin of the moment layer, the weighted form and the kernel:
+the test-side judge of the float arithmetic between a flow point (M, I)
+and the numbers that the moment paths, their weight ``raw`` (<1> =
 raw(<1>_0)), ``SecondMoments.centred``, the energy path,
-``uncertainty_check``, the CLI's ``moments`` and ``uncertainty`` columns
-and ``solve_energy_system`` return.
+``uncertainty_check``, the CLI's ``moments`` and ``uncertainty`` columns,
+``solve_energy_system`` and ``kernel_parameters`` return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
@@ -15,12 +15,13 @@ bound is the unit roundoff times |value| times the formula's condition
 number, so a returned number within BOUND of it is within BOUND ulps
 times that condition number.  The formulas are written from the paper's
 moment law, S/<1> = M S_0 M^T / <1>_0 and <z>/<1> = M <z>_0 / <1>_0 with
-<1> = e^{-I} <1>_0, and its conserved form, Q = e^I M^{-T} Q_0 M^{-1},
-and share no code with the package.  The centred covariance follows the
-same congruence, so the uncertainty columns are the centred formula:
-centre once at t = 0, flow, and read the variances with no means at t.
-Its bound carries the rounding of the centring at t = 0 alone, which is
-none for a state whose centring is exact, however large its means.
+<1> = e^{-I} <1>_0, its conserved form, Q = e^I M^{-T} Q_0 M^{-1}, and
+its kernel, mu = M12 e^I, alpha = M22 / (2 M12), and share no code with
+the package.  The centred covariance follows the same congruence, so the
+uncertainty columns are the centred formula: centre once at t = 0, flow,
+and read the variances with no means at t.  Its bound carries the
+rounding of the centring at t = 0 alone, which is none for a state whose
+centring is exact, however large its means.
 ``FlowStub`` feeds the paths a drawn flow point.
 """
 
@@ -110,10 +111,13 @@ def exp_neg(i: float) -> Twin:
 
 
 class FlowStub:
-    """A flow whose ``at`` gives one drawn point (M, I) at every t."""
+    """A flow whose ``at`` gives one drawn point (M, I) at every t, with
+    the coefficients ``tc`` and no caustic found."""
 
-    def __init__(self, point: FlowPoint):
-        self.point = point
+    first_caustic = None
+
+    def __init__(self, point: FlowPoint, tc=None):
+        self.point, self.tc = point, tc
 
     def at(self, t: float) -> FlowPoint:
         return self.point
@@ -229,6 +233,32 @@ def uncertainty_row(point: FlowPoint, m0, f0):
     u = uncertainty(second_moments(point, centred(m0, f0)))
     return [raw(point, u["dp2"]), raw(point, u["dx2"]),
             raw(point, raw(point, u["margin"])), u["excess"]]
+
+
+def kernel_weighted(point: FlowPoint, a: float, c: float):
+    """(mu, mu', h) of the kernel at the point for a and c at t, each
+    weighed: mu = M12 e^I, mu' = 2(a M22 + c M12) e^I and h = e^I."""
+    m12, m22 = Twin(point.m12), Twin(point.m22)
+    return (weigh(point.i, m12),
+            weigh(point.i, 2.0 * (Twin(a) * m22 + Twin(c) * m12)),
+            weigh(point.i, Twin(1.0)))
+
+
+def kernel_quotients(point: FlowPoint):
+    """(alpha, beta, gamma) of the kernel at the point, M12 != 0:
+    M22 / (2 M12), -1 / M12 and M11 / (2 M12)."""
+    m11, m12, m22 = Twin(point.m11), Twin(point.m12), Twin(point.m22)
+    return m22 / (2.0 * m12), Twin(-1.0) / m12, m11 / (2.0 * m12)
+
+
+def may_be_caustic(t: float, mu: Twin, mu_prime: Twin, guard: float) -> bool:
+    """Whether the float band test |mu| <= guard |t mu'| may hold on the
+    float mu and mu', each within BOUND error bounds of its twin, with the
+    two roundings of the right side."""
+    low = abs(mu.v) - BOUND * mu.e
+    high = (mpmath.mpf(guard) * abs(t) * (abs(mu_prime.v)
+                                          + BOUND * mu_prime.e))
+    return low <= high * (1 + 4 * EPS) + 2 * TINY
 
 
 def may_overflow(*twins) -> bool:
