@@ -10,19 +10,23 @@ code under test from moving the inputs (the workload draws some flags from
 ``GaussianState.moments``).  Then runs every argv through
 ``quadham.cli.main`` in one child interpreter per checkout, and prints
 each argv whose exit code, stdout or stderr differ between the two, then
-the count of those that moved.  Under each such argv it prints every JSON
-key, CSV cell (of the subcommands in TABLES) or line of other text that
-moved, OTHER's value first, and for two floats their distance in ulps.
+a tally of the moved keys by stream (a CSV cell by its column alone) and
+the count of the argvs that moved.  Under each such argv it prints every
+JSON key, CSV cell (of the subcommands in TABLES) or line of other text
+that moved, OTHER's value first, and for two floats their distance in
+ulps.
 An exception that leaves ``main`` counts as exit 1 with its type and
 message on stderr.
 """
 
 import argparse
+import collections
 import csv
 import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -132,6 +136,16 @@ def moved_cells(theirs: str, mine: str, table: bool = False):
             if a.get(key) != b.get(key)]
 
 
+def tally(moves):
+    """A line "stream key ×n" for each (stream, key) that ``moves`` lists n
+    times, most moved first; a CSV cell's key "row:column" counts as its
+    column, so that one column moved in many rows is one line."""
+    counts = collections.Counter((stream, re.sub(r"^\d+:", "", key))
+                                 for stream, key in moves)
+    return [f"{stream} {key} ×{n}" for (stream, key), n in
+            sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", required=True,
@@ -143,19 +157,24 @@ def main(argv=None) -> int:
                    path=("src", "quadbench"))
     batch = json.dumps(argvs)
     here, there = (_child(root, RUN, stdin=batch) for root in (ROOT, other))
-    moved = 0
+    moved, keys = 0, []
     for argv, mine, theirs in zip(argvs, here, there):
         parts = [name for name, a, b in zip(("exit", "stdout", "stderr"),
                                             mine, theirs) if a != b]
         if parts:
             moved += 1
             print(f"moved ({', '.join(parts)}): {' '.join(argv)}")
-            for stream in (1, 2):
+            if "exit" in parts:
+                keys.append(("exit", "code"))
+            for stream, name in ((1, "stdout"), (2, "stderr")):
                 table = stream == 1 and argv[0] in TABLES
                 for key, a, b, n in moved_cells(theirs[stream], mine[stream],
                                                 table):
                     gap = "" if n is None else f" ({n} ulp)"
                     print(f"  {key}: {a} -> {b}{gap}")
+                    keys.append((name, key))
+    for line in tally(keys):
+        print(line)
     print(f"{moved} of {len(argvs)} outputs moved")
     return 0
 

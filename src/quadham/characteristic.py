@@ -19,7 +19,10 @@ steps, which keep det M = 1 to rounding, with one tolerance on every path,
 FLOW_TOL; a Flow grows its two ``quadham.ode.Side`` records, one per
 direction of t, on demand and gives the dense output by one sub-step
 from a step point.  Every kernel reader refuses the caustic band
-|mu| <= MU_GUARD |t mu'|, in any units.
+|mu| <= MU_GUARD |t mu'|, in any units.  ``kernel_parameters`` refuses a t
+past the first zero of mu by the signs of M12 on the step that holds it;
+a step turns by at most a quarter, so it holds no other zero of M12 and
+the signs place t exactly.
 The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -34,8 +37,7 @@ from typing import NamedTuple
 from .coefficients import ModelSpec, TimeCoefficients
 from .errors import (CausticEncountered, NumericalError, SingularCoefficient,
                      ValidationError)
-from .ode import (FLOW_TOL, FlowPoint, Side, bracket_sign_change,
-                  magnus_step, read, solve_ivp)
+from .ode import FlowPoint, Side, magnus_step, read, solve_ivp
 
 # beta = -1/M12 is off by M12's error over |M12|, which shrinks as the time
 # |mu / mu'| to the zero of mu.  Over the ten models at omega0 0.7, 1, 1.5,
@@ -77,6 +79,15 @@ def _served(t: float, mu: float, mu_prime: float) -> None:
     if not abs(mu) > MU_GUARD * abs(t) * abs(mu_prime):
         raise CausticEncountered("mu is inside the caustic guard band",
                                  t=t, mu=mu, mu_prime=mu_prime)
+
+
+def _require_time(t: float) -> None:
+    """The kernel readers' first check: ValidationError for a t that is not
+    finite, then CausticEncountered at t <= 0."""
+    if not math.isfinite(t):
+        raise ValidationError("t must be finite", t=t)
+    if not t > 0:
+        raise CausticEncountered("kernel is singular at t = 0", t=t)
 
 
 def _weight(t: float, i: float, sign: float, *values: float) -> tuple:
@@ -164,42 +175,18 @@ class Flow:
     def mu(self, t: float) -> tuple[float, float]:
         return _mu(self.tc, t, self.at(t))[:2]
 
-    def _first_zero(self, g, t_end: float, start: int = 0):
-        """The first zero on [0, t_end] of g of the FlowPoint, searched from
-        step ``start`` of the side of t_end among the step points reached:
-        the step interval at whose first point g is zero or over which it
-        changes sign, and the zero's bracket in it narrowed on the dense
-        output; the two as ([t0, t1], [lo, hi]) in increasing time order,
-        or None."""
-        side = self._sides[math.copysign(1.0, t_end)]
-        for k in range(start, len(side.t) - 1):
-            if abs(side.t[k]) >= abs(t_end):
-                return None
-            g0, g1 = g(side.steps[k]), g(side.steps[k + 1])
-            if g0 == 0.0 or g0 * g1 < 0.0:
-                ends = side.t[k], side.t[k + 1]
-                bracket = sorted(bracket_sign_change(
-                    lambda t: g(self.at(t)), *ends))
-                return (sorted(ends), bracket) if abs(
-                    bracket[0]) <= abs(t_end) else None
-        return None
-
     @property
     def first_caustic(self):
-        """The bracket of the first zero of mu after t = 0 among the step
-        points reached so far, in increasing time order, or None."""
-        forward = self._sides[1.0].t
-        if self._caustic is None and self._caustic_from < len(forward) - 1:
-            # M12 has the sign of mu and vanishes at step 0
-            hit = self._first_zero(lambda p: p.m12, forward[-1],
-                                   self._caustic_from)
-            self._caustic_from = len(forward) - 1
-            if hit is not None:
-                # widen the zero of the dense output by a margin that holds
-                # the exact zero too, on the zero's own time scale
-                (c0, c1), (lo, hi) = hit
-                pad = math.sqrt(FLOW_TOL) * max(abs(lo), abs(hi))
-                self._caustic = max(c0, lo - pad), min(c1, hi + pad)
+        """The first forward step (t_k, t_{k+1}), k >= 1, at whose start M12
+        is zero or over which it changes sign, among the step points
+        reached so far, or None: the step that holds the first caustic."""
+        side = self._sides[1.0]
+        while self._caustic is None and self._caustic_from < len(side.t) - 1:
+            k = self._caustic_from
+            m0, m1 = side.steps[k].m12, side.steps[k + 1].m12
+            if m0 == 0.0 or m0 * m1 < 0.0:
+                self._caustic = side.t[k], side.t[k + 1]
+            self._caustic_from = k + 1
         return self._caustic
 
 
@@ -231,16 +218,19 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     """Assemble (mu, mu', h, alpha, beta, gamma) at time t from the flow
     matrix of ``flow`` and its coefficients (``tc`` is not read).
 
-    Raises CausticEncountered inside the caustic band at t or, outside it,
-    where mu changes sign before t, and the refusals of :meth:`Flow.at`.
+    Raises ValidationError for a t that is not finite, CausticEncountered
+    at t <= 0, inside the caustic band at t, and past the first zero of mu
+    (``bracket``: the step :attr:`Flow.first_caustic`), and the refusals of
+    :meth:`Flow.at`.  Past the zero is past its step, or in it where M12
+    lacks its sign at the step's start: exact, as the step holds no other.
     """
-    if not (t > 0):
-        raise CausticEncountered("kernel is singular at t = 0", t=t)
+    _require_time(t)
     p = flow.at(t)
     mu, mu_prime, h = _mu(flow.tc, t, p)
     _served(t, mu, mu_prime)
     caustic = flow.first_caustic
-    if caustic is not None and caustic[0] < t:
+    if caustic is not None and t > caustic[0] and (
+            t > caustic[1] or not p.m12 * flow.at(caustic[0]).m12 > 0.0):
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
     return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,
@@ -251,8 +241,7 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
 def closed_form_kernel(spec: ModelSpec, t: float) -> KernelParameters:
     """The printed elementary kernel parameters of the built-in models."""
     kernel = spec.closed_form("kernel")
-    if not (t > 0):
-        raise CausticEncountered("kernel is singular at t = 0", t=t)
+    _require_time(t)
     mu, mup = closed_form_mu(spec, t)
     _served(t, mu, mup)
     alpha, beta, gamma, h = kernel(t)

@@ -24,8 +24,9 @@ commutators, so it misses the quadrature error when A(t) commutes with
 itself.)  The one-step error is held to the tolerance, because the dense
 output at t (``Flow.at``) is one :func:`magnus_step` from the step point
 before t.  A step is refused when it turns by more than a quarter,
-|det Omega| > (pi/2)^2, so that it holds at most one zero of M12.  Each
-node is read by :func:`read`, which refuses a coefficient that fails.
+|det Omega| > (pi/2)^2: it then holds at most one zero of M12, which makes
+the kernel's caustic rule by the signs of M12 on a step exact.  Each node
+is read by :func:`read`, which refuses a coefficient that fails.
 
 Each side of a flow from t = 0 is one :class:`Side` record, which
 :func:`solve_ivp` grows in place and changes only when a solve succeeds.
@@ -34,13 +35,11 @@ Each side of a flow from t = 0 is one :class:`Side` record, which
 from __future__ import annotations
 
 import math
-import sys
 from math import isfinite
 from typing import NamedTuple
 
 from .errors import SingularCoefficient, ToleranceNotMet
 
-_EPS = sys.float_info.epsilon
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -154,29 +153,6 @@ def _advance(w, y):
     m11, m12, m21, m22, i = y
     return [e11 * m11 + e12 * m21, e11 * m12 + e12 * m22,
             e21 * m11 + e22 * m21, e21 * m12 + e22 * m22, i + di]
-
-
-def bracket_sign_change(g, lo, hi):
-    """Shrink [lo, hi] by bisection until its ends are a few ulp apart.
-
-    g(lo) must be nonzero and g(hi) zero or of the other sign; the
-    returned ends keep that property.  When g(lo) is zero, (lo, lo) is
-    returned.
-    """
-    g_lo = g(lo)
-    if g_lo == 0.0:
-        return lo, lo
-    positive = g_lo > 0.0
-    while abs(hi - lo) > 4.0 * _EPS * (1.0 + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = g(mid)
-        if g_mid != 0.0 and (g_mid > 0.0) == positive:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def magnus_step(coefficients, t, y, h):

@@ -1,8 +1,8 @@
 """Builders the test modules share: H's flow and kernel reader for a model,
-the oscillator (p^2 + omega^2 x^2) / 2 and its Ermakov kappa, a sampled
-Gaussian, a fresh interpreter on this checkout's source, the
-hypothesis seed of one case of a parametrized test, and initial moments
-whose centring is exact."""
+the first zero of a flow's mu, the oscillator (p^2 + omega^2 x^2) / 2 and
+its Ermakov kappa, a sampled Gaussian, a fresh interpreter on this
+checkout's source, the hypothesis seed of one case of a parametrized
+test, and initial moments whose centring is exact."""
 
 import hashlib
 import json
@@ -27,6 +27,20 @@ def solve_kernel(spec, horizon):
     flow = classical_flow(tc)
     flow.at(horizon)
     return tc, flow, lambda t: kernel_parameters(tc, flow, t)
+
+
+def first_zero(flow):
+    """The first zero of mu after t = 0 among the step points the flow has
+    reached, bisected to the ulp on the dense M12 inside the step
+    ``flow.first_caustic`` (the first value past it), or None."""
+    if flow.first_caustic is None:
+        return None
+    lo, hi = flow.first_caustic
+    sign = flow.at(lo).m12
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if flow.at(mid).m12 * sign > 0.0 else (lo, mid)
+    return hi
 
 
 def oscillator(omega_sq):

@@ -19,7 +19,7 @@ from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
 from auxiliary import auxiliary_residual
-from helpers import grid_gaussian, solve_kernel
+from helpers import first_zero, grid_gaussian, solve_kernel
 from schrodinger import schrodinger_residual
 
 KERNEL_SPECS = [
@@ -51,8 +51,8 @@ def test_criterion_01_kernel_consistency():
     worst = 0.0
     for spec in KERNEL_SPECS:
         tc, path, kernel_of = solve_kernel(spec, 1.4)
-        caustic = path.first_caustic
-        hi = 1.4 if caustic is None else min(1.4, 0.9 * caustic[0])
+        zero = first_zero(path)
+        hi = 1.4 if zero is None else min(1.4, 0.9 * zero)
         for t in np.linspace(hi / 20, hi, 20):
             kp = kernel_of(float(t))
             ref = chr_mod.closed_form_kernel(spec, float(t))

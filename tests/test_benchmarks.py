@@ -79,3 +79,16 @@ def test_outputs_lists_each_moved_cell_with_its_ulps():
     assert outputs["TABLES"].isdisjoint({"verify_all", "green", "invariant"})
     assert moved("t\r\n1.0\r\n", "t\r\n1.0\r\n", table=True) == []
     assert outputs["ulps"](-1.0, 1.0) == 2 * outputs["ulps"](0.0, 1.0)
+
+
+def test_outputs_tallies_the_moved_keys_by_stream():
+    # before its last line, benchmarks/outputs.py counts each moved key of
+    # each stream over all argvs, a CSV cell by its column, most moved first
+    tally = runpy.run_path(str(ROOT / "benchmarks" / "outputs.py"))["tally"]
+    moves = [("stderr", "info.bracket.0")] * 3 + [
+        ("stdout", "2:margin"), ("stdout", "14:margin"), ("exit", "code"),
+        ("stdout", "line 2"), ("stderr", "info.bracket.1")]
+    assert tally(moves) == [
+        "stderr info.bracket.0 ×3", "stdout margin ×2", "exit code ×1",
+        "stderr info.bracket.1 ×1", "stdout line 2 ×1"]
+    assert tally([]) == []

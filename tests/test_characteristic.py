@@ -13,6 +13,7 @@ from quadham import propagator as prop
 from quadham.errors import (CausticEncountered, InvalidModelParams,
                             NumericalError, QuadhamError,
                             SingularCoefficient, ValidationError)
+from helpers import first_zero
 
 ALL_MODELS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -188,8 +189,8 @@ def test_assembled_kernel_matches_closed_form(spec):
     tc = coeff.builtin_coefficients(spec)
     path = chr_mod.classical_flow(tc)
     path.at(1.3)
-    caustic = path.first_caustic
-    hi = 1.3 if caustic is None else min(1.3, 0.9 * caustic[0])
+    zero = first_zero(path)
+    hi = 1.3 if zero is None else min(1.3, 0.9 * zero)
     for t in np.linspace(hi / 12, hi, 12):
         kp = chr_mod.kernel_parameters(tc, path, float(t))
         ref = chr_mod.closed_form_kernel(spec, float(t))
@@ -249,15 +250,24 @@ def test_gamma_continues_past_mu_prime_zero(spec, window, t):
 
 
 def test_caustic_is_detected():
+    # mu = sin t: the first caustic is the flow step that holds pi, and a
+    # kernel past pi is refused with that step as its bracket, also at 7,
+    # where mu has its sign before pi again
     spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
     tc = coeff.builtin_coefficients(spec)
     path = chr_mod.classical_flow(tc)
     path.at(4.0)
     lo, hi = path.first_caustic
     assert lo < math.pi < hi
-    assert hi - lo < 0.1
-    with pytest.raises(CausticEncountered):
-        chr_mod.kernel_parameters(tc, path, 3.5)
+    assert path.t[path.t.index(lo) + 1] == hi
+    for t in (3.5, 7.0):
+        with pytest.raises(CausticEncountered) as exc:
+            chr_mod.kernel_parameters(tc, path, t)
+        assert exc.value.info == {"bracket": (lo, hi)}
+    # the zero at -pi of a flow read backwards is not the kernel's caustic
+    backward = chr_mod.classical_flow(tc)
+    backward.at(-5.0)
+    assert backward.first_caustic is None
 
 
 @pytest.mark.parametrize("t", [0.0, -0.5, math.pi],
@@ -275,6 +285,70 @@ def test_kernels_refuse_t_at_zero_before_it_and_at_a_caustic(numerical, t):
             chr_mod.kernel_parameters(tc, path, t)
         else:
             chr_mod.closed_form_kernel(spec, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("numerical", [True, False],
+                         ids=["flow", "closed_form"])
+def test_kernels_refuse_a_time_that_is_not_finite(numerical, t, solves):
+    # a t that is not finite is invalid, not a caustic at t <= 0, and is
+    # refused before any solve
+    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
+    tc = coeff.builtin_coefficients(spec)
+    with pytest.raises(ValidationError) as exc:
+        if numerical:
+            chr_mod.kernel_parameters(tc, chr_mod.classical_flow(tc), t)
+        else:
+            chr_mod.closed_form_kernel(spec, t)
+    assert list(exc.value.info) == ["t"]
+    assert solves == []
+
+
+def _closed_form_zero(spec):
+    """The first zero of closed_form_mu, from a scan by 0.01 on (0, 10]
+    bisected to the ulp: the first float past it."""
+    sign = math.copysign(1.0, chr_mod.closed_form_mu(spec, 1e-3)[0])
+
+    def before(t):
+        return sign * chr_mod.closed_form_mu(spec, t)[0] > 0.0
+
+    lo = 1e-3
+    while before(lo + 0.01):
+        lo += 0.01
+        assert lo <= 10.0
+    hi = lo + 0.01
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if before(mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("spec", ALL_MODELS[:-1], ids=lambda s: s.model_id)
+def test_no_kernel_is_served_past_the_first_zero(spec):
+    # at z (1 -+ 10^-k), k = 6 ... 9, about the first zero z of the printed
+    # mu (every model but the free particle has one before t = 10):
+    # nothing past z is served, and what is served is the closed form's to
+    # criterion 1's 1e-7, on a flow read first to t and on one read first
+    # to 2 z
+    zero = _closed_form_zero(spec)
+    tc = coeff.builtin_coefficients(spec)
+    served = 0
+    for k in range(6, 10):
+        for t in (zero * (1.0 - 10.0 ** -k), zero * (1.0 + 10.0 ** -k)):
+            for first in (t, 2.0 * zero):
+                flow = chr_mod.classical_flow(tc)
+                flow.at(first)
+                try:
+                    kp = chr_mod.kernel_parameters(tc, flow, t)
+                except CausticEncountered:
+                    continue
+                assert t < zero, (k, first)
+                ref = chr_mod.closed_form_kernel(spec, t)
+                for got, want in zip(kp, ref):
+                    assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+                served += 1
+    assert served >= 2
 
 
 def test_kernel_past_solved_window_is_refused():
@@ -309,20 +383,6 @@ def test_solve_characteristic_refuses_what_the_cli_refuses(spec, t_end,
     assert solves == []
 
 
-def test_first_caustic_on_a_backward_window():
-    # mu = sin t vanishes at -pi: on the backward side the zero is
-    # narrowed as on the forward one, and both come in increasing time
-    # order; the first caustic itself is the kernel's, after t = 0
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC,
-                                                    1.0))
-    flow = chr_mod.classical_flow(tc)
-    flow.at(-5.0)
-    (t0, t1), (lo, hi) = flow._first_zero(lambda p: p.m12, -5.0, 1)
-    assert t0 <= lo <= hi <= t1 < 0.0
-    assert abs(lo + math.pi) <= 1e-12 and hi - lo <= 1e-14
-    assert flow.first_caustic is None
-
-
 def test_first_caustic_keeps_its_bits():
     # the solve, the dense output and the scan together fix these floats;
     # a change to any of them that moves a caustic shows here
@@ -331,8 +391,8 @@ def test_first_caustic_keeps_its_bits():
     flow = chr_mod.classical_flow(tc)
     flow.at(5.0)
     caustic = flow.first_caustic
-    assert [t.hex() for t in caustic] == ["0x1.4f1a6a3157477p+1",
-                                          "0x1.4f1a6e95c2c06p+1"]
+    assert [t.hex() for t in caustic] == ["0x1.f3307325a1b5cp+0",
+                                          "0x1.90641d8c69e97p+1"]
 
 
 def _scan_first_caustic(grid, mu):
@@ -369,20 +429,38 @@ class _StubFlow(chr_mod.Flow):
     [1.0, -1.0, -2.0, -3.0, -4.0],
 ])
 def test_first_caustic_matches_scan(mu):
+    # exactly the scan's step, on every prefix of the steps: the search
+    # resumes where the last read of a shorter flow stopped
     flow = _StubFlow(mu)
-    scan = _scan_first_caustic(flow.t, mu)
-    caustic = flow.first_caustic
-    if scan is None:
-        assert caustic is None
-        return
-    # the step that the scan finds, narrowed onto the zero of the dense
-    # output with a margin of sqrt(tol) times the zero's time either side
-    i = int(scan[0])
-    zero = i + mu[i] / (mu[i] - mu[i + 1])
-    pad = math.sqrt(chr_mod.FLOW_TOL) * zero
-    lo, hi = caustic
-    assert scan[0] <= lo <= zero <= hi <= scan[1]
-    assert hi - lo <= 2.0 * pad + 1e-12
+    forward = flow._sides[1.0]
+    t, steps = forward.t, forward.steps
+    for n in range(1, len(mu) + 1):
+        forward.t, forward.steps = t[:n], steps[:n]
+        assert flow.first_caustic == _scan_first_caustic(t[:n], mu[:n])
+
+
+@pytest.mark.parametrize("mu", [
+    [0.0, -1.0, -2.0, 3.0, 1.0],
+    [0.0, 1.0, 2.0, 3.0, -1.0],
+    # mu regains its sign at the last step point: refused past the step
+    [0.0, -1.0, -2.0, 3.0, -2.0],
+])
+def test_kernel_refuses_past_the_zero_inside_its_step(mu):
+    # on the step that holds the first caustic, a t before the zero of the
+    # interpolated mu is served and a t after it is refused, as is every t
+    # past the step, with the step as the bracket
+    flow = _StubFlow(mu)
+    lo, hi = flow.first_caustic
+    k = int(lo)
+    zero = k + mu[k] / (mu[k] - mu[k + 1])
+    assert lo < zero < hi
+    for t in (0.5 * (lo + zero), zero - 1e-6):
+        kp = chr_mod.kernel_parameters(flow.tc, flow, t)
+        assert kp.mu == np.interp(t, flow.t, mu)
+    for t in (zero + 1e-6, 0.5 * (zero + hi), hi, hi + 0.8):
+        with pytest.raises(CausticEncountered) as exc:
+            chr_mod.kernel_parameters(flow.tc, flow, t)
+        assert exc.value.info == {"bracket": (lo, hi)}
 
 
 def test_cj_pure_damping_limit():
@@ -556,10 +634,10 @@ def test_the_kernel_readers_do_not_depend_on_the_units(
     times = [u * t_end for u in fractions]
     flow = chr_mod.classical_flow(tc)
     flow.at(t_end)
-    caustic = flow.first_caustic
-    if caustic is not None:
+    zero = first_zero(flow)
+    if zero is not None:
         # inside the band, where mu is not yet 0
-        times.append(0.5 * (caustic[0] + caustic[1]) * (1.0 - 1e-9))
+        times.append(zero * (1.0 - 1e-9))
     plain = _reads(tc, t_end, times, 1.0)
     scaled = _reads(_rescaled(tc, s, tau), tau * t_end,
                     [tau * t for t in times], s)
@@ -569,7 +647,7 @@ def test_the_kernel_readers_do_not_depend_on_the_units(
     for t, got, want in zip(times, scaled, plain):
         assert refusals(got) == refusals(want), t
         kp, ref = got[0], want[0]
-        near = caustic is not None and t > 0.9 * caustic[0]
+        near = zero is not None and t > 0.9 * zero
         if isinstance(ref, type) or near:
             continue
         # mu' against |mu'| + |mu / t|, as it may pass through 0, and the

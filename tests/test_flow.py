@@ -33,7 +33,7 @@ from quadham.errors import InvalidModelParams, QuadhamError
 from quadham.ode import FLOW_TOL
 from quadham.propagator import (GaussianState, propagate_gaussian,
                                 propagate_grid)
-from helpers import ermakov, grid_gaussian
+from helpers import ermakov, first_zero, grid_gaussian
 
 SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -343,8 +343,8 @@ def test_drawn_hamiltonians_keep_the_identities_of_every_h(
     tc = TimeCoefficients(*(lambda t, k=k: h(t)[k] for k in range(4)))
     flow = classical_flow(tc)
     flow.at(2.0 * t_end)
-    caustic = flow.first_caustic
-    hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
+    zero = first_zero(flow)
+    hi = t_end if zero is None else min(t_end, 0.9 * zero)
     times = [float(t) for t in np.linspace(hi / 3, hi, 3)]
     for p in flow.steps + [flow.at(t) for t in times]:
         assert abs(p.m11 * p.m22 - p.m12 * p.m21 - 1.0) <= 1e-14

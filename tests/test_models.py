@@ -26,7 +26,7 @@ from quadham.cli import main
 from quadham.errors import (CausticEncountered, InvalidModelParams,
                             NoClosedForm, NumericalError, QuadhamError)
 
-from helpers import case_seed
+from helpers import case_seed, first_zero
 
 # the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL,
 # PROPAGATE_TOL, MOMENT_TOL, DRIFT_TOL)
@@ -164,8 +164,8 @@ def test_closed_forms_match_numerical_path(request, model_id):
                                  chr_mod.closed_form_mu(spec, float(t))):
                 assert _close(got, want)
 
-        caustic = path.first_caustic
-        hi = t_end if caustic is None else min(t_end, 0.9 * caustic[0])
+        zero = first_zero(path)
+        hi = t_end if zero is None else min(t_end, 0.9 * zero)
         for t in np.linspace(hi / 5, hi, 5):
             kp = chr_mod.kernel_parameters(tc, path, float(t))
             ref = chr_mod.closed_form_kernel(spec, float(t))
