@@ -109,6 +109,12 @@ def _weight(t: float, i: float, sign: float, *values: float) -> tuple:
     return out
 
 
+def _sign(x: float) -> int:
+    """-1, 0 or 1 as x is negative, zero or positive: the sign rule's
+    comparison, which a product of two small M12 would lose to underflow."""
+    return (x > 0.0) - (x < 0.0)
+
+
 def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
     """(mu, mu', h) at t from the flow point p by one h = e^I."""
     a, c = read((tc.a, tc.c), t)
@@ -131,8 +137,9 @@ class Flow:
         self.tc = tc
         self._coefficients = (tc.a, tc.b, tc.c, tc.d)
         self._sides = {d: Side(d) for d in (1.0, -1.0)}
-        # the first caustic once found, and the first step not yet searched
-        self._caustic, self._caustic_from = None, 1
+        # the first caustic once found, the first step not yet searched and
+        # whether M12 has taken a sign on the steps searched
+        self._caustic, self._caustic_from, self._signed = None, 1, False
 
     @property
     def t(self) -> list:
@@ -177,15 +184,18 @@ class Flow:
 
     @property
     def first_caustic(self):
-        """The first forward step (t_k, t_{k+1}), k >= 1, at whose start M12
-        is zero or over which it changes sign, among the step points
-        reached so far, or None: the step that holds the first caustic."""
+        """The first forward step (t_k, t_{k+1}), k >= 1, over which M12
+        changes sign, or at whose start it is zero after it has taken a
+        sign, among the step points reached so far, or None: the step that
+        holds the first caustic.  A zero before M12 takes a sign is none:
+        M12 ~ 2a t underflows there on steps far shorter than H's time."""
         side = self._sides[1.0]
         while self._caustic is None and self._caustic_from < len(side.t) - 1:
             k = self._caustic_from
             m0, m1 = side.steps[k].m12, side.steps[k + 1].m12
-            if m0 == 0.0 or m0 * m1 < 0.0:
+            if _sign(m0) * _sign(m1) < 0 or m0 == 0.0 and self._signed:
                 self._caustic = side.t[k], side.t[k + 1]
+            self._signed = self._signed or m0 != 0.0
             self._caustic_from = k + 1
         return self._caustic
 
@@ -230,7 +240,8 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     _served(t, mu, mu_prime)
     caustic = flow.first_caustic
     if caustic is not None and t > caustic[0] and (
-            t > caustic[1] or not p.m12 * flow.at(caustic[0]).m12 > 0.0):
+            t > caustic[1]
+            or not _sign(p.m12) * _sign(flow.at(caustic[0]).m12) > 0):
         raise CausticEncountered(
             "mu changes sign before the requested time", bracket=caustic)
     return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,

@@ -156,9 +156,9 @@ def uncertainty_check(c: SecondMoments) -> dict:
 
     Returns the variances, the margin <(Dp)^2><(Dx)^2> - <1>^2/4
     (nonnegative for any admissible state) and the normalized product
-    delta_p delta_x - 1/2.  Raises NumericalError where a variance or the
-    margin is not finite and InvalidMoments where a variance is below
-    -1e-12 <1> or <1> is not positive.
+    delta_p delta_x - 1/2.  Raises NumericalError where a variance, the
+    margin or the product is not finite and InvalidMoments where a
+    variance is below -1e-12 <1> or <1> is not positive.
     """
     dp2, dx2, _, norm = c
     margin = dp2 * dx2 - 0.25 * norm * norm
@@ -169,6 +169,9 @@ def uncertainty_check(c: SecondMoments) -> dict:
     if min(dp2, dx2) < -1e-12 * norm:
         raise InvalidMoments("negative variance", dp2=dp2, dx2=dx2)
     (prod,) = _per_unit(norm, math.sqrt(max(dp2, 0.0) * max(dx2, 0.0)))
+    if not math.isfinite(prod):
+        raise NumericalError("the product delta_p delta_x is not finite",
+                             dp2=dp2, dx2=dx2, norm=norm)
     return {"margin": margin, "product": prod, "excess": prod - 0.5,
             "dp2": dp2, "dx2": dx2}
 

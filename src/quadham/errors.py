@@ -77,10 +77,6 @@ class MuVanishes(NumericalError):
     code = "mu_vanishes"
 
 
-class ResidualTooLarge(ValidationError):
-    code = "residual_too_large"
-
-
 class InvalidC0(ValidationError):
     code = "invalid_c0"
 

@@ -3,17 +3,19 @@
 Covers the per-model catalog of conserved quadratic operators, the
 general symmetric-form invariant [(mu p - q x)^2 + C0 x^2 / mu^2] e^I of
 any quadratic Hamiltonian, linear invariants and the ladder factorization.
+A Weyl polynomial in M^{-1} z times e^I is conserved, so the energy form
+and the linear invariant are read off the flow from their data at t = 0.
 mu solves the nonlinear auxiliary equation, as the square root of Pinney's
 superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
 a = 1/2, c = d = 0 that is the Ermakov equation, kappa from (kappa0,
 kappa0') the superposition of the flow's columns with (A, B, C) =
 (kappa0^2, kappa0 kappa0', kappa0'^2 + c0 / kappa0^2), and the form of it
-the Lewis-Riesenfeld invariant.  A mu or A callable returns (f, f', f'')
-at t; an invariant calls it once and, on its one checked path, refuses a
-solution whose residual exceeds 1e-8.  All of it is algebra on the flow
-M and I = int_0^t (c - d) of :func:`quadham.characteristic.classical_flow`,
-whose ``_weight`` forms each value times e^I.  The CLI and the grid take
-the drift of an invariant's expectation here.
+the Lewis-Riesenfeld invariant.  A mu callable returns (f, f', f'') at t;
+an invariant calls it once and refuses a mu whose residual is not within
+1e-8.  All of it is algebra on the flow M and I = int_0^t (c - d) of
+:func:`quadham.characteristic.classical_flow`, whose ``_weight`` forms
+each value times e^I.  The CLI and the grid take the drift of an
+invariant's expectation here.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from typing import NamedTuple
 from .characteristic import Flow, _congruence, _weight
 from .coefficients import ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, MuVanishes,
-                     NonPositiveForm, NumericalError, ResidualTooLarge,
-                     ValidationError)
+                     NonPositiveForm, NumericalError, ValidationError)
 from .ode import read
 
-# the residual of an auxiliary or linear-invariant equation that is refused
+# the residual of the auxiliary equation that is refused
 _RESIDUAL_TOL = 1e-8
 
 
@@ -102,10 +103,7 @@ def solve_energy_system(flow: Flow, init):
         B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
         A, B, half_cd, half = _weight(t, p.i, 1.0, A, B, half_cd,
                                       0.5 * (C0 - D0))
-        C, D = half_cd + half, half_cd - half
-        if not (math.isfinite(C) and math.isfinite(D)):
-            raise NumericalError("C or D of the weighted form is not finite",
-                                 t=t, I=p.i)
+        C, D = _finite(half_cd + half, half_cd - half, t=t, I=p.i)
         return QuadraticForm(A=A, B=B, C=C, D=D, t=t)
 
     return path
@@ -117,8 +115,11 @@ def energy_operator_catalog(spec: ModelSpec, t: float) -> QuadraticForm:
 
     For the hyperbolically damped models that is the frequency-rescaled
     Hamiltonian, with the momentum representation obtained by swapping A
-    and B and negating the cross term.
+    and B and negating the cross term.  ValidationError for a t that is
+    not finite.
     """
+    if not math.isfinite(t):
+        raise ValidationError("t must be finite", t=t)
     A, B, C = spec.closed_form("invariant")(t)
     return QuadraticForm(A, B, C, C, t)
 
@@ -140,44 +141,46 @@ def _expectation_drift(pairs, cancel: float):
                     for q, m in pairs) / abs(ref)
 
 
-def _mu_triplet(mu_fn, t: float):
-    """(f, f', f'') from a callable that must return exactly these three."""
-    vals = mu_fn(t)
-    if len(vals) != 3:
-        raise ValidationError("mu_fn and A_fn must return (f, f', f'')",
-                              t=t, length=len(vals))
-    return vals
-
-
-def _derivatives(tc: TimeCoefficients, t: float):
-    """(a', c', d') at t by ode.read; ValidationError when one is missing."""
-    missing = [n for n in ("da", "dc", "dd") if getattr(tc, n) is None]
-    if missing:
-        raise ValidationError("the invariants need the derivatives a', c' "
-                              "and d' of the coefficients", missing=missing)
-    return read((tc.da, tc.dc, tc.dd), t)
+def _finite(*values: float, **info):
+    """values; NumericalError with ``info`` (t, and I where a value is
+    weighted) where one is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("a value of the invariant is not finite", **info)
+    return values
 
 
 def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
     """a, a'/a, Q = 4ab + (a'/a - c - d)(c + d) - c' - d' and c + d at t,
-    for the linear auxiliary equation mu'' - (a'/a) mu' + Q mu and for q."""
+    for the linear auxiliary equation mu'' - (a'/a) mu' + Q mu and for q;
+    ValidationError when a', c' or d' is missing."""
     a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
-    da, dc, dd = _derivatives(tc, t)
+    missing = [n for n in ("da", "dc", "dd") if getattr(tc, n) is None]
+    if missing:
+        raise ValidationError("the invariants need the derivatives a', c' "
+                              "and d' of the coefficients", missing=missing)
+    da, dc, dd = read((tc.da, tc.dc, tc.dd), t)
     ra = da / a
     return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - dc - dd), c + d
 
 
 def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float):
     """(mu, q) at t from one call of ``mu_fn``, q = (mu' - (c + d) mu) /
-    (2a); refuses mu = 0 and a residual above 1e-8 of the nonlinear
-    auxiliary equation mu'' - (a'/a) mu' + Q mu = C0 (2a)^2 / mu^3."""
-    mu, mup, mupp = _mu_triplet(mu_fn, t)
+    (2a); refuses a mu whose square is 0 and a residual of the nonlinear
+    auxiliary equation mu'' - (a'/a) mu' + Q mu = C0 (2a)^2 / mu^3 that is
+    not within 1e-8, as a nan one is not."""
+    vals = mu_fn(t)
+    if len(vals) != 3:
+        raise ValidationError("mu_fn must return (mu, mu', mu'')",
+                              t=t, length=len(vals))
+    mu, mup, mupp = vals
     a, ra, q, cd = _auxiliary_coefficients(tc, t)
-    if mu == 0.0:
+    if mu * mu == 0.0:
         raise MuVanishes("mu vanishes", t=t)
-    rhs = C0 * (2.0 * a) ** 2 / mu ** 3 if C0 != 0.0 else 0.0
+    # C0 (2a)^2 / mu^3 by products and quotients, which do not raise
+    w = 2.0 * a / mu
+    rhs = C0 * w * w / mu if C0 != 0.0 else 0.0
     res = abs(mupp - ra * mup + q * mu - rhs)
-    if res > _RESIDUAL_TOL:
+    if not res <= _RESIDUAL_TOL:
         raise AuxiliaryResidualTooLarge(
             "mu does not solve the auxiliary equation at t",
             residual=res, t=t)
@@ -193,17 +196,22 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
     ``u`` and ``v`` map t to (value, derivative).  Their Wronskian equals
     const * 2a(t); the combined solution has C0 = (A C - B^2) W^2 / (2a)^2,
     a constant.  Returns (mu_fn, C0) with mu_fn yielding (mu, mu', mu'').
+    ValidationError for an A, B or C that is not finite, NumericalError
+    naming t for a C0 or a value that is not.
     """
+    if not all(map(math.isfinite, (A, B, C))):
+        raise ValidationError("A, B and C must be finite", A=A, B=B, C=C)
     u0, u1 = u(0.0)[:2]
     v0, v1 = v(0.0)[:2]
     W0 = u0 * v1 - u1 * v0
-    C0 = (A * C - B * B) * W0 * W0 / (2.0 * read((tc.a,), 0.0)[0]) ** 2
+    (C0,) = _finite((A * C - B * B) * W0 * W0
+                    / (2.0 * read((tc.a,), 0.0)[0]) ** 2, t=0.0)
 
     def mu_fn(t):
         u0, u1 = u(t)[:2]
         v0, v1 = v(t)[:2]
         s = A * u0 * u0 + 2.0 * B * u0 * v0 + C * v0 * v0
-        if s <= 0.0:
+        if not s > 0.0:
             raise NonPositiveForm("quadratic form is not positive", t=t)
         ds = 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
         _, p, q, _ = _auxiliary_coefficients(tc, t)
@@ -216,7 +224,7 @@ def superpose_linear_solutions(tc: TimeCoefficients, u, v,
         mu = math.sqrt(s)
         mup = 0.5 * ds / mu
         mupp = 0.5 * d2s / mu - mup * mup / mu
-        return mu, mup, mupp
+        return _finite(mu, mup, mupp, t=t)
 
     return mu_fn, C0
 
@@ -229,10 +237,13 @@ def solve_linear_auxiliary(flow: Flow, init):
     from init = (mu(0), mu'(0)) and return a callable t -> (mu, mu') on
     ``flow``.  mu is the position row of the flow applied to
     (mu_0, p_0), p_0 = (mu_0' - (c + d) mu_0) / (2a), and
-    mu' = 2a p + (c + d) mu.
+    mu' = 2a p + (c + d) mu.  ValidationError for an init that is not
+    finite, NumericalError naming t for a value that is not.
     """
     acd = (flow.tc.a, flow.tc.c, flow.tc.d)
     mu0, mup0 = init
+    if not (math.isfinite(mu0) and math.isfinite(mup0)):
+        raise ValidationError("init must be finite", init=init)
     a, c, d = read(acd, 0.0)
     p0 = (mup0 - (c + d) * mu0) / (2.0 * a)
 
@@ -241,7 +252,7 @@ def solve_linear_auxiliary(flow: Flow, init):
         mu = m.m11 * mu0 + m.m12 * p0
         p = m.m21 * mu0 + m.m22 * p0
         a, c, d = read(acd, t)
-        return mu, 2.0 * a * p + (c + d) * mu
+        return _finite(mu, 2.0 * a * p + (c + d) * mu, t=t)
 
     return path
 
@@ -261,40 +272,38 @@ def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:
     return QuadraticForm(A=A, B=B, C=C, D=C, t=t)
 
 
-def linear_invariant(flow: Flow, A_fn, C0_const: float,
-                     t: float) -> LinearForm:
-    """Linear invariant P = A p + ((2c A - A') / 2a) x + C0 exp(int (c - d))
-    of the coefficients of ``flow``, with the integral its I.
+def linear_invariant(flow: Flow, init):
+    """The linear invariant A p + B x + C of H from init = (A0, B0, C0) at
+    t = 0: (B, A) = e^I (B0, A0) M^{-1} and C = e^I C0 on ``flow``, which
+    reads no derivative of the coefficients.  It is the paper's
+    A p + ((2cA - A') / 2a) x + C0 e^I, whose A solves
+    A'' - (a'/a + 2c - 2d) A' + 4(ab - cd + c a'/(2a) - c'/2) A = 0.
+    Returns a callable t -> LinearForm on ``flow``."""
+    A0, B0, C0 = init
 
-    ``A_fn`` maps t to (A, A', A'') and must solve, to 1e-8,
+    def path(t: float) -> LinearForm:
+        p = flow.at(t)
+        # (B0, A0) M^{-1} of a flow with det M = 1
+        B, A, C = _weight(t, p.i, 1.0, B0 * p.m22 - A0 * p.m21,
+                          A0 * p.m11 - B0 * p.m12, C0)
+        return LinearForm(A=A, B=B, C=C, t=t)
 
-        A'' - (a'/a + 2c - 2d) A' + 4(a b - c d + c a'/(2a) - c'/2) A = 0.
-    """
-    tc = flow.tc
-    A0, A1, A2 = _mu_triplet(A_fn, t)
-    a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
-    ap, cp, _ = _derivatives(tc, t)
-    res = abs(A2 - (ap / a + 2.0 * c - 2.0 * d) * A1
-              + 4.0 * (a * b - c * d + c * ap / (2.0 * a) - 0.5 * cp) * A0)
-    if res > _RESIDUAL_TOL:
-        raise ResidualTooLarge("A does not solve the linear-invariant equation",
-                               residual=res, t=t)
-    B = (2.0 * c * A0 - A1) / (2.0 * a)
-    (Cterm,) = _weight(t, flow.at(t).i, 1.0, C0_const)
-    return LinearForm(A=A0, B=B, C=Cterm, t=t)
+    return path
 
 
 def ladder_factorization(flow: Flow, mu_fn, C0: float, t: float) -> LadderPair:
     """Time-dependent annihilation/creation pair factorizing the invariant as
     (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
     exp(int (c - d)), the integral the I of ``flow``; mu must solve the
-    nonlinear auxiliary equation to 1e-8."""
+    nonlinear auxiliary equation to 1e-8.  NumericalError naming t where
+    P or R is past the float range."""
     if not (C0 > 0):
         raise InvalidC0("C0 must be positive for the factorization", C0=C0)
     mu, q = _auxiliary_solution(flow.tc, mu_fn, C0, t)
     w0 = 2.0 * math.sqrt(C0)
-    P = complex(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0))
-    R = mu / math.sqrt(w0)
+    P_re, P_im, R = _finite(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0),
+                            mu / math.sqrt(w0), t=t)
     (omega_t,) = _weight(t, flow.at(t).i, 1.0, w0)
-    return LadderPair(x_coeff=P, ddx_coeff=R, omega_t=omega_t, t=t)
+    return LadderPair(x_coeff=complex(P_re, P_im), ddx_coeff=R,
+                      omega_t=omega_t, t=t)
 

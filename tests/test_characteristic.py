@@ -270,6 +270,35 @@ def test_caustic_is_detected():
     assert backward.first_caustic is None
 
 
+def test_a_zero_m12_before_it_takes_a_sign_is_no_caustic():
+    # SHO in the length unit s = 1e-85: a = s^2 / 2, b = 1 / (2 s^2).  The
+    # first steps are about 1e-170 long, so M12 = s^2 sin t underflows to
+    # 0 at their ends; that zero reported the step (1e-170, 1.1e-169) and
+    # refused t = 3.  The kernel is the unit-scaled one, alpha, beta and
+    # gamma times 1 / s^2, and a t past pi is refused with the step that
+    # holds it: the signs of M12 are compared, since the product of two
+    # values near 1e-170 underflows to 0
+    s = 1e-85
+    tc = coeff.TimeCoefficients(lambda t: 0.5 * s * s,
+                                lambda t: 0.5 / (s * s),
+                                lambda t: 0.0, lambda t: 0.0)
+    flow = chr_mod.classical_flow(tc)
+    assert flow.at(1e-169).m12 == 0.0
+    got = chr_mod.kernel_parameters(tc, flow, 3.0)
+    want = chr_mod.closed_form_kernel(
+        coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), 3.0)
+    pairs = ((got.alpha * s * s, want.alpha), (got.beta * s * s, want.beta),
+             (got.gamma * s * s, want.gamma), (got.mu / (s * s), want.mu),
+             (got.mu_prime / (s * s), want.mu_prime), (got.h, want.h))
+    for g, w in pairs:
+        assert abs(g - w) <= 1e-7 * abs(w)
+    with pytest.raises(CausticEncountered) as exc:
+        chr_mod.kernel_parameters(tc, flow, 3.5)
+    lo, hi = exc.value.info["bracket"]
+    assert lo < math.pi < hi
+    assert flow.first_caustic == (lo, hi)
+
+
 @pytest.mark.parametrize("t", [0.0, -0.5, math.pi],
                          ids=["zero", "negative", "caustic"])
 @pytest.mark.parametrize("numerical", [True, False],

@@ -1171,7 +1171,7 @@ def test_every_error_class_is_named_outside_errors():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    assert len(defined) == 19
+    assert len(defined) == 18
     assert sorted(defined - named) == []
 
 

@@ -419,6 +419,79 @@ def test_the_fourier_dual_flows_the_swapped_moments(a0, b0, a1, b1, c0, c1,
 
 
 @st.composite
+def _family(draw):
+    """H's record, with a', c' and d', of a member of the drawn family of
+    the reference sweeps above."""
+    a0, b0 = draw(st.floats(0.3, 1.0)), draw(st.floats(0.2, 1.5))
+    a1, b1, c0, c1, d0, d1 = (draw(_COEFF) for _ in range(6))
+    rate, omega = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 3.0))
+    phase = draw(st.floats(0.0, 3.0))
+
+    def h(t):
+        e, s = math.exp(rate * t), math.sin(omega * t + phase)
+        ds = omega * math.cos(omega * t + phase)
+        return (a0 * e + a1 * s, b0 / e + b1 * s, c0 + c1 * s, d0 + d1 * t,
+                rate * a0 * e + a1 * ds, c1 * ds, d1)
+
+    da, dc, dd = (lambda t, k=k: h(t)[k] for k in range(4, 7))
+    return TimeCoefficients(*(lambda t, k=k: h(t)[k] for k in range(4)),
+                            da=da, dc=dc, dd=dd)
+
+
+@st.composite
+def _hamiltonians_with_derivatives(draw):
+    """H's record with a', c' and d': one of the ten models, or a member
+    of the drawn family."""
+    if draw(st.booleans()):
+        return coeff.builtin_coefficients(draw(st.sampled_from(SPECS)))
+    return draw(_family())
+
+
+# the step of the 5-point differences below, and the bounds it gives.  A
+# step point inside the stencil is a jump of A by at most FLOW_TOL S, the
+# one-step error that the step control holds, with S = e^I |(B0, A0)| |M|
+# the size of the terms; within a step the read values solve the
+# equations to rounding.  The jump moves A' by at most 7/12 FLOW_TOL S / H
+# and A'' by 5/4 FLOW_TOL S / H^2; a half-ulp rounding of each value adds
+# 3/2 eps S / H and 16/3 eps S / H^2, under FLOW_TOL S / H and
+# 2 FLOW_TOL S / H^2 with the jump.  The truncation, H^4 A^(5) / 30 and
+# H^4 A^(6) / 90, is below 1e-9 of the terms for rates of A up to about 10
+H = 2.0 ** -10
+TRUNCATION = 1e-9
+
+
+@seed(20261052)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tc=_hamiltonians_with_derivatives(),
+       t=st.integers(256, 1228).map(lambda k: k * H),
+       A0=st.floats(-1.0, 1.0), B0=st.floats(-1.0, 1.0))
+def test_the_linear_invariant_keeps_the_paper_relations(tc, t, A0, B0):
+    # the flow's linear invariant solves the paper's two relations, read
+    # by 5-point differences of A on the flow: B = (2cA - A') / (2a) and
+    # A'' - (a'/a + 2c - 2d) A' + 4(ab - cd + c a'/(2a) - c'/2) A = 0, on
+    # the windows of CASES, before modified_oscillator's pi/2
+    flow = classical_flow(tc)
+    path = inv.linear_invariant(flow, (A0, B0, 0.2))
+    forms = [path(t + k * H) for k in (-2, -1, 0, 1, 2)]
+    A = [f.A for f in forms]
+    A1 = (A[0] - 8.0 * A[1] + 8.0 * A[3] - A[4]) / (12.0 * H)
+    A2 = (-A[0] + 16.0 * (A[1] + A[3]) - 30.0 * A[2] - A[4]) / (12.0 * H * H)
+    a, b, c, d = (f(t) for f in (tc.a, tc.b, tc.c, tc.d))
+    da, dc = tc.da(t), tc.dc(t)
+    p = flow.at(t)
+    size = math.exp(p.i) * (abs(A0) + abs(B0)) * max(map(abs, p[:4]))
+    B = forms[2].B
+    terms = abs(B) + abs(c * A[2] / a) + abs(A1 / (2.0 * a))
+    assert abs(B - (2.0 * c * A[2] - A1) / (2.0 * a)) <= (
+        TRUNCATION * terms + FLOW_TOL * size / (H * 2.0 * a))
+    k1 = da / a + 2.0 * c - 2.0 * d
+    k0 = 4.0 * (a * b - c * d + c * da / (2.0 * a) - 0.5 * dc)
+    terms = abs(A2) + abs(k1 * A1) + abs(k0 * A[2])
+    assert abs(A2 - k1 * A1 + k0 * A[2]) <= (
+        TRUNCATION * terms + 2.0 * FLOW_TOL * size / (H * H))
+
+
+@st.composite
 def _hamiltonians(draw):
     """H's record: a catalogued model at drawn parameters, or a member of
     the drawn family of the reference sweeps above."""
@@ -430,16 +503,7 @@ def _hamiltonians(draw):
                 draw(st.floats(0.0, 0.3)), draw(st.floats(0.2, 1.5))))
         except InvalidModelParams:
             reject()
-    a0, b0 = draw(st.floats(0.3, 1.0)), draw(st.floats(0.2, 1.5))
-    a1, b1, c0, c1, d0, d1 = (draw(_COEFF) for _ in range(6))
-    rate, omega = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 3.0))
-    phase = draw(st.floats(0.0, 3.0))
-
-    def h(t):
-        e, s = math.exp(rate * t), math.sin(omega * t + phase)
-        return a0 * e + a1 * s, b0 / e + b1 * s, c0 + c1 * s, d0 + d1 * t
-
-    return TimeCoefficients(*(lambda t, k=k: h(t)[k] for k in range(4)))
+    return draw(_family())
 
 
 def _readings(tc, flow, t):

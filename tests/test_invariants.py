@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from quadham import invariants as inv
 from quadham.characteristic import Flow, classical_flow, kernel_parameters
 from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
                             MuVanishes, NoClosedForm, NonPositiveForm,
-                            NumericalError, ResidualTooLarge,
-                            ValidationError)
+                            NumericalError, QuadhamError, ValidationError)
+from quadham.ode import FLOW_TOL
 
+import twin
 from auxiliary import auxiliary_residual
 from helpers import ermakov, oscillator
 
@@ -30,6 +32,15 @@ CATALOG_SPECS = [
 ]
 
 UNITED = coeff.ModelSpec(coeff.UNITED, 1.0, 0.3, 0.1)
+
+
+def _xp_oscillator():
+    """H = (p^2 + x^2) / 2 - 300 xp, with I = 300 t: A = e^{rt},
+    r = 300 - sqrt(300^2 - 1), solves the paper's linear-invariant
+    equation A'' - 600 A' + A = 0."""
+    zero, half = lambda t: 0.0, lambda t: 0.5
+    return coeff.TimeCoefficients(half, half, zero, lambda t: -300.0,
+                                  da=zero, dc=zero, dd=zero)
 
 
 def _united_invariant_mu():
@@ -276,82 +287,64 @@ def test_invariants_read_mu_once(monkeypatch):
 
 
 def test_linear_invariant_is_conserved():
-    # no-drift oscillator: A = cos(t) solves the linear-invariant equation
-    # and <P> = A <p> + B <x> stays constant along the first-moment flow
+    # <P> = A <p> + B <x> + C <1> of the raw first moments stays constant;
+    # on united I = int (c - d) is not 0, so each term carries e^I
     from quadham import dynamics as dyn
 
-    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    tc = coeff.builtin_coefficients(spec)
-    A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
-    flow = classical_flow(tc)
-    fm_path = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.4, -0.3))
-    vals = []
-    for t in (0.0, 0.5, 1.0, 2.0):
-        form = inv.linear_invariant(flow, A_fn, 0.2, t)
-        fm = fm_path(t)[0]
-        vals.append(form.A * fm.p + form.B * fm.x + form.C)
-    assert max(vals) - min(vals) <= 1e-9
-
-
-def test_linear_invariant_rejects_bad_solution():
-    spec = coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)
-    flow = classical_flow(coeff.builtin_coefficients(spec))
-    bad = lambda t: (1.0 + t * t, 2.0 * t, 2.0)
-    with pytest.raises(ResidualTooLarge):
-        inv.linear_invariant(flow, bad, 0.0, 1.0)
+    for spec in (coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0), UNITED):
+        flow = classical_flow(coeff.builtin_coefficients(spec))
+        form = inv.linear_invariant(flow, (1.0, -0.4, 0.2))
+        fm_path = dyn.evolve_first_moments(flow, dyn.FirstMoments(0.4, -0.3))
+        vals = []
+        for t in (0.0, 0.5, 1.0, 2.0):
+            lin, (fm, raw) = form(t), fm_path(t)
+            vals.append(lin.A * raw(fm.p) + lin.B * raw(fm.x)
+                        + lin.C * raw(1.0))
+        assert max(vals) - min(vals) <= 1e-9, spec.model_id
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["two", "four"])
-@pytest.mark.parametrize("call", ["general_invariant", "linear_invariant",
+@pytest.mark.parametrize("call", ["general_invariant",
                                   "ladder_factorization"])
 def test_callables_must_return_three_values(call, extra):
-    # on SHO mu = 1 (C0 = 1) and A = cos t solve their equations; a tuple
-    # of two or four values is refused, never differenced or cut
+    # on SHO mu = 1 (C0 = 1) solves the auxiliary equation; a tuple of two
+    # or four values is refused, never differenced or cut
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc)
     mu = lambda t: (1.0, 0.0, 0.0, 0.0)[:3 + extra]
-    A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t),
-                   math.sin(t))[:3 + extra]
-    args = {"general_invariant": (flow, mu, 1.0),
-            "linear_invariant": (flow, A, 0.2),
-            "ladder_factorization": (flow, mu, 1.0)}[call]
     with pytest.raises(ValidationError) as err:
-        getattr(inv, call)(*args, 0.5)
+        getattr(inv, call)(flow, mu, 1.0, 0.5)
     assert type(err.value) is ValidationError
     assert err.value.info == {"t": 0.5, "length": 3 + extra}
 
 
-@pytest.mark.parametrize("call", ["general_invariant", "linear_invariant"])
+@pytest.mark.parametrize("call", ["general_invariant"])
 def test_coefficients_without_a_derivative_are_refused(call):
-    # SHO without a': mu = 1 (C0 = 1) and A = cos t solve their equations,
-    # but the invariants take no finite difference of a
+    # SHO without a': mu = 1 (C0 = 1) solves the auxiliary equation, but
+    # the check takes no finite difference of a
     zero = lambda t: 0.0
     half = lambda t: 0.5
     tc = coeff.TimeCoefficients(half, half, zero, zero, dc=zero, dd=zero)
     flow = classical_flow(tc)
     mu = lambda t: (1.0, 0.0, 0.0)
-    A = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
-    args = {"general_invariant": (flow, mu, 1.0),
-            "linear_invariant": (flow, A, 0.2)}[call]
     with pytest.raises(ValidationError) as err:
-        getattr(inv, call)(*args, 0.5)
+        getattr(inv, call)(flow, mu, 1.0, 0.5)
     assert type(err.value) is ValidationError
     assert err.value.info == {"missing": ["da"]}
 
 
 def test_invariants_read_the_integral_off_one_flow(solves):
-    # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1, and A = cos t
-    # the linear-invariant equation; I = 0, so E = p^2 + x^2
+    # on SHO mu = 1 solves mu'' + mu = C0 / mu^3 with C0 = 1; I = 0, so
+    # E = p^2 + x^2 and the constant of a linear invariant stays C0
     tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc)
     assert solves == []  # nothing is solved until the flow is read
     mu_fn = lambda t: (1.0, 0.0, 0.0)
-    A_fn = lambda t: (math.cos(t), -math.sin(t), -math.cos(t))
+    linear = inv.linear_invariant(flow, (1.0, 0.0, 0.2))
     for t in np.linspace(0.1, 2.0, 20):
         form = inv.general_invariant(flow, mu_fn, 1.0, float(t))
         assert (form.A, form.B, form.C, form.D) == (1.0, 1.0, 0.0, 0.0)
-        lin = inv.linear_invariant(flow, A_fn, 0.2, float(t))
-        assert lin.C == 0.2
+        assert linear(float(t)).C == 0.2
         pair = inv.ladder_factorization(flow, mu_fn, 1.0, float(t))
         assert pair.omega_t == 2.0
     assert len(solves) == 1
@@ -367,14 +360,10 @@ def test_no_weighted_reader_returns_a_number_past_the_float_range():
     flow = classical_flow(tc)
     mu_fn, c0 = spec.closed_form("invariant_mu"), spec.closed_form(
         "invariant_c0")
-    # H = (p^2 + x^2) / 2 - 300 xp: I = 300 t, and A = e^{rt} solves
-    # A'' - 600 A' + A = 0
-    zero, half = lambda t: 0.0, lambda t: 0.5
-    oscillator = classical_flow(coeff.TimeCoefficients(
-        half, half, zero, lambda t: -300.0, da=zero, dc=zero, dd=zero))
-    r = 300.0 - math.sqrt(300.0 ** 2 - 1.0)
-    A_fn = lambda t: tuple(r ** k * math.exp(r * t) for k in range(3))
-    served = inv.linear_invariant(oscillator, A_fn, 0.2, 2.36)
+    # H = (p^2 + x^2) / 2 - 300 xp: I = 300 t, and the constant of a
+    # linear invariant is C0 e^I
+    oscillator = classical_flow(_xp_oscillator())
+    served = inv.linear_invariant(oscillator, (0.0, 0.0, 0.2))(2.36)
     assert served.C == pytest.approx(0.2 * math.exp(708.0), rel=1e-9)
     reads = [
         (2.355, lambda: flow.mu(2.355)),
@@ -383,10 +372,195 @@ def test_no_weighted_reader_returns_a_number_past_the_float_range():
                                                       0.0))(2.36)),
         (2.36, lambda: inv.general_invariant(flow, mu_fn, c0, 2.36)),
         (2.36, lambda: inv.ladder_factorization(flow, mu_fn, c0, 2.36)),
-        (2.36, lambda: inv.linear_invariant(oscillator, A_fn, 1e10, 2.36))]
+        (2.36, lambda: inv.linear_invariant(oscillator,
+                                            (0.0, 0.0, 1e10))(2.36))]
     for t, read in reads:
         with pytest.raises(NumericalError) as err:
             read()
         assert set(err.value.info) == {"t", "I"}
         assert err.value.info["t"] == t
         assert err.value.info["I"] == pytest.approx(300.0 * t)
+
+
+def test_linear_invariant_matches_the_closed_form_a():
+    # the paper's route took A from its second-order equation and
+    # B = (2cA - A') / (2a): A = cos t, B = sin t on SHO from (1, 0), and
+    # A = e^{rt}, B = -r e^{rt} on the -300 xp oscillator from (1, -r).
+    # Each matches the flow's e^I (B0, A0) M^{-1} within the reference-flow
+    # bound, FLOW_TOL a step, times the size of the terms e^I |(B0, A0)|
+    # |M|.  On the oscillator that size grows as e^{600 t} while A stays
+    # near 1: M^{-1} loses the decaying mode, so only t <= 0.02 holds A
+    # to 1e-8
+    r = 300.0 - math.sqrt(300.0 ** 2 - 1.0)
+    sho = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
+    for tc, (A0, B0), closed, times in (
+            (sho, (1.0, 0.0), lambda t: (math.cos(t), math.sin(t)),
+             (0.3, 1.0, 2.0, 3.0, 5.0, 10.0)),
+            (_xp_oscillator(), (1.0, -r),
+             lambda t: (math.exp(r * t), -r * math.exp(r * t)),
+             (0.001, 0.005, 0.01, 0.02))):
+        flow = classical_flow(tc)
+        path = inv.linear_invariant(flow, (A0, B0, 0.2))
+        for t in times:
+            got, want, p = path(t), closed(t), flow.at(t)
+            size = math.exp(p.i) * (abs(A0) + abs(B0)) * max(map(abs, p[:4]))
+            bound = FLOW_TOL * flow.n_steps * size
+            assert abs(got.A - want[0]) <= bound, (t, got, want)
+            assert abs(got.B - want[1]) <= bound, (t, got, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", ["general_invariant",
+                                  "ladder_factorization"])
+def test_a_residual_that_is_not_a_number_is_refused(call, bad):
+    # a nan residual is not above 1e-8, and an all-inf triplet's residual
+    # reads inf - inf: both were served, as nan forms and pairs
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.CALDIROLA_KANAI))
+    flow = classical_flow(tc)
+    with pytest.raises(AuxiliaryResidualTooLarge) as err:
+        getattr(inv, call)(flow, lambda t: (bad, bad, bad), 1.0, 1.0)
+    assert set(err.value.info) == {"residual", "t"}
+    assert err.value.info["t"] == 1.0
+
+
+def test_linear_auxiliary_refuses_an_init_that_is_not_finite():
+    flow = classical_flow(oscillator(lambda t: 1.0))
+    with pytest.raises(ValidationError):
+        inv.solve_linear_auxiliary(flow, (1.0, math.inf))
+
+
+def test_linear_auxiliary_refuses_a_value_past_the_float_range():
+    # the init is finite, but mu = cos 1 1.7e308 + sin 1 1.7e308 is not
+    flow = classical_flow(oscillator(lambda t: 1.0))
+    path = inv.solve_linear_auxiliary(flow, (1.7e308, 1.7e308))
+    with pytest.raises(NumericalError) as err:
+        path(1.0)
+    assert err.value.info == {"t": 1.0}
+
+
+def _cos_sin():
+    """u = cos and v = sin, the linear solutions of SHO, with W = 1."""
+    return (lambda t: (math.cos(t), -math.sin(t)),
+            lambda t: (math.sin(t), math.cos(t)))
+
+
+def test_pinney_refuses_coefficients_that_are_not_finite():
+    with pytest.raises(ValidationError):
+        inv.superpose_linear_solutions(oscillator(lambda t: 1.0), *_cos_sin(),
+                                       math.nan, 0.0, 1.0)
+
+
+def test_pinney_refuses_a_c0_past_the_float_range():
+    # A C - B^2 = 1e616
+    with pytest.raises(NumericalError) as err:
+        inv.superpose_linear_solutions(oscillator(lambda t: 1.0), *_cos_sin(),
+                                       1e308, 0.0, 1e308)
+    assert err.value.info == {"t": 0.0}
+
+
+def test_pinney_refuses_a_value_past_the_float_range():
+    # C0 = 1.7e8 and s are finite at t = 0.3, but s'' = 2A (sin^2 - cos^2)
+    # is -inf, and so was mu''
+    mu_fn, C0 = inv.superpose_linear_solutions(
+        oscillator(lambda t: 1.0), *_cos_sin(), 1.7e308, 0.0, 1e-300)
+    assert C0 == pytest.approx(1.7e8)
+    with pytest.raises(NumericalError) as err:
+        mu_fn(0.3)
+    assert err.value.info == {"t": 0.3}
+
+
+def test_pinney_refuses_a_form_that_is_not_a_number():
+    # a u that overflows after t = 0 makes s = A inf^2 + 2B inf 0 = nan,
+    # which is not <= 0 and was served as mu = nan
+    u = lambda t: (math.inf if t > 0.0 else 1.0, 0.0)
+    v = lambda t: (0.0, 1.0)
+    mu_fn, _ = inv.superpose_linear_solutions(oscillator(lambda t: 1.0), u, v,
+                                              1.0, 0.5, 1.0)
+    with pytest.raises(NonPositiveForm):
+        mu_fn(1.0)
+
+
+# nan, +-inf, 0 and values within a factor of 2 of the float range's limits,
+# beside ordinary ones
+_MAX, _MIN = sys.float_info.max, sys.float_info.min
+_SIGNS = st.sampled_from([-1.0, 1.0])
+NASTY = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 0.0]),
+    st.builds(lambda u, s: s * u * _MAX, st.floats(0.5, 1.0), _SIGNS),
+    st.builds(lambda u, s: s * u * _MIN, st.floats(1.0, 2.0), _SIGNS),
+    st.floats(-2.0, 2.0))
+SHO = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
+
+
+@st.composite
+def _triplets(draw):
+    """(mu, mu', mu'') of NASTY values, or one whose mu'' solves SHO's
+    auxiliary equation mu'' + mu = C0 / mu^3 for a drawn C0, so that the
+    values behind the residual check are formed too; and that C0."""
+    mu, mup, C0 = draw(NASTY), draw(NASTY), draw(NASTY)
+    if draw(st.booleans()) and mu != 0.0:
+        return (mu, mup, C0 / mu / mu / mu - mu), C0
+    return (mu, mup, draw(NASTY)), C0
+
+
+def _numbers(value):
+    """The floats of a reader's result: its fields, a complex's parts."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _numbers(v)]
+    if isinstance(value, dict):
+        return _numbers(list(value.values()))
+    return [value]
+
+
+@seed(20261053)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(point=st.builds(twin.draw_point, st.floats(-math.pi, math.pi),
+                       st.floats(-40.0, 40.0), st.floats(-10.0, 10.0),
+                       st.floats(-745.0, 745.0)),
+       values=st.lists(NASTY, min_size=6, max_size=6),
+       triplet=_triplets())
+def test_no_reader_returns_a_non_finite_number_for_non_finite_inputs(
+        point, values, triplet):
+    # every public reader of the invariants and the moment paths, fed nan,
+    # +-inf and values near the float range's limits on a drawn flow point
+    # of SHO's coefficients: each returns finite numbers or raises a
+    # QuadhamError, never nan or inf and never a bare exception
+    from quadham import dynamics as dyn
+
+    flow = twin.FlowStub(point, SHO)
+    (mu_fn_values, C0), (v1, v2, v3, v4, v5, v6) = triplet, values
+    mu_fn = lambda t: mu_fn_values
+    second = lambda: dyn.evolve_second_moments(
+        flow, dyn.SecondMoments(v1, v2, v3, v4))(1.0)
+    first = lambda: dyn.evolve_first_moments(flow,
+                                             dyn.FirstMoments(v5, v6))(1.0)
+
+    def superposed():
+        u = inv.solve_linear_auxiliary(flow, (v1, v2))
+        w = inv.solve_linear_auxiliary(flow, (v3, v4))
+        mu, c0 = inv.superpose_linear_solutions(SHO, u, w, v5, v6, C0)
+        return mu(1.0), c0
+
+    reads = [
+        lambda: inv.energy_operator_catalog(
+            coeff.ModelSpec(coeff.CALDIROLA_KANAI), v1),
+        lambda: inv.solve_energy_system(flow, (v1, v2, v3, v4))(1.0),
+        lambda: inv.linear_invariant(flow, (v1, v2, v3))(1.0),
+        lambda: inv.solve_linear_auxiliary(flow, (v1, v2))(1.0),
+        superposed,
+        lambda: inv.general_invariant(flow, mu_fn, C0, 1.0),
+        lambda: inv.ladder_factorization(flow, mu_fn, C0, 1.0),
+        lambda: second()[0], lambda: second()[1](v5),
+        lambda: first()[0], lambda: first()[1](v6),
+        lambda: dyn.damped_energy_equation_solve(
+            coeff.ModelSpec(coeff.SIMPLE_HARMONIC),
+            dyn.SecondMoments(v1, v2, v3, v4), flow)(1.0),
+        lambda: dyn.uncertainty_check(dyn.SecondMoments(v1, v2, v3, v4))]
+    for k, read in enumerate(reads):
+        try:
+            got = read()
+        except QuadhamError:
+            continue
+        assert all(map(math.isfinite, _numbers(got))), (k, got)

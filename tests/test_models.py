@@ -129,11 +129,9 @@ def test_one_reader_of_the_coefficients():
     )) == {("ode", "_exponent"), ("ode", "solve_ivp"),
            ("gridsim", "evolve_grid"),
            ("characteristic", "_mu"),
-           ("invariants", "_derivatives"),
            ("invariants", "_auxiliary_coefficients"),
            ("invariants", "superpose_linear_solutions"),
-           ("invariants", "solve_linear_auxiliary"), ("invariants", "path"),
-           ("invariants", "linear_invariant")}
+           ("invariants", "solve_linear_auxiliary"), ("invariants", "path")}
 
 
 def test_models_is_a_leaf():

@@ -1,16 +1,16 @@
-"""The moment layer, the energy path, the weighted form of
-``solve_energy_system`` and ``kernel_parameters`` against their 40-digit
-twin (``twin.py``), over drawn flow points M in Sp(2) with squeezes up to
-e^{+-40}, I in [-745, 745], and states of two kinds: log-uniform widths
-and means up to 1e+-150, and exact states, dyadic covariances about
-integer means up to 2^22 whose raw moments are floats.  Every returned
-number is within the twin's bound, or a typed refusal that the twin
-allows: an overflow where the evaluation may overflow, a negative
-variance where the float one may fall below the floor, the caustic band
-where the float band test may hold.  The exact states have an exact
-centring, so the uncertainty columns are judged to the rounding of their
-covariance alone: subtracting the means at t, which rounds at the scale
-of the means squared, fails there."""
+"""The moment layer, the energy path, the weighted forms of
+``solve_energy_system`` and ``linear_invariant``, and ``kernel_parameters``
+against their 40-digit twin (``twin.py``), over drawn flow points M in
+Sp(2) with squeezes up to e^{+-40}, I in [-745, 745], and states of two
+kinds: log-uniform widths and means up to 1e+-150, and exact states,
+dyadic covariances about integer means up to 2^22 whose raw moments are
+floats.  Every returned number is within the twin's bound, or a typed
+refusal that the twin allows: an overflow where the evaluation may
+overflow, a negative variance where the float one may fall below the
+floor, the caustic band where the float band test may hold.  The exact
+states have an exact centring, so the uncertainty columns are judged to
+the rounding of their covariance alone: subtracting the means at t,
+which rounds at the scale of the means squared, fails there."""
 
 import contextlib
 import csv
@@ -163,6 +163,27 @@ def test_weighted_form_matches_its_twin(point, init):
             raise
 
     judge(read, twin.energy_form(point, init))
+
+
+@seed(20261052)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(point=st.one_of(POINTS, points(-745.0, -705.0), points(705.0)),
+       init=st.tuples(*[st.one_of(st.just(0.0), MEANS)] * 3))
+def test_linear_invariant_matches_its_twin(point, init):
+    # (B, A) = e^I (B0, A0) M^{-1} and C = e^I C0 of linear_invariant,
+    # weighed as every value times e^{+-I} is, with a third of the draws
+    # of I within 40 of each edge, where e^I is subnormal or overflows.
+    # A field past the float range is refused, naming t and I
+    path = inv.linear_invariant(twin.FlowStub(point), init)
+
+    def read():
+        try:
+            return path(1.0)[:3]
+        except NumericalError as err:
+            assert err.info == {"t": 1.0, "I": point.i}
+            raise
+
+    judge(read, twin.linear_form(point, init))
 
 
 @seed(20261024)

@@ -3,7 +3,8 @@ the test-side judge of the float arithmetic between a flow point (M, I)
 and the numbers that the moment paths, their weight ``raw`` (<1> =
 raw(<1>_0)), ``SecondMoments.centred``, the energy path,
 ``uncertainty_check``, the CLI's ``moments`` and ``uncertainty`` columns,
-``solve_energy_system`` and ``kernel_parameters`` return.
+``solve_energy_system``, ``linear_invariant`` and ``kernel_parameters``
+return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
@@ -15,13 +16,14 @@ bound is the unit roundoff times |value| times the formula's condition
 number, so a returned number within BOUND of it is within BOUND ulps
 times that condition number.  The formulas are written from the paper's
 moment law, S/<1> = M S_0 M^T / <1>_0 and <z>/<1> = M <z>_0 / <1>_0 with
-<1> = e^{-I} <1>_0, its conserved form, Q = e^I M^{-T} Q_0 M^{-1}, and
-its kernel, mu = M12 e^I, alpha = M22 / (2 M12), and share no code with
-the package.  The centred covariance follows the same congruence, so the
-uncertainty columns are the centred formula: centre once at t = 0, flow,
-and read the variances with no means at t.  Its bound carries the
-rounding of the centring at t = 0 alone, which is none for a state whose
-centring is exact, however large its means.
+<1> = e^{-I} <1>_0, its conserved forms, Q = e^I M^{-T} Q_0 M^{-1} and
+(B, A) = e^I (B0, A0) M^{-1}, and its kernel, mu = M12 e^I, alpha = M22 /
+(2 M12), and share no code with the package.  The centred covariance
+follows the same congruence, so the uncertainty columns are the centred
+formula: centre once at t = 0, flow, and read the variances with no
+means at t.  Its bound carries the rounding of the centring at t = 0
+alone, which is none for a state whose centring is exact, however large
+its means.
 ``FlowStub`` feeds the paths a drawn flow point.
 """
 
@@ -198,6 +200,16 @@ def energy_form(point: FlowPoint, init):
     A, B, half_cd, half = (weigh(point.i, v)
                            for v in (A, B, half_cd, 0.5 * (C0 - D0)))
     return A, B, half_cd + half, half_cd - half
+
+
+def linear_form(point: FlowPoint, init):
+    """(A, B, C) of the linear invariant at the point from init = (A0, B0,
+    C0) read as exact floats, as linear_invariant returns it:
+    (B, A) = e^I (B0, A0) M^{-1} for det M = 1, and C = e^I C0."""
+    A0, B0, C0 = map(Twin, init)
+    m11, m12, m21, m22 = point[:4]
+    B, A = B0 * m22 - A0 * m21, A0 * m11 - B0 * m12
+    return tuple(weigh(point.i, v) for v in (A, B, C0))
 
 
 def energy(point: FlowPoint, m0, reference) -> Twin:
