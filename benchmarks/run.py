@@ -47,7 +47,10 @@ alternated calls on a 2-CPU Xeon).
 this same script.  ``--against OTHER`` measures ``--root`` and OTHER
 together, alternating the two sample by sample in every subprocess and
 layer timing, so that a change in machine load falls on both alike; it
-writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  A
+writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  Each
+record of a pair carries ``verdicts``: every import, command and layer
+row judged against the other record's by ``verdict``, the rule a speed
+claim needs.  A
 record names the measured code twice: by ``git describe`` and by a sha256
 of the package source, which stays exact for uncommitted changes; beside
 them, ``source_lines`` counts the lines of that source.  Two more keys
@@ -131,9 +134,12 @@ zero = lambda t: 0.0
 tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                                 zero, zero, da=zero, dc=zero, dd=zero)
 osc_flow = solve(tc_osc, 2.0)
-u = inv.solve_linear_auxiliary(osc_flow, (1.0, 0.0))
-v = inv.solve_linear_auxiliary(osc_flow, (0.0, 1.0))
-kappa_fn, c0 = inv.superpose_linear_solutions(tc_osc, u, v, 1.0, 0.2, 0.74)
+if hasattr(inv, "solve_linear_auxiliary"):  # a checkout before it went
+    kappa_fn, c0 = inv.superpose_linear_solutions(tc_osc, *(
+        inv.solve_linear_auxiliary(osc_flow, col)
+        for col in ((1.0, 0.0), (0.0, 1.0))), 1.0, 0.2, 0.74)
+else:
+    kappa_fn, c0 = inv.superpose_linear_solutions(osc_flow, 1.0, 0.2, 0.74)
 kp = chm.kernel_parameters(tc, flow, 0.7)
 s0 = prop.GaussianState(0.5j)
 # b = e^(1000 t) overflows math.exp from t = 0.71 on
@@ -330,6 +336,35 @@ def _layers(roots):
     return records
 
 
+def verdict(samples, other):
+    """The judgement of one row's samples against OTHER's, alternated
+    sample by sample: "faster" (or "slower") where this side wins (or
+    loses) at least 9 of 10 pairs, has the better best sample, and its
+    median is apart from OTHER's by more than OTHER's spread between
+    quartiles; None, unresolved, otherwise.  A claim needs its row
+    resolved."""
+    pairs = len(samples)
+    wins = sum(s < o for s, o in zip(samples, other))
+    q1, _, q3 = statistics.quantiles(other, n=4)
+    gap = statistics.median(other) - statistics.median(samples)
+    if wins >= 0.9 * pairs and min(samples) < min(other) and gap > q3 - q1:
+        return "faster"
+    if (pairs - wins >= 0.9 * pairs and min(samples) > min(other)
+            and -gap > q3 - q1):
+        return "slower"
+    return None
+
+
+def _verdicts(records, i):
+    """{section.row: verdict} of record i's every timed row against the
+    other record's."""
+    return {f"{section}.{row}": verdict(
+                timing["samples_s"],
+                records[1 - i][section][row]["samples_s"])
+            for section in ("imports", "commands", "flow")
+            for row, timing in records[i][section].items()}
+
+
 def _tier1(root):
     t0 = perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=_env(root),
@@ -419,7 +454,8 @@ def main(argv=None):
                 for name, cli in COMMANDS.items()}
     layers = _layers(roots)
     day = datetime.date.today().strftime("%Y%m%d")
-    for i, (root, tag) in enumerate(zip(roots, tags)):
+    records = []
+    for i, root in enumerate(roots):
         record = {
             **names[i],
             "cpu": _cpu(), "cpus": len(os.sched_getaffinity(0)),
@@ -433,6 +469,10 @@ def main(argv=None):
         }
         if len(roots) == 2:
             record["alternated_with"] = names[1 - i]
+        records.append(record)
+    for i, (record, tag) in enumerate(zip(records, tags)):
+        if len(roots) == 2:
+            record["verdicts"] = _verdicts(records, i)
         path = os.path.join(HERE, f"BENCH_{day}_{tag}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)

@@ -4,18 +4,17 @@ Covers the per-model catalog of conserved quadratic operators, the
 general symmetric-form invariant [(mu p - q x)^2 + C0 x^2 / mu^2] e^I of
 any quadratic Hamiltonian, linear invariants and the ladder factorization.
 A Weyl polynomial in M^{-1} z times e^I is conserved, so the energy form
-and the linear invariant are read off the flow from their data at t = 0.
-mu solves the nonlinear auxiliary equation, as the square root of Pinney's
-superposition A u^2 + 2 B u v + C v^2 of two linear solutions.  At
-a = 1/2, c = d = 0 that is the Ermakov equation, kappa from (kappa0,
-kappa0') the superposition of the flow's columns with (A, B, C) =
-(kappa0^2, kappa0 kappa0', kappa0'^2 + c0 / kappa0^2), and the form of it
-the Lewis-Riesenfeld invariant.  A mu callable returns (f, f', f'') at t;
-an invariant calls it once and refuses a mu whose residual is not within
-1e-8.  All of it is algebra on the flow M and I = int_0^t (c - d) of
-:func:`quadham.characteristic.classical_flow`, whose ``_weight`` forms
-each value times e^I.  The CLI and the grid take the drift of an
-invariant's expectation here.
+and the linear invariant are read off the flow from their data at t = 0,
+and orders 1 and 2 of the flow serve the auxiliary equation: a linear
+solution is a first-moment path, and mu^2, Pinney's superposition
+A u^2 + 2 B u v + C v^2 of two, a second moment.  At a = 1/2, c = d = 0
+mu is the Ermakov kappa, with (A, B, C) = (kappa0^2, kappa0 kappa0',
+kappa0'^2 + c0 / kappa0^2), and its form the Lewis-Riesenfeld invariant.
+An invariant calls a mu callable, (f, f', f'') at t, once and refuses a
+mu whose residual is not within 1e-8.  All of it is algebra on the flow
+M and I = int_0^t (c - d) of :func:`quadham.characteristic.classical_flow`,
+whose ``_weight`` forms each value times e^I.  The CLI and the grid take
+the drift of an invariant's expectation here.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from typing import NamedTuple
 from .characteristic import Flow, _congruence, _weight
 from .coefficients import ModelSpec, TimeCoefficients
 from .errors import (AuxiliaryResidualTooLarge, InvalidC0, MuVanishes,
-                     NonPositiveForm, NumericalError, ValidationError)
+                     NonPositiveForm, NumericalError, SingularCoefficient,
+                     ValidationError)
 from .ode import read
 
 # the residual of the auxiliary equation that is refused
@@ -150,32 +150,34 @@ def _finite(*values: float, **info):
 
 
 def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
-    """a, a'/a, Q = 4ab + (a'/a - c - d)(c + d) - c' - d' and c + d at t,
-    for the linear auxiliary equation mu'' - (a'/a) mu' + Q mu and for q;
-    ValidationError when a', c' or d' is missing."""
-    a, b, c, d = read((tc.a, tc.b, tc.c, tc.d), t)
+    """(a, b, c, d, a', c', d') at t, the one read of the derivatives;
+    ValidationError when a', c' or d' is missing, SingularCoefficient
+    naming t where a = 0, at which the auxiliary equation is singular."""
     missing = [n for n in ("da", "dc", "dd") if getattr(tc, n) is None]
     if missing:
         raise ValidationError("the invariants need the derivatives a', c' "
                               "and d' of the coefficients", missing=missing)
-    da, dc, dd = read((tc.da, tc.dc, tc.dd), t)
-    ra = da / a
-    return a, ra, (4.0 * a * b + (ra - c - d) * (c + d) - dc - dd), c + d
+    values = read((tc.a, tc.b, tc.c, tc.d, tc.da, tc.dc, tc.dd), t)
+    if values[0] == 0.0:
+        raise SingularCoefficient("a vanishes at t", t=t)
+    return values
 
 
 def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float):
     """(mu, q) at t from one call of ``mu_fn``, q = (mu' - (c + d) mu) /
-    (2a); refuses a mu whose square is 0 and a residual of the nonlinear
-    auxiliary equation mu'' - (a'/a) mu' + Q mu = C0 (2a)^2 / mu^3 that is
-    not within 1e-8, as a nan one is not."""
+    (2a); refuses a mu whose square is 0 and a residual of
+    mu'' - (a'/a) mu' + Q mu = C0 (2a)^2 / mu^3 that is not within 1e-8,
+    as a nan one is not, Q = 4ab + (a'/a - c - d)(c + d) - c' - d'."""
     vals = mu_fn(t)
     if len(vals) != 3:
         raise ValidationError("mu_fn must return (mu, mu', mu'')",
                               t=t, length=len(vals))
     mu, mup, mupp = vals
-    a, ra, q, cd = _auxiliary_coefficients(tc, t)
+    a, b, c, d, da, dc, dd = _auxiliary_coefficients(tc, t)
     if mu * mu == 0.0:
         raise MuVanishes("mu vanishes", t=t)
+    ra = da / a
+    q = 4.0 * a * b + (ra - c - d) * (c + d) - dc - dd
     # C0 (2a)^2 / mu^3 by products and quotients, which do not raise
     w = 2.0 * a / mu
     rhs = C0 * w * w / mu if C0 != 0.0 else 0.0
@@ -184,77 +186,48 @@ def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float):
         raise AuxiliaryResidualTooLarge(
             "mu does not solve the auxiliary equation at t",
             residual=res, t=t)
-    return mu, (mup - cd * mu) / (2.0 * a)
+    return mu, (mup - (c + d) * mu) / (2.0 * a)
 
 
-def superpose_linear_solutions(tc: TimeCoefficients, u, v,
-                               A: float, B: float, C: float):
-    """Combine two solutions of the linear auxiliary equation into a solution
-    of the nonlinear one: mu = sqrt(A u^2 + 2 B u v + C v^2) (Pinney, Proc.
-    AMS 1 (1950) 681); NonPositiveForm where the form is not positive.
-
-    ``u`` and ``v`` map t to (value, derivative).  Their Wronskian equals
-    const * 2a(t); the combined solution has C0 = (A C - B^2) W^2 / (2a)^2,
-    a constant.  Returns (mu_fn, C0) with mu_fn yielding (mu, mu', mu'').
-    ValidationError for an A, B or C that is not finite, NumericalError
-    naming t for a C0 or a value that is not.
+def superpose_linear_solutions(flow: Flow, A: float, B: float, C: float):
+    """Pinney's superposition (Proc. AMS 1 (1950) 681) of the solutions
+    u, v of the linear auxiliary equation from (mu, mu') = (1, 0) and
+    (0, 1) at t = 0: mu = sqrt(A u^2 + 2 B u v + C v^2) solves the
+    nonlinear one with C0 = (A C - B^2) k^2, k = 1 / 2a(0), as the pair's
+    Wronskian is 1 at t = 0.  A linear solution is the position of a path
+    of ``flow``, mu' = 2a p + (c + d) mu, so mu^2 = (M S0 M^T)_11 for
+    S0 = T [[A, B], [B, C]] T^T, T = [[1, 0], [-(c + d) k, k]] at t = 0,
+    and mu', mu'' follow from the moment law S' = A S + S A^T.  Returns
+    (mu_fn, C0), mu_fn giving (mu, mu', mu'') off one flow point.
+    ValidationError for an A, B or C that is not finite, SingularCoefficient
+    where a is 0 at t = 0 or at t, NonPositiveForm where the form is not
+    positive at t, NumericalError naming t for a C0 or a value that is not.
     """
     if not all(map(math.isfinite, (A, B, C))):
         raise ValidationError("A, B and C must be finite", A=A, B=B, C=C)
-    u0, u1 = u(0.0)[:2]
-    v0, v1 = v(0.0)[:2]
-    W0 = u0 * v1 - u1 * v0
-    (C0,) = _finite((A * C - B * B) * W0 * W0
-                    / (2.0 * read((tc.a,), 0.0)[0]) ** 2, t=0.0)
+    a, _, c, d = _auxiliary_coefficients(flow.tc, 0.0)[:4]
+    k = 0.5 / a
+    # C0 by products, which do not raise
+    *s0, C0 = _finite(*_congruence(1.0, 0.0, -(c + d) * k, k, (A, B, C)),
+                      (A * C - B * B) * k * k, t=0.0)
 
     def mu_fn(t):
-        u0, u1 = u(t)[:2]
-        v0, v1 = v(t)[:2]
-        s = A * u0 * u0 + 2.0 * B * u0 * v0 + C * v0 * v0
-        if not s > 0.0:
+        p = flow.at(t)
+        s11, s12, s22 = _congruence(p.m11, p.m12, p.m21, p.m22, s0)
+        if not s11 > 0.0:
             raise NonPositiveForm("quadratic form is not positive", t=t)
-        ds = 2.0 * (A * u0 * u1 + B * (u1 * v0 + u0 * v1) + C * v0 * v1)
-        _, p, q, _ = _auxiliary_coefficients(tc, t)
-        # second derivatives of u, v from the linear equation itself
-        u2 = p * u1 - q * u0
-        v2 = p * v1 - q * v0
-        d2s = 2.0 * (A * (u1 * u1 + u0 * u2)
-                     + B * (u2 * v0 + 2.0 * u1 * v1 + u0 * v2)
-                     + C * (v1 * v1 + v0 * v2))
-        mu = math.sqrt(s)
-        mup = 0.5 * ds / mu
-        mupp = 0.5 * d2s / mu - mup * mup / mu
+        a, b, c, d, da, dc, dd = _auxiliary_coefficients(flow.tc, t)
+        # S' = A S + S A^T, A = [[c + d, 2a], [-2b, -(c + d)]], and S11''
+        ds11 = 2.0 * ((c + d) * s11 + 2.0 * a * s12)
+        ds12 = 2.0 * (a * s22 - b * s11)
+        d2s11 = 2.0 * ((dc + dd) * s11 + (c + d) * ds11
+                       + 2.0 * (da * s12 + a * ds12))
+        mu = math.sqrt(s11)
+        mup = 0.5 * ds11 / mu
+        mupp = 0.5 * d2s11 / mu - mup * mup / mu
         return _finite(mu, mup, mupp, t=t)
 
     return mu_fn, C0
-
-
-def solve_linear_auxiliary(flow: Flow, init):
-    """Solve the linear auxiliary equation mu'' = (a'/a) mu' - Q mu,
-
-        Q = 4ab + (a'/a - c - d)(c + d) - c' - d',
-
-    from init = (mu(0), mu'(0)) and return a callable t -> (mu, mu') on
-    ``flow``.  mu is the position row of the flow applied to
-    (mu_0, p_0), p_0 = (mu_0' - (c + d) mu_0) / (2a), and
-    mu' = 2a p + (c + d) mu.  ValidationError for an init that is not
-    finite, NumericalError naming t for a value that is not.
-    """
-    acd = (flow.tc.a, flow.tc.c, flow.tc.d)
-    mu0, mup0 = init
-    if not (math.isfinite(mu0) and math.isfinite(mup0)):
-        raise ValidationError("init must be finite", init=init)
-    a, c, d = read(acd, 0.0)
-    p0 = (mup0 - (c + d) * mu0) / (2.0 * a)
-
-    def path(t):
-        m = flow.at(t)
-        mu = m.m11 * mu0 + m.m12 * p0
-        p = m.m21 * mu0 + m.m22 * p0
-        a, c, d = read(acd, t)
-        return _finite(mu, 2.0 * a * p + (c + d) * mu, t=t)
-
-    return path
 
 
 def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:

@@ -58,11 +58,8 @@ def ermakov(omega_sq, c0, init):
     flow), C0 computed from A, B and C."""
     kappa0, kappa0p = init
     flow = classical_flow(oscillator(omega_sq))
-    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
-    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
     kappa_fn, C0 = inv.superpose_linear_solutions(
-        flow.tc, u, v, kappa0 ** 2, kappa0 * kappa0p,
-        kappa0p ** 2 + c0 / kappa0 ** 2)
+        flow, kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + c0 / kappa0 ** 2)
     return kappa_fn, C0, flow
 
 

@@ -42,6 +42,21 @@ def test_a_record_names_the_confounds_of_its_checkout(tmp_path):
         "path_chars": len(str(tmp_path)) + 2, "cached_bytecode": False}
 
 
+def test_a_row_is_resolved_only_by_a_clear_win():
+    # benchmarks/run.py's verdict: 9 of 10 alternated samples won, the
+    # better best sample and medians apart by more than the other side's
+    # spread between quartiles
+    verdict = runpy.run_path(str(ROOT / "benchmarks" / "run.py"))["verdict"]
+    other = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [x - 0.1 for x in other]
+    assert verdict(faster, other) == "faster"
+    assert verdict(other, faster) == "slower"
+    assert verdict(other, other) is None
+    # 8 of 10 pairs won is not enough, nor a gap inside the quartiles
+    assert verdict(faster[:8] + other[8:], other) is None
+    assert verdict([x - 0.005 for x in other], other) is None
+
+
 def test_outputs_of_a_checkout_against_itself_do_not_move():
     # benchmarks/outputs.py draws seed 1's cli_session argvs from this
     # checkout's quadbench and runs them here twice: nothing may move

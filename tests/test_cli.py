@@ -932,14 +932,16 @@ _CK = ["--model", "caldirola_kanai", "--lambda", "0.2", "--t-end", "3"]
 
 @pytest.mark.parametrize("argv, n_reads", [
     (["moments", *_CK], 50), (["invariant", *_CK], 50),
-    (["uncertainty", *_CK], 50), (["verify_all", "--budget", "full"], 790)],
+    (["uncertainty", *_CK], 50), (["verify_all", "--budget", "full"], 670)],
     ids=["moments", "invariant", "uncertainty", "verify_all"])
 def test_a_moment_row_reads_one_flow_point(capsys, monkeypatch, argv,
                                            n_reads):
     # a moment path returns its row's weight e^{-I} with the moments, so
     # each row reads the flow once: the 50 rows of a moment command, and
-    # verify_all's invariant, uncertainty, energy and Ehrenfest rows.  A
-    # weight read apart from its moments read each twice: 100 and 1,005
+    # verify_all's invariant, uncertainty, energy and Ehrenfest rows, and
+    # a superposed mu reads one point.  A weight read apart from its
+    # moments read each twice: 100 and 1,005; a mu read as two linear
+    # solutions read two: 790
     reads = _flow_reads(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -1386,18 +1388,18 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
 
 def test_verify_all_full_keeps_its_bytes(capsys):
     # the full budget's stdout for all ten models, with and without the
-    # ehrenfest and auxiliary lines, digests taken once the flow's step
-    # points depended on H alone; each model alone prints its own lines
-    # of it
+    # ehrenfest and auxiliary lines, digests taken once the superposed mu
+    # was read off one flow point (the error digits of five ladder lines
+    # moved); each model alone prints its own lines of it
     code, out, _ = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
     lines = out.splitlines()
     older = "".join(f"{ln}\n" for ln in lines
                     if ln.split()[1] not in ("ehrenfest", "auxiliary"))
     assert hashlib.sha256(older.encode()).hexdigest() == (
-        "c0e2132f2dc4a19c1179e39fdf64ea0373f76aa51cf48642f535aac39bbdfb17")
+        "3e229e6b3f0186c8b58731a06ce47e71b456ea79a5c746f41b248fb357f2739e")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "02336b3157164518ceddb8a5a3d9ecc67ec28d958aabd3110660c16d092e1e4d")
+        "e9338e0e592af8f55176ad2c129c91264b2031876162d60b261e485a1af8128d")
     assert len(lines) == 58
     for model_id in coeff.MODEL_IDS:
         code, one, _ = run(capsys, "verify_all", "--model", model_id,

@@ -90,13 +90,20 @@ def _flow_values(tc, t_end):
     second = dyn.evolve_second_moments(flow, M0)
     first = dyn.evolve_first_moments(flow, F0)
     form = inv.solve_energy_system(flow, Q0)
-    aux = inv.solve_linear_auxiliary(flow, AUX0)
+    # a solution of the linear auxiliary equation is the first-moment
+    # path per unit <1> read as (mu, mu'), mu' = 2a p + (c + d) mu, from
+    # p = (mu' - (c + d) mu) / 2a at t = 0
+    mu0, mup0 = AUX0
+    aux = dyn.evolve_first_moments(flow, dyn.FirstMoments(
+        mu0, (mup0 - (tc.c(0.0) + tc.d(0.0)) * mu0) / (2.0 * tc.a(0.0))))
 
     def values(t):
         # the paper's systems move raw moments: per unit <1> times <1>,
         # here <1>_0 = 1
         q, (m, raw), (fm, _) = form(t), second(t), first(t)
-        return [*map(raw, [*m, *fm]), q.A, q.B, q.C, q.D, *aux(t)]
+        mu, p = aux(t)[0]
+        mup = 2.0 * tc.a(t) * p + (tc.c(t) + tc.d(t)) * mu
+        return [*map(raw, [*m, *fm]), q.A, q.B, q.C, q.D, mu, mup]
 
     return values
 

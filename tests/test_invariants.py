@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from quadham import coefficients as coeff
 from quadham import invariants as inv
-from quadham.characteristic import Flow, classical_flow, kernel_parameters
+from quadham.characteristic import (Flow, FlowPoint, classical_flow,
+                                    kernel_parameters)
 from quadham.errors import (AuxiliaryResidualTooLarge, InvalidC0,
                             MuVanishes, NoClosedForm, NonPositiveForm,
-                            NumericalError, QuadhamError, ValidationError)
+                            NumericalError, QuadhamError, SingularCoefficient,
+                            ValidationError)
 from quadham.ode import FLOW_TOL
 
 import twin
@@ -102,9 +104,7 @@ def test_general_invariant_rejects_bad_mu():
 def test_superposed_mu_solves_auxiliary_equation():
     tc = coeff.builtin_coefficients(UNITED)
     flow = classical_flow(tc)
-    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
-    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
-    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
+    mu_fn, C0 = inv.superpose_linear_solutions(flow, 1.2, 0.3, 0.9)
     for t in np.linspace(0.0, 2.0, 9):
         assert auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-9
 
@@ -120,9 +120,7 @@ def test_superposed_mu_solves_the_equation_where_c_plus_d_varies(spec):
     # shows here (a flipped sign read 11.3 and 0.39)
     tc = coeff.builtin_coefficients(spec)
     flow = classical_flow(tc)
-    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
-    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
-    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, 1.2, 0.3, 0.9)
+    mu_fn, C0 = inv.superpose_linear_solutions(flow, 1.2, 0.3, 0.9)
     for t in np.linspace(0.0, 1.4, 8):
         assert auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-9
 
@@ -136,33 +134,36 @@ def test_superposition_property_random_coefficients(A, C, frac):
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
     tc = coeff.builtin_coefficients(spec)
     flow = classical_flow(tc)
-    u = inv.solve_linear_auxiliary(flow, (1.0, 0.0))
-    v = inv.solve_linear_auxiliary(flow, (0.0, 1.0))
-    mu_fn, C0 = inv.superpose_linear_solutions(tc, u, v, A, B, C)
+    mu_fn, C0 = inv.superpose_linear_solutions(flow, A, B, C)
     for t in (0.0, 0.6, 1.4):
         assert auxiliary_residual(tc, mu_fn, C0, t) <= 1e-9
 
 
-def test_pinney_matches_direct_ermakov():
-    # constant frequency: u = cos, v = sin, W = 1
-    u = lambda t: (math.cos(t), -math.sin(t))
-    v = lambda t: (math.sin(t), math.cos(t))
-    mu_fn, C0 = inv.superpose_linear_solutions(oscillator(lambda t: 1.0),
-                                               u, v, A=2.0, B=0.3, C=1.0)
-    # the same kappa from the flow's columns
-    kappa_fn, _, _ = ermakov(lambda t: 1.0, C0, mu_fn(0.0)[:2])
-    for t in np.linspace(0.0, 3.0, 13):
-        assert kappa_fn(float(t))[0] == pytest.approx(mu_fn(float(t))[0],
-                                                      rel=1e-8)
+def test_pinney_matches_the_closed_form_on_sho():
+    # on SHO (a = b = 1/2) the linear solutions are u = cos t, v = sin t,
+    # so mu^2 = A cos^2 t + 2B cos t sin t + C sin^2 t and C0 = AC - B^2.
+    # The flow's u and v are each within FLOW_TOL a step, so mu^2 is within
+    # twice that of |A| + 2|B| + |C|, and mu within that over 2 mu
+    A, B, C = 2.0, 0.3, 1.0
+    flow = classical_flow(oscillator(lambda t: 1.0))
+    mu_fn, C0 = inv.superpose_linear_solutions(flow, A, B, C)
+    assert C0 == A * C - B * B
+    flow.at(12.0)  # n_steps of the whole window
+    for t in np.linspace(0.0, 12.0, 25):
+        c, s = math.cos(t), math.sin(t)
+        want = math.sqrt(A * c * c + 2.0 * B * c * s + C * s * s)
+        bound = FLOW_TOL * flow.n_steps * (abs(A) + 2.0 * abs(B)
+                                           + abs(C)) / want
+        assert abs(mu_fn(float(t))[0] - want) <= bound, t
 
 
 def test_pinney_nonpositive_form():
-    u = lambda t: (math.cos(t), -math.sin(t))
-    v = lambda t: (math.sin(t), math.cos(t))
-    mu_fn, _ = inv.superpose_linear_solutions(oscillator(lambda t: 1.0),
-                                              u, v, A=1.0, B=-1.0, C=1.0)
+    # an indefinite form, B^2 > AC: on SHO mu^2 = 1 + 2 sin 2t is -1 at
+    # t = 3 pi / 4
+    mu_fn, _ = inv.superpose_linear_solutions(
+        classical_flow(oscillator(lambda t: 1.0)), A=1.0, B=2.0, C=1.0)
     with pytest.raises(NonPositiveForm):
-        mu_fn(math.pi / 4)
+        mu_fn(0.75 * math.pi)
 
 
 @seed(17576708527379597108981712300698836528432069015576139225029068876887963154685149787915036614061780509071160199590509)
@@ -262,9 +263,10 @@ def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
 
 
 def test_invariants_read_mu_once(monkeypatch):
-    # the Ermakov kappa_fn reads its flow's two columns; with I read once,
-    # general_invariant makes 3 Flow.at calls (5 when the residual check
-    # called mu_fn a second time), and ladder_factorization as many
+    # the Ermakov kappa_fn reads one flow point and I is read once, so
+    # general_invariant makes 2 Flow.at calls (3 when kappa_fn read the
+    # flow's two columns apart, 5 when the residual check called mu_fn a
+    # second time), and ladder_factorization as many
     omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
     kappa_fn, c0, flow = ermakov(omega_sq, 0.7, (1.0, 0.2))
     calls = []
@@ -283,7 +285,7 @@ def test_invariants_read_mu_once(monkeypatch):
         calls.clear()
         call(flow, counted_mu, c0, 1.0)
         assert calls.count("mu") == 1
-        assert calls.count("at") <= 3
+        assert calls.count("at") <= 2
 
 
 def test_linear_invariant_is_conserved():
@@ -423,46 +425,27 @@ def test_a_residual_that_is_not_a_number_is_refused(call, bad):
     assert err.value.info["t"] == 1.0
 
 
-def test_linear_auxiliary_refuses_an_init_that_is_not_finite():
-    flow = classical_flow(oscillator(lambda t: 1.0))
-    with pytest.raises(ValidationError):
-        inv.solve_linear_auxiliary(flow, (1.0, math.inf))
-
-
-def test_linear_auxiliary_refuses_a_value_past_the_float_range():
-    # the init is finite, but mu = cos 1 1.7e308 + sin 1 1.7e308 is not
-    flow = classical_flow(oscillator(lambda t: 1.0))
-    path = inv.solve_linear_auxiliary(flow, (1.7e308, 1.7e308))
-    with pytest.raises(NumericalError) as err:
-        path(1.0)
-    assert err.value.info == {"t": 1.0}
-
-
-def _cos_sin():
-    """u = cos and v = sin, the linear solutions of SHO, with W = 1."""
-    return (lambda t: (math.cos(t), -math.sin(t)),
-            lambda t: (math.sin(t), math.cos(t)))
+def _sho_flow():
+    return classical_flow(oscillator(lambda t: 1.0))
 
 
 def test_pinney_refuses_coefficients_that_are_not_finite():
     with pytest.raises(ValidationError):
-        inv.superpose_linear_solutions(oscillator(lambda t: 1.0), *_cos_sin(),
-                                       math.nan, 0.0, 1.0)
+        inv.superpose_linear_solutions(_sho_flow(), math.nan, 0.0, 1.0)
 
 
 def test_pinney_refuses_a_c0_past_the_float_range():
     # A C - B^2 = 1e616
     with pytest.raises(NumericalError) as err:
-        inv.superpose_linear_solutions(oscillator(lambda t: 1.0), *_cos_sin(),
-                                       1e308, 0.0, 1e308)
+        inv.superpose_linear_solutions(_sho_flow(), 1e308, 0.0, 1e308)
     assert err.value.info == {"t": 0.0}
 
 
 def test_pinney_refuses_a_value_past_the_float_range():
     # C0 = 1.7e8 and s are finite at t = 0.3, but s'' = 2A (sin^2 - cos^2)
     # is -inf, and so was mu''
-    mu_fn, C0 = inv.superpose_linear_solutions(
-        oscillator(lambda t: 1.0), *_cos_sin(), 1.7e308, 0.0, 1e-300)
+    mu_fn, C0 = inv.superpose_linear_solutions(_sho_flow(), 1.7e308, 0.0,
+                                               1e-300)
     assert C0 == pytest.approx(1.7e8)
     with pytest.raises(NumericalError) as err:
         mu_fn(0.3)
@@ -470,14 +453,63 @@ def test_pinney_refuses_a_value_past_the_float_range():
 
 
 def test_pinney_refuses_a_form_that_is_not_a_number():
-    # a u that overflows after t = 0 makes s = A inf^2 + 2B inf 0 = nan,
+    # a flow point that overflows makes s = M S0 M^T's inf^2 + inf 0 = nan,
     # which is not <= 0 and was served as mu = nan
-    u = lambda t: (math.inf if t > 0.0 else 1.0, 0.0)
-    v = lambda t: (0.0, 1.0)
-    mu_fn, _ = inv.superpose_linear_solutions(oscillator(lambda t: 1.0), u, v,
-                                              1.0, 0.5, 1.0)
+    stub = twin.FlowStub(FlowPoint(math.inf, 0.0, 0.0, 1.0, 0.0),
+                          oscillator(lambda t: 1.0))
+    mu_fn, _ = inv.superpose_linear_solutions(stub, 1.0, 0.5, 1.0)
     with pytest.raises(NonPositiveForm):
         mu_fn(1.0)
+
+
+def test_pinney_refuses_an_a_that_vanishes_at_t_0():
+    # a = t: the linear solutions' p = (mu' - (c + d) mu) / 2a at t = 0
+    # divided by zero, a bare ZeroDivisionError
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: t, lambda t: 0.5, zero, zero,
+                                da=lambda t: 1.0, dc=zero, dd=zero)
+    with pytest.raises(SingularCoefficient) as err:
+        inv.superpose_linear_solutions(classical_flow(tc), 1.0, 0.0, 1.0)
+    assert err.value.info == {"t": 0.0}
+
+
+def test_pinney_serves_an_a_whose_square_overflows():
+    # a = 1e160, b = 2.5e-161 (4ab = 1): C0 = (AC - B^2) / (2a)^2 raised
+    # OverflowError from (2a) ** 2.  The linear solutions are u = cos t
+    # and v = M12 / 2a = sin t, so mu is SHO's within the bound of the
+    # closed-form test, and the invariants are served
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 1e160, lambda t: 2.5e-161, zero,
+                                zero, da=zero, dc=zero, dd=zero)
+    A, B, C = 1e10, 3e9, 1e10
+    flow = classical_flow(tc)
+    mu_fn, C0 = inv.superpose_linear_solutions(flow, A, B, C)
+    assert C0 == pytest.approx((A * C - B * B) / 4.0 / 1e160 / 1e160,
+                               rel=1e-15)
+    flow.at(1.4)
+    for t in (0.3, 0.7, 1.4):
+        c, s = math.cos(t), math.sin(t)
+        want = math.sqrt(A * c * c + 2.0 * B * c * s + C * s * s)
+        bound = FLOW_TOL * flow.n_steps * (A + 2.0 * B + C) / want
+        assert abs(mu_fn(t)[0] - want) <= bound, t
+        assert inv.general_invariant(flow, mu_fn, C0, t).A == pytest.approx(
+            want * want, rel=1e-12)
+        assert inv.ladder_factorization(
+            flow, mu_fn, C0, t).commutator() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", ["general_invariant",
+                                  "ladder_factorization"])
+def test_an_a_that_vanishes_at_t_is_refused(call):
+    # a = 1/2 - t is 0 at t = 1/2, where a'/a and q divide by it: a bare
+    # ZeroDivisionError
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 0.5 - t, lambda t: 0.5, zero, zero,
+                                da=lambda t: -1.0, dc=zero, dd=zero)
+    with pytest.raises(SingularCoefficient) as err:
+        getattr(inv, call)(classical_flow(tc), lambda t: (1.0, 0.0, 0.0),
+                           1.0, 0.5)
+    assert err.value.info == {"t": 0.5}
 
 
 # nan, +-inf, 0 and values within a factor of 2 of the float range's limits,
@@ -538,9 +570,7 @@ def test_no_reader_returns_a_non_finite_number_for_non_finite_inputs(
                                              dyn.FirstMoments(v5, v6))(1.0)
 
     def superposed():
-        u = inv.solve_linear_auxiliary(flow, (v1, v2))
-        w = inv.solve_linear_auxiliary(flow, (v3, v4))
-        mu, c0 = inv.superpose_linear_solutions(SHO, u, w, v5, v6, C0)
+        mu, c0 = inv.superpose_linear_solutions(flow, v5, v6, C0)
         return mu(1.0), c0
 
     reads = [
@@ -548,7 +578,6 @@ def test_no_reader_returns_a_non_finite_number_for_non_finite_inputs(
             coeff.ModelSpec(coeff.CALDIROLA_KANAI), v1),
         lambda: inv.solve_energy_system(flow, (v1, v2, v3, v4))(1.0),
         lambda: inv.linear_invariant(flow, (v1, v2, v3))(1.0),
-        lambda: inv.solve_linear_auxiliary(flow, (v1, v2))(1.0),
         superposed,
         lambda: inv.general_invariant(flow, mu_fn, C0, 1.0),
         lambda: inv.ladder_factorization(flow, mu_fn, C0, 1.0),

@@ -129,9 +129,7 @@ def test_one_reader_of_the_coefficients():
     )) == {("ode", "_exponent"), ("ode", "solve_ivp"),
            ("gridsim", "evolve_grid"),
            ("characteristic", "_mu"),
-           ("invariants", "_auxiliary_coefficients"),
-           ("invariants", "superpose_linear_solutions"),
-           ("invariants", "solve_linear_auxiliary"), ("invariants", "path")}
+           ("invariants", "_auxiliary_coefficients")}
 
 
 def test_models_is_a_leaf():
