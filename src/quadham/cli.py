@@ -283,12 +283,12 @@ def _verify_one(model_id: str, budget: str):
     err = _max_rel_err(z for t in ts for z in zip(form(t)[:4], catalog(t)[:4]))
     yield f"energy-system {model_id}", err <= 1e-8, f"max rel err {err:.2e}"
 
-    # the ladder of criterion 8's superposition of the linear solutions
-    mu_fn, c0 = inv.superpose_linear_solutions(flow, 1.2, 0.3, 0.9)
-    ladder = [inv.ladder_factorization(flow, mu_fn, c0, t) for t in ts]
+    # the ladder of criterion 8's Pinney data against its invariant
+    ladder = [*map(inv.ladder_factorization(flow, 1.2, 0.3, 0.9), ts)]
+    form = inv.general_invariant(flow, 1.2, 0.3, 0.9)
     comm = _max_rel_err((p.commutator(), 1.0) for p in ladder)
-    rec = _max_rel_err(z for p in ladder for z in zip(
-        p.reconstruct()[:4], inv.general_invariant(flow, mu_fn, c0, p.t)[:4]))
+    rec = _max_rel_err(z for p in ladder
+                       for z in zip(p.reconstruct()[:4], form(p.t)[:4]))
     yield (f"ladder {model_id}", comm <= 1e-12 and rec <= 1e-10,
            f"commutator err {comm:.2e}, reconstruction err {rec:.2e}")
 
@@ -310,13 +310,17 @@ def _verify_one(model_id: str, budget: str):
         yield f"ehrenfest {model_id}", err <= 1e-8, f"max err {err:.2e}"
 
     if spec.model.invariant_mu is not None:
-        # the invariant of the record's elementary mu against the catalogue
-        mu_fn, c0 = (spec.closed_form("invariant_mu"),
-                     spec.closed_form("invariant_c0"))
+        # the invariant of the record's elementary mu against the
+        # catalogue, from its Pinney data at t = 0: (A, B, C) = (mu^2,
+        # mu mu', mu'^2 + C0 (2a / mu)^2), 2a(0) the kernel's mu'(0)
+        mu, dmu, _ = spec.closed_form("invariant_mu")(0.0)
+        r = spec.closed_form("mu")(0.0)[1] / mu
+        c = dmu * dmu + spec.closed_form("invariant_c0") * r * r
+        form = inv.general_invariant(flow, mu * mu, mu * dmu, c)
 
         def rel_err(t):
-            form, want = inv.general_invariant(flow, mu_fn, c0, t), catalog(t)
-            return max(abs(g - w) for g, w in zip(form[:4], want[:4])) / max(
+            got, want = form(t), catalog(t)
+            return max(abs(g - w) for g, w in zip(got[:4], want[:4])) / max(
                 abs(want.A), abs(want.B), 1.0)
 
         err = max(map(rel_err, ts))

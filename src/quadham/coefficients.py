@@ -32,10 +32,10 @@ HAMILTONIAN = "hamiltonian"
 @dataclass(frozen=True)
 class TimeCoefficients:
     """The four real coefficient functions of a quadratic Hamiltonian and
-    the derivatives a', c' and d'.  Only the invariants read the
-    derivatives, and they refuse coefficients without them; nothing takes a
-    finite difference.  Instances are immutable and safe to share between
-    threads.
+    the derivatives a', c' and d'.  Nothing in the package reads the
+    derivatives: the records keep them as the tests' oracle data and as
+    the field names the benchmark's tracer reads.  Instances are immutable
+    and safe to share between threads.
     """
 
     a: Callable[[float], float]

@@ -69,17 +69,5 @@ class NonPositiveForm(NumericalError):
     code = "non_positive_form"
 
 
-class AuxiliaryResidualTooLarge(ValidationError):
-    code = "auxiliary_residual_too_large"
-
-
-class MuVanishes(NumericalError):
-    code = "mu_vanishes"
-
-
-class InvalidC0(ValidationError):
-    code = "invalid_c0"
-
-
 class InvalidMoments(NumericalError):
     code = "invalid_moments"

@@ -3,16 +3,16 @@
 Covers the per-model catalog of conserved quadratic operators, the
 general symmetric-form invariant [(mu p - q x)^2 + C0 x^2 / mu^2] e^I of
 any quadratic Hamiltonian, linear invariants and the ladder factorization.
-A Weyl polynomial in M^{-1} z times e^I is conserved, so the energy form
-and the linear invariant are read off the flow from their data at t = 0,
-and orders 1 and 2 of the flow serve the auxiliary equation: a linear
-solution is a first-moment path, and mu^2, Pinney's superposition
-A u^2 + 2 B u v + C v^2 of two, a second moment.  At a = 1/2, c = d = 0
-mu is the Ermakov kappa, with (A, B, C) = (kappa0^2, kappa0 kappa0',
-kappa0'^2 + c0 / kappa0^2), and its form the Lewis-Riesenfeld invariant.
-An invariant calls a mu callable, (f, f', f'') at t, once and refuses a
-mu whose residual is not within 1e-8.  All of it is algebra on the flow
-M and I = int_0^t (c - d) of :func:`quadham.characteristic.classical_flow`,
+A Weyl polynomial in M^{-1} z times e^I is conserved, so every invariant
+here is read off the flow from its data at t = 0: the energy form, the
+linear invariant and the Lewis-Riesenfeld form.  The last one's mu solves
+the nonlinear auxiliary equation as Pinney's superposition of two linear
+solutions, whose mu^2 is the position moment s11 of S = M S0 M^T; the
+form is e^I adj(S), so no value needs mu' or mu'', a derivative of the
+coefficients or a division by a(t).  At a = 1/2, c = d = 0 mu is the
+Ermakov kappa, with (A, B, C) = (kappa0^2, kappa0 kappa0', kappa0'^2 +
+c0 / kappa0^2).  All of it is algebra on the flow M and
+I = int_0^t (c - d) of :func:`quadham.characteristic.classical_flow`,
 whose ``_weight`` forms each value times e^I.  The CLI and the grid take
 the drift of an invariant's expectation here.
 """
@@ -23,14 +23,10 @@ import math
 from typing import NamedTuple
 
 from .characteristic import Flow, _congruence, _weight
-from .coefficients import ModelSpec, TimeCoefficients
-from .errors import (AuxiliaryResidualTooLarge, InvalidC0, MuVanishes,
-                     NonPositiveForm, NumericalError, SingularCoefficient,
+from .coefficients import ModelSpec
+from .errors import (NonPositiveForm, NumericalError, SingularCoefficient,
                      ValidationError)
 from .ode import read
-
-# the residual of the auxiliary equation that is refused
-_RESIDUAL_TOL = 1e-8
 
 
 class QuadraticForm(NamedTuple):
@@ -149,100 +145,45 @@ def _finite(*values: float, **info):
     return values
 
 
-def _auxiliary_coefficients(tc: TimeCoefficients, t: float):
-    """(a, b, c, d, a', c', d') at t, the one read of the derivatives;
-    ValidationError when a', c' or d' is missing, SingularCoefficient
-    naming t where a = 0, at which the auxiliary equation is singular."""
-    missing = [n for n in ("da", "dc", "dd") if getattr(tc, n) is None]
-    if missing:
-        raise ValidationError("the invariants need the derivatives a', c' "
-                              "and d' of the coefficients", missing=missing)
-    values = read((tc.a, tc.b, tc.c, tc.d, tc.da, tc.dc, tc.dd), t)
-    if values[0] == 0.0:
-        raise SingularCoefficient("a vanishes at t", t=t)
-    return values
-
-
-def _auxiliary_solution(tc: TimeCoefficients, mu_fn, C0: float, t: float):
-    """(mu, q) at t from one call of ``mu_fn``, q = (mu' - (c + d) mu) /
-    (2a); refuses a mu whose square is 0 and a residual of
-    mu'' - (a'/a) mu' + Q mu = C0 (2a)^2 / mu^3 that is not within 1e-8,
-    as a nan one is not, Q = 4ab + (a'/a - c - d)(c + d) - c' - d'."""
-    vals = mu_fn(t)
-    if len(vals) != 3:
-        raise ValidationError("mu_fn must return (mu, mu', mu'')",
-                              t=t, length=len(vals))
-    mu, mup, mupp = vals
-    a, b, c, d, da, dc, dd = _auxiliary_coefficients(tc, t)
-    if mu * mu == 0.0:
-        raise MuVanishes("mu vanishes", t=t)
-    ra = da / a
-    q = 4.0 * a * b + (ra - c - d) * (c + d) - dc - dd
-    # C0 (2a)^2 / mu^3 by products and quotients, which do not raise
-    w = 2.0 * a / mu
-    rhs = C0 * w * w / mu if C0 != 0.0 else 0.0
-    res = abs(mupp - ra * mup + q * mu - rhs)
-    if not res <= _RESIDUAL_TOL:
-        raise AuxiliaryResidualTooLarge(
-            "mu does not solve the auxiliary equation at t",
-            residual=res, t=t)
-    return mu, (mup - (c + d) * mu) / (2.0 * a)
-
-
-def superpose_linear_solutions(flow: Flow, A: float, B: float, C: float):
-    """Pinney's superposition (Proc. AMS 1 (1950) 681) of the solutions
-    u, v of the linear auxiliary equation from (mu, mu') = (1, 0) and
-    (0, 1) at t = 0: mu = sqrt(A u^2 + 2 B u v + C v^2) solves the
-    nonlinear one with C0 = (A C - B^2) k^2, k = 1 / 2a(0), as the pair's
-    Wronskian is 1 at t = 0.  A linear solution is the position of a path
-    of ``flow``, mu' = 2a p + (c + d) mu, so mu^2 = (M S0 M^T)_11 for
-    S0 = T [[A, B], [B, C]] T^T, T = [[1, 0], [-(c + d) k, k]] at t = 0,
-    and mu', mu'' follow from the moment law S' = A S + S A^T.  Returns
-    (mu_fn, C0), mu_fn giving (mu, mu', mu'') off one flow point.
-    ValidationError for an A, B or C that is not finite, SingularCoefficient
-    where a is 0 at t = 0 or at t, NonPositiveForm where the form is not
-    positive at t, NumericalError naming t for a C0 or a value that is not.
-    """
+def _pinney(flow: Flow, A: float, B: float, C: float):
+    """(s11, s12, s22) of S0 = T [[A, B], [B, C]] T^T, T = [[1, 0],
+    [-(c + d) k, k]], k = 1 / 2a(0), and sqrt(C0), C0 = det S0.  The
+    linear solutions u, v from (mu, mu') = (1, 0) and (0, 1) at t = 0 are
+    paths of the flow, so Pinney's mu^2 = A u^2 + 2 B u v + C v^2 (Proc.
+    AMS 1 (1950) 681) is s11 of S = M S0 M^T and solves the nonlinear
+    auxiliary equation with C0 = (A C - B^2) k^2; sqrt(C0) is formed as
+    |k| sqrt(A C - B^2), so that a subnormal C0 keeps its digits.  Reads
+    H at t = 0 only.  ValidationError for an A, B or C that is not finite,
+    SingularCoefficient where a(0) = 0, NonPositiveForm where the form is
+    not positive definite, NumericalError naming t = 0 for a value past
+    the float range."""
     if not all(map(math.isfinite, (A, B, C))):
         raise ValidationError("A, B and C must be finite", A=A, B=B, C=C)
-    a, _, c, d = _auxiliary_coefficients(flow.tc, 0.0)[:4]
+    a, c, d = read((flow.tc.a, flow.tc.c, flow.tc.d), 0.0)
+    if a == 0.0:
+        raise SingularCoefficient("a vanishes at t = 0", t=0.0)
+    (det,) = _finite(A * C - B * B, t=0.0)
+    if not (A > 0.0 and det > 0.0):
+        raise NonPositiveForm("the form is not positive definite",
+                              A=A, B=B, C=C)
     k = 0.5 / a
-    # C0 by products, which do not raise
-    *s0, C0 = _finite(*_congruence(1.0, 0.0, -(c + d) * k, k, (A, B, C)),
-                      (A * C - B * B) * k * k, t=0.0)
-
-    def mu_fn(t):
-        p = flow.at(t)
-        s11, s12, s22 = _congruence(p.m11, p.m12, p.m21, p.m22, s0)
-        if not s11 > 0.0:
-            raise NonPositiveForm("quadratic form is not positive", t=t)
-        a, b, c, d, da, dc, dd = _auxiliary_coefficients(flow.tc, t)
-        # S' = A S + S A^T, A = [[c + d, 2a], [-2b, -(c + d)]], and S11''
-        ds11 = 2.0 * ((c + d) * s11 + 2.0 * a * s12)
-        ds12 = 2.0 * (a * s22 - b * s11)
-        d2s11 = 2.0 * ((dc + dd) * s11 + (c + d) * ds11
-                       + 2.0 * (da * s12 + a * ds12))
-        mu = math.sqrt(s11)
-        mup = 0.5 * ds11 / mu
-        mupp = 0.5 * d2s11 / mu - mup * mup / mu
-        return _finite(mu, mup, mupp, t=t)
-
-    return mu_fn, C0
+    return _finite(*_congruence(1.0, 0.0, -(c + d) * k, k, (A, B, C)),
+                   abs(k) * math.sqrt(det), t=0.0)
 
 
-def general_invariant(flow: Flow, mu_fn, C0: float, t: float) -> QuadraticForm:
-    """Symmetric-form invariant for a general quadratic Hamiltonian:
+def general_invariant(flow: Flow, A: float, B: float, C: float):
+    """The Lewis-Riesenfeld invariant (J. Math. Phys. 10 (1969) 1458) of
+    Pinney's mu from (A, B, C), a general quadratic Hamiltonian's
 
         E = [(mu p - q x)^2 + C0 x^2 / mu^2] exp(int_0^t (c - d)),
-        q = (mu' - (c + d) mu) / (2a),
 
-    where mu solves the nonlinear auxiliary equation to 1e-8 and the
-    integral is the I of ``flow``.
-    """
-    mu, q = _auxiliary_solution(flow.tc, mu_fn, C0, t)
-    A, B, C = _weight(t, flow.at(t).i, 1.0, mu * mu,
-                      q * q + C0 / (mu * mu), -mu * q)
-    return QuadraticForm(A=A, B=B, C=C, D=C, t=t)
+    with mu^2 = s11, q = s12 / mu and C0 = det S of S = M S0 M^T (see
+    ``_pinney``), the integral the I of ``flow``: E is e^I adj(S), and
+    adj(S) = M^{-T} adj(S0) M^{-1}, so E is the energy path from
+    (s11, s22, -s12, -s12) of S0.  Returns a callable t -> QuadraticForm
+    on ``flow``; refuses as ``_pinney`` when built."""
+    s11, s12, s22, _ = _pinney(flow, A, B, C)
+    return solve_energy_system(flow, (s11, s22, -s12, -s12))
 
 
 def linear_invariant(flow: Flow, init):
@@ -264,19 +205,28 @@ def linear_invariant(flow: Flow, init):
     return path
 
 
-def ladder_factorization(flow: Flow, mu_fn, C0: float, t: float) -> LadderPair:
-    """Time-dependent annihilation/creation pair factorizing the invariant as
-    (omega(t)/2)(a a^dagger + a^dagger a) with omega(t) = 2 sqrt(C0)
-    exp(int (c - d)), the integral the I of ``flow``; mu must solve the
-    nonlinear auxiliary equation to 1e-8.  NumericalError naming t where
-    P or R is past the float range."""
-    if not (C0 > 0):
-        raise InvalidC0("C0 must be positive for the factorization", C0=C0)
-    mu, q = _auxiliary_solution(flow.tc, mu_fn, C0, t)
-    w0 = 2.0 * math.sqrt(C0)
-    P_re, P_im, R = _finite(math.sqrt(w0) / (2.0 * mu), -q / math.sqrt(w0),
-                            mu / math.sqrt(w0), t=t)
-    (omega_t,) = _weight(t, flow.at(t).i, 1.0, w0)
-    return LadderPair(x_coeff=complex(P_re, P_im), ddx_coeff=R,
-                      omega_t=omega_t, t=t)
+def ladder_factorization(flow: Flow, A: float, B: float, C: float):
+    """Time-dependent annihilation/creation pair factorizing
+    ``general_invariant(flow, A, B, C)`` as (omega_t/2)(a a^dagger +
+    a^dagger a).  With S = M S0 M^T (see ``_pinney``), mu = sqrt(s11),
+    q = s12 / mu and omega = 2 sqrt(C0): P = sqrt(omega) / (2 mu) -
+    i q / sqrt(omega), R = mu / sqrt(omega) and omega_t = omega e^I, the
+    integral the I of ``flow``.  Returns a callable t -> LadderPair on
+    ``flow``; refuses as ``_pinney`` when built, and NumericalError naming
+    t and I where a value is past the float range."""
+    *s0, root = _pinney(flow, A, B, C)
+    w0 = 2.0 * root
+    sw = math.sqrt(w0)
 
+    def path(t: float) -> LadderPair:
+        p = flow.at(t)
+        s11, s12, _ = _congruence(p.m11, p.m12, p.m21, p.m22, s0)
+        # s11 > 0 on a definite form; nan where the float range lost it
+        mu = math.sqrt(s11) if s11 > 0.0 else math.nan
+        P_re, P_im, R = _finite(sw / (2.0 * mu), -s12 / mu / sw, mu / sw,
+                                t=t, I=p.i)
+        (omega_t,) = _weight(t, p.i, 1.0, w0)
+        return LadderPair(x_coeff=complex(P_re, P_im), ddx_coeff=R,
+                          omega_t=omega_t, t=t)
+
+    return path

@@ -1,8 +1,9 @@
 """The residual of the nonlinear auxiliary equation, a test-side judge of
-the mu that ``general_invariant`` and ``ladder_factorization`` accept.  It
-is written from the paper's equation and reads the coefficients of H and
-their derivatives itself, so that it shares no code with the package's
-check, as ``schrodinger.py`` shares none with the kernel."""
+Pinney's mu, whose data ``general_invariant`` and ``ladder_factorization``
+take (``helpers.pinney`` reads it as they do), and of a record's
+``invariant_mu``.  It is written from the paper's equation and reads the
+coefficients of H and their derivatives itself, which the package never
+reads, as ``schrodinger.py`` shares no code with the kernel."""
 
 from quadham.ode import read
 

@@ -1,8 +1,9 @@
 """Builders the test modules share: H's flow and kernel reader for a model,
-the first zero of a flow's mu, the oscillator (p^2 + omega^2 x^2) / 2 and
-its Ermakov kappa, a sampled Gaussian, a fresh interpreter on this
-checkout's source, the hypothesis seed of one case of a parametrized
-test, and initial moments whose centring is exact."""
+the first zero of a flow's mu, Pinney's solution of the auxiliary
+equation and the Pinney data of a record's, the oscillator
+(p^2 + omega^2 x^2) / 2 and its Ermakov kappa, a sampled Gaussian, a fresh
+interpreter on this checkout's source, the hypothesis seed of one case of
+a parametrized test, and initial moments whose centring is exact."""
 
 import hashlib
 import json
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import quadham
-from quadham import invariants as inv, propagator as prop
+from quadham import propagator as prop
 from quadham.characteristic import classical_flow, kernel_parameters
 from quadham.coefficients import TimeCoefficients, builtin_coefficients
 
@@ -50,15 +51,58 @@ def oscillator(omega_sq):
                             zero, zero, da=zero, dc=zero, dd=zero)
 
 
+def pinney(flow, A, B, C):
+    """Pinney's solution of the nonlinear auxiliary equation of ``flow``'s
+    H from (A, B, C), the mu that ``quadham.invariants`` reads: mu^2 is
+    s11 of S = M S0 M^T, S0 = T [[A, B], [B, C]] T^T with T = [[1, 0],
+    [-(c + d) k, k]] and k = 1 / 2a(0), and mu' and mu'' follow from the
+    moment law S' = A S + S A^T, A = [[c + d, 2a], [-2b, -(c + d)]], and
+    its derivative, which reads the record's a', c' and d'.  Returns
+    (mu_fn, C0), mu_fn giving (mu, mu', mu'') at t and C0 = (A C - B^2) k^2,
+    for the judge of ``auxiliary.py``."""
+    tc = flow.tc
+    k = 0.5 / tc.a(0.0)
+    g = -(tc.c(0.0) + tc.d(0.0)) * k
+    S0 = (A, g * A + k * B, g * g * A + 2.0 * g * k * B + k * k * C)
+
+    def mu_fn(t):
+        m11, m12, m21, m22, _ = flow.at(t)
+        s11 = m11 * m11 * S0[0] + 2.0 * m11 * m12 * S0[1] + m12 * m12 * S0[2]
+        s12 = (m11 * m21 * S0[0] + (m11 * m22 + m12 * m21) * S0[1]
+               + m12 * m22 * S0[2])
+        s22 = m21 * m21 * S0[0] + 2.0 * m21 * m22 * S0[1] + m22 * m22 * S0[2]
+        a, b, c, d = tc.a(t), tc.b(t), tc.c(t), tc.d(t)
+        da, dc, dd = tc.da(t), tc.dc(t), tc.dd(t)
+        ds11 = 2.0 * ((c + d) * s11 + 2.0 * a * s12)
+        ds12 = 2.0 * (a * s22 - b * s11)
+        d2s11 = 2.0 * ((dc + dd) * s11 + (c + d) * ds11
+                       + 2.0 * (da * s12 + a * ds12))
+        mu = math.sqrt(s11)
+        mup = 0.5 * ds11 / mu
+        return mu, mup, 0.5 * d2s11 / mu - mup * mup / mu
+
+    return mu_fn, (A * C - B * B) * k * k
+
+
+def record_data(spec):
+    """(A, B, C) whose Pinney mu is the record's ``invariant_mu``, from its
+    values at t = 0: (mu^2, mu mu', mu'^2 + C0 (2a(0))^2 / mu^2), C0 the
+    record's ``invariant_c0``."""
+    mu, dmu, _ = spec.closed_form("invariant_mu")(0.0)
+    r = 2.0 * builtin_coefficients(spec).a(0.0) / mu
+    return (mu * mu, mu * dmu,
+            dmu * dmu + spec.closed_form("invariant_c0") * r * r)
+
+
 def ermakov(omega_sq, c0, init):
     """kappa'' + omega^2(t) kappa = c0 / kappa^3 from init = (kappa0,
-    kappa0'), as Pinney's superposition of the columns (M11, M12) of the
-    flow of ``oscillator(omega_sq)`` with (A, B, C) = (kappa0^2,
-    kappa0 kappa0', kappa0'^2 + c0 / kappa0^2).  Returns (kappa_fn, C0,
-    flow), C0 computed from A, B and C."""
+    kappa0'), as Pinney's superposition on the flow of
+    ``oscillator(omega_sq)`` from (A, B, C) = (kappa0^2, kappa0 kappa0',
+    kappa0'^2 + c0 / kappa0^2), the data ``general_invariant`` takes.
+    Returns (kappa_fn, C0, flow), C0 computed from A, B and C."""
     kappa0, kappa0p = init
     flow = classical_flow(oscillator(omega_sq))
-    kappa_fn, C0 = inv.superpose_linear_solutions(
+    kappa_fn, C0 = pinney(
         flow, kappa0 ** 2, kappa0 * kappa0p, kappa0p ** 2 + c0 / kappa0 ** 2)
     return kappa_fn, C0, flow
 

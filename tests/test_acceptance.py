@@ -19,7 +19,8 @@ from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
 from auxiliary import auxiliary_residual
-from helpers import first_zero, grid_gaussian, solve_kernel
+from helpers import (first_zero, grid_gaussian, pinney, record_data,
+                     solve_kernel)
 from schrodinger import schrodinger_residual
 
 KERNEL_SPECS = [
@@ -136,8 +137,9 @@ def test_criterion_04_elementary_and_superposed_invariants():
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
     flow = classical_flow(tc)
+    form = inv.general_invariant(flow, *record_data(UNITED))
     for t in (0.0, 0.9, 2.1):
-        got = inv.general_invariant(flow, mu_fn, C0, t)
+        got = form(t)
         ref = inv.energy_operator_catalog(UNITED, t)
         scale = max(abs(ref.A), abs(ref.B), 1.0)
         coeff_err = max(coeff_err, *(abs(g - r) / scale for g, r in
@@ -148,7 +150,7 @@ def test_criterion_04_elementary_and_superposed_invariants():
     for _ in range(5):
         A, C = rng.uniform(0.5, 2.0, size=2)
         B = rng.uniform(-0.9, 0.9) * math.sqrt(A * C)
-        m_fn, c0 = inv.superpose_linear_solutions(flow, A, B, C)
+        m_fn, c0 = pinney(flow, A, B, C)
         sup_res = max(sup_res, max(
             auxiliary_residual(tc, m_fn, c0, float(t))
             for t in np.linspace(0.0, 2.0, 9)))
@@ -248,21 +250,19 @@ def test_criterion_07_first_moments_norm_and_uncertainty():
 def test_criterion_08_ladder_algebra():
     worst_c = 0.0
     worst_rec = 0.0
-    cases = []
-    flow_u = classical_flow(coeff.builtin_coefficients(UNITED))
-    cases.append((flow_u, UNITED.closed_form("invariant_mu"),
-                  UNITED.closed_form("invariant_c0")))
+    cases = [(classical_flow(coeff.builtin_coefficients(UNITED)),
+              record_data(UNITED))]
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec)
-        flow = classical_flow(tc)
-        mu_fn, c0 = inv.superpose_linear_solutions(flow, 1.2, 0.3, 0.9)
-        cases.append((flow, mu_fn, c0))
-    for flow, mu_fn, c0 in cases:
+        cases.append((classical_flow(tc), (1.2, 0.3, 0.9)))
+    for flow, data in cases:
+        ladder = inv.ladder_factorization(flow, *data)
+        form = inv.general_invariant(flow, *data)
         for t in (0.0, 0.8, 1.9):
-            pair = inv.ladder_factorization(flow, mu_fn, c0, t)
+            pair = ladder(t)
             worst_c = max(worst_c, abs(pair.commutator() - 1.0))
             rec = pair.reconstruct()
-            ref = inv.general_invariant(flow, mu_fn, c0, t)
+            ref = form(t)
             scale = max(abs(ref.A), abs(ref.B), 1.0)
             worst_rec = max(worst_rec, *(abs(g - r) / scale for g, r in
                                          ((rec.A, ref.A), (rec.B, ref.B),

@@ -932,16 +932,17 @@ _CK = ["--model", "caldirola_kanai", "--lambda", "0.2", "--t-end", "3"]
 
 @pytest.mark.parametrize("argv, n_reads", [
     (["moments", *_CK], 50), (["invariant", *_CK], 50),
-    (["uncertainty", *_CK], 50), (["verify_all", "--budget", "full"], 670)],
+    (["uncertainty", *_CK], 50), (["verify_all", "--budget", "full"], 570)],
     ids=["moments", "invariant", "uncertainty", "verify_all"])
 def test_a_moment_row_reads_one_flow_point(capsys, monkeypatch, argv,
                                            n_reads):
     # a moment path returns its row's weight e^{-I} with the moments, so
     # each row reads the flow once: the 50 rows of a moment command, and
     # verify_all's invariant, uncertainty, energy and Ehrenfest rows, and
-    # a superposed mu reads one point.  A weight read apart from its
-    # moments read each twice: 100 and 1,005; a mu read as two linear
-    # solutions read two: 790
+    # a point of the ladder or of the Lewis-Riesenfeld invariant reads one.
+    # A weight read apart from its moments read each twice: 100 and 1,005;
+    # a mu read as two linear solutions read two: 790; a mu callable read
+    # apart from I, two a ladder or invariant: 670
     reads = _flow_reads(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -1173,7 +1174,7 @@ def test_every_error_class_is_named_outside_errors():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    assert len(defined) == 18
+    assert len(defined) == 15
     assert sorted(defined - named) == []
 
 
@@ -1388,18 +1389,19 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
 
 def test_verify_all_full_keeps_its_bytes(capsys):
     # the full budget's stdout for all ten models, with and without the
-    # ehrenfest and auxiliary lines, digests taken once the superposed mu
-    # was read off one flow point (the error digits of five ladder lines
-    # moved); each model alone prints its own lines of it
+    # ehrenfest and auxiliary lines, digests taken once the ladder and
+    # the Lewis-Riesenfeld invariant took Pinney's (A, B, C) (the error
+    # digits of the ten ladder lines and the auxiliary line moved); each
+    # model alone prints its own lines of it
     code, out, _ = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
     lines = out.splitlines()
     older = "".join(f"{ln}\n" for ln in lines
                     if ln.split()[1] not in ("ehrenfest", "auxiliary"))
     assert hashlib.sha256(older.encode()).hexdigest() == (
-        "3e229e6b3f0186c8b58731a06ce47e71b456ea79a5c746f41b248fb357f2739e")
+        "b82f03736c8d2faa83086bc65d652f5d0bbf507d17880dbb58180439f7882223")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e9338e0e592af8f55176ad2c129c91264b2031876162d60b261e485a1af8128d")
+        "498e26efeaabea56714dc4cb4c8a138b2efce1c850ff1f878df5c6532fdaeecf")
     assert len(lines) == 58
     for model_id in coeff.MODEL_IDS:
         code, one, _ = run(capsys, "verify_all", "--model", model_id,
@@ -1438,7 +1440,8 @@ def test_verify_all_full_checks_the_paper_constructions(capsys, model_id):
 
 def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
     # a conservation system that returns the wrong form is a FAIL line and
-    # exit 3; the other checks still pass
+    # exit 3, and so is the ladder's, whose invariant is formed by it; the
+    # other checks still pass
     def wrong(flow, init):
         return lambda t: inv.QuadraticForm(*init[:2], 0.0, 0.0, t)
 
@@ -1448,7 +1451,7 @@ def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
     assert (code, err) == (3, "")
     failed = [ln for ln in out.splitlines() if not ln.startswith("PASS ")]
     assert [ln.split(":")[0] for ln in failed] == [
-        "FAIL energy-system caldirola_kanai"]
+        "FAIL energy-system caldirola_kanai", "FAIL ladder caldirola_kanai"]
 
 
 @pytest.mark.parametrize("check", ["ehrenfest", "auxiliary"])
@@ -1474,7 +1477,7 @@ def test_verify_all_full_fails_a_wrong_closed_form_check(capsys, monkeypatch,
 
         def wrong(*args):
             form = real(*args)
-            return form._replace(A=form.A * (1.0 + 1e-9))
+            return lambda t: form(t)._replace(A=form(t).A * (1.0 + 1e-9))
 
         monkeypatch.setattr(inv, "general_invariant", wrong)
     code, out, err = run(capsys, "verify_all", "--model", "united",

@@ -410,7 +410,8 @@ def test_paths_read_past_the_solved_steps():
     paths = [dyn.evolve_second_moments(flow, m0),
              dyn.evolve_first_moments(flow, dyn.FirstMoments(0.1, 0.2)),
              inv.solve_energy_system(flow, (1.0, 1.0, 0.0, 0.0)),
-             inv.superpose_linear_solutions(flow, 1.0, 0.0, 1.0)[0]]
+             inv.general_invariant(flow, 1.0, 0.0, 1.0),
+             inv.ladder_factorization(flow, 1.0, 0.0, 1.0)]
     for path in paths:
         path(0.0)
         path(1.0)

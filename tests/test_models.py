@@ -129,7 +129,26 @@ def test_one_reader_of_the_coefficients():
     )) == {("ode", "_exponent"), ("ode", "solve_ivp"),
            ("gridsim", "evolve_grid"),
            ("characteristic", "_mu"),
-           ("invariants", "_auxiliary_coefficients")}
+           ("invariants", "_pinney")}
+
+
+def test_no_module_reads_a_coefficient_derivative():
+    # nothing in the package reads a', c' or d' of a TimeCoefficients, by
+    # attribute or by name, and the invariants read H at t = 0 alone: the
+    # data of Pinney's superposition; every later value is the flow's
+    def reads_derivative(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in {"da", "dc", "dd"} and isinstance(
+                node.ctx, ast.Load)
+        return isinstance(node, ast.Constant) and node.value in {
+            "da", "dc", "dd"}
+
+    assert _owners(reads_derivative) == []
+    reads = [n for n in ast.walk(ast.parse(inspect.getsource(inv)))
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None)
+             == "read"]
+    assert len(reads) == 1
+    assert [ast.literal_eval(n.args[1]) for n in reads] == [0.0]
 
 
 def test_models_is_a_leaf():

@@ -200,10 +200,9 @@ def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
            "evolve_grid": lambda: gridsim.evolve_grid(
                tc, prop.GridState(-8.0, x[1] - x[0], np.exp(-x * x)),
                1e-3, 1000),
-           # superpose_linear_solutions' mu_fn reads the flow, and so b,
-           # to t
-           "superposed_mu": lambda: inv.superpose_linear_solutions(
-               classical_flow(tc), 1.0, 0.0, 1.0)[0](0.9)}[reader]
+           # the ladder's superposed mu reads the flow, and so b, to t
+           "superposed_mu": lambda: inv.ladder_factorization(
+               classical_flow(tc), 1.0, 0.0, 1.0)(0.9)}[reader]
     with pytest.raises(SingularCoefficient) as exc:
         run()
     assert 0.5 < exc.value.info["t"] < 1.0
