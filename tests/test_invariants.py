@@ -591,21 +591,39 @@ def test_the_invariant_near_a_zero_of_a_is_conserved():
             assert abs(g - w) <= 5e-3, (near, end)
 
 
-def test_an_a_that_vanishes_at_t_is_served():
+@pytest.mark.parametrize("call", ["general_invariant",
+                                  "ladder_factorization"])
+def test_an_a_that_vanishes_at_t_is_served(call):
     # a = (1 - t) / 2 is 0 at t = 1, where a'/a and q divided by it (the
     # readers refused it with SingularCoefficient): no value reads a at
-    # t, so both are served there, the ladder reconstructing the invariant
+    # t, so each reader is served there and its <E> on the flowed moments
+    # is conserved to the flow bound; the ladder also reconstructs the
+    # form and keeps [A, A^dagger] = 1
+    from quadham import dynamics as dyn
+
     zero = lambda t: 0.0
     tc = coeff.TimeCoefficients(lambda t: 0.5 * (1.0 - t), lambda t: 0.5,
                                 zero, zero)
     flow = classical_flow(tc)
     form = inv.general_invariant(flow, 1.2, 0.3, 0.9)
-    ladder = inv.ladder_factorization(flow, 1.2, 0.3, 0.9)
+    reader = getattr(inv, call)(flow, 1.2, 0.3, 0.9)
+    q = reader if call == "general_invariant" else (
+        lambda t: reader(t).reconstruct())
+    path = dyn.evolve_second_moments(flow, dyn.SecondMoments(1.1, 0.9, 0.2))
+    e0 = q(0.0).expectation(1.1, 0.9, 0.2)
+    flow.at(1.5)
     for t in (0.5, 1.0, 1.5):
-        got, rec = form(t), ladder(t).reconstruct()
-        scale = max(abs(got.A), abs(got.B), 1.0)
-        assert all(abs(r - g) <= 1e-10 * scale
-                   for r, g in zip(rec[:4], got[:4])), (t, rec, got)
+        m, raw = path(t)
+        moments = [raw(v) for v in m[:3]]
+        got = q(t)
+        bound = FLOW_TOL * flow.n_steps * got.magnitude(*moments)
+        assert abs(got.expectation(*moments) - e0) <= bound, (t, got)
+        if call == "ladder_factorization":
+            want = form(t)
+            scale = max(abs(want.A), abs(want.B), 1.0)
+            assert all(abs(r - g) <= 1e-10 * scale
+                       for r, g in zip(got[:4], want[:4])), (t, got, want)
+            assert reader(t).commutator() == pytest.approx(1.0, rel=1e-12)
 
 
 # nan, +-inf, 0 and values within a factor of 2 of the float range's limits,
