@@ -139,13 +139,7 @@ osc_flow = solve(tc_osc, 2.0)
 if not hasattr(inv, "superpose_linear_solutions"):  # takes (A, B, C)
     invariant = inv.general_invariant(osc_flow, 1.0, 0.2, 0.74)
 else:  # a checkout whose general_invariant reads a mu callable at t
-    if hasattr(inv, "solve_linear_auxiliary"):
-        kappa_fn, c0 = inv.superpose_linear_solutions(tc_osc, *(
-            inv.solve_linear_auxiliary(osc_flow, col)
-            for col in ((1.0, 0.0), (0.0, 1.0))), 1.0, 0.2, 0.74)
-    else:
-        kappa_fn, c0 = inv.superpose_linear_solutions(osc_flow, 1.0, 0.2,
-                                                      0.74)
+    kappa_fn, c0 = inv.superpose_linear_solutions(osc_flow, 1.0, 0.2, 0.74)
     invariant = lambda t: inv.general_invariant(osc_flow, kappa_fn, c0, t)
 kp = chm.kernel_parameters(tc, flow, 0.7)
 s0 = prop.GaussianState(0.5j)

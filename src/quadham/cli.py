@@ -311,12 +311,8 @@ def _verify_one(model_id: str, budget: str):
 
     if spec.model.invariant_mu is not None:
         # the invariant of the record's elementary mu against the
-        # catalogue, from its Pinney data at t = 0: (A, B, C) = (mu^2,
-        # mu mu', mu'^2 + C0 (2a / mu)^2), 2a(0) the kernel's mu'(0)
-        mu, dmu, _ = spec.closed_form("invariant_mu")(0.0)
-        r = spec.closed_form("mu")(0.0)[1] / mu
-        c = dmu * dmu + spec.closed_form("invariant_c0") * r * r
-        form = inv.general_invariant(flow, mu * mu, mu * dmu, c)
+        # catalogue, from the record's Pinney data
+        form = inv.general_invariant(flow, *spec.closed_form("invariant_data"))
 
         def rel_err(t):
             got, want = form(t), catalog(t)

@@ -75,7 +75,7 @@ class LadderPair(NamedTuple):
                              C=w * P.imag * R, D=w * P.imag * R, t=self.t)
 
 
-def solve_energy_system(flow: Flow, init):
+def solve_energy_system(flow: Flow, init, scale: float = 1.0):
     """Solve the conservation conditions for a quadratic form
     A p^2 + B x^2 + C px + D xp under H = a p^2 + b x^2 + c px + d xp:
 
@@ -87,18 +87,20 @@ def solve_energy_system(flow: Flow, init):
     On the classical flow, Q = [[B, (C + D)/2], [(C + D)/2, A]] is
     e^I M^{-T} Q_0 M^{-1} and C - D = e^I (C_0 - D_0).  For self-adjoint
     data (c = d, C = D) this is the familiar three-component system.
-    ``init`` is (A0, B0, C0, D0).  Returns a callable t -> QuadraticForm on
-    ``flow``.
+    ``init`` is (A0, B0, C0, D0) in (``scale`` x, p), by which M^{-T} is
+    scaled rather than B0 and C0, D0, so that no value passes through a
+    subnormal scale^2.  Returns a callable t -> QuadraticForm on ``flow``.
     """
     A0, B0, C0, D0 = init
     q0 = (B0, 0.5 * (C0 + D0), A0)
 
     def path(t: float) -> QuadraticForm:
         p = flow.at(t)
-        # M^{-T} of a flow with det M = 1
-        B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
+        # M^{-T} diag(scale, 1) of a flow with det M = 1
+        B, half_cd, A = _congruence(p.m22 * scale, -p.m21, -p.m12 * scale,
+                                    p.m11, q0)
         A, B, half_cd, half = _weight(t, p.i, 1.0, A, B, half_cd,
-                                      0.5 * (C0 - D0))
+                                      0.5 * (C0 - D0) * scale)
         C, D = _finite(half_cd + half, half_cd - half, t=t, I=p.i)
         return QuadraticForm(A=A, B=B, C=C, D=D, t=t)
 
@@ -146,17 +148,18 @@ def _finite(*values: float, **info):
 
 
 def _pinney(flow: Flow, A: float, B: float, C: float):
-    """(s11, s12, s22) of S0 = T [[A, B], [B, C]] T^T, T = [[1, 0],
-    [-(c + d) k, k]], k = 1 / 2a(0), and sqrt(C0), C0 = det S0.  The
-    linear solutions u, v from (mu, mu') = (1, 0) and (0, 1) at t = 0 are
-    paths of the flow, so Pinney's mu^2 = A u^2 + 2 B u v + C v^2 (Proc.
-    AMS 1 (1950) 681) is s11 of S = M S0 M^T and solves the nonlinear
-    auxiliary equation with C0 = (A C - B^2) k^2; sqrt(C0) is formed as
-    |k| sqrt(A C - B^2), so that a subnormal C0 keeps its digits.  Reads
-    H at t = 0 only.  ValidationError for an A, B or C that is not finite,
-    SingularCoefficient where a(0) = 0, NonPositiveForm where the form is
-    not positive definite, NumericalError naming t = 0 for a value past
-    the float range."""
+    """(s11, s12, s22) of S1 = L [[A, B], [B, C]] L^T, L = [[1, 0],
+    [-(c + d), 1]], k = 1 / 2a(0) and sqrt(C0).  The linear solutions
+    u, v from (mu, mu') = (1, 0) and (0, 1) at t = 0 are paths of the
+    flow, so Pinney's mu^2 = A u^2 + 2 B u v + C v^2 (Proc. AMS 1 (1950)
+    681) is s11 of S = M S0 M^T, S0 = D S1 D with D = diag(1, k), and
+    solves the nonlinear auxiliary equation with C0 = det S0 =
+    (A C - B^2) k^2.  The readers apply D to M, and sqrt(C0) is
+    |k| sqrt(A C - B^2), so that no value passes through a subnormal k^2.
+    Reads H at t = 0 only.  ValidationError for an A, B or C that is not
+    finite, SingularCoefficient where a(0) = 0, NonPositiveForm where the
+    form is not positive definite, NumericalError naming t = 0 for a
+    value past the float range."""
     if not all(map(math.isfinite, (A, B, C))):
         raise ValidationError("A, B and C must be finite", A=A, B=B, C=C)
     a, c, d = read((flow.tc.a, flow.tc.c, flow.tc.d), 0.0)
@@ -167,7 +170,7 @@ def _pinney(flow: Flow, A: float, B: float, C: float):
         raise NonPositiveForm("the form is not positive definite",
                               A=A, B=B, C=C)
     k = 0.5 / a
-    return _finite(*_congruence(1.0, 0.0, -(c + d) * k, k, (A, B, C)),
+    return _finite(*_congruence(1.0, 0.0, -(c + d), 1.0, (A, B, C)), k,
                    abs(k) * math.sqrt(det), t=0.0)
 
 
@@ -180,10 +183,10 @@ def general_invariant(flow: Flow, A: float, B: float, C: float):
     with mu^2 = s11, q = s12 / mu and C0 = det S of S = M S0 M^T (see
     ``_pinney``), the integral the I of ``flow``: E is e^I adj(S), and
     adj(S) = M^{-T} adj(S0) M^{-1}, so E is the energy path from
-    (s11, s22, -s12, -s12) of S0.  Returns a callable t -> QuadraticForm
-    on ``flow``; refuses as ``_pinney`` when built."""
-    s11, s12, s22, _ = _pinney(flow, A, B, C)
-    return solve_energy_system(flow, (s11, s22, -s12, -s12))
+    (s11, s22, -s12, -s12) of S1 at scale k.  Returns a callable
+    t -> QuadraticForm on ``flow``; refuses as ``_pinney`` when built."""
+    s11, s12, s22, k, _ = _pinney(flow, A, B, C)
+    return solve_energy_system(flow, (s11, s22, -s12, -s12), k)
 
 
 def linear_invariant(flow: Flow, init):
@@ -214,13 +217,13 @@ def ladder_factorization(flow: Flow, A: float, B: float, C: float):
     integral the I of ``flow``.  Returns a callable t -> LadderPair on
     ``flow``; refuses as ``_pinney`` when built, and NumericalError naming
     t and I where a value is past the float range."""
-    *s0, root = _pinney(flow, A, B, C)
+    *s1, k, root = _pinney(flow, A, B, C)
     w0 = 2.0 * root
     sw = math.sqrt(w0)
 
     def path(t: float) -> LadderPair:
         p = flow.at(t)
-        s11, s12, _ = _congruence(p.m11, p.m12, p.m21, p.m22, s0)
+        s11, s12, _ = _congruence(p.m11, p.m12 * k, p.m21, p.m22 * k, s1)
         # s11 > 0 on a definite form; nan where the float range lost it
         mu = math.sqrt(s11) if s11 > 0.0 else math.nan
         P_re, P_im, R = _finite(sw / (2.0 * mu), -s12 / mu / sw, mu / sw,

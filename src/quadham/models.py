@@ -50,7 +50,8 @@ class Model:
     - ``mean_position(A, delta, t)``: <x>(t) of a family of amplitude A and
       phase delta, and ``mean_start(A, delta)``: its (<x>, <p>) at 0;
     - ``invariant_mu(t)``: (mu, mu', mu'') of an elementary solution of the
-      nonlinear auxiliary equation with constant ``invariant_c0``.
+      nonlinear auxiliary equation with constant ``invariant_c0``, and
+      ``invariant_data``: that mu's (A, B, C) of ``general_invariant``.
     """
 
     def __init__(self, parameters, constraint, omega, hamiltonian, *,
@@ -58,7 +59,7 @@ class Model:
                  mu=None, kernel=None, invariant=None,
                  invariant_hamiltonian=None, expectation=None,
                  reference=None, mean_position=None, mean_start=None,
-                 invariant_mu=None, invariant_c0=None):
+                 invariant_mu=None, invariant_c0=None, invariant_data=None):
         self.parameters, self.constraint = parameters, constraint
         self.omega, self.problem = omega, problem
         self.hamiltonian = hamiltonian
@@ -68,6 +69,7 @@ class Model:
         self.expectation, self.reference = expectation, reference
         self.mean_position, self.mean_start = mean_position, mean_start
         self.invariant_mu, self.invariant_c0 = invariant_mu, invariant_c0
+        self.invariant_data = invariant_data
 
 
 def _zero(t):
@@ -167,6 +169,9 @@ def united(w0, lam, mu_p, dlt):
         e = amp * math.exp(rate * t)
         return e, rate * e, rate * rate * e
 
+    # its Pinney data at 0: (mu^2, mu mu', mu'^2 + c0 (2a / mu)^2), 2a = w0
+    c0, dmu, r = 0.25 * w ** 2, rate * amp, w0 / amp
+
     # the reference operator is the e^{mu t}-weighted H_0
     return Model("omega0, lambda, mu_param",
                  "omega0^2 > (lambda - mu_param)^2", w, h,
@@ -180,7 +185,9 @@ def united(w0, lam, mu_p, dlt):
                      amplitude * math.exp(-(lam + mu_p) * t)
                      * math.sin(w * t + phase)),
                  mean_start=mean_start,
-                 invariant_mu=invariant_mu, invariant_c0=0.25 * w ** 2)
+                 invariant_mu=invariant_mu, invariant_c0=c0,
+                 invariant_data=(amp * amp, amp * dmu,
+                                 dmu * dmu + c0 * r * r))
 
 
 def modified_oscillator(w0, lam, mu_p, dlt):

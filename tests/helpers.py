@@ -1,6 +1,6 @@
 """Builders the test modules share: H's flow and kernel reader for a model,
 the first zero of a flow's mu, Pinney's solution of the auxiliary
-equation and the Pinney data of a record's, the oscillator
+equation, the oscillator
 (p^2 + omega^2 x^2) / 2 and its Ermakov kappa, a sampled Gaussian, a fresh
 interpreter on this checkout's source, the hypothesis seed of one case of
 a parametrized test, and initial moments whose centring is exact."""
@@ -82,16 +82,6 @@ def pinney(flow, A, B, C):
         return mu, mup, 0.5 * d2s11 / mu - mup * mup / mu
 
     return mu_fn, (A * C - B * B) * k * k
-
-
-def record_data(spec):
-    """(A, B, C) whose Pinney mu is the record's ``invariant_mu``, from its
-    values at t = 0: (mu^2, mu mu', mu'^2 + C0 (2a(0))^2 / mu^2), C0 the
-    record's ``invariant_c0``."""
-    mu, dmu, _ = spec.closed_form("invariant_mu")(0.0)
-    r = 2.0 * builtin_coefficients(spec).a(0.0) / mu
-    return (mu * mu, mu * dmu,
-            dmu * dmu + spec.closed_form("invariant_c0") * r * r)
 
 
 def ermakov(omega_sq, c0, init):

@@ -19,8 +19,7 @@ from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
 from auxiliary import auxiliary_residual
-from helpers import (first_zero, grid_gaussian, pinney, record_data,
-                     solve_kernel)
+from helpers import first_zero, grid_gaussian, pinney, solve_kernel
 from schrodinger import schrodinger_residual
 
 KERNEL_SPECS = [
@@ -137,7 +136,8 @@ def test_criterion_04_elementary_and_superposed_invariants():
               for t in np.linspace(0.0, 3.0, 13))
     coeff_err = 0.0
     flow = classical_flow(tc)
-    form = inv.general_invariant(flow, *record_data(UNITED))
+    form = inv.general_invariant(flow,
+                                 *UNITED.closed_form("invariant_data"))
     for t in (0.0, 0.9, 2.1):
         got = form(t)
         ref = inv.energy_operator_catalog(UNITED, t)
@@ -251,7 +251,7 @@ def test_criterion_08_ladder_algebra():
     worst_c = 0.0
     worst_rec = 0.0
     cases = [(classical_flow(coeff.builtin_coefficients(UNITED)),
-              record_data(UNITED))]
+              UNITED.closed_form("invariant_data"))]
     for spec in (CK, SHO):
         tc = coeff.builtin_coefficients(spec)
         cases.append((classical_flow(tc), (1.2, 0.3, 0.9)))

@@ -1390,18 +1390,19 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
 def test_verify_all_full_keeps_its_bytes(capsys):
     # the full budget's stdout for all ten models, with and without the
     # ehrenfest and auxiliary lines, digests taken once the ladder and
-    # the Lewis-Riesenfeld invariant took Pinney's (A, B, C) (the error
-    # digits of the ten ladder lines and the auxiliary line moved); each
-    # model alone prints its own lines of it
+    # the Lewis-Riesenfeld invariant took Pinney's (A, B, C) and applied
+    # 1 / 2a(0) to the flow (the error digits of the ten ladder lines and
+    # the auxiliary line moved); each model alone prints its own lines of
+    # it
     code, out, _ = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
     lines = out.splitlines()
     older = "".join(f"{ln}\n" for ln in lines
                     if ln.split()[1] not in ("ehrenfest", "auxiliary"))
     assert hashlib.sha256(older.encode()).hexdigest() == (
-        "b82f03736c8d2faa83086bc65d652f5d0bbf507d17880dbb58180439f7882223")
+        "08a7394b9b6c56dc359fa74d58259ad0ea17e007157406a69e737736a06cdf88")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "498e26efeaabea56714dc4cb4c8a138b2efce1c850ff1f878df5c6532fdaeecf")
+        "ebe022d865a6dbf39bc1e5527f90acb1c679b5aa3f52eab6348c14035f963757")
     assert len(lines) == 58
     for model_id in coeff.MODEL_IDS:
         code, one, _ = run(capsys, "verify_all", "--model", model_id,
@@ -1442,7 +1443,7 @@ def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
     # a conservation system that returns the wrong form is a FAIL line and
     # exit 3, and so is the ladder's, whose invariant is formed by it; the
     # other checks still pass
-    def wrong(flow, init):
+    def wrong(flow, init, scale=1.0):
         return lambda t: inv.QuadraticForm(*init[:2], 0.0, 0.0, t)
 
     monkeypatch.setattr(inv, "solve_energy_system", wrong)

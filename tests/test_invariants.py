@@ -17,7 +17,7 @@ from quadham.ode import FLOW_TOL
 
 import twin
 from auxiliary import auxiliary_residual
-from helpers import case_seed, ermakov, oscillator, pinney, record_data
+from helpers import case_seed, ermakov, oscillator, pinney
 
 CATALOG_SPECS = [
     coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1),
@@ -77,7 +77,8 @@ def test_united_elementary_mu_residual():
 
 def test_united_general_invariant_reproduces_catalog():
     flow = classical_flow(coeff.builtin_coefficients(UNITED))
-    form = inv.general_invariant(flow, *record_data(UNITED))
+    form = inv.general_invariant(flow,
+                                 *UNITED.closed_form("invariant_data"))
     for t in (0.0, 0.7, 1.9):
         got = form(t)
         ref = inv.energy_operator_catalog(UNITED, t)
@@ -117,7 +118,8 @@ def test_united_invariant_mu_is_pinneys_from_its_data(request, spec):
 
     flow = classical_flow(coeff.builtin_coefficients(spec))
     flow.at(3.0)  # n_steps of the whole window
-    ladder = inv.ladder_factorization(flow, *record_data(spec))
+    ladder = inv.ladder_factorization(flow,
+                                      *spec.closed_form("invariant_data"))
     omega = 2.0 * math.sqrt(spec.closed_form("invariant_c0"))
     case()
 
@@ -264,8 +266,9 @@ def test_invariant_expectation_is_constant_under_moment_flow():
 
 def test_ladder_commutator_and_reconstruction():
     flow = classical_flow(coeff.builtin_coefficients(UNITED))
-    ladder = inv.ladder_factorization(flow, *record_data(UNITED))
-    form = inv.general_invariant(flow, *record_data(UNITED))
+    data = UNITED.closed_form("invariant_data")
+    ladder = inv.ladder_factorization(flow, *data)
+    form = inv.general_invariant(flow, *data)
     for t in (0.0, 0.8, 1.6):
         pair = ladder(t)
         assert pair.commutator() == pytest.approx(1.0, abs=1e-12)
@@ -396,7 +399,7 @@ def test_no_weighted_reader_returns_a_number_past_the_float_range():
     spec = coeff.ModelSpec(coeff.UNITED, 400.0, 0.3, 300.0)
     tc = coeff.builtin_coefficients(spec)
     flow = classical_flow(tc)
-    data = record_data(spec)
+    data = spec.closed_form("invariant_data")
     # H = (p^2 + x^2) / 2 - 300 xp: I = 300 t, and the constant of a
     # linear invariant is C0 e^I
     oscillator = classical_flow(_xp_oscillator())
@@ -512,33 +515,58 @@ def _sho_form(A, B, C, t):
             -((C - A) * c * s + B * (c * c - s * s)))
 
 
-def test_pinney_serves_an_a_whose_square_overflows():
-    # a = 1e160, b = 2.5e-161 (4ab = 1): (2a) ** 2 raised OverflowError,
-    # and at (A, B, C) = (1, 0.5, 1) C0 = 0.75 / (2a)^2 = 1.9e-321 is
-    # subnormal, whose residual check refused the mu.  The linear
-    # solutions are u = cos t and v = M12 / 2a = sin t, so the invariant
-    # is SHO's from the same (A, B, C) with B scaled by 1 / (2a)^2 and C
-    # by 1 / 2a, within the flow bound of the closed-form test plus what
-    # the subnormal s22 = C / (2a)^2 of S0 keeps: each of its few
-    # operations rounds to half the subnormal spacing 2^-1074, which
-    # (2a)^2 carries to unit scale
+def _overflowing_a_flow():
+    """a = 1e160, b = 2.5e-161 (4ab = 1), read to t = 1.4: the linear
+    solutions are u = cos t and v = M12 / 2a = sin t."""
     zero = lambda t: 0.0
-    tc = coeff.TimeCoefficients(lambda t: 1e160, lambda t: 2.5e-161, zero,
-                                zero)
-    flow = classical_flow(tc)
+    flow = classical_flow(coeff.TimeCoefficients(
+        lambda t: 1e160, lambda t: 2.5e-161, zero, zero))
+    flow.at(1.4)
+    return flow
+
+
+def test_pinney_serves_an_a_whose_square_overflows():
+    # C0 = (AC - B^2) / (2a)^2 raised OverflowError from (2a) ** 2.  mu is
+    # SHO's within the bound of the closed-form test, and the invariants
+    # are served
+    A, B, C = 1e10, 3e9, 1e10
+    flow = _overflowing_a_flow()
+    form = inv.general_invariant(flow, A, B, C)
+    ladder = inv.ladder_factorization(flow, A, B, C)
+    assert ladder(0.0).omega_t == pytest.approx(
+        2.0 * math.sqrt((A * C - B * B) / 4.0 / 1e160 / 1e160), rel=1e-15)
+    for t in (0.3, 0.7, 1.4):
+        c, s = math.cos(t), math.sin(t)
+        want = math.sqrt(A * c * c + 2.0 * B * c * s + C * s * s)
+        bound = FLOW_TOL * flow.n_steps * (A + 2.0 * B + C) / want
+        pair = ladder(t)
+        assert abs(pair.ddx_coeff * math.sqrt(pair.omega_t) - want) <= bound
+        assert form(t).A == pytest.approx(want * want, rel=1e-12)
+        assert pair.commutator() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_pinney_keeps_the_digits_of_a_subnormal_c0():
+    # at a = 1e160, (A, B, C) = (1, 0.5, 1) has C0 = 0.75 / (2a)^2 =
+    # 1.9e-321, subnormal, which the residual check refused; where S0 =
+    # T [[A, B], [B, C]] T^T was formed in floats its s22 = C / (2a)^2 was
+    # subnormal too, and the invariant's A read 1.2823203 against 1.2823212
+    # at t = 0.3.  A and C are SHO's from the same (A, B, C), C scaled by
+    # 1 / 2a, within the flow bound of the closed-form test; B, SHO's
+    # scaled by 1 / (2a)^2, is itself subnormal
+    flow = _overflowing_a_flow()
     form = inv.general_invariant(flow, 1.0, 0.5, 1.0)
     ladder = inv.ladder_factorization(flow, 1.0, 0.5, 1.0)
     assert ladder(0.0).omega_t == pytest.approx(
         2.0 * math.sqrt(0.75) / 2e160, rel=1e-15)
-    flow.at(1.4)
-    subnormal = 2.0 ** -1074 * 2e160 * 2e160
-    bound = 2.0 * FLOW_TOL * flow.n_steps * 4.0 + 2.0 * subnormal
+    bound = 2.0 * FLOW_TOL * flow.n_steps * 4.0
     for t in (0.3, 0.7, 1.4):
         got, want = form(t), _sho_form(1.0, 0.5, 1.0, t)
-        for g, w in zip((got.A, got.B * 2e160 * 2e160, got.C * 2e160),
-                        want):
-            assert abs(g - w) <= bound, (t, got)
+        assert abs(got.A - want[0]) <= bound, (t, got)
+        assert abs(got.C * 2e160 - want[2]) <= bound, (t, got)
+        assert 0.0 < got.B < sys.float_info.min, (t, got)
         pair = ladder(t)
+        assert abs(pair.ddx_coeff * math.sqrt(pair.omega_t)
+                   - math.sqrt(want[0])) <= bound, (t, pair)
         assert pair.commutator() == pytest.approx(1.0, rel=1e-12)
         assert pair.reconstruct().A == pytest.approx(got.A, rel=1e-12)
 
