@@ -20,8 +20,7 @@ t_end 2), one ``Flow.at`` point, one point of the second-moment path and
 of the energy path (``solve_energy_system``) on that flow, one point of
 the first-moment path on the first flow, one point of the
 ``general_invariant`` path of the Ermakov pair on the oscillator flow
-(omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7, t = 1; one
-call of the mu-callable form on a checkout that has it), one
+(omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7, t = 1), one
 ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
 a coefficient that overflows inside that window (b = e^(1000 t)), the
 refusal caught inside the timed call, the Gaussian propagation layer (one
@@ -136,11 +135,7 @@ zero = lambda t: 0.0
 tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
                                 zero, zero, da=zero, dc=zero, dd=zero)
 osc_flow = solve(tc_osc, 2.0)
-if not hasattr(inv, "superpose_linear_solutions"):  # takes (A, B, C)
-    invariant = inv.general_invariant(osc_flow, 1.0, 0.2, 0.74)
-else:  # a checkout whose general_invariant reads a mu callable at t
-    kappa_fn, c0 = inv.superpose_linear_solutions(osc_flow, 1.0, 0.2, 0.74)
-    invariant = lambda t: inv.general_invariant(osc_flow, kappa_fn, c0, t)
+invariant = inv.general_invariant(osc_flow, 1.0, 0.2, 0.74)
 kp = chm.kernel_parameters(tc, flow, 0.7)
 s0 = prop.GaussianState(0.5j)
 # b = e^(1000 t) overflows math.exp from t = 0.71 on

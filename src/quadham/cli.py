@@ -313,13 +313,8 @@ def _verify_one(model_id: str, budget: str):
         # the invariant of the record's elementary mu against the
         # catalogue, from the record's Pinney data
         form = inv.general_invariant(flow, *spec.closed_form("invariant_data"))
-
-        def rel_err(t):
-            got, want = form(t), catalog(t)
-            return max(abs(g - w) for g, w in zip(got[:4], want[:4])) / max(
-                abs(want.A), abs(want.B), 1.0)
-
-        err = max(map(rel_err, ts))
+        err = _max_rel_err(z for t in ts
+                           for z in zip(form(t)[:4], catalog(t)[:4]))
         yield f"auxiliary {model_id}", err <= 1e-10, f"max rel err {err:.2e}"
 
 

@@ -185,9 +185,11 @@ class HyperbolicBasis(NamedTuple):
     together with the particular solution, plus the coth pair solving
     z'' + (omega^2 - 2 lambda^2 / sinh^2(lambda t + gamma)) z = 0.
 
-    The values, residuals and Wronskians read one table of (f, f', f'')
-    per family, u = lambda t + gamma: y1, y2 and z1, z2 are g(u) C - h(u) S
-    (see :meth:`_cs`) and Y is 1/w^2 - k sech^2(u).
+    Each pair is one complex solution f = (g(u) + i h(u)) e^{i w t},
+    u = lambda t + gamma, read with f' and f'' (see :meth:`_wave`):
+    y1 + i y2 and z1 + i z2 are such f, a member's residual is a part of
+    f's complex residual and a Wronskian is Im(conj(f) f').  Y is
+    1/w^2 - k sech^2(u).
     """
 
     lam: float
@@ -216,43 +218,38 @@ class HyperbolicBasis(NamedTuple):
             raise NumericalError("cosh or sinh of lambda t + gamma overflows",
                                  t=t) from exc
 
-    def _cs(self, which, t):
-        """(C, S) = (cos wt, sin wt) for which = 1 and (sin wt, -cos wt) for
-        which = 2: in both, C' = -w S and S' = w C."""
-        c, s = math.cos(self.omega * t), math.sin(self.omega * t)
-        return (c, s) if which == 1 else (s, -c)
-
-    def _trig(self, C, S, g, h):
-        """(f, f', f'') of f = g C - h S from (C, S) of :meth:`_cs` and g, h
-        as (value, first, second derivative)."""
+    def _wave(self, t, g, h):
+        """(f, f', f'') of f = (g + i h) e^{i w t} from g and h as (value,
+        first, second derivative)."""
         w = self.omega
-        return (g[0] * C - h[0] * S,
-                (g[1] - w * h[0]) * C - (h[1] + w * g[0]) * S,
-                (g[2] - 2.0 * w * h[1] - w * w * g[0]) * C
-                - (h[2] + 2.0 * w * g[1] - w * w * h[0]) * S)
+        e = complex(math.cos(w * t), math.sin(w * t))
+        return (complex(g[0], h[0]) * e,
+                complex(g[1] - w * h[0], h[1] + w * g[0]) * e,
+                complex(g[2] - 2.0 * w * h[1] - w * w * g[0],
+                        h[2] + 2.0 * w * g[1] - w * w * h[0]) * e)
 
-    def _y_derivs(self, which, t):
-        """(y, y', y'') of y1 or y2: g = w T, h = lambda (1 + T^2),
+    def _y(self, t):
+        """(f, f', f'') of f = y1 + i y2: g = w T, h = lambda (1 + T^2),
         T = tanh(u)."""
         lam, w = self._params()
         T = math.tanh(self._u(t))
         dT = lam * (1.0 - T * T)
         d2T = -2.0 * lam * T * dT
-        return self._trig(*self._cs(which, t), (w * T, w * dT, w * d2T),
+        return self._wave(t, (w * T, w * dT, w * d2T),
                           (lam * (1.0 + T * T), 2.0 * lam * T * dT,
                            2.0 * lam * (dT * dT + T * d2T)))
 
-    def _z_derivs(self, which, t):
-        """(z, z', z'') of z1 or z2: g = w, h = lambda coth(u)."""
+    def _z(self, t):
+        """(f, f', f'') of f = z1 + i z2: g = w, h = lambda coth(u)."""
         lam, w = self._params()
         T = math.tanh(self._u(t))
         co = 1.0 / T
         dco = -lam * (co * co - 1.0)
-        h = (lam * co, lam * dco, -2.0 * lam * lam * co * dco)
-        C, S = self._cs(which, t)
-        _, dz, d2z = self._trig(C, S, (w, 0.0, 0.0), h)
-        # the printed value: lambda S / T rounds apart from (lambda coth) S
-        return w * C - lam * S / T, dz, d2z
+        _, dz, d2z = self._wave(t, (w, 0.0, 0.0), (
+            lam * co, lam * dco, -2.0 * lam * lam * co * dco))
+        # the printed value: lambda s / T rounds apart from (lambda coth) s
+        c, s = math.cos(w * t), math.sin(w * t)
+        return complex(w * c - lam * s / T, w * s + lam * c / T), dz, d2z
 
     def _yp_derivs(self, t):
         """(Y, Y', Y'') of the particular solution Y = 1/w^2 - k sech^2(u),
@@ -276,10 +273,10 @@ class HyperbolicBasis(NamedTuple):
                 + (w * w + 2.0 * lam * lam / math.cosh(u) ** 2) * f[0])
 
     def y1(self, t: float) -> float:
-        return self._y_derivs(1, t)[0]
+        return self._y(t)[0].real
 
     def y2(self, t: float) -> float:
-        return self._y_derivs(2, t)[0]
+        return self._y(t)[0].imag
 
     def y_wronskian(self, t: float) -> float:
         lam, w = self._params()
@@ -289,10 +286,10 @@ class HyperbolicBasis(NamedTuple):
         return self._yp_derivs(t)[0]
 
     def z1(self, t: float) -> float:
-        return self._z_derivs(1, t)[0]
+        return self._z(t)[0].real
 
     def z2(self, t: float) -> float:
-        return self._z_derivs(2, t)[0]
+        return self._z(t)[0].imag
 
     def z_wronskian(self) -> float:
         lam, w = self._params()
@@ -301,7 +298,8 @@ class HyperbolicBasis(NamedTuple):
     def y_residual(self, which: int, t: float) -> float:
         """Absolute residual of the homogeneous friction equation for y1/y2
         using analytic derivatives."""
-        return abs(self._friction(self._y_derivs(which, t), t))
+        r = self._friction(self._y(t), t)
+        return abs(r.real if which == 1 else r.imag)
 
     def y_particular_residual(self, t: float) -> float:
         """Absolute residual of the nonhomogeneous equation for Y."""
@@ -309,19 +307,18 @@ class HyperbolicBasis(NamedTuple):
 
     def z_residual(self, which: int, t: float) -> float:
         """Absolute residual of the coth-potential equation for z1/z2."""
-        z, _, d2z = self._z_derivs(which, t)
+        z, _, d2z = self._z(t)
         lam, w = self._params()
         sh2 = self._hyp(math.sinh, self._u(t), t, 2)
-        return abs(d2z + (w * w - 2.0 * lam * lam / sh2) * z)
+        r = d2z + (w * w - 2.0 * lam * lam / sh2) * z
+        return abs(r.real if which == 1 else r.imag)
 
     def y_wronskian_residual(self, t: float) -> float:
         """|y1 y2' - y1' y2 - W(t)| with analytic derivatives."""
-        y1, dy1, _ = self._y_derivs(1, t)
-        y2, dy2, _ = self._y_derivs(2, t)
-        return abs(y1 * dy2 - dy1 * y2 - self.y_wronskian(t))
+        y, dy, _ = self._y(t)
+        return abs((y.conjugate() * dy).imag - self.y_wronskian(t))
 
     def z_wronskian_residual(self, t: float) -> float:
         """|z1 z2' - z1' z2 - W| with analytic derivatives."""
-        z1, dz1, _ = self._z_derivs(1, t)
-        z2, dz2, _ = self._z_derivs(2, t)
-        return abs(z1 * dz2 - dz1 * z2 - self.z_wronskian())
+        z, dz, _ = self._z(t)
+        return abs((z.conjugate() * dz).imag - self.z_wronskian())

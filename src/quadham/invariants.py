@@ -75,7 +75,7 @@ class LadderPair(NamedTuple):
                              C=w * P.imag * R, D=w * P.imag * R, t=self.t)
 
 
-def solve_energy_system(flow: Flow, init, scale: float = 1.0):
+def solve_energy_system(flow: Flow, init):
     """Solve the conservation conditions for a quadratic form
     A p^2 + B x^2 + C px + D xp under H = a p^2 + b x^2 + c px + d xp:
 
@@ -87,20 +87,18 @@ def solve_energy_system(flow: Flow, init, scale: float = 1.0):
     On the classical flow, Q = [[B, (C + D)/2], [(C + D)/2, A]] is
     e^I M^{-T} Q_0 M^{-1} and C - D = e^I (C_0 - D_0).  For self-adjoint
     data (c = d, C = D) this is the familiar three-component system.
-    ``init`` is (A0, B0, C0, D0) in (``scale`` x, p), by which M^{-T} is
-    scaled rather than B0 and C0, D0, so that no value passes through a
-    subnormal scale^2.  Returns a callable t -> QuadraticForm on ``flow``.
+    ``init`` is (A0, B0, C0, D0).  Returns a callable t -> QuadraticForm
+    on ``flow``.
     """
     A0, B0, C0, D0 = init
     q0 = (B0, 0.5 * (C0 + D0), A0)
 
     def path(t: float) -> QuadraticForm:
         p = flow.at(t)
-        # M^{-T} diag(scale, 1) of a flow with det M = 1
-        B, half_cd, A = _congruence(p.m22 * scale, -p.m21, -p.m12 * scale,
-                                    p.m11, q0)
+        # M^{-T} of a flow with det M = 1
+        B, half_cd, A = _congruence(p.m22, -p.m21, -p.m12, p.m11, q0)
         A, B, half_cd, half = _weight(t, p.i, 1.0, A, B, half_cd,
-                                      0.5 * (C0 - D0) * scale)
+                                      0.5 * (C0 - D0))
         C, D = _finite(half_cd + half, half_cd - half, t=t, I=p.i)
         return QuadraticForm(A=A, B=B, C=C, D=D, t=t)
 
@@ -181,12 +179,19 @@ def general_invariant(flow: Flow, A: float, B: float, C: float):
         E = [(mu p - q x)^2 + C0 x^2 / mu^2] exp(int_0^t (c - d)),
 
     with mu^2 = s11, q = s12 / mu and C0 = det S of S = M S0 M^T (see
-    ``_pinney``), the integral the I of ``flow``: E is e^I adj(S), and
-    adj(S) = M^{-T} adj(S0) M^{-1}, so E is the energy path from
-    (s11, s22, -s12, -s12) of S1 at scale k.  Returns a callable
-    t -> QuadraticForm on ``flow``; refuses as ``_pinney`` when built."""
-    s11, s12, s22, k, _ = _pinney(flow, A, B, C)
-    return solve_energy_system(flow, (s11, s22, -s12, -s12), k)
+    ``_pinney``), the integral the I of ``flow``: E is e^I adj(S), so
+    (A, B, C = D) is e^I (s11, s22, -s12) of ``ladder_factorization``'s
+    congruence.  Returns a callable t -> QuadraticForm on ``flow``;
+    refuses as ``_pinney`` when built and as ``_weight`` when read."""
+    *s1, k, _ = _pinney(flow, A, B, C)
+
+    def path(t: float) -> QuadraticForm:
+        p = flow.at(t)
+        s11, s12, s22 = _congruence(p.m11, p.m12 * k, p.m21, p.m22 * k, s1)
+        A, B, C = _weight(t, p.i, 1.0, s11, s22, -s12)
+        return QuadraticForm(A=A, B=B, C=C, D=C, t=t)
+
+    return path
 
 
 def linear_invariant(flow: Flow, init):

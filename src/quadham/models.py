@@ -35,10 +35,10 @@ class Model:
     ``parameters`` and ``constraint`` are the text ``list-models`` prints;
     ``problem`` says what is wrong with the parameters (None when nothing
     is).  ``hamiltonian`` is (a, b, c, d, da, dc, dd) of
-    ``H = a p^2 + b x^2 + c px + d xp``, with the derivatives a', c' and d'
-    that the invariants read, served for t < ``t_max`` and infinite at
-    ``t_singular`` (nan when it is nowhere).  The closed forms,
-    each None where the model has none:
+    ``H = a p^2 + b x^2 + c px + d xp``, with a', c' and d' as the tests'
+    oracle data for the paper's equations (no module here reads them),
+    served for t < ``t_max`` and infinite at ``t_singular`` (nan when it
+    is nowhere).  The closed forms, each None where the model has none:
 
     - ``mu(t)``: (mu, mu') of the characteristic equation;
     - ``kernel(t)``: (alpha, beta, gamma, h) of the Green function;

@@ -1389,11 +1389,10 @@ def test_verify_all_quick_keeps_its_bytes(capsys):
 
 def test_verify_all_full_keeps_its_bytes(capsys):
     # the full budget's stdout for all ten models, with and without the
-    # ehrenfest and auxiliary lines, digests taken once the ladder and
-    # the Lewis-Riesenfeld invariant took Pinney's (A, B, C) and applied
-    # 1 / 2a(0) to the flow (the error digits of the ten ladder lines and
-    # the auxiliary line moved); each model alone prints its own lines of
-    # it
+    # ehrenfest and auxiliary lines, digests taken once the
+    # Lewis-Riesenfeld invariant read its ladder's congruence and the
+    # auxiliary line took the other lines' relative error (its error
+    # digits moved); each model alone prints its own lines of it
     code, out, _ = run(capsys, "verify_all", "--budget", "full")
     assert code == 0
     lines = out.splitlines()
@@ -1402,7 +1401,7 @@ def test_verify_all_full_keeps_its_bytes(capsys):
     assert hashlib.sha256(older.encode()).hexdigest() == (
         "08a7394b9b6c56dc359fa74d58259ad0ea17e007157406a69e737736a06cdf88")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ebe022d865a6dbf39bc1e5527f90acb1c679b5aa3f52eab6348c14035f963757")
+        "0303e56ca8ba266a3486f11164f2100c5cd10666cf12e16e31d867de741156ba")
     assert len(lines) == 58
     for model_id in coeff.MODEL_IDS:
         code, one, _ = run(capsys, "verify_all", "--model", model_id,
@@ -1441,9 +1440,9 @@ def test_verify_all_full_checks_the_paper_constructions(capsys, model_id):
 
 def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
     # a conservation system that returns the wrong form is a FAIL line and
-    # exit 3, and so is the ladder's, whose invariant is formed by it; the
-    # other checks still pass
-    def wrong(flow, init, scale=1.0):
+    # exit 3; the ladder's invariant does not read it, so the other checks
+    # still pass
+    def wrong(flow, init):
         return lambda t: inv.QuadraticForm(*init[:2], 0.0, 0.0, t)
 
     monkeypatch.setattr(inv, "solve_energy_system", wrong)
@@ -1452,7 +1451,7 @@ def test_verify_all_full_fails_a_wrong_energy_system(capsys, monkeypatch):
     assert (code, err) == (3, "")
     failed = [ln for ln in out.splitlines() if not ln.startswith("PASS ")]
     assert [ln.split(":")[0] for ln in failed] == [
-        "FAIL energy-system caldirola_kanai", "FAIL ladder caldirola_kanai"]
+        "FAIL energy-system caldirola_kanai"]
 
 
 @pytest.mark.parametrize("check", ["ehrenfest", "auxiliary"])

@@ -182,8 +182,9 @@ def test_benchmark_only_api_stays_in_its_contract_tests():
 
 
 def test_analytic_derivatives_match_fd():
-    # the records hold a', c' and d', the derivatives the invariants read;
-    # the hyperbolically damped pair shares one a' and b'
+    # the records hold a', c' and d', the tests' oracle data for the
+    # paper's equations (no module of the package reads them); the
+    # hyperbolically damped pair shares one a' and b'
     cj = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.2, 0.5)
     tcs = [coeff.builtin_coefficients(spec) for spec in (
         coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.3, 0.4),

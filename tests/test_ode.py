@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -9,7 +10,7 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham.characteristic import classical_flow
 from quadham.errors import SingularCoefficient, ToleranceNotMet
-from quadham.ode import MAX_STEPS, Side, solve_ivp
+from quadham.ode import FLOW_TOL, MAX_STEPS, Side, solve_ivp
 
 # the reference: scipy's DOP853 far below the flow's own error
 REF_OPTS = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
@@ -208,16 +209,36 @@ def test_failing_coefficient_is_refused_where_it_is_read(b, reader):
     assert 0.5 < exc.value.info["t"] < 1.0
 
 
-@pytest.mark.parametrize("b", [-1e6, 1e300], ids=["cosh", "turn"])
+@pytest.mark.parametrize("b", [
+    lambda t: -1e6, lambda t: 1e300,
+    lambda t: 0.5 if t < 0.5 else -1e12], ids=["cosh", "turn", "jump"])
 def test_exponent_that_overflows_on_finite_coefficients_is_refused(b):
-    # a step whose exponential's cosh (b = -1e6) or the power of whose
-    # turn (b = 1e300) overflows is a rejected step, and the solve ends
-    # typed (M overflows near t = 0.5, and 1e150 rad take more steps than
-    # the budget)
-    tc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: b, lambda t: 0.0,
+    # a solve whose M grows as cosh past the float range (b = -1e6, near
+    # t = 0.5, its steps sized from A(0) so that no exponent nears the
+    # cap), a step the power of whose turn overflows (b = 1e300: 1e150 rad
+    # take more steps than the budget) and a step sized on b = 0.5 whose
+    # exponent meets b = -1e12 past t = 0.5, so that |q^2| reaches the cap
+    # short of cosh's overflow and the row is nan, are rejected steps,
+    # and each solve ends typed
+    tc = coeff.TimeCoefficients(lambda t: 0.5, b, lambda t: 0.0,
                                 lambda t: 0.0)
     with pytest.raises(ToleranceNotMet):
         classical_flow(tc).at(1.0)
+
+
+def test_a_trial_step_past_t_singular_is_clipped_to_it():
+    # SHO with a singularity declared at t = 1, read at 0.9: the step that
+    # would pass 1 ends on it, no step point passes it, and M is the
+    # rotation within the flow's FLOW_TOL a step
+    tc = dataclasses.replace(coeff.builtin_coefficients(
+        coeff.ModelSpec(coeff.SIMPLE_HARMONIC, 1.0)), t_singular=1.0)
+    flow = classical_flow(tc)
+    flow.at(0.9)
+    assert flow.t[-1] == 1.0 and max(flow.t) == 1.0
+    for t, p in zip(flow.t, flow.steps):
+        want = (math.cos(t), math.sin(t), -math.sin(t), math.cos(t))
+        assert max(abs(g - w) for g, w in zip(p, want)) <= (
+            FLOW_TOL * flow.n_steps), t
 
 
 def test_scalar_and_array_times():

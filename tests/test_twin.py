@@ -1,16 +1,17 @@
 """The moment layer, the energy path, the weighted forms of
-``solve_energy_system`` and ``linear_invariant``, and ``kernel_parameters``
-against their 40-digit twin (``twin.py``), over drawn flow points M in
-Sp(2) with squeezes up to e^{+-40}, I in [-745, 745], and states of two
-kinds: log-uniform widths and means up to 1e+-150, and exact states,
-dyadic covariances about integer means up to 2^22 whose raw moments are
-floats.  Every returned number is within the twin's bound, or a typed
-refusal that the twin allows: an overflow where the evaluation may
-overflow, a negative variance where the float one may fall below the
-floor, the caustic band where the float band test may hold.  The exact
-states have an exact centring, so the uncertainty columns are judged to
-the rounding of their covariance alone: subtracting the means at t,
-which rounds at the scale of the means squared, fails there."""
+``solve_energy_system``, ``general_invariant`` and ``linear_invariant``,
+and ``kernel_parameters`` against their 40-digit twin (``twin.py``), over
+drawn flow points M in Sp(2) with squeezes up to e^{+-40}, I in
+[-745, 745], and states of two kinds: log-uniform widths and means up to
+1e+-150, and exact states, dyadic covariances about integer means up to
+2^22 whose raw moments are floats.  Every returned number is within the
+twin's bound, or a typed refusal that the twin allows: an overflow where
+the evaluation may overflow, a negative variance where the float one may
+fall below the floor, the caustic band where the float band test may
+hold.  The exact states have an exact centring, so the uncertainty
+columns are judged to the rounding of their covariance alone:
+subtracting the means at t, which rounds at the scale of the means
+squared, fails there."""
 
 import contextlib
 import csv
@@ -163,6 +164,36 @@ def test_weighted_form_matches_its_twin(point, init):
             raise
 
     judge(read, twin.energy_form(point, init))
+
+
+@seed(20261055)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(point=st.one_of(POINTS, points(-745.0, -705.0), points(705.0)),
+       a=st.builds(lambda u, sign: sign * 10.0 ** u, st.one_of(
+           st.floats(-160.0, 160.0), st.floats(154.0, 160.0)),
+           st.sampled_from([-1.0, 1.0])),
+       c=st.floats(-5.0, 5.0), d=st.floats(-5.0, 5.0),
+       form=st.builds(lambda sa, sc, corr: (sa * sa, corr * sa * sc, sc * sc),
+                      WIDTHS, WIDTHS, st.floats(-0.99, 0.99)))
+def test_lewis_riesenfeld_form_matches_its_twin(point, a, c, d, form):
+    # e^I (s11, s22, -s12) of S = M S0 M^T, read off general_invariant's
+    # one congruence and weighed as every value times e^{+-I} is, with a
+    # third of the draws of I within 40 of each edge.  a(0) is drawn
+    # log-uniformly up to 1e+-160, and half the draws past 1e154, where
+    # k = 1 / 2a(0) has a subnormal square, which no value may pass
+    # through.  A field past the float range is refused, naming t and I
+    zero = lambda s: 0.0
+    tc = TimeCoefficients(lambda s: a, zero, lambda s: c, lambda s: d)
+    path = inv.general_invariant(twin.FlowStub(point, tc), *form)
+
+    def read():
+        try:
+            return path(1.0)[:4]
+        except NumericalError as err:
+            assert err.info == {"t": 1.0, "I": point.i}
+            raise
+
+    judge(read, twin.lewis_riesenfeld_form(point, a, c, d, form))
 
 
 @seed(20261052)

@@ -3,8 +3,8 @@ the test-side judge of the float arithmetic between a flow point (M, I)
 and the numbers that the moment paths, their weight ``raw`` (<1> =
 raw(<1>_0)), ``SecondMoments.centred``, the energy path,
 ``uncertainty_check``, the CLI's ``moments`` and ``uncertainty`` columns,
-``solve_energy_system``, ``linear_invariant`` and ``kernel_parameters``
-return.
+``solve_energy_system``, ``general_invariant``, ``linear_invariant`` and
+``kernel_parameters`` return.
 
 Each twin value is the formula's value at 40 digits together with a
 running bound on the rounding error of the float evaluation of the same
@@ -16,9 +16,9 @@ bound is the unit roundoff times |value| times the formula's condition
 number, so a returned number within BOUND of it is within BOUND ulps
 times that condition number.  The formulas are written from the paper's
 moment law, S/<1> = M S_0 M^T / <1>_0 and <z>/<1> = M <z>_0 / <1>_0 with
-<1> = e^{-I} <1>_0, its conserved forms, Q = e^I M^{-T} Q_0 M^{-1} and
-(B, A) = e^I (B0, A0) M^{-1}, and its kernel, mu = M12 e^I, alpha = M22 /
-(2 M12), and share no code with the package.  The centred covariance
+<1> = e^{-I} <1>_0, its conserved forms, Q = e^I M^{-T} Q_0 M^{-1},
+e^I adj(M S_0 M^T) and (B, A) = e^I (B0, A0) M^{-1}, and its kernel,
+mu = M12 e^I, alpha = M22 / (2 M12), and share no code with the package.  The centred covariance
 follows the same congruence, so the uncertainty columns are the centred
 formula: centre once at t = 0, flow, and read the variances with no
 means at t.  Its bound carries the rounding of the centring at t = 0
@@ -200,6 +200,22 @@ def energy_form(point: FlowPoint, init):
     A, B, half_cd, half = (weigh(point.i, v)
                            for v in (A, B, half_cd, 0.5 * (C0 - D0)))
     return A, B, half_cd + half, half_cd - half
+
+
+def lewis_riesenfeld_form(point: FlowPoint, a: float, c: float, d: float,
+                          form):
+    """(A, B, C, D) of the Lewis-Riesenfeld form at the point from a, c
+    and d at t = 0 and Pinney's form = (A, B, C), read as exact floats, as
+    general_invariant returns it: S1 = L [[A, B], [B, C]] L^T for
+    L = [[1, 0], [-(c + d), 1]], k = 1 / 2a, S = N S1 N^T for
+    N = M diag(1, k), and (A, B, C = D) = e^I (s11, s22, -s12)."""
+    A, B, C = map(Twin, form)
+    s1 = congruence(1.0, 0.0, -(Twin(c) + Twin(d)), 1.0, A, B, C)
+    k = Twin(0.5) / Twin(a)
+    m11, m12, m21, m22 = map(Twin, point[:4])
+    s11, s12, s22 = congruence(m11, m12 * k, m21, m22 * k, *s1)
+    A, B, C = (weigh(point.i, v) for v in (s11, s22, -s12))
+    return A, B, C, C
 
 
 def linear_form(point: FlowPoint, init):
