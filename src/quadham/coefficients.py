@@ -3,11 +3,11 @@ selects a built-in model, checks its parameters once, when it is built, and
 looks up its record in :mod:`quadham.models`.
 
 A record holds H's own coefficients, ``H = a p^2 + b x^2 + c px + d xp``,
-and every numerical layer reads them as they are.  The paper writes the
-evolution equation as
+and every numerical layer reads them as they are; none reads a derivative.
+The paper writes the evolution equation as
 ``i psi_t = -a psi_xx + b x^2 psi - i (c_eq x psi_x + d_eq psi)``; a caller
 holding that form's coefficients passes ``c = d_eq`` and
-``d = c_eq - d_eq`` (and likewise for the derivatives).
+``d = c_eq - d_eq``.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ HAMILTONIAN = "hamiltonian"
 
 @dataclass(frozen=True)
 class TimeCoefficients:
-    """The four real coefficient functions of a quadratic Hamiltonian and
-    the derivatives a', c' and d'.  Nothing in the package reads the
-    derivatives: the records keep them as the tests' oracle data and as
-    the field names the benchmark's tracer reads.  Instances are immutable
-    and safe to share between threads.
+    """The four real coefficient functions of a quadratic Hamiltonian.
+    The fields da, db, dc and dd of derivatives are None in every built-in
+    record, and nothing in the package reads them: they stay as the field
+    names that the benchmark's tracer reads.  Instances are immutable and
+    safe to share between threads.
     """
 
     a: Callable[[float], float]
@@ -44,8 +44,6 @@ class TimeCoefficients:
     d: Callable[[float], float]
     _: KW_ONLY
     da: Optional[Callable[[float], float]] = None
-    # Kept only because the benchmark's tracer (quadbench/tracing.py,
-    # _CALLBACKS) reads it; no record sets a b' and nothing here reads one.
     db: Optional[Callable[[float], float]] = None
     dc: Optional[Callable[[float], float]] = None
     dd: Optional[Callable[[float], float]] = None
@@ -131,10 +129,9 @@ class ModelSpec:
 
 
 def model_coefficients(model: Model, hamiltonian) -> TimeCoefficients:
-    """H's record from a model's (a, b, c, d, da, dc, dd) and its limits."""
-    a, b, c, d, da, dc, dd = hamiltonian
-    return TimeCoefficients(a, b, c, d, da=da, dc=dc, dd=dd,
-                            t_max=model.t_max, t_singular=model.t_singular)
+    """H's record from a model's (a, b, c, d) and its limits."""
+    return TimeCoefficients(*hamiltonian, t_max=model.t_max,
+                            t_singular=model.t_singular)
 
 
 def builtin_coefficients(spec: ModelSpec,

@@ -16,6 +16,7 @@ that ``appendix_d`` does not.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -189,7 +190,8 @@ class HyperbolicBasis(NamedTuple):
     u = lambda t + gamma, read with f' and f'' (see :meth:`_wave`):
     y1 + i y2 and z1 + i z2 are such f, a member's residual is a part of
     f's complex residual and a Wronskian is Im(conj(f) f').  Y is
-    1/w^2 - k sech^2(u).
+    1/w^2 - k sech^2(u).  A public read whose value or an intermediate is
+    not finite raises NumericalError naming t (omega for ``z_wronskian``).
     """
 
     lam: float
@@ -208,15 +210,6 @@ class HyperbolicBasis(NamedTuple):
         if (u := self.lam * t + self.gamma) == 0.0:
             raise SingularCoefficient("lambda t + gamma is zero", t=t)
         return u
-
-    @staticmethod
-    def _hyp(f, u, t, power=1):
-        """f(u) ** power; NumericalError naming t where it overflows."""
-        try:
-            return f(u) ** power
-        except OverflowError as exc:
-            raise NumericalError("cosh or sinh of lambda t + gamma overflows",
-                                 t=t) from exc
 
     def _wave(self, t, g, h):
         """(f, f', f'') of f = (g + i h) e^{i w t} from g and h as (value,
@@ -256,7 +249,7 @@ class HyperbolicBasis(NamedTuple):
         k = 2 lambda^2 / ((w^2 + 4 lambda^2) w^2)."""
         lam, w = self._params()
         u = self._u(t)
-        ch, T = self._hyp(math.cosh, u, t), math.tanh(u)
+        ch, T = math.cosh(u), math.tanh(u)
         k = 2.0 * lam * lam / ((w * w + 4.0 * lam * lam) * w * w)
         sech2 = 1.0 / (ch * ch)
         # the printed value, which rounds apart from 1/w^2 - k sech^2
@@ -268,8 +261,7 @@ class HyperbolicBasis(NamedTuple):
         """f'' - (4 lambda / sinh(2u)) f' + (w^2 + 2 lambda^2 / cosh^2 u) f
         from (f, f', f'')."""
         (lam, w), u = self._params(), self._u(t)
-        # cosh(u)^2 is finite wherever sinh(2u) is
-        return (f[2] - 4.0 * lam / self._hyp(math.sinh, 2.0 * u, t) * f[1]
+        return (f[2] - 4.0 * lam / math.sinh(2.0 * u) * f[1]
                 + (w * w + 2.0 * lam * lam / math.cosh(u) ** 2) * f[0])
 
     def y1(self, t: float) -> float:
@@ -309,7 +301,7 @@ class HyperbolicBasis(NamedTuple):
         """Absolute residual of the coth-potential equation for z1/z2."""
         z, _, d2z = self._z(t)
         lam, w = self._params()
-        sh2 = self._hyp(math.sinh, self._u(t), t, 2)
+        sh2 = math.sinh(self._u(t)) ** 2
         r = d2z + (w * w - 2.0 * lam * lam / sh2) * z
         return abs(r.real if which == 1 else r.imag)
 
@@ -322,3 +314,24 @@ class HyperbolicBasis(NamedTuple):
         """|z1 z2' - z1' z2 - W| with analytic derivatives."""
         z, dz, _ = self._z(t)
         return abs((z.conjugate() * dz).imag - self.z_wronskian())
+
+
+def _checked(method):
+    """The public read ``method`` of a HyperbolicBasis, refusing a value
+    that is not finite or an ArithmeticError or ValueError on its way."""
+    @functools.wraps(method)
+    def checked(self, *args):
+        try:
+            value = method(self, *args)
+        except (ArithmeticError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise NumericalError("an Appendix D value is not finite", **(
+                {"t": args[-1]} if args else {"omega": self.omega}))
+        return value
+    return checked
+
+
+# the public reads are the methods named y... and z...
+for _name in [name for name in vars(HyperbolicBasis) if name[0] in "yz"]:
+    setattr(HyperbolicBasis, _name, _checked(getattr(HyperbolicBasis, _name)))

@@ -34,11 +34,12 @@ class Model:
 
     ``parameters`` and ``constraint`` are the text ``list-models`` prints;
     ``problem`` says what is wrong with the parameters (None when nothing
-    is).  ``hamiltonian`` is (a, b, c, d, da, dc, dd) of
-    ``H = a p^2 + b x^2 + c px + d xp``, with a', c' and d' as the tests'
-    oracle data for the paper's equations (no module here reads them),
-    served for t < ``t_max`` and infinite at ``t_singular`` (nan when it
-    is nowhere).  The closed forms, each None where the model has none:
+    is).  ``hamiltonian`` is (a, b, c, d) of
+    ``H = a p^2 + b x^2 + c px + d xp``, served for t < ``t_max`` and
+    infinite at ``t_singular`` (nan when it is nowhere); the tests take
+    a', c' and d' from these functions run at 40 digits
+    (``tests/oracle40.py``).  The closed forms, each None where the model
+    has none:
 
     - ``mu(t)``: (mu, mu') of the characteristic equation;
     - ``kernel(t)``: (alpha, beta, gamma, h) of the Green function;
@@ -89,7 +90,6 @@ def _exponential(w0, lam, w, c, d, rate, k, h_rate):
     beta = -omega e^{lam t} / (omega0 sin(omega t)), h = e^{h_rate t}."""
     a = lambda t: 0.5 * w0 * math.exp(-2.0 * lam * t)
     b = lambda t: 0.5 * w0 * math.exp(2.0 * lam * t)
-    da = lambda t: -lam * w0 * math.exp(-2.0 * lam * t)
 
     def mu(t):
         e = math.exp(rate * t)
@@ -102,7 +102,7 @@ def _exponential(w0, lam, w, c, d, rate, k, h_rate):
                 -w / (w0 * s) * math.exp(lam * t),
                 (w * c - k * s) / (2.0 * w0 * s), math.exp(h_rate * t))
 
-    return (a, b, c, d, da, _zero, _zero), mu, kernel
+    return (a, b, c, d), mu, kernel
 
 
 def _energy_curve(w0, w, p2, x2, de, k, t):
@@ -192,7 +192,6 @@ def united(w0, lam, mu_p, dlt):
 
 def modified_oscillator(w0, lam, mu_p, dlt):
     cd = lambda t: math.sin(t) * math.cos(t)
-    dcd = lambda t: math.cos(2.0 * t)
     mu = lambda t: (math.cos(t) * math.sinh(t) + math.sin(t) * math.cosh(t),
                     2.0 * math.cos(t) * math.cosh(t))
 
@@ -209,7 +208,7 @@ def modified_oscillator(w0, lam, mu_p, dlt):
     # a(t) vanishes at t = pi/2; the reference operator is (p^2 + x^2)/2
     return Model("none", "t < pi/2", w0,
                  (lambda t: math.cos(t) ** 2, lambda t: math.sin(t) ** 2,
-                  cd, cd, lambda t: -math.sin(2.0 * t), dcd, dcd),
+                  cd, cd),
                  t_max=0.5 * math.pi, mu=mu, kernel=kernel,
                  invariant=invariant,
                  expectation=lambda p2, x2, pxxp, t: (
@@ -219,14 +218,12 @@ def modified_oscillator(w0, lam, mu_p, dlt):
 
 
 def _cj_rescaled(w0, lam, w):
-    """(a, b, a', b') of the frequency-rescaled hyperbolically damped
-    oscillator H = (omega0/2)(sech^2(lam t) p^2 + cosh^2(lam t) x^2), the
-    plain one at omega0 = 1, and its conserved (A, B, C); swapping p and x
-    gives the momentum form, whose a' is this b'."""
+    """(a, b) of the frequency-rescaled hyperbolically damped oscillator
+    H = (omega0/2)(sech^2(lam t) p^2 + cosh^2(lam t) x^2), the plain one at
+    omega0 = 1, and its conserved (A, B, C); swapping p and x gives the
+    momentum form."""
     a = lambda t: 0.5 * w0 / math.cosh(lam * t) ** 2
     b = lambda t: 0.5 * w0 * math.cosh(lam * t) ** 2
-    da = lambda t: -w0 * lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2
-    db = lambda t: 0.5 * w0 * lam * math.sinh(2.0 * lam * t)
 
     def invariant(t):
         ch = math.cosh(lam * t)
@@ -234,12 +231,12 @@ def _cj_rescaled(w0, lam, w):
                 (w0 ** 2 * math.sinh(lam * t) ** 2 + w ** 2) / (2.0 * w0),
                 0.5 * lam * math.tanh(lam * t))
 
-    return (a, b, da, db), invariant
+    return (a, b), invariant
 
 
 def cj_coordinate(w0, lam, mu_p, dlt):
     w = _root(w0 ** 2 - lam ** 2)
-    (a, b, da, _), invariant = _cj_rescaled(w0, lam, w)
+    (a, b), invariant = _cj_rescaled(w0, lam, w)
 
     def mu(t):
         ch = math.cosh(lam * t)
@@ -280,12 +277,10 @@ def cj_coordinate(w0, lam, mu_p, dlt):
     return Model(
         "omega0, lambda", "omega0^2 > lambda^2", w,
         (lambda t: 0.5 / math.cosh(lam * t) ** 2,
-         lambda t: 0.5 * w0 ** 2 * math.cosh(lam * t) ** 2, _zero, _zero,
-         lambda t: -lam * math.tanh(lam * t) / math.cosh(lam * t) ** 2,
-         _zero, _zero),
+         lambda t: 0.5 * w0 ** 2 * math.cosh(lam * t) ** 2, _zero, _zero),
         problem=None if w > 0 else _UNDERDAMPED, mu=mu, kernel=kernel,
         invariant=invariant,
-        invariant_hamiltonian=(a, b, _zero, _zero, da, _zero, _zero),
+        invariant_hamiltonian=(a, b, _zero, _zero),
         expectation=expectation,
         reference=lambda t: (1.0 / math.cosh(lam * t) ** 2,
                              math.cosh(lam * t) ** 2, 0.0),
@@ -300,7 +295,7 @@ def cj_momentum(w0, lam, mu_p, dlt):
     w = _root(w0 ** 2 - lam ** 2)
     # this H is the momentum form of the rescaled one, which conserves the
     # swapped invariant
-    (a, b, _, db), rescaled = _cj_rescaled(w0, lam, w)
+    (a, b), rescaled = _cj_rescaled(w0, lam, w)
     mu = lambda t: ((lam * math.cos(w * t) * math.sinh(lam * t)
                      + w * math.sin(w * t) * math.cosh(lam * t)) / w0,
                     w0 * math.cos(w * t) * math.cosh(lam * t))
@@ -317,7 +312,7 @@ def cj_momentum(w0, lam, mu_p, dlt):
         return B, A, -C
 
     return Model("omega0, lambda", "omega0^2 > lambda^2", w,
-                 (b, a, _zero, _zero, db, _zero, _zero),
+                 (b, a, _zero, _zero),
                  problem=None if w > 0 else _UNDERDAMPED, mu=mu,
                  kernel=kernel, invariant=invariant)
 
@@ -327,12 +322,6 @@ def modified_parametric(w0, lam, mu_p, dlt):
     a = lambda t: 0.5 * w * math.tanh(lam * t + dlt) ** 2
     b = lambda t: 0.5 * w / math.tanh(lam * t + dlt) ** 2
     cd = lambda t: lam / math.sinh(2.0 * (lam * t + dlt))
-    da = lambda t: (w * lam * math.tanh(lam * t + dlt)
-                    / math.cosh(lam * t + dlt) ** 2)
-
-    def dcd(t):
-        u = 2.0 * (lam * t + dlt)
-        return -2.0 * lam ** 2 * math.cosh(u) / math.sinh(u) ** 2
 
     def mu(t):
         u = lam * t + dlt
@@ -353,7 +342,7 @@ def modified_parametric(w0, lam, mu_p, dlt):
 
     # tanh(lam t + delta) vanishes at t = -delta / lam
     return Model("omega0, lambda, delta", "delta != 0", w0,
-                 (a, b, cd, cd, da, dcd, dcd),
+                 (a, b, cd, cd),
                  problem=(None if w0 > 0 else _NONPOSITIVE) or (
                      "delta must be nonzero" if dlt == 0.0 else None),
                  t_singular=-dlt / lam if lam else math.nan,
@@ -391,7 +380,7 @@ def parametric_sech2(w0, lam, mu_p, dlt):
         return A, B, -lam ** 3 * math.sinh(lam * t) / ch ** 3
 
     return Model("omega0, lambda", "none", w0,
-                 (lambda t: 0.5, b, _zero, _zero, _zero, _zero, _zero),
+                 (lambda t: 0.5, b, _zero, _zero),
                  problem=None if w0 > 0 else _NONPOSITIVE, mu=mu,
                  kernel=kernel, invariant=invariant)
 
@@ -406,7 +395,7 @@ def simple_harmonic(w0, lam, mu_p, dlt):
         return alpha, -1.0 / s, alpha, 1.0
 
     return Model("omega0", "none", w0,
-                 (half, half, _zero, _zero, _zero, _zero, _zero),
+                 (half, half, _zero, _zero),
                  problem=None if w0 > 0 else _NONPOSITIVE,
                  mu=lambda t: (math.sin(w0 * t), w0 * math.cos(w0 * t)),
                  kernel=kernel,
@@ -415,7 +404,7 @@ def simple_harmonic(w0, lam, mu_p, dlt):
 
 def free_particle(w0, lam, mu_p, dlt):
     return Model("none", "none", 0.0,
-                 (lambda t: 0.5, _zero, _zero, _zero, _zero, _zero, _zero),
+                 (lambda t: 0.5, _zero, _zero, _zero),
                  mu=lambda t: (t, 1.0),
                  kernel=lambda t: (0.5 / t, -1.0 / t, 0.5 / t, 1.0),
                  invariant=lambda t: (0.5, 0.0, 0.0))

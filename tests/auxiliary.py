@@ -3,7 +3,8 @@ Pinney's mu, whose data ``general_invariant`` and ``ladder_factorization``
 take (``helpers.pinney`` reads it as they do), and of a record's
 ``invariant_mu``.  It is written from the paper's equation and reads the
 coefficients of H and their derivatives itself, which the package never
-reads, as ``schrodinger.py`` shares no code with the kernel."""
+reads, as ``schrodinger.py`` shares no code with the kernel; a built-in
+model's derivatives are those of ``oracle40.coefficients``."""
 
 from quadham.ode import read
 

@@ -57,7 +57,8 @@ def pinney(flow, A, B, C):
     s11 of S = M S0 M^T, S0 = T [[A, B], [B, C]] T^T with T = [[1, 0],
     [-(c + d) k, k]] and k = 1 / 2a(0), and mu' and mu'' follow from the
     moment law S' = A S + S A^T, A = [[c + d, 2a], [-2b, -(c + d)]], and
-    its derivative, which reads the record's a', c' and d'.  Returns
+    its derivative, which reads the record's a', c' and d' (for a built-in
+    model, a record of ``oracle40.coefficients``).  Returns
     (mu_fn, C0), mu_fn giving (mu, mu', mu'') at t and C0 = (A C - B^2) k^2,
     for the judge of ``auxiliary.py``."""
     tc = flow.tc

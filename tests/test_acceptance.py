@@ -18,6 +18,7 @@ from quadham import gridsim
 from quadham import invariants as inv
 from quadham import propagator as prop
 from quadham.characteristic import classical_flow
+import oracle40
 from auxiliary import auxiliary_residual
 from helpers import first_zero, grid_gaussian, pinney, solve_kernel
 from schrodinger import schrodinger_residual
@@ -129,7 +130,7 @@ def test_criterion_03_invariant_conservation():
 
 
 def test_criterion_04_elementary_and_superposed_invariants():
-    tc = coeff.builtin_coefficients(UNITED)
+    tc = oracle40.coefficients(UNITED)
     mu_fn, C0 = (UNITED.closed_form("invariant_mu"),
                  UNITED.closed_form("invariant_c0"))
     res = max(auxiliary_residual(tc, mu_fn, C0, float(t))

@@ -1,8 +1,10 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -17,6 +19,7 @@ from quadham.characteristic import FlowPoint, classical_flow
 from quadham.errors import (InvalidModelParams, InvalidMoments, NoClosedForm,
                             NumericalError, SingularCoefficient,
                             ValidationError)
+from quadham.ode import FLOW_TOL
 
 M0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.1, norm=1.0)
 M0_EVEN = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.0, norm=1.0)
@@ -341,6 +344,92 @@ def test_hyperbolic_basis_refuses_an_overflowing_cosh():
         assert math.isfinite(getattr(basis, name)(2.0)), name
     # below the overflow, sech^2 u rounds to 0 and Y is 1/w^2
     assert dyn.HyperbolicBasis(lam=1.0, omega=2.0).y_particular(400.0) == 0.25
+
+
+def _appendix_d_pairs(lam, w, gamma):
+    """(printed f, basis read, a, b) of each Appendix D pair: the printed
+    f = y1 + i y2 = (w T + i lambda (1 + T^2)) e^{i w t}, T = tanh u, and
+    f = z1 + i z2 = (w + i lambda coth u) e^{i w t} of mpmath t, the
+    basis's complex read, and the a and b of the H with c = d = 0 whose
+    x-row equation f solves, u = lambda t + gamma."""
+    u = lambda t: lam * t + gamma
+    basis = dyn.HyperbolicBasis(lam, w, gamma)
+    y = lambda t: (w * mpmath.tanh(u(t)) + 1j * lam * (
+        1 + mpmath.tanh(u(t)) ** 2)) * mpmath.expj(w * t)
+    z = lambda t: (w + 1j * lam / mpmath.tanh(u(t))) * mpmath.expj(w * t)
+    return [(y, lambda t: complex(basis.y1(t), basis.y2(t)),
+             lambda t: 0.5 * w * math.tanh(u(t)) ** 2,
+             lambda t: (w * w + 2.0 * lam * lam / math.cosh(u(t)) ** 2)
+             / (2.0 * w * math.tanh(u(t)) ** 2)),
+            (z, lambda t: complex(basis.z1(t), basis.z2(t)),
+             lambda t: 0.5,
+             lambda t: 0.5 * (w * w - 2.0 * lam * lam / math.sinh(u(t)) ** 2))]
+
+
+@seed(20261057)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lam=st.floats(0.05, 1.0), omega=st.floats(0.3, 3.0),
+       gamma=st.floats(0.2, 1.5), t_end=st.floats(1.0, 6.0))
+def test_appendix_d_pairs_ride_the_flows_of_their_hamiltonians(
+        lam, omega, gamma, t_end):
+    # each pair is the x row of its H's flow from f(0) and f'(0), the
+    # printed pair's at 40 digits: f(t) = f(0) M11 + f'(0) M12 / 2a(0),
+    # held to the flow's error, FLOW_TOL per step of |M|; u >= gamma > 0
+    zero = lambda t: 0.0
+    for printed, read, a, b in _appendix_d_pairs(lam, omega, gamma):
+        with mpmath.workdps(40):
+            t0 = mpmath.mpf(0)
+            f0, df0 = complex(printed(t0)), complex(mpmath.diff(printed, t0))
+        g = df0 / (2.0 * a(0.0))
+        flow = classical_flow(coeff.TimeCoefficients(a, b, zero, zero))
+        flow.at(t_end)
+        for t in np.linspace(t_end / 10, t_end, 10):
+            p = flow.at(float(t))
+            err = abs(read(float(t)) - (f0 * p.m11 + g * p.m12))
+            assert err <= FLOW_TOL * flow.n_steps * max(map(abs, p[:4])) * (
+                abs(f0) + abs(g)), (float(t), err)
+
+
+def _anywhere(rng):
+    """A float of either sign, log-uniform over the whole float range from
+    the subnormals up, or 0 one time in 50."""
+    if rng.random() < 0.02:
+        return 0.0
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-322.0, 308.0)
+
+
+def test_every_hyperbolic_read_is_finite_or_typed():
+    # one public read per seeded draw of (lambda, omega, gamma, t) over
+    # the whole float range returns a finite float or raises a typed
+    # error; past an overflow on the way, NumericalError names t.  At
+    # lambda = 2, omega = gamma = 1e-320, z2(0) read inf, and at
+    # lambda = 1e308 y1 and y2 read nan
+    for basis, name in ((dyn.HyperbolicBasis(2.0, 1e-320, 1e-320), "z2"),
+                        (dyn.HyperbolicBasis(1e308, 1.0), "y1"),
+                        (dyn.HyperbolicBasis(1e308, 1.0), "y2")):
+        with pytest.raises(NumericalError) as exc:
+            getattr(basis, name)(0.0 if name == "z2" else 1.0)
+        assert exc.value.info == {"t": 0.0 if name == "z2" else 1.0}
+    rng = random.Random(20261056)
+    names = [name for name in vars(dyn.HyperbolicBasis) if name[0] in "yz"]
+    for _ in range(40_000):
+        basis = dyn.HyperbolicBasis(*(_anywhere(rng) for _ in range(3)))
+        name, t = rng.choice(names), _anywhere(rng)
+        args = {"z_wronskian": (), "y_residual": (rng.choice((1, 2)), t),
+                "z_residual": (rng.choice((1, 2)), t)}.get(name, (t,))
+        try:
+            value = getattr(basis, name)(*args)
+        except (ValidationError, SingularCoefficient):
+            # omega = 0, or lambda t + gamma = 0
+            pass
+        except NumericalError as exc:
+            # the z Wronskian has no t: where it overflows, omega is named
+            allowed = [{"t": t}] if args else []
+            if name.startswith("z_wronskian"):
+                allowed.append({"omega": basis.omega})
+            assert exc.info in allowed, (basis, name, args)
+        else:
+            assert math.isfinite(value), (basis, name, args, value)
 
 
 def test_variances_require_positive_norm():

@@ -33,6 +33,7 @@ from quadham.errors import InvalidModelParams, QuadhamError
 from quadham.ode import FLOW_TOL
 from quadham.propagator import (GaussianState, propagate_gaussian,
                                 propagate_grid)
+import oracle40
 from helpers import ermakov, first_zero, grid_gaussian
 
 SPECS = [
@@ -111,7 +112,7 @@ def _flow_values(tc, t_end):
 def test_flow_paths_match_the_paper_systems():
     worst = {}
     for spec, t_end in CASES:
-        tc = coeff.builtin_coefficients(spec)
+        tc = oracle40.coefficients(spec)
         y0 = [M0.p2, M0.x2, M0.pxxp, M0.norm, F0.x, F0.p, *Q0, *AUX0]
         ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0,
                               method="DOP853", rtol=1e-12, atol=1e-14,
@@ -211,7 +212,7 @@ def test_damped_energy_keeps_the_odd_branch():
     spec = coeff.ModelSpec(coeff.CJ_COORDINATE, 1.0, 0.2)
     m0 = dyn.SecondMoments(p2=0.8, x2=0.7, pxxp=0.3)
     t_end = 5.0
-    tc = coeff.catalog_coefficients(spec)
+    tc = oracle40.coefficients(spec, catalog=True)
     y0 = [m0.p2, m0.x2, m0.pxxp, m0.norm, 0.0, 0.0, *Q0, *AUX0]
     ref = scipy_solve_ivp(_paper_rhs(tc), (0.0, t_end), y0, method="DOP853",
                           rtol=1e-12, atol=1e-14, dense_output=True)
@@ -447,10 +448,11 @@ def _family(draw):
 
 @st.composite
 def _hamiltonians_with_derivatives(draw):
-    """H's record with a', c' and d': one of the ten models, or a member
-    of the drawn family."""
+    """H's record with a', c' and d': one of the ten models, whose
+    derivatives are the 40-digit oracle's, or a member of the drawn
+    family."""
     if draw(st.booleans()):
-        return coeff.builtin_coefficients(draw(st.sampled_from(SPECS)))
+        return oracle40.coefficients(draw(st.sampled_from(SPECS)))
     return draw(_family())
 
 

@@ -15,6 +15,7 @@ from quadham.errors import (NoClosedForm, NonPositiveForm, NumericalError,
                             ValidationError)
 from quadham.ode import FLOW_TOL
 
+import oracle40
 import twin
 from auxiliary import auxiliary_residual
 from helpers import case_seed, ermakov, oscillator, pinney
@@ -69,7 +70,7 @@ def test_catalog_entry_solves_conservation_system(spec):
 
 def test_united_elementary_mu_residual():
     mu_fn, C0 = _united_invariant_mu()
-    tc = coeff.builtin_coefficients(UNITED)
+    tc = oracle40.coefficients(UNITED)
     assert C0 == pytest.approx(0.25 * UNITED.model.omega ** 2, rel=1e-14)
     for t in np.linspace(0.0, 3.0, 13):
         assert auxiliary_residual(tc, mu_fn, C0, float(t)) <= 1e-10
@@ -135,7 +136,7 @@ def _pinney_mu(flow, A, B, C):
 def test_superposed_mu_solves_auxiliary_equation():
     # the judge reads mu, mu' and mu'' of helpers.pinney, whose mu is the
     # package's to rounding
-    tc = coeff.builtin_coefficients(UNITED)
+    tc = oracle40.coefficients(UNITED)
     flow = classical_flow(tc)
     mu_fn, C0 = pinney(flow, 1.2, 0.3, 0.9)
     package_mu = _pinney_mu(flow, 1.2, 0.3, 0.9)
@@ -154,7 +155,7 @@ def test_superposed_mu_solves_the_equation_where_c_plus_d_varies(spec):
     # Caldirola-Kanai: the judge reads that term of Q itself, so a wrong
     # transform T = [[1, 0], [-(c + d) k, k]] of Pinney's data, which the
     # package and helpers.pinney share, shows here
-    tc = coeff.builtin_coefficients(spec)
+    tc = oracle40.coefficients(spec)
     flow = classical_flow(tc)
     mu_fn, C0 = pinney(flow, 1.2, 0.3, 0.9)
     package_mu = _pinney_mu(flow, 1.2, 0.3, 0.9)
@@ -171,7 +172,7 @@ def test_superposed_mu_solves_the_equation_where_c_plus_d_varies(spec):
 def test_superposition_property_random_coefficients(A, C, frac):
     B = frac * math.sqrt(A * C)
     spec = coeff.ModelSpec(coeff.CALDIROLA_KANAI, 1.0, 0.1)
-    tc = coeff.builtin_coefficients(spec)
+    tc = oracle40.coefficients(spec)
     flow = classical_flow(tc)
     mu_fn, C0 = pinney(flow, A, B, C)
     for t in (0.0, 0.6, 1.4):
@@ -293,7 +294,7 @@ def test_a_vanishing_mu_is_refused_where_a_value_needs_it():
     # on SHO mu = sin t, Pinney's from (0, 0, 1), solves the linear
     # equation (C0 = 0) and vanishes at t = 0: its residual is defined
     # there, the invariant is not, and neither reader builds a path
-    tc = coeff.builtin_coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
+    tc = oracle40.coefficients(coeff.ModelSpec(coeff.SIMPLE_HARMONIC))
     flow = classical_flow(tc)
     mu = lambda t: (math.sin(t), math.cos(t), -math.sin(t))
     assert auxiliary_residual(tc, mu, 0.0, 0.0) == 0.0

@@ -26,6 +26,7 @@ from quadham.cli import main
 from quadham.errors import (CausticEncountered, InvalidModelParams,
                             NoClosedForm, NumericalError, QuadhamError)
 
+import oracle40
 from helpers import case_seed, first_zero
 
 # the benchmark's tolerances (quadbench/oracles.py KERNEL_TOL,
@@ -152,12 +153,16 @@ def test_no_module_reads_a_coefficient_derivative():
 
 
 def test_models_is_a_leaf():
-    # the record module imports math and the error types, nothing else
+    # the record module imports math and the error types, nothing else,
+    # and reads only the names of math that the 40-digit oracle binds
     tree = ast.parse(inspect.getsource(models))
     imports = [(n.level, n.module) if isinstance(n, ast.ImportFrom)
                else (0, n.names[0].name) for n in ast.walk(tree)
                if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert sorted(imports) == [(0, "math"), (1, "errors")]
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and getattr(n.value, "id", None) == "math"}
+    assert names == set(oracle40.MATH_NAMES)
 
 
 @pytest.mark.parametrize("model_id", coeff.MODEL_IDS)

@@ -83,6 +83,7 @@ def judge(read, twins, variances=()):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(point=st.one_of(POINTS, points(708.0)), state=STATES,
        k=st.integers(-200, 200))
+@twin.at_40_digits
 def test_moment_readers_match_their_twin(point, state, k):
     # a subnormal e^{-I} multiplies as two halves e^{-I/2}; few draws of I
     # over [-745, 745] come near it, so half draw I from [708, 745]
@@ -109,6 +110,7 @@ def test_moment_readers_match_their_twin(point, state, k):
           [u[key] for key in keys], variances=(u["dp2"], u["dx2"]))
 
 
+@twin.at_40_digits
 def test_a_raw_value_past_the_float_range_is_typed():
     # e^{-I} = e^600 is finite but <1>_0 e^{-I} = 2^200 e^600 is not: the
     # path's raw refuses it with the t it was read at, not returning inf
@@ -126,6 +128,7 @@ def test_a_raw_value_past_the_float_range_is_typed():
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(point=st.one_of(POINTS, points(708.0)), state=STATES,
        k=st.integers(-200, 200))
+@twin.at_40_digits
 def test_energy_path_matches_its_twin(point, state, k):
     # a <1> = e^{-I} <1>_0 rounded into the subnormal range before it
     # meets moments up to 1e300 is off by up to 2^-1075 / <1>; few draws
@@ -147,6 +150,7 @@ def test_energy_path_matches_its_twin(point, state, k):
                          0.9419282717557427),
          init=(-6.059295515513293e307, -1.1948623671075607e306,
                -9.385291433926273e307, 1.859077474790154e307))
+@twin.at_40_digits
 def test_weighted_form_matches_its_twin(point, init):
     # e^I M^{-T} Q_0 M^{-1} of solve_energy_system, weighed as every value
     # times e^{+-I} is: a subnormal e^I multiplied in one step reads A up
@@ -175,6 +179,7 @@ def test_weighted_form_matches_its_twin(point, init):
        c=st.floats(-5.0, 5.0), d=st.floats(-5.0, 5.0),
        form=st.builds(lambda sa, sc, corr: (sa * sa, corr * sa * sc, sc * sc),
                       WIDTHS, WIDTHS, st.floats(-0.99, 0.99)))
+@twin.at_40_digits
 def test_lewis_riesenfeld_form_matches_its_twin(point, a, c, d, form):
     # e^I (s11, s22, -s12) of S = M S0 M^T, read off general_invariant's
     # one congruence and weighed as every value times e^{+-I} is, with a
@@ -200,6 +205,7 @@ def test_lewis_riesenfeld_form_matches_its_twin(point, a, c, d, form):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(point=st.one_of(POINTS, points(-745.0, -705.0), points(705.0)),
        init=st.tuples(*[st.one_of(st.just(0.0), MEANS)] * 3))
+@twin.at_40_digits
 def test_linear_invariant_matches_its_twin(point, init):
     # (B, A) = e^I (B0, A0) M^{-1} and C = e^I C0 of linear_invariant,
     # weighed as every value times e^{+-I} is, with a third of the draws
@@ -227,6 +233,7 @@ def test_linear_invariant_matches_its_twin(point, init):
                          7886011292.185185, 42647415974.97373,
                          680.0260926727374),
          a=96.96909696249828, c=3.554073270411509, t=4.0913317145717985)
+@twin.at_40_digits
 def test_kernel_parameters_match_their_twin(point, a, c, t):
     # a third of the draws take I within 40 of each edge, where e^I is
     # subnormal or overflows; kernel_parameters reads mu, mu' and h by one
@@ -268,6 +275,7 @@ def _cli_row(argv):
 @seed(20261021)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(point=POINTS, state=STATES)
+@twin.at_40_digits
 def test_printed_moment_columns_match_their_twin(point, state):
     # <1>_0 = 1 on the command line, and the flow is the drawn point
     m0, f0 = raw_state(1.0, *state)

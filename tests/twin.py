@@ -24,7 +24,9 @@ formula: centre once at t = 0, flow, and read the variances with no
 means at t.  Its bound carries the rounding of the centring at t = 0
 alone, which is none for a state whose centring is exact, however large
 its means.
-``FlowStub`` feeds the paths a drawn flow point.
+``FlowStub`` feeds the paths a drawn flow point.  Twins are formed at 40
+digits inside a call that ``at_40_digits`` wraps, so that importing this
+module leaves mpmath's global precision alone.
 """
 
 import math
@@ -34,7 +36,8 @@ import mpmath
 
 from quadham.characteristic import FlowPoint
 
-mpmath.mp.dps = 40
+# the decorator of every test that forms twins: 40 digits for the call
+at_40_digits = mpmath.workdps(40)
 EPS = mpmath.mpf(2) ** -53
 TINY = mpmath.mpf(2) ** -1075
 # a float returned is within BOUND running error bounds of its twin; the
