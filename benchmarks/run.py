@@ -16,12 +16,13 @@ source, one child per sample: one evaluation of the coefficients
 (a, b, c, d) the flow reads (H's own), ``classical_flow`` solved to the
 Caldirola-Kanai window of the subcommands and to the window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
-t_end 2), one ``Flow.at`` point, one point of the second-moment path and
-of the energy path (``solve_energy_system``) on that flow, one point of
-the first-moment path on the first flow, one point of the
-``general_invariant`` path of the Ermakov pair on the oscillator flow
-(omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7, t = 1), one
-``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
+t_end 2), and at omega0 = 1e3, lambda = 0.2 to t = 0.5, about 6,800
+steps, where the cost per step shows, one ``Flow.at`` point, one point of
+the second-moment path and of the energy path (``solve_energy_system``)
+on that flow, one point of the first-moment path on the first flow, one
+point of the ``general_invariant`` path of the Ermakov pair on the
+oscillator flow (omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7,
+t = 1), one ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
 a coefficient that overflows inside that window (b = e^(1000 t)), the
 refusal caught inside the timed call, the Gaussian propagation layer (one
 ``green_eval`` point and one ``propagate_gaussian`` call) and the grid
@@ -44,9 +45,11 @@ on only where ``PYTHONDONTWRITEBYTECODE`` is unset; where it is set, every
 49–51 ms against 39–40 ms with cached bytecode, in two sets of 25
 alternated calls on a 2-CPU Xeon).
 ``--root`` measures another checkout (for example the parent commit) with
-this same script.  ``--against OTHER`` measures ``--root`` and OTHER
-together, alternating the two sample by sample in every subprocess and
-layer timing, so that a change in machine load falls on both alike; it
+this same script.  The tier-1 suite runs TIER1_RUNS times, after every
+other timing; its ``wall_s`` is the median of its ``samples_s``.
+``--against OTHER`` measures ``--root`` and OTHER together, alternating
+the two sample by sample in every subprocess, layer and tier-1 timing, so
+that a change in machine load falls on both alike; it
 writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  Each
 record of a pair carries ``verdicts``: every import, command and layer
 row judged against the other record's by ``verdict``, the rule a speed
@@ -117,6 +120,10 @@ spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)
 flow = solve(tc, 1.4)
 # criterion 3's moment check on the catalogued Caldirola-Kanai invariant
+# the same model at omega0 = 1e3, about 6,800 steps to t = 0.5
+tc_hf = coeff.builtin_coefficients(coeff.ModelSpec("caldirola_kanai", 1e3,
+                                                   0.2))
+hf_flow = solve(tc_hf, 0.5)
 tc_inv = coeff.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
                                                     0.1))
 moment_flow = solve(tc_inv, 2.0)
@@ -172,6 +179,7 @@ print(json.dumps({
         lambda: (tc.a(0.7), tc.b(0.7), tc.c(0.7), tc.d(0.7)),
         20000),
     "classical_flow": per_call(lambda: solve(tc, 1.4), 50),
+    "classical_flow_hf": per_call(lambda: solve(tc_hf, 0.5), 2),
     "moment_flow": per_call(lambda: solve(tc_inv, 2.0), 50),
     "flow_at": per_call(lambda: flow.at(0.7), 5000),
     "moment_point": per_call(lambda: moments(0.7), 5000),
@@ -191,11 +199,14 @@ print(json.dumps({
     "propagate_grid": per_call(lambda: prop.propagate_grid(kp, grid_4096),
                                50),
     "counts": {"classical_flow": counts(flow),
+               "classical_flow_hf": counts(hf_flow),
                "moment_flow": counts(moment_flow)}}))
 """
 # what each layer row measured, beside its timings in the record
 LAYER_INPUTS = {"coefficients": {"t": 0.7},
                 "classical_flow": {"t_end": 1.4},
+                "classical_flow_hf": {"omega0": 1e3, "lambda": 0.2,
+                                      "t_end": 0.5},
                 "moment_flow": {"model": "caldirola_kanai", "lambda": 0.1,
                                 "t_end": 2.0},
                 "flow_at": {"t": 0.7}, "moment_point": {"t": 0.7},
@@ -218,6 +229,7 @@ LAYER_INPUTS = {"coefficients": {"t": 0.7},
                 "propagate_grid": {"t": 0.7, "n": 4096}}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+TIER1_RUNS = 3
 
 
 def _env(root):
@@ -360,14 +372,29 @@ def _verdicts(records, i):
             for row, timing in records[i][section].items()}
 
 
-def _tier1(root):
+def _tier1_once(root):
+    """(seconds, return code, summary line) of one tier-1 run."""
     t0 = perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=_env(root),
                           capture_output=True, text=True)
     wall = perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "returncode": proc.returncode,
-            "summary": lines[-1] if lines else ""}
+    return wall, proc.returncode, lines[-1] if lines else ""
+
+
+def _tier1(roots):
+    """The ``tier1`` section of each checkout's record: TIER1_RUNS runs,
+    the checkouts alternating run by run; ``wall_s`` is the median of the
+    runs' ``samples_s``, with the first nonzero return code (0 for none)
+    and the last run's summary line."""
+    runs = [[] for _ in roots]
+    for _ in range(TIER1_RUNS):
+        for root, out in zip(roots, runs):
+            out.append(_tier1_once(root))
+    return [{"wall_s": statistics.median(w for w, _, _ in out),
+             "samples_s": [w for w, _, _ in out],
+             "returncode": next((code for _, code, _ in out if code), 0),
+             "summary": out[-1][2]} for out in runs]
 
 
 def _revision(root):
@@ -448,6 +475,7 @@ def main(argv=None):
     commands = {name: _commands(cli, roots)
                 for name, cli in COMMANDS.items()}
     layers = _layers(roots)
+    tier1 = _tier1(roots)
     day = datetime.date.today().strftime("%Y%m%d")
     records = []
     for i, root in enumerate(roots):
@@ -460,7 +488,7 @@ def main(argv=None):
             "imports": {name: t[i] for name, t in imports.items()},
             "commands": {name: t[i] for name, t in commands.items()},
             "flow": layers[i],
-            "tier1": _tier1(root),
+            "tier1": tier1[i],
         }
         if len(roots) == 2:
             record["alternated_with"] = names[1 - i]

@@ -19,10 +19,10 @@ steps, which keep det M = 1 to rounding, with one tolerance on every path,
 FLOW_TOL; a Flow grows its two ``quadham.ode.Side`` records, one per
 direction of t, on demand and gives the dense output by one sub-step
 from a step point.  Every kernel reader refuses the caustic band
-|mu| <= MU_GUARD |t mu'|, in any units.  ``kernel_parameters`` refuses a t
-past the first zero of mu by the signs of M12 on the step that holds it;
-a step turns by at most a quarter, so it holds no other zero of M12 and
-the signs place t exactly.
+|mu| <= MU_GUARD |t mu'|, in any units.  Each side counts the zeros of
+M12 by the turns of one angle (``Side.count``), exact since a step turns
+it by less than pi, and ``kernel_parameters`` refuses a t past the first
+zero of mu by the count at its own flow point.
 The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -31,7 +31,7 @@ them up.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .coefficients import ModelSpec, TimeCoefficients
@@ -109,12 +109,6 @@ def _weight(t: float, i: float, sign: float, *values: float) -> tuple:
     return out
 
 
-def _sign(x: float) -> int:
-    """-1, 0 or 1 as x is negative, zero or positive: the sign rule's
-    comparison, which a product of two small M12 would lose to underflow."""
-    return (x > 0.0) - (x < 0.0)
-
-
 def _mu(tc: TimeCoefficients, t: float, p: FlowPoint):
     """(mu, mu', h) at t from the flow point p by one h = e^I."""
     a, c = read((tc.a, tc.c), t)
@@ -137,9 +131,6 @@ class Flow:
         self.tc = tc
         self._coefficients = (tc.a, tc.b, tc.c, tc.d)
         self._sides = {d: Side(d) for d in (1.0, -1.0)}
-        # the first caustic once found, the first step not yet searched and
-        # whether M12 has taken a sign on the steps searched
-        self._caustic, self._caustic_from, self._signed = None, 1, False
 
     @property
     def t(self) -> list:
@@ -184,20 +175,12 @@ class Flow:
 
     @property
     def first_caustic(self):
-        """The first forward step (t_k, t_{k+1}), k >= 1, over which M12
-        changes sign, or at whose start it is zero after it has taken a
-        sign, among the step points reached so far, or None: the step that
-        holds the first caustic.  A zero before M12 takes a sign is none:
-        M12 ~ 2a t underflows there on steps far shorter than H's time."""
+        """The first forward step (t_{k-1}, t_k) at whose end the count of
+        zeros of M12 is 1, among the step points reached so far, or None:
+        the step that holds the first caustic."""
         side = self._sides[1.0]
-        while self._caustic is None and self._caustic_from < len(side.t) - 1:
-            k = self._caustic_from
-            m0, m1 = side.steps[k].m12, side.steps[k + 1].m12
-            if _sign(m0) * _sign(m1) < 0 or m0 == 0.0 and self._signed:
-                self._caustic = side.t[k], side.t[k + 1]
-            self._signed = self._signed or m0 != 0.0
-            self._caustic_from = k + 1
-        return self._caustic
+        k = bisect_left(side.count(), 1)
+        return (side.t[k - 1], side.t[k]) if k < len(side.t) else None
 
 
 def classical_flow(tc: TimeCoefficients) -> Flow:
@@ -230,20 +213,20 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
 
     Raises ValidationError for a t that is not finite, CausticEncountered
     at t <= 0, inside the caustic band at t, and past the first zero of mu
+    by the count at t's flow point from the step point before t
     (``bracket``: the step :attr:`Flow.first_caustic`), and the refusals of
-    :meth:`Flow.at`.  Past the zero is past its step, or in it where M12
-    lacks its sign at the step's start: exact, as the step holds no other.
+    :meth:`Flow.at`.
     """
     _require_time(t)
     p = flow.at(t)
     mu, mu_prime, h = _mu(flow.tc, t, p)
     _served(t, mu, mu_prime)
     caustic = flow.first_caustic
-    if caustic is not None and t > caustic[0] and (
-            t > caustic[1]
-            or not _sign(p.m12) * _sign(flow.at(caustic[0]).m12) > 0):
-        raise CausticEncountered(
-            "mu changes sign before the requested time", bracket=caustic)
+    if caustic is not None and t > caustic[0]:
+        side = flow._sides[1.0]
+        if side.turn(bisect_right(side.t, t) - 1, p)[1]:
+            raise CausticEncountered(
+                "mu changes sign before the requested time", bracket=caustic)
     return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,
                             alpha=p.m22 / (2.0 * p.m12), beta=-1.0 / p.m12,
                             gamma=p.m11 / (2.0 * p.m12))

@@ -24,9 +24,9 @@ commutators, so it misses the quadrature error when A(t) commutes with
 itself.)  The one-step error is held to the tolerance, because the dense
 output at t (``Flow.at``) is one :func:`magnus_step` from the step point
 before t.  A step is refused when it turns by more than a quarter,
-|det Omega| > (pi/2)^2: it then holds at most one zero of M12, which makes
-the kernel's caustic rule by the signs of M12 on a step exact.  Each node
-is read by :func:`read`, which refuses a coefficient that fails.
+|det Omega| > (pi/2)^2: it then turns the angle of (M11, k M12) by less
+than pi, which makes exact the count of zeros of M12 by that angle.  Each
+node is read by :func:`read`, which refuses a coefficient that fails.
 
 Each side of a flow from t = 0 is one :class:`Side` record, which
 :func:`solve_ivp` grows in place and changes only when a solve succeeds.
@@ -69,15 +69,51 @@ class FlowPoint(NamedTuple):
     i: float
 
 
+def _sector(phi: float, y: float, before: float) -> int:
+    """The m of the sector (m pi, (m + 1) pi) of phi: where y = k M12 is
+    not 0, the m of y's parity nearest phi, so exact however phi rounds;
+    where y is 0, on a multiple of pi, the one phi came from ``before``."""
+    if y:
+        return 2 * round(phi / math.tau - math.copysign(0.25, y)) - (y < 0)
+    return round(phi / math.pi) - (phi > before)
+
+
 class Side:
     """One side of a flow from t = 0: its step points ``t``, ordered by
     |t|, the :class:`FlowPoint` at each, the signed size ``h`` of its next
     try (a zero of the side's sign before it steps), its count of rejected
-    tries and ``nfev``, its count of reads of (a, b, c, d)."""
+    tries and ``nfev``, its count of reads of (a, b, c, d); ``phi`` and
+    ``n``, as far as :meth:`count` reached, the angle of (M11, k M12) from
+    0 and the count of zeros of M12 on (0, t) at each step point, for
+    k = |t| / M12 where M12 is first nonzero: phi leaves 0 upwards."""
 
     def __init__(self, direction: float):
         self.t, self.steps = [0.0], [FlowPoint(1.0, 0.0, 0.0, 1.0, 0.0)]
         self.h, self.n_rejected, self.nfev = 0.0 * direction, 0, 0
+        self.phi, self.n, self.k = [0.0], [0], 0.0
+
+    def count(self) -> list:
+        """``n``, extended over every step point reached."""
+        for j in range(len(self.n), len(self.t)):
+            p = self.steps[j]
+            if not self.k and p.m12:
+                # capped, so that k times a zero M12 stays 0
+                self.k = math.copysign(min(abs(self.t[j] / p.m12), 1e300),
+                                       p.m12)
+            phi, n = self.turn(j - 1, p)
+            self.phi.append(phi)
+            self.n.append(n)
+        return self.n
+
+    def turn(self, j: int, p: FlowPoint) -> tuple:
+        """(phi, n) at the point p that step point j turns to by less than
+        pi, by two overflow-safe angles; step point 0 is in the sector 0."""
+        k, q = self.k, self.steps[j]
+        turn = math.atan2(k * p.m12, p.m11) - math.atan2(k * q.m12, q.m11)
+        phi = self.phi[j] + turn - math.tau * round(turn / math.tau)
+        here = _sector(phi, k * p.m12, self.phi[j])
+        there = _sector(self.phi[j], k * q.m12, self.phi[j - 1]) if j else 0
+        return phi, self.n[j] + abs(here - there)
 
 
 def read(fns, t):

@@ -21,9 +21,30 @@ def test_layer_child_times_every_row():
     run = json.loads(proc.stdout)
     assert set(run) == {*bench["LAYER_INPUTS"], "counts"}
     assert all(run[row] > 0 for row in bench["LAYER_INPUTS"])
-    assert set(run["counts"]) == {"classical_flow", "moment_flow"}
+    assert set(run["counts"]) == {"classical_flow", "classical_flow_hf",
+                                  "moment_flow"}
     for counts in run["counts"].values():
         assert counts["nfev"] > 0 and counts["n_steps"] > 0
+
+
+def test_tier1_alternates_the_checkouts_and_records_each_run():
+    # TIER1_RUNS runs per checkout, one checkout after the other, and each
+    # record's wall_s is the median of its samples_s
+    bench = runpy.run_path(str(ROOT / "benchmarks" / "run.py"))
+    order, seconds = [], iter([5.0, 7.0, 3.0, 8.0, 4.0, 6.0])
+
+    def once(root):
+        order.append(root)
+        return next(seconds), 1 if len(order) == 4 else 0, f"run {len(order)}"
+
+    bench["_tier1"].__globals__["_tier1_once"] = once
+    new, old = bench["_tier1"](["new", "old"])
+    assert bench["TIER1_RUNS"] == 3
+    assert order == ["new", "old"] * 3
+    assert new == {"wall_s": 4.0, "samples_s": [5.0, 3.0, 4.0],
+                   "returncode": 0, "summary": "run 5"}
+    assert old == {"wall_s": 7.0, "samples_s": [7.0, 8.0, 6.0],
+                   "returncode": 1, "summary": "run 6"}
 
 
 def test_a_record_names_the_confounds_of_its_checkout(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, reject, seed, settings
@@ -299,6 +300,69 @@ def test_a_zero_m12_before_it_takes_a_sign_is_no_caustic():
     assert flow.first_caustic == (lo, hi)
 
 
+def _forward_count(tc, t_end):
+    """The forward step points of H's flow read to t_end, their counts of
+    zeros of M12 and their angles phi."""
+    flow = chr_mod.classical_flow(tc)
+    flow.at(t_end)
+    side = flow._sides[1.0]
+    return side.t, side.count(), side.phi
+
+
+def _zeros_before(omega, times):
+    """floor(omega t / pi) at each t, at 30 digits: the count of zeros of
+    sin(omega t) on (0, t) for omega given as a string or an mpf."""
+    with mpmath.workdps(30):
+        w = mpmath.mpf(omega)
+        return [int(mpmath.floor(w * mpmath.mpf(t) / mpmath.pi))
+                for t in times]
+
+
+@pytest.mark.parametrize("omega0, lam, t_end, zeros", [
+    (30.0, 0.0, 40.0, 381), (1.3, 0.35, 20.0, 7)],
+    ids=["simple_harmonic", "caldirola_kanai"])
+def test_the_count_of_zeros_matches_the_closed_form(omega0, lam, t_end,
+                                                    zeros):
+    # mu = sin(omega0 t) and e^{-lam t} sin(omega t) omega0 / omega, whose
+    # zeros are j pi / omega: the count is floor(omega t / pi) at every
+    # step point, 381 of them to t = 40 over more than 800 steps
+    model = coeff.SIMPLE_HARMONIC if lam == 0.0 else coeff.CALDIROLA_KANAI
+    tc = coeff.builtin_coefficients(coeff.ModelSpec(model, omega0, lam))
+    t, n, _ = _forward_count(tc, t_end)
+    with mpmath.workdps(30):
+        omega = mpmath.sqrt(mpmath.mpf(omega0) ** 2 - mpmath.mpf(lam) ** 2)
+        assert n == _zeros_before(omega, t)
+    assert n[-1] >= zeros
+
+
+@pytest.mark.parametrize("s", [1e40, 1e-40, 1e85, 1e-85])
+def test_the_count_of_zeros_does_not_depend_on_the_length_unit(s):
+    # the oscillator in the length unit s, a = s^2 / 2 and b = 1 / (2 s^2),
+    # counts floor(t / pi) at every step point, 3 to t = 10, with each
+    # step's turn of phi below pi; at s = 1e-85 M12 underflows to 0 on the
+    # first steps, before k is fixed
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 0.5 * s * s, lambda t: 0.5 / (s * s),
+                                zero, zero)
+    t, n, phi = _forward_count(tc, 10.0)
+    assert n == _zeros_before(1, t)
+    assert n[-1] == 3
+    assert max(abs(b - a) for a, b in zip(phi, phi[1:])) < math.pi
+
+
+def test_a_subnormal_a_keeps_the_count_finite():
+    # a = 1e-320 and b = 1: M12 ~ 2a t is subnormal, so |t| / M12
+    # overflows; k is capped, so that k times the zero M12 at t = 0 stays
+    # 0, the count reads no zero and the kernel is served
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 1e-320, lambda t: 1.0, zero, zero)
+    flow = chr_mod.classical_flow(tc)
+    assert chr_mod.kernel_parameters(tc, flow, 3.0).mu == pytest.approx(
+        6e-320, rel=1e-3)
+    assert flow.first_caustic is None
+    assert set(flow._sides[1.0].count()) == {0}
+
+
 @pytest.mark.parametrize("t", [0.0, -0.5, math.pi],
                          ids=["zero", "negative", "caustic"])
 @pytest.mark.parametrize("numerical", [True, False],
@@ -434,20 +498,20 @@ def _scan_first_caustic(grid, mu):
 
 
 class _StubFlow(chr_mod.Flow):
-    """Rows (0, mu, 0, 0, 0) at the step points 0, 1, 2, ..., linear in
-    between, in place of a solve."""
+    """Rows (1, mu, 0, 1, 0), of det M = 1, at the step points 0, 1, 2,
+    ..., linear in between, in place of a solve."""
 
     def __init__(self, mu):
         super().__init__(coeff.builtin_coefficients(ALL_MODELS[8]))
         forward = self._sides[1.0]
         forward.t = [float(k) for k in range(len(mu))]
-        forward.steps = [chr_mod.FlowPoint(0.0, float(m), 0.0, 0.0, 0.0)
+        forward.steps = [chr_mod.FlowPoint(1.0, float(m), 0.0, 1.0, 0.0)
                          for m in mu]
         self.mu = mu
 
     def at(self, t):
-        return chr_mod.FlowPoint(0.0, float(np.interp(t, self.t, self.mu)),
-                                 0.0, 0.0, 0.0)
+        return chr_mod.FlowPoint(1.0, float(np.interp(t, self.t, self.mu)),
+                                 0.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("mu", [

@@ -552,3 +552,31 @@ def test_a_value_does_not_depend_on_what_was_read_first(tc, t, backward,
                 pass
         values.append(_readings(tc, flow, t))
     assert values[1:] == values[:1] * 3
+
+
+def _sign_changes(values):
+    """The running count of sign changes over ``values``, zeros skipped."""
+    counts, last, n = [], 0.0, 0
+    for v in values:
+        if v:
+            n += last != 0.0 and (v > 0.0) != (last > 0.0)
+            last = v
+        counts.append(n)
+    return counts
+
+
+@seed(20261057)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(tc=_family(), t_end=st.floats(2.0, 12.0))
+def test_the_count_of_zeros_is_the_sign_changes_of_m12(tc, t_end):
+    # on both sides of the flow of a drawn H (c != d, and a that may change
+    # sign backwards), the count of zeros of M12 at every step point is the
+    # number of sign changes of M12 over the step points up to it
+    flow = classical_flow(tc)
+    for t in (t_end, -t_end):
+        try:
+            flow.at(t)
+        except QuadhamError:
+            pass
+        side = flow._sides[math.copysign(1.0, t)]
+        assert side.count() == _sign_changes([p.m12 for p in side.steps])

@@ -10,7 +10,7 @@ from quadham import coefficients as coeff
 from quadham import dynamics as dyn
 from quadham.characteristic import classical_flow
 from quadham.errors import SingularCoefficient, ToleranceNotMet
-from quadham.ode import FLOW_TOL, MAX_STEPS, Side, solve_ivp
+from quadham.ode import FLOW_TOL, MAX_STEPS, FlowPoint, Side, solve_ivp
 
 # the reference: scipy's DOP853 far below the flow's own error
 REF_OPTS = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
@@ -283,3 +283,18 @@ def test_zero_span_and_backward_solve():
     for t in (-1.0, -0.4, *back.t[1:]):
         assert list(back.at(t)) == pytest.approx(list(ref.sol(t)),
                                                  rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_zero_at_a_step_point_counts_from_the_next(sign):
+    # rotations by 3pi/4, pi and 5pi/4, backwards for sign -1: M12 is
+    # exactly 0 at the second step point, reached from inside the sector
+    # before it; the count reads that zero at the third step point, where
+    # M12 has changed sign, as the scan of Flow.first_caustic's stubs does
+    side = Side(1.0)
+    for t, theta in ((1.0, 0.75), (2.0, 1.0), (3.0, 1.25)):
+        c, s = math.cos(theta * math.pi), math.sin(theta * math.pi)
+        s = 0.0 if theta == 1.0 else sign * s
+        side.t.append(t)
+        side.steps.append(FlowPoint(c, s, -s, c, 0.0))
+    assert side.count() == [0, 0, 0, 1]

@@ -1,6 +1,7 @@
 """The moment layer, the energy path, the weighted forms of
 ``solve_energy_system``, ``general_invariant`` and ``linear_invariant``,
-and ``kernel_parameters`` against their 40-digit twin (``twin.py``), over
+``kernel_parameters``, and ``green_eval`` and ``propagate_gaussian`` on
+the kernel it returns, against their 40-digit twin (``twin.py``), over
 drawn flow points M in Sp(2) with squeezes up to e^{+-40}, I in
 [-745, 745], and states of two kinds: log-uniform widths and means up to
 1e+-150, and exact states, dyadic covariances about integer means up to
@@ -20,7 +21,7 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import assume, example, given, reject, seed, settings
 from hypothesis import strategies as st
 
 import quadham
@@ -29,8 +30,11 @@ from quadham import dynamics as dyn, invariants as inv
 from quadham.characteristic import MU_GUARD, FlowPoint, kernel_parameters
 from quadham.cli import main
 from quadham.coefficients import CALDIROLA_KANAI, ModelSpec, TimeCoefficients
-from quadham.errors import (CausticEncountered, InvalidMoments,
-                            NumericalError, ValidationError)
+from quadham.errors import (CausticEncountered, DegenerateWidth,
+                            InvalidMoments, NumericalError, QuadhamError,
+                            UnderResolved, ValidationError)
+from quadham.propagator import (WIDTH_GUARD, GaussianState, green_eval,
+                                propagate_gaussian)
 from helpers import dyadic_states
 
 
@@ -254,6 +258,89 @@ def test_kernel_parameters_match_their_twin(point, a, c, t):
         return
     assert got.t == t
     for g, w in zip(got[1:], (*weighted, *twin.kernel_quotients(point))):
+        w.check(g)
+
+
+def _kernel(point, a, t):
+    """kernel_parameters at t on a flow that is the drawn point, for
+    H = a p^2 + px / 2; a draw it refuses is rejected."""
+    zero = lambda s: 0.0
+    tc = TimeCoefficients(lambda s: a, zero, lambda s: 0.5, zero)
+    try:
+        return kernel_parameters(tc, twin.FlowStub(point, tc), t)
+    except QuadhamError:
+        reject()
+
+
+def _signed_log(low, high):
+    """Floats sign * 10^u, u uniform on [low, high], or 0."""
+    return st.one_of(st.just(0.0), st.builds(
+        lambda u, sign: sign * 10.0 ** u, st.floats(low, high),
+        st.sampled_from([-1.0, 1.0])))
+
+
+KERNEL_POINTS = dict(point=POINTS, a=_signed_log(-3.0, 3.0).filter(bool),
+                     t=st.floats(1e-3, 10.0))
+
+
+@seed(20261057)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**KERNEL_POINTS, x=st.one_of(st.floats(-10.0, 10.0),
+                                    _signed_log(-150.0, 150.0)),
+       y=st.one_of(st.floats(-10.0, 10.0), _signed_log(-150.0, 150.0)))
+@twin.at_40_digits
+def test_green_eval_matches_its_twin(point, a, t, x, y):
+    # G(x, y) within the twin's bound, or refused where the twin allows:
+    # a phase of 2^29 rad and more, whose ulp is past 1e-7, or one that
+    # may overflow
+    kp = _kernel(point, a, t)
+    g, e, phase, size = twin.green(kp, x, y)
+    try:
+        got = green_eval(kp, x, y)
+    except UnderResolved:
+        assert size * (1 + 8 * twin.EPS) >= 2 ** 29
+        return
+    except NumericalError:
+        assert twin.may_overflow(phase)
+        return
+    assert abs(got - g) <= twin.BOUND * e, (got, g, e)
+
+
+@seed(20261058)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**KERNEL_POINTS, width=st.floats(-75.0, 75.0).map(lambda u: 10.0 ** u),
+       x0=_signed_log(-150.0, 150.0), p0=_signed_log(-150.0, 150.0),
+       chirp=_signed_log(-150.0, 150.0), phi=st.complex_numbers(
+           max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+@twin.at_40_digits
+def test_propagate_gaussian_matches_its_twin(point, a, t, width, x0, p0,
+                                             chirp, phi):
+    # the Gaussian of width and means up to 1e+-150 propagated by the
+    # kernel: each part of Lambda', Theta' and Phi' within the twin's
+    # bound, or refused where the twin allows a width that cancels, an
+    # overflow, or an Im Lambda' that may round to 0 or below
+    kp = _kernel(point, a, t)
+    li = 0.25 / (width * width)
+    try:
+        s = GaussianState(complex(chirp, li), complex(p0, -2.0 * li * x0),
+                          phi)
+    except ValidationError:
+        reject()
+    lam, theta, phi_out, A = twin.propagated(kp, s)
+    try:
+        out = propagate_gaussian(kp, s)
+    except DegenerateWidth:
+        assert abs(A.v) - A.e <= WIDTH_GUARD * abs(kp.gamma) * (
+            1 + 4 * twin.EPS) + 4 * twin.EPS * abs(A.v)
+        return
+    except NumericalError:
+        parts = (*lam.parts(), *theta.parts(), *phi_out.parts())
+        assert (twin.may_overflow(*parts)
+                or lam.im.v - twin.BOUND * lam.im.e <= 0)
+        return
+    for w, g in zip((*lam.parts(), *theta.parts(), *phi_out.parts()),
+                    (out.Lambda.real, out.Lambda.imag, out.Theta.real,
+                     out.Theta.imag, out.Phi.real, out.Phi.imag)):
         w.check(g)
 
 

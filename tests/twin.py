@@ -24,6 +24,12 @@ formula: centre once at t = 0, flow, and read the variances with no
 means at t.  Its bound carries the rounding of the centring at t = 0
 alone, which is none for a state whose centring is exact, however large
 its means.
+``green`` and ``propagated`` are the twins of ``green_eval`` and
+``propagate_gaussian`` on the floats of a ``KernelParameters``: the
+complex arithmetic as ``CTwin``, CPython's own operations on the twins
+of the real and imaginary parts, and each cmath or libm function as its
+40-digit value with its input's error carried to first order, plus the
+ulps that function is within.
 ``FlowStub`` feeds the paths a drawn flow point.  Twins are formed at 40
 digits inside a call that ``at_40_digits`` wraps, so that importing this
 module leaves mpmath's global precision alone.
@@ -295,3 +301,109 @@ def may_be_caustic(t: float, mu: Twin, mu_prime: Twin, guard: float) -> bool:
 def may_overflow(*twins) -> bool:
     """Whether a float evaluation of any of these may overflow on its way."""
     return any(t.peak > FLOAT_MAX for t in twins)
+
+
+class CTwin:
+    """A complex value as the twins ``re`` and ``im`` of its parts, under
+    CPython's complex arithmetic: a float operand is (x, 0), a product is
+    (ac - bd, ad + bc), and a quotient is Smith's, branched on the larger
+    part of the divisor."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0.0):
+        self.re, self.im = Twin.of(re), Twin.of(im)
+
+    @staticmethod
+    def of(z):
+        if isinstance(z, CTwin):
+            return z
+        if isinstance(z, Twin):
+            return CTwin(z)
+        z = complex(z)
+        return CTwin(z.real, z.imag)
+
+    def __add__(self, other):
+        other = CTwin.of(other)
+        return CTwin(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = CTwin.of(other)
+        return CTwin(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = CTwin.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return CTwin(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        other = CTwin.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if abs(float(c.v)) >= abs(float(d.v)):
+            ratio = d / c
+            denom = c + d * ratio
+            return CTwin((a + b * ratio) / denom, (b - a * ratio) / denom)
+        ratio = c / d
+        denom = c * ratio + d
+        return CTwin((a * ratio + b) / denom, (b * ratio - a) / denom)
+
+    @property
+    def v(self):
+        return mpmath.mpc(self.re.v, self.im.v)
+
+    @property
+    def e(self):
+        """A bound on the modulus of the error."""
+        return self.re.e + self.im.e
+
+    def parts(self):
+        return self.re, self.im
+
+
+def log(w: CTwin) -> CTwin:
+    """log w as ``complex(math.log(abs(w)), cmath.phase(w))`` takes it:
+    w's error carried to first order, plus two ulps for hypot and log
+    together and two for atan2, whose branch cut w does not reach while
+    its imaginary part keeps an exact sign.  Its peak is |w|, which
+    abs() refuses past the largest float."""
+    z, dz = w.v, w.e
+    r = abs(z)
+    low = r - dz - 2 * EPS * r
+    peak = max(w.re.peak, w.im.peak, r)
+    log_r, arg = mpmath.log(r), mpmath.arg(z)
+    if not low > 0:
+        return CTwin(Twin(log_r, mpmath.inf, peak), Twin(arg, mpmath.inf))
+    return CTwin(Twin(log_r, (dz + 2 * EPS * r) / low
+                      + 2 * EPS * abs(log_r) + TINY, peak),
+                 Twin(arg, dz / low + 2 * EPS * abs(arg) + TINY))
+
+
+def green(kp, x: float, y: float):
+    """(g, e, phase, size) of green_eval at x and y from the floats of kp:
+    g = (2 pi i mu)^(-1/2) e^{i phase} at 40 digits, the bound e on the
+    error of its float evaluation, the twin of the phase alpha x^2 +
+    beta x y + gamma y^2 in its order, and the phase's scale, the sum of
+    its terms' magnitudes.  e is |g| times the phase's bound, plus 10 ulps
+    for the complex prefactor, exponential and product."""
+    x, y = Twin(x), Twin(y)
+    phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
+    g = (mpmath.expj(phase.v)
+         / mpmath.sqrt(mpmath.mpc(0, 2 * mpmath.pi * mpmath.mpf(kp.mu))))
+    size = (abs(mpmath.mpf(kp.alpha)) * x.v ** 2 + abs(kp.beta * x.v * y.v)
+            + abs(mpmath.mpf(kp.gamma)) * y.v ** 2)
+    return g, abs(g) * (phase.e + 10 * EPS), phase, size
+
+
+def propagated(kp, s):
+    """(Lambda', Theta', Phi', A) of propagate_gaussian from the floats of
+    kp and the state s, each a CTwin formed in its order: A = gamma +
+    Lambda, Lambda' = alpha - beta^2 / 4A, Theta' = -beta Theta / 2A and
+    Phi' = Phi - Theta^2 / 4A + (i/2) log(2 mu A)."""
+    A = CTwin(kp.gamma) + s.Lambda
+    four_a = CTwin(4.0) * A
+    lam = CTwin(kp.alpha) - CTwin(Twin(kp.beta) * kp.beta) / four_a
+    theta = CTwin(-kp.beta) * s.Theta / (CTwin(2.0) * A)
+    log_w = log(CTwin(2.0 * kp.mu) * A)
+    phi = (CTwin.of(s.Phi) - CTwin.of(s.Theta) * s.Theta / four_a
+           + CTwin(0.0, 0.5) * log_w)
+    return lam, theta, phi, A
