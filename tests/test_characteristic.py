@@ -311,7 +311,7 @@ def _forward_count(tc, t_end):
 
 def _zeros_before(omega, times):
     """floor(omega t / pi) at each t, at 30 digits: the count of zeros of
-    sin(omega t) on (0, t) for omega given as a string or an mpf."""
+    sin(omega t) on (0, t)."""
     with mpmath.workdps(30):
         w = mpmath.mpf(omega)
         return [int(mpmath.floor(w * mpmath.mpf(t) / mpmath.pi))

@@ -12,6 +12,7 @@ propagator and the moment paths on it by identities that hold for every H.
 """
 
 import ast
+import bisect
 import math
 import pathlib
 
@@ -580,3 +581,30 @@ def test_the_count_of_zeros_is_the_sign_changes_of_m12(tc, t_end):
             pass
         side = flow._sides[math.copysign(1.0, t)]
         assert side.count() == _sign_changes([p.m12 for p in side.steps])
+
+
+@seed(20261059)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(tc=_family(), t_end=st.floats(2.0, 12.0))
+def test_the_angle_turns_at_the_rate_of_its_identity(tc, t_end):
+    # phi' = 2 a k / (M11^2 + k^2 M12^2) for det M = 1: phi at dense
+    # points (one turn from the step point before each) against the
+    # identity by 4th-order central differences, h = 1e-3
+    flow = classical_flow(tc)
+    try:
+        flow.at(t_end)
+    except QuadhamError:
+        reject()
+    side = flow._sides[1.0]
+    side.count()
+
+    def phi(t):
+        return side.turn(bisect.bisect_right(side.t, t) - 1, flow.at(t))[0]
+
+    h, k = 1e-3, side.k
+    for t in (0.3 * t_end, 0.6 * t_end, 0.9 * t_end):
+        rate = (8.0 * (phi(t + h) - phi(t - h))
+                - (phi(t + 2 * h) - phi(t - 2 * h))) / (12.0 * h)
+        p = flow.at(t)
+        want = 2.0 * tc.a(t) * k / (p.m11 ** 2 + (k * p.m12) ** 2)
+        assert rate == pytest.approx(want, rel=1e-7, abs=1e-9)

@@ -362,10 +362,10 @@ class CTwin:
 
 def log(w: CTwin) -> CTwin:
     """log w as ``complex(math.log(abs(w)), cmath.phase(w))`` takes it:
-    w's error carried to first order, plus two ulps for hypot and log
-    together and two for atan2, whose branch cut w does not reach while
-    its imaginary part keeps an exact sign.  Its peak is |w|, which
-    abs() refuses past the largest float."""
+    w's error carried to first order, plus one ulp each for hypot, log
+    and atan2, whose branch cut w does not reach while its imaginary part
+    keeps an exact sign.  Its peak is |w|, which abs() refuses past the
+    largest float."""
     z, dz = w.v, w.e
     r = abs(z)
     low = r - dz - 2 * EPS * r
@@ -383,8 +383,8 @@ def green(kp, x: float, y: float):
     g = (2 pi i mu)^(-1/2) e^{i phase} at 40 digits, the bound e on the
     error of its float evaluation, the twin of the phase alpha x^2 +
     beta x y + gamma y^2 in its order, and the phase's scale, the sum of
-    its terms' magnitudes.  e is |g| times the phase's bound, plus 10 ulps
-    for the complex prefactor, exponential and product."""
+    its terms' magnitudes.  e is |g| times the phase's bound plus 10 unit
+    roundoffs for the complex prefactor, exponential and product."""
     x, y = Twin(x), Twin(y)
     phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
     g = (mpmath.expj(phase.v)
