@@ -318,8 +318,6 @@ class CTwin:
     def of(z):
         if isinstance(z, CTwin):
             return z
-        if isinstance(z, Twin):
-            return CTwin(z)
         z = complex(z)
         return CTwin(z.real, z.imag)
 
