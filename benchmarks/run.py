@@ -17,10 +17,12 @@ source, one child per sample: one evaluation of the coefficients
 Caldirola-Kanai window of the subcommands and to the window of the tier-1
 moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
 t_end 2), and at omega0 = 1e3, lambda = 0.2 to t = 0.5, about 6,800
-steps, where the cost per step shows, one ``Flow.at`` point, one point of
-the second-moment path and of the energy path (``solve_energy_system``)
-on that flow, one point of the first-moment path on the first flow, one
-point of the ``general_invariant`` path of the Ermakov pair on the
+steps, where the cost per step shows, the count of zeros of M12
+(``Side.count``) over that flow's forward step points on a fresh side,
+one ``Flow.at`` point, one point of the second-moment path and of the
+energy path (``solve_energy_system``) on that flow, one point of the
+first-moment path on the first flow, one point of the
+``general_invariant`` path of the Ermakov pair on the
 oscillator flow (omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7,
 t = 1), one ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
 a coefficient that overflows inside that window (b = e^(1000 t)), the
@@ -109,6 +111,7 @@ from quadham import characteristic as chm, coefficients as coeff
 from quadham import dynamics as dyn, gridsim, invariants as inv
 from quadham import propagator as prop
 from quadham.errors import NumericalError
+from quadham.ode import Side
 
 # the flow of tc read to t_end, which solves it to there
 def solve(tc, t_end):
@@ -140,7 +143,7 @@ energy = inv.solve_energy_system(moment_flow, (q0.A, q0.B, q0.C, q0.D))
 omega_sq = lambda t: 1.0 + 0.3 * math.sin(t)
 zero = lambda t: 0.0
 tc_osc = coeff.TimeCoefficients(lambda t: 0.5, lambda t: 0.5 * omega_sq(t),
-                                zero, zero, da=zero, dc=zero, dd=zero)
+                                zero, zero)
 osc_flow = solve(tc_osc, 2.0)
 invariant = inv.general_invariant(osc_flow, 1.0, 0.2, 0.74)
 kp = chm.kernel_parameters(tc, flow, 0.7)
@@ -148,6 +151,15 @@ s0 = prop.GaussianState(0.5j)
 # b = e^(1000 t) overflows math.exp from t = 0.71 on
 tc_exp = coeff.TimeCoefficients(lambda t: 0.5, lambda t: math.exp(1000.0 * t),
                                 zero, zero)
+
+# the count of zeros of M12 over the forward step points of hf_flow, on
+# a fresh side each call
+hf_side = hf_flow._sides[1.0]
+
+def caustic_count():
+    side = Side(1.0)
+    side.t, side.steps = hf_side.t[:], hf_side.steps[:]
+    side.count()
 
 def refused_flow():
     try:
@@ -180,6 +192,7 @@ print(json.dumps({
         20000),
     "classical_flow": per_call(lambda: solve(tc, 1.4), 50),
     "classical_flow_hf": per_call(lambda: solve(tc_hf, 0.5), 2),
+    "caustic_count": per_call(caustic_count, 5),
     "moment_flow": per_call(lambda: solve(tc_inv, 2.0), 50),
     "flow_at": per_call(lambda: flow.at(0.7), 5000),
     "moment_point": per_call(lambda: moments(0.7), 5000),
@@ -207,6 +220,8 @@ LAYER_INPUTS = {"coefficients": {"t": 0.7},
                 "classical_flow": {"t_end": 1.4},
                 "classical_flow_hf": {"omega0": 1e3, "lambda": 0.2,
                                       "t_end": 0.5},
+                "caustic_count": {"omega0": 1e3, "lambda": 0.2,
+                                  "t_end": 0.5},
                 "moment_flow": {"model": "caldirola_kanai", "lambda": 0.1,
                                 "t_end": 2.0},
                 "flow_at": {"t": 0.7}, "moment_point": {"t": 0.7},

@@ -20,9 +20,9 @@ FLOW_TOL; a Flow grows its two ``quadham.ode.Side`` records, one per
 direction of t, on demand and gives the dense output by one sub-step
 from a step point.  Every kernel reader refuses the caustic band
 |mu| <= MU_GUARD |t mu'|, in any units.  Each side counts the zeros of
-M12 by the turns of one angle (``Side.count``), exact since a step turns
-it by less than pi, and ``kernel_parameters`` refuses a t past the first
-zero of mu by the count at its own flow point.
+M12, signed, by the sector of one angle (``Side.count``), exact since a
+step turns it by less than pi, and ``kernel_parameters`` refuses a t past
+the first zero of mu by the sector at its own flow point.
 The printed mu and kernel of each built-in model live in its record in
 :mod:`quadham.models`; ``closed_form_mu`` and ``closed_form_kernel`` look
 them up.
@@ -31,7 +31,7 @@ them up.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .coefficients import ModelSpec, TimeCoefficients
@@ -175,12 +175,13 @@ class Flow:
 
     @property
     def first_caustic(self):
-        """The first forward step (t_{k-1}, t_k) at whose end the count of
-        zeros of M12 is 1, among the step points reached so far, or None:
-        the step that holds the first caustic."""
+        """The first forward step (t_{k-1}, t_k) at whose end the sector m
+        is not 0, among the step points reached so far, or None: the step
+        that holds the first caustic."""
         side = self._sides[1.0]
-        k = bisect_left(side.count(), 1)
-        return (side.t[k - 1], side.t[k]) if k < len(side.t) else None
+        side.count()
+        k = side.first
+        return None if k is None else (side.t[k - 1], side.t[k])
 
 
 def classical_flow(tc: TimeCoefficients) -> Flow:
@@ -213,9 +214,9 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
 
     Raises ValidationError for a t that is not finite, CausticEncountered
     at t <= 0, inside the caustic band at t, and past the first zero of mu
-    by the count at t's flow point from the step point before t
-    (``bracket``: the step :attr:`Flow.first_caustic`), and the refusals of
-    :meth:`Flow.at`.
+    (``bracket``: the step :attr:`Flow.first_caustic`): at or past that
+    step's end, or inside it where m at t's flow point is not 0; and the
+    refusals of :meth:`Flow.at`.
     """
     _require_time(t)
     p = flow.at(t)
@@ -224,7 +225,7 @@ def kernel_parameters(tc: TimeCoefficients, flow: Flow,
     caustic = flow.first_caustic
     if caustic is not None and t > caustic[0]:
         side = flow._sides[1.0]
-        if side.turn(bisect_right(side.t, t) - 1, p)[1]:
+        if t >= caustic[1] or side.turn(side.first - 1, p)[1]:
             raise CausticEncountered(
                 "mu changes sign before the requested time", bracket=caustic)
     return KernelParameters(t=t, mu=mu, mu_prime=mu_prime, h=h,

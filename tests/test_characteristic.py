@@ -350,6 +350,28 @@ def test_the_count_of_zeros_does_not_depend_on_the_length_unit(s):
     assert max(abs(b - a) for a, b in zip(phi, phi[1:])) < math.pi
 
 
+def test_the_count_is_signed_where_the_angle_turns_back():
+    # a = cos(t / 3) / 2 changes sign at 3 pi / 2, and the angle of the
+    # flow turns back across pi: its sector m goes 0 -> 1 -> 0 over the 316
+    # steps to t = 12, where an unsigned count of zeros read 2.  The kernel
+    # is served before the first caustic and refused past it with that
+    # step as the bracket, also where m is 0 again
+    zero = lambda t: 0.0
+    tc = coeff.TimeCoefficients(lambda t: 0.5 * math.cos(t / 3.0),
+                                lambda t: 0.5, zero, zero)
+    flow = chr_mod.classical_flow(tc)
+    flow.at(12.0)
+    m = flow._sides[1.0].count()
+    assert len(m) == 317
+    assert [b for a, b in zip(m, m[1:]) if b != a] == [1, 0]
+    assert chr_mod.kernel_parameters(tc, flow, 3.0).mu == 0.40354985056611364
+    for t in (3.9, 6.0, 12.0):
+        with pytest.raises(CausticEncountered) as exc:
+            chr_mod.kernel_parameters(tc, flow, t)
+        assert exc.value.info == {
+            "bracket": (3.780009967739317, 3.820213185202105)}
+
+
 def test_a_subnormal_a_keeps_the_count_finite():
     # a = 1e-320 and b = 1: M12 ~ 2a t is subnormal, so |t| / M12
     # overflows; k is capped, so that k times the zero M12 at t = 0 stays

@@ -13,6 +13,7 @@ propagator and the moment paths on it by identities that hold for every H.
 
 import ast
 import bisect
+import itertools
 import math
 import pathlib
 
@@ -571,8 +572,10 @@ def _sign_changes(values):
 @given(tc=_family(), t_end=st.floats(2.0, 12.0))
 def test_the_count_of_zeros_is_the_sign_changes_of_m12(tc, t_end):
     # on both sides of the flow of a drawn H (c != d, and a that may change
-    # sign backwards), the count of zeros of M12 at every step point is the
-    # number of sign changes of M12 over the step points up to it
+    # sign backwards), the sector m of the angle at every step point moves
+    # by one at each sign change of M12 over the step points up to it, in
+    # either direction, and is even where M12 has the sign of its first
+    # nonzero value
     flow = classical_flow(tc)
     for t in (t_end, -t_end):
         try:
@@ -580,7 +583,12 @@ def test_the_count_of_zeros_is_the_sign_changes_of_m12(tc, t_end):
         except QuadhamError:
             pass
         side = flow._sides[math.copysign(1.0, t)]
-        assert side.count() == _sign_changes([p.m12 for p in side.steps])
+        m = side.count()
+        moves = itertools.accumulate(
+            (abs(b - a) for a, b in zip(m, m[1:])), initial=0)
+        assert list(moves) == _sign_changes([p.m12 for p in side.steps])
+        for n, p in zip(m, side.steps):
+            assert p.m12 == 0.0 or (n % 2 == 0) == (side.k * p.m12 > 0.0)
 
 
 @seed(20261059)

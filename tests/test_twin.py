@@ -288,11 +288,14 @@ KERNEL_POINTS = dict(point=POINTS, a=_signed_log(-3.0, 3.0).filter(bool),
 @given(**KERNEL_POINTS, x=st.one_of(st.floats(-10.0, 10.0),
                                     _signed_log(-150.0, 150.0)),
        y=st.one_of(st.floats(-10.0, 10.0), _signed_log(-150.0, 150.0)))
+@example(point=twin.draw_point(0.0, 0.0, 1.0, -716.0), a=-1.0, t=1.0,
+         x=0.0, y=0.0)
 @twin.at_40_digits
 def test_green_eval_matches_its_twin(point, a, t, x, y):
     # G(x, y) within the twin's bound, or refused where the twin allows:
     # a phase of 2^29 rad and more, whose ulp is past 1e-7, or one that
-    # may overflow
+    # may overflow.  In the example mu = e^-716 and 2 pi mu are subnormal,
+    # so the product rounds by up to 2^-1075, 3.6e-14 of its value
     kp = _kernel(point, a, t)
     g, e, phase, size = twin.green(kp, x, y)
     try:

@@ -382,14 +382,17 @@ def green(kp, x: float, y: float):
     error of its float evaluation, the twin of the phase alpha x^2 +
     beta x y + gamma y^2 in its order, and the phase's scale, the sum of
     its terms' magnitudes.  e is |g| times the phase's bound plus 10 unit
-    roundoffs for the complex prefactor, exponential and product."""
+    roundoffs for the complex prefactor, exponential and product, plus
+    half the relative error 2^-1075 / |2 pi mu| of the product 2 pi mu,
+    which is absolute where that product is subnormal."""
     x, y = Twin(x), Twin(y)
     phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
-    g = (mpmath.expj(phase.v)
-         / mpmath.sqrt(mpmath.mpc(0, 2 * mpmath.pi * mpmath.mpf(kp.mu))))
+    w = 2 * mpmath.pi * mpmath.mpf(kp.mu)
+    g = mpmath.expj(phase.v) / mpmath.sqrt(mpmath.mpc(0, w))
     size = (abs(mpmath.mpf(kp.alpha)) * x.v ** 2 + abs(kp.beta * x.v * y.v)
             + abs(mpmath.mpf(kp.gamma)) * y.v ** 2)
-    return g, abs(g) * (phase.e + 10 * EPS), phase, size
+    e = abs(g) * (phase.e + 10 * EPS + TINY / (2 * abs(w)))
+    return g, e, phase, size
 
 
 def propagated(kp, s):
