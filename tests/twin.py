@@ -383,8 +383,8 @@ def green(kp, x: float, y: float):
     beta x y + gamma y^2 in its order, and the phase's scale, the sum of
     its terms' magnitudes.  e is |g| times the phase's bound plus 10 unit
     roundoffs for the complex prefactor, exponential and product, plus
-    half the relative error 2^-1075 / |2 pi mu| of the product 2 pi mu,
-    which is absolute where that product is subnormal."""
+    2^-1075 / |4 pi mu|: where the product 2 pi mu is subnormal it rounds
+    by up to 2^-1075, and the prefactor carries half its relative error."""
     x, y = Twin(x), Twin(y)
     phase = kp.alpha * (x * x) + kp.beta * x * y + kp.gamma * (y * y)
     w = 2 * mpmath.pi * mpmath.mpf(kp.mu)
