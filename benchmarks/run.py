@@ -12,32 +12,14 @@ measured with ``perf_counter`` from spawn to exit; one more untimed run
 under ``-X importtime`` records whether the subcommand loaded numpy and
 its ``import_s``, the summed cumulative time of the top-level imports.
 The layers are timed in child interpreters on the measured checkout's
-source, one child per sample: one evaluation of the coefficients
-(a, b, c, d) the flow reads (H's own), ``classical_flow`` solved to the
-Caldirola-Kanai window of the subcommands and to the window of the tier-1
-moment check (criterion 3: the catalogued Caldirola-Kanai invariant,
-t_end 2), and at omega0 = 1e3, lambda = 0.2 to t = 0.5, about 6,800
-steps, where the cost per step shows, the count of zeros of M12
-(``Side.count``) over that flow's forward step points on a fresh side,
-one ``Flow.at`` point, one point of the second-moment path and of the
-energy path (``solve_energy_system``) on that flow, one point of the
-first-moment path on the first flow, one point of the
-``general_invariant`` path of the Ermakov pair on the
-oscillator flow (omega^2 = 1 + 0.3 sin t, kappa from (1, 0.2), c0 = 0.7,
-t = 1), one ``kernel_parameters`` point, ``classical_flow`` solved towards t = 1 on
-a coefficient that overflows inside that window (b = e^(1000 t)), the
-refusal caught inside the timed call, the Gaussian propagation layer (one
-``green_eval`` point and one ``propagate_gaussian`` call) and the grid
-layers (a Crank-Nicolson step, per step of a 64-step ``evolve_grid`` run,
-at N = 256, 2048 and 4096 on the Caldirola-Kanai window, and at N = 2048
-on the simple harmonic oscillator, whose constant system is factored once;
-and one ``propagate_grid`` at N = 4096), each the median and the best of 7
-samples and ``fast_samples``, the number of samples within 25% of the
-best, with the solver's counts for each solve, and ``steal_s``, the host's
-steal time (from /proc/stat) during each sample's child, null where that
-file cannot be read.  Each child imports numpy and every package module it
-times before it builds any input, so that every row is timed after one
-import order.  The children run with
+source, one child per sample; each ``row`` of ``LAYERS`` declares one
+layer timing, the inputs its record carries and, for a solve, the
+solver's counts.  Each row records the median and the best of 7 samples,
+``fast_samples``, the number of samples within 25% of the best, and
+``steal_s``, the host's steal time (from /proc/stat) during each sample's
+child, null where that file cannot be read.  Each child imports numpy and
+every package module it times before it builds any input, so that every
+row is timed after one import order.  The children run with
 ``PYTHONDONTWRITEBYTECODE=1``, so that each call compiles the package and
 the measured checkout is left as it was.  The ``quadbench`` children copy
 the benchmark's own environment and add ``PYTHONPATH`` (``child_env`` in
@@ -50,8 +32,8 @@ alternated calls on a 2-CPU Xeon).
 this same script.  The tier-1 suite runs TIER1_RUNS times, after every
 other timing; its ``wall_s`` is the median of its ``samples_s``.
 ``--against OTHER`` measures ``--root`` and OTHER together, alternating
-the two sample by sample in every subprocess, layer and tier-1 timing, so
-that a change in machine load falls on both alike; it
+the two sample by sample in every subprocess, layer and tier-1 timing
+(``_alternate``), so that a change in machine load falls on both alike; it
 writes OTHER's record as ``BENCH_<yyyymmdd>_<TAG>_against.json``.  Each
 record of a pair carries ``verdicts``: every import, command and layer
 row judged against the other record's by ``verdict``, the rule a speed
@@ -103,7 +85,7 @@ IMPORTS = {"python": "pass", "numpy": "import numpy",
            "quadham.dynamics": "import quadham.dynamics",
            "quadham.gridsim": "import quadham.gridsim"}
 # the in-process layer timings, one sample per child on the measured
-# source: {row: per-call seconds}, plus the flow solver's counts
+# source: {row: {"s": per-call seconds, **what the row measured}}
 LAYERS = """
 import json, math, timeit
 import numpy as np
@@ -122,11 +104,11 @@ def solve(tc, t_end):
 spec = coeff.ModelSpec("caldirola_kanai", lam=0.2)
 tc = coeff.builtin_coefficients(spec)
 flow = solve(tc, 1.4)
-# criterion 3's moment check on the catalogued Caldirola-Kanai invariant
 # the same model at omega0 = 1e3, about 6,800 steps to t = 0.5
 tc_hf = coeff.builtin_coefficients(coeff.ModelSpec("caldirola_kanai", 1e3,
                                                    0.2))
 hf_flow = solve(tc_hf, 0.5)
+# criterion 3's moment check on the catalogued Caldirola-Kanai invariant
 tc_inv = coeff.catalog_coefficients(coeff.ModelSpec("caldirola_kanai", 1.0,
                                                     0.1))
 moment_flow = solve(tc_inv, 2.0)
@@ -167,10 +149,6 @@ def refused_flow():
     except NumericalError:
         pass
 
-def per_call(fn, number):
-    fn()
-    return timeit.timeit(fn, number=number) / number
-
 # the grid layers: a Gaussian on [-8, 8], its tails below 1e-13
 def grid(n):
     x = np.linspace(-8.0, 8.0, n)
@@ -185,63 +163,47 @@ sho = coeff.builtin_coefficients(coeff.ModelSpec("simple_harmonic"))
 def counts(f):
     return {"nfev": f.nfev, "n_steps": f.n_steps, "n_rejected": f.n_rejected}
 
+# one row: fn's seconds per call (per one of per steps) after one untimed
+# call, beside the inputs it measured
+rows = {}
+
+def row(name, fn, number, per=1, **inputs):
+    fn()
+    rows[name] = {"s": timeit.timeit(fn, number=number) / number / per,
+                  **inputs}
+
 grid_4096 = grid(4096)
-print(json.dumps({
-    "coefficients": per_call(
-        lambda: (tc.a(0.7), tc.b(0.7), tc.c(0.7), tc.d(0.7)),
-        20000),
-    "classical_flow": per_call(lambda: solve(tc, 1.4), 50),
-    "classical_flow_hf": per_call(lambda: solve(tc_hf, 0.5), 2),
-    "caustic_count": per_call(caustic_count, 5),
-    "moment_flow": per_call(lambda: solve(tc_inv, 2.0), 50),
-    "flow_at": per_call(lambda: flow.at(0.7), 5000),
-    "moment_point": per_call(lambda: moments(0.7), 5000),
-    "first_moment_point": per_call(lambda: first_moments(0.7), 5000),
-    "energy_point": per_call(lambda: energy(0.7), 5000),
-    "invariant_point": per_call(lambda: invariant(1.0), 5000),
-    "kernel_parameters": per_call(
-        lambda: chm.kernel_parameters(tc, flow, 0.7), 5000),
-    "refused_flow": per_call(refused_flow, 2),
-    "green_eval": per_call(lambda: prop.green_eval(kp, 0.3, -0.2), 20000),
-    "propagate_gaussian": per_call(lambda: prop.propagate_gaussian(kp, s0),
-                                   20000),
-    "cn_step_256": per_call(cn_step(256), 20) / 64,
-    "cn_step_2048": per_call(cn_step(2048), 5) / 64,
-    "cn_step_4096": per_call(cn_step(4096), 5) / 64,
-    "cn_step_2048_constant": per_call(cn_step(2048, sho), 5) / 64,
-    "propagate_grid": per_call(lambda: prop.propagate_grid(kp, grid_4096),
-                               50),
-    "counts": {"classical_flow": counts(flow),
-               "classical_flow_hf": counts(hf_flow),
-               "moment_flow": counts(moment_flow)}}))
+row("coefficients", lambda: (tc.a(0.7), tc.b(0.7), tc.c(0.7), tc.d(0.7)),
+    20000, t=0.7)
+row("classical_flow", lambda: solve(tc, 1.4), 50, t_end=1.4, **counts(flow))
+row("classical_flow_hf", lambda: solve(tc_hf, 0.5), 2, omega0=1e3,
+    **{"lambda": 0.2}, t_end=0.5, **counts(hf_flow))
+row("caustic_count", caustic_count, 5, omega0=1e3, **{"lambda": 0.2},
+    t_end=0.5)
+row("moment_flow", lambda: solve(tc_inv, 2.0), 50, model="caldirola_kanai",
+    **{"lambda": 0.1}, t_end=2.0, **counts(moment_flow))
+row("flow_at", lambda: flow.at(0.7), 5000, t=0.7)
+row("moment_point", lambda: moments(0.7), 5000, t=0.7)
+row("first_moment_point", lambda: first_moments(0.7), 5000, t=0.7)
+row("energy_point", lambda: energy(0.7), 5000, model="caldirola_kanai",
+    **{"lambda": 0.1}, t=0.7)
+row("invariant_point", lambda: invariant(1.0), 5000,
+    omega_sq="1 + 0.3 sin t", c0=0.7, kappa0=1.0, kappa0_prime=0.2, t=1.0)
+row("kernel_parameters", lambda: chm.kernel_parameters(tc, flow, 0.7), 5000,
+    t=0.7)
+row("refused_flow", refused_flow, 2, b="exp(1000 t)", t_end=1.0)
+row("green_eval", lambda: prop.green_eval(kp, 0.3, -0.2), 20000, t=0.7,
+    x=0.3, y=-0.2)
+row("propagate_gaussian", lambda: prop.propagate_gaussian(kp, s0), 20000,
+    t=0.7, Lambda="0.5j")
+for n, number in ((256, 20), (2048, 5), (4096, 5)):
+    row(f"cn_step_{n}", cn_step(n), number, 64, n=n, dt=1e-3, steps=64)
+row("cn_step_2048_constant", cn_step(2048, sho), 5, 64,
+    model="simple_harmonic", n=2048, dt=1e-3, steps=64)
+row("propagate_grid", lambda: prop.propagate_grid(kp, grid_4096), 50, t=0.7,
+    n=4096)
+print(json.dumps(rows))
 """
-# what each layer row measured, beside its timings in the record
-LAYER_INPUTS = {"coefficients": {"t": 0.7},
-                "classical_flow": {"t_end": 1.4},
-                "classical_flow_hf": {"omega0": 1e3, "lambda": 0.2,
-                                      "t_end": 0.5},
-                "caustic_count": {"omega0": 1e3, "lambda": 0.2,
-                                  "t_end": 0.5},
-                "moment_flow": {"model": "caldirola_kanai", "lambda": 0.1,
-                                "t_end": 2.0},
-                "flow_at": {"t": 0.7}, "moment_point": {"t": 0.7},
-                "first_moment_point": {"t": 0.7},
-                "energy_point": {"model": "caldirola_kanai", "lambda": 0.1,
-                                 "t": 0.7},
-                "invariant_point": {"omega_sq": "1 + 0.3 sin t", "c0": 0.7,
-                                    "kappa0": 1.0, "kappa0_prime": 0.2,
-                                    "t": 1.0},
-                "kernel_parameters": {"t": 0.7},
-                "refused_flow": {"b": "exp(1000 t)", "t_end": 1.0},
-                "green_eval": {"t": 0.7, "x": 0.3, "y": -0.2},
-                "propagate_gaussian": {"t": 0.7, "Lambda": "0.5j"},
-                "cn_step_256": {"n": 256, "dt": 1e-3, "steps": 64},
-                "cn_step_2048": {"n": 2048, "dt": 1e-3, "steps": 64},
-                "cn_step_4096": {"n": 4096, "dt": 1e-3, "steps": 64},
-                "cn_step_2048_constant": {"model": "simple_harmonic",
-                                          "n": 2048, "dt": 1e-3,
-                                          "steps": 64},
-                "propagate_grid": {"t": 0.7, "n": 4096}}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIER1_RUNS = 3
@@ -268,17 +230,25 @@ def _time(args, root):
     return elapsed
 
 
+def _alternate(sample, roots, n):
+    """n results of ``sample(root)`` for each checkout, one list per root,
+    the checkouts alternating call by call so that a change in machine
+    load falls on all alike."""
+    out = [[] for _ in roots]
+    for _ in range(n):
+        for root, results in zip(roots, out):
+            results.append(sample(root))
+    return out
+
+
 def _medians(args, roots):
     """The median of REPEATS timings of ``python ARGS`` in each checkout,
     after one untimed run in each; the checkouts alternate run by run."""
     for root in roots:
         _time(args, root)
-    samples = [[] for _ in roots]
-    for _ in range(REPEATS):
-        for root, out in zip(roots, samples):
-            out.append(_time(args, root))
     return [{"median_s": statistics.median(s), "samples_s": s}
-            for s in samples]
+            for s in _alternate(lambda root: _time(args, root), roots,
+                                REPEATS)]
 
 
 def _importtime(args, root):
@@ -320,40 +290,34 @@ def _steal_ticks():
 
 
 def _layer_sample(root):
-    """One layer child's timings, with ``steal_s``, the seconds of steal
-    time that passed while it ran (None where /proc/stat cannot be read)."""
+    """One layer child's rows and ``steal_s``, the seconds of steal time
+    that passed while it ran (None where /proc/stat cannot be read)."""
     before = _steal_ticks()
     proc = subprocess.run([sys.executable, "-c", LAYERS], cwd=root,
                           env=_env(root), capture_output=True, text=True,
                           check=True)
     after = _steal_ticks()
-    run = json.loads(proc.stdout)
-    run["steal_s"] = (None if None in (before, after)
-                      else (after - before) / os.sysconf("SC_CLK_TCK"))
-    return run
+    steal = (None if None in (before, after)
+             else (after - before) / os.sysconf("SC_CLK_TCK"))
+    return json.loads(proc.stdout), steal
 
 
 def _layers(roots):
     """The ``flow`` section of each checkout's record: REPEATS samples of
-    every layer row, one child per sample, the checkouts alternating."""
-    samples = [[] for _ in roots]
-    for _ in range(REPEATS):
-        for root, out in zip(roots, samples):
-            out.append(_layer_sample(root))
+    every layer row, one child per sample, the checkouts alternating; each
+    row carries the inputs and counts of its first sample."""
     records = []
-    for runs in samples:
+    for runs in _alternate(_layer_sample, roots, REPEATS):
+        steal = [s for _, s in runs]
         record = {}
-        steal = [run["steal_s"] for run in runs]
-        for row, inputs in LAYER_INPUTS.items():
-            per_call = [run[row] for run in runs]
+        for row, first in runs[0][0].items():
+            per_call = [rows[row]["s"] for rows, _ in runs]
             best = min(per_call)
             fast = sum(s <= 1.25 * best for s in per_call)
             record[row] = dict(median_s=statistics.median(per_call),
                                best_s=best, fast_samples=fast,
-                               samples_s=per_call, steal_s=steal,
-                               **inputs)
-        for row, counts in runs[0]["counts"].items():
-            record[row].update(counts)
+                               samples_s=per_call, steal_s=steal)
+            record[row].update((k, v) for k, v in first.items() if k != "s")
         records.append(record)
     return records
 
@@ -402,14 +366,11 @@ def _tier1(roots):
     the checkouts alternating run by run; ``wall_s`` is the median of the
     runs' ``samples_s``, with the first nonzero return code (0 for none)
     and the last run's summary line."""
-    runs = [[] for _ in roots]
-    for _ in range(TIER1_RUNS):
-        for root, out in zip(roots, runs):
-            out.append(_tier1_once(root))
     return [{"wall_s": statistics.median(w for w, _, _ in out),
              "samples_s": [w for w, _, _ in out],
              "returncode": next((code for _, code, _ in out if code), 0),
-             "summary": out[-1][2]} for out in runs]
+             "summary": out[-1][2]}
+            for out in _alternate(_tier1_once, roots, TIER1_RUNS)]
 
 
 def _revision(root):

@@ -187,6 +187,7 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
     beta x_k x_j = beta (x0^2 + x0 dx j + dx x0 k) + c k j with
     c = beta dx^2, and k j = (k^2 + j^2 - (k - j)^2) / 2 turns the sum over
     j into one linear convolution with the chirp exp(-i c m^2 / 2).
+    NumericalError naming t where the result overflows.
     """
     _served(kp.t, kp.mu, kp.mu_prime)
     x0, dx, n = phi.x0, phi.dx, phi.values.size
@@ -224,9 +225,12 @@ def propagate_grid(kp: KernelParameters, phi: GridState) -> GridState:
     lag[:n] = k
     lag[size - n + 1:] = np.arange(1 - n, 0)
     chirp = np.exp(-0.5j * c * lag * lag)
-    conv = ifft(fft(u, size) * fft(chirp))[:n]
-    values = pref * conv * np.exp(
-        1j * (kp.alpha * x ** 2 + kp.beta * (x0 * x0 + dx * x0 * k)
-              + 0.5 * c * k * k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = ifft(fft(u, size) * fft(chirp))[:n]
+        values = pref * conv * np.exp(
+            1j * (kp.alpha * x ** 2 + kp.beta * (x0 * x0 + dx * x0 * k)
+                  + 0.5 * c * k * k))
+    if not np.isfinite(values).all():
+        raise NumericalError("the propagated grid overflows", t=kp.t)
     return GridState(x0, dx, values)
 

@@ -853,10 +853,11 @@ def test_help_still_exits_zero(capsys):
 def test_jsonable_writes_non_finite_values_as_strings():
     from quadham.cli import _jsonable
 
+    # np.int64 is no int, and json cannot write it: its repr
     value = (1.5, float("nan"), complex(0.0, math.inf),
-             [np.float64("-inf"), None, "x", 3])
+             [np.float64("-inf"), None, "x", 3, np.int64(3)])
     assert _jsonable(value) == [1.5, "nan", [0.0, "inf"],
-                                ["-inf", None, "x", 3]]
+                                ["-inf", None, "x", 3, repr(np.int64(3))]]
 
 
 def test_invariant_refuses_a_vanishing_reference():

@@ -190,6 +190,16 @@ def test_uncertainty_refuses_a_variance_that_overflows():
     assert type(err.value) is NumericalError
 
 
+def test_uncertainty_refuses_a_product_that_overflows():
+    # finite variances and margin whose product delta_p delta_x, in units
+    # of a subnormal <1>, overflows
+    with pytest.raises(NumericalError) as err:
+        dyn.uncertainty_check(dyn.SecondMoments(1e150, 1e150, 0.0, 1e-310))
+    assert str(err.value) == "the product delta_p delta_x is not finite"
+    assert err.value.info == {"dp2": 1e150, "dx2": 1e150, "norm": 1e-310}
+    assert type(err.value) is NumericalError
+
+
 @seed(36397032687576784568146524156464960145094795763996494280403724795452014768257896721386797702541584032205230202805878)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(dp=st.floats(0.5, 2.0), dx=st.floats(0.5, 2.0),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,25 @@ def test_grid_rejects_coarse_sampling():
     phi = prop.GridState(-30.0, 2.0, np.exp(-x ** 2 / 2))
     with pytest.raises(UnderResolved):
         prop.propagate_grid(kernel_of(0.5), phi)
+
+
+def test_a_grid_transform_that_overflows_is_a_numerical_error():
+    # a finite source whose transform overflows was refused as an input
+    # ("grid samples must be finite"), after four numpy RuntimeWarnings
+    _, _, kernel_of = solve_kernel(SHO, 1.5)
+    kp = kernel_of(1.0)
+    phi = grid_gaussian(prop.GaussianState(0.5j), 8.0, 256)
+
+    def scaled(factor):
+        return prop.GridState(phi.x0, phi.dx, factor * phi.values)
+
+    assert np.isfinite(prop.propagate_grid(kp, scaled(1e300)).values).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as exc:
+            prop.propagate_grid(kp, scaled(1e306))
+    assert type(exc.value) is NumericalError
+    assert exc.value.info == {"t": 1.0}
 
 
 def test_nonnormalizable_and_degenerate_guards():
